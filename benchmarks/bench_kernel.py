@@ -1,14 +1,20 @@
 """Microbenchmarks of the simulation substrate itself.
 
 Real timing benchmarks (many rounds) of the pieces everything else is
-built on: event throughput, process switching, resource contention, and
-a full Grid3 hour.  These guard against performance regressions that
-would silently make the figure benches unrunnable.
+built on: event throughput, process switching, resource contention, the
+network's link scheduler, and a full Grid3 hour.  These guard against
+performance regressions that would silently make the figure benches
+unrunnable.
 """
 
+import time
+
+from repro.experiments import format_table
 from repro.sim import Environment, Resource
 from repro.sim.rng import RngStreams
-from repro.simgrid import make_grid3
+from repro.simgrid import NetworkModel, make_grid3
+
+from benchmarks.common import emit
 
 
 def test_event_throughput(benchmark):
@@ -74,3 +80,61 @@ def test_grid3_background_hour(benchmark):
 
     running = benchmark(run)
     assert running > 0
+
+
+def _hot_uplink(n: int) -> Environment:
+    """``n`` equal transfers, all in flight at once through one uplink.
+
+    Starts are 1 ms apart, so every open and every close is a share
+    change at an instant of its own (same-instant changes would settle
+    to nothing but the last one).
+    """
+    env = Environment(lean=True)
+    net = NetworkModel(env, default_bandwidth_mbps=10.0, default_latency_s=0.0)
+
+    def mover(i):
+        yield env.timeout(i * 1e-3)
+        yield from net.transfer_process(100.0, "hub", f"leaf{i}")
+
+    for i in range(n):
+        env.process(mover(i))
+    env.run()
+    assert net.active_transfers("hub") == 0
+    return env
+
+
+def test_network_hot_uplink(benchmark):
+    """The network layer: cost of a share change on a congested uplink.
+
+    The k-th open re-shares k flows and the k-th close the n-k left, so
+    n transfers make n**2 share changes.  They must cost float work
+    only: kernel events stay at 4 per transfer (its two start timers,
+    its ``done`` event and the scheduler's one timer firing for it)
+    however many flows cross the uplink.
+    """
+    sizes = (10, 100, 1_000)
+
+    def run():
+        out = {}
+        for n in sizes:
+            best = float("inf")
+            for _ in range(3):
+                t0 = time.perf_counter()
+                env = _hot_uplink(n)
+                best = min(best, time.perf_counter() - t0)
+            out[n] = (env.event_count, best)
+        return out
+
+    out = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = [
+        [n, n * n, events, f"{wall * 1e3:.2f}", f"{wall * 1e6 / (n * n):.3f}"]
+        for n, (events, wall) in out.items()
+    ]
+    emit("kernel_network", format_table(
+        ["transfers", "share changes", "kernel events", "wall (ms)",
+         "us / share change"],
+        rows,
+        title="Link scheduler: n equal transfers through one hot uplink",
+    ))
+    for n, (events, _wall) in out.items():
+        assert events <= 4 * n

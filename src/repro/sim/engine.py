@@ -407,6 +407,25 @@ class Environment:
         _push(self._heap, (self._now + delay, _base + seq, ev))
         return ev
 
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """A timer that fires at the *absolute* instant ``when``.
+
+        ``timeout(when - now)`` lands on ``now + (when - now)``, which
+        can be one ulp off ``when``; a caller that computed an exact
+        finish instant earlier (the network's link scheduler) arms it
+        here instead.  Instants before ``now`` are rejected.
+        """
+        if not when >= self._now:
+            raise ValueError(
+                f"cannot arm a timer at {when!r} < now {self._now!r}"
+            )
+        ev = Timeout.__new__(Timeout)  # Timeout.__init__ takes a delay
+        Event.__init__(ev, self)
+        ev._value = value
+        self._seq += 1
+        heappush(self._heap, (when, _NORMAL_BASE + self._seq, ev))
+        return ev
+
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 

@@ -19,7 +19,10 @@ static monitoring data SPHINX had — while the simulated transfer
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Optional
+
+from repro.sim.engine import Event, Timeout
 
 __all__ = ["NetworkModel"]
 
@@ -27,6 +30,33 @@ __all__ = ["NetworkModel"]
 DEFAULT_BANDWIDTH_MBPS = 10.0
 #: Default one-way WAN latency (seconds).
 DEFAULT_LATENCY_S = 0.2
+
+#: A flow with no more than this many MB left has finished.
+_DONE_MB = 1e-9
+#: The finish instant of "no flow" (and of a flow not yet settled).
+_NEVER = float("inf")
+
+
+class _Flow:
+    """One live transfer in the link scheduler's table."""
+
+    __slots__ = ("seq", "at_src", "at_dst", "bw", "remaining", "share", "t0",
+                 "finish", "key", "done")
+
+    def __init__(self, seq: int, at_src: dict, at_dst: dict, bw: float,
+                 size_mb: float, now: float, done: Event):
+        self.seq = seq          # start order, the completion tie-break
+        self.at_src = at_src    # the flow tables of its two uplinks
+        self.at_dst = at_dst
+        self.bw = bw            # uncongested path bandwidth (MB/s)
+        self.remaining = size_mb
+        self.share = bw         # MB/s since t0
+        self.t0 = now           # instant `remaining` was last settled
+        self.finish = _NEVER    # t0 + remaining / share
+        #: instant of this flow's one valid ``_due`` entry, never later
+        #: than ``finish``; ``None`` once the flow has closed.
+        self.key: Optional[float] = _NEVER
+        self.done = done        # settled when the last byte arrives
 
 
 class NetworkModel:
@@ -48,11 +78,18 @@ class NetworkModel:
         self._uplink_bw: dict[str, float] = {}
         self._pair_bw: dict[tuple[str, str], float] = {}
         self._pair_lat: dict[tuple[str, str], float] = {}
-        #: live transfer counts per site uplink, for congestion sharing.
-        self._active: dict[str, int] = {}
-        #: per-uplink "share changed" events; every active-count change
-        #: settles the old event so in-flight transfers re-account.
-        self._epoch: dict[str, object] = {}
+        #: the link scheduler's flow table: per site uplink, the live
+        #: flows crossing it (insertion-ordered; a flow sits under both
+        #: of its endpoints).
+        self._flows: dict[str, dict[_Flow, None]] = {}
+        self._flow_seq = 0
+        #: ``(instant, flow seq, flow)`` min-heap over the live flows'
+        #: finish instants, maintained lazily (see :meth:`_arm`).
+        self._due: list[tuple[float, int, _Flow]] = []
+        self._due_limit = 64
+        #: the one kernel timer, armed at the earliest finish instant.
+        self._timer: Optional[Timeout] = None
+        self._timer_at = _NEVER
 
     # -- topology configuration ------------------------------------------------
     def set_uplink(self, site: str, bandwidth_mbps: float) -> None:
@@ -105,61 +142,150 @@ class NetworkModel:
         return self.latency_s(src, dst) + size_mb / self.bandwidth_mbps(src, dst)
 
     # -- simulated transfer ---------------------------------------------------------
+    #
+    # The link scheduler.  Exact fluid fair sharing with no kernel event
+    # per share change: the flow table holds, per live transfer, the MB
+    # left at its last-settled instant and the share it has drained at
+    # since.  Whenever a transfer opens or closes, every flow crossing
+    # the two touched uplinks is settled in a plain loop (float
+    # arithmetic only), and one kernel timer per network stays armed at
+    # the earliest finish instant.  Tie-break: flows that finish at the
+    # same instant complete in the order they started.
+
     def active_transfers(self, site: str) -> int:
         """Number of live transfers crossing ``site``'s uplink."""
-        return self._active.get(site, 0)
+        return len(self._flows.get(site, ()))
 
-    def _bump(self, site: str, delta: int) -> None:
-        self._active[site] = self._active.get(site, 0) + delta
-        # Wake every in-flight transfer crossing this uplink so it
-        # re-accounts at the new share.
-        epoch = self._epoch.get(site)
-        if epoch is not None and not epoch.triggered:
-            epoch.succeed()
-        self._epoch[site] = self.env.event()
+    def _settle(self, flow: _Flow, now: float) -> None:
+        """Account ``flow`` up to ``now`` and re-aim it at its new share."""
+        remaining = flow.remaining - flow.share * (now - flow.t0)
+        flow.remaining = remaining
+        flow.t0 = now
+        if remaining > _DONE_MB:
+            flow.share = share = flow.bw / max(
+                len(flow.at_src), len(flow.at_dst)
+            )
+            finish = now + remaining / share
+        else:
+            finish = now  # the last byte is in: completes at this instant
+        flow.finish = finish
+        if finish < flow.key:
+            # Moved earlier: the heap must know now.  A finish that moved
+            # later keeps its old entry as a lower bound (see _arm).
+            flow.key = finish
+            heappush(self._due, (finish, flow.seq, flow))
 
-    def _epoch_event(self, site: str):
-        epoch = self._epoch.get(site)
-        if epoch is None or epoch.triggered:
-            epoch = self._epoch[site] = self.env.event()
-        return epoch
+    def _settle_crossing(self, at_src: dict, at_dst: dict) -> None:
+        """Settle every flow crossing either uplink — a transfer opened
+        or closed on them, so the share of each may have changed."""
+        now = self.env.now
+        settle = self._settle
+        for flow in at_src:
+            settle(flow, now)
+        for flow in at_dst:
+            if flow not in at_src:
+                settle(flow, now)
+
+    def _open(self, size_mb: float, src: str, dst: str) -> _Flow:
+        self._flow_seq += 1
+        flow = _Flow(self._flow_seq,
+                     self._flows.setdefault(src, {}),
+                     self._flows.setdefault(dst, {}),
+                     self.bandwidth_mbps(src, dst), size_mb,
+                     self.env.now, self.env.event())
+        flow.at_src[flow] = flow.at_dst[flow] = None
+        self._settle_crossing(flow.at_src, flow.at_dst)
+        self._arm()
+        return flow
+
+    def _close(self, flow: _Flow) -> None:
+        """Drop ``flow`` from the table (the caller re-arms the timer)."""
+        del flow.at_src[flow], flow.at_dst[flow]
+        flow.key = None
+        self._settle_crossing(flow.at_src, flow.at_dst)
+
+    def _earliest(self) -> Optional[_Flow]:
+        """The live flow that finishes first (ties: started first).
+
+        ``_due`` is maintained lazily: a flow whose finish moved later
+        keeps its old entry as a lower bound, and one whose finish moved
+        earlier (or that closed) leaves a superseded entry behind.  Both
+        are repaired here, and only once they reach the top — which
+        then holds the true earliest ``(finish, seq)``.
+        """
+        due = self._due
+        if len(due) > self._due_limit:
+            # Superseded entries only leave at the top; under a hot
+            # uplink every close supersedes one per crossing flow.  Drop
+            # them wholesale once they outnumber the valid ones.
+            due[:] = [entry for entry in due if entry[2].key == entry[0]]
+            heapify(due)
+            self._due_limit = 2 * len(due) + 64
+        while due:
+            when, seq, flow = due[0]
+            if flow.key != when:        # superseded, or the flow closed
+                heappop(due)
+            elif flow.finish > when:    # lower bound: re-file at the truth
+                flow.key = flow.finish
+                heapreplace(due, (flow.finish, seq, flow))
+            else:
+                return flow
+        return None
+
+    def _arm(self) -> None:
+        """Keep the one timer armed at the earliest finish instant."""
+        flow = self._earliest()
+        when = _NEVER if flow is None else flow.finish
+        if when != self._timer_at:
+            if self._timer is not None:
+                self._timer.cancel()
+                self._timer = None
+            self._timer_at = when
+            if flow is not None:
+                self._timer = self.env.timeout_at(when)
+                self._timer.add_callback(self._on_timer)
+
+    def _on_timer(self, _event: Event) -> None:
+        """Complete the flows that finish now, in (instant, start) order."""
+        self._timer = None
+        self._timer_at = _NEVER
+        now = self.env.now
+        while True:
+            flow = self._earliest()
+            if flow is None or flow.finish > now:
+                break
+            heappop(self._due)
+            flow.key = _NEVER  # entry consumed; _settle files the next
+            self._settle(flow, now)
+            if flow.remaining <= _DONE_MB:
+                self._close(flow)
+                flow.done.succeed()
+            # else: float shortfall; it runs on for one more slice.
+        self._arm()
 
     def transfer_process(self, size_mb: float, src: str, dst: str):
         """A generator that models the transfer with congestion.
 
         Yield it from a simulation process.  Exact fluid fair sharing:
-        a transfer progresses at the path bandwidth divided by the
-        busiest endpoint's active-transfer count, and re-accounts
-        whenever any transfer starts or finishes on either uplink —
-        event-driven, so cost scales with share *changes*, not with
-        transfer duration.
+        a transfer progresses at the path bandwidth (as configured when
+        it leaves the latency phase) divided by the busiest endpoint's
+        active-transfer count, and is re-accounted whenever any transfer
+        starts or finishes on either uplink.  The re-accounting is done
+        by the link scheduler above, not by this process: it sleeps on
+        one event from open to last byte, however often its share moves.
         """
+        if size_mb < 0:
+            raise ValueError("size must be >= 0")
         if src == dst or size_mb == 0:
-            if size_mb < 0:
-                raise ValueError("size must be >= 0")
             return 0.0
         start = self.env.now
         yield self.env.timeout(self.latency_s(src, dst))
-        self._bump(src, +1)
-        self._bump(dst, +1)
+        flow = self._open(float(size_mb), src, dst)
         try:
-            remaining = float(size_mb)
-            lean = self.env.lean
-            while remaining > 1e-9:
-                share = self.bandwidth_mbps(src, dst) / max(
-                    self._active.get(src, 1), self._active.get(dst, 1)
-                )
-                slice_start = self.env.now
-                done = self.env.timeout(remaining / share)
-                yield self.env.any_of(
-                    [done, self._epoch_event(src), self._epoch_event(dst)]
-                )
-                if lean and not done.processed:
-                    # A share change preempted this slice; the stale
-                    # completion timer would pop much later for nothing.
-                    done.cancel()
-                remaining -= share * (self.env.now - slice_start)
+            yield flow.done
         finally:
-            self._bump(src, -1)
-            self._bump(dst, -1)
+            if not flow.done.triggered:
+                # Interrupted mid-flight: free the share at this instant.
+                self._close(flow)
+                self._arm()
         return self.env.now - start

@@ -23,6 +23,21 @@ def test_validation():
         net.transfer_time(-1, "a", "b")
 
 
+@pytest.mark.parametrize("src,dst", [("a", "a"), ("a", "b")])
+def test_negative_size_transfer_is_rejected_before_it_touches_an_uplink(src, dst):
+    env = Environment()
+    net = NetworkModel(env)
+
+    def mover(env, net):
+        with pytest.raises(ValueError):
+            yield from net.transfer_process(-1.0, src, dst)
+
+    env.process(mover(env, net))
+    env.run()
+    assert env.now == 0.0  # not even the latency was waited
+    assert net.active_transfers("a") == net.active_transfers("b") == 0
+
+
 def test_local_access_is_free():
     net = NetworkModel(Environment())
     assert net.transfer_time(1000.0, "s", "s") == 0.0
