@@ -2,17 +2,18 @@
 
 Real timing benchmarks (many rounds) of the pieces everything else is
 built on: event throughput, process switching, resource contention, the
-network's link scheduler, and a full Grid3 hour.  These guard against
-performance regressions that would silently make the figure benches
-unrunnable.
+network's link scheduler, the per-site batch queue, the replica index,
+and a full Grid3 hour.  These guard against performance regressions that
+would silently make the figure benches unrunnable.
 """
 
 import time
 
 from repro.experiments import format_table
+from repro.services import ReplicaService
 from repro.sim import Environment, Resource
 from repro.sim.rng import RngStreams
-from repro.simgrid import NetworkModel, make_grid3
+from repro.simgrid import LocalScheduler, NetworkModel, SiteJob, make_grid3
 
 from benchmarks.common import emit
 
@@ -138,3 +139,99 @@ def test_network_hot_uplink(benchmark):
     ))
     for n, (events, _wall) in out.items():
         assert events <= 4 * n
+
+
+def _batch_queue(n: int, n_cpus: int, detached: bool, reserved: bool):
+    """Submit ``n`` 60 s jobs to one site at t=0, then drain it.
+
+    Returns ``(env, submit seconds, drain seconds)``.  ``reserved`` keeps
+    one reservation live for the whole run (a 1-CPU window far in the
+    future), so every submit pays the backfill offer.
+    """
+    env = Environment(lean=True)
+    sched = LocalScheduler(env, n_cpus, lambda job: job.runtime_s)
+    if reserved:
+        assert sched.reserve("r", 1e9, 1.0, cpus=1)
+    jobs = [SiteJob(f"j{i}", runtime_s=60.0) for i in range(n)]
+    t0 = time.perf_counter()
+    for job in jobs:
+        sched.submit(job, detached=detached)
+    t1 = time.perf_counter()
+    env.run(until=1e8)
+    t2 = time.perf_counter()
+    assert sched.completed_count == n
+    return env, t1 - t0, t2 - t1
+
+
+def test_local_scheduler_submit_drain(benchmark):
+    """The batch-queue layer: host cost of one job, submit and drain.
+
+    A job is callbacks on one awaited event (DESIGN.md §5l), so a
+    detached job on an idle site costs exactly one kernel event — its
+    run timer; a watched job adds its grant wake-up.
+    """
+    n = 50_000
+    cases = {
+        "detached, idle site": (n, True, False),
+        "watched, idle site": (n, False, False),
+        "detached, 64 CPUs contended": (64, True, False),
+        "detached, idle site, 1 live reservation": (n + 1, True, True),
+    }
+
+    def run():
+        out = {}
+        for label, (n_cpus, detached, reserved) in cases.items():
+            best = (float("inf"), float("inf"))
+            for _ in range(3):
+                env, submit_s, drain_s = _batch_queue(
+                    n, n_cpus, detached, reserved)
+                best = min(best, (submit_s, drain_s), key=sum)
+            out[label] = (env.event_count, *best)
+        return out
+
+    out = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = [
+        [label, f"{events / n:.2f}", f"{submit_s * 1e6 / n:.2f}",
+         f"{drain_s * 1e6 / n:.2f}"]
+        for label, (events, submit_s, drain_s) in out.items()
+    ]
+    emit("kernel_local_scheduler", format_table(
+        ["case", "kernel events / job", "submit (us / job)",
+         "drain (us / job)"],
+        rows,
+        title=f"Batch queue: {n} jobs of 60 s through one LocalScheduler "
+              "(lean kernel)",
+    ))
+    assert out["detached, idle site"][0] <= n
+
+
+def _rls_lookup_us(n_sites: int, n_lfns: int = 200, rounds: int = 20) -> float:
+    """Mean ``locations`` cost with 3 replicas per LFN among ``n_sites``."""
+    sites = [f"s{i}" for i in range(n_sites)]
+    rls = ReplicaService(Environment(), sites)
+    lfns = [f"lfn{i}" for i in range(n_lfns)]
+    for i, lfn in enumerate(lfns):
+        for k in range(3):
+            rls.register_replica(lfn, sites[(i * 7 + k * 11) % n_sites], 10.0)
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        for _ in range(rounds):
+            for lfn in lfns:
+                rls.locations(lfn)
+        best = min(best, time.perf_counter() - t0)
+    assert all(len(rls.locations(lfn)) == 3 for lfn in lfns)
+    return best * 1e6 / (rounds * n_lfns)
+
+
+def test_rls_lookup_scaling(benchmark):
+    """The replica index: a lookup costs O(replicas), not O(sites)."""
+    sizes = (25, 250, 2_500)
+    out = benchmark.pedantic(
+        lambda: {n: _rls_lookup_us(n) for n in sizes}, rounds=1, iterations=1)
+    emit("kernel_rls", format_table(
+        ["attached sites", "replicas / LFN", "lookup (us)"],
+        [[n, 3, f"{us:.3f}"] for n, us in out.items()],
+        title="RLS: ReplicaService.locations against the live inverted index",
+    ))
+    assert out[2_500] <= 2.0 * out[25]

@@ -81,7 +81,7 @@ class GridFtpService:
     def has_live_replica(self, lfn: str) -> bool:
         """True when some non-DOWN site physically holds ``lfn``."""
         return any(
-            s in self.grid.site_names
+            s in self.grid
             and self.grid.site(s).has_file(lfn)
             and self.grid.site(s).state is not SiteState.DOWN
             for s in self.rls.locations(lfn)
@@ -100,7 +100,7 @@ class GridFtpService:
             return 0.0
         sources = [
             s for s in self.rls.locations(lfn)
-            if s in self.grid.site_names
+            if s in self.grid
             and self.grid.site(s).has_file(lfn)
             and self.grid.site(s).state is not SiteState.DOWN
         ]

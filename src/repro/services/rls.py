@@ -17,6 +17,7 @@ the query methods on the RPC bus.
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Iterable, Optional
 
 from repro.sim.engine import Environment
@@ -30,16 +31,25 @@ class LocalReplicaCatalog:
     def __init__(self, site_name: str):
         self.site_name = site_name
         self._replicas: dict[str, float] = {}  # lfn -> size_mb
+        #: set by :meth:`ReplicaLocationIndex.attach`: the index this
+        #: catalog reports holder changes to
+        self._index: Optional["ReplicaLocationIndex"] = None
 
     def register(self, lfn: str, size_mb: float = 0.0) -> None:
         if not lfn:
             raise ValueError("lfn must be non-empty")
         if size_mb < 0:
             raise ValueError("size must be >= 0")
+        if self._index is not None and lfn not in self._replicas:
+            self._index._holder_added(lfn, self.site_name)
         self._replicas[lfn] = size_mb
 
     def unregister(self, lfn: str) -> bool:
-        return self._replicas.pop(lfn, None) is not None
+        if self._replicas.pop(lfn, None) is None:
+            return False
+        if self._index is not None:
+            self._index._holder_dropped(lfn, self.site_name)
+        return True
 
     def has(self, lfn: str) -> bool:
         return lfn in self._replicas
@@ -58,9 +68,11 @@ class LocalReplicaCatalog:
 class ReplicaLocationIndex:
     """Soft-state index over a set of LRCs.
 
-    With ``update_interval_s == 0`` the index reads LRCs directly
-    (always fresh); otherwise it holds a snapshot refreshed on that
-    period, reproducing the staleness of a production RLI.
+    With ``update_interval_s == 0`` the index is always fresh: attached
+    LRCs keep an inverted ``lfn -> holders`` map live as replicas are
+    (un)registered, so a lookup costs O(replicas of that LFN), not
+    O(attached sites).  Otherwise it answers from a snapshot refreshed
+    on that period, reproducing the staleness of a production RLI.
     """
 
     def __init__(
@@ -73,6 +85,10 @@ class ReplicaLocationIndex:
         self.env = env
         self.update_interval_s = update_interval_s
         self._lrcs: dict[str, LocalReplicaCatalog] = {}
+        self._rank: dict[str, int] = {}  # site -> attach order
+        #: live inverted index: lfn -> [(attach rank, site)], rank-sorted
+        #: so answers come out in attach order
+        self._holders: dict[str, list[tuple[int, str]]] = {}
         self._snapshot: dict[str, tuple[str, ...]] = {}
         self.last_update_at: Optional[float] = None
         if update_interval_s > 0:
@@ -82,7 +98,24 @@ class ReplicaLocationIndex:
     def attach(self, lrc: LocalReplicaCatalog) -> None:
         if lrc.site_name in self._lrcs:
             raise ValueError(f"LRC for {lrc.site_name!r} already attached")
+        if lrc._index is not None:
+            raise ValueError(
+                f"LRC for {lrc.site_name!r} already feeds another index"
+            )
+        lrc._index = self
+        self._rank[lrc.site_name] = len(self._lrcs)
         self._lrcs[lrc.site_name] = lrc
+        for lfn in lrc.lfns:  # registered before attach
+            self._holder_added(lfn, lrc.site_name)
+
+    def _holder_added(self, lfn: str, site: str) -> None:
+        insort(self._holders.setdefault(lfn, []), (self._rank[site], site))
+
+    def _holder_dropped(self, lfn: str, site: str) -> None:
+        holders = self._holders[lfn]
+        holders.remove((self._rank[site], site))
+        if not holders:
+            del self._holders[lfn]
 
     def lrc(self, site_name: str) -> LocalReplicaCatalog:
         return self._lrcs[site_name]
@@ -95,9 +128,7 @@ class ReplicaLocationIndex:
     def lookup(self, lfn: str) -> tuple[str, ...]:
         """Sites believed to hold ``lfn`` (deterministic order)."""
         if self.update_interval_s == 0:
-            return tuple(
-                name for name, lrc in self._lrcs.items() if lrc.has(lfn)
-            )
+            return tuple([site for _rank, site in self._holders.get(lfn, ())])
         return self._snapshot.get(lfn, ())
 
     def bulk_lookup(self, lfns: Iterable[str]) -> dict[str, tuple[str, ...]]:

@@ -206,8 +206,8 @@ class Timeout(Event):
         # Timeouts are the single most-constructed object in any run;
         # Event.__init__ and Environment.schedule are inlined here to
         # drop two call frames per construction.
-        if delay < 0:
-            raise ValueError(f"negative timeout delay {delay!r}")
+        if not delay >= 0:  # negative or NaN
+            raise ValueError(f"timeout delay must be >= 0, got {delay!r}")
         self.env = env
         self.callbacks = []
         self._value = value
@@ -369,8 +369,8 @@ class Environment:
     # -- scheduling primitives --------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
         """Put a settled (or pre-valued) event on the heap."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
+        if not delay >= 0:  # negative or NaN
+            raise ValueError(f"schedule delay must be >= 0, got {delay!r}")
         self._seq += 1
         heappush(self._heap, (self._now + delay, (priority << _KEY_SHIFT) + self._seq, event))
 
@@ -395,8 +395,8 @@ class Environment:
         (The ``_``-prefixed defaults bind hot globals as locals; do not
         pass them.)
         """
-        if delay < 0:
-            raise ValueError(f"negative timeout delay {delay!r}")
+        if not delay >= 0:  # negative or NaN
+            raise ValueError(f"timeout delay must be >= 0, got {delay!r}")
         ev = _new(_cls)
         ev.env = self
         ev.callbacks = []

@@ -15,6 +15,11 @@ heterogeneity and noise), and drives the job's status machine::
        |          |
        +-> KILLED +-> KILLED / HELD
 
+A job is not a kernel process.  While live it waits on exactly one event
+— its CPU request, its reservation grant, or its run timer — and plain
+callbacks move it on; a callback from any other event is stale and
+returns (DESIGN.md §5l).
+
 Advance reservations (DESIGN.md §5f)
 ------------------------------------
 On top of the priority queue the scheduler keeps a *reservation
@@ -41,8 +46,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro import obs as _obs
-from repro.sim import Interrupt
-from repro.sim.engine import Environment, Event, SimulationError
+from repro.sim.engine import URGENT, Environment, Event, SimulationError
 from repro.sim.resources import Request, Resource
 
 __all__ = [
@@ -227,9 +231,13 @@ class LocalScheduler:
         self.backfill = backfill
         self._cpus = Resource(env, capacity=n_cpus)
         self._service_time_fn = service_time_fn
-        self._procs: dict[str, object] = {}      # job_id -> runner Process
+        #: job_id -> the single event a live job is waiting on: its CPU
+        #: request, its reservation grant, or its run timer (DESIGN.md §5l)
+        self._awaiting: dict[str, Event] = {}
         self._pending: dict[str, Request] = {}   # job_id -> CPU request
-        self._running: set[str] = set()
+        #: job_id -> the CPU slot a RUNNING job occupies (its own
+        #: request, or a reservation hold it claimed or borrowed)
+        self._running: dict[str, Request] = {}
         self._jobs: dict[str, SiteJob] = {}
         #: reservation calendar (res_id -> Reservation), live and terminal
         self._reservations: dict[str, Reservation] = {}
@@ -437,25 +445,26 @@ class LocalScheduler:
             raise ValueError(f"duplicate local job id {job.job_id!r}")
         if job.status is not SiteJobStatus.PENDING:
             raise ValueError(f"job {job.job_id!r} was already submitted")
+        if not (job.runtime_s >= 0 and job.checkpoint_interval_s >= 0
+                and job.checkpoint_cost_s >= 0):  # one is negative or NaN
+            raise ValueError(
+                f"job {job.job_id!r}: runtime_s={job.runtime_s!r}, "
+                f"checkpoint_interval_s={job.checkpoint_interval_s!r} and "
+                f"checkpoint_cost_s={job.checkpoint_cost_s!r} must all be >= 0"
+            )
+        self._jobs[job.job_id] = job
+        job.submitted_at = self.env.now
         if reservation_id is not None:
             res = self._reservations.get(reservation_id)
             if res is not None and res.live:
-                self._jobs[job.job_id] = job
-                job.submitted_at = self.env.now
                 job.reservation_id = reservation_id
                 grant = Event(self.env)
                 self._res_waiting[job.job_id] = (res, grant)
                 res.claimed.append(job.job_id)
-                self._procs[job.job_id] = self.env.process(
-                    self._run_reserved(job, grant)
-                )
+                self._await(job, grant)
                 self._dispatch_reservation(res)
                 return job
-        self._jobs[job.job_id] = job
-        job.submitted_at = self.env.now
-        req = self._cpus.request(priority=job.priority, lazy=detached)
-        self._pending[job.job_id] = req
-        self._procs[job.job_id] = self.env.process(self._run(job, req))
+        self._enqueue(job, lazy=detached)
         if self._reservations:
             self._offer_backfill()
         return job
@@ -492,7 +501,7 @@ class LocalScheduler:
             try:
                 self._cpus.cancel(req)
             except SimulationError:
-                # Granted this instant but the runner has not resumed yet
+                # Granted this instant but the grant has not fired yet
                 # (it would have left _pending if it had); the grant must
                 # be handed back or the slot leaks.
                 try:
@@ -501,7 +510,7 @@ class LocalScheduler:
                     # A backfill redirect was in flight: the request was
                     # settled with a borrowed reservation slot, never
                     # granted itself.  The slot is recovered through
-                    # _reclaim_orphan_slot when the runner unwinds.
+                    # _reclaim_orphan_slot when the kill unwinds.
                     pass
         entry = self._res_waiting.pop(job_id, None)
         if entry is not None:
@@ -512,13 +521,16 @@ class LocalScheduler:
                 pass
         if job_id in self._running:
             # Killed while RUNNING: account checkpoint progress before
-            # the interrupt unwinds the runner, so status watchers (the
-            # Condor-G handle, the tracker) already see the final
-            # checkpointed_fraction when the KILLED transition fires.
+            # the slot unwinds, so status watchers (the Condor-G handle,
+            # the tracker) already see the final checkpointed_fraction
+            # when the KILLED transition fires.
             self._record_preemption(job)
-        proc = self._procs.get(job_id)
-        if proc is not None and proc.is_alive:  # type: ignore[attr-defined]
-            proc.interrupt(status)  # type: ignore[attr-defined]
+        # The slot unwinds through one URGENT event at this instant, after
+        # the caller's stack; the job's stale grant/timer fires into the
+        # guards below rather than being cancelled (DESIGN.md §5l).
+        kick = Event(self.env)
+        kick.callbacks.append(self._unwind)
+        kick.succeed(job, priority=URGENT)
         if job.started_at is not None:
             # Only jobs that actually ran get a finish instant; a job
             # killed while PENDING never ran, and its completion_time_s
@@ -531,55 +543,42 @@ class LocalScheduler:
             self.held_count += 1
         return True
 
-    def _run(self, job: SiteJob, req: Request):
-        if req.processed:
+    def _enqueue(self, job: SiteJob, lazy: bool = False) -> None:
+        """Join the general queue — or start at once on a lazily granted slot."""
+        req = self._cpus.request(priority=job.priority, lazy=lazy)
+        if req.callbacks is None:
             # Lean kernel, detached submit: the uncontended slot was
             # granted in place — start without a wake-up round-trip.
-            self._pending.pop(job.job_id, None)
-            slot = req
+            self._start(job, req)
         else:
-            try:
-                # The settle value is the slot actually granted: the
-                # request itself on the ordinary path, or a borrowed
-                # reservation hold when EASY backfilling redirected us.
-                slot = yield req
-            except Interrupt:
-                # Killed/held while pending; _terminate set the status.
-                self._procs.pop(job.job_id, None)
-                self._reclaim_orphan_slot(job.job_id, req)
-                return
-            finally:
-                self._pending.pop(job.job_id, None)
-        yield from self._execute(job, slot)
+            self._pending[job.job_id] = req
+            self._await(job, req)
 
-    def _run_reserved(self, job: SiteJob, grant: Event):
-        try:
-            slot = yield grant
-        except Interrupt:
-            self._procs.pop(job.job_id, None)
-            self._reclaim_orphan_slot(job.job_id, grant)
-            return
-        if not isinstance(slot, Request):
+    def _await(self, job: SiteJob, event: Event) -> None:
+        self._awaiting[job.job_id] = event
+        event.callbacks.append(lambda ev, job=job: self._granted(job, ev))
+
+    def _granted(self, job: SiteJob, event: Event) -> None:
+        if self._awaiting.get(job.job_id) is not event:
+            return  # stale: killed/held while the grant was in flight
+        self._pending.pop(job.job_id, None)
+        # The settle value is the slot actually granted: the request
+        # itself on the ordinary path, or a reservation hold (claimed, or
+        # borrowed when EASY backfilling redirected us).
+        slot = event.value
+        if slot is None:
             # The reservation evaporated (expiry / cancel / outage)
             # before a slot was assigned: fall back to the ordinary
             # priority queue.
-            req = self._cpus.request(priority=job.priority)
-            self._pending[job.job_id] = req
-            try:
-                slot = yield req
-            except Interrupt:
-                self._procs.pop(job.job_id, None)
-                self._reclaim_orphan_slot(job.job_id, req)
-                return
-            finally:
-                self._pending.pop(job.job_id, None)
-        yield from self._execute(job, slot)
+            self._enqueue(job)
+        else:
+            self._start(job, slot)
 
-    def _execute(self, job: SiteJob, slot: Request):
+    def _start(self, job: SiteJob, slot: Request) -> None:
         job.started_at = self.env.now
         job._set_status(SiteJobStatus.RUNNING)
         service = self._service_time_fn(job)
-        if service < 0:
+        if not service >= 0:
             raise ValueError(f"negative service time {service} for {job.job_id}")
         job._service_s = service
         occupancy = service
@@ -588,19 +587,29 @@ class LocalScheduler:
             # by a checkpoint write; the final segment needs none.
             n_ckpt = max(0, math.ceil(service / job.checkpoint_interval_s) - 1)
             occupancy = service + n_ckpt * job.checkpoint_cost_s
-        self._running.add(job.job_id)
-        try:
-            yield self.env.timeout(occupancy)
-        except Interrupt:
-            return  # killed/held while running; _terminate set the status
-        finally:
-            self._running.discard(job.job_id)
-            self._release_slot(job.job_id, slot)
-            self._procs.pop(job.job_id, None)
+        self._running[job.job_id] = slot
+        timer = self._awaiting[job.job_id] = self.env.timeout(occupancy, job)
+        timer.callbacks.append(self._done)
 
+    def _done(self, timer: Event) -> None:
+        job = timer.value
+        if self._awaiting.get(job.job_id) is not timer:
+            return  # stale: killed/held mid-run, _unwind freed the slot
+        del self._awaiting[job.job_id]
+        self._release_slot(job.job_id, self._running.pop(job.job_id))
         job.finished_at = self.env.now
         job._set_status(SiteJobStatus.COMPLETED)
         self.completed_count += 1
+
+    def _unwind(self, kick: Event) -> None:
+        """Free whatever a killed/held job holds; _terminate set the status."""
+        job = kick.value
+        awaited = self._awaiting.pop(job.job_id, None)
+        slot = self._running.pop(job.job_id, None)
+        if slot is not None:
+            self._release_slot(job.job_id, slot)
+        else:
+            self._reclaim_orphan_slot(job.job_id, awaited)
 
     def _record_preemption(self, job: SiteJob) -> None:
         """Checkpoint accounting for a job killed while RUNNING.
@@ -762,9 +771,9 @@ class LocalScheduler:
     def _reclaim_orphan_slot(self, job_id: str, grant: Event) -> None:
         """Recover a slot whose grant raced a kill.
 
-        The runner died at its yield while a reservation slot was in
-        flight to it; put the slot back in the calendar (or the pool)
-        instead of leaking it.
+        The job was killed while a reservation slot was in flight to
+        it; put the slot back in the calendar (or the pool) instead of
+        leaking it.
         """
         res = self._slot_home.pop(job_id, None)
         if res is None:

@@ -52,6 +52,24 @@ class TestRli:
         with pytest.raises(ValueError):
             rli.attach(LocalReplicaCatalog("a"))
 
+    def test_lrc_feeds_one_index_only(self):
+        lrc = LocalReplicaCatalog("a")
+        ReplicaLocationIndex(Environment()).attach(lrc)
+        with pytest.raises(ValueError, match="another index"):
+            ReplicaLocationIndex(Environment()).attach(lrc)
+
+    def test_reregistering_adds_no_second_holder(self):
+        rli = ReplicaLocationIndex(Environment())
+        early, late = LocalReplicaCatalog("early"), LocalReplicaCatalog("late")
+        late.register("x", 1.0)  # before attach
+        rli.attach(early)
+        rli.attach(late)
+        early.register("x", 1.0)
+        early.register("x", 2.0)  # size update
+        late.register("x", 3.0)
+        assert rli.lookup("x") == ("early", "late")  # attach order
+        assert early.unregister("x") and rli.lookup("x") == ("late",)
+
     def test_negative_interval_rejected(self):
         with pytest.raises(ValueError):
             ReplicaLocationIndex(Environment(), update_interval_s=-1)

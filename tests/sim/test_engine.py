@@ -35,6 +35,21 @@ def test_negative_timeout_rejected():
         env.timeout(-1.0)
 
 
+@pytest.mark.parametrize("delay", [-1.0, float("nan")])
+def test_unordered_delays_rejected_at_every_entry_point(delay):
+    # NaN compares False to everything, so a ``delay < 0`` guard lets it
+    # through: it would then sort arbitrarily in the heap and set
+    # ``env.now`` to NaN when it fires.
+    env = Environment()
+    with pytest.raises(ValueError, match=">= 0"):
+        env.timeout(delay)
+    with pytest.raises(ValueError, match=">= 0"):
+        Timeout(env, delay)
+    with pytest.raises(ValueError, match=">= 0"):
+        env.schedule(env.event(), delay)
+    assert env.peek() == float("inf")  # nothing reached the heap
+
+
 def test_run_until_number_stops_clock_exactly():
     env = Environment()
     env.timeout(3.0)

@@ -213,3 +213,65 @@ def test_contains():
     sched = make(env)
     sched.submit(SiteJob("j", runtime_s=1.0))
     assert "j" in sched and "k" not in sched
+
+
+@pytest.mark.parametrize(
+    "field", ["runtime_s", "checkpoint_interval_s", "checkpoint_cost_s"]
+)
+@pytest.mark.parametrize("bad", [-1.0, float("nan")])
+def test_submit_rejects_negative_or_nan_demand_at_the_edge(field, bad):
+    # Used to surface as "negative service time" from inside env.run()
+    # (or never, for NaN); now submit names the field and admits nothing.
+    env = Environment()
+    sched = make(env)
+    with pytest.raises(ValueError, match=field):
+        sched.submit(SiteJob("j", **{field: bad}))
+    assert "j" not in sched and sched.queued_jobs == 0
+    env.run()
+    assert env.now == 0.0
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan")])
+def test_bad_service_time_draw_is_an_error(bad):
+    env = Environment()
+    sched = LocalScheduler(env, 1, lambda job: bad)
+    sched.submit(SiteJob("j", runtime_s=1.0))
+    with pytest.raises(ValueError, match="negative service time"):
+        env.run()
+
+
+@pytest.mark.parametrize("lean", [False, True])
+def test_killed_running_job_leaves_a_stale_timer_that_does_nothing(lean):
+    env = Environment(lean=lean)
+    sched = make(env, n_cpus=1)
+    victim = sched.submit(SiteJob("victim", runtime_s=100.0))
+    waiter = sched.submit(SiteJob("waiter", runtime_s=1.0))
+    env.run(until=5.0)
+    assert sched.kill("victim") is True
+    assert victim.status is SiteJobStatus.KILLED and victim.finished_at == 5.0
+    env.run()
+    # the slot came back at the kill instant, not when the timer fired
+    assert waiter.started_at == 5.0
+    assert env.now == 100.0  # the stale run timer still fired, into the guard
+    assert victim.status is SiteJobStatus.KILLED and victim.finished_at == 5.0
+    assert (sched.completed_count, sched.killed_count) == (1, 1)
+    assert sched.running_jobs == 0 and sched.reservation_audit() == []
+
+
+def test_kill_from_own_running_callback_of_an_inline_start_frees_the_slot():
+    # Lean kernel, detached, uncontended: the job starts inside submit().
+    # A watcher that kills it from its own RUNNING transition must still
+    # get the slot unwound and the job must stay KILLED.
+    env = Environment(lean=True)
+    sched = make(env, n_cpus=1)
+    job = SiteJob("j", runtime_s=10.0)
+    job.on_status_change(
+        lambda j, _old, new: new is SiteJobStatus.RUNNING and sched.kill("j")
+    )
+    sched.submit(job, detached=True)
+    nxt = sched.submit(SiteJob("next", runtime_s=1.0))
+    env.run()
+    assert job.status is SiteJobStatus.KILLED and job.finished_at == 0.0
+    assert nxt.started_at == 0.0
+    assert (sched.completed_count, sched.killed_count) == (1, 1)
+    assert sched.reservation_audit() == []
