@@ -9,7 +9,7 @@ completion time information".
 from repro.experiments import fig3_algorithms
 
 from benchmarks.bench_fig3_algorithms_30 import _emit_tables
-from benchmarks.common import SEED, emit, scale, scaled_dags
+from benchmarks.common import SEED, scale, scaled_dags
 
 PAPER_DAGS = 60
 

@@ -90,7 +90,7 @@ def _hot_uplink(n: int) -> Environment:
     change at an instant of its own (same-instant changes would settle
     to nothing but the last one).
     """
-    env = Environment(lean=True)
+    env = Environment()
     net = NetworkModel(env, default_bandwidth_mbps=10.0, default_latency_s=0.0)
 
     def mover(i):
@@ -148,7 +148,7 @@ def _batch_queue(n: int, n_cpus: int, detached: bool, reserved: bool):
     one reservation live for the whole run (a 1-CPU window far in the
     future), so every submit pays the backfill offer.
     """
-    env = Environment(lean=True)
+    env = Environment()
     sched = LocalScheduler(env, n_cpus, lambda job: job.runtime_s)
     if reserved:
         assert sched.reserve("r", 1e9, 1.0, cpus=1)
@@ -199,8 +199,7 @@ def test_local_scheduler_submit_drain(benchmark):
         ["case", "kernel events / job", "submit (us / job)",
          "drain (us / job)"],
         rows,
-        title=f"Batch queue: {n} jobs of 60 s through one LocalScheduler "
-              "(lean kernel)",
+        title=f"Batch queue: {n} jobs of 60 s through one LocalScheduler",
     ))
     assert out["detached, idle site"][0] <= n
 

@@ -45,8 +45,7 @@ def main():
         ),
         checkpoint_interval_s=120.0,
     )
-    scenario = fig2_scenario(4, seed=42, horizon_s=12 * 3600.0,
-                             control_plane="push")
+    scenario = fig2_scenario(4, seed=42, horizon_s=12 * 3600.0)
 
     print(f"scenario: {scenario.name}  plan: {plan.name} "
           f"(seed {plan.seed})")

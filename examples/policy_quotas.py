@@ -23,7 +23,6 @@ from repro.services import (
 from repro.sim import Environment
 from repro.sim.rng import RngStreams
 from repro.simgrid import make_grid3
-from repro.simgrid.grid import GRID3_SITES
 from repro.simgrid.vo import User, VirtualOrganization
 from repro.workflow import WorkloadGenerator, WorkloadSpec
 

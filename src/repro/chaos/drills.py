@@ -85,7 +85,7 @@ class ChaosController:
         needs_redelivery = self.plan.transport_active or any(
             c.component == "client" for c in self.plan.crashes
         )
-        if needs_redelivery and config.mode == "push":
+        if needs_redelivery:
             config.reliable_delivery = True
         if needs_redelivery or self.plan.crashes or self.plan.eviction_active:
             window = self.plan.presume_lost_after_s
@@ -120,14 +120,6 @@ class ChaosController:
         self.scenario = scenario
         if not self.plan.active:
             return
-        if (self.plan.transport_active
-                and scenario.control_plane != "push"):
-            raise ValueError(
-                "transport chaos requires the push control plane: the "
-                "poll drain (fetch_messages) deletes on read, so a "
-                "dropped reply would lose messages with no redelivery "
-                "path"
-            )
         if self.plan.site_windows:
             grid.failures.schedule_windows(self.plan.site_windows)
         if self.plan.site_mtbf_s is not None:

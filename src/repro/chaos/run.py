@@ -23,7 +23,7 @@ from repro.experiments.runner import ExperimentResult, run_scenario
 from repro.experiments.scenarios import Scenario
 from repro.sim.engine import Environment
 
-__all__ = ["ChaosRunResult", "run_chaos"]
+__all__ = ["ChaosRunResult", "drain_and_audit", "run_chaos"]
 
 #: post-run settle time: enough for one redelivery round trip so a
 #: delivery ack in flight at the stop instant is not miscounted as an
@@ -88,16 +88,30 @@ class ChaosRunResult:
 def run_chaos(scenario: Scenario, plan: ChaosPlan,
               obs=None) -> ChaosRunResult:
     """Run ``scenario`` under ``plan`` and audit the wreckage."""
+    return drain_and_audit(
+        scenario, plan, obs,
+        lambda env, chaos: (
+            run_scenario(scenario, env=env, obs=obs, chaos=chaos), None
+        ),
+    )
+
+
+def drain_and_audit(scenario, plan: ChaosPlan, obs, run) -> ChaosRunResult:
+    """The drill every topology shares: arm, run, drain, audit.
+
+    ``run(env, controller)`` executes the scenario with chaos armed and
+    returns ``(ExperimentResult, federation run or None)``.
+    """
     controller = ChaosController(plan, obs=obs)
-    env = Environment(lean=(scenario.control_plane == "push"))
-    result = run_scenario(scenario, env=env, obs=obs, chaos=controller)
+    env = Environment()
+    result, federation = run(env, controller)
     # The run stops the instant the last DAG finishes; transactional
     # delivery acks for that very report may still be on the wire.
     env.run(until=env.now + scenario.tick_s + _DRAIN_GRACE_S)
     report = check_invariants(
         controller.servers, controller.clients, controller.bus,
         scenario, regen_slack=controller.regen_slack(), obs=obs,
-        grid=controller.grid,
+        grid=controller.grid, federation=federation,
     )
     return ChaosRunResult(
         scenario=scenario.name,

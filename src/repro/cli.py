@@ -57,16 +57,14 @@ from repro.experiments.figures import (
 
 __all__ = ["main"]
 
-def _ext_eviction_entry(n_dags, seed=42, horizon_s=24 * 3600.0,
-                        control_plane="push"):
+def _ext_eviction_entry(n_dags, seed=42, horizon_s=24 * 3600.0):
     """Adapter for the ``(n_dags, seed, ...)`` calling convention every
     other entry in :data:`TRACE_SCENARIOS` follows —
     :func:`ext_eviction_scenario` takes the catalog size first, which
     stays at its 250-site default here (``--dags`` sets the DAG count,
     as for every other scenario)."""
     return ext_eviction_scenario(n_dags=n_dags, seed=seed,
-                                 horizon_s=horizon_s,
-                                 control_plane=control_plane)
+                                 horizon_s=horizon_s)
 
 
 #: scenario builders the ``trace`` subcommand can instrument
@@ -87,14 +85,6 @@ def _add_common(p: argparse.ArgumentParser, default_dags: int) -> None:
     p.add_argument("--seed", type=int, default=42, help="experiment seed")
     p.add_argument("--horizon-hours", type=float, default=36.0,
                    help="simulation horizon in hours")
-    _add_control_plane(p)
-
-
-def _add_control_plane(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--control-plane", choices=("poll", "push"), default="push",
-        help="server/client signaling: event-driven push (default) or "
-             "fixed-period polling (legacy)")
 
 
 def _parse_scale_size(spec: str) -> tuple[int, int]:
@@ -181,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--reservoir", type=int, default=None, metavar="N",
         help="bound every histogram to N samples (seeded reservoir + "
              "mergeable quantile sketch; default: exact percentiles)")
-    _add_control_plane(suite)
     trace = sub.add_parser(
         "trace", help="run one scenario fully instrumented; write "
                       "span JSONL + Chrome trace + summary")
@@ -272,18 +261,15 @@ def _run_suite_command(args) -> int:
     if args.shards and any(n < 1 for n in args.shards):
         print("repro suite: --shards values must be >= 1", file=sys.stderr)
         return 2
-    cases = default_suite(scale=args.scale, seed=args.seed,
-                          control_plane=args.control_plane)
+    cases = default_suite(scale=args.scale, seed=args.seed)
     if args.ext_scale:
         cases += scale_suite(args.ext_scale, seed=args.seed,
-                             control_plane=args.control_plane,
                              scale=args.scale)
     if args.shards:
         cases += federation_suite(args.shards, seed=args.seed,
                                   scale=args.scale)
     if args.ext_eviction:
-        cases += eviction_suite(scale=args.scale, seed=args.seed,
-                                control_plane=args.control_plane)
+        cases += eviction_suite(scale=args.scale, seed=args.seed)
     if args.only:
         cases = tuple(
             c for c in cases
@@ -299,7 +285,6 @@ def _run_suite_command(args) -> int:
                      progress_interval=(args.progress_interval
                                         if args.progress else None))
     payload = suite_payload(runs, scale=args.scale, workers=args.workers,
-                            control_plane=args.control_plane,
                             shards=args.shards)
 
     rows = []
@@ -369,7 +354,6 @@ def _run_trace_command(args, horizon: float) -> int:
         return 2
     scenario = TRACE_SCENARIOS[args.scenario](
         args.dags, args.seed, horizon_s=horizon,
-        control_plane=args.control_plane,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -433,28 +417,27 @@ def _run_chaos_command(args, horizon: float) -> int:
               f"{', '.join(sorted(PRESET_PLANS))}, random",
               file=sys.stderr)
         return 2
-    if args.scenario == "ext-federation":
-        if args.shards < 1:
-            print("repro chaos: --shards must be >= 1", file=sys.stderr)
-            return 2
-        from repro.federation import (
-            ext_federation_scenario,
-            run_federation_chaos,
-        )
+    if args.scenario == "ext-federation" and args.shards < 1:
+        print("repro chaos: --shards must be >= 1", file=sys.stderr)
+        return 2
+    try:  # scenario and plan validation both raise ValueError
+        if args.scenario == "ext-federation":
+            from repro.federation import (
+                ext_federation_scenario,
+                run_federation_chaos,
+            )
 
-        scenario = ext_federation_scenario(
-            n_shards=args.shards, dags_per_user=args.dags,
-            seed=args.seed, horizon_s=horizon,
-            submit_interval_s=args.submit_interval,
-        )
-        runner = run_federation_chaos
-    else:
-        scenario = TRACE_SCENARIOS[args.scenario](
-            args.dags, args.seed, horizon_s=horizon,
-            control_plane=args.control_plane,
-        )
-        runner = run_chaos
-    try:
+            scenario = ext_federation_scenario(
+                n_shards=args.shards, dags_per_user=args.dags,
+                seed=args.seed, horizon_s=horizon,
+                submit_interval_s=args.submit_interval,
+            )
+            runner = run_federation_chaos
+        else:
+            scenario = TRACE_SCENARIOS[args.scenario](
+                args.dags, args.seed, horizon_s=horizon,
+            )
+            runner = run_chaos
         res = runner(scenario, plan)
     except ValueError as exc:
         print(f"repro chaos: {exc}", file=sys.stderr)
@@ -488,10 +471,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "chaos":
         return _run_chaos_command(args, horizon)
 
-    mode = getattr(args, "control_plane", "push")
     if args.command == "fig2":
         result = fig2_feedback(n_dags=args.dags, seed=args.seed,
-                               horizon_s=horizon, control_plane=mode)
+                               horizon_s=horizon)
         _print_lineup(result, ("round-robin+fb", "round-robin-nofb",
                                "num-cpus+fb", "num-cpus-nofb"))
         return 0
@@ -499,13 +481,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     lineup = tuple(s.label for s in ALGORITHM_LINEUP)
     if args.command == "fig345":
         result = fig3_algorithms(n_dags=args.dags, seed=args.seed,
-                                 horizon_s=horizon, control_plane=mode)
+                                 horizon_s=horizon)
         _print_lineup(result, lineup)
         return 0
     if args.command == "fig6":
         result, tables, correlations = fig6_site_distribution(
-            n_dags=args.dags, seed=args.seed, horizon_s=horizon,
-            control_plane=mode)
+            n_dags=args.dags, seed=args.seed, horizon_s=horizon)
         for label, rows in tables.items():
             print(format_table(
                 ["site", "# jobs", "avg completion (s)"],
@@ -516,12 +497,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     if args.command == "fig7":
         result = fig7_policy(n_dags=args.dags, seed=args.seed,
-                             horizon_s=horizon, control_plane=mode)
+                             horizon_s=horizon)
         _print_lineup(result, lineup)
         return 0
     if args.command == "fig8":
         result = fig8_timeouts(n_dags=args.dags, seed=args.seed,
-                               horizon_s=horizon, control_plane=mode)
+                               horizon_s=horizon)
         rows = [[label, result[label].resubmissions, result[label].timeouts]
                 for label in lineup + ("num-cpus-nofb",)]
         print(format_table(["strategy", "resubmissions", "timeouts"], rows))

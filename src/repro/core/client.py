@@ -5,11 +5,10 @@ The client:
 1. receives an abstract DAG from the user (here: from the workflow
    package) and forwards it to the server with client information;
 2. receives planning decisions from the server's message-handling
-   module — by fixed-period polling in ``"poll"`` mode, or by push
-   delivery in ``"push"`` mode (the default): the client registers a
-   tiny ``deliver`` RPC service and the server sends each drained
-   outbox batch straight to it, so an idle client schedules zero
-   kernel events and a busy one costs one RPC per batch;
+   module by push delivery: the client registers a tiny ``deliver``
+   RPC service and the server sends each drained outbox batch straight
+   to it, so an idle client schedules zero kernel events and a busy
+   one costs one RPC per batch;
 3. executes each plan: stages missing input files to the execution
    site via GridFTP, creates the submission and hands it to Condor-G;
 4. runs the **job tracker** on every submission, reporting completions
@@ -21,8 +20,8 @@ The client:
    jobs ready and future DAG reductions possible.
 
 Reports that matter retry while the server is unreachable (recovery
-window) with capped jittered exponential backoff; in push mode a retry
-also fires the instant the server re-registers on the bus.
+window) with capped jittered exponential backoff; a retry also fires
+the instant the server re-registers on the bus.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ __all__ = ["SphinxClient", "client_service_name"]
 
 
 def client_service_name(client_id: str) -> str:
-    """The bus service a push-mode client listens on (shared naming
+    """The bus service a client listens on (shared naming
     convention — the server derives it from the client id alone)."""
     return f"sphinx-client-{client_id}"
 
@@ -66,17 +65,11 @@ class SphinxClient:
         user: User,
         client_id: str,
         poll_s: float = 2.0,
-        mode: str = "push",
         rng=None,
         obs=None,
     ):
         if poll_s <= 0:
-            raise ValueError("poll period must be > 0")
-        if mode not in ("poll", "push"):
-            raise ValueError(
-                f"unknown control-plane mode {mode!r} "
-                "(expected 'poll' or 'push')"
-            )
+            raise ValueError("poll_s (retry backoff base) must be > 0")
         self.env = env
         self.bus = bus
         self.server_service = server_service
@@ -85,15 +78,13 @@ class SphinxClient:
         self.rls = rls
         self.user = user
         self.client_id = client_id
+        #: base of the report-retry backoff (see :meth:`_retry_delay`)
         self.poll_s = poll_s
-        self.mode = mode
         #: numpy Generator for retry jitter (None = no jitter); the
         #: runner hands each client its own named stream so backoff is
         #: deterministic per seed and independent across clients.
         self._rng = rng
-        self.tracker = JobTracker(env, condorg,
-                                  eager_terminal=(mode == "push"),
-                                  obs=obs)
+        self.tracker = JobTracker(env, condorg, obs=obs)
 
         #: dag_id -> (submitted_at, finished_at or None), measured here
         self.dag_times: dict[str, list[Optional[float]]] = {}
@@ -121,14 +112,10 @@ class SphinxClient:
         self.crashed = False
         #: settles (with the sim time) the moment the last submitted DAG
         #: is reported finished — what the runner waits on, so runs end
-        #: at the true completion instant rather than a poll boundary.
+        #: at the true completion instant.
         self.done = env.event()
-        if mode == "push":
-            bus.register(client_service_name(client_id), "deliver",
-                         self._rpc_deliver)
-            self._proc = None
-        else:
-            self._proc = env.process(self._poll_loop())
+        bus.register(client_service_name(client_id), "deliver",
+                     self._rpc_deliver)
 
     # -- user-facing API --------------------------------------------------------
     def submit_dag(self, dag: Dag):
@@ -186,25 +173,8 @@ class SphinxClient:
         )
 
     # -- message pump -------------------------------------------------------------
-    def _poll_loop(self):
-        try:
-            while True:
-                try:
-                    messages = yield self.bus.call(
-                        self.user.proxy,
-                        self.server_service,
-                        "fetch_messages",
-                        self.client_id,
-                    )
-                except RpcFault:
-                    messages = []  # transient server fault; retry next poll
-                self._dispatch(messages)
-                yield self.env.timeout(self.poll_s)
-        except Interrupt:
-            return  # crash(): the pump dies with the client
-
     def _rpc_deliver(self, messages: list) -> str:
-        """Push mode: the server hands us a drained outbox batch.
+        """The server hands us a drained outbox batch.
 
         Delivery is at-least-once end to end: the server only puts a
         batch on the wire for a service registered at our construction
@@ -278,10 +248,7 @@ class SphinxClient:
         if self.crashed:
             return
         self.crashed = True
-        if self.mode == "push":
-            self.bus.unregister_service(client_service_name(self.client_id))
-        elif self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("client-crash")
+        self.bus.unregister_service(client_service_name(self.client_id))
         for proc in self._inflight:
             if proc.is_alive:
                 proc.interrupt("client-crash")
@@ -294,19 +261,16 @@ class SphinxClient:
     def restart(self) -> None:
         """Bring a crashed client back under the same identity.
 
-        Push mode re-registers the delivery service (which lets a
-        reliable-delivery server redeliver every kept outbox row); poll
-        mode restarts the fetch pump.  Abandoned attempts are *not*
-        resumed — the server's presumed-lost requeue owns those.
+        Re-registers the delivery service (which lets a
+        reliable-delivery server redeliver every kept outbox row).
+        Abandoned attempts are *not* resumed — the server's
+        presumed-lost requeue owns those.
         """
         if not self.crashed:
             return
         self.crashed = False
-        if self.mode == "push":
-            self.bus.register(client_service_name(self.client_id),
-                              "deliver", self._rpc_deliver)
-        else:
-            self._proc = self.env.process(self._poll_loop())
+        self.bus.register(client_service_name(self.client_id),
+                          "deliver", self._rpc_deliver)
 
     # -- plan execution --------------------------------------------------------------
     def _execute_plan(self, plan: dict):
@@ -387,19 +351,11 @@ class SphinxClient:
             )
         )
 
-        # 3. Track to a terminal state or timeout.  Push mode runs the
-        # tracker inline (yield from) — the Process wrapper only adds a
-        # settle event per attempt; poll mode keeps it for trace
-        # compatibility.
-        if self.mode == "push":
-            result = yield from self.tracker.track(
-                handle, plan["timeout_s"], started_at=started_at
-            )
-        else:
-            result = yield self.env.process(
-                self.tracker.track(handle, plan["timeout_s"],
-                                   started_at=started_at)
-            )
+        # 3. Track to a terminal state or timeout, inline: a Process
+        # wrapper would only add a settle event per attempt.
+        result = yield from self.tracker.track(
+            handle, plan["timeout_s"], started_at=started_at
+        )
 
         if result.outcome == "completed":
             # 4. Outputs materialize at the execution site.
@@ -489,9 +445,9 @@ class SphinxClient:
         Retry pacing is capped jittered exponential backoff (base
         ``poll_s``, cap :attr:`RETRY_CAP_S`): a fleet of trackers whose
         jobs all finished inside one server fault window must not hammer
-        the recovering server in lockstep every ``poll_s``.  In push
-        mode a retry additionally fires the instant the service
-        re-registers on the bus, whichever comes first.
+        the recovering server in lockstep every ``poll_s``.  A retry
+        additionally fires the instant the service re-registers on the
+        bus, whichever comes first.
         """
         attempt = 0
         while True:
@@ -513,22 +469,19 @@ class SphinxClient:
     def _unreachable_wait(self, attempt: int,
                           service: Optional[str] = None):
         """One backoff step while the server is away (shared by report
-        and submission retries).  In push mode the wait also ends the
-        instant the service re-registers; a reconnect waiter whose
-        backoff timer won is withdrawn from the bus so abandoned
-        waiters cannot pile up against a server that never returns."""
+        and submission retries).  The wait also ends the instant the
+        service re-registers; a reconnect waiter whose backoff timer
+        won is withdrawn from the bus so abandoned waiters cannot pile
+        up against a server that never returns."""
         target = service or self.server_service
         delay = self._retry_delay(attempt)
-        if self.mode == "push":
-            reconnect = self.bus.on_register(target)
-            pause = self.env.timeout(delay)
-            yield self.env.any_of([reconnect, pause])
-            if self.env.lean and not pause.processed:
-                pause.cancel()  # reconnect beat the backoff timer
-            if not reconnect.triggered:
-                self.bus.discard_waiter(target, reconnect)
-        else:
-            yield self.env.timeout(delay)
+        reconnect = self.bus.on_register(target)
+        pause = self.env.timeout(delay)
+        yield self.env.any_of([reconnect, pause])
+        if not pause.processed:
+            pause.cancel()  # reconnect beat the backoff timer
+        if not reconnect.triggered:
+            self.bus.discard_waiter(target, reconnect)
 
     def _retry_delay(self, attempt: int) -> float:
         """Backoff before retry ``attempt`` (0-based), jittered."""

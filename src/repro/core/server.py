@@ -15,22 +15,20 @@ server from the last checkpoint (paper: "easily recoverable from
 internal component failures").
 
 Client communication is message-based over the RPC bus: clients call
-``submit_dag`` / ``report_status`` and drain ``fetch_messages`` for
-planning decisions, mirroring the message-handling module's
-incoming/outgoing tables.
+``submit_dag`` / ``report_status``, and the server sends planning
+decisions from its outbox table straight to each client's ``deliver``
+service, mirroring the message-handling module's incoming/outgoing
+tables.
 
-Wakeup discipline (``ServerConfig.mode``): in ``"poll"`` mode the
-control process ticks on a fixed ``tick_s`` period, the paper's
-literal cron-style loop.  In ``"push"`` mode (the default) the loop
-blocks on a :class:`~repro.sim.engine.Wakeup` latch signaled by the
-things that can actually create plannable work — a DAG submission, a
+Wakeup discipline: the control loop blocks on a
+:class:`~repro.sim.engine.Wakeup` latch signaled by the things that can
+actually create plannable work — a DAG submission, a
 completion/cancellation report (which also releases active slots,
 refunds quota, and updates feedback), a virtual-data regeneration —
-plus a deadline timer derived from the nearest pending job timeout,
-the dirty-dag retry period, and the next checkpoint.  A quiescent
-server schedules zero kernel events.  The FSA/table semantics are
-unchanged: state still lives in warehouse rows and every pass runs the
-same ``tick()``; only the wakeup discipline differs.
+plus one deadline timer derived from the nearest pending job timeout,
+the dirty-dag retry period (``tick_s``), and the next checkpoint.  A
+quiescent server schedules zero kernel events.  State lives in
+warehouse rows and every pass runs ``tick()``.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ from repro.services.rpc import RpcBus
 from repro.sim.engine import Environment, Wakeup
 from repro.workflow.dag import Dag
 
-__all__ = ["ServerConfig", "SphinxServer"]
+__all__ = ["ServerConfig", "SphinxServer", "require_positive"]
 
 # Enum .value lookups cost a descriptor call each; the control loop
 # compares job/dag states hundreds of thousands of times per run, so the
@@ -72,6 +70,20 @@ _DAG_RUNNING = DagState.RUNNING.value
 _DAG_FINISHED = DagState.FINISHED.value
 
 
+def require_positive(config, *fields: str) -> None:
+    """Reject period/duration fields that are zero, negative or NaN.
+
+    A zero ``tick_s`` spins the control loop at one instant and a NaN
+    only surfaces deep in the kernel, so configs check at construction.
+    """
+    for name in fields:
+        value = getattr(config, name)
+        if not value > 0:
+            raise ValueError(
+                f"{type(config).__name__}.{name} must be > 0, got {value!r}"
+            )
+
+
 @dataclass(slots=True)
 class ServerConfig:
     """Tunable behaviour of one SPHINX server instance."""
@@ -81,12 +93,10 @@ class ServerConfig:
     algorithm_kwargs: dict[str, Any] = field(default_factory=dict)
     #: feedback reliability filter on feasible sites (paper's with/without).
     use_feedback: bool = True
-    #: control-plane wakeup discipline: "push" (event-driven, default)
-    #: or "poll" (fixed ``tick_s`` cadence) — see the module docstring.
-    mode: str = "push"
-    #: control-process period in "poll" mode; in "push" mode the retry
-    #: pacing for dags that could not be fully planned (quota/feedback
-    #: pressure may change without an observable report).
+    #: retry pacing: the control loop re-runs a pass this long after
+    #: one that left a dag not fully planned (quota/feedback pressure
+    #: may change without an observable report), after an overdue
+    #: deadline, and before redelivering an un-acked outbox batch.
     tick_s: float = 5.0
     #: client-side job timeout before cancellation + replan.
     job_timeout_s: float = 1800.0
@@ -148,6 +158,9 @@ class ServerConfig:
     #: the knob exists for that test and for bisecting, not for users.
     view_cache: bool = True
 
+    def __post_init__(self) -> None:
+        require_positive(self, "tick_s", "job_timeout_s")
+
 
 class SphinxServer:
     """One SPHINX server instance, competing on a shared grid."""
@@ -165,11 +178,6 @@ class SphinxServer:
     ):
         if not site_catalog:
             raise ValueError("server needs at least one site in the catalog")
-        if config.mode not in ("poll", "push"):
-            raise ValueError(
-                f"unknown control-plane mode {config.mode!r} "
-                "(expected 'poll' or 'push')"
-            )
         self.env = env
         self.bus = bus
         self.config = config
@@ -314,11 +322,8 @@ class SphinxServer:
             )
         bus.register(self.service_name, "submit_dag", self._rpc_submit_dag)
         bus.register(self.service_name, "report_status", self._rpc_report_status)
-        bus.register(self.service_name, "fetch_messages", self._rpc_fetch_messages)
 
-        #: push mode: the control-process latch (see module docstring)
-        #: and the set of clients already rung since their last drain.
-        self._push = config.mode == "push"
+        #: the control-process latch (see module docstring).
         self._wakeup = Wakeup(env)
         #: sim time of the earliest live deadline timer (inf = none)
         #: and the timer itself; see _arm_deadline.
@@ -329,14 +334,13 @@ class SphinxServer:
         self._dirty_clients: dict[str, None] = {}
         #: clients with a reliable-delivery batch awaiting its ack.
         self._delivery_inflight: set[str] = set()
-        if self._push:
-            # A restored warehouse may carry undelivered messages (e.g.
-            # dag-finished notifications recovery keeps); deliver them
-            # now so clients are not left waiting on a ring that the
-            # crashed server already consumed.
-            for row in self.warehouse.table("outbox").select(copy=False):
-                self._dirty_clients[row["client_id"]] = None
-            self._flush_outbox()
+        # A restored warehouse may carry undelivered messages (e.g.
+        # dag-finished notifications recovery keeps); deliver them
+        # now so clients are not left waiting on a ring that the
+        # crashed server already consumed.
+        for row in self.warehouse.table("outbox").select(copy=False):
+            self._dirty_clients[row["client_id"]] = None
+        self._flush_outbox()
 
         self.last_checkpoint: Optional[dict] = None
         self._proc = env.process(self._control_process())
@@ -434,7 +438,7 @@ class SphinxServer:
                 self._dag_spans[dag.dag_id] = span
                 self.obs.tracer.add_event(span, "submit",
                                           client_id=client_id)
-        self._wake()
+        self._wakeup.set()
         return "accepted"
 
     def _rpc_report_status(
@@ -502,7 +506,7 @@ class SphinxServer:
             # A completion may unlock successors: replan this dag.
             self._dirty_dags.add(row["dag_id"])
             self._maybe_finish_dag(row["dag_id"])
-            self._wake()
+            self._wakeup.set()
         elif status == "cancelled":
             if row["state"] in (_JOB_FINISHED, _JOB_CANCELLED):
                 return "duplicate"
@@ -541,15 +545,14 @@ class SphinxServer:
                 self.stage_in_failures += 1
                 if missing:
                     self._regenerate_lost_inputs(row["dag_id"], missing)
-                elif self._push:
+                else:
                     # Every source had a live replica, so the transfer
                     # failed at the *destination* — an unreachable site.
-                    # Push mode replans the instant this report lands;
+                    # The replan runs the instant this report lands;
                     # without a penalty the planner re-picks the dead
                     # site (its completion estimate is frozen at its
                     # healthy-era value) and hot-loops plan -> stage-in
-                    # -> cancel until the horizon.  Poll mode keeps the
-                    # legacy behaviour for trace compatibility.
+                    # -> cancel until the horizon.
                     self.feedback.record_cancellation(site)
             else:
                 self.feedback.record_cancellation(site)
@@ -578,7 +581,7 @@ class SphinxServer:
                 user, charged_site or site, dag.job(job_id).requirements
             )
             # Slot released, quota refunded, feedback updated: replan now.
-            self._wake()
+            self._wakeup.set()
             if (self.config.max_attempts is not None
                     and row["attempts"] >= self.config.max_attempts):
                 raise RuntimeError(
@@ -589,21 +592,6 @@ class SphinxServer:
         self._flush_outbox()  # e.g. a dag-finished message from this report
         return "ok"
 
-    def _rpc_fetch_messages(self, client_id: str) -> list[dict]:
-        """Drain this client's outgoing messages, oldest first."""
-        # Poll-mode drain; push mode delivers directly (_flush_outbox),
-        # so clear any pending-flush mark to avoid an empty delivery.
-        self._dirty_clients.pop(client_id, None)
-        outbox = self.warehouse.table("outbox")
-        # copy=False is safe: delete() unlinks the dicts from the table
-        # but they stay readable for building the reply below.
-        mine = outbox.select(where={"client_id": client_id}, copy=False)
-        for msg in mine:
-            outbox.delete(msg["msg_id"])
-        return [
-            {"kind": m["kind"], "payload": m["payload"]} for m in mine
-        ]
-
     # --------------------------------------------------------------- control loop
     def _control_process(self):
         from repro.sim import Interrupt
@@ -613,16 +601,12 @@ class SphinxServer:
             if self.config.checkpoint_interval_s > 0
             else None
         )
-        push = self._push
         while True:
             self.tick()
             if next_checkpoint is not None and self.env.now >= next_checkpoint:
                 self.checkpoint()
                 next_checkpoint = self.env.now + self.config.checkpoint_interval_s
             try:
-                if not push:
-                    yield self.env.timeout(self.config.tick_s)
-                    continue
                 wake = self._wakeup.wait()
                 if wake.triggered:
                     # A ring landed during this pass; run another now.
@@ -633,17 +617,12 @@ class SphinxServer:
                     delay = deadline - self.env.now
                     if delay <= 0.0:
                         # An overdue deadline must not busy-spin the
-                        # loop at one instant; pace it like a poll tick.
+                        # loop at one instant; pace it by ``tick_s``.
                         delay = self.config.tick_s
                     self._arm_deadline(self.env.now + delay)
                 yield wake  # quiescent server: zero scheduled events
             except Interrupt:
                 return  # shutdown
-
-    def _wake(self) -> None:
-        """Signal the push-mode control latch (no-op in poll mode)."""
-        if self._push:
-            self._wakeup.set()
 
     def _arm_deadline(self, when: float) -> None:
         """Ensure a live timer rings the control latch at/before ``when``.
@@ -658,7 +637,7 @@ class SphinxServer:
         if self.env.now < self._deadline_at <= when:
             return  # the live timer already covers this deadline
         stale = self._deadline_ev
-        if stale is not None and self.env.lean and not stale.processed:
+        if stale is not None and not stale.processed:
             stale.cancel()  # superseded by an earlier deadline
         self._deadline_at = when
 
@@ -981,13 +960,13 @@ class SphinxServer:
         self._invalidate_site_view(site)
         if self.config.migrate_on_drain and not already:
             self._migrate_off(site, self._draining[site])
-        self._wake()
+        self._wakeup.set()
 
     def drain_cleared(self, site: str) -> None:
         """The drained site's capacity is back; it may be planned again."""
         if self._draining.pop(site, None) is not None:
             self._invalidate_site_view(site)
-            self._wake()
+            self._wakeup.set()
 
     def _migrate_off(self, site: str, deadline_s: float) -> None:
         """Evict in-flight jobs at ``site`` that cannot beat the reclaim.
@@ -1184,7 +1163,7 @@ class SphinxServer:
             self.reservations_confirmed += 1
             # Jobs deferred while the ack was in flight can now plan to
             # the reserved site.
-            self._wake()
+            self._wakeup.set()
             return
         if not ev.ok:
             ev.defuse()
@@ -1390,23 +1369,18 @@ class SphinxServer:
             "kind": kind,
             "payload": payload,
         })
-        if self._push:
-            self._dirty_clients[client_id] = None
+        self._dirty_clients[client_id] = None
 
     def _flush_outbox(self) -> None:
         """Push delivery: send each dirty client its drained batch.
 
         Called at the end of every enqueue scope (a control pass, a
         report handler), so a planning pass emitting many messages for
-        one client costs a single ``deliver`` call — and, on a lean
-        kernel, a single kernel event, versus the notify/fetch round
-        trip's four.  The call is fire-and-forget (the bus pre-defuses
-        faults); client delivery services are registered at construction
-        and never unregistered, so a batch put on the wire here cannot
-        be refused.  A client that never registered one degrades to
-        poll semantics: its rows stay in the outbox for
-        ``fetch_messages``.  Poll mode never marks clients dirty and
-        keeps the ``fetch_messages`` drain untouched.
+        one client costs a single ``deliver`` call and a single kernel
+        event.  The call is fire-and-forget (the bus pre-defuses
+        faults); a batch is only put on the wire for a client whose
+        delivery service is on the bus, so it cannot be refused.  A
+        client with no service registered keeps its rows in the outbox.
         """
         if not self._dirty_clients:
             return
@@ -1478,15 +1452,15 @@ class SphinxServer:
             if outbox.select(where={"client_id": client_id}, copy=False):
                 # Rows enqueued while the batch flew: flush them next pass.
                 self._dirty_clients[client_id] = None
-                self._wake()
+                self._wakeup.set()
             return
         ev.defuse()
 
         def _retry(_t, c=client_id):
             self._dirty_clients[c] = None
-            self._wake()
+            self._wakeup.set()
 
-        # Pace the redelivery like a poll tick — an immediate retry
+        # Pace the redelivery by ``tick_s`` — an immediate retry
         # against a partitioned client would spin at one instant.
         self.env.timeout(self.config.tick_s).add_callback(_retry)
 

@@ -61,15 +61,9 @@ class TrackerStats:
 class JobTracker:
     """Watches Condor-G handles, applies timeouts, collects timings."""
 
-    def __init__(self, env: Environment, condorg: CondorG,
-                 eager_terminal: bool = False, obs=None):
+    def __init__(self, env: Environment, condorg: CondorG, obs=None):
         self.env = env
         self.condorg = condorg
-        #: when True, a handle that is already terminal at track() entry
-        #: resolves without arming the timeout/AnyOf pair — two heap
-        #: entries per job the event-driven control plane does not need.
-        #: Kept off in poll mode so its event trace stays bit-identical.
-        self.eager_terminal = eager_terminal
         self.stats = TrackerStats()
         self.obs = obs_mod.get(obs)
         m = self.obs.metrics
@@ -92,7 +86,8 @@ class JobTracker:
             raise ValueError("timeout must be > 0")
         t0 = started_at if started_at is not None else handle.submitted_at
 
-        if self.eager_terminal and handle.status.terminal:
+        if handle.status.terminal:
+            # Already resolved: no need to arm the timeout/AnyOf pair.
             status = handle.status
             if status is GridJobStatus.COMPLETED:
                 return self._completed(handle, t0)
@@ -104,16 +99,13 @@ class JobTracker:
             if status.terminal and not terminal.triggered:
                 terminal.succeed(status)
 
-        if handle.status.terminal:
-            terminal.succeed(handle.status)
-        else:
-            handle.on_status_change(_watch)
+        handle.on_status_change(_watch)
 
         deadline = self.env.timeout(timeout_s)
         yield self.env.any_of([terminal, deadline])
 
         if terminal.triggered:  # prefer a real outcome over a same-instant timeout
-            if self.env.lean and not deadline.processed:
+            if not deadline.processed:
                 # The job resolved first; the safety-net timer would sit
                 # in the heap until timeout_s — withdraw it.
                 deadline.cancel()

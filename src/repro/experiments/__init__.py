@@ -14,7 +14,6 @@
 """
 
 from repro.experiments.scenarios import (
-    ControlPlaneMode,
     Scenario,
     ServerSpec,
     default_fault_windows,
@@ -51,7 +50,6 @@ from repro.experiments.parallel import (
 from repro.experiments.report import format_table
 
 __all__ = [
-    "ControlPlaneMode",
     "ExperimentResult",
     "Scenario",
     "ServerResult",

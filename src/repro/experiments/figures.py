@@ -21,7 +21,6 @@ from typing import Optional
 from repro.experiments.metrics import rank_correlation, site_distribution_table
 from repro.experiments.runner import ExperimentResult, run_scenario
 from repro.experiments.scenarios import (
-    ControlPlaneMode,
     Scenario,
     ServerSpec,
 )
@@ -60,8 +59,7 @@ ALGORITHM_LINEUP: tuple[ServerSpec, ...] = (
 
 # -- scenario builders ----------------------------------------------------------
 def fig2_scenario(n_dags: int = 30, seed: int = 42,
-                  horizon_s: float = 24 * 3600.0,
-                  control_plane: str = ControlPlaneMode.PUSH) -> Scenario:
+                  horizon_s: float = 24 * 3600.0) -> Scenario:
     """Fig. 2: round-robin and #CPUs, each with and without feedback."""
     return Scenario(
         name=f"fig2-{n_dags}dags",
@@ -74,13 +72,11 @@ def fig2_scenario(n_dags: int = 30, seed: int = 42,
         n_dags=n_dags,
         seed=seed,
         horizon_s=horizon_s,
-        control_plane=control_plane,
     )
 
 
 def fig345_scenario(n_dags: int = 30, seed: int = 42,
-                    horizon_s: float = 24 * 3600.0,
-                    control_plane: str = ControlPlaneMode.PUSH) -> Scenario:
+                    horizon_s: float = 24 * 3600.0) -> Scenario:
     """Figs. 3 (30 DAGs), 4 (60), 5 (120): the four-way comparison."""
     return Scenario(
         name=f"fig345-{n_dags}dags",
@@ -88,13 +84,11 @@ def fig345_scenario(n_dags: int = 30, seed: int = 42,
         n_dags=n_dags,
         seed=seed,
         horizon_s=horizon_s,
-        control_plane=control_plane,
     )
 
 
 def fig5_pair_scenario(rival: str, n_dags: int = 120, seed: int = 42,
                        horizon_s: float = 36 * 3600.0,
-                       control_plane: str = ControlPlaneMode.PUSH,
                        ) -> Scenario:
     """One pair-wise Fig. 5 run: the hybrid vs one rival algorithm."""
     return Scenario(
@@ -106,13 +100,11 @@ def fig5_pair_scenario(rival: str, n_dags: int = 120, seed: int = 42,
         n_dags=n_dags,
         seed=seed,
         horizon_s=horizon_s,
-        control_plane=control_plane,
     )
 
 
 def fig6_scenario(n_dags: int = 120, seed: int = 42,
-                  horizon_s: float = 24 * 3600.0,
-                  control_plane: str = ControlPlaneMode.PUSH) -> Scenario:
+                  horizon_s: float = 24 * 3600.0) -> Scenario:
     """Fig. 6: completion-time vs #CPUs for the site-distribution plot."""
     return Scenario(
         name=f"fig6-{n_dags}dags",
@@ -123,14 +115,12 @@ def fig6_scenario(n_dags: int = 120, seed: int = 42,
         n_dags=n_dags,
         seed=seed,
         horizon_s=horizon_s,
-        control_plane=control_plane,
     )
 
 
 def fig7_scenario(n_dags: int = 120, seed: int = 42,
                   horizon_s: float = 24 * 3600.0,
-                  cpu_quota_s: Optional[float] = None,
-                  control_plane: str = ControlPlaneMode.PUSH) -> Scenario:
+                  cpu_quota_s: Optional[float] = None) -> Scenario:
     """Fig. 7: the four-way comparison under per-user usage quotas."""
     if cpu_quota_s is None:
         # Each job needs 60 CPU-seconds; a site may take at most 15% of
@@ -144,15 +134,13 @@ def fig7_scenario(n_dags: int = 120, seed: int = 42,
         n_dags=n_dags,
         seed=seed,
         horizon_s=horizon_s,
-        control_plane=control_plane,
         job_requirements={"cpu_seconds": 60.0},
         quota_per_site={"cpu_seconds": cpu_quota_s},
     )
 
 
 def fig8_scenario(n_dags: int = 120, seed: int = 42,
-                  horizon_s: float = 24 * 3600.0,
-                  control_plane: str = ControlPlaneMode.PUSH) -> Scenario:
+                  horizon_s: float = 24 * 3600.0) -> Scenario:
     """Fig. 8: the four-way lineup plus #CPUs without feedback."""
     return Scenario(
         name=f"fig8-{n_dags}dags",
@@ -162,13 +150,11 @@ def fig8_scenario(n_dags: int = 120, seed: int = 42,
         n_dags=n_dags,
         seed=seed,
         horizon_s=horizon_s,
-        control_plane=control_plane,
     )
 
 
 def ext_reservation_scenario(n_dags: int = 30, seed: int = 42,
                              horizon_s: float = 24 * 3600.0,
-                             control_plane: str = ControlPlaneMode.PUSH,
                              ) -> Scenario:
     """Extension: reactive feedback vs proactive stage reservations.
 
@@ -190,14 +176,12 @@ def ext_reservation_scenario(n_dags: int = 30, seed: int = 42,
         n_dags=n_dags,
         seed=seed,
         horizon_s=horizon_s,
-        control_plane=control_plane,
     )
 
 
 def ext_scale_scenario(n_sites: int = 250, n_jobs: int = 10_000,
                        seed: int = 42,
                        horizon_s: float = 48 * 3600.0,
-                       control_plane: str = ControlPlaneMode.PUSH,
                        background_batch_s: float = 300.0,
                        ) -> Scenario:
     """Extension: extreme-scale planning (``n_sites`` x ``n_jobs``).
@@ -225,14 +209,12 @@ def ext_scale_scenario(n_sites: int = 250, n_jobs: int = 10_000,
         fault_windows=(),
         monitoring_interval_s=600.0,
         horizon_s=horizon_s,
-        control_plane=control_plane,
     )
 
 
 def ext_eviction_scenario(n_sites: int = 250, n_dags: int = 30,
                           seed: int = 42,
                           horizon_s: float = 24 * 3600.0,
-                          control_plane: str = ControlPlaneMode.PUSH,
                           ) -> Scenario:
     """Extension: kill-and-resubmit vs checkpoint-and-migrate under
     spot-style eviction churn.
@@ -270,7 +252,6 @@ def ext_eviction_scenario(n_sites: int = 250, n_dags: int = 30,
         fault_windows=(),
         monitoring_interval_s=600.0,
         horizon_s=horizon_s,
-        control_plane=control_plane,
         job_requirements={"cpu_seconds": 300.0},
         quota_per_site={"cpu_seconds": n_dags * 10 * 300.0},
         workload_overrides={"runtime_s": 300.0},
@@ -280,19 +261,17 @@ def ext_eviction_scenario(n_sites: int = 250, n_dags: int = 30,
 # -- drivers ---------------------------------------------------------------------
 def fig2_feedback(n_dags: int = 30, seed: int = 42,
                   horizon_s: float = 24 * 3600.0,
-                  control_plane: str = ControlPlaneMode.PUSH,
                   ) -> ExperimentResult:
     """Fig. 2: round-robin and #CPUs, each with and without feedback.
 
     Expected shape: each with-feedback variant beats its without-
     feedback twin on average DAG completion time (paper: by 20-29%).
     """
-    return run_scenario(fig2_scenario(n_dags, seed, horizon_s, control_plane))
+    return run_scenario(fig2_scenario(n_dags, seed, horizon_s))
 
 
 def fig3_algorithms(n_dags: int = 30, seed: int = 42,
                     horizon_s: float = 24 * 3600.0,
-                    control_plane: str = ControlPlaneMode.PUSH,
                     ) -> ExperimentResult:
     """Figs. 3 (30 DAGs), 4 (60), 5 (120): the four-way comparison.
 
@@ -300,13 +279,11 @@ def fig3_algorithms(n_dags: int = 30, seed: int = 42,
     its margin grows with load (17% at 30 DAGs -> 33-50% at 60-120);
     its jobs also spend less idle (queue) time.
     """
-    return run_scenario(fig345_scenario(n_dags, seed, horizon_s,
-                                        control_plane))
+    return run_scenario(fig345_scenario(n_dags, seed, horizon_s))
 
 
 def fig5_pairwise(n_dags: int = 120, seed: int = 42,
-                  horizon_s: float = 36 * 3600.0,
-                  control_plane: str = ControlPlaneMode.PUSH) -> dict:
+                  horizon_s: float = 36 * 3600.0) -> dict:
     """Fig. 5 via the paper's *pair-wise* protocol.
 
     At 120 DAGs a four-way group run doubles the SPHINX-side grid load
@@ -320,7 +297,7 @@ def fig5_pairwise(n_dags: int = 120, seed: int = 42,
     """
     return {
         rival: run_scenario(
-            fig5_pair_scenario(rival, n_dags, seed, horizon_s, control_plane)
+            fig5_pair_scenario(rival, n_dags, seed, horizon_s)
         )
         for rival in ("queue-length", "num-cpus", "round-robin")
     }
@@ -347,8 +324,7 @@ def fig6_tables(result: ExperimentResult):
 
 
 def fig6_site_distribution(n_dags: int = 120, seed: int = 42,
-                           horizon_s: float = 24 * 3600.0,
-                           control_plane: str = ControlPlaneMode.PUSH):
+                           horizon_s: float = 24 * 3600.0):
     """Fig. 6: per-site job distribution vs avg completion time.
 
     Returns ``(result, tables, correlations)`` where ``tables[label]``
@@ -357,8 +333,7 @@ def fig6_site_distribution(n_dags: int = 120, seed: int = 42,
     shape: strongly negative for completion-time (inverse proportional,
     Fig. 6a); weak/indifferent for num-cpus (Fig. 6b).
     """
-    result = run_scenario(fig6_scenario(n_dags, seed, horizon_s,
-                                        control_plane))
+    result = run_scenario(fig6_scenario(n_dags, seed, horizon_s))
     tables, correlations = fig6_tables(result)
     return result, tables, correlations
 
@@ -366,7 +341,6 @@ def fig6_site_distribution(n_dags: int = 120, seed: int = 42,
 def fig7_policy(n_dags: int = 120, seed: int = 42,
                 horizon_s: float = 24 * 3600.0,
                 cpu_quota_s: Optional[float] = None,
-                control_plane: str = ControlPlaneMode.PUSH,
                 ) -> ExperimentResult:
     """Fig. 7: the four-way comparison under per-user usage quotas.
 
@@ -376,13 +350,11 @@ def fig7_policy(n_dags: int = 120, seed: int = 42,
     shape: per-algorithm results within a modest factor of the
     unconstrained run (the paper: "similar to those without policy").
     """
-    return run_scenario(fig7_scenario(n_dags, seed, horizon_s, cpu_quota_s,
-                                      control_plane))
+    return run_scenario(fig7_scenario(n_dags, seed, horizon_s, cpu_quota_s))
 
 
 def fig8_timeouts(n_dags: int = 120, seed: int = 42,
                   horizon_s: float = 24 * 3600.0,
-                  control_plane: str = ControlPlaneMode.PUSH,
                   ) -> ExperimentResult:
     """Fig. 8: rescheduling (timeout) counts per strategy.
 
@@ -391,13 +363,11 @@ def fig8_timeouts(n_dags: int = 120, seed: int = 42,
     without-feedback variant resubmits an order of magnitude more than
     the feedback-driven strategies.
     """
-    return run_scenario(fig8_scenario(n_dags, seed, horizon_s,
-                                      control_plane))
+    return run_scenario(fig8_scenario(n_dags, seed, horizon_s))
 
 
 def ext_reservation(n_dags: int = 30, seed: int = 42,
                     horizon_s: float = 24 * 3600.0,
-                    control_plane: str = ControlPlaneMode.PUSH,
                     ) -> ExperimentResult:
     """Extension: reactive feedback vs proactive stage reservations.
 
@@ -406,13 +376,11 @@ def ext_reservation(n_dags: int = 30, seed: int = 42,
     on crashed sites expire site-side and the planner falls back to the
     normal queue, so proactivity never *costs* completions).
     """
-    return run_scenario(ext_reservation_scenario(n_dags, seed, horizon_s,
-                                                 control_plane))
+    return run_scenario(ext_reservation_scenario(n_dags, seed, horizon_s))
 
 
 def ext_eviction(n_sites: int = 250, n_dags: int = 30, seed: int = 42,
                  horizon_s: float = 24 * 3600.0,
-                 control_plane: str = ControlPlaneMode.PUSH,
                  eviction_mtbf_s: float = 2 * 3600.0,
                  obs=None):
     """Extension: preemption tolerance under spot-eviction churn.
@@ -433,14 +401,12 @@ def ext_eviction(n_sites: int = 250, n_dags: int = 30, seed: int = 42,
 
     plan = replace(make_plan("spot-eviction", seed=seed),
                    eviction_mtbf_s=eviction_mtbf_s)
-    scenario = ext_eviction_scenario(n_sites, n_dags, seed, horizon_s,
-                                     control_plane)
+    scenario = ext_eviction_scenario(n_sites, n_dags, seed, horizon_s)
     return run_chaos(scenario, plan, obs=obs)
 
 
 def ext_scale(n_sites: int = 250, n_jobs: int = 10_000, seed: int = 42,
               horizon_s: float = 48 * 3600.0,
-              control_plane: str = ControlPlaneMode.PUSH,
               background_batch_s: float = 300.0) -> ExperimentResult:
     """Extension: extreme-scale planning throughput.
 
@@ -451,6 +417,5 @@ def ext_scale(n_sites: int = 250, n_jobs: int = 10_000, seed: int = 42,
     ``benchmarks/bench_scale.py``).
     """
     return run_scenario(ext_scale_scenario(
-        n_sites, n_jobs, seed, horizon_s, control_plane,
-        background_batch_s,
+        n_sites, n_jobs, seed, horizon_s, background_batch_s,
     ))

@@ -45,7 +45,6 @@ from repro.experiments.figures import (
 )
 from repro.experiments.runner import ExperimentResult, run_scenario
 from repro.experiments.scenarios import (
-    ControlPlaneMode,
     Scenario,
     ServerSpec,
 )
@@ -112,41 +111,30 @@ def _scaled(paper_n: int, scale: float, minimum: int = 4) -> int:
     return max(minimum, round(paper_n * scale))
 
 
-def default_suite(scale: float = 1.0, seed: int = 42,
-                  control_plane: str = ControlPlaneMode.PUSH,
-                  ) -> tuple[SuiteCase, ...]:
+def default_suite(scale: float = 1.0,
+                  seed: int = 42) -> tuple[SuiteCase, ...]:
     """The full evaluation: Figs. 2-8 plus the two ablations.
 
     ``scale`` shrinks every workload proportionally (floor of 4 DAGs),
     mirroring ``REPRO_BENCH_SCALE`` in the benchmark harness; shape
-    criteria are only meaningful at scale 1.0.  ``control_plane``
-    selects the event-driven (``"push"``, default) or fixed-period
-    (``"poll"``) control plane across every case.
+    criteria are only meaningful at scale 1.0.
     """
     if scale <= 0:
         raise ValueError("scale must be > 0")
-    mode = control_plane
     cases = [
-        SuiteCase("fig2", fig2_scenario(_scaled(30, scale), seed,
-                                        control_plane=mode)),
-        SuiteCase("fig3", fig345_scenario(_scaled(30, scale), seed,
-                                          control_plane=mode)),
-        SuiteCase("fig4", fig345_scenario(_scaled(60, scale), seed,
-                                          control_plane=mode)),
+        SuiteCase("fig2", fig2_scenario(_scaled(30, scale), seed)),
+        SuiteCase("fig3", fig345_scenario(_scaled(30, scale), seed)),
+        SuiteCase("fig4", fig345_scenario(_scaled(60, scale), seed)),
     ]
     for rival in ("queue-length", "num-cpus", "round-robin"):
         cases.append(SuiteCase(
             f"fig5-pair-{rival}",
-            fig5_pair_scenario(rival, _scaled(120, scale), seed,
-                               control_plane=mode),
+            fig5_pair_scenario(rival, _scaled(120, scale), seed),
         ))
     cases += [
-        SuiteCase("fig6", fig6_scenario(_scaled(120, scale), seed,
-                                        control_plane=mode)),
-        SuiteCase("fig7", fig7_scenario(_scaled(120, scale), seed,
-                                        control_plane=mode)),
-        SuiteCase("fig8", fig8_scenario(_scaled(120, scale), seed,
-                                        control_plane=mode)),
+        SuiteCase("fig6", fig6_scenario(_scaled(120, scale), seed)),
+        SuiteCase("fig7", fig7_scenario(_scaled(120, scale), seed)),
+        SuiteCase("fig8", fig8_scenario(_scaled(120, scale), seed)),
         SuiteCase("ablation-estimator", Scenario(
             name=f"ablation-estimator-{_scaled(30, scale)}dags",
             servers=(
@@ -158,7 +146,6 @@ def default_suite(scale: float = 1.0, seed: int = 42,
             ),
             n_dags=_scaled(30, scale),
             seed=seed,
-            control_plane=mode,
         )),
     ]
     for interval in (30.0, 300.0, 900.0):
@@ -173,13 +160,11 @@ def default_suite(scale: float = 1.0, seed: int = 42,
                 n_dags=_scaled(30, scale),
                 seed=seed,
                 monitoring_interval_s=interval,
-                control_plane=mode,
             ),
         ))
     cases.append(SuiteCase(
         "ext-reservation",
-        ext_reservation_scenario(_scaled(30, scale), seed,
-                                 control_plane=mode),
+        ext_reservation_scenario(_scaled(30, scale), seed),
     ))
     return tuple(cases)
 
@@ -214,7 +199,6 @@ def federation_suite(shard_counts: Sequence[int], seed: int = 42,
 
 
 def scale_suite(sizes: Sequence[tuple[int, int]], seed: int = 42,
-                control_plane: str = ControlPlaneMode.PUSH,
                 scale: float = 1.0) -> tuple[SuiteCase, ...]:
     """Extreme-scale cases: one ``ext-scale-SxJ`` per (sites, jobs).
 
@@ -228,15 +212,13 @@ def scale_suite(sizes: Sequence[tuple[int, int]], seed: int = 42,
         jobs = max(10, round(n_jobs * scale / 10) * 10)
         cases.append(SuiteCase(
             f"ext-scale-{n_sites}x{jobs}",
-            ext_scale_scenario(n_sites, jobs, seed,
-                               control_plane=control_plane),
+            ext_scale_scenario(n_sites, jobs, seed),
         ))
     return tuple(cases)
 
 
-def eviction_suite(scale: float = 1.0, seed: int = 42,
-                   control_plane: str = ControlPlaneMode.PUSH,
-                   ) -> tuple[SuiteCase, ...]:
+def eviction_suite(scale: float = 1.0,
+                   seed: int = 42) -> tuple[SuiteCase, ...]:
     """The eviction-tolerance case: ``ext-eviction`` under the
     ``spot-eviction`` chaos preset.
 
@@ -254,8 +236,7 @@ def eviction_suite(scale: float = 1.0, seed: int = 42,
 
     return (SuiteCase(
         "ext-eviction",
-        ext_eviction_scenario(n_dags=_scaled(30, scale), seed=seed,
-                              control_plane=control_plane),
+        ext_eviction_scenario(n_dags=_scaled(30, scale), seed=seed),
         plan=make_plan("spot-eviction", seed),
     ),)
 
@@ -583,7 +564,6 @@ def _federation_counts(snapshot: dict) -> dict:
 
 def suite_payload(runs: Sequence[SuiteRun], scale: float,
                   workers: int,
-                  control_plane: str = ControlPlaneMode.PUSH,
                   shards: Optional[Sequence[int]] = None) -> dict:
     """The BENCH_SUITE.json document for one suite invocation.
 
@@ -617,7 +597,6 @@ def suite_payload(runs: Sequence[SuiteRun], scale: float,
         "schema": SCHEMA,
         "scale": scale,
         "workers": workers,
-        "control_plane": control_plane,
         "shards": sorted(shards) if shards else [],
         "cases": [run.name for run in runs],
         "total_wall_s": sum(run.wall_s for run in runs),

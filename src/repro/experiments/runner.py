@@ -128,7 +128,6 @@ def _build_server(
         algorithm=spec.algorithm,
         algorithm_kwargs=dict(spec.algorithm_kwargs),
         use_feedback=spec.use_feedback,
-        mode=scenario.control_plane,
         tick_s=scenario.tick_s,
         job_timeout_s=scenario.job_timeout_s,
         use_prediction_correction=spec.use_prediction_correction,
@@ -160,11 +159,6 @@ def run_scenario(scenario: Scenario,
                  heartbeat=None) -> ExperimentResult:
     """Run one scenario to completion (or its horizon).
 
-    The event-driven control plane runs on the lean kernel
-    (``Environment(lean=True)``): same physics, no bookkeeping events.
-    Poll mode keeps the legacy kernel so its traces stay bit-identical
-    to the historical baselines.
-
     ``obs`` is an optional :class:`repro.obs.Obs` facade.  When absent,
     every layer sees the shared no-op facade and the run is bit-identical
     to an uninstrumented one (no extra kernel events, no RNG draws).
@@ -182,7 +176,7 @@ def run_scenario(scenario: Scenario,
     run's scheduling output is bit-identical to a bare one.
     """
     if env is None:
-        env = Environment(lean=(scenario.control_plane == "push"))
+        env = Environment()
     obs = obs_mod.get(obs)
     if obs.enabled:
         obs.bind(env)
@@ -244,7 +238,6 @@ def run_scenario(scenario: Scenario,
         client = SphinxClient(
             env, bus, server.service_name, condorg, gridftp, rls,
             user, client_id=f"client-{spec.label}", poll_s=scenario.poll_s,
-            mode=scenario.control_plane,
             # Dedicated jitter stream per client: drawing backoff jitter
             # must never perturb workload/grid streams (and is only
             # drawn at all while a server is unreachable).

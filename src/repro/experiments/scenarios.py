@@ -32,29 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.server import require_positive
 from repro.simgrid.failures import DowntimeWindow
 from repro.simgrid.grid import GRID3_SITES, SiteSpec
 from repro.simgrid.site import SiteState
 from repro.workflow.generator import WorkloadSpec
 
-__all__ = ["ServerSpec", "Scenario", "ControlPlaneMode",
-           "default_fault_windows"]
-
-
-class ControlPlaneMode:
-    """Valid values for :attr:`Scenario.control_plane`.
-
-    ``POLL`` is the original fixed-period control plane (server ticks
-    every ``tick_s``, clients poll every ``poll_s``); ``PUSH`` is the
-    event-driven one (server wakes on plannable work or the nearest
-    deadline, clients drain on the server's doorbell).  Both modes
-    produce the same scheduling decisions; they differ in how many
-    kernel events it costs to reach them.
-    """
-
-    POLL = "poll"
-    PUSH = "push"
-    ALL = (POLL, PUSH)
+__all__ = ["ServerSpec", "Scenario", "default_fault_windows"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,10 +104,10 @@ class Scenario:
     fault_windows: Optional[tuple[DowntimeWindow, ...]] = None
     monitoring_interval_s: float = 300.0
     job_timeout_s: float = 1800.0
+    #: server retry pacing (see ServerConfig.tick_s).
     tick_s: float = 5.0
+    #: base of the clients' report-retry backoff.
     poll_s: float = 2.0
-    #: "push" (event-driven, default) or "poll" (fixed-period legacy).
-    control_plane: str = ControlPlaneMode.PUSH
     horizon_s: float = 24 * 3600.0
     #: per-job resource demands; empty = no policy run.
     job_requirements: dict = field(default_factory=dict)
@@ -142,11 +126,8 @@ class Scenario:
             raise ValueError("need at least one DAG")
         if self.background_batch_s < 0:
             raise ValueError("background_batch_s must be >= 0")
-        if self.control_plane not in ControlPlaneMode.ALL:
-            raise ValueError(
-                f"unknown control plane {self.control_plane!r} "
-                f"(expected one of {ControlPlaneMode.ALL})"
-            )
+        require_positive(self, "tick_s", "poll_s", "job_timeout_s",
+                         "monitoring_interval_s", "horizon_s")
 
     def workload_spec(self) -> WorkloadSpec:
         kwargs = dict(

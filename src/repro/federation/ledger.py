@@ -10,7 +10,7 @@ Conservation is the invariant that matters: the sum of all shards'
 leases, plus debits whose credit never landed, must equal the global
 grant.  Both sides write idempotent transfer rows into their own
 warehouses (keyed by transfer id), and the **source checkpoints
-synchronously inside the debit handler** — on the lean bus the handler
+synchronously inside the debit handler** — on the bus the handler
 and its reply settle atomically, so a received credit always implies a
 durable debit.  The only loss mode is a debited slice whose reply
 died with the requester: quota burns (conservative direction) and the
@@ -116,7 +116,7 @@ class ShardQuotaLedger:
              "amount": give, "to_shard": to_shard}
         )
         self.server.policy.grant(user, site, resource, new_amount)
-        # Durable before the reply settles: the lean bus runs this
+        # Durable before the reply settles: the bus runs this
         # handler and the reply in one atomic callback, so the
         # requester can never hold a credit our next checkpoint would
         # forget — that would mint quota out of thin air.

@@ -260,7 +260,7 @@ class MetaScheduler:
         reconnect = self.bus.on_register(service)
         pause = self.env.timeout(self.config.forward_retry_s)
         yield self.env.any_of([reconnect, pause])
-        if self.env.lean and not pause.processed:
+        if not pause.processed:
             pause.cancel()
         if not reconnect.triggered:
             self.bus.discard_waiter(service, reconnect)

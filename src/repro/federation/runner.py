@@ -20,9 +20,8 @@ from typing import Optional
 
 from repro import obs as obs_mod
 from repro.core.client import SphinxClient
-from repro.core.server import ServerConfig
+from repro.core.server import ServerConfig, require_positive
 from repro.experiments.runner import ExperimentResult, ServerResult
-from repro.experiments.scenarios import ControlPlaneMode
 from repro.federation.config import FederationConfig
 from repro.federation.meta import MetaScheduler
 from repro.federation.server import FederatedSphinxServer
@@ -74,7 +73,6 @@ class FederationScenario:
     job_timeout_s: float = 1800.0
     tick_s: float = 5.0
     poll_s: float = 2.0
-    control_plane: str = ControlPlaneMode.PUSH
     horizon_s: float = 24 * 3600.0
     job_requirements: dict = field(default_factory=dict)
     #: resource -> amount granted per (user, site), split evenly into
@@ -91,14 +89,10 @@ class FederationScenario:
             raise ValueError("need at least one user")
         if self.dags_per_user < 1:
             raise ValueError("need at least one DAG per user")
-        if self.control_plane != ControlPlaneMode.PUSH:
-            # The meta exposes no fetch_messages; poll clients would
-            # spin on faults forever.  Push is also what makes forward
-            # handler+reply atomic (lean kernel), which the re-homing
-            # safety argument relies on.
-            raise ValueError("federation requires the push control plane")
         if self.submit_interval_s < 0:
             raise ValueError("submit_interval_s must be >= 0")
+        require_positive(self, "tick_s", "poll_s", "job_timeout_s",
+                         "monitoring_interval_s", "horizon_s")
 
     @property
     def n_dags(self) -> int:
@@ -263,7 +257,7 @@ def run_federation(scenario: FederationScenario,
     """Run one federated scenario to completion (or its horizon)."""
     fed = scenario.federation
     if env is None:
-        env = Environment(lean=True)
+        env = Environment()
     obs = obs_mod.get(obs)
     if obs.enabled:
         obs.bind(env)
@@ -300,7 +294,6 @@ def run_federation(scenario: FederationScenario,
         config = ServerConfig(
             name=fed.shard_server_name(label),
             algorithm=scenario.algorithm,
-            mode=scenario.control_plane,
             tick_s=scenario.tick_s,
             job_timeout_s=scenario.job_timeout_s,
             checkpoint_interval_s=0.0,
@@ -337,7 +330,6 @@ def run_federation(scenario: FederationScenario,
         client = SphinxClient(
             env, bus, meta.service_name, condorg, gridftp, rls,
             user, client_id=f"client-{ulabel}", poll_s=scenario.poll_s,
-            mode=scenario.control_plane,
             rng=rng.stream(f"backoff-{ulabel}"),
             obs=obs,
         )
@@ -472,23 +464,10 @@ def run_federation_chaos(scenario: FederationScenario, plan, obs=None):
     exactly-once under dropped requests, dropped replies, and
     duplicated dispatches alike.
     """
-    from repro.chaos.drills import ChaosController
-    from repro.chaos.invariants import check_invariants
-    from repro.chaos.run import _DRAIN_GRACE_S, ChaosRunResult
+    from repro.chaos.run import drain_and_audit
 
-    controller = ChaosController(plan, obs=obs)
-    env = Environment(lean=True)
-    run = run_federation(scenario, env=env, obs=obs, chaos=controller)
-    env.run(until=env.now + scenario.tick_s + _DRAIN_GRACE_S)
-    report = check_invariants(
-        run.servers, controller.clients, run.bus, scenario,
-        regen_slack=controller.regen_slack(), obs=obs, grid=run.grid,
-        federation=run,
-    )
-    return ChaosRunResult(
-        scenario=scenario.name,
-        plan=plan,
-        result=run.result,
-        report=report,
-        fault_schedule=controller.fault_schedule(),
-    )
+    def _run(env, chaos):
+        run = run_federation(scenario, env=env, obs=obs, chaos=chaos)
+        return run.result, run
+
+    return drain_and_audit(scenario, plan, obs, _run)

@@ -288,7 +288,7 @@ class FederatedSphinxServer(SphinxServer):
             return
         for dag_id in self.unfinished_dags():
             self._dirty_dags.add(dag_id)
-        self._wake()
+        self._wakeup.set()
 
     def _lease_reply_cb(self, transfer_id, user, site, resource,
                         from_shard):
@@ -303,5 +303,5 @@ class FederatedSphinxServer(SphinxServer):
                 # Quota freed: starved dags may be plannable right now.
                 for dag_id in self.unfinished_dags():
                     self._dirty_dags.add(dag_id)
-                self._wake()
+                self._wakeup.set()
         return _on_reply

@@ -64,7 +64,7 @@ class GridFtpService:
                 f"{dst} storage full: {size} MB does not fit for {lfn!r}"
             )
         start = self.env.now
-        elapsed = yield from self.grid.network.transfer_process(size, src, dst)
+        yield from self.grid.network.transfer_process(size, src, dst)
         # Destination may have died or filled up mid-flight.
         if dst_site.state is SiteState.DOWN:
             self.failed_count += 1

@@ -138,7 +138,7 @@ class RpcBus:
     def on_register(self, service: str) -> Event:
         """An event firing the next time ``service`` is (re-)registered.
 
-        The reconnect signal push-mode clients arm while a server is
+        The reconnect signal clients arm while a server is
         unreachable: a recovered server re-registering under the same
         name releases every waiter at the re-registration instant, so
         queued reports retry immediately instead of at the next backoff
@@ -202,19 +202,16 @@ class RpcBus:
         is pre-defused: a caller that ignores the result won't crash
         the simulation, matching fire-and-forget RPC semantics.
 
-        On a lean kernel (``env.lean``) the round trip is carried by a
-        single kernel event: the handler runs and the result settles at
-        ``now + 2 * latency_s`` in one step, instead of one event per
-        leg.  The caller observes the same completion instant; only the
-        handler's execution instant moves from ``+latency`` to
-        ``+2*latency``, which no caller can distinguish remotely.
+        The round trip is carried by a single kernel event: the handler
+        runs and the result settles at ``now + 2 * latency_s`` in one
+        step, so handler and reply are atomic — no fault can fall
+        between them.
         """
         self.call_count += 1
         obs = self.obs
         if obs.enabled:
             self._m_calls.inc()
             obs.metrics.counter("rpc.calls_by_method", method=method).inc()
-        lean = self.env.lean
         result = self.env.event()
 
         def _dispatch(_ev):
@@ -238,41 +235,17 @@ class RpcBus:
                     _check_serializable(value, "result")
                 finally:
                     phases.pop()
-            except RpcFault as fault:
-                self._m_faults.inc()
-                if lean:
-                    result.fail(fault)
-                    result.defuse()
-                else:
-                    self._deliver(result, fault)
-                return
+            except RpcFault as exc:
+                fault = exc
             except Exception as exc:  # handler bug -> remote fault
-                self._m_faults.inc()
                 fault = RpcFault(f"{service}.{method} raised: {exc}", exc)
-                if lean:
-                    result.fail(fault)
-                    result.defuse()
-                else:
-                    self._deliver(result, fault)
+            else:
+                result.succeed(value)
                 return
-            if lean:
-                result.succeed(value)
-            else:
-                self._deliver(result, None, value)
+            self._m_faults.inc()
+            result.fail(fault)
+            result.defuse()
 
-        # One-way latency to the server, dispatch, then latency back
-        # (folded into one hop on a lean kernel).
-        delay = 2.0 * self.latency_s if lean else self.latency_s
-        self.env.timeout(delay).add_callback(_dispatch)
+        # Latency to the server and back, folded into one hop.
+        self.env.timeout(2.0 * self.latency_s).add_callback(_dispatch)
         return result
-
-    def _deliver(self, result: Event, fault: Optional[RpcFault],
-                 value: Any = None) -> None:
-        def _finish(_ev):
-            if fault is not None:
-                result.fail(fault)
-                result.defuse()
-            else:
-                result.succeed(value)
-
-        self.env.timeout(self.latency_s).add_callback(_finish)

@@ -14,18 +14,13 @@ Events scheduled for the same timestamp fire in (priority, insertion
 order).  No iteration over sets or dicts decides ordering anywhere in the
 kernel, so a fixed seed yields a bit-identical trace.
 
-Lean mode
----------
-``Environment(lean=True)`` enables the event-lean kernel used by the
-event-driven ("push") control plane: an event that settles successfully
-with **no subscribers** skips the heap round-trip entirely and is marked
-processed in place (late subscribers still observe it through
-:meth:`Event.add_callback`'s processed branch), and processes start
-inline at their spawn instant instead of via a boot event.  Simulated
-physics are unchanged — only bookkeeping events disappear — but event
-ordering at an instant can differ from the legacy trace, so the default
-(``lean=False``) keeps the historical bit-identical behaviour that the
-polling control plane is benchmarked against.
+No bookkeeping events
+---------------------
+The heap holds only events somebody waits on: an event that settles
+successfully with **no subscribers** skips the heap round-trip and is
+marked processed in place (late subscribers still observe it through
+:meth:`Event.add_callback`'s processed branch), and a process runs to
+its first ``yield`` inline at its spawn instant — there is no boot event.
 """
 
 from __future__ import annotations
@@ -128,13 +123,13 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        env = self.env
-        if env.lean and not self.callbacks:
-            # Lean kernel: nobody is subscribed, so the heap round-trip
-            # would fire zero callbacks.  Mark processed in place; a late
+        if not self.callbacks:
+            # Nobody is subscribed, so the heap round-trip would fire
+            # zero callbacks.  Mark processed in place; a late
             # subscriber goes through add_callback's processed branch.
             self.callbacks = None
             return self
+        env = self.env
         env._seq += 1
         heappush(env._heap, (env._now, (priority << _KEY_SHIFT) + env._seq, self))
         return self
@@ -194,9 +189,8 @@ class Timeout(Event):
         ``event_count`` — the kernel never processed it.  Any remaining
         callbacks are dropped, so only cancel a timer whose subscribers
         no longer care (e.g. the losing branch of a resolved
-        :class:`AnyOf`).  Lean-kernel call sites use this to keep stale
-        safety-net timers out of the event ledger; cancelling from
-        legacy-trace code would change historical event counts.
+        :class:`AnyOf`).  Call sites use this to keep stale safety-net
+        timers out of the event ledger.
         """
         if self.callbacks is None:
             raise SimulationError("cancel() of a fired or cancelled timeout")
@@ -336,18 +330,15 @@ class AllOf(_Condition):
 class Environment:
     """Owns the simulation clock and the pending-event heap."""
 
-    __slots__ = ("_now", "_heap", "_seq", "event_count", "lean", "obs_tally",
+    __slots__ = ("_now", "_heap", "_seq", "event_count", "obs_tally",
                  "heartbeat")
 
-    def __init__(self, initial_time: float = 0.0, lean: bool = False):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         #: number of events processed so far (profiling / debugging aid)
         self.event_count = 0
-        #: event-lean kernel mode (see module docstring): subscriber-less
-        #: successful settles and process boots skip the heap.
-        self.lean = bool(lean)
         #: observability hook: set to a dict (event type name -> count)
         #: to tally every processed event by type.  ``run`` then takes a
         #: non-inlined loop — same semantics, same ``event_count``, just

@@ -40,30 +40,15 @@ class Process(Event):
         self._target: Event | None = None
         self._interrupted_away_from: Event | None = None
         self._name = name
-        if env.lean:
-            # Lean kernel: run the body to its first yield right now,
-            # skipping the boot event entirely.  The pre-settled stand-in
-            # below never touches the heap.
-            boot = Event.__new__(Event)
-            boot.env = env
-            boot.callbacks = None
-            boot._value = None
-            boot._ok = True
-            boot._defused = False
-            self._resume(boot)
-            return
-        # Kick off at the current instant, after already-queued events.
-        # The boot event is pre-settled by hand (the succeed/add_callback
-        # dance costs two extra frames per spawned process).
+        # Run the body to its first yield right now: the pre-settled
+        # stand-in below never touches the heap.
         boot = Event.__new__(Event)
         boot.env = env
-        boot.callbacks = [self._resume]
+        boot.callbacks = None
         boot._value = None
         boot._ok = True
         boot._defused = False
-        env._seq += 1
-        # Heap key packs (URGENT, seq); URGENT == 0 so the key is just seq.
-        heappush(env._heap, (env._now, env._seq, boot))
+        self._resume(boot)
 
     @property
     def name(self) -> str:
@@ -125,12 +110,12 @@ class Process(Event):
             # Event.succeed inlined: a process that just returned cannot
             # already be settled (guarded by the PENDING check above).
             self._value = stop.value
-            env = self.env
-            if env.lean and not self.callbacks:
-                # Lean kernel: nobody joined this process; settle in
-                # place (late joiners use add_callback's processed path).
+            if not self.callbacks:
+                # Nobody joined this process; settle in place (late
+                # joiners use add_callback's processed path).
                 self.callbacks = None
                 return
+            env = self.env
             env._seq += 1
             heappush(env._heap, (env._now, _NORMAL_BASE + env._seq, self))
             return

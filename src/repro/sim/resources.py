@@ -74,10 +74,10 @@ class Resource:
     def request(self, priority: int = 0, lazy: bool = False) -> Request:
         """Claim a slot; the returned event fires when granted.
 
-        ``lazy`` (lean kernel only): an *uncontended* grant is marked
-        processed in place instead of scheduling a wake-up — for callers
-        that check ``req.processed`` right away and skip their yield
-        when the slot was free.  Late subscribers still work through
+        ``lazy``: an *uncontended* grant is marked processed in place
+        instead of scheduling a wake-up — for callers that check
+        ``req.processed`` right away and skip their yield when the
+        slot was free.  Late subscribers still work through
         ``add_callback``'s processed branch.
         """
         req = Request(self, priority)
@@ -88,10 +88,10 @@ class Resource:
             # this request right back).
             users.add(req)
             req._value = req
-            env = req.env
-            if lazy and env.lean:
+            if lazy:
                 req.callbacks = None
                 return req
+            env = req.env
             env._seq += 1
             heappush(env._heap, (env._now, _NORMAL_BASE + env._seq, req))
         else:

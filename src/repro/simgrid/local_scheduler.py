@@ -429,9 +429,9 @@ class LocalScheduler:
         """Enqueue a job; returns the same object for chaining.
 
         ``detached`` marks a submission nobody watches synchronously
-        (background load): on a lean kernel an uncontended CPU grant
-        then starts the job inline at the submit instant, skipping the
-        grant wake-up event.  Watched jobs (Condor-G) always take the
+        (background load): an uncontended CPU grant then starts the job
+        inline at the submit instant, skipping the grant wake-up
+        event.  Watched jobs (Condor-G) always take the
         scheduled path so status callbacks registered right after
         ``submit`` returns cannot miss the RUNNING transition.
 
@@ -547,7 +547,7 @@ class LocalScheduler:
         """Join the general queue — or start at once on a lazily granted slot."""
         req = self._cpus.request(priority=job.priority, lazy=lazy)
         if req.callbacks is None:
-            # Lean kernel, detached submit: the uncontended slot was
+            # Detached submit: the uncontended slot was
             # granted in place — start without a wake-up round-trip.
             self._start(job, req)
         else:
@@ -810,15 +810,8 @@ class LocalScheduler:
         res.state = state
         timer = res._end_timer
         res._end_timer = None
-        if (
-            timer is not None
-            and self.env.lean
-            and timer.callbacks is not None
-        ):
-            # Lean kernel: tombstone the stale window-end timer.  Legacy
-            # kernels let it fire and no-op (cancel would change the
-            # historical event counts the golden traces pin).
-            timer.cancel()
+        if timer is not None and timer.callbacks is not None:
+            timer.cancel()  # tombstone the stale window-end timer
         for req in list(res.pending_holds):
             try:
                 self._cpus.cancel(req)

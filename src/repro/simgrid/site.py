@@ -25,7 +25,7 @@ from typing import Optional
 from repro import obs as _obs
 from repro.sim.engine import Environment
 from repro.sim.rng import RngStreams
-from repro.simgrid.local_scheduler import LocalScheduler, SiteJob, SiteJobStatus
+from repro.simgrid.local_scheduler import LocalScheduler, SiteJob
 
 __all__ = ["GridSite", "SiteState", "SiteUnavailableError", "StorageFullError"]
 

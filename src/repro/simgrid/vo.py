@@ -10,7 +10,7 @@ enforces on the scheduler side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["VirtualOrganization", "User"]
 

@@ -39,10 +39,11 @@ def test_chaos_command_is_deterministic(tmp_path):
 
 def test_chaos_command_exits_nonzero_on_violations(capsys):
     # The random plan machinery can't produce a violating plan by
-    # design; drive the failure through the CLI by rejecting poll mode.
-    code = main(ARGS + ["--plan", "lossy", "--control-plane", "poll"])
+    # design; drive the failure through the CLI with a scenario the
+    # runner rejects.
+    code = main(ARGS + ["--plan", "lossy", "--horizon-hours", "0"])
     assert code == 2
-    assert "push control plane" in capsys.readouterr().err
+    assert "horizon_s must be > 0" in capsys.readouterr().err
 
 
 def test_chaos_command_rejects_unknown_plan(capsys):

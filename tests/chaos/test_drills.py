@@ -10,9 +10,8 @@ SEED = 42
 HORIZON_S = 12 * 3600.0
 
 
-def scenario(control_plane="push"):
-    return fig2_scenario(N_DAGS, SEED, horizon_s=HORIZON_S,
-                         control_plane=control_plane)
+def scenario():
+    return fig2_scenario(N_DAGS, SEED, horizon_s=HORIZON_S)
 
 
 @pytest.mark.parametrize("preset", ["lossy", "partition", "crash", "full"])
@@ -78,16 +77,6 @@ def test_stochastic_crash_instant_is_deterministic():
                    in first.fault_schedule["crashes"] if what == "crash"}
     assert all(600.0 <= t < 1800.0 for t in crash_times)
     assert first.ok, first.report.format_text()
-
-
-def test_transport_chaos_rejects_poll_control_plane():
-    with pytest.raises(ValueError, match="push control plane"):
-        run_chaos(scenario("poll"), make_plan("lossy", seed=1))
-
-
-def test_crash_only_plan_runs_on_poll_plane():
-    res = run_chaos(scenario("poll"), make_plan("crash", seed=1))
-    assert res.ok, res.report.format_text()
 
 
 def test_identical_inputs_yield_identical_reports():

@@ -22,10 +22,9 @@ HORIZON_S = 12 * 3600.0
 def healthy():
     """One inert-plan run with the controller attached (shared: the
     tamper tests each re-audit their own copy of the violation)."""
-    scenario = fig2_scenario(2, 42, horizon_s=HORIZON_S,
-                             control_plane="push")
+    scenario = fig2_scenario(2, 42, horizon_s=HORIZON_S)
     controller = ChaosController(ChaosPlan())
-    env = Environment(lean=True)
+    env = Environment()
     run_scenario(scenario, env=env, obs=None, chaos=controller)
     return scenario, controller
 
@@ -115,14 +114,13 @@ def test_reservation_conservation_detects_leak(healthy):
 
 def test_detects_quota_ledger_drift():
     """Under a quota'd scenario, a corrupted usage row must be caught."""
-    scenario = fig7_scenario(2, 42, horizon_s=HORIZON_S,
-                             control_plane="push")
+    scenario = fig7_scenario(2, 42, horizon_s=HORIZON_S)
     res = run_chaos(scenario, make_plan("crash", seed=5))
     assert res.ok, res.report.format_text()
 
     # Re-run with a held controller so we can tamper with the ledger.
     controller = ChaosController(make_plan("crash", seed=5))
-    env = Environment(lean=True)
+    env = Environment()
     run_scenario(scenario, env=env, chaos=controller)
     env.run(until=env.now + 60.0)
     label = sorted(controller.servers)[0]

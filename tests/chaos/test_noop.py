@@ -3,7 +3,7 @@
 Same discipline as the obs no-op pin (tests/obs/test_noop_overhead.py):
 a run with an inert ChaosController must be bit-identical — same kernel
 event count, same metrics, same completion times — to a run with no
-controller at all, in both control planes.  Any unconditional behaviour
+controller at all.  Any unconditional behaviour
 change sneaking into the chaos wiring shows up here as drift.
 """
 
@@ -18,9 +18,8 @@ SEED = 42
 HORIZON_S = 12 * 3600.0
 
 
-def run(mode, chaos=None):
-    scenario = fig2_scenario(N_DAGS, SEED, horizon_s=HORIZON_S,
-                             control_plane=mode)
+def run(chaos=None):
+    scenario = fig2_scenario(N_DAGS, SEED, horizon_s=HORIZON_S)
     return run_scenario(scenario, chaos=chaos)
 
 
@@ -43,24 +42,22 @@ def headline(result):
     }
 
 
-@pytest.fixture(scope="module", params=["push", "poll"])
-def baseline(request):
-    return request.param, headline(run(request.param))
+@pytest.fixture(scope="module")
+def baseline():
+    return headline(run())
 
 
 def test_inert_controller_is_bit_identical(baseline):
-    mode, bare = baseline
     controller = ChaosController(ChaosPlan())
-    assert headline(run(mode, chaos=controller)) == bare
+    assert headline(run(chaos=controller)) == baseline
     # And the controller stayed inert: nothing logged, nothing injected.
     assert controller.crash_log == []
     assert controller.fault_schedule()["transport_counts"] == {}
 
 
-def test_inert_controller_leaves_server_configs_alone(baseline):
-    mode, _bare = baseline
+def test_inert_controller_leaves_server_configs_alone():
     controller = ChaosController(ChaosPlan())
-    result = run(mode, chaos=controller)
+    result = run(chaos=controller)
     for server in controller.servers.values():
         assert server.config.reliable_delivery is False
         assert server.config.presume_lost_after_s is None

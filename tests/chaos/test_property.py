@@ -15,8 +15,7 @@ HORIZON_S = 12 * 3600.0
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 11])
 def test_random_plan_preserves_invariants(seed):
-    scenario = fig2_scenario(3, 42, horizon_s=HORIZON_S,
-                             control_plane="push")
+    scenario = fig2_scenario(3, 42, horizon_s=HORIZON_S)
     plan = random_plan(seed, horizon_s=HORIZON_S)
     res = run_chaos(scenario, plan)
     assert res.ok, (

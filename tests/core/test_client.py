@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.states import JobState
-from repro.services import GridJobStatus
 from repro.simgrid import SiteState
 from repro.workflow import Dag, Job, LogicalFile
 

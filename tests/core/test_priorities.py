@@ -22,7 +22,7 @@ def test_higher_priority_dag_planned_first():
     st.server._rpc_submit_dag("c0", "/VO=v/CN=u", _payload(one_job("high")),
                               priority=1)
     st.server.tick()
-    msgs = st.server._rpc_fetch_messages("c0")
+    msgs = st.drain()
     plans = [m["payload"]["job_id"] for m in msgs if m["kind"] == "plan"]
     assert plans[0] == "high.a"  # served before the earlier-submitted low
 
@@ -32,7 +32,7 @@ def test_equal_priority_is_fifo():
     st.server._rpc_submit_dag("c0", "/VO=v/CN=u", _payload(one_job("first")))
     st.server._rpc_submit_dag("c0", "/VO=v/CN=u", _payload(one_job("second")))
     st.server.tick()
-    msgs = st.server._rpc_fetch_messages("c0")
+    msgs = st.drain()
     plans = [m["payload"]["job_id"] for m in msgs if m["kind"] == "plan"]
     assert plans == ["first.a", "second.a"]
 

@@ -1,6 +1,6 @@
 """Unit tests for the recovery helpers (beyond the e2e recovery tests)."""
 
-from repro.core import ServerConfig, recover_server
+from repro.core import recover_server
 from repro.core.serialize import dag_to_payload
 from repro.core.states import JobState
 from repro.workflow import Dag, Job, LogicalFile
@@ -10,6 +10,13 @@ from tests.core.test_server import Stack
 
 def lf(name):
     return LogicalFile(name, 1.0)
+
+
+#: a user whose jobs need quota: a recovered server holds no grants until
+#: its owner re-applies them (they live outside the warehouse), so its
+#: first control pass — which runs inside the constructor — cannot replan
+#: and the tests below see exactly what recovery left behind.
+LIMITED = "/VO=v/CN=limited"
 
 
 def make_checkpoint(quota_user=None):
@@ -39,7 +46,7 @@ class FakeConfigStack(Stack):
 
 
 def test_in_flight_jobs_requeued_on_recovery():
-    st, checkpoint = make_checkpoint()
+    st, checkpoint = make_checkpoint(quota_user=LIMITED)
     server2 = recover(st, checkpoint)
     row = server2.warehouse.table("jobs").get("c.a")
     assert row["state"] == JobState.CANCELLED.value
@@ -48,7 +55,7 @@ def test_in_flight_jobs_requeued_on_recovery():
 
 
 def test_stale_plan_messages_dropped():
-    st, checkpoint = make_checkpoint()
+    st, checkpoint = make_checkpoint(quota_user=LIMITED)
     # The plan message is still in the checkpointed outbox.
     assert any(
         r["kind"] == "plan"
@@ -72,7 +79,7 @@ def test_dag_finished_notifications_survive():
 
 
 def test_quota_reservations_refunded_for_requeued_jobs():
-    user = "/VO=v/CN=limited"
+    user = LIMITED
     st, checkpoint = make_checkpoint(quota_user=user)
     site = st.server.warehouse.table("jobs").get("c.a")["site"]
     assert st.server.policy.used(user, site, "cpu_seconds") == 60.0
@@ -92,11 +99,11 @@ def test_recovered_server_replans_requeued_job():
 
 
 def test_site_counters_rebuilt_from_restored_table():
-    st, checkpoint = make_checkpoint()
+    st, checkpoint = make_checkpoint(quota_user=LIMITED)
     server2 = recover(st, checkpoint)
     # The requeued job holds no active slot anywhere.
     assert all(c == [0, 0] for c in server2._site_active.values())
-    server2.policy.grant_unlimited("/VO=v/CN=u")
+    server2.policy.grant_unlimited(LIMITED)
     server2.tick()
     planned_total = sum(c[0] for c in server2._site_active.values())
     assert planned_total == 1

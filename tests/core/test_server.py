@@ -56,6 +56,15 @@ class Stack:
         return self.server._rpc_submit_dag(client_id, user,
                                            dag_to_payload(dag))
 
+    def drain(self, client_id="c0"):
+        """Pop a client's undelivered messages, oldest first (no client
+        service is on the bus, so the rows wait in the outbox)."""
+        outbox = self.server.warehouse.table("outbox")
+        mine = outbox.select(where={"client_id": client_id}, copy=False)
+        for msg in mine:
+            outbox.delete(msg["msg_id"])
+        return [{"kind": m["kind"], "payload": m["payload"]} for m in mine]
+
     def job_state(self, job_id):
         return self.server.warehouse.table("jobs").get(job_id)["state"]
 
@@ -102,7 +111,7 @@ def test_plan_message_content():
     st = Stack()
     st.submit(chain_dag())
     st.server.tick()
-    msgs = st.server._rpc_fetch_messages("c0")
+    msgs = st.drain()
     assert len(msgs) == 1
     plan = msgs[0]["payload"]
     assert plan["job_id"] == "d0.a"
@@ -111,7 +120,7 @@ def test_plan_message_content():
     assert plan["timeout_s"] == st.server.config.job_timeout_s
     assert [f["lfn"] for f in plan["inputs"]] == ["d0.raw"]
     # Fetch drains the outbox.
-    assert st.server._rpc_fetch_messages("c0") == []
+    assert st.drain() == []
 
 
 def test_completion_unlocks_children():
@@ -133,7 +142,7 @@ def test_dag_finishes_and_notifies():
     st.server.tick()
     st.server._rpc_report_status("d0.b", "completed", "s1", 10.0)
     assert st.dag_state("d0") == DagState.FINISHED.value
-    kinds = [m["kind"] for m in st.server._rpc_fetch_messages("c0")]
+    kinds = [m["kind"] for m in st.drain()]
     assert "dag-finished" in kinds
     assert st.server.dag_completion_times().keys() == {"d0"}
 
@@ -142,14 +151,14 @@ def test_cancellation_replans_next_tick():
     st = Stack()
     st.submit(chain_dag())
     st.server.tick()
-    st.server._rpc_fetch_messages("c0")
+    st.drain()
     st.server._rpc_report_status("d0.a", "cancelled", "s0", reason="timeout")
     assert st.job_state("d0.a") == JobState.CANCELLED.value
     assert st.server.resubmission_count == 1
     assert st.server.timeout_count == 1
     st.server.tick()
     assert st.job_state("d0.a") == JobState.PLANNED.value
-    msgs = st.server._rpc_fetch_messages("c0")
+    msgs = st.drain()
     assert msgs[0]["payload"]["attempt"] == 2
 
 
@@ -202,7 +211,7 @@ def test_stage_in_cancel_with_missing_source_does_not_poison_feedback():
 
 def test_stage_in_cancel_at_destination_penalizes_site_in_push_mode():
     # All sources had live replicas, so the transfer failed at the
-    # destination: push mode must penalize the site or the planner
+    # destination: the server must penalize the site or the planner
     # hot-loops plan -> stage-in -> cancel against a dead site.
     st = Stack()
     st.submit(chain_dag())
@@ -270,7 +279,7 @@ def test_cancelled_report_never_feeds_estimator():
     st = Stack()
     st.submit(chain_dag())
     st.server.tick()
-    st.server._rpc_fetch_messages("c0")
+    st.drain()
     st.server._rpc_report_status("d0.a", "cancelled", "s0", reason="killed")
     assert st.server.estimator.sample_count("s0") == 0
     assert st.server.estimator.average_s("s0") is None
@@ -294,7 +303,7 @@ def test_fully_reduced_dag_finishes_without_planning():
     st.submit(chain_dag())
     st.server.tick()
     assert st.dag_state("d0") == DagState.FINISHED.value
-    kinds = [m["kind"] for m in st.server._rpc_fetch_messages("c0")]
+    kinds = [m["kind"] for m in st.drain()]
     assert kinds == ["dag-finished"]
 
 

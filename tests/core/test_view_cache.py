@@ -7,9 +7,9 @@ Two layers of evidence:
   same ``_site_view`` body, so equality means the invalidation hooks
   fired where they had to);
 * scenario: full runs with the cache on and off produce identical
-  deterministic results (event counts, completions, placements) in
-  both control-plane modes — the property the fig2 golden test pins
-  forever for the default configuration.
+  deterministic results (event counts, completions, placements) —
+  the property the fig2 golden test pins forever for the default
+  configuration.
 """
 
 import pytest
@@ -92,15 +92,16 @@ def test_cache_invalidated_by_planning_transitions():
 
 def test_cache_invalidated_by_monitoring_refresh():
     env, server = _stack()
-    before = server._site_view("s0")
-    assert before.monitored_queued is None  # nothing polled yet
-    env.run(until=env.timeout(61.0))  # one monitoring poll elapses
+    server._site_view("s0")
+    polled = server.monitoring.snapshot("s0")  # the construction-time poll
+    assert server._view_snap["s0"] is polled
+    env.run(until=env.timeout(61.0))  # the next monitoring poll elapses
     _assert_views_match(server, ("s0", "s1", "s2"))
     # The snapshot identity check must have rebuilt against the new
-    # poll, not served the pre-poll view (whose monitored fields were
-    # still the no-data Nones).
-    assert server._view_snap["s0"] is server.monitoring.snapshot("s0")
-    assert server._site_view("s0").monitored_queued == 0
+    # poll, not served the view cached against the previous one.
+    fresh = server.monitoring.snapshot("s0")
+    assert fresh is not polled
+    assert server._view_snap["s0"] is fresh
 
 
 def test_recovery_clears_cache():
@@ -137,10 +138,9 @@ def test_property_cached_views_equal_rebuild(ops):
         _assert_views_match(server, sites)
 
 
-@pytest.mark.parametrize("control_plane", ["push", "poll"])
 @pytest.mark.parametrize("seed", [7, 42])
-def test_scenario_identical_with_and_without_cache(control_plane, seed):
-    """End to end, both control planes: a full faulty-grid run (site
+def test_scenario_identical_with_and_without_cache(seed):
+    """End to end: a full faulty-grid run (site
     deaths, timeouts, feedback flips, background load) reaches exactly
     the same result with the cache on and off."""
     def run(view_cache):
@@ -153,7 +153,6 @@ def test_scenario_identical_with_and_without_cache(control_plane, seed):
             n_dags=3,
             seed=seed,
             horizon_s=6 * 3600.0,
-            control_plane=control_plane,
         )
         result = run_scenario(scenario)
         return result.event_count, result.rpc_count, \

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from benchmarks.perf_trend import SCHEMA, append_run, compare, main
 
 

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core import ServerConfig
 from repro.experiments import Scenario, ServerSpec, default_fault_windows
+from repro.federation import FederationScenario
 from repro.simgrid import SiteState
 
 
@@ -24,6 +26,30 @@ def test_duplicate_labels_rejected():
 def test_n_dags_validation():
     with pytest.raises(ValueError):
         Scenario(name="x", servers=spec(), n_dags=0)
+
+
+_PERIODS = ("tick_s", "poll_s", "job_timeout_s", "monitoring_interval_s",
+            "horizon_s")
+_CONFIGS = {
+    "Scenario": (lambda **kw: Scenario(name="x", servers=spec(), **kw),
+                 _PERIODS),
+    "FederationScenario": (lambda **kw: FederationScenario(name="x", **kw),
+                           _PERIODS),
+    "ServerConfig": (ServerConfig, ("tick_s", "job_timeout_s")),
+}
+
+
+@pytest.mark.parametrize("bad", [0, -1, float("nan")])
+@pytest.mark.parametrize("config,field", [
+    (name, field) for name, (_, fields) in _CONFIGS.items()
+    for field in fields
+])
+def test_periods_must_be_positive(config, field, bad):
+    # A zero tick_s used to spin the control loop at one instant forever
+    # and a NaN surfaced deep in the kernel; both now stop here.
+    build, _ = _CONFIGS[config]
+    with pytest.raises(ValueError, match=rf"{config}\.{field} must be > 0"):
+        build(**{field: bad})
 
 
 def test_workload_spec_reflects_scenario():

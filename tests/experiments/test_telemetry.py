@@ -36,17 +36,18 @@ def test_samples_on_period():
 def test_series_tracks_queue_and_running():
     env = Environment()
     grid = make(env, n_cpus=1)
-    tele = GridTelemetry(env, grid, sample_interval_s=10.0)
     grid.site("s0").submit("a", runtime_s=25.0)
     grid.site("s0").submit("b", runtime_s=25.0)
+    tele = GridTelemetry(env, grid, sample_interval_s=10.0)
     env.run(until=45.0)
     s = tele.series("s0")
     assert s.running[1] == 1       # t=10: a running
     assert s.queued[1] == 1        # t=10: b queued
     assert s.running[3] == 1       # t=30: b running
     assert s.queued[3] == 0
-    # At t=0 the sampler runs before the CPU grant event, so both jobs
-    # are momentarily queued — the probe sees the true instant state.
+    # The t=0 sample is taken at construction, before the CPU grant
+    # event, so both jobs are momentarily queued — the probe sees the
+    # true instant state.
     assert s.peak_queue == 2
     assert 0 < s.mean_utilization <= 1.0
 
@@ -72,22 +73,22 @@ def test_empty_series():
     env = Environment()
     grid = make(env)
     tele = GridTelemetry(env, grid, sample_interval_s=10.0)
-    # No env.run: nothing sampled yet.
+    # No env.run: only the idle t=0 sample.
     s = tele.series("s0")
     assert s.mean_utilization == 0.0
     assert s.peak_queue == 0
     assert s.availability == 1.0
 
 
-def test_zero_sample_run_with_registry_stays_empty():
+def test_registry_holds_the_construction_sample_before_any_run():
     env = Environment()
     metrics = MetricsRegistry()
     tele = GridTelemetry(env, make(env), sample_interval_s=10.0,
                          metrics=metrics)
-    # No env.run: zero samples, but the instruments exist and are empty
-    # (a DOWN-from-t0 site or an instant horizon must not crash export).
-    assert tele.sample_count == 0
-    assert len(metrics.series("site.queue_depth", site="s0")) == 0
+    # No env.run: only the t=0 sample taken at construction (an instant
+    # horizon must not crash export).
+    assert tele.sample_count == 1
+    assert len(metrics.series("site.queue_depth", site="s0")) == 1
     s = tele.series("s0")
     assert s.availability == 1.0
 

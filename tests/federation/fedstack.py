@@ -3,7 +3,7 @@
 Mirrors ``tests.core.test_server.Stack`` but builds
 :class:`FederatedSphinxServer` shards wired together with
 ``enable_federation`` (no meta, no clients — tests add what they
-need).  The environment is lean, as every federated run's is.
+need).
 """
 
 from repro.core import ServerConfig
@@ -35,7 +35,7 @@ class FedStack:
     def __init__(self, n_shards=2, n_sites=3, digest_interval_s=0.0,
                  lease_cooldown_s=30.0, fed_kw=None, bus_factory=RpcBus,
                  **config_kw):
-        self.env = Environment(lean=True)
+        self.env = Environment()
         self.grid = Grid(self.env, RngStreams(0))
         for i in range(n_sites):
             self.grid.add_site(SiteSpec(f"s{i}", n_cpus=4,

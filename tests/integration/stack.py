@@ -20,9 +20,7 @@ class FullStack:
 
     def __init__(self, n_sites=4, n_cpus=8, algorithm="completion-time",
                  seed=0, background=0.0, **config_kw):
-        # Push mode (the default) rides the lean kernel, as in the
-        # experiment runner; poll mode keeps the legacy event trace.
-        self.env = Environment(lean=(config_kw.get("mode", "push") == "push"))
+        self.env = Environment()
         self.rng = RngStreams(seed)
         self.grid = Grid(self.env, self.rng)
         for i in range(n_sites):
@@ -50,7 +48,6 @@ class FullStack:
         self.client = SphinxClient(
             self.env, self.bus, self.server.service_name, self.condorg,
             self.gridftp, self.rls, self.user, "c0", poll_s=1.0,
-            mode=self.config.mode,
             rng=self.rng.stream("client-backoff"),
         )
 

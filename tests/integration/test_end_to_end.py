@@ -1,7 +1,5 @@
 """Full-stack integration tests: client + server + grid + services."""
 
-import pytest
-
 from repro.core.states import DagState, JobState
 from repro.sim.rng import RngStreams
 from repro.simgrid import SiteState

@@ -1,6 +1,6 @@
 """Server crash/recovery integration tests (paper §3.1)."""
 
-from repro.core import ServerConfig, recover_server
+from repro.core import recover_server
 from repro.core.states import DagState, JobState
 from repro.workflow import Dag, Job, LogicalFile
 

@@ -3,7 +3,7 @@
 The contract from :mod:`repro.obs`: tracer and registry are strictly
 passive — no kernel events, no RNG draws, no clock movement — so an
 instrumented run is *bit-identical* to a bare one.  These tests pin
-that down for both control planes and for every collection mode:
+that down for every collection mode:
 
 * no obs vs metrics-only vs spans (with the kernel event-type tally):
   identical event counts and headline scheduling metrics;
@@ -23,10 +23,9 @@ SEED = 7
 HORIZON_S = 6 * 3600.0
 
 
-def run(mode, obs=None):
-    scenario = fig2_scenario(N_DAGS, SEED, horizon_s=HORIZON_S,
-                             control_plane=mode)
-    return run_scenario(scenario, obs=obs)
+def run(obs=None, heartbeat=None):
+    scenario = fig2_scenario(N_DAGS, SEED, horizon_s=HORIZON_S)
+    return run_scenario(scenario, obs=obs, heartbeat=heartbeat)
 
 
 def headline(result):
@@ -55,21 +54,19 @@ def scheduling_only(h):
     return {k: v for k, v in h.items() if k != "event_count"}
 
 
-@pytest.fixture(scope="module", params=["push", "poll"])
-def baseline(request):
-    return request.param, headline(run(request.param))
+@pytest.fixture(scope="module")
+def bare():
+    return headline(run())
 
 
-def test_metrics_only_obs_is_bit_identical(baseline):
-    mode, bare = baseline
+def test_metrics_only_obs_is_bit_identical(bare):
     obs = Obs(ObsConfig(spans=False))
-    assert headline(run(mode, obs=obs)) == bare
+    assert headline(run(obs=obs)) == bare
 
 
-def test_span_tracing_is_bit_identical(baseline):
-    mode, bare = baseline
+def test_span_tracing_is_bit_identical(bare):
     obs = Obs(ObsConfig(spans=True))
-    result = run(mode, obs=obs)
+    result = run(obs=obs)
     assert headline(result) == bare
     # The tallied kernel loop really ran, and its per-type counts add
     # up to exactly the processed-event total.
@@ -80,18 +77,17 @@ def test_span_tracing_is_bit_identical(baseline):
     assert obs.tracer.spans  # and spans were actually collected
 
 
-def test_site_sampling_adds_only_sampler_events(baseline):
-    mode, bare = baseline
+def test_site_sampling_adds_only_sampler_events(bare):
     obs = Obs(ObsConfig(spans=False, sample_sites=True,
                         telemetry_interval_s=600.0))
-    result = run(mode, obs=obs)
+    result = run(obs=obs)
     h = headline(result)
     assert scheduling_only(h) == scheduling_only(bare)
     assert h["event_count"] > bare["event_count"]
     assert obs.metrics.find("site.queue_depth")  # samples landed
 
 
-def test_full_flight_recorder_is_bit_identical(baseline, tmp_path):
+def test_full_flight_recorder_is_bit_identical(bare, tmp_path):
     # The heaviest collection mode there is: streaming span sink,
     # bounded histograms, open-span backstop, *and* a wall-clock
     # heartbeat driven from the kernel loop.  All of it is wall-clock
@@ -99,16 +95,12 @@ def test_full_flight_recorder_is_bit_identical(baseline, tmp_path):
     from repro.obs import Heartbeat
     from repro.obs.export import JsonlSpanSink
 
-    mode, bare = baseline
-    sink = JsonlSpanSink(tmp_path / f"{mode}.spans.jsonl", flush_every=7)
+    sink = JsonlSpanSink(tmp_path / "spans.jsonl", flush_every=7)
     obs = Obs(ObsConfig(spans=True, histogram_max_samples=32,
                         span_sink=sink, max_open_spans=10_000))
-    hb = Heartbeat(path=tmp_path / f"{mode}.heartbeat.jsonl",
+    hb = Heartbeat(path=tmp_path / "heartbeat.jsonl",
                    stream=None, every_events=1500)
-    result = run_scenario(
-        fig2_scenario(N_DAGS, SEED, horizon_s=HORIZON_S,
-                      control_plane=mode),
-        obs=obs, heartbeat=hb)
+    result = run(obs=obs, heartbeat=hb)
     assert headline(result) == bare
     assert hb.records[-1]["final"] is True
     assert hb.records[-1]["events"] == result.event_count

@@ -148,22 +148,20 @@ def test_flush_cadence_cannot_change_the_stream(tmp_path):
 
 
 # ----------------------------------------- full flight recorder at ext scale
-@pytest.mark.parametrize("mode", ["push", "poll"])
 def test_ext_scale_decisions_identical_under_full_flight_recorder(
-        tmp_path, mode):
+        tmp_path):
     """The acceptance criterion at proxy scale: an ext-scale run with
     streaming spans + bounded histograms + max_open + heartbeat makes
     the same scheduling decisions, event for event, as a bare run."""
     from repro.obs import Heartbeat
 
-    scenario = ext_scale_scenario(10, 50, seed=42, horizon_s=24 * 3600.0,
-                                  control_plane=mode)
+    scenario = ext_scale_scenario(10, 50, seed=42, horizon_s=24 * 3600.0)
     bare = run_scenario(scenario)
 
-    sink = JsonlSpanSink(tmp_path / f"{mode}.spans.jsonl", flush_every=10)
+    sink = JsonlSpanSink(tmp_path / "spans.jsonl", flush_every=10)
     obs = Obs(ObsConfig(spans=True, histogram_max_samples=64,
                         span_sink=sink, max_open_spans=500))
-    hb = Heartbeat(path=tmp_path / f"{mode}.heartbeat.jsonl",
+    hb = Heartbeat(path=tmp_path / "heartbeat.jsonl",
                    stream=None, every_events=1000)
     result = run_scenario(scenario, obs=obs, heartbeat=hb)
 
@@ -181,9 +179,9 @@ def test_ext_scale_decisions_identical_under_full_flight_recorder(
         if kind == "histogram":
             assert len(inst.samples) <= 64
     # And the artifacts are real.
-    assert (tmp_path / f"{mode}.spans.jsonl").stat().st_size > 0
+    assert (tmp_path / "spans.jsonl").stat().st_size > 0
     final = json.loads(
-        (tmp_path / f"{mode}.heartbeat.jsonl").read_text()
+        (tmp_path / "heartbeat.jsonl").read_text()
         .splitlines()[-1])
     assert final["final"] is True
     assert final["events"] == result.event_count

@@ -82,8 +82,8 @@ def test_blackhole_site_keeps_last_snapshot():
 def test_recovered_site_polls_again():
     env = Environment()
     grid = make_grid(env)
-    mon = MonitoringService(env, grid, update_interval_s=10.0)
-    grid.site("s0").set_state(SiteState.DOWN)
+    grid.site("s0").set_state(SiteState.DOWN)  # before the first poll,
+    mon = MonitoringService(env, grid, update_interval_s=10.0)  # run here
     env.run(until=5.0)
     assert mon.snapshot("s0") is None  # dead from t=0: never observed
     grid.site("s0").set_state(SiteState.UP)

@@ -1,10 +1,10 @@
 """Edge cases the event-driven control plane leans on.
 
-The push-mode control plane composes conditions from events in every
-state (already-triggered terminals, empty watch lists), re-arms its
-wakeup latch every pass, and runs on the lean kernel (lazy settling,
-inline process start, cancellable timers).  These tests pin the kernel
-semantics those paths assume.
+The control plane composes conditions from events in every state
+(already-triggered terminals, empty watch lists), re-arms its wakeup
+latch every pass, and relies on the kernel keeping bookkeeping off the
+heap (lazy settling, inline process start, cancellable timers).  These
+tests pin the kernel semantics those paths assume.
 """
 
 import pytest
@@ -105,10 +105,10 @@ class TestWakeup:
         assert env.event_count == 1  # only the timeout
 
 
-# --------------------------------------------------------------- lean kernel
+# ------------------------------------------- no bookkeeping on the heap
 class TestLeanKernel:
     def test_lazy_settle_skips_the_heap(self):
-        env = Environment(lean=True)
+        env = Environment()
         ev = env.event()
         ev.succeed("v")
         assert ev.processed  # settled in place, nothing scheduled
@@ -117,7 +117,7 @@ class TestLeanKernel:
         assert env.event_count == 1
 
     def test_late_subscriber_to_lazy_settled_event_still_runs(self):
-        env = Environment(lean=True)
+        env = Environment()
         ev = env.event()
         ev.succeed("v")
         seen = []
@@ -126,14 +126,14 @@ class TestLeanKernel:
         assert seen == ["v"]
 
     def test_fail_is_never_lazy(self):
-        env = Environment(lean=True)
+        env = Environment()
         ev = env.event()
         ev.fail(ValueError("boom"))
         with pytest.raises(ValueError):
             env.run()
 
     def test_inline_process_start(self):
-        env = Environment(lean=True)
+        env = Environment()
         trace = []
 
         def body():
@@ -146,24 +146,11 @@ class TestLeanKernel:
         env.run()
         assert trace == ["started", "resumed"]
 
-    def test_legacy_process_start_is_deferred(self):
-        env = Environment()
-        trace = []
-
-        def body():
-            trace.append("started")
-            yield env.timeout(1.0)
-
-        env.process(body())
-        assert trace == []  # boot event not popped yet
-        env.run()
-        assert trace == ["started"]
-
 
 # ------------------------------------------------------------ timer cancel
 class TestTimeoutCancel:
     def test_cancelled_timer_not_counted(self):
-        env = Environment(lean=True)
+        env = Environment()
         keep = env.timeout(1.0)
         stale = env.timeout(100.0)
         stale.cancel()
@@ -174,21 +161,21 @@ class TestTimeoutCancel:
         assert env.event_count == 1
 
     def test_cancel_fired_timer_raises(self):
-        env = Environment(lean=True)
+        env = Environment()
         t = env.timeout(1.0)
         env.run()
         with pytest.raises(SimulationError):
             t.cancel()
 
     def test_cancel_twice_raises(self):
-        env = Environment(lean=True)
+        env = Environment()
         t = env.timeout(1.0)
         t.cancel()
         with pytest.raises(SimulationError):
             t.cancel()
 
     def test_cancelled_losing_branch_of_any_of(self):
-        env = Environment(lean=True)
+        env = Environment()
         fast = env.timeout(1.0, "fast")
         slow = env.timeout(50.0)
         cond = env.any_of([fast, slow])
@@ -203,6 +190,6 @@ class TestTimeoutCancel:
 
 def test_timeout_cancel_is_timeout_only():
     # Plain events have no heap entry to withdraw; the API is on Timeout.
-    env = Environment(lean=True)
+    env = Environment()
     assert hasattr(Timeout(env, 1.0), "cancel")
     assert not hasattr(Event(env), "cancel")

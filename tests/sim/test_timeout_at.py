@@ -12,9 +12,8 @@ import pytest
 from repro.sim.engine import Environment, Timeout
 
 
-@pytest.mark.parametrize("lean", [False, True])
-def test_fires_at_exactly_the_given_float(lean):
-    env = Environment(lean=lean)
+def test_fires_at_exactly_the_given_float():
+    env = Environment()
     # A pair where the relative form lands one ulp late:
     # 12.09 + (45.43 - 12.09) is 45.43000000000001.
     now, when = 12.09, 45.43
@@ -56,9 +55,8 @@ def test_past_instant_raises(bad):
     assert env.peek() == math.inf  # nothing was scheduled
 
 
-@pytest.mark.parametrize("lean", [False, True])
-def test_cancel_leaves_a_tombstone_outside_event_count(lean):
-    env = Environment(lean=lean)
+def test_cancel_leaves_a_tombstone_outside_event_count():
+    env = Environment()
     keep = env.timeout_at(1.0)
     stale = env.timeout_at(100.0)
     stale.cancel()

@@ -124,7 +124,7 @@ class ReferenceLocalScheduler(LocalScheduler):
 
     def _run(self, job: SiteJob, req: Request):
         if req.processed:
-            # Lean kernel, detached submit: the uncontended slot was
+            # Detached submit: the uncontended slot was
             # granted in place — start without a wake-up round-trip.
             self._pending.pop(job.job_id, None)
             slot = req

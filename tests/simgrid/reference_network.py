@@ -68,7 +68,6 @@ class ReferenceNetworkModel(NetworkModel):
         self._bump(dst, +1)
         try:
             remaining = float(size_mb)
-            lean = self.env.lean
             while remaining > 1e-9:
                 share = self.bandwidth_mbps(src, dst) / max(
                     self._active.get(src, 1), self._active.get(dst, 1)
@@ -78,7 +77,7 @@ class ReferenceNetworkModel(NetworkModel):
                 yield self.env.any_of(
                     [done, self._epoch_event(src), self._epoch_event(dst)]
                 )
-                if lean and not done.processed:
+                if not done.processed:
                     # A share change preempted this slice; the stale
                     # completion timer would pop much later for nothing.
                     done.cancel()

@@ -240,9 +240,8 @@ def test_bad_service_time_draw_is_an_error(bad):
         env.run()
 
 
-@pytest.mark.parametrize("lean", [False, True])
-def test_killed_running_job_leaves_a_stale_timer_that_does_nothing(lean):
-    env = Environment(lean=lean)
+def test_killed_running_job_leaves_a_stale_timer_that_does_nothing():
+    env = Environment()
     sched = make(env, n_cpus=1)
     victim = sched.submit(SiteJob("victim", runtime_s=100.0))
     waiter = sched.submit(SiteJob("waiter", runtime_s=1.0))
@@ -259,10 +258,10 @@ def test_killed_running_job_leaves_a_stale_timer_that_does_nothing(lean):
 
 
 def test_kill_from_own_running_callback_of_an_inline_start_frees_the_slot():
-    # Lean kernel, detached, uncontended: the job starts inside submit().
+    # Detached, uncontended: the job starts inside submit().
     # A watcher that kills it from its own RUNNING transition must still
     # get the slot unwound and the job must stay KILLED.
-    env = Environment(lean=True)
+    env = Environment()
     sched = make(env, n_cpus=1)
     job = SiteJob("j", runtime_s=10.0)
     job.on_status_change(

@@ -7,10 +7,8 @@ drawn from small pools so that ties (a kill landing on a grant instant,
 or on a backfill redirect in flight) are the rule, not the exception —
 must leave both in the same state with ``==``: every job's status and
 float timings, the order and instants of status callbacks, the
-observables after every operation, every counter.  On the lean kernel
-the two also process the same number of kernel events; on the legacy
-kernel the twin spends two more per job (process boot and settle), which
-is the whole difference.
+observables after every operation, every counter — and the two process
+the same number of kernel events.
 """
 
 import random
@@ -135,9 +133,9 @@ CASES = st.builds(
 )
 
 
-def simulate(cls, lean: bool, case: Case):
+def simulate(cls, case: Case):
     """Drive ``case`` through ``cls``; everything an observer could see."""
-    env = Environment(lean=lean)
+    env = Environment()
     rng = random.Random(case.seed)  # one draw per start: start *order* shows
     noise = (0.5, 1.0, 1.0, 1.75) if case.seed is not None else (1.0,)
     sched = cls(
@@ -232,24 +230,21 @@ def simulate(cls, lean: bool, case: Case):
     }
 
 
-def assert_same(case: Case, lean: bool):
-    want = simulate(ReferenceLocalScheduler, lean, case)
-    got = simulate(LocalScheduler, lean, case)
+def assert_same(case: Case):
+    want = simulate(ReferenceLocalScheduler, case)
+    got = simulate(LocalScheduler, case)
     assert got["log"] == want["log"]      # callback order and instants
     assert got["jobs"] == want["jobs"]    # float ==, not approx
     assert got["counters"] == want["counters"]
     assert got["audit"] == want["audit"] == []
-    if lean:
-        assert got["events"] == want["events"]
-    else:
-        assert got["events"] <= want["events"]
+    assert got["events"] == want["events"]
     return got
 
 
 @settings(max_examples=400, deadline=None)
-@given(case=CASES, lean=st.booleans())
-def test_state_machine_matches_generator_twin(case, lean):
-    assert_same(case, lean)
+@given(case=CASES)
+def test_state_machine_matches_generator_twin(case):
+    assert_same(case)
 
 
 def submit(runtime_s, *, priority=10, detached=False, reservation=None,
@@ -257,8 +252,7 @@ def submit(runtime_s, *, priority=10, detached=False, reservation=None,
     return Submit(runtime_s, priority, detached, reservation, ckpt, cost, watch)
 
 
-@pytest.mark.parametrize("lean", [False, True])
-def test_kill_landing_on_a_grant_instant(lean):
+def test_kill_landing_on_a_grant_instant():
     # One CPU.  j0 ends at t=5 and its slot is granted to j1 on the spot;
     # the driver's own t=5 timer was armed after j0's, so the kill runs
     # with j1's grant in flight: the slot must come back and go to j2.
@@ -267,7 +261,7 @@ def test_kill_landing_on_a_grant_instant(lean):
         (0.0, [Simple("thaw")]),          # no-op: j0 is running by now
         (5.0, [Stop("kill", 1)]),
     ])
-    got = assert_same(case, lean)
+    got = assert_same(case)
     assert ("kill", "j1", True) in got["log"]
     # seen right after the kill: j0 already gone, j2's grant in flight
     assert ("seen", 5.0, 1, 0, 1.0) in got["log"]
@@ -276,9 +270,8 @@ def test_kill_landing_on_a_grant_instant(lean):
     assert got["jobs"]["j2"][2] == 5.0         # took the slot at once
 
 
-@pytest.mark.parametrize("lean", [False, True])
 @pytest.mark.parametrize("verb", ["kill", "hold"])
-def test_kill_landing_on_a_backfill_redirect(lean, verb):
+def test_kill_landing_on_a_backfill_redirect(verb):
     # Two CPUs, both busy; a short job queues.  A 1-CPU reservation for
     # t=50 issues a hold; j0's slot frees at t=5, drains into the hold,
     # and the hole before t=50 is backfilled with the queued j2.  The
@@ -290,15 +283,14 @@ def test_kill_landing_on_a_backfill_redirect(lean, verb):
         (0.0, [Stop(verb, 2)]),           # ... then the kill, same instant
         (1.0, [submit(1.0)]),             # the hole is offered again
     ])
-    got = assert_same(case, lean)
+    got = assert_same(case)
     assert (verb, "j2", True) in got["log"]
     assert got["jobs"]["j2"][2] is None
     assert got["counters"][3] == 2             # j2 and then j3 backfilled
     assert got["jobs"]["j3"][2] == 6.0
 
 
-@pytest.mark.parametrize("lean", [False, True])
-def test_claim_falls_back_to_the_queue_when_the_reservation_evaporates(lean):
+def test_claim_falls_back_to_the_queue_when_the_reservation_evaporates():
     case = Case(1, True, None, [
         (0.0, [submit(10.0), Reserve(2.0, 3.0, 1),
                submit(1.0, reservation=0)]),          # waits on the grant ...
@@ -306,20 +298,19 @@ def test_claim_falls_back_to_the_queue_when_the_reservation_evaporates(lean):
                submit(1.0, reservation=0),            # terminal: to the queue
                Stop("kill", 0)]),
     ])
-    got = assert_same(case, lean)
+    got = assert_same(case)
     # j0's slot comes back at the kill's unwind, ahead of j1's None grant:
     # j2 is already queued and takes it, j1 re-queues behind.
     assert got["jobs"]["j2"][:3] == (SiteJobStatus.COMPLETED, 1.0, 1.0)
     assert got["jobs"]["j1"][:3] == (SiteJobStatus.COMPLETED, 0.0, 2.0)
 
 
-@pytest.mark.parametrize("lean", [False, True])
-def test_checkpointed_job_killed_mid_run(lean):
+def test_checkpointed_job_killed_mid_run():
     case = Case(1, True, None, [
         (0.0, [submit(10.0, ckpt=2.5, cost=0.25)]),
         (4.0, [Stop("kill", 0)]),
     ])
-    got = assert_same(case, lean)
+    got = assert_same(case)
     status, _sub, started, finished, fraction, lost = got["jobs"]["j0"]
     assert (status, started, finished) == (SiteJobStatus.KILLED, 0.0, 4.0)
     assert 0.0 < fraction < 1.0 and lost > 0.0

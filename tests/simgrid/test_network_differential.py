@@ -82,9 +82,9 @@ CASES = st.builds(
 )
 
 
-def simulate(model_cls, lean: bool, case: Case):
+def simulate(model_cls, case: Case):
     """Run ``case`` on ``model_cls``; per transfer, how and when it ended."""
-    env = Environment(lean=lean)
+    env = Environment()
     net = model_cls(
         env,
         default_bandwidth_mbps=case.default_bw,
@@ -120,10 +120,10 @@ def simulate(model_cls, lean: bool, case: Case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=CASES, lean=st.booleans())
-def test_scheduler_matches_reference_bit_for_bit(case, lean):
-    want, want_left = simulate(ReferenceNetworkModel, lean, case)
-    got, got_left = simulate(NetworkModel, lean, case)
+@given(case=CASES)
+def test_scheduler_matches_reference_bit_for_bit(case):
+    want, want_left = simulate(ReferenceNetworkModel, case)
+    got, got_left = simulate(NetworkModel, case)
     assert len(got) == len(case.transfers)
     assert got == want  # float ==, not approx: same instants, same elapsed
     assert got_left == want_left == dict.fromkeys(SITES, 0)
@@ -131,28 +131,27 @@ def test_scheduler_matches_reference_bit_for_bit(case, lean):
 
 def test_equal_transfers_tie_and_complete_in_start_order():
     """The documented tie-break: same finish instant, flow-start order."""
-    for lean in (False, True):
-        env = Environment(lean=lean)
-        net = NetworkModel(env, default_bandwidth_mbps=10.0, default_latency_s=0.0)
-        order = []
+    env = Environment()
+    net = NetworkModel(env, default_bandwidth_mbps=10.0, default_latency_s=0.0)
+    order = []
 
-        def mover(name, src, dst):
-            yield from net.transfer_process(30.0, src, dst)
-            order.append((name, env.now))
+    def mover(name, src, dst):
+        yield from net.transfer_process(30.0, src, dst)
+        order.append((name, env.now))
 
-        # every flow shares an uplink with one other: all finish together
-        for name, src, dst in [("a", "p", "q"), ("b", "r", "q"), ("c", "p", "u")]:
-            env.process(mover(name, src, dst))
-        env.run()
-        assert [n for n, _ in order] == ["a", "b", "c"]
-        assert len({t for _, t in order}) == 1
+    # every flow shares an uplink with one other: all finish together
+    for name, src, dst in [("a", "p", "q"), ("b", "r", "q"), ("c", "p", "u")]:
+        env.process(mover(name, src, dst))
+    env.run()
+    assert [n for n, _ in order] == ["a", "b", "c"]
+    assert len({t for _, t in order}) == 1
 
 
 def test_share_changes_cost_no_kernel_events():
     """N transfers through one uplink: events grow with N, not N**2."""
     counts = {}
     for n in (10, 100):
-        env = Environment(lean=True)
+        env = Environment()
         net = NetworkModel(env, default_bandwidth_mbps=10.0, default_latency_s=0.0)
 
         def mover(i):

@@ -311,7 +311,7 @@ def test_thaw_redispatches_reservation():
 
 
 def test_lean_kernel_reservations_work_too():
-    env = Environment(lean=True)
+    env = Environment()
     sched = make(env, n_cpus=1)
     sched.reserve("r", start_s=50.0, duration_s=50.0, cpus=1)
     env.run(until=10.0)
