@@ -3,17 +3,28 @@
 Real timing benchmarks (many rounds) of the pieces everything else is
 built on: event throughput, process switching, resource contention, the
 network's link scheduler, the per-site batch queue, the replica index,
-and a full Grid3 hour.  These guard against performance regressions that
-would silently make the figure benches unrunnable.
+the planner's candidate pool, and a full Grid3 hour.  These guard against
+performance regressions that would silently make the figure benches
+unrunnable.
 """
 
 import time
 
+from repro.core import ServerConfig, SphinxServer
+from repro.core.serialize import dag_to_payload
 from repro.experiments import format_table
-from repro.services import ReplicaService
+from repro.services import MonitoringService, ReplicaService, RpcBus
 from repro.sim import Environment, Resource
 from repro.sim.rng import RngStreams
-from repro.simgrid import LocalScheduler, NetworkModel, SiteJob, make_grid3
+from repro.simgrid import (
+    Grid,
+    LocalScheduler,
+    NetworkModel,
+    SiteJob,
+    make_grid3,
+)
+from repro.simgrid.grid import SiteSpec
+from repro.workflow import Dag, Job
 
 from benchmarks.common import emit
 
@@ -234,3 +245,125 @@ def test_rls_lookup_scaling(benchmark):
         title="RLS: ReplicaService.locations against the live inverted index",
     ))
     assert out[2_500] <= 2.0 * out[25]
+
+
+#: ``_plan_job_us`` at the parent commit (1924a9a, the per-job rebuild of
+#: the candidate pool), same box and interpreter as the committed table:
+#: (sites, quota-bound, draining) -> us per planned job.
+PARENT_PLAN_US = {
+    (25, False, False): 18.5,
+    (25, False, True): 19.5,
+    (25, True, False): 68.5,
+    (25, True, True): 77.0,
+    (250, False, False): 78.4,
+    (250, False, True): 78.8,
+    (250, True, False): 462.9,
+    (250, True, True): 488.6,
+    (2_500, False, False): 655.3,
+    (2_500, False, True): 728.5,
+    (2_500, True, False): 4746.1,
+    (2_500, True, True): 4621.1,
+}
+
+
+def _plan_job_us(n_sites: int, bound: bool, draining: bool,
+                 n_jobs: int = 300) -> float:
+    """Host microseconds to plan one ready job in a warm server.
+
+    ``n_sites`` idle sites with completion history (the completion-time
+    algorithm runs its full argmin scan), one user — quota-exempt, or
+    bound by two ample quotas — and optionally every tenth site
+    draining.  One job is planned first so the measured pass starts
+    from a built site table; the clock then covers one ``tick`` that
+    plans ``n_jobs`` independent ready jobs.
+    """
+    env = Environment()
+    grid = Grid(env, RngStreams(0))
+    for i in range(n_sites):
+        grid.add_site(SiteSpec(f"s{i:04d}", n_cpus=8,
+                               background_utilization=0.0,
+                               service_noise_sigma=0.0))
+    sites = grid.site_names
+    server = SphinxServer(
+        env, RpcBus(env),
+        ServerConfig(name="bench", algorithm="completion-time",
+                     checkpoint_interval_s=0.0),
+        {s: 8 for s in sites},
+        MonitoringService(env, grid), ReplicaService(env, sites),
+    )
+    user = "/VO=bench/CN=u"
+    requirements = {}
+    if bound:
+        requirements = {"cpu_seconds": 60.0, "disk_mb": 10.0}
+        for site in sites:
+            for resource in requirements:
+                server.policy.grant(user, site, resource, 1e9)
+    else:
+        server.policy.grant_unlimited(user)
+    for i, site in enumerate(sites):
+        server.estimator.record(site, 100.0 + i % 7)
+    if draining:
+        for site in sites[::10]:
+            server.drain_notice(site, 1e9)
+
+    def submit(dag_id, n):
+        dag = Dag(dag_id, [
+            Job(f"{dag_id}.j{i}", requirements=requirements)
+            for i in range(n)
+        ])
+        server._rpc_submit_dag("c0", user, dag_to_payload(dag))
+
+    submit("warm", 1)
+    server.tick()
+    submit("timed", n_jobs)
+    t0 = time.perf_counter()
+    server.tick()
+    elapsed = time.perf_counter() - t0
+    planned = server.warehouse.table("jobs").count(where={"state": "planned"})
+    assert planned == n_jobs + 1
+    return elapsed * 1e6 / n_jobs
+
+
+def test_plan_job_candidates(benchmark):
+    """The planner layer: what one planned job costs as the catalog grows.
+
+    The candidate pool is a maintained site table (DESIGN.md §5g): a
+    plan refreshes the rows earlier plans dirtied and hands the
+    algorithm the table, or one selection of it when sites are
+    draining.  What still grows with the catalog is the algorithm's own
+    scan of its candidates.
+    """
+    cases = [
+        (n_sites, bound, draining)
+        for n_sites in (25, 250, 2_500)
+        for bound in (False, True)
+        for draining in (False, True)
+    ]
+
+    def run():
+        return {
+            case: min(_plan_job_us(*case) for _ in range(3))
+            for case in cases
+        }
+
+    out = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = []
+    for (n_sites, bound, draining), us in out.items():
+        parent = PARENT_PLAN_US.get((n_sites, bound, draining))
+        rows.append([
+            n_sites,
+            "quota-bound" if bound else "quota-exempt",
+            "10 %" if draining else "none",
+            f"{parent:.1f}" if parent is not None else "-",
+            f"{us:.1f}",
+        ])
+    emit("kernel_planner", format_table(
+        ["sites", "user", "draining", "parent (us / job)",
+         "change (us / job)"],
+        rows,
+        title="Planner: one warm tick planning 300 ready jobs "
+              "(completion-time, every site sampled)",
+    ))
+    # Ten times the sites must cost well under ten times as much: the
+    # per-site work left is the algorithm's scan, not the pool build.
+    assert out[(2_500, True, False)] <= 60.0 * out[(25, True, False)]

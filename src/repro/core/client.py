@@ -95,9 +95,11 @@ class SphinxClient:
         #: outbox batch or a duplicated ``deliver`` call must not start
         #: a second execution of the same attempt).
         self._seen_plans: set[tuple[str, int]] = set()
-        #: live plan-execution processes (pruned lazily); crash() kills
-        #: them so an interrupted client abandons its in-flight work.
-        self._inflight: list = []
+        #: (job_id, attempt) -> its live plan-execution process, in
+        #: start order; a process removes itself as it ends.  crash()
+        #: kills the survivors so an interrupted client abandons its
+        #: in-flight work.
+        self._inflight: dict[tuple[str, int], object] = {}
         #: job_id -> attempt currently executing, and job_id -> the
         #: Condor-G handle once that attempt is submitted — the lookup
         #: an "evict" message (server-driven migration off a draining
@@ -199,13 +201,11 @@ class SphinxClient:
                 if key in self._seen_plans:
                     continue  # redelivered batch / duplicated call
                 self._seen_plans.add(key)
-                if self._inflight:
-                    self._inflight = [
-                        p for p in self._inflight if p.is_alive
-                    ]
-                self._inflight.append(
-                    self.env.process(self._execute_plan(payload))
-                )
+                # The body runs to its first wait right here; one that
+                # already ended has left nothing to track.
+                proc = self.env.process(self._execute_plan(payload))
+                if proc.is_alive:
+                    self._inflight[key] = proc
             elif msg["kind"] == "evict":
                 payload = msg["payload"]
                 self._evict(payload["job_id"], payload.get("attempt", 0))
@@ -249,9 +249,8 @@ class SphinxClient:
             return
         self.crashed = True
         self.bus.unregister_service(client_service_name(self.client_id))
-        for proc in self._inflight:
-            if proc.is_alive:
-                proc.interrupt("client-crash")
+        for proc in self._inflight.values():
+            proc.interrupt("client-crash")
         self._inflight.clear()
         self._seen_plans.clear()
         self._live_attempts.clear()
@@ -289,6 +288,7 @@ class SphinxClient:
                 del self._live_attempts[job_id]
                 self._live_handles.pop(job_id, None)
             self._evict_requested.discard((job_id, attempt))
+            self._inflight.pop((job_id, attempt), None)
 
     def _run_plan(self, plan: dict):
         job_id = plan["job_id"]

@@ -12,6 +12,7 @@ The tallies live in a warehouse table so they survive server recovery.
 
 from __future__ import annotations
 
+from itertools import filterfalse
 from typing import Iterable
 
 from repro import obs as obs_mod
@@ -101,7 +102,7 @@ class ReliabilityTracker:
         unreliable = self._unreliable
         if not unreliable:
             return tuple(sites)
-        return tuple(s for s in sites if s not in unreliable)
+        return tuple(filterfalse(unreliable.__contains__, sites))
 
     def snapshot(self) -> dict[str, tuple[int, int]]:
         """site -> (completed, cancelled), for experiment reporting."""

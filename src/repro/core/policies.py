@@ -16,6 +16,7 @@ such accounting exists currently in the grid".
 
 from __future__ import annotations
 
+from itertools import filterfalse
 from typing import Iterable, Mapping
 
 from repro.core.warehouse import Warehouse
@@ -27,6 +28,22 @@ _COLUMNS = ("key", "user", "site", "resource", "used")
 
 class QuotaExceededError(RuntimeError):
     """A charge was attempted beyond the granted quota."""
+
+
+class _Headroom:
+    """One quota-bound user's tight sites (see :meth:`feasible_sites`)."""
+
+    __slots__ = ("pool", "high", "tight")
+
+    def __init__(self, pool: tuple[str, ...]):
+        #: the candidate pool ``tight`` was built over
+        self.pool = pool
+        #: resource -> largest amount any job of this user has asked for
+        self.high: dict[str, float] = {}
+        #: sites whose remaining quota falls short of ``high`` for some
+        #: resource; every other site of ``pool`` covers any requirement
+        #: map that stays within ``high``.
+        self.tight: set[str] = set()
 
 
 class PolicyEngine:
@@ -44,16 +61,27 @@ class PolicyEngine:
         #: policy file, like any middleware).
         self._grants: dict[tuple[str, str, str], float] = {}
         self._unlimited_users: set[str] = set()
+        #: user -> headroom bookkeeping.  Derived state, like the
+        #: feedback tracker's unreliable set: a new (or recovered)
+        #: engine holds none and builds a user's entry on that user's
+        #: first ``feasible_sites``; ``grant`` and ``_add_usage`` — the
+        #: only writers of what ``remaining`` reads — keep it current.
+        self._headroom: dict[str, _Headroom] = {}
 
     # -- policy configuration ----------------------------------------------------
     def grant(self, user: str, site: str, resource: str, amount: float) -> None:
-        if amount < 0:
-            raise ValueError("quota grants must be >= 0")
+        if not amount >= 0:  # also rejects NaN
+            raise ValueError(
+                f"quota grant {user}|{site}|{resource} must be >= 0, "
+                f"got {amount!r}"
+            )
         self._grants[(user, site, resource)] = amount
+        self._recheck(user, site)
 
     def grant_unlimited(self, user: str) -> None:
         """Exempt a user from quota checks entirely (no policy run)."""
         self._unlimited_users.add(user)
+        self._headroom.pop(user, None)
 
     def granted(self, user: str, site: str, resource: str) -> float:
         """The grant, or 0.0 — no grant means no access to that resource."""
@@ -111,22 +139,65 @@ class PolicyEngine:
                     f"usage of {resource} for {user}@{site} went negative"
                 )
             self._usage.update(key, used=max(new, 0.0))
+        self._recheck(user, site)
 
     # -- the planner-facing filter (eq. 4) -------------------------------------------
+    def _covers(self, user: str, site: str,
+                requirements: Mapping[str, float]) -> bool:
+        """Eq. 4 at one site: remaining quota covers every requirement."""
+        for resource, amount in requirements.items():
+            if not self.remaining(user, site, resource) >= amount:
+                return False
+        return True
+
+    def _recheck(self, user: str, site: str) -> None:
+        """Re-classify one site after a write to its grant or usage."""
+        room = self._headroom.get(user)
+        if room is None:
+            return
+        if self._covers(user, site, room.high):
+            room.tight.discard(site)
+        else:
+            room.tight.add(site)
+
     def feasible_sites(
         self,
         user: str,
         requirements: Mapping[str, float],
         sites: Iterable[str],
     ) -> tuple[str, ...]:
-        """Sites where the user's remaining quota covers the job."""
+        """Sites where the user's remaining quota covers the job.
+
+        A tuple pool is answered from the user's headroom entry: a site
+        outside ``tight`` covers every amount up to the user's high-water
+        marks, so only the tight sites are tested, and a pool that loses
+        no site comes back as the same object.  A requirement above a
+        mark (or a different pool) rebuilds the entry over the whole
+        pool first, so the answer is exact for any requirement map.
+        """
         if user in self._unlimited_users or not requirements:
             return tuple(sites)
-        return tuple(
-            s
-            for s in sites
-            if all(
-                self.remaining(user, s, resource) >= amount
-                for resource, amount in requirements.items()
+        if type(sites) is not tuple:
+            # A mutable pool cannot be remembered by identity.
+            return tuple(
+                s for s in sites if self._covers(user, s, requirements)
             )
-        )
+        room = self._headroom.get(user)
+        grown = room is None or room.pool is not sites
+        if grown:
+            room = self._headroom[user] = _Headroom(sites)
+        high = room.high
+        for resource, amount in requirements.items():
+            if resource not in high or not amount <= high[resource]:
+                high[resource] = amount
+                grown = True
+        if grown:
+            room.tight = {
+                s for s in sites if not self._covers(user, s, high)
+            }
+        short = {
+            s for s in room.tight if not self._covers(user, s, requirements)
+        }
+        if not short:
+            return sites
+        return tuple(filterfalse(short.__contains__, sites))

@@ -34,6 +34,7 @@ warehouse rows and every pass runs ``tick()``.
 from __future__ import annotations
 
 import itertools
+from itertools import filterfalse
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
@@ -149,14 +150,6 @@ class ServerConfig:
     #: rather than zero.  None = auto (chaos plan decides); 0 = off.
     job_checkpoint_interval_s: Optional[float] = None
     job_checkpoint_cost_s: Optional[float] = None
-    #: incremental site-view cache: keep one :class:`SiteView` per site
-    #: and invalidate O(1) on the transitions that can change it (a job
-    #: planned/started/finished/cancelled at the site, a completion
-    #: report feeding the estimator, a monitoring refresh) instead of
-    #: rebuilding every view from warehouse reads for every job
-    #: planned.  Decision-identical to full rebuild (property-tested);
-    #: the knob exists for that test and for bisecting, not for users.
-    view_cache: bool = True
 
     def __post_init__(self) -> None:
         require_positive(self, "tick_s", "job_timeout_s")
@@ -267,20 +260,23 @@ class SphinxServer:
         #: serves every job (``tuple(t)`` returns ``t`` unchanged, so
         #: the quota-exempt fast path allocates nothing per job).
         self._catalog_sites: tuple[str, ...] = tuple(self.site_catalog)
-        #: incremental site-view cache (``config.view_cache``): site ->
-        #: its current SiteView, plus the monitoring snapshot identity
-        #: it was built against.  Everything else a view reads is
-        #: invalidated explicitly at the mutation site (see
-        #: ``_invalidate_site_view`` callers); monitoring refreshes are
-        #: caught by snapshot identity on read, so the cache needs no
-        #: hook into the monitoring service.
-        self._use_view_cache = config.view_cache
-        self._view_cache: dict[str, SiteView] = {}
-        self._view_snap: dict[str, Any] = {}
+        #: the site table: one :class:`SiteView` per site in catalog
+        #: order, read only through :meth:`_site_views`, which first
+        #: rebuilds the rows named in ``_stale``.  A row goes stale
+        #: where one of its inputs changes (every ``_stale.add`` /
+        #: ``_stale.update``) or when a monitoring poll replaces its
+        #: snapshot (``_monitoring_poll`` is the last poll folded in);
+        #: every row starts stale, which covers recovery.
+        self._site_row: dict[str, int] = {
+            s: i for i, s in enumerate(self._catalog_sites)
+        }
+        self._site_table: list[SiteView] = [None] * len(self._site_row)
+        self._stale: set[str] = set(self._site_row)
+        self._monitoring_poll = monitoring.poll_count
         #: federation seam: a callable ``site -> (planned, running)``
         #: merged into every view's load counters (peer-shard load from
-        #: digests).  None — the default — is branch-free off the view
-        #: cache hit path and keeps single-server runs decision-identical.
+        #: digests).  None — the default — keeps single-server runs
+        #: decision-identical.
         self._remote_load = None
         self._rebuild_site_counters()
         #: dag_ids whose ready set may have changed since the last
@@ -488,7 +484,7 @@ class SphinxServer:
                 # avg/predicted completion just moved; the feedback
                 # tally above is *not* a view input (it filters the
                 # candidate list upstream), so only this needs it.
-                self._invalidate_site_view(site)
+                self._stale.add(site)
             if self.obs.enabled:
                 self._m_jobs_completed.inc()
                 # Successors become plannable now (the planner pops the
@@ -792,18 +788,22 @@ class SphinxServer:
         """Try to place one ready job; False means retry next tick."""
         job = dag.job(jrow["job_id"])
         user = drow["user"]
+        # Each filter hands back the pool it was given — the same tuple
+        # object — when it drops nothing, so an unfiltered plan reaches
+        # the algorithm with the site table itself.
         candidates = self.policy.feasible_sites(
             user, job.requirements, self._catalog_sites
         )
-        if self._draining:
+        draining = self._draining
+        if draining:
             # Never place new work on a site that published an eviction
             # notice (it would be killed at the reclaim instant); if
             # *every* feasible site is draining, wait a tick rather than
             # knowingly burn the work.
-            live = [s for s in candidates if s not in self._draining]
-            if live:
-                candidates = live
-            else:
+            candidates = tuple(
+                filterfalse(draining.__contains__, candidates)
+            )
+            if not candidates:
                 self._plan_deferred(drow, job.job_id, "draining")
                 return False
         feedback_dropped: list[str] = []
@@ -816,7 +816,7 @@ class SphinxServer:
         if not candidates:
             self._plan_deferred(drow, job.job_id, "no-feasible-site")
             return False  # nothing feasible now; retry next tick
-        views = [self._site_view(s) for s in candidates]
+        views = self._select_views(candidates)
         site = None
         reservation_id = None
         group = self._job_reservations.get(job.job_id)
@@ -957,7 +957,6 @@ class SphinxServer:
         self._draining[site] = (
             deadline_s if deadline_s is not None else self.env.now
         )
-        self._invalidate_site_view(site)
         if self.config.migrate_on_drain and not already:
             self._migrate_off(site, self._draining[site])
         self._wakeup.set()
@@ -965,7 +964,6 @@ class SphinxServer:
     def drain_cleared(self, site: str) -> None:
         """The drained site's capacity is back; it may be planned again."""
         if self._draining.pop(site, None) is not None:
-            self._invalidate_site_view(site)
             self._wakeup.set()
 
     def _migrate_off(self, site: str, deadline_s: float) -> None:
@@ -1065,12 +1063,12 @@ class SphinxServer:
         stages = self._stage_levels(dag)
         if len(stages) < 2:
             return  # single-stage dags plan immediately; nothing to book
-        candidates = list(self.site_catalog)
+        candidates = self._catalog_sites
         if self.config.use_feedback:
-            reliable = list(self.feedback.reliable_sites(candidates))
+            reliable = self.feedback.reliable_sites(candidates)
             if reliable:
                 candidates = reliable
-        views = [self._site_view(s) for s in candidates]
+        views = self._select_views(candidates)
         start = self.env.now
         slack = self.config.reservation_slack
         for lvl in sorted(stages):
@@ -1194,12 +1192,40 @@ class SphinxServer:
                 group["site"],
             ).add_callback(lambda e: e.defuse() if not e.ok else None)
 
+    def _site_views(self) -> list[SiteView]:
+        """The site table, current: stale rows are rebuilt first.
+
+        The returned list is the table itself — read it, do not keep it
+        across anything that plans.
+        """
+        stale = self._stale
+        poll = self.monitoring.poll_count
+        if poll != self._monitoring_poll:
+            if poll == self._monitoring_poll + 1:
+                # Sites that could not report kept their snapshot.
+                stale.update(self._site_row.keys() & self.monitoring.refreshed)
+            else:
+                stale.update(self._site_row)  # polls went by unread
+            self._monitoring_poll = poll
+        table = self._site_table
+        if stale:
+            row = self._site_row
+            for site in stale:
+                table[row[site]] = self._site_view(site)
+            stale.clear()
+        return table
+
+    def _select_views(self, sites: tuple[str, ...]) -> list[SiteView]:
+        """The table rows of ``sites``, in that order."""
+        table = self._site_views()
+        if sites is self._catalog_sites:
+            return table
+        return list(map(table.__getitem__,
+                        map(self._site_row.__getitem__, sites)))
+
     def _site_view(self, site: str) -> SiteView:
+        """Build one site's row from its inputs."""
         snap = self.monitoring.snapshot(site)
-        if self._use_view_cache:
-            view = self._view_cache.get(site)
-            if view is not None and self._view_snap[site] is snap:
-                return view
         planned, unfinished = self._site_active[site]
         remote = self._remote_load
         if remote is not None:
@@ -1220,7 +1246,7 @@ class SphinxServer:
                 else avg
             )
         self._phases.pop()
-        view = SiteView(
+        return SiteView(
             name=site,
             n_cpus=n_cpus,
             planned_jobs=planned,
@@ -1230,14 +1256,6 @@ class SphinxServer:
             avg_completion_s=avg,
             predicted_completion_s=predicted,
         )
-        if self._use_view_cache:
-            self._view_cache[site] = view
-            self._view_snap[site] = snap
-        return view
-
-    def _invalidate_site_view(self, site: str) -> None:
-        """Drop one site's cached view (its inputs just changed)."""
-        self._view_cache.pop(site, None)
 
     def site_load_snapshot(self) -> dict:
         """Compact load digest of this server (the federation export).
@@ -1309,7 +1327,7 @@ class SphinxServer:
         counters[1] = max(counters[1] + running, 0)
         # The view reads these counters (and the load-corrected
         # prediction reads planned); O(1) invalidation per transition.
-        self._view_cache.pop(site, None)
+        self._stale.add(site)
 
     def _release_active(self, row: dict, site: str) -> None:
         """Drop a terminal job from the per-site active counters."""
@@ -1321,7 +1339,7 @@ class SphinxServer:
 
     def _rebuild_site_counters(self) -> None:
         """Reconstruct counters from the jobs table (recovery path)."""
-        self._view_cache.clear()
+        self._stale.update(self._site_row)
         for counters in self._site_active.values():
             counters[0] = counters[1] = 0
         for row in self.warehouse.table("jobs").select(

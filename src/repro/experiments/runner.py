@@ -135,7 +135,6 @@ def _build_server(
         prediction_correction_strength=spec.prediction_correction_strength,
         reserve_ahead=spec.reserve_ahead,
         reservation_slack=spec.reservation_slack,
-        view_cache=spec.view_cache,
         checkpoint_interval_s=0.0,  # recovery is exercised separately
         migrate_on_drain=spec.migrate_on_drain,
         job_checkpoint_interval_s=spec.job_checkpoint_interval_s,

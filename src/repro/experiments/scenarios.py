@@ -56,9 +56,6 @@ class ServerSpec:
     #: reactive feedback); see ServerConfig.reserve_ahead.
     reserve_ahead: bool = False
     reservation_slack: float = 1.5
-    #: incremental site-view cache (decision-identical; off = rebuild
-    #: every view from scratch, the ablation/bisect knob).
-    view_cache: bool = True
     #: eviction tolerance (see ServerConfig): None = auto — a chaos
     #: plan's eviction axis decides; explicit values win over the plan
     #: (e.g. ``migrate_on_drain=False`` pins the kill-and-resubmit

@@ -85,8 +85,8 @@ class FederatedSphinxServer(SphinxServer):
         self.board = DigestBoard(label, config.digest_ttl_s)
         self.ledger = ShardQuotaLedger(self)
         self._remote_load = self._digest_remote_load
-        # Remote load changes every cached view's inputs; start clean.
-        self._view_cache.clear()
+        # Remote load changes every row's inputs; start clean.
+        self._stale.update(self._site_row)
         self.bus.register(self.service_name, "load_digest",
                           self._rpc_load_digest)
         self.bus.register(self.service_name, "lease_transfer",
@@ -115,6 +115,15 @@ class FederatedSphinxServer(SphinxServer):
     # -- digests ----------------------------------------------------------
     def _digest_remote_load(self, site: str):
         return self.board.remote_load(site, self.env.now)
+
+    def _site_views(self):
+        board = self.board
+        if board is not None and self.env.now >= board.next_expiry:
+            # A digest aging out moves remote load like a new one does.
+            self._stale.update(
+                self._site_row.keys() & board.expire(self.env.now)
+            )
+        return super()._site_views()
 
     def _digest_loop(self):
         try:
@@ -183,10 +192,7 @@ class FederatedSphinxServer(SphinxServer):
         return "confirmed"
 
     def _rpc_load_digest(self, digest) -> str:
-        changed = self.board.apply(digest)
-        for site in changed:
-            if site in self.site_catalog:
-                self._invalidate_site_view(site)
+        self._stale.update(self._site_row.keys() & self.board.apply(digest))
         # No wake: remote load drifting does not make a stuck job
         # plannable by itself; the next ordinary pass sees it.
         return "ok"

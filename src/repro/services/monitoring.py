@@ -69,7 +69,13 @@ class MonitoringService:
         self.noise_sigma = noise_sigma
         self._rng = rng.stream("monitoring-noise") if rng else None
         self._snapshots: dict[str, SiteSnapshot] = {}
+        #: completed polls, and the sites whose snapshot object the
+        #: latest one replaced — how a poll announces itself.  A reader
+        #: that saw poll ``n - 1`` needs only ``refreshed`` to catch up;
+        #: a site that could not report (DOWN, BLACKHOLE) keeps its old
+        #: snapshot and is not in the set.
         self.poll_count = 0
+        self.refreshed: frozenset[str] = frozenset()
         env.process(self._poller())
 
     # -- queries (what the SPHINX monitoring interface reads) ----------------------
@@ -111,9 +117,12 @@ class MonitoringService:
 
     def _poller(self):
         while True:
-            self.poll_count += 1
+            refreshed = []
             for site in self.grid:
                 snap = self._observe(site)
                 if snap is not None:
                     self._snapshots[site.name] = snap
+                    refreshed.append(site.name)
+            self.refreshed = frozenset(refreshed)
+            self.poll_count += 1
             yield self.env.timeout(self.update_interval_s)

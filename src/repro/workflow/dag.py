@@ -46,6 +46,12 @@ class Job:
             raise ValueError("job_id must be non-empty")
         if self.runtime_s <= 0:
             raise ValueError(f"runtime must be > 0, got {self.runtime_s}")
+        for resource, amount in self.requirements.items():
+            if not amount >= 0:  # also rejects NaN
+                raise ValueError(
+                    f"job {self.job_id} requires {amount!r} {resource}; "
+                    "amounts must be >= 0"
+                )
         self.inputs = tuple(self.inputs)
         self.outputs = tuple(self.outputs)
         produced = {f.lfn for f in self.outputs}

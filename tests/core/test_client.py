@@ -160,3 +160,57 @@ def test_dag_finished_notification_records_time():
     server_time = st.server.dag_completion_times()["c"]
     # Client time includes notification latency; same ballpark as server.
     assert end - start == pytest.approx(server_time, abs=30.0)
+
+
+def _fan_dag(n, runtime=60.0):
+    """n independent jobs (all ready at once), distinct runtimes."""
+    return Dag("f", [
+        Job(f"f.j{i}", inputs=(lf("f.raw"),), outputs=(lf(f"f.out{i}"),),
+            runtime_s=runtime + i)
+        for i in range(n)
+    ])
+
+
+def test_inflight_plans_leave_as_they_end_without_a_scan(monkeypatch):
+    from repro.sim.process import Process
+
+    st = FullStack(algorithm="round-robin")
+    st.submit(_fan_dag(6))
+    st.run(until=30.0)
+    assert len(st.client._inflight) == 6
+    assert all(p.is_alive for p in st.client._inflight.values())
+    # From here on nobody may ask a plan process whether it is alive:
+    # a finished plan removes itself.
+    monkeypatch.setattr(
+        Process, "is_alive",
+        property(lambda self: pytest.fail("liveness scan over _inflight")),
+    )
+    st.run(until=3600.0)
+    assert st.client.finished_dag_count == 1
+    assert st.client._inflight == {}
+
+
+def test_crash_interrupts_surviving_plans_in_start_order(monkeypatch):
+    from repro.sim.process import Process
+
+    st = FullStack(algorithm="round-robin")
+    st.submit(_fan_dag(5, runtime=600.0))
+    st.run(until=30.0)
+    started = list(st.client._inflight)
+    assert [job_id for job_id, _attempt in started] == [
+        f"f.j{i}" for i in range(5)
+    ]
+    by_process = {id(p): key for key, p in st.client._inflight.items()}
+    interrupted = []
+    real_interrupt = Process.interrupt
+
+    def spy(self, cause=None):
+        interrupted.append(by_process[id(self)])
+        real_interrupt(self, cause)
+
+    monkeypatch.setattr(Process, "interrupt", spy)
+    st.client.crash()
+    assert interrupted == started
+    assert st.client._inflight == {}
+    st.run(until=60.0)  # the interrupts land; nothing re-registers
+    assert st.client._inflight == {}

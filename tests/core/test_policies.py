@@ -23,6 +23,14 @@ def test_grant_validation():
         engine().grant("u", "s", "cpu", -1.0)
 
 
+@pytest.mark.parametrize("amount", [-1.0, float("nan")])
+def test_grant_rejects_amounts_that_are_not_nonnegative(amount):
+    pe = engine()
+    with pytest.raises(ValueError, match=r"u\|s\|cpu"):
+        pe.grant("u", "s", "cpu", amount)
+    assert pe.granted("u", "s", "cpu") == 0.0  # nothing was recorded
+
+
 def test_charge_and_remaining():
     pe = engine()
     pe.grant("u", "s", "cpu", 100.0)
@@ -115,6 +123,73 @@ class TestFeasibleSites:
         pe = engine()
         pe.grant_unlimited("root")
         assert pe.feasible_sites("root", {"cpu": 1e9}, ["a", "b"]) == ("a", "b")
+
+
+class TestHeadroom:
+    """The tuple-pool fast path: per-user tight sets kept by the writers."""
+
+    POOL = ("a", "b", "c")
+
+    def bound(self, amount=10.0):
+        pe = engine()
+        for site in self.POOL:
+            pe.grant("u", site, "cpu", amount)
+        return pe
+
+    def test_unfiltered_pool_comes_back_as_the_same_object(self):
+        pe = self.bound()
+        assert pe.feasible_sites("u", {"cpu": 4.0}, self.POOL) is self.POOL
+        assert pe._headroom["u"].tight == set()
+
+    def test_charge_and_refund_move_a_site_in_and_out(self):
+        pe = self.bound()
+        pe.feasible_sites("u", {"cpu": 4.0}, self.POOL)
+        pe.charge("u", "b", {"cpu": 8.0})
+        assert pe._headroom["u"].tight == {"b"}
+        assert pe.feasible_sites("u", {"cpu": 4.0}, self.POOL) == ("a", "c")
+        # A tight site is tested exactly: a smaller job still fits it.
+        assert pe.feasible_sites("u", {"cpu": 2.0}, self.POOL) is self.POOL
+        pe.refund("u", "b", {"cpu": 8.0})
+        assert pe._headroom["u"].tight == set()
+        assert pe.feasible_sites("u", {"cpu": 4.0}, self.POOL) is self.POOL
+
+    def test_grant_rechecks_its_site(self):
+        pe = self.bound()
+        pe.feasible_sites("u", {"cpu": 4.0}, self.POOL)
+        pe.grant("u", "c", "cpu", 1.0)
+        assert pe.feasible_sites("u", {"cpu": 4.0}, self.POOL) == ("a", "b")
+        pe.grant("u", "c", "cpu", 10.0)
+        assert pe.feasible_sites("u", {"cpu": 4.0}, self.POOL) is self.POOL
+
+    def test_larger_amount_or_new_resource_rebuilds_the_set(self):
+        pe = self.bound()
+        pe.charge("u", "a", {"cpu": 5.0})
+        assert pe.feasible_sites("u", {"cpu": 4.0}, self.POOL) is self.POOL
+        assert pe.feasible_sites("u", {"cpu": 6.0}, self.POOL) == ("b", "c")
+        assert pe._headroom["u"].high == {"cpu": 6.0}
+        # Nobody holds a disk grant: a resource first seen now must not
+        # ride on the cpu-only classification.
+        assert pe.feasible_sites("u", {"disk": 1.0}, self.POOL) == ()
+        pe.grant("u", "b", "disk", 2.0)
+        assert pe.feasible_sites("u", {"disk": 1.0}, self.POOL) == ("b",)
+
+    def test_another_pool_is_classified_afresh(self):
+        pe = self.bound()
+        assert pe.feasible_sites("u", {"cpu": 4.0}, self.POOL) is self.POOL
+        wider = self.POOL + ("ungranted",)
+        assert pe.feasible_sites("u", {"cpu": 4.0}, wider) == self.POOL
+
+    def test_unlimited_grant_drops_the_entry(self):
+        pe = self.bound()
+        pe.feasible_sites("u", {"cpu": 4.0}, self.POOL)
+        pe.grant_unlimited("u")
+        assert "u" not in pe._headroom
+        assert pe.feasible_sites("u", {"cpu": 1e9}, self.POOL) is self.POOL
+
+    def test_nan_amount_is_never_feasible(self):
+        pe = self.bound()
+        assert pe.feasible_sites("u", {"cpu": float("nan")}, self.POOL) == ()
+        assert pe.feasible_sites("u", {"cpu": 4.0}, self.POOL) is self.POOL
 
 
 def test_usage_survives_warehouse_round_trip():

@@ -1,15 +1,18 @@
-"""The incremental site-view cache must be decision-identical.
+"""The maintained site table must be decision-identical.
 
 Two layers of evidence:
 
-* unit: after every kind of state transition the cached view equals a
-  from-scratch rebuild (the cache path and the rebuild path are the
-  same ``_site_view`` body, so equality means the invalidation hooks
-  fired where they had to);
-* scenario: full runs with the cache on and off produce identical
-  deterministic results (event counts, completions, placements) —
-  the property the fig2 golden test pins forever for the default
-  configuration.
+* unit: after every kind of state transition the table equals the
+  test-local naive builder's from-scratch views
+  (``tests/core/reference_views.py``), so the invalidation hooks fired
+  where they had to;
+* scenario: full runs as shipped and with the naive builder patched in
+  produce identical deterministic results (event counts, completions,
+  placements) — the property the fig2 golden test pins forever for
+  the default configuration.
+
+``test_candidate_pool_differential.py`` drives the same comparison
+through every invalidation point in random order.
 """
 
 import pytest
@@ -26,6 +29,7 @@ from repro.sim.rng import RngStreams
 from repro.simgrid import Grid
 from repro.simgrid.grid import SiteSpec
 from repro.workflow import Dag, Job, LogicalFile
+from tests.core.reference_views import naive_view, patch_naive
 
 
 def _stack(n_sites=3, **config_kw):
@@ -53,24 +57,20 @@ def _dag(dag_id):
     ])
 
 
-def _fresh_view(server, site):
-    """A from-scratch rebuild, bypassing the cache entirely."""
-    server._use_view_cache = False
-    try:
-        return server._site_view(site)
-    finally:
-        server._use_view_cache = True
+def _table_view(server, site):
+    return server._site_views()[server._site_row[site]]
 
 
 def _assert_views_match(server, grid_sites):
     for site in grid_sites:
-        assert server._site_view(site) == _fresh_view(server, site), site
+        assert _table_view(server, site) == naive_view(server, site), site
 
 
 def test_cache_hit_returns_same_object():
     env, server = _stack()
-    v1 = server._site_view("s0")
-    assert server._site_view("s0") is v1
+    v1 = _table_view(server, "s0")
+    assert _table_view(server, "s0") is v1
+    assert not server._stale
 
 
 def test_cache_invalidated_by_planning_transitions():
@@ -85,32 +85,32 @@ def test_cache_invalidated_by_planning_transitions():
     # The planned counter moved on some site; its cached view must have
     # been dropped, not served stale.
     site = planned[0]["site"]
-    view = server._site_view(site)
+    view = _table_view(server, site)
     assert view.planned_jobs >= 1
-    assert view == _fresh_view(server, site)
+    assert view == naive_view(server, site)
 
 
 def test_cache_invalidated_by_monitoring_refresh():
     env, server = _stack()
-    server._site_view("s0")
+    before = _table_view(server, "s0")
     polled = server.monitoring.snapshot("s0")  # the construction-time poll
-    assert server._view_snap["s0"] is polled
+    assert server._monitoring_poll == 1
     env.run(until=env.timeout(61.0))  # the next monitoring poll elapses
+    assert server.monitoring.snapshot("s0") is not polled
     _assert_views_match(server, ("s0", "s1", "s2"))
-    # The snapshot identity check must have rebuilt against the new
-    # poll, not served the view cached against the previous one.
-    fresh = server.monitoring.snapshot("s0")
-    assert fresh is not polled
-    assert server._view_snap["s0"] is fresh
+    # The announced poll must have rebuilt the row against the new
+    # snapshot, not served the one built against the previous poll.
+    assert server._monitoring_poll == 2
+    assert _table_view(server, "s0") is not before
 
 
 def test_recovery_clears_cache():
     env, server = _stack()
-    server._site_view("s0")
+    _table_view(server, "s0")
     snap = server.warehouse.snapshot()
     server.warehouse.restore(snap)
     server._rebuild_site_counters()
-    assert not server._view_cache
+    assert server._stale == set(server.site_catalog)
     _assert_views_match(server, ("s0", "s1", "s2"))
 
 
@@ -139,16 +139,16 @@ def test_property_cached_views_equal_rebuild(ops):
 
 
 @pytest.mark.parametrize("seed", [7, 42])
-def test_scenario_identical_with_and_without_cache(seed):
+def test_scenario_identical_with_and_without_cache(seed, monkeypatch):
     """End to end: a full faulty-grid run (site
     deaths, timeouts, feedback flips, background load) reaches exactly
-    the same result with the cache on and off."""
-    def run(view_cache):
+    the same result as shipped and on the naive builder."""
+    def run():
         scenario = Scenario(
             name="cache-eqv",
             servers=(
-                ServerSpec("ct", "completion-time", view_cache=view_cache),
-                ServerSpec("rr", "round-robin", view_cache=view_cache),
+                ServerSpec("ct", "completion-time"),
+                ServerSpec("rr", "round-robin"),
             ),
             n_dags=3,
             seed=seed,
@@ -159,4 +159,23 @@ def test_scenario_identical_with_and_without_cache(seed):
             headline_metrics(result), \
             {label: s.jobs_per_site for label, s in result.servers.items()}
 
-    assert run(True) == run(False)
+    shipped = run()
+    patch_naive(monkeypatch)
+    assert run() == shipped
+
+
+def test_unread_polls_refresh_every_row():
+    """A poll announces only the sites *it* refreshed; a reader that
+    slept through more than one cannot rely on the last announcement."""
+    from repro.simgrid.site import SiteState
+
+    env, server = _stack()
+    _assert_views_match(server, ("s0", "s1", "s2"))
+    grid = server.monitoring.grid
+    grid.site("s0").submit("local", 500.0, detached=True)
+    env.run(until=env.timeout(61.0))   # poll 2 sees s0 busy (unread)
+    grid.site("s0").set_state(SiteState.DOWN)
+    env.run(until=env.timeout(60.0))   # poll 3 cannot reach s0
+    assert "s0" not in server.monitoring.refreshed
+    assert _table_view(server, "s0").monitored_running == 1
+    _assert_views_match(server, ("s0", "s1", "s2"))

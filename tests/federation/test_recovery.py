@@ -75,11 +75,11 @@ def test_recovered_shard_rebuilds_site_views_from_digests():
     server2 = recover_shard(st, "shard0")
     assert isinstance(server2, FederatedSphinxServer)
     # Fresh incarnation: empty digest board, remote-load seam wired,
-    # view cache starts clean (stale pre-crash views never linger).
+    # every site-table row stale (pre-crash views never linger).
     assert isinstance(server2.board, DigestBoard)
     assert server2.board.digests == {}
     assert server2._remote_load("s0") == (0, 0)
-    assert len(server2._view_cache) == 0
+    assert server2._stale == set(server2.site_catalog)
     # A peer digest flows into the replacement's site views.
     st.servers["shard1"].publish_digest()
     st.run(until=st.env.now + 1.0)

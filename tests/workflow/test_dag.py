@@ -39,6 +39,12 @@ class TestJob:
         with pytest.raises(ValueError):
             Job("")
 
+    @pytest.mark.parametrize("amount", [-1.0, float("nan")])
+    def test_requirement_amounts_must_be_nonnegative(self, amount):
+        with pytest.raises(ValueError, match=r"job j1 .*cpu_seconds"):
+            Job("j1", requirements={"cpu_seconds": amount})
+        Job("j1", requirements={"cpu_seconds": 0.0})  # zero is a valid ask
+
     def test_nonpositive_runtime_rejected(self):
         with pytest.raises(ValueError):
             Job("j", runtime_s=0.0)
