@@ -8,6 +8,7 @@ performance regressions that would silently make the figure benches
 unrunnable.
 """
 
+import gc
 import time
 
 from repro.core import ServerConfig, SphinxServer
@@ -152,26 +153,54 @@ def test_network_hot_uplink(benchmark):
         assert events <= 4 * n
 
 
-def _batch_queue(n: int, n_cpus: int, detached: bool, reserved: bool):
-    """Submit ``n`` 60 s jobs to one site at t=0, then drain it.
+def _tracked() -> int:
+    gc.collect()
+    return len(gc.get_objects())
 
-    Returns ``(env, submit seconds, drain seconds)``.  ``reserved`` keeps
-    one reservation live for the whole run (a 1-CPU window far in the
+
+def _batch_queue(n: int, n_cpus: int, detached: bool, reserved: bool,
+                 n_scheds: int = 1):
+    """Submit ``n`` 60 s jobs at t=0, round-robin over ``n_scheds`` sites
+    of ``n_cpus`` each, then drain them.
+
+    Returns ``(env, submit seconds, drain seconds, GC-tracked objects per
+    job while all are live, ... after all ended)``.  ``reserved`` keeps one
+    reservation live for the whole run (a 1-CPU window far in the
     future), so every submit pays the backfill offer.
     """
     env = Environment()
-    sched = LocalScheduler(env, n_cpus, lambda job: job.runtime_s)
+    scheds = [LocalScheduler(env, n_cpus, lambda job: job.runtime_s)
+              for _ in range(n_scheds)]
     if reserved:
-        assert sched.reserve("r", 1e9, 1.0, cpus=1)
-    jobs = [SiteJob(f"j{i}", runtime_s=60.0) for i in range(n)]
+        assert all(sched.reserve("r", 1e9, 1.0, cpus=1) for sched in scheds)
+    ids = [f"j{i}" for i in range(n)]
+    idle = _tracked()
+    work = [(scheds[i % n_scheds].submit, SiteJob(job_id, runtime_s=60.0))
+            for i, job_id in enumerate(ids)]
     t0 = time.perf_counter()
-    for job in jobs:
-        sched.submit(job, detached=detached)
+    for submit, job in work:
+        submit(job, detached=detached)
     t1 = time.perf_counter()
-    env.run(until=1e8)
+    del work, submit, job               # the schedulers hold what is held
+    live = _tracked() - idle
     t2 = time.perf_counter()
-    assert sched.completed_count == n
-    return env, t1 - t0, t2 - t1
+    env.run(until=1e8)
+    t3 = time.perf_counter()
+    assert sum(sched.completed_count for sched in scheds) == n
+    return env, t1 - t0, t3 - t2, live / n, (_tracked() - idle) / n
+
+
+#: The same cases at the parent commit (e13f94f: a Request, a Timeout and
+#: five more tracked objects per detached job, every ended job kept), same
+#: box and interpreter as the committed table: case -> (submit us / job,
+#: drain us / job, tracked objects / job running, ... ended).
+PARENT_BATCH_QUEUE = {
+    "detached, idle site": (5.11, 2.54, 7.00, 2.00),
+    "watched, idle site": (5.43, 5.36, 9.00, 2.00),
+    "detached, 64 CPUs contended": (4.97, 4.81, 9.00, 2.00),
+    "detached, idle site, 1 live reservation": (5.57, 2.38, 7.00, 2.00),
+    "detached, 2,500 idle sites round-robin": (6.21, 3.38, 7.15, 2.05),
+}
 
 
 def test_local_scheduler_submit_drain(benchmark):
@@ -179,40 +208,49 @@ def test_local_scheduler_submit_drain(benchmark):
 
     A job is callbacks on one awaited event (DESIGN.md §5l), so a
     detached job on an idle site costs exactly one kernel event — its
-    run timer; a watched job adds its grant wake-up.
+    run timer, which is the job record itself; a watched job adds its
+    grant wake-up.  The round-robin case is the shape ``plan-2500x600``
+    has: no scheduler's tables are warm in the host's caches.
     """
     n = 50_000
     cases = {
-        "detached, idle site": (n, True, False),
-        "watched, idle site": (n, False, False),
-        "detached, 64 CPUs contended": (64, True, False),
-        "detached, idle site, 1 live reservation": (n + 1, True, True),
+        "detached, idle site": (n, True, False, 1),
+        "watched, idle site": (n, False, False, 1),
+        "detached, 64 CPUs contended": (64, True, False, 1),
+        "detached, idle site, 1 live reservation": (n + 1, True, True, 1),
+        "detached, 2,500 idle sites round-robin": (n // 2_500, True, False, 2_500),
     }
 
     def run():
         out = {}
-        for label, (n_cpus, detached, reserved) in cases.items():
+        for label, (n_cpus, detached, reserved, n_scheds) in cases.items():
             best = (float("inf"), float("inf"))
             for _ in range(3):
-                env, submit_s, drain_s = _batch_queue(
-                    n, n_cpus, detached, reserved)
+                env, submit_s, drain_s, *census = _batch_queue(
+                    n, n_cpus, detached, reserved, n_scheds)
                 best = min(best, (submit_s, drain_s), key=sum)
-            out[label] = (env.event_count, *best)
+            out[label] = (env.event_count, *best, *census)
         return out
 
     out = benchmark.pedantic(run, rounds=1, iterations=1)
-    rows = [
-        [label, f"{events / n:.2f}", f"{submit_s * 1e6 / n:.2f}",
-         f"{drain_s * 1e6 / n:.2f}"]
-        for label, (events, submit_s, drain_s) in out.items()
-    ]
+    rows = []
+    for label, (events, submit_s, drain_s, live, ended) in out.items():
+        now = (submit_s * 1e6 / n, drain_s * 1e6 / n, live, ended)
+        rows.append([label, f"{events / n:.2f}"] + [
+            f"{old:.2f} -> {round(new, 2) + 0.0:.2f}"  # + 0.0: no "-0.00"
+            for old, new in zip(PARENT_BATCH_QUEUE[label], now)
+        ])
     emit("kernel_local_scheduler", format_table(
         ["case", "kernel events / job", "submit (us / job)",
-         "drain (us / job)"],
+         "drain (us / job)", "tracked objects / job, running", "..., ended"],
         rows,
-        title=f"Batch queue: {n} jobs of 60 s through one LocalScheduler",
+        title=f"Batch queue: {n} jobs of 60 s through LocalScheduler "
+              "(parent e13f94f -> this tree)",
     ))
     assert out["detached, idle site"][0] <= n
+    # one record + one heap entry while it runs, nothing once it ended
+    assert out["detached, idle site"][3] <= 2.01
+    assert out["detached, 2,500 idle sites round-robin"][4] == 0.0
 
 
 def _rls_lookup_us(n_sites: int, n_lfns: int = 200, rounds: int = 20) -> float:

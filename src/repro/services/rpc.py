@@ -38,23 +38,38 @@ class RpcFault(RuntimeError):
 
 
 _SCALARS = (str, int, float, bool, type(None))
+_EXACT_SCALARS = frozenset(_SCALARS)  # O(1) exact-type test, no MRO walk
 
 
 def _check_serializable(value: Any, path: str = "payload") -> None:
     """Reject values XML-RPC could not carry."""
-    if isinstance(value, _SCALARS):
-        return
+    fault = _fault_in(value)
+    if fault is not None:
+        raise RpcFault(path + fault)
+
+
+def _fault_in(value: Any) -> Optional[str]:
+    """``"[i]['k']: reason"`` for the first unserializable part, else None.
+
+    Hot (every RPC leg walks its payload): exact-type scalars cost no
+    call, and the path is only spelled on the way back up from a fault.
+    """
+    exact = _EXACT_SCALARS
+    if type(value) in exact or isinstance(value, _SCALARS):
+        return None
     if isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
-            _check_serializable(item, f"{path}[{i}]")
-        return
+            if type(item) not in exact and (fault := _fault_in(item)):
+                return f"[{i}]{fault}"
+        return None
     if isinstance(value, dict):
         for k, v in value.items():
             if not isinstance(k, str):
-                raise RpcFault(f"{path}: dict key {k!r} is not a string")
-            _check_serializable(v, f"{path}[{k!r}]")
-        return
-    raise RpcFault(f"{path}: {type(value).__name__} is not RPC-serializable")
+                return f": dict key {k!r} is not a string"
+            if type(v) not in exact and (fault := _fault_in(v)):
+                return f"[{k!r}]{fault}"
+        return None
+    return f": {type(value).__name__} is not RPC-serializable"
 
 
 class _Service:

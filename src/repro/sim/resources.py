@@ -99,12 +99,23 @@ class Resource:
             self._grant()
         return req
 
-    def release(self, request: Request) -> None:
-        """Return a previously granted slot."""
+    def acquire(self, token: Any) -> bool:
+        """Grant an *uncontended* slot to ``token`` (any hashable) in place:
+        a lazy :meth:`request` without the :class:`Request`.  False = queue."""
+        users = self._users
+        if self._queue or len(users) >= self._capacity:
+            return False
+        users.add(token)
+        return True
+
+    def release(self, request: Any) -> None:
+        """Return a previously granted slot (a request or a token)."""
         try:
             self._users.remove(request)
         except KeyError:
             raise SimulationError("release() of a request that does not hold a slot")
+        if request.__class__ is Request:
+            request._value = None  # was itself: now it can die by refcount
         self._grant()
 
     def cancel(self, request: Request) -> None:

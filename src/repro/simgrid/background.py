@@ -83,13 +83,20 @@ class BackgroundLoad:
     ):
         if not 0.0 <= target_utilization < 1.0:
             raise ValueError("target utilization must be in [0, 1)")
-        if mean_runtime_s <= 0:
-            raise ValueError("mean runtime must be > 0")
         if not 0.0 <= modulation_amplitude <= 1.0:
             raise ValueError("modulation amplitude must be in [0, 1]")
-        if surge_interval_s < 0 or surge_jobs_factor <= 0 or surge_runtime_s <= 0:
-            raise ValueError("invalid surge parameters")
-        if batch_interval_s < 0:
+        # `not x > 0` rather than `x <= 0`: NaN stops here, not mid-run
+        for name, value in (("mean_runtime_s", mean_runtime_s),
+                            ("modulation_period_s", modulation_period_s),
+                            ("surge_jobs_factor", surge_jobs_factor),
+                            ("surge_runtime_s", surge_runtime_s)):
+            if not value > 0:
+                raise ValueError(
+                    f"BackgroundLoad.{name} must be > 0, got {value!r}")
+        if not surge_interval_s >= 0:
+            raise ValueError("BackgroundLoad.surge_interval_s must be >= 0, "
+                             f"got {surge_interval_s!r}")
+        if not batch_interval_s >= 0:
             raise ValueError("batch interval must be >= 0")
         self.env = env
         self.site = site

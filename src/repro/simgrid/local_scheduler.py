@@ -16,9 +16,9 @@ heterogeneity and noise), and drives the job's status machine::
        +-> KILLED +-> KILLED / HELD
 
 A job is not a kernel process.  While live it waits on exactly one event
-— its CPU request, its reservation grant, or its run timer — and plain
-callbacks move it on; a callback from any other event is stale and
-returns (DESIGN.md §5l).
+— its CPU request, its reservation grant, or its run timer, which is the
+job record itself — and plain callbacks move it on; a callback from any
+other event is stale and returns (DESIGN.md §5l).
 
 Advance reservations (DESIGN.md §5f)
 ------------------------------------
@@ -128,13 +128,21 @@ class SiteJob:
     #: (un-checkpointed progress plus checkpoint writes); set at kill.
     lost_work_s: float = field(default=0.0, init=False)
 
-    _watchers: list = field(default_factory=list, init=False, repr=False)
+    _watchers: Optional[list] = field(default=None, init=False, repr=False)
     #: drawn service time, memoized at start for preemption accounting
     _service_s: Optional[float] = field(default=None, init=False, repr=False)
+    #: submitted detached: the scheduler forgets the record when it ends
+    _detached: bool = field(default=False, init=False, repr=False)
+    #: a RUNNING job is its own run timer on the kernel heap; these two
+    #: are all the event loop reads of a heap entry that succeeded
+    callbacks: Optional[list] = field(default=None, init=False, repr=False)
+    _ok = True
 
     def on_status_change(
         self, callback: Callable[["SiteJob", SiteJobStatus, SiteJobStatus], None]
     ) -> None:
+        if self._watchers is None:
+            self._watchers = []
         self._watchers.append(callback)
 
     def _set_status(self, new: SiteJobStatus) -> None:
@@ -232,13 +240,18 @@ class LocalScheduler:
         self._cpus = Resource(env, capacity=n_cpus)
         self._service_time_fn = service_time_fn
         #: job_id -> the single event a live job is waiting on: its CPU
-        #: request, its reservation grant, or its run timer (DESIGN.md §5l)
-        self._awaiting: dict[str, Event] = {}
+        #: request, its reservation grant, or — RUNNING — the job itself,
+        #: which is its own run timer (DESIGN.md §5l)
+        self._awaiting: dict[str, Event | SiteJob] = {}
         self._pending: dict[str, Request] = {}   # job_id -> CPU request
-        #: job_id -> the CPU slot a RUNNING job occupies (its own
-        #: request, or a reservation hold it claimed or borrowed)
-        self._running: dict[str, Request] = {}
+        #: job_id -> the CPU slot a RUNNING job occupies (itself when
+        #: started in place, else its own request or a reservation hold)
+        self._running: dict[str, Request | SiteJob] = {}
+        #: live jobs and watched terminal ones; a detached job leaves
+        #: when it lets go of its slot
         self._jobs: dict[str, SiteJob] = {}
+        #: shared by every run timer: the kernel only iterates the list
+        self._on_timer = [self._done]
         #: reservation calendar (res_id -> Reservation), live and terminal
         self._reservations: dict[str, Reservation] = {}
         #: claimed jobs waiting for a slot: job_id -> (Reservation, grant)
@@ -288,6 +301,7 @@ class LocalScheduler:
         return min(1.0, self._cpus.count / cap)
 
     def job(self, job_id: str) -> SiteJob:
+        """``KeyError`` for an unknown id — or a detached job that ended."""
         return self._jobs[job_id]
 
     def __contains__(self, job_id: str) -> bool:
@@ -453,6 +467,7 @@ class LocalScheduler:
                 f"checkpoint_cost_s={job.checkpoint_cost_s!r} must all be >= 0"
             )
         self._jobs[job.job_id] = job
+        job._detached = detached
         job.submitted_at = self.env.now
         if reservation_id is not None:
             res = self._reservations.get(reservation_id)
@@ -544,14 +559,13 @@ class LocalScheduler:
         return True
 
     def _enqueue(self, job: SiteJob, lazy: bool = False) -> None:
-        """Join the general queue — or start at once on a lazily granted slot."""
-        req = self._cpus.request(priority=job.priority, lazy=lazy)
-        if req.callbacks is None:
-            # Detached submit: the uncontended slot was
-            # granted in place — start without a wake-up round-trip.
-            self._start(job, req)
+        """Join the general queue — or start at once on an uncontended slot."""
+        if lazy and self._cpus.acquire(job):
+            # Detached submit: the job holds the free slot as itself and
+            # starts without a request or a wake-up round-trip.
+            self._start(job, job)
         else:
-            self._pending[job.job_id] = req
+            req = self._pending[job.job_id] = self._cpus.request(job.priority)
             self._await(job, req)
 
     def _await(self, job: SiteJob, event: Event) -> None:
@@ -574,7 +588,7 @@ class LocalScheduler:
         else:
             self._start(job, slot)
 
-    def _start(self, job: SiteJob, slot: Request) -> None:
+    def _start(self, job: SiteJob, slot: Request | SiteJob) -> None:
         job.started_at = self.env.now
         job._set_status(SiteJobStatus.RUNNING)
         service = self._service_time_fn(job)
@@ -588,18 +602,22 @@ class LocalScheduler:
             n_ckpt = max(0, math.ceil(service / job.checkpoint_interval_s) - 1)
             occupancy = service + n_ckpt * job.checkpoint_cost_s
         self._running[job.job_id] = slot
-        timer = self._awaiting[job.job_id] = self.env.timeout(occupancy, job)
-        timer.callbacks.append(self._done)
+        # its own run timer: the heap entry (and _seq) a Timeout would take
+        self._awaiting[job.job_id] = job
+        job.callbacks = self._on_timer
+        self.env.schedule(job, occupancy)
 
-    def _done(self, timer: Event) -> None:
-        job = timer.value
-        if self._awaiting.get(job.job_id) is not timer:
+    def _done(self, job: SiteJob) -> None:
+        job_id = job.job_id
+        if self._awaiting.get(job_id) is not job:
             return  # stale: killed/held mid-run, _unwind freed the slot
-        del self._awaiting[job.job_id]
-        self._release_slot(job.job_id, self._running.pop(job.job_id))
+        del self._awaiting[job_id]
+        self._release_slot(job_id, self._running.pop(job_id))
         job.finished_at = self.env.now
         job._set_status(SiteJobStatus.COMPLETED)
         self.completed_count += 1
+        if job._detached:
+            del self._jobs[job_id]
 
     def _unwind(self, kick: Event) -> None:
         """Free whatever a killed/held job holds; _terminate set the status."""
@@ -610,6 +628,8 @@ class LocalScheduler:
             self._release_slot(job.job_id, slot)
         else:
             self._reclaim_orphan_slot(job.job_id, awaited)
+        if job._detached:
+            del self._jobs[job.job_id]
 
     def _record_preemption(self, job: SiteJob) -> None:
         """Checkpoint accounting for a job killed while RUNNING.

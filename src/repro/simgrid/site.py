@@ -101,6 +101,7 @@ class GridSite:
         self.degraded_factor = degraded_factor
         self.disk_capacity_mb = disk_capacity_mb
         self._rng = rng.stream("service-noise")
+        self._noise: list[float] = []  # standard normals drawn ahead
         self._state = SiteState.UP
         self.scheduler = LocalScheduler(env, n_cpus, self._service_time, name=name)
         #: logical files present at this site (lfn -> size_mb)
@@ -317,8 +318,14 @@ class GridSite:
         factor = self.perf_factor
         if self._state is SiteState.DEGRADED:
             factor *= self.degraded_factor
-        if self.service_noise_sigma > 0:
-            factor *= math.exp(float(self._rng.normal(0.0, self.service_noise_sigma)))
+        sigma = self.service_noise_sigma
+        if sigma > 0:
+            # normal(0, sigma) is 0.0 + sigma * z over the same z's, and
+            # nothing else draws from this stream: one numpy call per 32
+            noise = self._noise
+            if not noise:
+                noise.extend(self._rng.standard_normal(32)[::-1].tolist())
+            factor *= math.exp(0.0 + sigma * noise.pop())
         return job.runtime_s * factor
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -1,9 +1,12 @@
 """Unit tests for the GSI RPC transport."""
 
+import enum
+
 import pytest
 
 from repro.sim import Environment
 from repro.services import RpcBus, RpcFault
+from repro.services.rpc import _check_serializable
 
 
 def call_sync(env, bus, *args, **kwargs):
@@ -108,6 +111,52 @@ def test_nested_payloads_allowed():
     payload = {"jobs": [{"id": "a", "sites": ["x", "y"], "ok": True, "n": 3}]}
     r = call_sync(env, bus, "p", "svc", "echo", payload)
     assert r["value"] == payload
+
+
+class _Name(str):
+    pass
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+
+
+class _Thing:
+    pass
+
+
+# (payload, fault text after the path — None = accepted); the texts were
+# captured from the recursive isinstance checker this one replaced.
+_PAYLOADS = [
+    ([1, 2.5, "s", True, None], None),
+    ({"a": [1, (2, 3), {"b": None}], "c": ()}, None),
+    (False, None),
+    (_Name("x"), None),                       # subclasses of a scalar pass
+    ({_Name("k"): 1}, None),
+    ([_Colour.RED], None),
+    (_Thing(), ": _Thing is not RPC-serializable"),
+    ([1, [2, _Thing()]], "[1][1]: _Thing is not RPC-serializable"),
+    ({"a": (0, {"b": _Thing()})}, "['a'][1]['b']: _Thing is not RPC-serializable"),
+    ({"a": [{1: "x"}]}, "['a'][0]: dict key 1 is not a string"),
+    ({b"k": 1}, ": dict key b'k' is not a string"),
+    ({"a": {1, 2}}, "['a']: set is not RPC-serializable"),
+    ([b"raw"], "[0]: bytes is not RPC-serializable"),
+    ([_Thing(), {2: 3}], "[0]: _Thing is not RPC-serializable"),  # first wins
+    ({"ok": 1, 3: _Thing()}, ": dict key 3 is not a string"),     # key first
+]
+
+
+@pytest.mark.parametrize("path", ["payload", "args"])
+@pytest.mark.parametrize("payload,fault", _PAYLOADS)
+def test_serializable_check_accepts_and_rejects_as_before(payload, fault, path):
+    check = (lambda: _check_serializable(payload)) if path == "payload" \
+        else (lambda: _check_serializable(payload, path))
+    if fault is None:
+        check()
+        return
+    with pytest.raises(RpcFault) as err:
+        check()
+    assert str(err.value) == path + fault
 
 
 def test_ignored_fault_does_not_crash_simulation():

@@ -30,6 +30,33 @@ class TestBackgroundLoad:
         with pytest.raises(ValueError):
             BackgroundLoad(env, rng, site, modulation_amplitude=2.0)
 
+    @pytest.mark.parametrize("bad", [0, -1, float("nan")])
+    @pytest.mark.parametrize("field,bound", [
+        ("mean_runtime_s", "> 0"), ("modulation_period_s", "> 0"),
+        ("surge_jobs_factor", "> 0"), ("surge_runtime_s", "> 0"),
+        ("surge_interval_s", ">= 0"),
+    ])
+    def test_bad_input_stops_at_construction(self, field, bound, bad):
+        # NaN used to pass every `x <= 0` check, and a zero
+        # modulation_period_s divided by zero inside _rate_per_s mid-run.
+        env = Environment()
+        build = lambda: BackgroundLoad(  # noqa: E731
+            env, RngStreams(0), make_site(env), **{field: bad})
+        if bad == 0 and bound == ">= 0":
+            build()  # zero switches surges off
+            return
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == (
+            f"BackgroundLoad.{field} must be {bound}, got {bad!r}")
+
+    @pytest.mark.parametrize("bad", [-1, float("nan")])
+    def test_bad_batch_interval_stops_at_construction(self, bad):
+        env = Environment()
+        with pytest.raises(ValueError, match="batch interval must be >= 0"):
+            BackgroundLoad(env, RngStreams(0), make_site(env),
+                           batch_interval_s=bad)
+
     def test_generates_load(self):
         env = Environment()
         site = make_site(env, n_cpus=20)

@@ -9,6 +9,11 @@ must leave both in the same state with ``==``: every job's status and
 float timings, the order and instants of status callbacks, the
 observables after every operation, every counter — and the two process
 the same number of kernel events.
+
+The state machine forgets a detached job when it ends (the twin never
+does), so the rig keeps the ``SiteJob`` each ``submit`` returned and
+reads final state from that; a verb aimed at a forgotten id must raise
+``KeyError`` and is logged as the ``False`` the twin answers.
 """
 
 import random
@@ -49,6 +54,7 @@ class Submit:
     checkpoint_interval_s: float
     checkpoint_cost_s: float
     watch: Optional[Watch]
+    late_watch: bool = False  # detached only: subscribe after submit returns
 
 
 @dataclass(frozen=True)
@@ -94,6 +100,7 @@ OPS = st.one_of(
         checkpoint_interval_s=st.sampled_from([0.0, 0.0, 1.0, 2.5]),
         checkpoint_cost_s=st.sampled_from([0.0, 0.25]),
         watch=st.none() | WATCHES,
+        late_watch=st.booleans(),
     ),
     st.builds(
         Submit,  # plain short jobs: queue pressure and backfill fodder
@@ -145,27 +152,37 @@ def simulate(cls, case: Case):
         backfill=case.backfill,
     )
     log: list[tuple] = []
-    n_jobs = n_res = 0
+    made: list[SiteJob] = []  # as submit returned them, by job number
+    detached: set[str] = set()
+    n_res = 0
 
     def stop(verb: str, target: int):
-        job_id = f"j{target % max(n_jobs, 1)}"
-        if job_id in sched:
-            log.append((verb, job_id, getattr(sched, verb)(job_id)))
+        if not made:
+            return
+        job = made[target % len(made)]
+        if job.job_id in sched:
+            done = getattr(sched, verb)(job.job_id)
+        else:  # only a detached job that has ended is ever forgotten
+            assert job.job_id in detached and job.status.terminal
+            with pytest.raises(KeyError):
+                getattr(sched, verb)(job.job_id)
+            done = False
+        log.append((verb, job.job_id, done))
 
     def record(job, old, new):
         log.append(("status", job.job_id, old.value, new.value, env.now))
 
     def apply(op):
-        nonlocal n_jobs, n_res
+        nonlocal n_res
         if isinstance(op, Submit):
             job = SiteJob(
-                f"j{n_jobs}",
+                f"j{len(made)}",
                 runtime_s=op.runtime_s,
                 priority=op.priority,
                 checkpoint_interval_s=op.checkpoint_interval_s,
                 checkpoint_cost_s=op.checkpoint_cost_s,
             )
-            n_jobs += 1
+            made.append(job)
             if not op.detached:
                 # detached means nobody watches (LocalScheduler.submit)
                 job.on_status_change(record)
@@ -179,6 +196,10 @@ def simulate(cls, case: Case):
             if op.reservation is not None:  # mostly a real one, live or not
                 res_id = f"r{op.reservation % (n_res + 1)}"
             sched.submit(job, detached=op.detached, reservation_id=res_id)
+            if op.detached:
+                detached.add(job.job_id)
+                if op.late_watch:
+                    job.on_status_change(record)  # may already be RUNNING
         elif isinstance(op, Stop):
             stop(op.verb, op.target)
         elif isinstance(op, Reserve):
@@ -207,13 +228,13 @@ def simulate(cls, case: Case):
     before_thaw = env.event_count
     sched.thaw()  # a site left frozen drains too, so every case ends quiescent
     env.run()
-    jobs = {}
-    for i in range(n_jobs):
-        j = sched.job(f"j{i}")
-        jobs[j.job_id] = (
+    jobs = {
+        j.job_id: (
             j.status, j.submitted_at, j.started_at, j.finished_at,
             j.checkpointed_fraction, j.lost_work_s,
         )
+        for j in made
+    }
     counters = (
         sched.completed_count, sched.killed_count, sched.held_count,
         sched.backfill_count, sched.preempted_work_s,
@@ -227,6 +248,7 @@ def simulate(cls, case: Case):
         "counters": counters,
         "audit": sched.reservation_audit(),
         "events": (before_thaw, env.event_count),
+        "sched": sched,  # for white-box checks; never compared
     }
 
 
@@ -248,8 +270,9 @@ def test_state_machine_matches_generator_twin(case):
 
 
 def submit(runtime_s, *, priority=10, detached=False, reservation=None,
-           ckpt=0.0, cost=0.0, watch=None):
-    return Submit(runtime_s, priority, detached, reservation, ckpt, cost, watch)
+           ckpt=0.0, cost=0.0, watch=None, late_watch=False):
+    return Submit(runtime_s, priority, detached, reservation, ckpt, cost,
+                  watch, late_watch)
 
 
 def test_kill_landing_on_a_grant_instant():
@@ -314,3 +337,86 @@ def test_checkpointed_job_killed_mid_run():
     status, _sub, started, finished, fraction, lost = got["jobs"]["j0"]
     assert (status, started, finished) == (SiteJobStatus.KILLED, 0.0, 4.0)
     assert 0.0 < fraction < 1.0 and lost > 0.0
+
+
+def test_zero_runtime_detached_job_is_forgotten_at_once():
+    # The first thing Hypothesis finds against a rig that asks the
+    # scheduler for its jobs afterwards: j0 starts in place, ends at its
+    # own instant and is gone before the driver's next step.
+    got = assert_same(Case(1, True, None, [(0.0, [submit(0.0, detached=True)])]))
+    assert got["jobs"]["j0"][:4] == (SiteJobStatus.COMPLETED, 0.0, 0.0, 0.0)
+    assert "j0" not in got["sched"]
+
+
+def test_kill_of_a_running_job_that_is_its_own_timer():
+    # One CPU.  j0 starts in place at t=0, holding the slot as itself with
+    # its own entry on the kernel heap for t=10.  The kill at t=4 frees the
+    # slot once, through _unwind; j1 takes it in place the same instant and
+    # runs to t=9.  j0's heap entry still fires at t=10 — into the guard: it
+    # is counted (the twin's stale Timeout is too) and frees nothing, or
+    # j2 (in place at t=9.5, 1 CPU) would see its slot handed out twice.
+    case = Case(1, True, None, [
+        (0.0, [submit(10.0, detached=True)]),
+        (4.0, [Stop("kill", 0)]),
+        (0.0, [submit(5.0, detached=True)]),
+        (5.5, [submit(5.0, detached=True), submit(1.0)]),
+    ])
+    got = assert_same(case)  # includes event_count == the twin's
+    assert ("kill", "j0", True) in got["log"]
+    assert got["jobs"]["j0"][:4] == (SiteJobStatus.KILLED, 0.0, 0.0, 4.0)
+    assert got["jobs"]["j1"][:4] == (SiteJobStatus.COMPLETED, 4.0, 4.0, 9.0)
+    assert got["jobs"]["j2"][:4] == (SiteJobStatus.COMPLETED, 9.5, 9.5, 14.5)
+    assert got["jobs"]["j3"][2] == 14.5        # queued behind j2, not at t=10
+    sched = got["sched"]
+    assert sched._cpus.count == 0 and not sched._awaiting and not sched._running
+    assert list(sched._jobs) == ["j3"]         # the watched job is kept
+
+
+def test_watcher_registered_after_an_in_place_start():
+    # A detached job is RUNNING when submit returns; a watcher added then
+    # (the first, so it creates the list) sees exactly the rest.
+    got = assert_same(Case(2, True, None, [
+        (1.0, [submit(3.0, detached=True, late_watch=True)]),
+    ]))
+    assert [e for e in got["log"] if e[0] == "status"] == [
+        ("status", "j0", "running", "completed", 4.0)]
+    assert "j0" not in got["sched"]            # watched late, still detached
+
+
+def test_kill_of_a_forgotten_detached_id_is_an_unknown_id():
+    env = Environment()
+    sched = LocalScheduler(env, 1, lambda job: job.runtime_s)
+    job = sched.submit(SiteJob("bg", runtime_s=2.0), detached=True)
+    assert sched.job("bg") is job and "bg" in sched
+    env.run()
+    assert job.status is SiteJobStatus.COMPLETED and "bg" not in sched
+    for verb in (sched.kill, sched.hold, sched.job):
+        with pytest.raises(KeyError):
+            verb("bg")
+    with pytest.raises(KeyError):
+        sched.kill("never-submitted")
+    # killed, not completed: known (and terminal) until its slot unwinds
+    again = sched.submit(SiteJob("bg", runtime_s=2.0), detached=True)
+    assert sched.kill("bg") is True and sched.kill("bg") is False
+    with pytest.raises(ValueError, match="duplicate"):
+        sched.submit(SiteJob("bg"), detached=True)
+    env.run()
+    assert again.status is SiteJobStatus.KILLED and "bg" not in sched
+    assert sched.kill_all() == 0 and sched._cpus.count == 0
+
+
+def test_slot_conservation_counts_slots_jobs_hold_as_themselves():
+    env = Environment()
+    sched = LocalScheduler(env, 3, lambda job: job.runtime_s)
+    a = sched.submit(SiteJob("a", runtime_s=10.0), detached=True)
+    sched.submit(SiteJob("b", runtime_s=4.0), detached=True)
+    assert sched._running["a"] is a            # no Request was built
+    assert sched.reserve("r", 6.0, 5.0, cpus=2)
+    env.run(until=1.0)                         # one hold granted, one queued
+    assert sched._cpus.count == 3 and sched.utilization == 1.0
+    assert sched.reservation_audit() == []
+    env.run(until=5.0)                         # b's slot drained into r
+    assert (sched.running_jobs, sched._cpus.count) == (1, 3)
+    assert sched.reservation_audit() == []
+    env.run()
+    assert sched._cpus.count == 0 and sched.reservation_audit() == []
