@@ -158,30 +158,42 @@ def _tracked() -> int:
     return len(gc.get_objects())
 
 
-def _batch_queue(n: int, n_cpus: int, detached: bool, reserved: bool,
+def _batch_queue(n: int, n_cpus: int, cohort: int, reserved: bool,
                  n_scheds: int = 1):
     """Submit ``n`` 60 s jobs at t=0, round-robin over ``n_scheds`` sites
-    of ``n_cpus`` each, then drain them.
+    of ``n_cpus`` each, then drain them: local load in arrivals of
+    ``cohort`` jobs through ``submit_local``, or — ``cohort`` 0 — one
+    watched ``submit`` per job.
 
     Returns ``(env, submit seconds, drain seconds, GC-tracked objects per
     job while all are live, ... after all ended)``.  ``reserved`` keeps one
     reservation live for the whole run (a 1-CPU window far in the
-    future), so every submit pays the backfill offer.
+    future), so every arrival is played one job at a time and pays the
+    backfill offer.
     """
     env = Environment()
-    scheds = [LocalScheduler(env, n_cpus, lambda job: job.runtime_s)
+    scheds = [LocalScheduler(env, n_cpus, lambda runtime_s: runtime_s)
               for _ in range(n_scheds)]
     if reserved:
         assert all(sched.reserve("r", 1e9, 1.0, cpus=1) for sched in scheds)
-    ids = [f"j{i}" for i in range(n)]
+    runtimes = [60.0] * cohort
+    ids = [f"j{i}" for i in range(n)] if not cohort else []
     idle = _tracked()
-    work = [(scheds[i % n_scheds].submit, SiteJob(job_id, runtime_s=60.0))
-            for i, job_id in enumerate(ids)]
+    if cohort:
+        work = [(scheds[a % n_scheds].submit_local, a * cohort)
+                for a in range(n // cohort)]
+    else:
+        work = [(scheds[i % n_scheds].submit, SiteJob(job_id, runtime_s=60.0))
+                for i, job_id in enumerate(ids)]
     t0 = time.perf_counter()
-    for submit, job in work:
-        submit(job, detached=detached)
+    if cohort:
+        for submit_local, first_id in work:
+            submit_local(runtimes, "local", 10, "bg.", first_id)
+    else:
+        for submit, job in work:
+            submit(job)
     t1 = time.perf_counter()
-    del work, submit, job               # the schedulers hold what is held
+    work = submit = job = submit_local = None  # the schedulers hold what is held
     live = _tracked() - idle
     t2 = time.perf_counter()
     env.run(until=1e8)
@@ -190,44 +202,56 @@ def _batch_queue(n: int, n_cpus: int, detached: bool, reserved: bool,
     return env, t1 - t0, t3 - t2, live / n, (_tracked() - idle) / n
 
 
-#: The same cases at the parent commit (e13f94f: a Request, a Timeout and
-#: five more tracked objects per detached job, every ended job kept), same
-#: box and interpreter as the committed table: case -> (submit us / job,
-#: drain us / job, tracked objects / job running, ... ended).
+#: The matching cases at the parent commit (05bf379: one ``SiteJob`` per
+#: local job, its own run timer and slot token, in four tables while it
+#: runs; ``submit(job, detached=True)`` on a record built outside the
+#: timed loop, where ``submit_local`` is timed whole), same box and
+#: interpreter as the committed table: case -> (submit us / job, drain us
+#: / job, tracked objects / job running, ... ended).
 PARENT_BATCH_QUEUE = {
-    "detached, idle site": (5.11, 2.54, 7.00, 2.00),
-    "watched, idle site": (5.43, 5.36, 9.00, 2.00),
-    "detached, 64 CPUs contended": (4.97, 4.81, 9.00, 2.00),
-    "detached, idle site, 1 live reservation": (5.57, 2.38, 7.00, 2.00),
-    "detached, 2,500 idle sites round-robin": (6.21, 3.38, 7.15, 2.05),
+    "detached, idle site": (2.72, 2.07, 2.00, 0.00),
+    "watched, idle site": (6.70, 5.15, 8.00, 1.00),
+    "detached, 64 CPUs contended": (6.15, 4.62, 7.99, 0.00),
+    "detached, idle site, 1 live reservation": (3.16, 1.73, 2.00, 0.00),
+    "detached, 2,500 idle sites round-robin": (2.32, 1.69, 2.15, 0.00),
 }
 
 
 def test_local_scheduler_submit_drain(benchmark):
     """The batch-queue layer: host cost of one job, submit and drain.
 
-    A job is callbacks on one awaited event (DESIGN.md §5l), so a
-    detached job on an idle site costs exactly one kernel event — its
-    run timer, which is the job record itself; a watched job adds its
-    grant wake-up.  The round-robin case is the shape ``plan-2500x600``
-    has: no scheduler's tables are warm in the host's caches.
+    A local job that finds a free CPU is one kernel-heap entry and one
+    counted slot in its arrival's cohort (DESIGN.md §5l): one kernel
+    event, no record.  A watched job is callbacks on one awaited event and
+    its own run timer; it adds its grant wake-up.  The round-robin cases
+    are the shape ``plan-2500x600`` has: no scheduler's tables are warm in
+    the host's caches.
     """
     n = 50_000
-    cases = {
-        "detached, idle site": (n, True, False, 1),
-        "watched, idle site": (n, False, False, 1),
-        "detached, 64 CPUs contended": (64, True, False, 1),
-        "detached, idle site, 1 live reservation": (n + 1, True, True, 1),
-        "detached, 2,500 idle sites round-robin": (n // 2_500, True, False, 2_500),
+    spare = 2 * n // 2_500  # CPUs per round-robin site: every arrival fits
+    cases = {  # label: (CPUs, cohort, reserved, sites, the parent's case)
+        "local, idle site, cohorts of 1":
+            (n, 1, False, 1, "detached, idle site"),
+        "local, idle site, cohorts of 8":
+            (n, 8, False, 1, "detached, idle site"),
+        "watched, idle site":
+            (n, 0, False, 1, "watched, idle site"),
+        "local, 64 CPUs contended, cohorts of 8":
+            (64, 8, False, 1, "detached, 64 CPUs contended"),
+        "local, idle site, 1 live reservation, cohorts of 8":
+            (n + 1, 8, True, 1, "detached, idle site, 1 live reservation"),
+        "local, 2,500 idle sites round-robin, cohorts of 1":
+            (spare, 1, False, 2_500, "detached, 2,500 idle sites round-robin"),
+        "local, 2,500 idle sites round-robin, cohorts of 8":
+            (spare, 8, False, 2_500, "detached, 2,500 idle sites round-robin"),
     }
 
     def run():
         out = {}
-        for label, (n_cpus, detached, reserved, n_scheds) in cases.items():
+        for label, (*args, _parent) in cases.items():
             best = (float("inf"), float("inf"))
             for _ in range(3):
-                env, submit_s, drain_s, *census = _batch_queue(
-                    n, n_cpus, detached, reserved, n_scheds)
+                env, submit_s, drain_s, *census = _batch_queue(n, *args)
                 best = min(best, (submit_s, drain_s), key=sum)
             out[label] = (env.event_count, *best, *census)
         return out
@@ -238,19 +262,23 @@ def test_local_scheduler_submit_drain(benchmark):
         now = (submit_s * 1e6 / n, drain_s * 1e6 / n, live, ended)
         rows.append([label, f"{events / n:.2f}"] + [
             f"{old:.2f} -> {round(new, 2) + 0.0:.2f}"  # + 0.0: no "-0.00"
-            for old, new in zip(PARENT_BATCH_QUEUE[label], now)
+            for old, new in zip(PARENT_BATCH_QUEUE[cases[label][-1]], now)
         ])
     emit("kernel_local_scheduler", format_table(
         ["case", "kernel events / job", "submit (us / job)",
          "drain (us / job)", "tracked objects / job, running", "..., ended"],
         rows,
         title=f"Batch queue: {n} jobs of 60 s through LocalScheduler "
-              "(parent e13f94f -> this tree)",
+              "(parent 05bf379, one detached submit per job -> this tree)",
     ))
-    assert out["detached, idle site"][0] <= n
-    # one record + one heap entry while it runs, nothing once it ended
-    assert out["detached, idle site"][3] <= 2.01
-    assert out["detached, 2,500 idle sites round-robin"][4] == 0.0
+    assert out["local, idle site, cohorts of 8"][0] <= n
+    # one heap entry per running job + one cohort per arrival, nothing
+    # once it ended
+    assert out["local, idle site, cohorts of 1"][3] <= 2.01
+    assert out["local, idle site, cohorts of 8"][3] <= 1.13
+    assert out["local, 2,500 idle sites round-robin, cohorts of 8"][3] <= 1.18
+    assert out["local, idle site, cohorts of 8"][4] == 0.0
+    assert out["local, 2,500 idle sites round-robin, cohorts of 8"][4] == 0.0
 
 
 def _rls_lookup_us(n_sites: int, n_lfns: int = 200, rounds: int = 20) -> float:

@@ -88,6 +88,8 @@ class SphinxClient:
 
         #: dag_id -> (submitted_at, finished_at or None), measured here
         self.dag_times: dict[str, list[Optional[float]]] = {}
+        #: how many of them have a finish instant
+        self.finished_dag_count = 0
         self._grid_ids = itertools.count()
         self.submitted_dags = 0
         #: (job_id, attempt) pairs whose plan is already executing —
@@ -129,6 +131,9 @@ class SphinxClient:
         lost — the server already has the DAG, so it counts as an ack.
         """
         payload = dag_to_payload(dag)
+        old = self.dag_times.get(dag.dag_id)
+        if old is not None and old[1] is not None:
+            self.finished_dag_count -= 1  # a finished id starts over
         self.dag_times[dag.dag_id] = [self.env.now, None]
         attempt = 0
         while True:
@@ -164,10 +169,6 @@ class SphinxClient:
         for f in dag.external_inputs:
             home_site.store_file(f.lfn, f.size_mb)
             self.rls.register_replica(f.lfn, home_site.name, f.size_mb)
-
-    @property
-    def finished_dag_count(self) -> int:
-        return sum(1 for _s, f in self.dag_times.values() if f is not None)
 
     def all_dags_finished(self) -> bool:
         return self.submitted_dags > 0 and (
@@ -213,6 +214,7 @@ class SphinxClient:
                 times = self.dag_times.get(msg["payload"]["dag_id"])
                 if times is not None and times[1] is None:
                     times[1] = self.env.now
+                    self.finished_dag_count += 1
         if messages and not self.done.triggered and self.all_dags_finished():
             self.done.succeed(self.env.now)
 

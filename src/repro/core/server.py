@@ -34,6 +34,7 @@ warehouse rows and every pass runs ``tick()``.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from itertools import filterfalse
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
@@ -255,6 +256,13 @@ class SphinxServer:
         self._site_active: dict[str, list[int]] = {
             s: [0, 0] for s in self.site_catalog
         }
+        #: ``(planned_at, job_id)`` of every plan made, oldest first —
+        #: ``planned_at`` is only ever written as ``env.now``, so appends
+        #: keep it sorted.  Entries whose row has since ended or been
+        #: replanned are dropped when they reach the front.  ``None``
+        #: until first read, then built from the jobs table: recovery
+        #: needs no hook.
+        self._plans_in_flight: Optional[deque[tuple[float, str]]] = None
         #: candidate pool handed to the policy filter every plan; the
         #: catalog is immutable for the server's lifetime, so one tuple
         #: serves every job (``tuple(t)`` returns ``t`` unchanged, so
@@ -681,14 +689,24 @@ class SphinxServer:
         presumed-lost deadlines are both offsets from it)."""
         self._phases.push("warehouse")
         jobs = self.warehouse.table("jobs")
+        plans = self._plans_in_flight
+        if plans is None:
+            plans = self._plans_in_flight = deque(sorted(
+                (row["planned_at"], row["job_id"])
+                for state in (_JOB_PLANNED, _JOB_SUBMITTED)
+                for row in jobs.select(where={"state": state}, copy=False)
+                if row["planned_at"] is not None
+            ))
+        rows_get = jobs._rows.get
         nearest = None
-        for state in (_JOB_PLANNED, _JOB_SUBMITTED):
-            for row in jobs.select(where={"state": state}, copy=False):
-                planned_at = row["planned_at"]
-                if planned_at is None:
-                    continue
-                if nearest is None or planned_at < nearest:
-                    nearest = planned_at
+        while plans:
+            planned_at, job_id = plans[0]
+            row = rows_get(job_id)
+            if (row is not None and row["planned_at"] == planned_at
+                    and row["state"] in (_JOB_PLANNED, _JOB_SUBMITTED)):
+                nearest = planned_at
+                break
+            plans.popleft()
         self._phases.pop()
         return nearest
 
@@ -874,6 +892,8 @@ class SphinxServer:
             planned_at=self.env.now,
             last_status="planned",
         )
+        if self._plans_in_flight is not None:
+            self._plans_in_flight.append((self.env.now, job.job_id))
         self._count_transition(site, planned=+1)
         if self.obs.enabled:
             self._m_jobs_planned.inc()
@@ -1494,6 +1514,9 @@ class SphinxServer:
         """
         window = self.config.presume_lost_after_s
         now = self.env.now
+        oldest = self._nearest_planned_at()
+        if oldest is None or now - oldest < window:
+            return  # every in-flight plan is younger than the window
         jobs = self.warehouse.table("jobs")
         for state in (_JOB_PLANNED, _JOB_SUBMITTED):
             for row in jobs.select(where={"state": state}, copy=False):

@@ -54,6 +54,8 @@ class Resource:
         #: granted requests; a set so release() is O(1) with hundreds of
         #: concurrent holders (a big site's CPUs)
         self._users: set[Request] = set()
+        #: slots held by nobody in particular (:meth:`take`): counted only
+        self._anonymous = 0
         self._queue: list[tuple[int, int, Request]] = []
         self._counter = itertools.count()
 
@@ -64,33 +66,28 @@ class Resource:
     @property
     def count(self) -> int:
         """Number of slots currently held."""
-        return len(self._users)
+        return len(self._users) + self._anonymous
+
+    @property
+    def anonymous(self) -> int:
+        """How many of the held slots were taken with :meth:`take`."""
+        return self._anonymous
 
     @property
     def queued(self) -> int:
         """Number of requests waiting for a slot."""
         return len(self._queue)
 
-    def request(self, priority: int = 0, lazy: bool = False) -> Request:
-        """Claim a slot; the returned event fires when granted.
-
-        ``lazy``: an *uncontended* grant is marked processed in place
-        instead of scheduling a wake-up — for callers that check
-        ``req.processed`` right away and skip their yield when the
-        slot was free.  Late subscribers still work through
-        ``add_callback``'s processed branch.
-        """
+    def request(self, priority: int = 0) -> Request:
+        """Claim a slot; the returned event fires when granted."""
         req = Request(self, priority)
         users = self._users
-        if not self._queue and len(users) < self._capacity:
+        if not self._queue and len(users) + self._anonymous < self._capacity:
             # Uncontended fast path: grant immediately, skipping the
             # queue round-trip (identical ordering — _grant would pop
             # this request right back).
             users.add(req)
             req._value = req
-            if lazy:
-                req.callbacks = None
-                return req
             env = req.env
             env._seq += 1
             heappush(env._heap, (env._now, _NORMAL_BASE + env._seq, req))
@@ -99,23 +96,32 @@ class Resource:
             self._grant()
         return req
 
-    def acquire(self, token: Any) -> bool:
-        """Grant an *uncontended* slot to ``token`` (any hashable) in place:
-        a lazy :meth:`request` without the :class:`Request`.  False = queue."""
-        users = self._users
-        if self._queue or len(users) >= self._capacity:
-            return False
-        users.add(token)
-        return True
+    def take(self, n: int) -> int:
+        """Hold up to ``n`` *uncontended* slots anonymously, in place: no
+        :class:`Request`, no wake-up.  Returns how many were free — 0 when
+        anything is queued.  Each is returned with :meth:`give_back`."""
+        if self._queue:
+            return 0
+        free = self._capacity - len(self._users) - self._anonymous
+        if n > free:
+            n = max(free, 0)
+        self._anonymous += n
+        return n
 
-    def release(self, request: Any) -> None:
-        """Return a previously granted slot (a request or a token)."""
+    def give_back(self) -> None:
+        """Return one slot held through :meth:`take`."""
+        if self._anonymous <= 0:
+            raise SimulationError("give_back() with no anonymous slot held")
+        self._anonymous -= 1
+        self._grant()
+
+    def release(self, request: Request) -> None:
+        """Return a previously granted slot."""
         try:
             self._users.remove(request)
         except KeyError:
             raise SimulationError("release() of a request that does not hold a slot")
-        if request.__class__ is Request:
-            request._value = None  # was itself: now it can die by refcount
+        request._value = None  # was itself: now it can die by refcount
         self._grant()
 
     def cancel(self, request: Request) -> None:
@@ -140,7 +146,7 @@ class Resource:
     def _grant(self) -> None:
         queue = self._queue
         users = self._users
-        cap = self._capacity
+        cap = self._capacity - self._anonymous
         pop = heapq.heappop
         while queue and len(users) < cap:
             req = pop(queue)[2]

@@ -15,13 +15,12 @@ dynamic.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Optional
 
 from repro.sim.engine import Environment
 from repro.sim.rng import RngStreams
-from repro.simgrid.site import GridSite, SiteState, SiteUnavailableError
+from repro.simgrid.site import GridSite, SiteState
 
 __all__ = ["BackgroundLoad"]
 
@@ -115,7 +114,8 @@ class BackgroundLoad:
         #: load ordering genuinely changes over a run, which is what
         #: makes static capacity information misleading (paper §2).
         self._phase_offset = float(self._rng.uniform(0.0, 2.0 * math.pi))
-        self._ids = itertools.count()
+        #: the next job number; per-arrival, batched and surge share it
+        self._next_id = 0
         self.submitted = 0
         self._proc: Optional[object] = None
         #: arrival rate at zero modulation; n_cpus and the target are
@@ -149,18 +149,25 @@ class BackgroundLoad:
                  + self._phase_offset)
         return base * (1.0 + self.modulation_amplitude * math.sin(phase))
 
+    def _submit(self, prefix: str, owner: str, runtimes: list[float]) -> None:
+        """Hand one arrival to the site; jobs shorter than 1 s run for 1 s."""
+        n = len(runtimes)
+        first_id, self._next_id = self._next_id, self._next_id + n
+        self.site.submit_local(
+            [r if r > 1.0 else 1.0 for r in runtimes],
+            owner, self.priority, prefix, first_id,
+        )
+        self.submitted += n
+
     def _generate(self):
         # One arrival per iteration for the whole run; everything stable
         # is hoisted out of the loop.
-        env = self.env
-        timeout = env.timeout
+        timeout = self.env.timeout
         site = self.site
-        submit = site.submit
+        submit = self._submit
         exponential = self._rng.exponential
-        next_id = self._ids.__next__
         prefix = f"bg.{site.name}."
         mean_runtime = self.mean_runtime_s
-        priority = self.priority
         modulated = self.modulation_amplitude != 0.0
         base_rate = self._base_rate
         while True:
@@ -171,19 +178,8 @@ class BackgroundLoad:
             yield timeout(float(exponential(1.0 / rate)))
             if site.state is SiteState.DOWN:
                 continue  # gatekeeper down; local users also locked out
-            runtime = float(exponential(mean_runtime))
-            job_id = prefix + str(next_id())
-            try:
-                submit(
-                    job_id,
-                    runtime_s=runtime if runtime > 1.0 else 1.0,
-                    owner="/VO=local/CN=background",
-                    priority=priority,
-                    detached=True,
-                )
-            except SiteUnavailableError:
-                continue
-            self.submitted += 1
+            submit(prefix, "/VO=local/CN=background",
+                   [float(exponential(mean_runtime))])
 
     def _generate_batched(self):
         """Batched arrivals: one kernel event per interval.
@@ -196,12 +192,8 @@ class BackgroundLoad:
         env = self.env
         timeout = env.timeout
         site = self.site
-        submit = site.submit
         rng = self._rng
-        next_id = self._ids.__next__
         prefix = f"bg.{site.name}."
-        mean_runtime = self.mean_runtime_s
-        priority = self.priority
         modulated = self.modulation_amplitude != 0.0
         base_rate = self._base_rate
         interval = self.batch_interval_s
@@ -218,23 +210,13 @@ class BackgroundLoad:
             n = int(rng.poisson(rate * interval))
             if n == 0:
                 continue
-            runtimes = rng.exponential(mean_runtime, size=n)
-            for runtime in runtimes:
-                runtime = float(runtime)
-                job_id = prefix + str(next_id())
-                try:
-                    submit(
-                        job_id,
-                        runtime_s=runtime if runtime > 1.0 else 1.0,
-                        owner="/VO=local/CN=background",
-                        priority=priority,
-                        detached=True,
-                    )
-                except SiteUnavailableError:
-                    break
-                self.submitted += 1
+            self._submit(
+                prefix, "/VO=local/CN=background",
+                rng.exponential(self.mean_runtime_s, size=n).tolist(),
+            )
 
     def _surge_loop(self):
+        prefix = f"surge.{self.site.name}."
         while True:
             yield self.env.timeout(
                 float(self._rng.exponential(self.surge_interval_s))
@@ -243,17 +225,7 @@ class BackgroundLoad:
                 continue
             self.surges += 1
             n_jobs = max(1, int(self.surge_jobs_factor * self.site.n_cpus))
-            for _ in range(n_jobs):
-                runtime = float(self._rng.exponential(self.surge_runtime_s))
-                job_id = f"surge.{self.site.name}.{next(self._ids)}"
-                try:
-                    self.site.submit(
-                        job_id,
-                        runtime_s=max(runtime, 1.0),
-                        owner="/VO=local/CN=surge",
-                        priority=self.priority,
-                        detached=True,
-                    )
-                except SiteUnavailableError:
-                    break
-                self.submitted += 1
+            self._submit(prefix, "/VO=local/CN=surge", [
+                float(self._rng.exponential(self.surge_runtime_s))
+                for _ in range(n_jobs)
+            ])

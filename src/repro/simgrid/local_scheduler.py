@@ -18,7 +18,9 @@ heterogeneity and noise), and drives the job's status machine::
 A job is not a kernel process.  While live it waits on exactly one event
 — its CPU request, its reservation grant, or its run timer, which is the
 job record itself — and plain callbacks move it on; a callback from any
-other event is stale and returns (DESIGN.md §5l).
+other event is stale and returns (DESIGN.md §5l).  Local load that finds
+free CPUs has no record at all: :meth:`LocalScheduler.submit_local` runs
+an arrival as one counted *cohort*.
 
 Advance reservations (DESIGN.md §5f)
 ------------------------------------
@@ -43,7 +45,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro import obs as _obs
 from repro.sim.engine import URGENT, Environment, Event, SimulationError
@@ -131,7 +133,7 @@ class SiteJob:
     _watchers: Optional[list] = field(default=None, init=False, repr=False)
     #: drawn service time, memoized at start for preemption accounting
     _service_s: Optional[float] = field(default=None, init=False, repr=False)
-    #: submitted detached: the scheduler forgets the record when it ends
+    #: local load that had to queue: forgotten by the scheduler when it ends
     _detached: bool = field(default=False, init=False, repr=False)
     #: a RUNNING job is its own run timer on the kernel heap; these two
     #: are all the event loop reads of a heap entry that succeeded
@@ -214,6 +216,25 @@ class Reservation:
         return not self.state.terminal
 
 
+@dataclass(eq=False, slots=True)
+class _Cohort:
+    """The local jobs of one arrival that started on free CPUs.
+
+    No member has a record: each is one kernel-heap entry pointing here
+    and one anonymous CPU slot.  The kernel takes ``callbacks`` on every
+    pop, so :meth:`LocalScheduler._local_done` re-arms it for the
+    siblings still on the heap.
+    """
+
+    key: str           # the first member's job id; its ``_jobs`` key
+    started_at: float
+    #: members still running; ``kill_all`` makes it minus the unwinds
+    #: still owed, so ``<= 0`` reads "killed" to the stale timers
+    live: int
+    callbacks: Optional[list]
+    _ok = True
+
+
 class LocalScheduler:
     """Priority-FIFO batch scheduler over ``n_cpus`` slots.
 
@@ -227,7 +248,7 @@ class LocalScheduler:
         self,
         env: Environment,
         n_cpus: int,
-        service_time_fn: Callable[[SiteJob], float],
+        service_time_fn: Callable[[float], float],
         name: str = "site",
         backfill: bool = True,
     ):
@@ -244,14 +265,15 @@ class LocalScheduler:
         #: which is its own run timer (DESIGN.md §5l)
         self._awaiting: dict[str, Event | SiteJob] = {}
         self._pending: dict[str, Request] = {}   # job_id -> CPU request
-        #: job_id -> the CPU slot a RUNNING job occupies (itself when
-        #: started in place, else its own request or a reservation hold)
-        self._running: dict[str, Request | SiteJob] = {}
-        #: live jobs and watched terminal ones; a detached job leaves
-        #: when it lets go of its slot
-        self._jobs: dict[str, SiteJob] = {}
+        #: job_id -> the CPU slot a RUNNING job occupies (its own request
+        #: or a reservation hold)
+        self._running: dict[str, Request] = {}
+        #: live jobs and watched terminal ones; a queued local job leaves
+        #: when it lets go of its slot, a cohort with its last member
+        self._jobs: dict[str, SiteJob | _Cohort] = {}
         #: shared by every run timer: the kernel only iterates the list
         self._on_timer = [self._done]
+        self._on_local_timer = [self._local_done]
         #: reservation calendar (res_id -> Reservation), live and terminal
         self._reservations: dict[str, Reservation] = {}
         #: claimed jobs waiting for a slot: job_id -> (Reservation, grant)
@@ -283,8 +305,8 @@ class LocalScheduler:
 
     @property
     def running_jobs(self) -> int:
-        """Jobs currently occupying CPU slots."""
-        return len(self._running)
+        """Jobs currently occupying CPU slots (cohort members included)."""
+        return len(self._running) + self._cpus.anonymous
 
     @property
     def utilization(self) -> float:
@@ -301,11 +323,15 @@ class LocalScheduler:
         return min(1.0, self._cpus.count / cap)
 
     def job(self, job_id: str) -> SiteJob:
-        """``KeyError`` for an unknown id — or a detached job that ended."""
-        return self._jobs[job_id]
+        """``KeyError`` for an unknown id, a local job that ended — or one
+        running in a cohort, which has no record to return."""
+        job = self._jobs.get(job_id)
+        if not isinstance(job, SiteJob):
+            raise KeyError(f"unknown job {job_id!r}")
+        return job
 
     def __contains__(self, job_id: str) -> bool:
-        return job_id in self._jobs
+        return isinstance(self._jobs.get(job_id), SiteJob)
 
     # -- capacity control (used by failure models) ----------------------------------
     def freeze(self) -> None:
@@ -425,29 +451,22 @@ class LocalScheduler:
                     f"{res.end_s:.0f}s but never finalized"
                 )
         busy = self._cpus.count
-        expected = len(self._running) + live_held
-        if busy != expected:
+        if busy != self.running_jobs + live_held:
             problems.append(
                 f"slot conservation: {busy} slot(s) granted but "
-                f"{len(self._running)} running + {live_held} held"
+                f"{self.running_jobs} running + {live_held} held"
             )
         return problems
 
     # -- job control ------------------------------------------------------------------
     def submit(
-        self,
-        job: SiteJob,
-        detached: bool = False,
-        reservation_id: Optional[str] = None,
+        self, job: SiteJob, reservation_id: Optional[str] = None
     ) -> SiteJob:
         """Enqueue a job; returns the same object for chaining.
 
-        ``detached`` marks a submission nobody watches synchronously
-        (background load): an uncontended CPU grant then starts the job
-        inline at the submit instant, skipping the grant wake-up
-        event.  Watched jobs (Condor-G) always take the
-        scheduled path so status callbacks registered right after
-        ``submit`` returns cannot miss the RUNNING transition.
+        The job always takes the scheduled path — even an uncontended
+        grant is a wake-up event — so status callbacks registered right
+        after ``submit`` returns cannot miss the RUNNING transition.
 
         ``reservation_id`` binds the job to a live reservation: it waits
         for one of the reservation's held slots instead of the general
@@ -467,7 +486,6 @@ class LocalScheduler:
                 f"checkpoint_cost_s={job.checkpoint_cost_s!r} must all be >= 0"
             )
         self._jobs[job.job_id] = job
-        job._detached = detached
         job.submitted_at = self.env.now
         if reservation_id is not None:
             res = self._reservations.get(reservation_id)
@@ -479,10 +497,47 @@ class LocalScheduler:
                 self._await(job, grant)
                 self._dispatch_reservation(res)
                 return job
-        self._enqueue(job, lazy=detached)
+        self._enqueue(job)
         if self._reservations:
             self._offer_backfill()
         return job
+
+    def submit_local(
+        self, runtimes: Sequence[float], owner: str, priority: int,
+        prefix: str, first_id: int,
+    ) -> None:
+        """One arrival of local load: jobs nobody watches, addresses or
+        kills one by one; job ``i`` is ``prefix + str(first_id + i)``.
+
+        Those that find a free CPU start here and now as one
+        :class:`_Cohort` — per job one run timer and one counted slot, no
+        record.  The rest queue, in order, as ordinary jobs the scheduler
+        forgets when they end.  With a reservation in the calendar a
+        queued job may be backfilled the instant it arrives, so the
+        arrival is then played one job at a time.
+        """
+        for i, runtime_s in enumerate(runtimes):
+            if not runtime_s >= 0:  # negative or NaN
+                raise ValueError(
+                    f"job {prefix}{first_id + i}: runtime_s={runtime_s!r} "
+                    f"must be >= 0"
+                )
+        i, n = 0, len(runtimes)
+        while i < n:
+            key = prefix + str(first_id + i)
+            if key in self._jobs:
+                raise ValueError(f"duplicate local job id {key!r}")
+            fit = self._cpus.take(1 if self._reservations else n - i)
+            if fit:
+                self._start_cohort(key, runtimes[i:i + fit])
+                if self._reservations:
+                    self._offer_backfill()
+                i += fit
+            else:
+                job = SiteJob(key, owner, runtimes[i], priority)
+                job._detached = True
+                self.submit(job)
+                i += 1
 
     def kill(self, job_id: str) -> bool:
         """Remove a job (remote cancellation or site crash).
@@ -498,17 +553,21 @@ class LocalScheduler:
     def kill_all(self) -> int:
         """Kill every non-terminal job; returns how many were killed."""
         victims = [
-            jid for jid, j in self._jobs.items() if not j.status.terminal
+            (jid, j) for jid, j in self._jobs.items()
+            if j.__class__ is _Cohort or not j.status.terminal
         ]
-        for jid in victims:
-            self.kill(jid)
-        return len(victims)
+        killed = 0
+        for jid, job in victims:  # arrival order, a cohort where it began
+            if job.__class__ is _Cohort:
+                killed += self._kill_cohort(job)
+            else:
+                self.kill(jid)
+                killed += 1
+        return killed
 
     # -- internals ----------------------------------------------------------------------
     def _terminate(self, job_id: str, status: SiteJobStatus) -> bool:
-        job = self._jobs.get(job_id)
-        if job is None:
-            raise KeyError(f"unknown job {job_id!r}")
+        job = self.job(job_id)
         if job.status.terminal:
             return False
         req = self._pending.pop(job_id, None)
@@ -558,15 +617,10 @@ class LocalScheduler:
             self.held_count += 1
         return True
 
-    def _enqueue(self, job: SiteJob, lazy: bool = False) -> None:
-        """Join the general queue — or start at once on an uncontended slot."""
-        if lazy and self._cpus.acquire(job):
-            # Detached submit: the job holds the free slot as itself and
-            # starts without a request or a wake-up round-trip.
-            self._start(job, job)
-        else:
-            req = self._pending[job.job_id] = self._cpus.request(job.priority)
-            self._await(job, req)
+    def _enqueue(self, job: SiteJob) -> None:
+        """Join the general queue."""
+        req = self._pending[job.job_id] = self._cpus.request(job.priority)
+        self._await(job, req)
 
     def _await(self, job: SiteJob, event: Event) -> None:
         self._awaiting[job.job_id] = event
@@ -588,10 +642,10 @@ class LocalScheduler:
         else:
             self._start(job, slot)
 
-    def _start(self, job: SiteJob, slot: Request | SiteJob) -> None:
+    def _start(self, job: SiteJob, slot: Request) -> None:
         job.started_at = self.env.now
         job._set_status(SiteJobStatus.RUNNING)
-        service = self._service_time_fn(job)
+        service = self._service_time_fn(job.runtime_s)
         if not service >= 0:
             raise ValueError(f"negative service time {service} for {job.job_id}")
         job._service_s = service
@@ -630,6 +684,57 @@ class LocalScheduler:
             self._reclaim_orphan_slot(job.job_id, awaited)
         if job._detached:
             del self._jobs[job.job_id]
+
+    # -- cohorts: local jobs that started on free CPUs (DESIGN.md §5l) ------------
+    def _start_cohort(self, key: str, runtimes: Sequence[float]) -> None:
+        env = self.env
+        cohort = _Cohort(key, env.now, len(runtimes), self._on_local_timer)
+        self._jobs[key] = cohort
+        service_time = self._service_time_fn
+        for runtime_s in runtimes:
+            # per job, in arrival order: the noise draw and the heap entry
+            # (and ``_seq``) its own run timer would take
+            service = service_time(runtime_s)
+            if not service >= 0:
+                raise ValueError(f"negative service time {service} in {key}")
+            env.schedule(cohort, service)
+
+    def _local_done(self, cohort: _Cohort) -> None:
+        cohort.callbacks = self._on_local_timer  # the kernel took it
+        if cohort.live <= 0:
+            return  # stale: killed mid-run, the unwinds free the slots
+        self._cpus.give_back()
+        self.completed_count += 1
+        cohort.live -= 1
+        if not cohort.live:
+            del self._jobs[cohort.key]
+
+    def _kill_cohort(self, cohort: _Cohort) -> int:
+        """Kill every live member, each accounted as :meth:`_terminate`
+        accounts a RUNNING job: its lost work, one URGENT unwind event."""
+        live = cohort.live
+        if live <= 0:
+            return 0  # killed already; its unwinds are in flight
+        lost = self.env.now - cohort.started_at
+        for _ in range(live):
+            self.preempted_work_s += lost
+            if self.obs.enabled:
+                self.obs.metrics.histogram(
+                    "site.preemption_loss_s", site=self.name
+                ).observe(lost)
+            kick = Event(self.env)
+            kick.callbacks.append(self._unwind_local)
+            kick.succeed(cohort, priority=URGENT)
+        self.killed_count += live
+        cohort.live = -live
+        return live
+
+    def _unwind_local(self, kick: Event) -> None:
+        cohort = kick.value
+        self._cpus.give_back()
+        cohort.live += 1
+        if not cohort.live:
+            del self._jobs[cohort.key]
 
     def _record_preemption(self, job: SiteJob) -> None:
         """Checkpoint accounting for a job killed while RUNNING.

@@ -20,7 +20,7 @@ static monitoring data SPHINX had — while the simulated transfer
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush, heapreplace
-from typing import Optional
+from typing import Container, Iterable, Optional
 
 from repro.sim.engine import Event, Timeout
 
@@ -156,35 +156,38 @@ class NetworkModel:
         """Number of live transfers crossing ``site``'s uplink."""
         return len(self._flows.get(site, ()))
 
-    def _settle(self, flow: _Flow, now: float) -> None:
-        """Account ``flow`` up to ``now`` and re-aim it at its new share."""
-        remaining = flow.remaining - flow.share * (now - flow.t0)
-        flow.remaining = remaining
-        flow.t0 = now
-        if remaining > _DONE_MB:
-            flow.share = share = flow.bw / max(
-                len(flow.at_src), len(flow.at_dst)
-            )
-            finish = now + remaining / share
-        else:
-            finish = now  # the last byte is in: completes at this instant
-        flow.finish = finish
-        if finish < flow.key:
-            # Moved earlier: the heap must know now.  A finish that moved
-            # later keeps its old entry as a lower bound (see _arm).
-            flow.key = finish
-            heappush(self._due, (finish, flow.seq, flow))
+    def _settle_many(self, flows: Iterable[_Flow], skip: Container[_Flow],
+                     now: float) -> None:
+        """Account each of ``flows`` not in ``skip`` up to ``now`` and
+        re-aim it at its new share."""
+        due = self._due
+        for flow in flows:
+            if flow in skip:
+                continue
+            remaining = flow.remaining - flow.share * (now - flow.t0)
+            flow.remaining = remaining
+            flow.t0 = now
+            if remaining > _DONE_MB:
+                n, n_dst = len(flow.at_src), len(flow.at_dst)
+                if n_dst > n:
+                    n = n_dst
+                flow.share = share = flow.bw / n
+                finish = now + remaining / share
+            else:
+                finish = now  # the last byte is in: completes at this instant
+            flow.finish = finish
+            if finish < flow.key:
+                # Moved earlier: the heap must know now.  A finish that
+                # moved later keeps its old entry as a lower bound (_arm).
+                flow.key = finish
+                heappush(due, (finish, flow.seq, flow))
 
     def _settle_crossing(self, at_src: dict, at_dst: dict) -> None:
         """Settle every flow crossing either uplink — a transfer opened
         or closed on them, so the share of each may have changed."""
         now = self.env.now
-        settle = self._settle
-        for flow in at_src:
-            settle(flow, now)
-        for flow in at_dst:
-            if flow not in at_src:
-                settle(flow, now)
+        self._settle_many(at_src, (), now)
+        self._settle_many(at_dst, at_src, now)
 
     def _open(self, size_mb: float, src: str, dst: str) -> _Flow:
         self._flow_seq += 1
@@ -255,8 +258,8 @@ class NetworkModel:
             if flow is None or flow.finish > now:
                 break
             heappop(self._due)
-            flow.key = _NEVER  # entry consumed; _settle files the next
-            self._settle(flow, now)
+            flow.key = _NEVER  # entry consumed; _settle_many files the next
+            self._settle_many((flow,), (), now)
             if flow.remaining <= _DONE_MB:
                 self._close(flow)
                 flow.done.succeed()

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro import obs as _obs
 from repro.sim.engine import Environment
@@ -88,12 +88,16 @@ class GridSite:
         degraded_factor: float = 4.0,
         disk_capacity_mb: float = float("inf"),
     ):
-        if perf_factor <= 0 or degraded_factor <= 0:
-            raise ValueError("performance factors must be > 0")
-        if service_noise_sigma < 0:
-            raise ValueError("noise sigma must be >= 0")
-        if disk_capacity_mb <= 0:
-            raise ValueError("disk capacity must be > 0")
+        # `not x > 0` rather than `x <= 0`: NaN stops here, not mid-run
+        for field, value in (("perf_factor", perf_factor),
+                             ("degraded_factor", degraded_factor),
+                             ("disk_capacity_mb", disk_capacity_mb)):
+            if not value > 0:
+                raise ValueError(
+                    f"GridSite.{field} must be > 0, got {value!r}")
+        if not service_noise_sigma >= 0:
+            raise ValueError("GridSite.service_noise_sigma must be >= 0, "
+                             f"got {service_noise_sigma!r}")
         self.env = env
         self.name = name
         self.perf_factor = perf_factor
@@ -271,7 +275,6 @@ class GridSite:
         runtime_s: float,
         owner: str = "anonymous",
         priority: Optional[int] = None,
-        detached: bool = False,
         reservation_id: Optional[str] = None,
         checkpoint_interval_s: float = 0.0,
         checkpoint_cost_s: float = 0.0,
@@ -282,8 +285,7 @@ class GridSite:
         Globus gatekeeper does not answer.  BLACKHOLE sites accept the
         job silently, which is precisely their danger.  DRAINING sites
         still accept work — the notice window is exactly for finishing
-        or moving jobs.  ``detached`` marks watcher-less submissions
-        (background load); ``reservation_id`` claims a slot of a
+        or moving jobs.  ``reservation_id`` claims a slot of a
         confirmed reservation; ``checkpoint_interval_s`` > 0 makes the
         job persist progress every interval at ``checkpoint_cost_s``
         CPU-seconds per write; see :meth:`LocalScheduler.submit`.
@@ -296,9 +298,18 @@ class GridSite:
             checkpoint_interval_s=checkpoint_interval_s,
             checkpoint_cost_s=checkpoint_cost_s,
         )
-        return self.scheduler.submit(
-            job, detached=detached, reservation_id=reservation_id
-        )
+        return self.scheduler.submit(job, reservation_id=reservation_id)
+
+    def submit_local(
+        self, runtimes: Sequence[float], owner: str, priority: int,
+        prefix: str, first_id: int,
+    ) -> None:
+        """One arrival of local load — jobs nobody watches; job ``i`` is
+        ``prefix + str(first_id + i)``.  The gatekeeper rule of
+        :meth:`submit`; see :meth:`LocalScheduler.submit_local`."""
+        if self._state is SiteState.DOWN:
+            raise SiteUnavailableError(f"site {self.name} is down")
+        self.scheduler.submit_local(runtimes, owner, priority, prefix, first_id)
 
     def kill(self, job_id: str) -> bool:
         """Remote cancellation (what the SPHINX client sends on timeout)."""
@@ -314,7 +325,7 @@ class GridSite:
         return self.scheduler.running_jobs
 
     # -- internals ----------------------------------------------------------------------
-    def _service_time(self, job: SiteJob) -> float:
+    def _service_time(self, runtime_s: float) -> float:
         factor = self.perf_factor
         if self._state is SiteState.DEGRADED:
             factor *= self.degraded_factor
@@ -326,7 +337,7 @@ class GridSite:
             if not noise:
                 noise.extend(self._rng.standard_normal(32)[::-1].tolist())
             factor *= math.exp(0.0 + sigma * noise.pop())
-        return job.runtime_s * factor
+        return runtime_s * factor
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -70,7 +70,7 @@ def _grid(env, n_sites):
 class Rig:
     """One server (plain or federated) and the twin it is held against."""
 
-    def __init__(self, federated: bool):
+    def __init__(self, federated: bool, **config):
         self.env = Environment()
         self.grid = _grid(self.env, N_SITES)
         self.sites = tuple(self.grid.site_names)
@@ -79,7 +79,8 @@ class Rig:
         self.monitoring = MonitoringService(self.env, self.grid,
                                             update_interval_s=POLL_S)
         self.config = ServerConfig(name="t", algorithm="completion-time",
-                                   tick_s=1.0, checkpoint_interval_s=0.0)
+                                   tick_s=1.0, checkpoint_interval_s=0.0,
+                                   **config)
         self.catalog = {s: 4 for s in self.sites}
         self.fed = (
             FederationConfig(name="t", n_shards=2, digest_interval_s=0.0,
@@ -179,9 +180,9 @@ class Rig:
         site = self.grid.site(self.sites[i])
         if site.state is SiteState.DOWN:
             return
-        for _ in range(n_jobs):
-            self.n_local_jobs += 1
-            site.submit(f"local{self.n_local_jobs}", 400.0, detached=True)
+        site.submit_local(
+            [400.0] * n_jobs, "local", 10, "local", self.n_local_jobs)
+        self.n_local_jobs += n_jobs
 
     def drain(self, i, on):
         if on:

@@ -214,3 +214,48 @@ def test_crash_interrupts_surviving_plans_in_start_order(monkeypatch):
     assert st.client._inflight == {}
     st.run(until=60.0)  # the interrupts land; nothing re-registers
     assert st.client._inflight == {}
+
+
+def _finished_by_scan(client):
+    """``finished_dag_count`` as it was computed: a sum over every DAG."""
+    return sum(1 for _s, f in client.dag_times.values() if f is not None)
+
+
+def test_finished_dag_count_equals_the_scan_under_duplicates_and_a_crash():
+    # Three DAGs; the client is down while the first finishes, so its
+    # dag-finished is redelivered after the restart — and then every
+    # dag-finished is delivered twice more by hand, plus one for a DAG the
+    # client never submitted.  The counter moves once per DAG, keeps the
+    # first finish instant, and survives the crash with ``dag_times``.
+    st = FullStack(tick_s=2.0, reliable_delivery=True,
+                   presume_lost_after_s=600.0)
+    counts = []
+
+    def drill(env):
+        st.submit(one_job_dag("a", runtime=30.0))
+        yield env.timeout(20.0)
+        st.client.crash()
+        counts.append((st.client.finished_dag_count, _finished_by_scan(st.client)))
+        yield env.timeout(900.0)
+        st.client.restart()
+        st.submit(one_job_dag("b"))
+        st.submit(one_job_dag("c"))
+        yield env.timeout(10.0)
+        counts.append((st.client.finished_dag_count, _finished_by_scan(st.client)))
+
+    st.env.process(drill(st.env))
+    st.run(until=4 * 3600.0)
+    client = st.client
+    assert counts[0] == (0, 0) and counts[1][0] == counts[1][1]
+    assert client.finished_dag_count == _finished_by_scan(client) == 3
+    assert client.done.triggered
+    firsts = {d: t[1] for d, t in client.dag_times.items()}
+    for dag_id in ("a", "b", "c", "a", "never-submitted"):
+        client._dispatch([{"kind": "dag-finished",
+                           "payload": {"dag_id": dag_id}}])
+        assert client.finished_dag_count == _finished_by_scan(client) == 3
+    assert {d: t[1] for d, t in client.dag_times.items()} == firsts
+    # a finished id submitted again starts over, as the scan would say
+    st.env.process(client.submit_dag(one_job_dag("a")))
+    assert client.finished_dag_count == _finished_by_scan(client) == 2
+    assert not client.all_dags_finished()

@@ -3,7 +3,9 @@
 The per-layer differentials drive one layer with random operations; here
 two of the benchmark's workloads, at toy size, run end to end twice.  The
 twins are event-for-event equivalents, so everything modelled must come
-out equal — the kernel's ``event_count`` included.  Deterministic: no
+out equal — the kernel's ``event_count`` included.  The local load that
+runs in cohorts as shipped is one recorded, process-driven job per
+arrival member on the reference stack.  Deterministic: no
 Hypothesis, fixed scenario and plan seeds.
 """
 
@@ -53,9 +55,15 @@ def test_shipped_run_equals_reference_stack_run(run, monkeypatch):
     with mock.patch.object(
         ReferenceLocalScheduler, "submit", autospec=True,
         side_effect=ReferenceLocalScheduler.submit,
-    ) as twin_submit:
+    ) as twin_submit, mock.patch.object(
+        ReferenceLocalScheduler, "submit_local", autospec=True,
+        side_effect=ReferenceLocalScheduler.submit_local,
+    ) as twin_submit_local:
         reference = outcome(*run())
-    assert twin_submit.call_count > 0      # the twin really carried the run
+    # the twin really carried the run, local load included: every local
+    # job went through its per-job submit, none through a cohort
+    assert 0 < twin_submit_local.call_count < twin_submit.call_count
+    assert "submit_local" in vars(ReferenceLocalScheduler)
     assert shipped["violations"] == 0
     assert all(times for times, *_ in shipped["servers"].values())
     assert reference == shipped

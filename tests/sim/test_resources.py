@@ -222,3 +222,37 @@ def test_priority_store_stable_for_equal_keys():
     env.process(consumer(env, store))
     env.run()
     assert got == ["a", "b", "c"]
+
+
+def test_take_holds_uncontended_slots_anonymously():
+    env = Environment()
+    res = Resource(env, capacity=3)
+    first = res.request()
+    assert res.take(5) == 2                # what is free, not what was asked
+    assert (res.count, res.anonymous) == (3, 2)
+    assert res.take(1) == 0                # full
+    queued = res.request()
+    res.release(first)                     # goes to the queued request ...
+    assert res.take(1) == 0 and queued.triggered
+    res.give_back()
+    waiting = res.request()                # ... an uncontended one is granted
+    assert waiting.triggered and res.count == 3
+    late = res.request()
+    assert res.take(1) == 0                # something is queued: never jump it
+    res.give_back()
+    assert late.triggered and (res.count, res.anonymous) == (3, 0)
+    with pytest.raises(SimulationError, match="no anonymous slot"):
+        res.give_back()
+
+
+def test_take_on_a_shrunk_resource_takes_nothing():
+    env = Environment()
+    res = Resource(env, capacity=2)
+    assert res.take(2) == 2
+    res.resize(0)                          # frozen with both slots out
+    assert res.take(1) == 0 and res.count == 2
+    res.give_back()
+    res.give_back()
+    assert res.take(1) == 0 and res.count == 0
+    res.resize(1)
+    assert res.take(3) == 1

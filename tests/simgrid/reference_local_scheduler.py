@@ -13,19 +13,52 @@ Everything that is not the lifecycle (the reservation calendar, slot
 routing, preemption accounting, the observables) is inherited, so the
 two classes differ in nothing but how a job gets from PENDING to its
 terminal status.
+
+Local load has no cohorts here: ``submit_local`` is one historical
+``submit(SiteJob(...), detached=True)`` per runtime, each job a record
+and a process, started in place on a *lazy* CPU request when one is free
+— :class:`LazyResource` keeps that last caller-less option of the
+kernel's ``Resource`` alive for the twin alone.  Nothing is ever
+forgotten: every job stays in ``_jobs``.
 """
 
 from __future__ import annotations
 
 import math
+from heapq import heappush
 from typing import Optional
 
 from repro.sim import Interrupt
-from repro.sim.engine import Event, SimulationError
-from repro.sim.resources import Request
+from repro.sim.engine import _NORMAL_BASE, Event, SimulationError
+from repro.sim.resources import Request, Resource
 from repro.simgrid.local_scheduler import LocalScheduler, SiteJob, SiteJobStatus
 
-__all__ = ["ReferenceLocalScheduler"]
+__all__ = ["LazyResource", "ReferenceLocalScheduler"]
+
+
+class LazyResource(Resource):
+    """``Resource.request`` as it was while it still took ``lazy=``."""
+
+    def request(self, priority: int = 0, lazy: bool = False) -> Request:
+        """``lazy``: an *uncontended* grant is marked processed in place
+        instead of scheduling a wake-up — for callers that check
+        ``req.processed`` right away and skip their yield when the
+        slot was free."""
+        req = Request(self, priority)
+        users = self._users
+        if not self._queue and len(users) < self._capacity:
+            users.add(req)
+            req._value = req
+            if lazy:
+                req.callbacks = None
+                return req
+            env = req.env
+            env._seq += 1
+            heappush(env._heap, (env._now, _NORMAL_BASE + env._seq, req))
+        else:
+            heappush(self._queue, (priority, next(self._counter), req))
+            self._grant()
+        return req
 
 
 class ReferenceLocalScheduler(LocalScheduler):
@@ -34,6 +67,7 @@ class ReferenceLocalScheduler(LocalScheduler):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        self._cpus = LazyResource(self.env, capacity=self.n_cpus)
         self._procs: dict[str, object] = {}      # job_id -> runner Process
         # the generators only ever ask "is it running?"; the slot lives
         # in their frames, not in the table
@@ -42,8 +76,8 @@ class ReferenceLocalScheduler(LocalScheduler):
     def submit(
         self,
         job: SiteJob,
-        detached: bool = False,
         reservation_id: Optional[str] = None,
+        detached: bool = False,  # historical; only submit_local passes it
     ) -> SiteJob:
         if job.job_id in self._jobs:
             raise ValueError(f"duplicate local job id {job.job_id!r}")
@@ -71,6 +105,17 @@ class ReferenceLocalScheduler(LocalScheduler):
         if self._reservations:
             self._offer_backfill()
         return job
+
+    def submit_local(self, runtimes, owner, priority, prefix, first_id) -> None:
+        jobs = [
+            SiteJob(f"{prefix}{first_id + i}", owner, runtime_s, priority)
+            for i, runtime_s in enumerate(runtimes)
+        ]
+        for job in jobs:  # an arrival is refused whole; submit() never looked
+            if not job.runtime_s >= 0:
+                raise ValueError(f"job {job.job_id}: runtime_s={job.runtime_s!r}")
+        for job in jobs:
+            self.submit(job, detached=True)
 
     def _terminate(self, job_id: str, status: SiteJobStatus) -> bool:
         job = self._jobs.get(job_id)
@@ -169,7 +214,7 @@ class ReferenceLocalScheduler(LocalScheduler):
     def _execute(self, job: SiteJob, slot: Request):
         job.started_at = self.env.now
         job._set_status(SiteJobStatus.RUNNING)
-        service = self._service_time_fn(job)
+        service = self._service_time_fn(job.runtime_s)
         if service < 0:
             raise ValueError(f"negative service time {service} for {job.job_id}")
         job._service_s = service

@@ -1,7 +1,9 @@
 """Background-load regression pins and the batched-arrival mode.
 
 The legacy per-arrival path is pinned **event for event**: a golden
-hash over every submission (id, time, runtime) at fixed seeds.  Any
+hash over every submission (id, time, runtime) at fixed seeds, read off
+the arrivals handed to ``site.submit_local`` (job ``i`` of an arrival is
+``prefix + str(first_id + i)``).  Any
 change to its draw order or timing — however well-intentioned — must
 show up here as a deliberate golden bump.
 
@@ -47,14 +49,17 @@ def _run(batch_interval_s, horizon_s=6 * 3600.0, seed=123,
     rng = RngStreams(seed)
     site = GridSite(env, rng.spawn("site-x"), "x", n_cpus=16)
     records = []
-    orig_submit = site.submit
+    orig_submit_local = site.submit_local
 
-    def recording_submit(job_id, runtime_s, **kw):
-        records.append((job_id, round(env.now, 9), round(runtime_s, 9)))
+    def recording_submit_local(runtimes, owner, priority, prefix, first_id):
+        records.extend(
+            (prefix + str(first_id + i), round(env.now, 9), round(runtime_s, 9))
+            for i, runtime_s in enumerate(runtimes)
+        )
         if execute:
-            return orig_submit(job_id, runtime_s=runtime_s, **kw)
+            orig_submit_local(runtimes, owner, priority, prefix, first_id)
 
-    site.submit = recording_submit
+    site.submit_local = recording_submit_local
     bg = BackgroundLoad(
         env, rng.spawn("bg-x"), site,
         target_utilization=target_utilization, mean_runtime_s=300.0,

@@ -1,12 +1,13 @@
-"""Object census: what a background job costs the host's garbage collector.
+"""Object census: what local load costs the host's garbage collector.
 
-At 2,500 sites the batch queues carry ~60k detached background jobs for
-every 600 grid jobs; each GC-tracked object a job allocates is scanned by
-every later collection, and each one it leaves behind is scanned forever.
-The contract (DESIGN.md §5l): a running detached job is one record plus
-its kernel-heap entry, an ended one is nothing — and what a contended job
-needs on top (its CPU request) dies by reference count, not by the cycle
-collector.
+At 2,500 sites the batch queues carry ~60k local jobs for every 600 grid
+jobs; each GC-tracked object a job allocates is scanned by every later
+collection, and each one it leaves behind is scanned forever.  The
+contract (DESIGN.md §5l): a local job that finds a free CPU is one
+kernel-heap entry — no record, no id, no table row — beside one cohort
+per arrival; an ended one is nothing.  What a job that has to queue needs
+on top (a record and its CPU request) dies by reference count, not by the
+cycle collector.
 """
 
 import gc
@@ -24,20 +25,20 @@ def tracked() -> int:
     return len(gc.get_objects())
 
 
-def test_a_detached_job_is_two_tracked_objects_running_and_none_ended():
+def test_local_arrival_is_one_heap_entry_per_job_none_ended():
     env = Environment()
     site = GridSite(env, RngStreams(7), "big", n_cpus=N)
-    site.submit("warm", runtime_s=1.0, detached=True)  # noise block, dicts
+    site.submit_local([1.0], "local", 10, "warm.", 0)  # noise block, method
     env.run()
-    ids = [f"bg.{i}" for i in range(N)]  # strings are not GC-tracked
+    runtimes = [100.0 + i for i in range(N)]  # floats are not GC-tracked
     idle = tracked()
-    for job_id in ids:
-        site.submit(job_id, runtime_s=100.0 + len(job_id), detached=True)
+    site.submit_local(runtimes, "local", 10, "bg.", 0)
     sched = site.scheduler
     assert sched.running_jobs == N and sched.queued_jobs == 0
-    # per job: the record + its heap entry; + the scheduler's three job
-    # tables, which CPython leaves untracked while they are empty
-    assert tracked() - idle <= 2 * N + 3
+    assert sched.utilization == 1.0 and sched.reservation_audit() == []
+    # per job: its heap entry; + the cohort + the job table, which CPython
+    # leaves untracked while it is empty
+    assert tracked() - idle <= N + 2
     env.run()
     assert sched.completed_count == N + 1
     assert tracked() - idle == 0
@@ -50,14 +51,13 @@ def test_a_contended_jobs_request_dies_by_refcount():
         return sum(type(o) is Request for o in gc.get_objects())
 
     env = Environment()
-    sched = LocalScheduler(env, 1, lambda job: job.runtime_s)
+    sched = LocalScheduler(env, 1, lambda runtime_s: runtime_s)
     gc.collect()
     gc.disable()
     try:
         before = requests()
-        sched.submit(SiteJob("a", runtime_s=5.0), detached=True)
-        sched.submit(SiteJob("b", runtime_s=5.0), detached=True)  # queues
-        sched.submit(SiteJob("c", runtime_s=5.0))                 # watched
+        sched.submit_local((5.0, 5.0), "local", 10, "bg.", 0)  # 2nd queues
+        sched.submit(SiteJob("c", runtime_s=5.0))              # watched
         assert requests() - before == 2
         env.run()
         assert sched.completed_count == 3

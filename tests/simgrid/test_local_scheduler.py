@@ -7,7 +7,7 @@ from repro.simgrid import LocalScheduler, SiteJob, SiteJobStatus
 
 
 def make(env, n_cpus=2, factor=1.0):
-    return LocalScheduler(env, n_cpus, lambda job: job.runtime_s * factor)
+    return LocalScheduler(env, n_cpus, lambda runtime_s: runtime_s * factor)
 
 
 def test_cpu_count_validation():
@@ -195,14 +195,14 @@ def test_resubmitting_same_object_rejected():
     sched = make(env)
     job = sched.submit(SiteJob("a", runtime_s=1.0))
     env.run()
-    other = LocalScheduler(env, 1, lambda j: j.runtime_s)
+    other = LocalScheduler(env, 1, lambda runtime_s: runtime_s)
     with pytest.raises(ValueError, match="already submitted"):
         other.submit(job)
 
 
 def test_service_time_fn_controls_duration():
     env = Environment()
-    sched = LocalScheduler(env, 1, lambda job: job.runtime_s * 3.0)
+    sched = LocalScheduler(env, 1, lambda runtime_s: runtime_s * 3.0)
     job = sched.submit(SiteJob("j", runtime_s=10.0))
     env.run()
     assert job.finished_at == 30.0
@@ -234,7 +234,7 @@ def test_submit_rejects_negative_or_nan_demand_at_the_edge(field, bad):
 @pytest.mark.parametrize("bad", [-1.0, float("nan")])
 def test_bad_service_time_draw_is_an_error(bad):
     env = Environment()
-    sched = LocalScheduler(env, 1, lambda job: bad)
+    sched = LocalScheduler(env, 1, lambda runtime_s: bad)
     sched.submit(SiteJob("j", runtime_s=1.0))
     with pytest.raises(ValueError, match="negative service time"):
         env.run()
@@ -257,17 +257,17 @@ def test_killed_running_job_leaves_a_stale_timer_that_does_nothing():
     assert sched.running_jobs == 0 and sched.reservation_audit() == []
 
 
-def test_kill_from_own_running_callback_of_an_inline_start_frees_the_slot():
-    # Detached, uncontended: the job starts inside submit().
-    # A watcher that kills it from its own RUNNING transition must still
-    # get the slot unwound and the job must stay KILLED.
+def test_kill_from_own_running_callback_frees_the_slot():
+    # A watcher that kills the job from its own RUNNING transition — inside
+    # the grant callback that started it — must still get the slot unwound,
+    # and the job must stay KILLED.
     env = Environment()
     sched = make(env, n_cpus=1)
     job = SiteJob("j", runtime_s=10.0)
     job.on_status_change(
         lambda j, _old, new: new is SiteJobStatus.RUNNING and sched.kill("j")
     )
-    sched.submit(job, detached=True)
+    sched.submit(job)
     nxt = sched.submit(SiteJob("next", runtime_s=1.0))
     env.run()
     assert job.status is SiteJobStatus.KILLED and job.finished_at == 0.0

@@ -10,10 +10,13 @@ float timings, the order and instants of status callbacks, the
 observables after every operation, every counter — and the two process
 the same number of kernel events.
 
-The state machine forgets a detached job when it ends (the twin never
-does), so the rig keeps the ``SiteJob`` each ``submit`` returned and
-reads final state from that; a verb aimed at a forgotten id must raise
-``KeyError`` and is logged as the ``False`` the twin answers.
+Local load (``submit_local``) runs in cohorts here and as one recorded,
+process-driven job per runtime in the twin.  A cohort member has no
+record to compare, so the rig compares what an arrival does to everyone
+else: after every step the observables, every counter,
+``repr(preempted_work_s)`` and ``reservation_audit()``, and at the end
+``env.event_count`` — a member that started, ended, was killed or drew
+its service noise at another instant or in another order shows in one.
 """
 
 import random
@@ -25,7 +28,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Environment
-from repro.simgrid import LocalScheduler, SiteJob, SiteJobStatus
+from repro.sim.rng import RngStreams
+from repro.simgrid import GridSite, LocalScheduler, SiteJob, SiteJobStatus, SiteState
+from repro.simgrid.site import SiteUnavailableError
 
 from tests.simgrid.reference_local_scheduler import ReferenceLocalScheduler
 
@@ -49,12 +54,18 @@ class Watch:
 class Submit:
     runtime_s: float
     priority: int
-    detached: bool
     reservation: Optional[int]
     checkpoint_interval_s: float
     checkpoint_cost_s: float
     watch: Optional[Watch]
-    late_watch: bool = False  # detached only: subscribe after submit returns
+
+
+@dataclass(frozen=True)
+class SubmitLocal:
+    """One arrival of local load: nobody watches, nobody can address it."""
+
+    runtimes: tuple
+    priority: int = 10
 
 
 @dataclass(frozen=True)
@@ -95,22 +106,24 @@ OPS = st.one_of(
         Submit,
         runtime_s=RUNTIMES,
         priority=PRIORITIES,
-        detached=st.booleans(),
         reservation=st.none() | SMALL,
         checkpoint_interval_s=st.sampled_from([0.0, 0.0, 1.0, 2.5]),
         checkpoint_cost_s=st.sampled_from([0.0, 0.25]),
         watch=st.none() | WATCHES,
-        late_watch=st.booleans(),
     ),
     st.builds(
         Submit,  # plain short jobs: queue pressure and backfill fodder
         runtime_s=st.sampled_from([1.0, 2.0, 5.0]),
         priority=PRIORITIES,
-        detached=st.booleans(),
         reservation=st.none(),
         checkpoint_interval_s=st.just(0.0),
         checkpoint_cost_s=st.just(0.0),
         watch=st.none(),
+    ),
+    st.builds(
+        SubmitLocal,  # 1-6 jobs on 1-6 CPUs: fits, partly fits, all queue
+        runtimes=st.lists(RUNTIMES, min_size=1, max_size=6).map(tuple),
+        priority=PRIORITIES,
     ),
     st.builds(Stop, verb=st.sampled_from(["kill", "kill", "hold"]), target=SMALL),
     st.builds(
@@ -130,7 +143,7 @@ OPS = st.one_of(
 )
 CASES = st.builds(
     Case,
-    n_cpus=st.integers(1, 3),
+    n_cpus=st.integers(1, 6),
     backfill=st.sampled_from([True, True, False]),
     seed=st.integers(0, 3),
     steps=st.lists(
@@ -148,33 +161,29 @@ def simulate(cls, case: Case):
     sched = cls(
         env,
         case.n_cpus,
-        lambda job: job.runtime_s * rng.choice(noise),
+        lambda runtime_s: runtime_s * rng.choice(noise),
         backfill=case.backfill,
     )
     log: list[tuple] = []
     made: list[SiteJob] = []  # as submit returned them, by job number
-    detached: set[str] = set()
+    n_local = 0
     n_res = 0
 
     def stop(verb: str, target: int):
         if not made:
             return
         job = made[target % len(made)]
-        if job.job_id in sched:
-            done = getattr(sched, verb)(job.job_id)
-        else:  # only a detached job that has ended is ever forgotten
-            assert job.job_id in detached and job.status.terminal
-            with pytest.raises(KeyError):
-                getattr(sched, verb)(job.job_id)
-            done = False
-        log.append((verb, job.job_id, done))
+        log.append((verb, job.job_id, getattr(sched, verb)(job.job_id)))
 
     def record(job, old, new):
         log.append(("status", job.job_id, old.value, new.value, env.now))
 
     def apply(op):
-        nonlocal n_res
-        if isinstance(op, Submit):
+        nonlocal n_res, n_local
+        if isinstance(op, SubmitLocal):
+            sched.submit_local(op.runtimes, "local", op.priority, "bg.", n_local)
+            n_local += len(op.runtimes)
+        elif isinstance(op, Submit):
             job = SiteJob(
                 f"j{len(made)}",
                 runtime_s=op.runtime_s,
@@ -183,23 +192,17 @@ def simulate(cls, case: Case):
                 checkpoint_cost_s=op.checkpoint_cost_s,
             )
             made.append(job)
-            if not op.detached:
-                # detached means nobody watches (LocalScheduler.submit)
-                job.on_status_change(record)
-                watch = op.watch
-                if watch is not None:
-                    job.on_status_change(
-                        lambda _j, _old, new: new.value == watch.on
-                        and stop(watch.verb, watch.target)
-                    )
+            job.on_status_change(record)
+            watch = op.watch
+            if watch is not None:
+                job.on_status_change(
+                    lambda _j, _old, new: new.value == watch.on
+                    and stop(watch.verb, watch.target)
+                )
             res_id = None
             if op.reservation is not None:  # mostly a real one, live or not
                 res_id = f"r{op.reservation % (n_res + 1)}"
-            sched.submit(job, detached=op.detached, reservation_id=res_id)
-            if op.detached:
-                detached.add(job.job_id)
-                if op.late_watch:
-                    job.on_status_change(record)  # may already be RUNNING
+            sched.submit(job, reservation_id=res_id)
         elif isinstance(op, Stop):
             stop(op.verb, op.target)
         elif isinstance(op, Reserve):
@@ -222,6 +225,10 @@ def simulate(cls, case: Case):
                 apply(op)
             log.append(("seen", env.now, sched.queued_jobs,
                         sched.running_jobs, sched.utilization))
+            log.append(("counted", sched.completed_count, sched.killed_count,
+                        sched.held_count, sched.backfill_count,
+                        repr(sched.preempted_work_s),
+                        sched.reservation_audit()))
 
     env.process(driver())
     env.run()
@@ -237,7 +244,7 @@ def simulate(cls, case: Case):
     }
     counters = (
         sched.completed_count, sched.killed_count, sched.held_count,
-        sched.backfill_count, sched.preempted_work_s,
+        sched.backfill_count, repr(sched.preempted_work_s),
         dict(sched.reservation_counts), list(sched.reservation_miss_latencies),
         [(r.res_id, r.state, r.started_jobs) for r in sched.reservations],
         sched.queued_jobs, sched.running_jobs, env.now,
@@ -269,10 +276,14 @@ def test_state_machine_matches_generator_twin(case):
     assert_same(case)
 
 
-def submit(runtime_s, *, priority=10, detached=False, reservation=None,
-           ckpt=0.0, cost=0.0, watch=None, late_watch=False):
-    return Submit(runtime_s, priority, detached, reservation, ckpt, cost,
-                  watch, late_watch)
+def submit(runtime_s, *, priority=10, reservation=None,
+           ckpt=0.0, cost=0.0, watch=None):
+    return Submit(runtime_s, priority, reservation, ckpt, cost, watch)
+
+
+def seen(got, at):
+    """(queued, running, utilization) as logged by the step at ``at``."""
+    return [e[2:] for e in got["log"] if e[0] == "seen" and e[1] == at]
 
 
 def test_kill_landing_on_a_grant_instant():
@@ -340,83 +351,178 @@ def test_checkpointed_job_killed_mid_run():
 
 
 def test_zero_runtime_detached_job_is_forgotten_at_once():
-    # The first thing Hypothesis finds against a rig that asks the
-    # scheduler for its jobs afterwards: j0 starts in place, ends at its
-    # own instant and is gone before the driver's next step.
-    got = assert_same(Case(1, True, None, [(0.0, [submit(0.0, detached=True)])]))
-    assert got["jobs"]["j0"][:4] == (SiteJobStatus.COMPLETED, 0.0, 0.0, 0.0)
-    assert "j0" not in got["sched"]
+    # A cohort of one that ends at its own instant: its one heap entry
+    # fires, the slot is back and the scheduler holds nothing.
+    got = assert_same(Case(1, True, None, [(0.0, [SubmitLocal((0.0,))])]))
+    assert got["counters"][0] == 1 and got["events"] == (2, 2)
+    assert not got["sched"]._jobs and got["sched"]._cpus.count == 0
 
 
 def test_kill_of_a_running_job_that_is_its_own_timer():
-    # One CPU.  j0 starts in place at t=0, holding the slot as itself with
-    # its own entry on the kernel heap for t=10.  The kill at t=4 frees the
-    # slot once, through _unwind; j1 takes it in place the same instant and
-    # runs to t=9.  j0's heap entry still fires at t=10 — into the guard: it
-    # is counted (the twin's stale Timeout is too) and frees nothing, or
-    # j2 (in place at t=9.5, 1 CPU) would see its slot handed out twice.
+    # One CPU.  j0 is RUNNING from t=0 with its own entry on the kernel
+    # heap for t=10.  The kill at t=4 frees the slot once, through _unwind;
+    # a local job takes it in place the same instant and runs to t=9.  j0's
+    # heap entry still fires at t=10 — into the guard: it is counted (the
+    # twin's stale Timeout is too) and frees nothing, or the local job of
+    # t=9.5 would see its slot handed out twice.
     case = Case(1, True, None, [
-        (0.0, [submit(10.0, detached=True)]),
+        (0.0, [submit(10.0)]),
         (4.0, [Stop("kill", 0)]),
-        (0.0, [submit(5.0, detached=True)]),
-        (5.5, [submit(5.0, detached=True), submit(1.0)]),
+        (0.0, [SubmitLocal((5.0,))]),
+        (5.5, [SubmitLocal((5.0,)), submit(1.0)]),
     ])
     got = assert_same(case)  # includes event_count == the twin's
     assert ("kill", "j0", True) in got["log"]
     assert got["jobs"]["j0"][:4] == (SiteJobStatus.KILLED, 0.0, 0.0, 4.0)
-    assert got["jobs"]["j1"][:4] == (SiteJobStatus.COMPLETED, 4.0, 4.0, 9.0)
-    assert got["jobs"]["j2"][:4] == (SiteJobStatus.COMPLETED, 9.5, 9.5, 14.5)
-    assert got["jobs"]["j3"][2] == 14.5        # queued behind j2, not at t=10
+    assert seen(got, 4.0) == [(0, 1, 1.0), (0, 1, 1.0)]  # j0, then bg.0
+    assert seen(got, 9.5) == [(1, 1, 1.0)]     # bg.1 in place, j1 behind it
+    assert got["jobs"]["j1"][2] == 14.5        # not at t=10
     sched = got["sched"]
     assert sched._cpus.count == 0 and not sched._awaiting and not sched._running
-    assert list(sched._jobs) == ["j3"]         # the watched job is kept
+    assert list(sched._jobs) == ["j0", "j1"]   # watched jobs are kept
 
 
-def test_watcher_registered_after_an_in_place_start():
-    # A detached job is RUNNING when submit returns; a watcher added then
-    # (the first, so it creates the list) sees exactly the rest.
-    got = assert_same(Case(2, True, None, [
-        (1.0, [submit(3.0, detached=True, late_watch=True)]),
-    ]))
-    assert [e for e in got["log"] if e[0] == "status"] == [
-        ("status", "j0", "running", "completed", 4.0)]
-    assert "j0" not in got["sched"]            # watched late, still detached
+def test_cohort_partly_fits_rest_queue_in_order():
+    # Three CPUs, one busy.  Of five local jobs two start as a cohort and
+    # three queue in arrival order behind them; each start draws one noise
+    # value, so a queued job starting out of order would move every instant.
+    case = Case(3, True, 2, [
+        (0.0, [submit(50.0)]),
+        (1.0, [SubmitLocal((8.0, 2.0, 4.0, 1.0, 3.0))]),
+        (0.0, [submit(1.0, priority=1)]),      # more urgent: ahead of the rest
+    ])
+    got = assert_same(case)
+    assert seen(got, 1.0) == [(3, 3, 1.0), (4, 3, 1.0)]
+    assert got["counters"][0] == 7
+    # bg.1 (2 s nominal) is the first slot back; the priority-1 job has it
+    started = got["jobs"]["j1"][2]
+    assert 1.0 < started <= 1.0 + 2.0 * 1.75
+    sched = got["sched"]
+    assert not sched._jobs.keys() - {"j0", "j1"} and sched._cpus.count == 0
+
+
+def test_kill_all_half_finished_cohort_stale_pops():
+    # Four local jobs on four CPUs; two have ended by t=5.  kill_all charges
+    # the two survivors 5 s each and unwinds each through its own event; the
+    # next arrival starts in place at once.  The survivors' heap entries
+    # still fire at t=10 and t=20, into a killed cohort: counted, ignored.
+    case = Case(4, True, None, [
+        (0.0, [SubmitLocal((1.0, 10.0, 2.0, 20.0))]),
+        (5.0, [Simple("kill_all")]),
+        (0.0, [SubmitLocal((3.0, 3.0, 3.0, 3.0))]),
+        (0.0, [Simple("kill_all")]),           # same instant: the new four
+    ])
+    got = assert_same(case)
+    assert [e for e in got["log"] if e[0] == "kill_all"] == [
+        ("kill_all", 2), ("kill_all", 4)]
+    assert seen(got, 5.0) == [(0, 2, 0.5), (0, 4, 1.0), (0, 4, 1.0)]
+    completed, killed, _held, _bf, preempted = got["counters"][:5]
+    assert (completed, killed, preempted) == (2, 6, "10.0")
+    # 8 run timers (6 of them stale) + 6 unwinds + the driver's 4 steps
+    assert got["events"] == (18, 18)
+    sched = got["sched"]
+    assert not sched._jobs and sched._cpus.count == 0
+    assert got["counters"][-1] == 20.0         # the last stale entry
+
+
+def test_freeze_with_a_cohort_running():
+    # BLACKHOLE: the members already running finish and give their slots
+    # back into a frozen pool; arrivals meanwhile queue, and start — one
+    # cohort-less job per grant — only at the thaw.
+    case = Case(2, True, None, [
+        (0.0, [SubmitLocal((4.0, 6.0))]),
+        (1.0, [Simple("freeze"), SubmitLocal((1.0, 1.0))]),
+        (9.0, [Simple("thaw")]),
+    ])
+    got = assert_same(case)
+    assert seen(got, 1.0) == [(2, 2, 1.0)]     # frozen: utilization pinned
+    assert seen(got, 10.0) == [(2, 0, 1.0)]    # thawed; the grants in flight
+    assert got["counters"][0] == 4 and got["counters"][-1] == 11.0
+    assert not got["sched"]._jobs
+
+
+def test_live_reservation_one_job_at_a_time():
+    # Two CPUs, one held by a reservation for t=50.  Of three local jobs
+    # the first takes the free CPU; the second queues and — short enough
+    # for the hole — is backfilled into the held slot before the third is
+    # looked at, which then waits for that slot to come back.
+    case = Case(2, True, None, [
+        (0.0, [Reserve(50.0, 5.0, 1)]),
+        (1.0, [SubmitLocal((30.0, 5.0, 5.0))]),
+    ])
+    got = assert_same(case)
+    assert seen(got, 1.0) == [(2, 1, 1.0)]     # bg.1's borrowed start in flight
+    assert got["counters"][3] == 2             # bg.1, then bg.2 after it
+    assert got["counters"][0] == 3
+    assert got["audit"] == [] and not got["sched"]._jobs
 
 
 def test_kill_of_a_forgotten_detached_id_is_an_unknown_id():
     env = Environment()
-    sched = LocalScheduler(env, 1, lambda job: job.runtime_s)
-    job = sched.submit(SiteJob("bg", runtime_s=2.0), detached=True)
-    assert sched.job("bg") is job and "bg" in sched
-    env.run()
-    assert job.status is SiteJobStatus.COMPLETED and "bg" not in sched
+    sched = LocalScheduler(env, 1, lambda runtime_s: runtime_s)
+    sched.submit_local((2.0, 3.0), "local", 10, "bg.", 0)
+    # bg.0 runs in a cohort: no record, not addressable, though its id is
+    # taken; bg.1 queued behind it and is a job like any other until it ends
+    assert "bg.0" not in sched and "bg.1" in sched
     for verb in (sched.kill, sched.hold, sched.job):
         with pytest.raises(KeyError):
-            verb("bg")
+            verb("bg.0")
+    with pytest.raises(ValueError, match="duplicate"):
+        sched.submit_local((1.0,), "local", 10, "bg.", 0)
+    with pytest.raises(ValueError, match="duplicate"):
+        sched.submit(SiteJob("bg.1"))
+    assert sched.job("bg.1").status is SiteJobStatus.PENDING
+    env.run()
+    assert sched.completed_count == 2 and "bg.1" not in sched
+    for verb in (sched.kill, sched.hold, sched.job):
+        with pytest.raises(KeyError):
+            verb("bg.1")
     with pytest.raises(KeyError):
         sched.kill("never-submitted")
     # killed, not completed: known (and terminal) until its slot unwinds
-    again = sched.submit(SiteJob("bg", runtime_s=2.0), detached=True)
-    assert sched.kill("bg") is True and sched.kill("bg") is False
-    with pytest.raises(ValueError, match="duplicate"):
-        sched.submit(SiteJob("bg"), detached=True)
+    sched.submit_local((2.0, 2.0), "local", 10, "bg.", 0)
+    assert sched.kill("bg.1") is True and sched.kill("bg.1") is False
     env.run()
-    assert again.status is SiteJobStatus.KILLED and "bg" not in sched
+    assert "bg.1" not in sched and not sched._jobs
     assert sched.kill_all() == 0 and sched._cpus.count == 0
 
 
-def test_slot_conservation_counts_slots_jobs_hold_as_themselves():
+def test_slot_conservation_counts_anonymous_slots():
     env = Environment()
-    sched = LocalScheduler(env, 3, lambda job: job.runtime_s)
-    a = sched.submit(SiteJob("a", runtime_s=10.0), detached=True)
-    sched.submit(SiteJob("b", runtime_s=4.0), detached=True)
-    assert sched._running["a"] is a            # no Request was built
+    sched = LocalScheduler(env, 3, lambda runtime_s: runtime_s)
+    sched.submit_local((10.0, 4.0), "local", 10, "bg.", 0)
+    assert not sched._running and sched._cpus.anonymous == 2  # no Request
     assert sched.reserve("r", 6.0, 5.0, cpus=2)
     env.run(until=1.0)                         # one hold granted, one queued
     assert sched._cpus.count == 3 and sched.utilization == 1.0
     assert sched.reservation_audit() == []
-    env.run(until=5.0)                         # b's slot drained into r
+    env.run(until=5.0)                         # bg.1's slot drained into r
     assert (sched.running_jobs, sched._cpus.count) == (1, 3)
     assert sched.reservation_audit() == []
     env.run()
     assert sched._cpus.count == 0 and sched.reservation_audit() == []
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan")])
+def test_submit_local_refuses_a_bad_arrival_whole(bad):
+    env = Environment()
+    for cls in (LocalScheduler, ReferenceLocalScheduler):
+        draws = []
+        sched = cls(env, 4, lambda runtime_s: draws.append(runtime_s) or 1.0)
+        with pytest.raises(ValueError, match=r"job bg\.8: runtime_s="):
+            sched.submit_local((1.0, bad, 2.0), "local", 10, "bg.", 7)
+        assert not draws and not sched._jobs and sched._cpus.count == 0
+
+
+def test_submit_local_at_down_site_draws_no_noise():
+    env = Environment()
+    site = GridSite(env, RngStreams(3), "s", n_cpus=4)
+    site.set_state(SiteState.DOWN)
+    before = site._rng.bit_generator.state
+    with pytest.raises(SiteUnavailableError, match="site s is down"):
+        site.submit_local([5.0, 5.0], "local", 10, "bg.s.", 0)
+    assert site._rng.bit_generator.state == before and not site._noise
+    assert site.running_jobs == 0 and not site.scheduler._jobs
+    site.set_state(SiteState.UP)
+    site.submit_local([5.0, 5.0], "local", 10, "bg.s.", 0)
+    assert site.running_jobs == 2 and len(site._noise) == 30

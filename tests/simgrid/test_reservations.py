@@ -14,7 +14,7 @@ from repro.simgrid import (
 
 
 def make(env, n_cpus=2, factor=1.0, backfill=True):
-    return LocalScheduler(env, n_cpus, lambda job: job.runtime_s * factor,
+    return LocalScheduler(env, n_cpus, lambda runtime_s: runtime_s * factor,
                           backfill=backfill)
 
 

@@ -26,6 +26,36 @@ def test_validation():
         GridSite(env, RngStreams(0), "s", n_cpus=2, degraded_factor=0)
 
 
+@pytest.mark.parametrize("bad", [0, -1, float("nan")])
+@pytest.mark.parametrize("field,bound", [
+    ("perf_factor", "> 0"), ("degraded_factor", "> 0"),
+    ("disk_capacity_mb", "> 0"), ("service_noise_sigma", ">= 0"),
+])
+def test_fields_must_be_in_range(field, bound, bad):
+    # NaN passed every `x <= 0` test and surfaced as a NaN service time
+    # deep in a run; now it stops here, naming the field and the value.
+    if bound == ">= 0" and bad == 0:
+        make_site(**{field: bad})  # a noiseless site is legitimate
+        return
+    with pytest.raises(
+        ValueError, match=rf"GridSite\.{field} must be {bound}, got {bad!r}"
+    ):
+        make_site(**{field: bad})
+
+
+def test_submit_local_runs_an_arrival_on_free_cpus_and_queues_the_rest():
+    env, site = make_site(n_cpus=2, perf_factor=2.0)
+    site.submit_local([10.0, 20.0, 5.0], "/VO=local/CN=x", 10, "bg.", 7)
+    assert (site.running_jobs, site.queued_jobs) == (2, 1)
+    queued = site.scheduler.job("bg.9")     # only a job that queued has one
+    assert queued.owner == "/VO=local/CN=x"
+    env.run()
+    # 10 * 2 frees a CPU at t=20; bg.9 runs 5 * 2 on it
+    assert (queued.started_at, queued.finished_at, env.now) == (20.0, 30.0, 40.0)
+    assert site.scheduler.completed_count == 3
+    assert (site.running_jobs, site.queued_jobs) == (0, 0)
+
+
 def test_job_runs_at_perf_factor():
     env, site = make_site(perf_factor=2.0)
     job = site.submit("j", runtime_s=10.0)
