@@ -1,13 +1,14 @@
 """Component crash-restart drills + the chaos wiring harness.
 
-:class:`ChaosController` is the object the experiment runner hands its
-stack to (see ``run_scenario(chaos=...)``).  It owns three jobs:
+:class:`ChaosController` is the object a
+:class:`repro.experiments.runner.Stack` is armed with (see
+``run_scenario(chaos=...)``).  It owns three jobs:
 
 * build the (possibly fault-injecting) RPC bus for the run;
-* tune each server's config for survivable chaos — periodic
-  checkpoints when the plan crashes servers, transactional outbox
-  delivery and the presumed-lost requeue window when the transport or
-  a client can eat messages;
+* contribute the ``ServerConfig`` fields that make a server survive
+  the plan — periodic checkpoints when it crashes servers,
+  transactional outbox delivery and the presumed-lost requeue window
+  when the transport or a client can eat messages;
 * run the drills: kill servers (checkpoint -> ``shutdown`` ->
   ``recover_server`` under the same service name) and clients
   (``crash``/``restart``) at plan-scripted or plan-seeded instants,
@@ -42,9 +43,8 @@ class ChaosController:
         self.env = None
         self.bus: Optional[RpcBus] = None
         self.grid = None
-        self.scenario = None
-        #: label -> live server/client; the runner's own dicts, shared
-        #: so a recovery here is visible to result collection there.
+        #: label -> live server/client; a recovery replaces the entry,
+        #: and the stack collects results from the live incarnations.
         self.servers: dict = {}
         self.clients: dict = {}
         self._reconfigure: dict[str, Callable] = {}
@@ -54,7 +54,7 @@ class ChaosController:
         #: [(time, component, label, "crash"|"recover")]
         self.crash_log: list[tuple[float, str, str, str]] = []
 
-    # -- runner hooks (called by run_scenario) ----------------------------
+    # -- stack hooks (called by repro.experiments.runner.Stack) -----------
     def make_bus(self, env, obs=None) -> RpcBus:
         """The run's bus: chaotic only if the plan perturbs transport."""
         self.env = env
@@ -64,42 +64,44 @@ class ChaosController:
             self.bus = RpcBus(env, obs=obs)
         return self.bus
 
-    def tune_server_config(self, config, scenario) -> None:
-        """Make one server's config chaos-survivable (no-op plan: no-op)."""
-        if not self.plan.active:
-            return
-        if self.plan.crashes:
-            config.checkpoint_interval_s = self.plan.checkpoint_interval_s
-        if self.plan.eviction_active:
-            # Arm eviction tolerance only where the spec left the knob
-            # on auto (None) — an explicit False/0 is a deliberate
-            # baseline (kill-and-resubmit) and must stay as written.
-            if config.migrate_on_drain is None:
-                config.migrate_on_drain = self.plan.migrate_on_drain
-            if config.job_checkpoint_interval_s is None:
-                config.job_checkpoint_interval_s = (
-                    self.plan.job_checkpoint_interval_s
-                )
-            if config.job_checkpoint_cost_s is None:
-                config.job_checkpoint_cost_s = self.plan.job_checkpoint_cost_s
-        needs_redelivery = self.plan.transport_active or any(
-            c.component == "client" for c in self.plan.crashes
+    def server_config(self, job_timeout_s: float) -> dict:
+        """The ``ServerConfig`` fields this plan contributes so a server
+        survives it (an inactive plan contributes none).
+
+        They are defaults: the stack lays a spec's explicit eviction
+        knobs over them, so an explicit False/0 — a deliberate
+        kill-and-resubmit baseline — stays as written.
+        """
+        plan = self.plan
+        fields: dict = {}
+        if plan.crashes:
+            fields["checkpoint_interval_s"] = plan.checkpoint_interval_s
+        if plan.eviction_active:
+            fields.update(
+                migrate_on_drain=plan.migrate_on_drain,
+                job_checkpoint_interval_s=plan.job_checkpoint_interval_s,
+                job_checkpoint_cost_s=plan.job_checkpoint_cost_s,
+            )
+        needs_redelivery = plan.transport_active or any(
+            c.component == "client" for c in plan.crashes
         )
         if needs_redelivery:
-            config.reliable_delivery = True
-        if needs_redelivery or self.plan.crashes or self.plan.eviction_active:
-            window = self.plan.presume_lost_after_s
+            fields["reliable_delivery"] = True
+        if needs_redelivery or plan.crashes or plan.eviction_active:
+            window = plan.presume_lost_after_s
             if window is None:
                 # Past the client's own timeout + a healthy grace for
                 # backoff/retry storms, a silent job is a lost message.
-                window = config.job_timeout_s + 900.0
-            config.presume_lost_after_s = window
+                window = job_timeout_s + 900.0
+            fields["presume_lost_after_s"] = window
+        return fields
 
     def register(self, label: str, server=None, client=None,
                  reconfigure: Optional[Callable] = None) -> None:
-        """One server/client pair + the closure that re-applies its
-        policy grants to a recovered replacement (grants live outside
-        the warehouse, like the paper's policy config file).
+        """One server and/or client + the closure that re-applies the
+        server's out-of-warehouse wiring (policy grants, like the
+        paper's policy config file; a shard's peer links) to a
+        recovered replacement.
 
         Federated runs register shard servers and user clients under
         disjoint labels (a shard has no single client, a user has no
@@ -107,17 +109,14 @@ class ChaosController:
         explicit label then targets only the populated side."""
         if server is not None:
             self.servers[label] = server
-            self._reconfigure[label] = (
-                reconfigure if reconfigure is not None else lambda _s: None
-            )
+            self._reconfigure[label] = reconfigure
         if client is not None:
             self.clients[label] = client
 
-    def install(self, env, grid, scenario) -> None:
+    def install(self, env, grid) -> None:
         """Arm the drills; called once, before the run starts."""
         self.env = env
         self.grid = grid
-        self.scenario = scenario
         if not self.plan.active:
             return
         if self.plan.site_windows:
@@ -204,8 +203,8 @@ class ChaosController:
                     old.monitoring, old.rls, old.last_checkpoint,
                     obs=self.obs if self.obs.enabled else None,
                     server_cls=type(old),
+                    reconfigure=self._reconfigure[label],
                 )
-                self._reconfigure[label](replacement)
                 self.servers[label] = replacement
                 self.crash_log.append(
                     (self.env.now, "server", label, "recover")

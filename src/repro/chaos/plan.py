@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass
 from fnmatch import fnmatch
 from typing import Optional
 
+from repro.core.server import require_non_negative, require_positive
 from repro.simgrid.failures import DowntimeWindow, EvictionEvent
 
 __all__ = [
@@ -66,11 +67,16 @@ class FaultRule:
         for name in ("drop_p", "dup_p", "delay_p"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
-        if self.drop_p + self.dup_p + self.delay_p > 1.0 + 1e-9:
-            raise ValueError("drop_p + dup_p + delay_p must be <= 1")
-        if self.max_extra_delay_s < 0 or self.dup_delay_s < 0:
-            raise ValueError("delays must be >= 0")
+                raise ValueError(
+                    f"FaultRule.{name} must be in [0, 1], got {p!r}"
+                )
+        total = self.drop_p + self.dup_p + self.delay_p
+        if total > 1.0 + 1e-9:
+            raise ValueError(
+                f"FaultRule.drop_p + dup_p + delay_p must be <= 1, "
+                f"got {total!r}"
+            )
+        require_non_negative(self, "max_extra_delay_s", "dup_delay_s")
 
     def matches(self, service: str, method: str) -> bool:
         return fnmatch(service, self.service) and fnmatch(method, self.method)
@@ -91,9 +97,11 @@ class PartitionWindow:
     end_s: float
 
     def __post_init__(self) -> None:
-        if self.start_s < 0 or self.end_s <= self.start_s:
+        require_non_negative(self, "start_s")
+        if not self.end_s > self.start_s:
             raise ValueError(
-                f"invalid partition [{self.start_s}, {self.end_s})"
+                f"PartitionWindow.end_s must be > start_s, "
+                f"got {self.end_s!r} (start_s {self.start_s!r})"
             )
 
     def covers(self, service: str, now: float) -> bool:
@@ -120,17 +128,21 @@ class CrashSpec:
     def __post_init__(self) -> None:
         if self.component not in ("server", "client"):
             raise ValueError(
-                f"unknown component {self.component!r} "
-                "(expected 'server' or 'client')"
+                f"CrashSpec.component must be 'server' or 'client', "
+                f"got {self.component!r}"
             )
         if self.at_s is None and self.window is None:
-            raise ValueError("a crash needs at_s or a window to draw from")
-        if self.at_s is not None and self.at_s < 0:
-            raise ValueError("at_s must be >= 0")
-        if self.down_s <= 0:
-            raise ValueError("down_s must be > 0")
+            raise ValueError(
+                "CrashSpec needs at_s or a window to draw the instant from"
+            )
+        if self.at_s is not None:
+            require_non_negative(self, "at_s")
+        require_positive(self, "down_s")
         if self.window is not None and not self.window[0] < self.window[1]:
-            raise ValueError(f"invalid crash window {self.window}")
+            raise ValueError(
+                f"CrashSpec.window must be (lo, hi) with lo < hi, "
+                f"got {self.window!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -159,8 +171,9 @@ class ChaosPlan:
     eviction_mtbf_s: Optional[float] = None
     eviction_notice_s: float = 120.0
     eviction_outage_s: float = 600.0
-    #: survival settings the tuner applies when the eviction axis is
-    #: active, for servers whose spec left them on auto (None).  Named
+    #: survival settings the plan contributes to ``ServerConfig`` when
+    #: the eviction axis is active, under whatever a server's spec set
+    #: explicitly (``ChaosController.server_config``).  Named
     #: apart from ``checkpoint_interval_s``, which is the *warehouse*
     #: checkpoint period — these are per-*job* progress checkpoints.
     migrate_on_drain: bool = True
@@ -168,23 +181,15 @@ class ChaosPlan:
     job_checkpoint_cost_s: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.site_mtbf_s is not None and self.site_mtbf_s <= 0:
-            raise ValueError("site_mtbf_s must be > 0")
-        if self.site_mttr_s <= 0:
-            raise ValueError("site_mttr_s must be > 0")
-        if self.checkpoint_interval_s < 0:
-            raise ValueError("checkpoint_interval_s must be >= 0")
-        if (self.presume_lost_after_s is not None
-                and self.presume_lost_after_s <= 0):
-            raise ValueError("presume_lost_after_s must be > 0")
-        if self.eviction_mtbf_s is not None and self.eviction_mtbf_s <= 0:
-            raise ValueError("eviction_mtbf_s must be > 0")
-        if self.eviction_notice_s < 0:
-            raise ValueError("eviction_notice_s must be >= 0")
-        if self.eviction_outage_s <= 0:
-            raise ValueError("eviction_outage_s must be > 0")
-        if self.job_checkpoint_interval_s < 0 or self.job_checkpoint_cost_s < 0:
-            raise ValueError("job checkpoint knobs must be >= 0")
+        require_positive(self, "site_mttr_s", "eviction_outage_s", *(
+            name for name in ("site_mtbf_s", "presume_lost_after_s",
+                              "eviction_mtbf_s")
+            if getattr(self, name) is not None  # None = off / derived
+        ))
+        require_non_negative(
+            self, "checkpoint_interval_s", "eviction_notice_s",
+            "job_checkpoint_interval_s", "job_checkpoint_cost_s",
+        )
 
     # -- classification ---------------------------------------------------
     @property
@@ -194,7 +199,7 @@ class ChaosPlan:
     @property
     def eviction_active(self) -> bool:
         """True when the plan drains sites spot-style (scripted or
-        stochastic) — the axis that arms checkpoint/migration tuning."""
+        stochastic) — the axis that arms job checkpointing and migration."""
         return bool(self.site_evictions) or self.eviction_mtbf_s is not None
 
     @property
@@ -333,7 +338,7 @@ def _spot_eviction(seed: int) -> ChaosPlan:
     """Spot-market churn: every site can be drained with 120s notice.
 
     A stochastic per-site eviction storm (2h MTBF) publishes drain
-    notices and reclaims the slots 600s at a time.  The tuner arms job
+    notices and reclaims the slots 600s at a time.  The plan arms job
     checkpointing and drain migration on every server whose spec left
     them on auto, so the drill exercises the full preempt → checkpoint
     → migrate → resume loop; the invariants then audit that no DAG is

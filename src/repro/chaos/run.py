@@ -1,8 +1,8 @@
 """One-call chaos drills: plan in, invariant report out.
 
 :func:`run_chaos` is the facade the CLI, CI smoke job, and property
-tests share: build a controller for the plan, run the scenario through
-the standard experiment runner with chaos armed, give in-flight
+tests share: build a controller for the plan, run the scenario on the
+topology its type names with chaos armed, give in-flight
 delivery acks a short grace to land, then audit the end state with
 :func:`~repro.chaos.invariants.check_invariants`.
 
@@ -19,11 +19,11 @@ from repro.chaos.drills import ChaosController
 from repro.chaos.invariants import InvariantReport, check_invariants
 from repro.chaos.plan import ChaosPlan
 from repro.experiments.parallel import headline_metrics
-from repro.experiments.runner import ExperimentResult, run_scenario
-from repro.experiments.scenarios import Scenario
+from repro.experiments.runner import ExperimentResult
+from repro.federation.runner import run_topology
 from repro.sim.engine import Environment
 
-__all__ = ["ChaosRunResult", "drain_and_audit", "run_chaos"]
+__all__ = ["ChaosRunResult", "run_chaos"]
 
 #: post-run settle time: enough for one redelivery round trip so a
 #: delivery ack in flight at the stop instant is not miscounted as an
@@ -85,26 +85,21 @@ class ChaosRunResult:
         return "\n".join(lines)
 
 
-def run_chaos(scenario: Scenario, plan: ChaosPlan,
-              obs=None) -> ChaosRunResult:
-    """Run ``scenario`` under ``plan`` and audit the wreckage."""
-    return drain_and_audit(
-        scenario, plan, obs,
-        lambda env, chaos: (
-            run_scenario(scenario, env=env, obs=obs, chaos=chaos), None
-        ),
-    )
+def run_chaos(scenario, plan: ChaosPlan, obs=None) -> ChaosRunResult:
+    """Run ``scenario`` — competing servers or a federation — under
+    ``plan`` and audit the wreckage.
 
-
-def drain_and_audit(scenario, plan: ChaosPlan, obs, run) -> ChaosRunResult:
-    """The drill every topology shares: arm, run, drain, audit.
-
-    ``run(env, controller)`` executes the scenario with chaos armed and
-    returns ``(ExperimentResult, federation run or None)``.
+    A federated scenario adds the federation audit (no DAG lost between
+    meta and shards, placed exactly once, cross-shard lease
+    conservation).  Transport faults are fair game there too: the
+    meta's two-phase offer/confirm forward keeps placement exactly-once
+    under dropped requests, dropped replies, and duplicated dispatches
+    alike.
     """
     controller = ChaosController(plan, obs=obs)
     env = Environment()
-    result, federation = run(env, controller)
+    result, federation = run_topology(scenario, env=env, obs=obs,
+                                      chaos=controller)
     # The run stops the instant the last DAG finishes; transactional
     # delivery acks for that very report may still be on the wire.
     env.run(until=env.now + scenario.tick_s + _DRAIN_GRACE_S)

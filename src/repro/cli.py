@@ -422,23 +422,18 @@ def _run_chaos_command(args, horizon: float) -> int:
         return 2
     try:  # scenario and plan validation both raise ValueError
         if args.scenario == "ext-federation":
-            from repro.federation import (
-                ext_federation_scenario,
-                run_federation_chaos,
-            )
+            from repro.federation import ext_federation_scenario
 
             scenario = ext_federation_scenario(
                 n_shards=args.shards, dags_per_user=args.dags,
                 seed=args.seed, horizon_s=horizon,
                 submit_interval_s=args.submit_interval,
             )
-            runner = run_federation_chaos
         else:
             scenario = TRACE_SCENARIOS[args.scenario](
                 args.dags, args.seed, horizon_s=horizon,
             )
-            runner = run_chaos
-        res = runner(scenario, plan)
+        res = run_chaos(scenario, plan)
     except ValueError as exc:
         print(f"repro chaos: {exc}", file=sys.stderr)
         return 2

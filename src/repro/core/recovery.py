@@ -22,7 +22,7 @@ Recovery policy (documented at-least-once semantics):
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from repro.core.serialize import payload_to_dag
 from repro.core.server import ServerConfig, SphinxServer
@@ -44,6 +44,7 @@ def recover_server(
     checkpoint: Optional[dict],
     obs=None,
     server_cls: type[SphinxServer] = SphinxServer,
+    reconfigure: Optional[Callable[[SphinxServer], None]] = None,
 ) -> SphinxServer:
     """A replacement server resuming from ``checkpoint``.
 
@@ -56,9 +57,12 @@ def recover_server(
     restart (observers live outside the failure domain).
 
     ``server_cls`` rebuilds subclassed servers (a federation shard) as
-    their own kind; the constructor signature is the contract.  Any
-    subclass wiring that lives outside the warehouse (peer links,
-    digest handlers) is the caller's job after this returns.
+    their own kind; the constructor signature is the contract.
+
+    ``reconfigure`` re-applies what lives outside the warehouse (policy
+    grants and exemptions, a shard's peer links and digest handlers) to
+    the replacement *before* requeued jobs are refunded: a refund for a
+    user whose exemption is not back yet reads as "never charged".
     """
     warehouse = Warehouse()
     if checkpoint is not None:
@@ -69,6 +73,8 @@ def recover_server(
         env, bus, config, site_catalog, monitoring, rls,
         warehouse=warehouse, obs=obs,
     )
+    if reconfigure is not None:
+        reconfigure(server)
     if checkpoint is not None:
         _refund_requeued(server)
     return server

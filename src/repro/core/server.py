@@ -55,7 +55,8 @@ from repro.services.rpc import RpcBus
 from repro.sim.engine import Environment, Wakeup
 from repro.workflow.dag import Dag
 
-__all__ = ["ServerConfig", "SphinxServer", "require_positive"]
+__all__ = ["ServerConfig", "SphinxServer", "require_non_negative",
+           "require_positive"]
 
 # Enum .value lookups cost a descriptor call each; the control loop
 # compares job/dag states hundreds of thousands of times per run, so the
@@ -83,6 +84,16 @@ def require_positive(config, *fields: str) -> None:
         if not value > 0:
             raise ValueError(
                 f"{type(config).__name__}.{name} must be > 0, got {value!r}"
+            )
+
+
+def require_non_negative(config, *fields: str) -> None:
+    """Reject delay/amount fields that are negative or NaN (0 = off)."""
+    for name in fields:
+        value = getattr(config, name)
+        if not value >= 0:
+            raise ValueError(
+                f"{type(config).__name__}.{name} must be >= 0, got {value!r}"
             )
 
 
@@ -141,16 +152,15 @@ class ServerConfig:
     #: (:meth:`SphinxServer.drain_notice`) evict every in-flight job at
     #: the site so its checkpoint is persisted and the job replans onto
     #: a live site inside the notice window, instead of losing the work
-    #: at the reclaim instant.  None (default) means "auto": off unless
-    #: a chaos plan's eviction axis arms it; an explicit False wins
-    #: over the plan (the kill-and-resubmit baseline).
-    migrate_on_drain: Optional[bool] = None
+    #: at the reclaim instant.  Off by default (kill-and-resubmit); a
+    #: chaos plan's eviction axis arms it for specs that left it unset.
+    migrate_on_drain: bool = False
     #: job checkpointing: > 0 makes every planned job persist progress
     #: each interval (at ``job_checkpoint_cost_s`` CPU-seconds per
     #: write), so a killed attempt resumes from its last checkpoint
-    #: rather than zero.  None = auto (chaos plan decides); 0 = off.
-    job_checkpoint_interval_s: Optional[float] = None
-    job_checkpoint_cost_s: Optional[float] = None
+    #: rather than zero.  0 = off.
+    job_checkpoint_interval_s: float = 0.0
+    job_checkpoint_cost_s: float = 0.0
 
     def __post_init__(self) -> None:
         require_positive(self, "tick_s", "job_timeout_s")
@@ -940,7 +950,7 @@ class SphinxServer:
                 self.config.job_checkpoint_interval_s
             )
             plan_payload["checkpoint_cost_s"] = (
-                self.config.job_checkpoint_cost_s or 0.0
+                self.config.job_checkpoint_cost_s
             )
         self._send(drow["client_id"], "plan", plan_payload)
         return True

@@ -43,7 +43,7 @@ from repro.experiments.figures import (
     fig7_scenario,
     fig8_scenario,
 )
-from repro.experiments.runner import ExperimentResult, run_scenario
+from repro.experiments.runner import ExperimentResult
 from repro.experiments.scenarios import (
     Scenario,
     ServerSpec,
@@ -175,8 +175,9 @@ def federation_suite(shard_counts: Sequence[int], seed: int = 42,
 
     ``scale`` shrinks the per-user DAG count (floor of 2); the shard
     counts are the point of the sweep and stay as requested.  Cases
-    run under :func:`repro.federation.run_federation` — ``_run_case``
-    dispatches on the scenario type.
+    run under :func:`repro.federation.run_federation` —
+    :func:`repro.federation.runner.run_topology` picks it from the
+    scenario type.
     """
     if scale <= 0:
         raise ValueError("scale must be > 0")
@@ -242,13 +243,14 @@ def eviction_suite(scale: float = 1.0,
 
 
 def _dispatch(scenario, obs, heartbeat, plan=None) -> ExperimentResult:
-    """Run one scenario under whichever runner owns its type.
+    """Run one scenario, drilled or bare, on whichever topology its
+    type names (``run_topology`` decides).
 
     With ``plan`` set the case runs as a chaos drill (no heartbeat —
     drills audit end state, they are not perf probes) and an invariant
     violation raises instead of returning a quietly-broken result.
     """
-    # Lazy imports: both runners import back into this package.
+    # Lazy imports: both modules import back into this package.
     if plan is not None:
         from repro.chaos.run import run_chaos
 
@@ -259,11 +261,9 @@ def _dispatch(scenario, obs, heartbeat, plan=None) -> ExperimentResult:
                 f"{drill.report.format_text()}"
             )
         return drill.result
-    from repro.federation.runner import FederationScenario, run_federation
+    from repro.federation.runner import run_topology
 
-    if isinstance(scenario, FederationScenario):
-        return run_federation(scenario, obs=obs, heartbeat=heartbeat).result
-    return run_scenario(scenario, obs=obs, heartbeat=heartbeat)
+    return run_topology(scenario, obs=obs, heartbeat=heartbeat)[0]
 
 
 def _run_case(case: SuiteCase,

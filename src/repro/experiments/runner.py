@@ -1,4 +1,9 @@
-"""Experiment runner: the full stack, N servers competing, one grid.
+"""Experiment runner: the stack, and N servers competing on it.
+
+:class:`Stack` is the one place a run is assembled, driven, exported
+and reported; :func:`run_scenario` populates it with the paper's
+topology (below), :func:`repro.federation.runner.run_federation` with
+a meta-scheduler over shards.
 
 Protocol (paper §4.2): every server variant gets its *own* SPHINX
 server + client + workload, but all submit into the *same* simulated
@@ -20,8 +25,8 @@ minutes".
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,11 +41,11 @@ from repro.services.rls import ReplicaService
 from repro.services.rpc import RpcBus
 from repro.sim.engine import Environment
 from repro.sim.rng import RngStreams
-from repro.simgrid.grid import Grid, make_grid3
+from repro.simgrid.grid import make_grid3
 from repro.simgrid.vo import User, VirtualOrganization
 from repro.workflow.generator import WorkloadGenerator
 
-__all__ = ["run_scenario", "ExperimentResult", "ServerResult"]
+__all__ = ["Stack", "run_scenario", "ExperimentResult", "ServerResult"]
 
 
 @dataclass(slots=True)
@@ -112,230 +117,252 @@ class ExperimentResult:
         return self.servers[label]
 
 
-def _build_server(
-    env: Environment,
-    bus: RpcBus,
-    scenario: Scenario,
-    spec: ServerSpec,
-    grid: Grid,
-    monitoring: MonitoringService,
-    rls: ReplicaService,
-    obs=None,
-    chaos=None,
-) -> SphinxServer:
-    config = ServerConfig(
-        name=spec.label,
-        algorithm=spec.algorithm,
-        algorithm_kwargs=dict(spec.algorithm_kwargs),
-        use_feedback=spec.use_feedback,
-        tick_s=scenario.tick_s,
-        job_timeout_s=scenario.job_timeout_s,
-        use_prediction_correction=spec.use_prediction_correction,
-        estimator_mode=spec.estimator_mode,
-        prediction_correction_strength=spec.prediction_correction_strength,
-        reserve_ahead=spec.reserve_ahead,
-        reservation_slack=spec.reservation_slack,
-        checkpoint_interval_s=0.0,  # recovery is exercised separately
-        migrate_on_drain=spec.migrate_on_drain,
-        job_checkpoint_interval_s=spec.job_checkpoint_interval_s,
-        job_checkpoint_cost_s=spec.job_checkpoint_cost_s,
-    )
-    if chaos is not None:
-        # Chaos runs need survivable settings (checkpoints, transactional
-        # delivery, presumed-lost requeue); an inactive plan changes
-        # nothing, keeping chaos-disabled runs bit-identical.
-        chaos.tune_server_config(config, scenario)
-    # Servers read the *advertised* catalog — the static information a
-    # 2004 scheduler actually had, which may overstate usable capacity.
-    return SphinxServer(env, bus, config, grid.advertised_catalog,
-                        monitoring, rls, obs=obs)
+class Stack:
+    """One grid, one bus, one set of services — what every topology runs on.
 
+    A topology function (:func:`run_scenario` for competing servers,
+    :func:`repro.federation.runner.run_federation` for meta + shards)
+    builds a stack, says *which* servers and clients go on it and *in
+    which order*, then calls :meth:`run`.  The stack owns everything
+    that is the same whichever way it is populated: env/obs binding,
+    the grid and its fault script, the bus (the chaos controller's when
+    one is armed), the grid services, ``ServerConfig`` and server
+    construction, client construction with its workload and staging,
+    the run itself and result assembly.
 
-def run_scenario(scenario: Scenario,
-                 env: Optional[Environment] = None,
-                 obs=None,
-                 chaos=None,
-                 heartbeat=None) -> ExperimentResult:
-    """Run one scenario to completion (or its horizon).
-
-    ``obs`` is an optional :class:`repro.obs.Obs` facade.  When absent,
-    every layer sees the shared no-op facade and the run is bit-identical
-    to an uninstrumented one (no extra kernel events, no RNG draws).
-
-    ``chaos`` is an optional :class:`repro.chaos.ChaosController` (duck-
-    typed — this module never imports ``repro.chaos``).  It supplies the
-    run's bus, tunes server configs for survivability, and arms its
-    fault drills before the run starts.  With a no-op plan the
-    controller is inert and the run is bit-identical to ``chaos=None``.
-
-    ``heartbeat`` is an optional :class:`repro.obs.runtime.Heartbeat`:
-    the kernel's instrumented loop gives it a wall-clock cadence check
-    every few thousand events and it emits live progress records
-    (stderr + JSONL) plus stall flags.  Wall-clock only — a heartbeat
-    run's scheduling output is bit-identical to a bare one.
+    Construction order *is* process-creation and bus-registration
+    order, so the stack only offers steps — it never reorders them.
     """
-    if env is None:
-        env = Environment()
-    obs = obs_mod.get(obs)
-    if obs.enabled:
-        obs.bind(env)
-        if obs.tracer.enabled:
-            # Span mode also tallies processed kernel events by type;
-            # the instrumented loop replicates run() exactly, so
-            # event_count (and everything else) is unchanged.
-            env.obs_tally = {}
-    if heartbeat is not None:
-        spec = scenario.workload_spec()
-        heartbeat.bind(
-            env, obs=obs,
-            total_jobs=(scenario.n_dags
-                        * getattr(spec, "jobs_per_dag", 0)
-                        * len(scenario.servers)) or None,
+
+    def __init__(self, scenario, env: Optional[Environment] = None,
+                 obs=None, chaos=None, heartbeat=None):
+        if env is None:
+            env = Environment()
+        obs = obs_mod.get(obs)
+        if obs.enabled:
+            obs.bind(env)
+            if obs.tracer.enabled:
+                # Span mode also tallies processed kernel events by type;
+                # the instrumented loop replicates run() exactly, so
+                # event_count (and everything else) is unchanged.
+                env.obs_tally = {}
+        self.scenario = scenario
+        self.env = env
+        self.obs = obs
+        self.chaos = chaos
+        self.heartbeat = heartbeat
+        self.rng = RngStreams(scenario.seed)
+        grid = make_grid3(env, self.rng, sites=scenario.sites,
+                          background=scenario.background,
+                          background_batch_s=scenario.background_batch_s)
+        grid.failures.schedule_windows(scenario.resolved_fault_windows())
+        if obs.enabled:
+            for site in grid:
+                site.obs = obs
+        self.grid = grid
+
+        if chaos is not None:
+            self.bus = chaos.make_bus(env, obs=obs)
+        else:
+            self.bus = RpcBus(env, obs=obs)
+        self.rls = ReplicaService(env, grid.site_names)
+        self.gridftp = GridFtpService(env, grid, self.rls)
+        # The bus reference exposes the "condor-g" reservation RPCs to
+        # reserve-ahead servers; registration is pure dict work, so
+        # reservation-less runs stay bit-identical.
+        self.condorg = CondorG(env, grid, bus=self.bus)
+        self.monitoring = MonitoringService(
+            env, grid, update_interval_s=scenario.monitoring_interval_s
         )
-    rng = RngStreams(scenario.seed)
-    grid = make_grid3(env, rng, sites=scenario.sites,
-                      background=scenario.background,
-                      background_batch_s=scenario.background_batch_s)
-    grid.failures.schedule_windows(scenario.resolved_fault_windows())
-    if obs.enabled:
-        for site in grid:
-            site.obs = obs
+        if obs.enabled and obs.config.sample_sites:
+            # The only obs mode that *does* schedule kernel events: the
+            # omniscient telemetry sampler, opted into explicitly (trace
+            # CLI), never by golden-metric or benchmark paths.
+            from repro.experiments.telemetry import GridTelemetry
 
-    if chaos is not None:
-        bus = chaos.make_bus(env, obs=obs)
-    else:
-        bus = RpcBus(env, obs=obs)
-    rls = ReplicaService(env, grid.site_names)
-    gridftp = GridFtpService(env, grid, rls)
-    # The bus reference exposes the "condor-g" reservation RPCs to
-    # reserve-ahead servers; registration is pure dict work, so
-    # reservation-less runs stay bit-identical.
-    condorg = CondorG(env, grid, bus=bus)
-    monitoring = MonitoringService(
-        env, grid, update_interval_s=scenario.monitoring_interval_s
-    )
-    if obs.enabled and obs.config.sample_sites:
-        # The only obs mode that *does* schedule kernel events: the
-        # omniscient telemetry sampler, opted into explicitly (trace
-        # CLI), never by golden-metric or benchmark paths.
-        from repro.experiments.telemetry import GridTelemetry
+            GridTelemetry(env, grid,
+                          sample_interval_s=obs.config.telemetry_interval_s,
+                          metrics=obs.metrics)
 
-        GridTelemetry(env, grid,
-                      sample_interval_s=obs.config.telemetry_interval_s,
-                      metrics=obs.metrics)
+        self.vo = VirtualOrganization("repro")
+        #: label -> live server / client, and the spec each server was
+        #: built from (result rows come out in this order)
+        self.servers: dict[str, SphinxServer] = {}
+        self.clients: dict[str, SphinxClient] = {}
+        self.specs: list[ServerSpec] = []
+        self._total_jobs = 0
 
-    vo = VirtualOrganization("repro")
-    site_cycle = list(grid.site_names)
-    clients: dict[str, SphinxClient] = {}
-    servers: dict[str, SphinxServer] = {}
+    def add_server(self, spec: ServerSpec, name: Optional[str] = None,
+                   server_cls: type[SphinxServer] = SphinxServer
+                   ) -> SphinxServer:
+        """Build one server from ``spec`` (config name ``name``, default
+        the spec's label).
 
-    for idx, spec in enumerate(scenario.servers):
-        server = _build_server(env, bus, scenario, spec, grid, monitoring,
-                               rls, obs=obs, chaos=chaos)
-        user = User(f"user-{spec.label}", vo)
-        _configure_policy(server, user, scenario, grid)
+        The config is written once, in layers: experiment defaults,
+        then what an armed chaos plan contributes for survivability
+        (checkpoints, transactional delivery, presumed-lost requeue,
+        eviction tolerance — nothing from an inactive plan, keeping
+        chaos-disabled runs bit-identical), then the spec, whose fields
+        are ``ServerConfig``'s by name; an eviction knob the spec left
+        on auto (None) is left to the layers below, a set one wins.
+        """
+        scenario = self.scenario
+        fields = {
+            "tick_s": scenario.tick_s,
+            "job_timeout_s": scenario.job_timeout_s,
+            "checkpoint_interval_s": 0.0,  # recovery is drilled, not default
+        }
+        if self.chaos is not None:
+            fields.update(self.chaos.server_config(scenario.job_timeout_s))
+        fields.update((k, v) for k, v in asdict(spec).items() if v is not None)
+        label = fields.pop("label")
+        config = ServerConfig(name=name if name is not None else label,
+                              **fields)
+        # Servers read the *advertised* catalog — the static information a
+        # 2004 scheduler actually had, which may overstate usable capacity.
+        server = server_cls(self.env, self.bus, config,
+                            self.grid.advertised_catalog, self.monitoring,
+                            self.rls, obs=self.obs)
+        self.servers[label] = server
+        self.specs.append(spec)
+        return server
+
+    def configure(self, label: str, reconfigure: Callable) -> None:
+        """Apply the wiring that lives outside the warehouse (policy
+        grants, like the paper's policy config file; a shard's peer
+        links) to server ``label`` — now, and to every replacement a
+        crash drill recovers under that label."""
+        reconfigure(self.servers[label])
+        if self.chaos is not None:
+            self.chaos.register(label, server=self.servers[label],
+                                reconfigure=reconfigure)
+
+    def add_client(self, label: str, user: User,
+                   service_name: str) -> tuple[SphinxClient, list]:
+        """Build ``user``'s client against ``service_name``, generate its
+        workload and stage the external inputs; the caller submits the
+        returned DAGs.
+
+        Workloads are structurally identical across clients: same seed,
+        own id prefix (and hence disjoint LFNs).
+        """
+        scenario = self.scenario
+        idx = len(self.clients)
         client = SphinxClient(
-            env, bus, server.service_name, condorg, gridftp, rls,
-            user, client_id=f"client-{spec.label}", poll_s=scenario.poll_s,
+            self.env, self.bus, service_name, self.condorg, self.gridftp,
+            self.rls, user, client_id=f"client-{label}",
+            poll_s=scenario.poll_s,
             # Dedicated jitter stream per client: drawing backoff jitter
             # must never perturb workload/grid streams (and is only
             # drawn at all while a server is unreachable).
-            rng=rng.stream(f"backoff-{spec.label}"),
-            obs=obs,
+            rng=self.rng.stream(f"backoff-{label}"),
+            obs=self.obs,
         )
-        servers[spec.label] = server
-        clients[spec.label] = client
-        if chaos is not None:
-            # Grants live outside the warehouse (like the paper's policy
-            # config file): a recovered server must have them re-applied.
-            chaos.register(
-                spec.label, server, client,
-                reconfigure=lambda srv, user=user: _configure_policy(
-                    srv, user, scenario, grid
-                ),
-            )
-
-        # Identical workload structure per server: same seed, own prefix.
+        self.clients[label] = client
+        if self.chaos is not None:
+            self.chaos.register(label, client=client)
         gen = WorkloadGenerator(RngStreams(scenario.seed).stream("workload"))
-        dags = gen.generate(scenario.workload_spec(), name_prefix=spec.label)
+        dags = gen.generate(scenario.workload_spec(), name_prefix=label)
+        sites = self.grid.site_names
         for j, dag in enumerate(dags):
             # External inputs get TWO replicas at distinct sites — input
             # datasets lived on replicated storage elements; a single
             # site death must not erase a campaign's inputs.
-            home = grid.site(site_cycle[(idx + j) % len(site_cycle)])
-            backup = grid.site(
-                site_cycle[(idx + j + len(site_cycle) // 2) % len(site_cycle)]
+            for k in (idx + j, idx + j + len(sites) // 2):
+                client.stage_external_inputs(
+                    dag, self.grid.site(sites[k % len(sites)])
+                )
+            self._total_jobs += len(dag)
+        return client, dags
+
+    def run(self) -> ExperimentResult:
+        """Drive until every client's DAGs finish or the horizon hits,
+        then export the run's metrics and assemble the result.
+
+        Each client settles its ``done`` event the instant its last
+        DAG-finished report lands, so the run stops at the true
+        completion time (a polling watchdog would round it up to its
+        next wakeup and bias every censored-DAG measurement by up to
+        the poll period).
+        """
+        env, obs, scenario = self.env, self.obs, self.scenario
+        if self.heartbeat is not None:
+            self.heartbeat.bind(env, obs=obs,
+                                total_jobs=self._total_jobs or None)
+        if self.chaos is not None:
+            self.chaos.install(env, self.grid)
+        done_events = [c.done for c in self.clients.values()]
+        run_t0 = time.perf_counter()
+        env.run(until=env.any_of(
+            [env.all_of(done_events), env.timeout(scenario.horizon_s)]
+        ))
+        run_wall_ms = (time.perf_counter() - run_t0) * 1e3
+        all_done = all(ev.triggered for ev in done_events)
+        elapsed_sim_s = env.now if all_done else scenario.horizon_s
+        if self.heartbeat is not None:
+            self.heartbeat.finalize(env.now, env.event_count)
+        if self.chaos is not None:
+            # Crash drills replace server objects; the controller's dict
+            # tracks the live incarnation of each label.
+            self.servers = self.chaos.servers
+
+        if obs.enabled:
+            if env.obs_tally is not None:
+                for etype, n in sorted(env.obs_tally.items()):
+                    obs.metrics.counter("kernel.events", type=etype).inc(n)
+            obs.metrics.gauge("run.elapsed_sim_s").set(elapsed_sim_s)
+            # Wall-clock attribution: per-phase totals from the exclusive
+            # phase timers, with the unattributed remainder (event
+            # dispatch, process switching, transfers...) booked to
+            # "kernel" so the breakdown sums to the run's real wall time.
+            phase_ms = obs.phases.wall_ms()
+            for phase, ms in sorted(phase_ms.items()):
+                obs.metrics.counter("server.wall_ms", phase=phase).inc(ms)
+            obs.metrics.counter("server.wall_ms", phase="kernel").inc(
+                max(0.0, run_wall_ms - sum(phase_ms.values()))
             )
-            client.stage_external_inputs(dag, home)
-            client.stage_external_inputs(dag, backup)
-            env.process(client.submit_dag(dag))
+            obs.tracer.close()
 
-    # Drive until every client's DAGs finish or the horizon hits.  Each
-    # client settles its `done` event the instant its last DAG-finished
-    # report lands, so the run stops at the true completion time (a
-    # polling watchdog would round it up to its next wakeup and bias
-    # every censored-DAG measurement by up to the poll period).
-    if chaos is not None:
-        chaos.install(env, grid, scenario)
-    done_events = [c.done for c in clients.values()]
-    run_t0 = time.perf_counter()
-    env.run(until=env.any_of(
-        [env.all_of(done_events), env.timeout(scenario.horizon_s)]
-    ))
-    run_wall_ms = (time.perf_counter() - run_t0) * 1e3
-    all_done = all(ev.triggered for ev in done_events)
-    if heartbeat is not None:
-        heartbeat.finalize(env.now, env.event_count)
-    if chaos is not None:
-        # Crash drills replace server objects; the controller's dict
-        # tracks the live incarnation of each label.
-        servers = chaos.servers
-
-    if obs.enabled:
-        if env.obs_tally is not None:
-            for etype, n in sorted(env.obs_tally.items()):
-                obs.metrics.counter("kernel.events", type=etype).inc(n)
-        obs.metrics.gauge("run.elapsed_sim_s").set(
-            env.now if all_done else scenario.horizon_s
+        result = ExperimentResult(
+            scenario_name=scenario.name,
+            horizon_reached=not all_done,
+            elapsed_sim_s=elapsed_sim_s,
+            event_count=env.event_count,
+            rpc_count=self.bus.call_count,
         )
-        # Wall-clock attribution: per-phase totals from the exclusive
-        # phase timers, with the unattributed remainder (event
-        # dispatch, process switching, transfers...) booked to
-        # "kernel" so the breakdown sums to the run's real wall time.
-        phase_ms = obs.phases.wall_ms()
-        for phase, ms in sorted(phase_ms.items()):
-            obs.metrics.counter("server.wall_ms", phase=phase).inc(ms)
-        obs.metrics.counter("server.wall_ms", phase="kernel").inc(
-            max(0.0, run_wall_ms - sum(phase_ms.values()))
-        )
-        obs.tracer.close()
+        for spec in self.specs:
+            result.servers[spec.label] = self._server_result(
+                spec, elapsed_sim_s
+            )
+        return result
 
-    result = ExperimentResult(
-        scenario_name=scenario.name,
-        horizon_reached=not all_done,
-        elapsed_sim_s=env.now if all_done else scenario.horizon_s,
-        event_count=env.event_count,
-        rpc_count=bus.call_count,
-    )
-    for spec in scenario.servers:
-        server = servers[spec.label]
-        client = clients[spec.label]
+    def _server_result(self, spec: ServerSpec,
+                       elapsed_sim_s: float) -> ServerResult:
+        server = self.servers[spec.label]
         dags_table = server.warehouse.table("dags")
-        censored = [
-            result.elapsed_sim_s - dags_table.get(dag_id)["received_at"]
-            for dag_id in server.unfinished_dags()
-        ]
-        result.servers[spec.label] = ServerResult(
+        completion_times = server.dag_completion_times()
+        # A server paired with the client of its own label (competing
+        # servers) reports that client's view and its job timing series;
+        # a shard's clients are per user and span shards, so its entry
+        # reports the server-side series only.
+        client = self.clients.get(spec.label)
+        stats = client.tracker.stats if client is not None else None
+        return ServerResult(
             label=spec.label,
             algorithm=spec.algorithm,
             use_feedback=spec.use_feedback,
-            finished_dags=client.finished_dag_count,
-            total_dags=scenario.n_dags,
-            dag_completion_times=server.dag_completion_times(),
-            censored_dag_times=censored,
-            job_completion_times=list(client.tracker.stats.completion_times),
-            job_idle_times=list(client.tracker.stats.idle_times),
-            job_execution_times=list(client.tracker.stats.execution_times),
+            finished_dags=(client.finished_dag_count if client is not None
+                           else len(completion_times)),
+            total_dags=len(client.dag_times if client is not None
+                           else dags_table),
+            dag_completion_times=completion_times,
+            censored_dag_times=[
+                elapsed_sim_s - dags_table.get(dag_id)["received_at"]
+                for dag_id in server.unfinished_dags()
+            ],
+            job_completion_times=list(stats.completion_times) if stats else [],
+            job_idle_times=list(stats.idle_times) if stats else [],
+            job_execution_times=list(stats.execution_times) if stats else [],
             resubmissions=server.resubmission_count,
             timeouts=server.timeout_count,
             jobs_per_site=server.jobs_per_site(),
@@ -345,14 +372,53 @@ def run_scenario(scenario: Scenario,
             checkpoint_restores=server.checkpoint_restore_count,
             preempted_work_s=server.preempted_work_s,
         )
-    return result
+
+
+def run_scenario(scenario: Scenario,
+                 env: Optional[Environment] = None,
+                 obs=None,
+                 chaos=None,
+                 heartbeat=None) -> ExperimentResult:
+    """Run one scenario to completion (or its horizon): the competing-
+    servers topology — per spec, in order: server, its user's grants,
+    client, submissions.
+
+    ``obs`` is an optional :class:`repro.obs.Obs` facade.  When absent,
+    every layer sees the shared no-op facade and the run is bit-identical
+    to an uninstrumented one (no extra kernel events, no RNG draws).
+
+    ``chaos`` is an optional :class:`repro.chaos.ChaosController` (duck-
+    typed — this module never imports ``repro.chaos``).  It supplies the
+    run's bus, contributes survivable ``ServerConfig`` fields, and arms
+    its fault drills before the run starts.  With a no-op plan the
+    controller is inert and the run is bit-identical to ``chaos=None``.
+
+    ``heartbeat`` is an optional :class:`repro.obs.runtime.Heartbeat`:
+    the kernel's instrumented loop gives it a wall-clock cadence check
+    every few thousand events and it emits live progress records
+    (stderr + JSONL) plus stall flags.  Wall-clock only — a heartbeat
+    run's scheduling output is bit-identical to a bare one.
+    """
+    stack = Stack(scenario, env=env, obs=obs, chaos=chaos,
+                  heartbeat=heartbeat)
+    for spec in scenario.servers:
+        server = stack.add_server(spec)
+        user = User(f"user-{spec.label}", stack.vo)
+        stack.configure(
+            spec.label,
+            lambda srv, user=user: _configure_policy(srv, user, scenario),
+        )
+        client, dags = stack.add_client(spec.label, user, server.service_name)
+        for dag in dags:
+            stack.env.process(client.submit_dag(dag))
+    return stack.run()
 
 
 def _configure_policy(server: SphinxServer, user: User,
-                      scenario: Scenario, grid: Grid) -> None:
+                      scenario: Scenario) -> None:
     if scenario.quota_per_site is None:
         server.policy.grant_unlimited(user.proxy)
         return
-    for site in grid.site_names:
+    for site in server.site_catalog:
         for resource, amount in scenario.quota_per_site.items():
             server.policy.grant(user.proxy, site, resource, amount)

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.server import require_positive
+from repro.core.server import require_non_negative, require_positive
 from repro.simgrid.failures import DowntimeWindow
 from repro.simgrid.grid import GRID3_SITES, SiteSpec
 from repro.simgrid.site import SiteState
@@ -121,8 +121,7 @@ class Scenario:
             raise ValueError(f"duplicate server labels in {labels}")
         if self.n_dags < 1:
             raise ValueError("need at least one DAG")
-        if self.background_batch_s < 0:
-            raise ValueError("background_batch_s must be >= 0")
+        require_non_negative(self, "background_batch_s")
         require_positive(self, "tick_s", "poll_s", "job_timeout_s",
                          "monitoring_interval_s", "horizon_s")
 

@@ -29,7 +29,6 @@ from repro.federation.runner import (
     FederationScenario,
     ext_federation_scenario,
     run_federation,
-    run_federation_chaos,
 )
 from repro.federation.server import FederatedSphinxServer
 from repro.federation.shards import ShardMap
@@ -45,5 +44,4 @@ __all__ = [
     "FederationRun",
     "ext_federation_scenario",
     "run_federation",
-    "run_federation_chaos",
 ]

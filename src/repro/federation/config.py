@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.server import require_non_negative, require_positive
+
 __all__ = ["FederationConfig"]
 
 
@@ -44,18 +46,20 @@ class FederationConfig:
     lease_request_cooldown_s: float = 30.0
 
     def __post_init__(self):
-        if self.n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
-        if self.digest_interval_s < 0:
-            raise ValueError("digest_interval_s must be >= 0")
-        if self.digest_ttl_s <= 0:
-            raise ValueError("digest_ttl_s must be > 0")
-        if self.spill_threshold is not None and self.spill_threshold < 1:
-            raise ValueError("spill_threshold must be >= 1 or None")
-        if self.rehome_after_s <= 0:
-            raise ValueError("rehome_after_s must be > 0")
-        if self.forward_retry_s <= 0:
-            raise ValueError("forward_retry_s must be > 0")
+        if not self.n_shards >= 1:
+            raise ValueError(
+                f"FederationConfig.n_shards must be >= 1, "
+                f"got {self.n_shards!r}"
+            )
+        if self.spill_threshold is not None and not self.spill_threshold >= 1:
+            raise ValueError(
+                f"FederationConfig.spill_threshold must be >= 1 or None, "
+                f"got {self.spill_threshold!r}"
+            )
+        require_positive(self, "digest_ttl_s", "rehome_after_s",
+                         "forward_retry_s")
+        require_non_negative(self, "digest_interval_s",
+                             "lease_request_cooldown_s")
 
     # -- naming ----------------------------------------------------------
     def shard_labels(self) -> tuple[str, ...]:

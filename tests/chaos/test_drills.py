@@ -1,5 +1,7 @@
 """End-to-end chaos drills: presets pass, violations are detected."""
 
+import dataclasses
+
 import pytest
 
 from repro.chaos import ChaosPlan, CrashSpec, make_plan, run_chaos
@@ -44,6 +46,18 @@ def test_double_server_crash_in_one_run():
         per_label.setdefault(label, []).append(what)
     for events in per_label.values():
         assert events == ["crash", "recover", "crash", "recover"]
+
+
+def test_recovery_re_exempts_the_user_before_refunding():
+    """Quota-exempt users whose jobs carry requirements: the recovered
+    server must have the exemption back before it refunds the requeued
+    in-flight jobs, or the refund reads as "never charged"."""
+    res = run_chaos(
+        dataclasses.replace(fig2_scenario(3, 42),
+                            job_requirements={"cpu_s": 60.0}),
+        make_plan("crash", 1),
+    )
+    assert res.ok, res.report.format_text()
 
 
 def test_crash_before_first_checkpoint_is_detected():

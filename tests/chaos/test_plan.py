@@ -15,6 +15,45 @@ from repro.chaos import (
 )
 
 
+NAN = float("nan")
+
+
+def crash(**kw):
+    return CrashSpec("server", **{"at_s": 1.0, **kw})
+
+
+def partition(**kw):
+    return PartitionWindow(**{"service": "x", "start_s": 10.0,
+                              "end_s": 20.0, **kw})
+
+
+@pytest.mark.parametrize("build, bound, fields, bads", [
+    (FaultRule, r"in \[0, 1\]", ("drop_p", "dup_p", "delay_p"),
+     (-0.1, 1.5, NAN)),
+    (FaultRule, ">= 0", ("max_extra_delay_s", "dup_delay_s"), (-1.0, NAN)),
+    (partition, ">= 0", ("start_s",), (-1.0, NAN)),
+    (partition, "> start_s", ("end_s",), (10.0, 5.0, NAN)),
+    (crash, ">= 0", ("at_s",), (-1.0, NAN)),
+    (crash, "> 0", ("down_s",), (0.0, -1.0, NAN)),
+    (ChaosPlan, "> 0",
+     ("site_mtbf_s", "site_mttr_s", "presume_lost_after_s",
+      "eviction_mtbf_s", "eviction_outage_s"), (0.0, -1.0, NAN)),
+    (ChaosPlan, ">= 0",
+     ("checkpoint_interval_s", "eviction_notice_s",
+      "job_checkpoint_interval_s", "job_checkpoint_cost_s"), (-1.0, NAN)),
+])
+def test_bad_numbers_are_rejected_naming_class_and_field(build, bound,
+                                                         fields, bads):
+    # ``x < 0`` style checks let NaN through; every bound is written
+    # ``not x >= 0`` and the message names class and field.
+    for field in fields:
+        for bad in bads:
+            with pytest.raises(
+                ValueError, match=rf"^[A-Z]\w+\.{field} must be {bound}, got",
+            ):
+                build(**{field: bad})
+
+
 class TestFaultRule:
     def test_probability_bounds(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,10 @@ from repro.experiments import (
     run_suite,
     suite_payload,
 )
+from repro.chaos import make_plan
 from repro.experiments.parallel import _scaled
+from repro.federation import ext_federation_scenario, run_federation
+from repro.obs import Obs, ObsConfig
 from repro.simgrid.grid import SiteSpec
 
 #: A small fault-free grid so suite tests stay fast.
@@ -66,6 +69,28 @@ def test_event_count_recorded():
 def test_workers_validation():
     with pytest.raises(ValueError):
         run_suite(TINY_CASES, workers=0)
+
+
+def test_drilled_federated_case_runs_and_audits():
+    """A planned case is a drill whatever its topology (it used to go to
+    the competing-servers driver and die on ``scenario.servers``)."""
+    case = SuiteCase(
+        "x", ext_federation_scenario(n_shards=2, dags_per_user=1, seed=42),
+        plan=make_plan("lossy", 1),
+    )
+    (run,) = run_suite([case], workers=1)
+    assert run.result.event_count == 1628
+    assert sum(s.finished_dags for s in run.result.servers.values()) == 4
+
+
+def test_federated_run_starts_the_site_sampler():
+    obs = Obs(ObsConfig(spans=False, sample_sites=True,
+                        telemetry_interval_s=600.0))
+    run_federation(
+        ext_federation_scenario(n_shards=2, dags_per_user=1, seed=42),
+        obs=obs,
+    )
+    assert obs.metrics.find("site.queue_depth")
 
 
 def test_default_suite_covers_figures_and_ablations():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import ServerConfig
 from repro.experiments import Scenario, ServerSpec, default_fault_windows
-from repro.federation import FederationScenario
+from repro.federation import FederationConfig, FederationScenario
 from repro.simgrid import SiteState
 
 
@@ -36,6 +36,8 @@ _CONFIGS = {
     "FederationScenario": (lambda **kw: FederationScenario(name="x", **kw),
                            _PERIODS),
     "ServerConfig": (ServerConfig, ("tick_s", "job_timeout_s")),
+    "FederationConfig": (FederationConfig, ("digest_ttl_s", "rehome_after_s",
+                                            "forward_retry_s")),
 }
 
 
@@ -49,6 +51,27 @@ def test_periods_must_be_positive(config, field, bad):
     # and a NaN surfaced deep in the kernel; both now stop here.
     build, _ = _CONFIGS[config]
     with pytest.raises(ValueError, match=rf"{config}\.{field} must be > 0"):
+        build(**{field: bad})
+
+
+_MAY_BE_ZERO = {
+    "Scenario": (_CONFIGS["Scenario"][0], ("background_batch_s",)),
+    "FederationScenario": (_CONFIGS["FederationScenario"][0],
+                           ("background_batch_s", "submit_interval_s")),
+    "FederationConfig": (FederationConfig,
+                         ("digest_interval_s", "lease_request_cooldown_s")),
+}
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan")])
+@pytest.mark.parametrize("config,field", [
+    (name, field) for name, (_, fields) in _MAY_BE_ZERO.items()
+    for field in fields
+])
+def test_delays_must_not_be_negative(config, field, bad):
+    build, _ = _MAY_BE_ZERO[config]
+    build(**{field: 0.0})  # 0 = off
+    with pytest.raises(ValueError, match=rf"{config}\.{field} must be >= 0"):
         build(**{field: bad})
 
 

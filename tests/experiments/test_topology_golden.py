@@ -11,6 +11,7 @@ that reorders a step moves a fingerprint here.
 """
 
 import dataclasses
+import functools
 
 import pytest
 
@@ -22,12 +23,7 @@ from repro.experiments.figures import (
     fig345_scenario,
 )
 from repro.experiments.runner import run_scenario
-from repro.federation import (
-    FederationScenario,
-    ext_federation_scenario,
-    run_federation,
-    run_federation_chaos,
-)
+from repro.federation import ext_federation_scenario, run_federation
 
 
 def fingerprint(result):
@@ -75,27 +71,42 @@ def eviction_900():
                                eviction_mtbf_s=900.0)
 
 
-@pytest.mark.parametrize("scenario, plan, golden", [
-    (lambda: ext_eviction_scenario(50, 3, 42),
-     lambda: make_plan("spot-eviction", 42),
-     (6327, 177, "3270.559366809381")),
-    (fig2, lambda: make_plan("crash", 1), (8564, 377, "5343.543163697071")),
-    (fig2, lambda: make_plan("full", 1), (16409, 415, "8958.540737672542")),
-    (fed3_staggered, lambda: make_plan("shard-outage", 0),
-     (6282, 1068, "2764.971448554266")),
-    (fed2_evicted, eviction_900, (7464, 1095, "2705.5068275662466")),
-], ids=["evict-spot", "fig2-crash", "fig2-full", "fed3-shard-outage",
-        "fed2-spot"])
-def test_drilled_fingerprint(scenario, plan, golden):
-    scenario = scenario()
-    drive = (run_federation_chaos if isinstance(scenario, FederationScenario)
-             else run_chaos)
-    drill = drive(scenario, plan())
-    assert drill.ok, drill.report.format_text()
-    assert fingerprint(drill.result) == golden
+DRILLS = {
+    "evict-spot": (lambda: ext_eviction_scenario(50, 3, 42),
+                   lambda: make_plan("spot-eviction", 42),
+                   (6327, 177, "3270.559366809381")),
+    "fig2-crash": (fig2, lambda: make_plan("crash", 1),
+                   (8564, 377, "5343.543163697071")),
+    "fig2-full": (fig2, lambda: make_plan("full", 1),
+                  (16409, 415, "8958.540737672542")),
+    "fed3-shard-outage": (fed3_staggered,
+                          lambda: make_plan("shard-outage", 0),
+                          (6282, 1068, "2764.971448554266")),
+    "fed2-spot": (fed2_evicted, eviction_900,
+                  (7464, 1095, "2705.5068275662466")),
+}
+
+
+@functools.cache
+def drill(name):
+    scenario, plan, _ = DRILLS[name]
+    return run_chaos(scenario(), plan())
+
+
+@pytest.mark.parametrize("name", DRILLS)
+def test_drilled_fingerprint(name):
+    assert drill(name).ok, drill(name).report.format_text()
+    assert fingerprint(drill(name).result) == DRILLS[name][2]
 
 
 def test_shard_outage_rehomes():
-    drill = run_federation_chaos(fed3_staggered(),
-                                 make_plan("shard-outage", 0))
-    assert drill.report.stats["fed_rehomed"] == 1
+    assert drill("fed3-shard-outage").report.stats["fed_rehomed"] == 1
+
+
+def test_federated_result_carries_eviction_counters():
+    """Eviction x federation: a shard's ``ServerResult`` reports what the
+    live shard counted (these three fields used to read 0 on every
+    federated result)."""
+    shard1 = drill("fed2-spot").result.servers["shard1"]
+    assert shard1.checkpoint_restores == 4
+    assert shard1.preempted_work_s == pytest.approx(155.2887, abs=1e-3)

@@ -1,13 +1,9 @@
 """End-to-end federation runs: determinism, suite payload, chaos."""
 
-from repro.chaos import make_plan
+from repro.chaos import make_plan, run_chaos
 from repro.experiments import run_suite, suite_payload
 from repro.experiments.parallel import federation_suite
-from repro.federation import (
-    ext_federation_scenario,
-    run_federation,
-    run_federation_chaos,
-)
+from repro.federation import ext_federation_scenario, run_federation
 
 
 def small_scenario(**kw):
@@ -67,7 +63,7 @@ def test_shard_outage_chaos_invariants_hold():
     # preset's 1500-2400s dark window, so re-homing really happens.
     scenario = ext_federation_scenario(
         n_shards=3, dags_per_user=2, seed=42, submit_interval_s=1600.0)
-    res = run_federation_chaos(scenario, make_plan("shard-outage", seed=0))
+    res = run_chaos(scenario, make_plan("shard-outage", seed=0))
     assert res.report.ok, res.report.format_text()
     assert {"fed-dag-routed", "fed-lease-conservation"} <= set(
         res.report.checks)
@@ -81,7 +77,7 @@ def test_transport_chaos_invariants_hold():
     # Dropped requests, dropped replies, and duplicated dispatches on
     # every sphinx-* service: the two-phase offer/confirm forward must
     # keep every DAG placed exactly once (fed-dag-routed audits that).
-    res = run_federation_chaos(small_scenario(), make_plan("lossy", seed=0))
+    res = run_chaos(small_scenario(), make_plan("lossy", seed=0))
     assert res.report.ok, res.report.format_text()
     assert "fed-dag-routed" in res.report.checks
     total = sum(sr.total_dags for sr in res.result.servers.values())

@@ -21,7 +21,12 @@ N = 10_000
 
 
 def tracked() -> int:
-    gc.collect()
+    # Until nothing is unreachable: garbage an earlier test left behind
+    # (suspended generators with finalizers) can take two passes to go,
+    # and whether the first already ran depends on that test's
+    # allocation count — a census must not start in the middle of it.
+    while gc.collect():
+        pass
     return len(gc.get_objects())
 
 
