@@ -9,6 +9,8 @@ from repro.experiments import (
     ServerSpec,
     SuiteCase,
     default_suite,
+    eviction_suite,
+    federation_suite,
     headline_metrics,
     run_suite,
     suite_payload,
@@ -150,3 +152,55 @@ def test_headline_metrics_json_safe_nan():
     payload = suite_payload(runs, scale=1.0, workers=1)
     text = json.dumps(payload)
     assert "NaN" not in text
+
+
+def test_suite_payload_sections_pinned():
+    """Every report section, on the one case of each kind that fills it
+    (reserve-ahead, federated, eviction drill) — the projection from a
+    metrics snapshot to BENCH_SUITE.json is held to these numbers."""
+    cases = (default_suite(scale=0.1, seed=42)[-1:]
+             + federation_suite([2], seed=42, scale=0.4)
+             + eviction_suite(scale=0.3, seed=42))
+    figures = suite_payload(run_suite(cases, workers=1),
+                            scale=0.1, workers=1)["figures"]
+
+    def fingerprint(fig):
+        return (fig["event_count"], fig["rpc_count"],
+                repr(fig["elapsed_sim_s"]))
+
+    zero_evictions = {"evictions": 0, "migrations": 0,
+                      "checkpoint_restores": 0}
+    zero_reservations = {"confirmed": 0, "released": 0, "expired": 0,
+                         "rejected": 0, "cancelled": 0, "backfill_starts": 0}
+
+    fig = figures["ext-reservation"]
+    assert fingerprint(fig) == (3314, 253, "2186.5350820653853")
+    assert fig["reservations"] == {
+        "confirmed": 20, "released": 15, "expired": 5,
+        "rejected": 0, "cancelled": 0, "backfill_starts": 0}
+    assert fig["evictions"] == zero_evictions
+    assert not {"shards", "federation", "preemption_loss_s"} & set(fig)
+
+    fig = figures["ext-federation-2shards"]
+    assert fingerprint(fig) == (2042, 345, "658.8995577940586")
+    assert fig["federation"] == {"admitted": 8, "spilled": 0, "rehomed": 0}
+    assert fig["shards"] == {
+        "shard0": {"count": 0, "p50": None, "p95": None},
+        "shard1": {"count": 80, "p50": 0.0, "p95": 0.10000000000002274}}
+    assert fig["reservations"] == zero_reservations
+    assert fig["evictions"] == zero_evictions
+    assert "preemption_loss_s" not in fig
+
+    fig = figures["ext-eviction"]
+    assert fingerprint(fig) == (27494, 522, "3246.158274889085")
+    assert fig["evictions"] == {"evictions": 2594, "migrations": 2,
+                                "checkpoint_restores": 2}
+    assert fig["preemption_loss_s"] == {
+        "migrate": {"count": 3, "p50": 40.25491423612225,
+                    "p95": 43.673423080500925,
+                    "total_s": 91.1422859159582},
+        "resubmit": {"count": 3, "p50": 288.6414998091743,
+                     "p95": 355.1208663191121,
+                     "total_s": 838.0144374356403}}
+    assert fig["reservations"] == zero_reservations
+    assert not {"shards", "federation"} & set(fig)
