@@ -13,7 +13,7 @@ completion average is no worse than the reactive baseline's.
 from repro import obs as obs_mod
 from repro.experiments import format_table, run_scenario
 from repro.experiments.figures import ext_reservation_scenario
-from repro.experiments.parallel import reservation_counts
+from repro.experiments.parallel import project
 
 from benchmarks.common import SEED, emit, scale, scaled_dags
 
@@ -26,7 +26,7 @@ def test_ext_reservation(benchmark):
     obs = obs_mod.Obs(obs_mod.ObsConfig())
     result = benchmark.pedantic(lambda: run_scenario(sc, obs=obs),
                                 rounds=1, iterations=1)
-    counts = reservation_counts(obs.metrics.snapshot())
+    counts = project(obs.metrics.snapshot())["reservations"]
     rows = []
     for label in ("reactive", "reservation"):
         s = result[label]

@@ -87,6 +87,38 @@ def _add_common(p: argparse.ArgumentParser, default_dags: int) -> None:
                    help="simulation horizon in hours")
 
 
+def _add_scenario(p: argparse.ArgumentParser) -> None:
+    """The arguments ``trace`` and ``chaos`` pick their scenario with
+    (read back by :func:`_scenario_from_args`)."""
+    p.add_argument("scenario",
+                   choices=sorted(TRACE_SCENARIOS) + ["ext-federation"],
+                   help="which figure scenario to run (ext-federation: "
+                        "meta + N shards; --dags becomes DAGs per user)")
+    _add_common(p, 4)
+    p.add_argument(
+        "--shards", type=int, default=3, metavar="N",
+        help="ext-federation only: number of peer shards (default: 3)")
+    p.add_argument(
+        "--submit-interval", type=float, default=300.0, metavar="S",
+        help="ext-federation only: stagger DAG submissions this many "
+             "sim seconds apart so admissions overlap fault windows "
+             "(default: 300; 0 = submit everything at t=0)")
+
+
+def _scenario_from_args(args, horizon: float):
+    if args.scenario == "ext-federation":
+        from repro.federation import ext_federation_scenario
+
+        return ext_federation_scenario(
+            n_shards=args.shards, dags_per_user=args.dags,
+            seed=args.seed, horizon_s=horizon,
+            submit_interval_s=args.submit_interval,
+        )
+    return TRACE_SCENARIOS[args.scenario](
+        args.dags, args.seed, horizon_s=horizon,
+    )
+
+
 def _parse_scale_size(spec: str) -> tuple[int, int]:
     """'250x10000' -> (250, 10000) for ``suite --ext-scale``."""
     try:
@@ -174,9 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser(
         "trace", help="run one scenario fully instrumented; write "
                       "span JSONL + Chrome trace + summary")
-    trace.add_argument("scenario", choices=sorted(TRACE_SCENARIOS),
-                       help="which figure scenario to trace")
-    _add_common(trace, 4)
+    _add_scenario(trace)
     trace.add_argument(
         "--out", default="traces", metavar="DIR",
         help="output directory (default: traces/)")
@@ -198,24 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
     chaos = sub.add_parser(
         "chaos", help="run one scenario under a deterministic fault plan "
                       "and audit end-state invariants")
-    chaos.add_argument("scenario",
-                       choices=sorted(TRACE_SCENARIOS) + ["ext-federation"],
-                       help="which figure scenario to torment "
-                            "(ext-federation: meta + N shards; --dags "
-                            "becomes DAGs per user)")
-    _add_common(chaos, 4)
+    _add_scenario(chaos)
     chaos.add_argument(
         "--plan", default="full", metavar="PLAN",
         help="preset plan name (see repro.chaos.PRESET_PLANS) or "
              "'random' for a seeded random plan (default: full)")
-    chaos.add_argument(
-        "--shards", type=int, default=3, metavar="N",
-        help="ext-federation only: number of peer shards (default: 3)")
-    chaos.add_argument(
-        "--submit-interval", type=float, default=300.0, metavar="S",
-        help="ext-federation only: stagger DAG submissions this many "
-             "sim seconds apart so admissions overlap fault windows "
-             "(default: 300; 0 = submit everything at t=0)")
     chaos.add_argument(
         "--plan-seed", type=int, default=None, metavar="N",
         help="seed for the fault schedule (default: --seed)")
@@ -244,22 +261,16 @@ def _run_suite_command(args) -> int:
     if args.workers < 1:
         print("repro suite: --workers must be >= 1", file=sys.stderr)
         return 2
-    if args.scale <= 0:
-        print("repro suite: --scale must be > 0", file=sys.stderr)
-        return 2
     if args.stream_spans and not args.trace_dir:
         print("repro suite: --stream-spans requires --trace-dir",
               file=sys.stderr)
         return 2
-    if args.progress_interval <= 0:
+    if not args.progress_interval > 0:
         print("repro suite: --progress-interval must be > 0",
               file=sys.stderr)
         return 2
     if args.reservoir is not None and args.reservoir < 1:
         print("repro suite: --reservoir must be >= 1", file=sys.stderr)
-        return 2
-    if args.shards and any(n < 1 for n in args.shards):
-        print("repro suite: --shards values must be >= 1", file=sys.stderr)
         return 2
     cases = default_suite(scale=args.scale, seed=args.seed)
     if args.ext_scale:
@@ -284,8 +295,7 @@ def _run_suite_command(args) -> int:
                      reservoir=args.reservoir,
                      progress_interval=(args.progress_interval
                                         if args.progress else None))
-    payload = suite_payload(runs, scale=args.scale, workers=args.workers,
-                            shards=args.shards)
+    payload = suite_payload(runs, scale=args.scale, workers=args.workers)
 
     rows = []
     for run in runs:
@@ -335,14 +345,10 @@ def _run_trace_command(args, horizon: float) -> int:
     from pathlib import Path
 
     from repro import obs as obs_mod
-    from repro.experiments.runner import run_scenario
-    from repro.obs.export import (
-        summary_markdown,
-        write_chrome_trace,
-        write_spans_jsonl,
-    )
+    from repro.federation.runner import run_topology
+    from repro.obs.export import summary_markdown, write_trace_pair
 
-    if args.telemetry_interval <= 0:
+    if not args.telemetry_interval > 0:
         print("repro trace: --telemetry-interval must be > 0",
               file=sys.stderr)
         return 2
@@ -352,9 +358,7 @@ def _run_trace_command(args, horizon: float) -> int:
     if args.reservoir is not None and args.reservoir < 1:
         print("repro trace: --reservoir must be >= 1", file=sys.stderr)
         return 2
-    scenario = TRACE_SCENARIOS[args.scenario](
-        args.dags, args.seed, horizon_s=horizon,
-    )
+    scenario = _scenario_from_args(args, horizon)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     sink = None
@@ -368,19 +372,11 @@ def _run_trace_command(args, horizon: float) -> int:
         histogram_max_samples=args.reservoir,
         span_sink=sink, max_open_spans=args.max_open,
     ))
-    result = run_scenario(scenario, obs=obs)
+    result, _ = run_topology(scenario, obs=obs)
 
+    spans = write_trace_pair(obs, out, scenario.name, result.elapsed_sim_s)
     wrote = ["spans.jsonl", "summary.md"]
-    if args.stream:
-        # Spans already went to the sink as they closed; the Chrome
-        # trace needs the full span list, so stream mode skips it.
-        spans = ()
-    else:
-        spans = obs.tracer.spans
-        write_spans_jsonl(spans, out / f"{scenario.name}.spans.jsonl")
-        write_chrome_trace(spans, out / f"{scenario.name}.trace.json",
-                           metrics=obs.metrics,
-                           clock_end_s=result.elapsed_sim_s)
+    if not args.stream:
         wrote.insert(1, "trace.json")
     summary = summary_markdown(
         obs.metrics, spans,
@@ -417,26 +413,7 @@ def _run_chaos_command(args, horizon: float) -> int:
               f"{', '.join(sorted(PRESET_PLANS))}, random",
               file=sys.stderr)
         return 2
-    if args.scenario == "ext-federation" and args.shards < 1:
-        print("repro chaos: --shards must be >= 1", file=sys.stderr)
-        return 2
-    try:  # scenario and plan validation both raise ValueError
-        if args.scenario == "ext-federation":
-            from repro.federation import ext_federation_scenario
-
-            scenario = ext_federation_scenario(
-                n_shards=args.shards, dags_per_user=args.dags,
-                seed=args.seed, horizon_s=horizon,
-                submit_interval_s=args.submit_interval,
-            )
-        else:
-            scenario = TRACE_SCENARIOS[args.scenario](
-                args.dags, args.seed, horizon_s=horizon,
-            )
-        res = run_chaos(scenario, plan)
-    except ValueError as exc:
-        print(f"repro chaos: {exc}", file=sys.stderr)
-        return 2
+    res = run_chaos(_scenario_from_args(args, horizon), plan)
     print(res.format_text())
     if args.out:
         path = Path(args.out)
@@ -450,6 +427,16 @@ def _run_chaos_command(args, horizon: float) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run_command(args)
+    except ValueError as exc:
+        # A number argparse's types let through (0, negative, NaN) is
+        # refused where the scenario, plan or suite is built.
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run_command(args) -> int:
     horizon = getattr(args, "horizon_hours", 36.0) * 3600.0
 
     if args.command == "list-algorithms":

@@ -163,7 +163,8 @@ class ServerConfig:
     job_checkpoint_cost_s: float = 0.0
 
     def __post_init__(self) -> None:
-        require_positive(self, "tick_s", "job_timeout_s")
+        require_positive(self, "tick_s", "job_timeout_s",
+                         "reservation_slack")
 
 
 class SphinxServer:
@@ -193,9 +194,6 @@ class SphinxServer:
         #: passive, defaults to the shared no-op facade.
         self.obs = obs_mod.get(obs)
         self._trace = self.obs.tracer.enabled
-        #: wall-clock phase attribution (no-op facade when obs is off);
-        #: exclusive timers, so nested phases never double-count.
-        self._phases = self.obs.phases
         #: dag_id -> open root span; job_id -> open span of the current
         #: placement attempt (ended by the terminal report).
         self._dag_spans: dict[str, Any] = {}
@@ -496,9 +494,7 @@ class SphinxServer:
             )
             self.feedback.record_completion(site)
             if completion_time_s is not None:
-                self._phases.push("estimator")
                 self.estimator.record(site, completion_time_s)
-                self._phases.pop()
                 # avg/predicted completion just moved; the feedback
                 # tally above is *not* a view input (it filters the
                 # candidate list upstream), so only this needs it.
@@ -697,7 +693,6 @@ class SphinxServer:
     def _nearest_planned_at(self) -> Optional[float]:
         """Earliest planning instant among in-flight jobs (timeout and
         presumed-lost deadlines are both offsets from it)."""
-        self._phases.push("warehouse")
         jobs = self.warehouse.table("jobs")
         plans = self._plans_in_flight
         if plans is None:
@@ -717,28 +712,20 @@ class SphinxServer:
                 nearest = planned_at
                 break
             plans.popleft()
-        self._phases.pop()
         return nearest
 
     def tick(self) -> None:
         """One control-process pass (public for tests and recovery)."""
-        phases = self._phases
         self._m_passes.inc()
-        phases.push("planning")
         self._reduce_new_dags()
         if self.config.presume_lost_after_s is not None:
             self._requeue_lost_jobs()
         self._plan_ready_jobs()
-        phases.pop()
-        phases.push("transport")
         self._flush_outbox()
-        phases.pop()
 
     def checkpoint(self) -> None:
         """Snapshot the warehouse (the recovery point)."""
-        self._phases.push("warehouse")
         self.last_checkpoint = self.warehouse.snapshot()
-        self._phases.pop()
 
     # --------------------------------------------------------------- DAG reducer
     def _reduce_new_dags(self) -> None:
@@ -1263,7 +1250,6 @@ class SphinxServer:
             planned += extra_planned
             unfinished += extra_running
         n_cpus = self.site_catalog[site]
-        self._phases.push("estimator")
         avg = self.estimator.average_s(site)
         predicted = None
         if avg is not None:
@@ -1275,7 +1261,6 @@ class SphinxServer:
                 if self.config.use_prediction_correction
                 else avg
             )
-        self._phases.pop()
         return SiteView(
             name=site,
             n_cpus=n_cpus,

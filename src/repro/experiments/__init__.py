@@ -37,14 +37,11 @@ from repro.experiments.parallel import (
     SuiteCase,
     SuiteRun,
     default_suite,
-    eviction_counts,
     eviction_suite,
     federation_suite,
     headline_metrics,
-    preemption_loss_percentiles,
     run_suite,
     scale_suite,
-    shard_latency_percentiles,
     suite_payload,
 )
 from repro.experiments.report import format_table
@@ -58,7 +55,6 @@ __all__ = [
     "SuiteRun",
     "default_fault_windows",
     "default_suite",
-    "eviction_counts",
     "eviction_suite",
     "ext_eviction",
     "ext_eviction_scenario",
@@ -75,8 +71,6 @@ __all__ = [
     "fig8_timeouts",
     "format_table",
     "headline_metrics",
-    "preemption_loss_percentiles",
-    "shard_latency_percentiles",
     "run_scenario",
     "run_suite",
     "scale_suite",

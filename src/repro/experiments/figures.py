@@ -414,7 +414,8 @@ def ext_scale(n_sites: int = 250, n_jobs: int = 10_000, seed: int = 42,
     ``event_count / wall-clock`` stays in the tens of thousands of
     events per second up to 2,500 sites x 10^5 jobs (the acceptance
     gate for the incremental-scoring + O(dirty) warehouse work; see
-    ``benchmarks/bench_scale.py``).
+    ``repro suite --ext-scale`` and the ``plan-2500x600`` /
+    ``scale-250x2400`` workloads of ``benchmarks/perf``).
     """
     return run_scenario(ext_scale_scenario(
         n_sites, n_jobs, seed, horizon_s, background_batch_s,

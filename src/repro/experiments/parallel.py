@@ -57,14 +57,10 @@ __all__ = [
     "federation_suite",
     "scale_suite",
     "run_suite",
-    "eviction_counts",
     "headline_metrics",
     "planning_latency_percentiles",
-    "preemption_loss_percentiles",
-    "reservation_counts",
-    "shard_latency_percentiles",
+    "project",
     "suite_payload",
-    "wall_breakdown_ms",
 ]
 
 #: BENCH_SUITE.json schema identifier; bump on breaking payload changes.
@@ -78,7 +74,7 @@ class SuiteCase:
     ``plan`` optionally attaches a :class:`repro.chaos.plan.ChaosPlan`;
     the case then runs under :func:`repro.chaos.run.run_chaos` and a
     violated invariant fails the whole suite (a chaos case that merely
-    *degrades* would silently poison the perf trend).  Both pieces are
+    *degrades* would silently poison the report).  Both pieces are
     frozen, picklable data, so chaos cases parallelise like any other.
     """
 
@@ -119,8 +115,8 @@ def default_suite(scale: float = 1.0,
     mirroring ``REPRO_BENCH_SCALE`` in the benchmark harness; shape
     criteria are only meaningful at scale 1.0.
     """
-    if scale <= 0:
-        raise ValueError("scale must be > 0")
+    if not scale > 0:
+        raise ValueError(f"scale must be > 0, got {scale}")
     cases = [
         SuiteCase("fig2", fig2_scenario(_scaled(30, scale), seed)),
         SuiteCase("fig3", fig345_scenario(_scaled(30, scale), seed)),
@@ -179,8 +175,8 @@ def federation_suite(shard_counts: Sequence[int], seed: int = 42,
     :func:`repro.federation.runner.run_topology` picks it from the
     scenario type.
     """
-    if scale <= 0:
-        raise ValueError("scale must be > 0")
+    if not scale > 0:
+        raise ValueError(f"scale must be > 0, got {scale}")
     # Lazy import: repro.federation.runner imports back into the
     # experiments package, so binding it at module-import time would
     # be circular.
@@ -206,8 +202,8 @@ def scale_suite(sizes: Sequence[tuple[int, int]], seed: int = 42,
     ``scale`` shrinks the *job* counts (floor of 10 = one DAG); the
     site counts are the point of the sweep and stay as requested.
     """
-    if scale <= 0:
-        raise ValueError("scale must be > 0")
+    if not scale > 0:
+        raise ValueError(f"scale must be > 0, got {scale}")
     cases = []
     for n_sites, n_jobs in sizes:
         jobs = max(10, round(n_jobs * scale / 10) * 10)
@@ -228,10 +224,10 @@ def eviction_suite(scale: float = 1.0,
     preset's per-site eviction storm drains sites out from under them.
     ``scale`` shrinks the DAG count (floor of 4); migration counts and
     preemption-loss percentiles land in the report via
-    :func:`eviction_counts` / :func:`preemption_loss_percentiles`.
+    :func:`project`.
     """
-    if scale <= 0:
-        raise ValueError("scale must be > 0")
+    if not scale > 0:
+        raise ValueError(f"scale must be > 0, got {scale}")
     # Lazy import: repro.chaos.run imports back into this module.
     from repro.chaos.plan import make_plan
 
@@ -287,7 +283,7 @@ def _run_case(case: SuiteCase,
     heartbeat: stderr lines plus ``<case>.heartbeat.jsonl`` under
     ``trace_dir`` (when given).
     """
-    from repro.obs.export import JsonlSpanSink
+    from repro.obs.export import JsonlSpanSink, write_trace_pair
     from repro.obs.runtime import Heartbeat, rss_mb
 
     out = None
@@ -315,14 +311,8 @@ def _run_case(case: SuiteCase,
     result = _dispatch(case.scenario, obs=obs, heartbeat=heartbeat,
                        plan=case.plan)
     wall_s = time.perf_counter() - t0
-    if out is not None and not stream_spans:
-        from repro.obs.export import write_chrome_trace, write_spans_jsonl
-
-        spans = obs.tracer.spans
-        write_spans_jsonl(spans, out / f"{case.name}.spans.jsonl")
-        write_chrome_trace(spans, out / f"{case.name}.trace.json",
-                           metrics=obs.metrics,
-                           clock_end_s=result.elapsed_sim_s)
+    if out is not None:
+        write_trace_pair(obs, out, case.name, result.elapsed_sim_s)
     return SuiteRun(name=case.name, result=result, wall_s=wall_s,
                     metrics=obs.metrics.snapshot(include_samples=True),
                     rss_mb=rss_mb())
@@ -458,118 +448,87 @@ def planning_latency_percentiles(
     return _nearest_rank(pooled, 50), _nearest_rank(pooled, 95)
 
 
-def shard_latency_percentiles(snapshot: dict) -> dict:
-    """Per-shard planning latency: ``{shard: {"p50": ..., "p95": ...,
-    "count": ...}}`` from the ``shard``-labelled
-    ``server.planning_latency_s`` histograms; empty for single-server
-    runs."""
-    out = {}
-    for hist in snapshot.get("histograms", ()):
-        if hist["name"] != "server.planning_latency_s":
-            continue
-        shard = hist.get("labels", {}).get("shard")
-        if shard is None:
-            continue
-        out[shard] = {
-            "p50": hist.get("p50"),
-            "p95": hist.get("p95"),
-            "count": hist.get("count", 0),
+_RESERVATION_OUTCOMES = ("confirmed", "rejected", "released", "expired",
+                         "cancelled")
+
+#: Counter sections of a case's report: section -> key -> (counter
+#: name, ``outcome`` label the counter carries, if any).  A key sums
+#: every matching counter (per site, per server), so a section is all
+#: zeros when its feature never ran.
+_COUNTER_SECTIONS = {
+    "reservations": {
+        **{outcome: ("site.reservations", outcome)
+           for outcome in _RESERVATION_OUTCOMES},
+        "backfill_starts": ("site.backfill_starts", None),
+    },
+    "evictions": {
+        # running jobs killed at slot reclaim; evict messages sent off
+        # draining sites; attempts planned with a checkpoint resume
+        "evictions": ("site.evictions", None),
+        "migrations": ("server.migrations", None),
+        "checkpoint_restores": ("job.checkpoint_restores", None),
+    },
+    "federation": {
+        "admitted": ("meta.dags_admitted", None),
+        "spilled": ("meta.dags_spilled", None),
+        "rehomed": ("meta.dags_rehomed", None),
+    },
+}
+_COUNTER_KEYS = {source: (section, key)
+                 for section, keys in _COUNTER_SECTIONS.items()
+                 for key, source in keys.items()}
+
+_QUANTILES = {"p50": "p50", "p95": "p95", "count": "count"}
+
+#: Histogram sections: section -> (histogram name, the label whose
+#: values name the rows, report key -> snapshot field, whether a row
+#: with no observations is reported).  Every shard gets its planning-
+#: latency row; a server loses work (CPU-seconds of attempt progress
+#: discarded per kill, net of checkpoint restores) only once preempted.
+_HISTOGRAM_SECTIONS = {
+    "shards": ("server.planning_latency_s", "shard", _QUANTILES, True),
+    "preemption_loss_s": ("server.preemption_loss_s", "server",
+                          {**_QUANTILES, "total_s": "sum"}, False),
+}
+
+
+def project(snapshot: dict) -> dict:
+    """The feature sections of one case's report, read off its
+    metrics-registry snapshot as :data:`_COUNTER_SECTIONS` and
+    :data:`_HISTOGRAM_SECTIONS` say.
+
+    ``reservations`` and ``evictions`` are always there (zeros when the
+    feature never ran); a histogram section appears only with a row to
+    show, and ``federation`` only beside ``shards`` — routing counts
+    mean nothing on a single server."""
+    out = {section: dict.fromkeys(keys, 0)
+           for section, keys in _COUNTER_SECTIONS.items()}
+    for counter in snapshot.get("counters", ()):
+        section_key = _COUNTER_KEYS.get(
+            (counter["name"], counter["labels"].get("outcome")))
+        if section_key is not None:
+            section, key = section_key
+            out[section][key] += int(counter["value"])
+    histograms = snapshot.get("histograms", ())
+    for section, (name, label, fields,
+                  keep_empty) in _HISTOGRAM_SECTIONS.items():
+        rows = {
+            hist["labels"][label]: {key: hist[field]
+                                    for key, field in fields.items()}
+            for hist in histograms
+            if hist["name"] == name and label in hist["labels"]
+            and (keep_empty or hist["count"])
         }
-    return dict(sorted(out.items()))
-
-
-def reservation_counts(snapshot: dict) -> dict:
-    """Reservation activity in a metrics-registry snapshot.
-
-    Sums the per-site ``site.reservations`` counters by outcome
-    (confirmed/rejected/released/expired/cancelled) and the
-    ``site.backfill_starts`` counter; all zeros when the case ran no
-    reserve-ahead server."""
-    out = {"confirmed": 0, "rejected": 0, "released": 0,
-           "expired": 0, "cancelled": 0, "backfill_starts": 0}
-    for counter in snapshot.get("counters", ()):
-        if counter["name"] == "site.reservations":
-            outcome = counter["labels"].get("outcome")
-            if outcome in out:
-                out[outcome] += int(counter["value"])
-        elif counter["name"] == "site.backfill_starts":
-            out["backfill_starts"] += int(counter["value"])
-    return out
-
-
-def eviction_counts(snapshot: dict) -> dict:
-    """Eviction-tolerance activity in a metrics-registry snapshot.
-
-    Sums the per-site ``site.evictions`` counter (running jobs killed
-    at slot reclaim) and the per-server ``server.migrations`` /
-    ``job.checkpoint_restores`` counters; all zeros when the case ran
-    without an eviction storm."""
-    out = {"evictions": 0, "migrations": 0, "checkpoint_restores": 0}
-    names = {"site.evictions": "evictions",
-             "server.migrations": "migrations",
-             "job.checkpoint_restores": "checkpoint_restores"}
-    for counter in snapshot.get("counters", ()):
-        key = names.get(counter["name"])
-        if key is not None:
-            out[key] += int(counter["value"])
-    return out
-
-
-def preemption_loss_percentiles(snapshot: dict) -> dict:
-    """Per-server preemption loss: ``{server: {"p50": ..., "p95": ...,
-    "count": ..., "total_s": ...}}`` from the ``server``-labelled
-    ``server.preemption_loss_s`` histograms (CPU-seconds of attempt
-    progress discarded per kill, net of checkpoint restores); empty
-    when nothing was ever preempted."""
-    out = {}
-    for hist in snapshot.get("histograms", ()):
-        if hist["name"] != "server.preemption_loss_s":
-            continue
-        server = hist.get("labels", {}).get("server")
-        if server is None or not hist.get("count"):
-            continue
-        out[server] = {
-            "p50": hist.get("p50"),
-            "p95": hist.get("p95"),
-            "count": hist.get("count", 0),
-            "total_s": hist.get("sum", 0.0),
-        }
-    return dict(sorted(out.items()))
-
-
-def wall_breakdown_ms(snapshot: dict) -> dict:
-    """Per-phase wall-clock attribution (``server.wall_ms`` counters)
-    in a metrics-registry snapshot; empty when the case ran without
-    obs-enabled phase timers."""
-    out = {}
-    for counter in snapshot.get("counters", ()):
-        if counter["name"] == "server.wall_ms":
-            phase = counter["labels"].get("phase", "?")
-            out[phase] = out.get(phase, 0.0) + counter["value"]
-    return out
-
-
-def _federation_counts(snapshot: dict) -> dict:
-    """Meta-scheduler routing activity in a registry snapshot."""
-    out = {"admitted": 0, "spilled": 0, "rehomed": 0}
-    names = {"meta.dags_admitted": "admitted",
-             "meta.dags_spilled": "spilled",
-             "meta.dags_rehomed": "rehomed"}
-    for counter in snapshot.get("counters", ()):
-        key = names.get(counter["name"])
-        if key is not None:
-            out[key] += int(counter["value"])
+        if rows:
+            out[section] = dict(sorted(rows.items()))
+    if "shards" not in out:
+        del out["federation"]
     return out
 
 
 def suite_payload(runs: Sequence[SuiteRun], scale: float,
-                  workers: int,
-                  shards: Optional[Sequence[int]] = None) -> dict:
-    """The BENCH_SUITE.json document for one suite invocation.
-
-    ``shards`` records which federated shard counts ran (the
-    ``--shards`` flag), so the perf-trend comparability key can keep
-    federated and plain suite runs apart."""
+                  workers: int) -> dict:
+    """The BENCH_SUITE.json document for one suite invocation."""
     figures = {}
     for run in runs:
         lat_p50, lat_p95 = planning_latency_percentiles(run.metrics)
@@ -578,26 +537,15 @@ def suite_payload(runs: Sequence[SuiteRun], scale: float,
             "events_per_s": (run.result.event_count / run.wall_s
                              if run.wall_s > 0 else None),
             "rss_mb": run.rss_mb,
-            "wall_breakdown_ms": wall_breakdown_ms(run.metrics),
             "planning_latency_p50_s": lat_p50,
             "planning_latency_p95_s": lat_p95,
-            "reservations": reservation_counts(run.metrics),
-            "evictions": eviction_counts(run.metrics),
+            **project(run.metrics),
             **headline_metrics(run.result),
         }
-        per_shard = shard_latency_percentiles(run.metrics)
-        if per_shard:
-            figures[run.name]["shards"] = per_shard
-            figures[run.name]["federation"] = _federation_counts(
-                run.metrics)
-        loss = preemption_loss_percentiles(run.metrics)
-        if loss:
-            figures[run.name]["preemption_loss_s"] = loss
     return {
         "schema": SCHEMA,
         "scale": scale,
         "workers": workers,
-        "shards": sorted(shards) if shards else [],
         "cases": [run.name for run in runs],
         "total_wall_s": sum(run.wall_s for run in runs),
         "total_events": sum(run.result.event_count for run in runs),

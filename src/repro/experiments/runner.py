@@ -24,7 +24,6 @@ minutes".
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
@@ -292,11 +291,9 @@ class Stack:
         if self.chaos is not None:
             self.chaos.install(env, self.grid)
         done_events = [c.done for c in self.clients.values()]
-        run_t0 = time.perf_counter()
         env.run(until=env.any_of(
             [env.all_of(done_events), env.timeout(scenario.horizon_s)]
         ))
-        run_wall_ms = (time.perf_counter() - run_t0) * 1e3
         all_done = all(ev.triggered for ev in done_events)
         elapsed_sim_s = env.now if all_done else scenario.horizon_s
         if self.heartbeat is not None:
@@ -311,16 +308,6 @@ class Stack:
                 for etype, n in sorted(env.obs_tally.items()):
                     obs.metrics.counter("kernel.events", type=etype).inc(n)
             obs.metrics.gauge("run.elapsed_sim_s").set(elapsed_sim_s)
-            # Wall-clock attribution: per-phase totals from the exclusive
-            # phase timers, with the unattributed remainder (event
-            # dispatch, process switching, transfers...) booked to
-            # "kernel" so the breakdown sums to the run's real wall time.
-            phase_ms = obs.phases.wall_ms()
-            for phase, ms in sorted(phase_ms.items()):
-                obs.metrics.counter("server.wall_ms", phase=phase).inc(ms)
-            obs.metrics.counter("server.wall_ms", phase="kernel").inc(
-                max(0.0, run_wall_ms - sum(phase_ms.values()))
-            )
             obs.tracer.close()
 
         result = ExperimentResult(

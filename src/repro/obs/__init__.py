@@ -29,7 +29,7 @@ from repro.obs.metrics import (
     NullRegistry,
     merge_snapshots,
 )
-from repro.obs.runtime import NULL_PHASES, Heartbeat, PhaseTimers
+from repro.obs.runtime import Heartbeat
 from repro.obs.sketch import QuantileSketch, Reservoir
 from repro.obs.tracer import NULL_SPAN, NULL_TRACER, NullTracer, Span, Tracer
 
@@ -37,7 +37,6 @@ __all__ = [
     "Obs",
     "ObsConfig",
     "NULL_OBS",
-    "NULL_PHASES",
     "NULL_SPAN",
     "NULL_TRACER",
     "NULL_REGISTRY",
@@ -45,7 +44,6 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "NullTracer",
-    "PhaseTimers",
     "QuantileSketch",
     "Reservoir",
     "Span",
@@ -89,8 +87,7 @@ class ObsConfig:
 
 
 class Obs:
-    """Tracer + metrics registry + phase timers, handed through the
-    whole stack."""
+    """Tracer + metrics registry, handed through the whole stack."""
 
     enabled = True
 
@@ -103,9 +100,6 @@ class Obs:
             self.tracer = NULL_TRACER
         self.metrics = MetricsRegistry(
             histogram_max_samples=config.histogram_max_samples)
-        #: wall-clock attribution (planning/estimator/rpc/...); the
-        #: runner exports the totals as ``server.wall_ms`` counters.
-        self.phases = PhaseTimers()
 
     def bind(self, env) -> None:
         """Late-bind the sim clock (drivers build Obs before the env)."""
@@ -121,7 +115,6 @@ class _NullObs:
     def __init__(self):
         self.tracer = NULL_TRACER
         self.metrics = NULL_REGISTRY
-        self.phases = NULL_PHASES
 
     def bind(self, env) -> None:
         pass

@@ -19,6 +19,7 @@ renders as one millisecond-scale unit without float noise.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry
@@ -30,6 +31,7 @@ __all__ = [
     "JsonlSpanSink",
     "chrome_trace",
     "write_chrome_trace",
+    "write_trace_pair",
     "summary_markdown",
 ]
 
@@ -192,6 +194,25 @@ def write_chrome_trace(spans: Sequence[Span], path,
         fh.write("\n")
 
 
+def write_trace_pair(obs, out_dir, name: str,
+                     clock_end_s: Optional[float] = None) -> Sequence[Span]:
+    """Write a finished run's ``<name>.spans.jsonl`` and
+    ``<name>.trace.json`` under ``out_dir``; returns the spans written.
+
+    A run that streamed its spans to a sink already has its JSONL and
+    kept nothing for the Chrome trace (which needs the full span list):
+    nothing is written and ``()`` comes back.
+    """
+    if obs.config.span_sink is not None:
+        return ()
+    spans = obs.tracer.spans
+    out = Path(out_dir)
+    write_spans_jsonl(spans, out / f"{name}.spans.jsonl")
+    write_chrome_trace(spans, out / f"{name}.trace.json",
+                       metrics=obs.metrics, clock_end_s=clock_end_s)
+    return spans
+
+
 def _fmt(value) -> str:
     if value is None:
         return "-"
@@ -229,18 +250,6 @@ def summary_markdown(metrics: Optional[MetricsRegistry] = None,
                 f"| {_fmt(mean)} | {_fmt(h['p50'])} | {_fmt(h['p95'])} "
                 f"| {_fmt(h['max'])} |"
             )
-        lines.append("")
-
-    # Wall-clock attribution: where the run's real time went (the
-    # ``server.wall_ms`` counters the runner writes at run end).
-    wall = [(c["labels"].get("phase", "?"), c["value"])
-            for c in snap["counters"] if c["name"] == "server.wall_ms"]
-    if wall:
-        total = sum(v for _p, v in wall) or 1.0
-        lines += ["### Wall-clock attribution", "",
-                  "| phase | ms | share |", "|---|---:|---:|"]
-        for phase, ms in sorted(wall, key=lambda pv: -pv[1]):
-            lines.append(f"| {phase} | {ms:.1f} | {ms / total:.1%} |")
         lines.append("")
 
     if spans:

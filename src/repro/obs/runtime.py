@@ -1,12 +1,14 @@
-"""Run-time flight instruments: live heartbeat + wall-clock attribution.
+"""Run-time flight instrument: the live heartbeat.
 
 Everything else in ``repro.obs`` is stamped in *sim* time; this module
-is the one place that reads the *wall* clock, because its job is to
+is the one place a run reads the *wall* clock, because its job is to
 make a two-hour run legible while it executes, not to describe the
-simulated world.  Both instruments stay strictly passive with respect
-to the simulation: no kernel events, no RNG draws, no sim-clock reads
-beyond the values the kernel hands them — so a heartbeat-instrumented
-run is bit-identical to a bare one (pinned by the obs no-op tests).
+simulated world.  (Where host time *went* is measured from outside, by
+``benchmarks/perf``.)  The heartbeat stays strictly passive
+with respect to the simulation: no kernel events, no RNG draws, no
+sim-clock reads beyond the values the kernel hands it — so a
+heartbeat-instrumented run is bit-identical to a bare one (pinned by
+the obs no-op tests).
 
 :class:`Heartbeat`
     A progress reporter threaded through the kernel event loop.  Every
@@ -18,13 +20,6 @@ run is bit-identical to a bare one (pinned by the obs no-op tests).
     extrapolated from job completions.  A **stall detector** flags runs
     whose sim clock stops advancing or whose instantaneous throughput
     collapses below a configurable fraction of its trailing mean.
-
-:class:`PhaseTimers`
-    Cheap exclusive wall-clock attribution: nested ``push``/``pop``
-    phases charge elapsed nanoseconds to the innermost open phase, so
-    the per-phase totals sum to (at most) the run's wall time and
-    answer "where did the two hours go".  The disabled twin
-    :data:`NULL_PHASES` makes instrumented call sites two no-op calls.
 """
 
 from __future__ import annotations
@@ -35,7 +30,7 @@ import sys
 import time
 from typing import Any, Callable, Optional
 
-__all__ = ["Heartbeat", "PhaseTimers", "NULL_PHASES", "rss_mb"]
+__all__ = ["Heartbeat", "rss_mb"]
 
 
 def rss_mb() -> float:
@@ -57,65 +52,6 @@ def rss_mb() -> float:
 
 def _gc_collections() -> int:
     return sum(s["collections"] for s in gc.get_stats())
-
-
-class PhaseTimers:
-    """Exclusive wall-clock phase attribution.
-
-    ``push("planning") ... pop()`` charges the enclosed wall time to
-    ``"planning"``; nesting re-charges the inner interval to the inner
-    phase (the parent's clock pauses), so phases never double-count and
-    their sum is bounded by real elapsed time.  ``clock`` is injectable
-    for deterministic tests.
-    """
-
-    enabled = True
-
-    __slots__ = ("_clock", "_ns", "_stack")
-
-    def __init__(self, clock: Callable[[], int] = time.perf_counter_ns):
-        self._clock = clock
-        self._ns: dict[str, int] = {}
-        self._stack: list[list] = []  # [name, started_at_ns] frames
-
-    def push(self, name: str) -> None:
-        now = self._clock()
-        stack = self._stack
-        if stack:
-            frame = stack[-1]
-            self._ns[frame[0]] = self._ns.get(frame[0], 0) + now - frame[1]
-            frame[1] = now
-        stack.append([name, now])
-
-    def pop(self) -> None:
-        now = self._clock()
-        name, t0 = self._stack.pop()
-        self._ns[name] = self._ns.get(name, 0) + now - t0
-        if self._stack:
-            self._stack[-1][1] = now  # parent clock resumes here
-
-    def wall_ms(self) -> dict[str, float]:
-        """Per-phase totals in milliseconds (closed phases only)."""
-        return {name: ns / 1e6 for name, ns in self._ns.items()}
-
-
-class _NullPhaseTimers:
-    """Disabled twin: every call free, every total empty."""
-
-    enabled = False
-
-    def push(self, name: str) -> None:
-        pass
-
-    def pop(self) -> None:
-        pass
-
-    def wall_ms(self) -> dict[str, float]:
-        return {}
-
-
-#: Shared disabled phase timers (stateless; safe to share everywhere).
-NULL_PHASES = _NullPhaseTimers()
 
 
 class Heartbeat:
@@ -148,7 +84,7 @@ class Heartbeat:
                  clock: Callable[[], float] = time.monotonic,
                  rss_fn: Callable[[], float] = rss_mb,
                  gc_fn: Callable[[], int] = _gc_collections):
-        if interval_s < 0:
+        if not interval_s >= 0:
             raise ValueError(f"interval_s must be >= 0, got {interval_s}")
         if not 0.0 < stall_fraction < 1.0:
             raise ValueError(

@@ -241,15 +241,10 @@ class RpcBus:
                     raise RpcFault(
                         f"proxy {proxy!r} not authorized for {service}"
                     )
-                phases = obs.phases
-                phases.push("rpc")
-                try:
-                    _check_serializable(list(args), "args")
-                    _check_serializable(dict(kwargs), "kwargs")
-                    value = handler(*args, **kwargs)
-                    _check_serializable(value, "result")
-                finally:
-                    phases.pop()
+                _check_serializable(list(args), "args")
+                _check_serializable(dict(kwargs), "kwargs")
+                value = handler(*args, **kwargs)
+                _check_serializable(value, "result")
             except RpcFault as exc:
                 fault = exc
             except Exception as exc:  # handler bug -> remote fault

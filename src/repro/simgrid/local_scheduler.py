@@ -364,16 +364,22 @@ class LocalScheduler:
         reservation-miss latency metric).  A frozen (blackholed) site
         still confirms reservations — exactly as it still accepts jobs —
         and the window-end timer cleans them up if the site never thaws.
+
+        A window must be able to close: one whose start, length or end
+        is NaN or whose end is infinite is rejected, so nothing is held
+        for a reservation whose end timer could never be armed.
         """
         now = self.env.now
         cpus = int(cpus)
+        end_s = start_s + duration_s
         if (
             res_id in self._reservations
             or cpus < 1
             or cpus > self.n_cpus
-            or duration_s <= 0
-            or start_s < now
-            or not self._window_free(start_s, start_s + duration_s, cpus)
+            or not duration_s > 0  # written so that NaN fails
+            or not start_s >= now
+            or not end_s < math.inf
+            or not self._window_free(start_s, end_s, cpus)
         ):
             self._res_metric("rejected")
             return False

@@ -35,7 +35,8 @@ _CONFIGS = {
                  _PERIODS),
     "FederationScenario": (lambda **kw: FederationScenario(name="x", **kw),
                            _PERIODS),
-    "ServerConfig": (ServerConfig, ("tick_s", "job_timeout_s")),
+    "ServerConfig": (ServerConfig, ("tick_s", "job_timeout_s",
+                                    "reservation_slack")),
     "FederationConfig": (FederationConfig, ("digest_ttl_s", "rehome_after_s",
                                             "forward_retry_s")),
 }

@@ -81,6 +81,20 @@ def test_trace_rejects_bad_telemetry_interval(tmp_path):
     assert code == 2
 
 
+def test_trace_runs_a_federation(tmp_path):
+    """``trace`` builds its scenario and picks its topology the way
+    ``chaos`` does, so the meta + shards run leaves a trace directory
+    too (``ext-federation`` used to be an invalid choice here)."""
+    assert main(["trace", "ext-federation", "--shards", "2", "--dags", "1",
+                 "--out", str(tmp_path)]) == 0
+    stem = "ext-federation-2shards"
+    for suffix in ("spans.jsonl", "trace.json", "summary.md"):
+        assert (tmp_path / f"{stem}.{suffix}").exists(), suffix
+    lines = (tmp_path / f"{stem}.spans.jsonl").read_text().splitlines()
+    kinds = [json.loads(line)["kind"] for line in lines]
+    assert kinds.count("dag") == 4 and kinds.count("job") == 40
+
+
 def test_suite_trace_dir_writes_per_case_and_merged(tmp_path):
     cases = [
         SuiteCase("case-a", fig2_scenario(N_DAGS, SEED,

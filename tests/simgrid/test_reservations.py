@@ -39,6 +39,23 @@ def test_reserve_rejects_bad_parameters():
     assert sched.reservation_counts["rejected"] == 4
 
 
+@pytest.mark.parametrize("start_s, duration_s", [
+    (float("nan"), 10.0), (0.0, float("nan")), (0.0, float("inf")),
+])
+def test_reserve_rejects_a_window_that_cannot_close(start_s, duration_s):
+    """Told "rejected", the site must keep nothing: such a window used
+    to be filed and granted its CPU before the end timer failed to arm
+    (or, for an infinite one, was confirmed and held for ever)."""
+    env = Environment()
+    sched = make(env, n_cpus=2)
+    assert sched.reserve("r", start_s, duration_s, 1) is False
+    env.run()
+    assert sched.reservations == ()
+    assert sched._cpus.count == 0
+    assert sched.reservation_counts["rejected"] == 1
+    assert sched.reservation_audit() == []
+
+
 def test_reserve_rejects_window_oversubscription():
     env = Environment()
     sched = make(env, n_cpus=2)
