@@ -43,6 +43,102 @@ def test_event_throughput(benchmark):
     assert benchmark(run) == 10_000
 
 
+class _Beat:
+    """A heartbeat that does no work: the loop's own cost of the hook."""
+
+    def tick(self, sim_now, events):
+        pass
+
+
+def _noop(_event):
+    pass
+
+
+def _event_loop_us(form: str, hook: str, n: int = 100_000):
+    """Host microseconds per processed event of one ``Environment.run``.
+
+    ``n`` timers at 1,000 distinct instants, each with one callback and
+    every tenth cancelled (a tombstone the loop pops and skips), then one
+    last timer at t = 1,000 — run to an empty heap (``form`` "none"),
+    until t = 1,000 ("time") or until that last timer ("event"), bare or
+    with ``hook`` ("tally", "heartbeat") set.  Every form processes the
+    same 0.9 n + 1 events.  Returns (us / event, events processed).
+    """
+    env = Environment()
+    timers = [env.timeout(float(i % 1_000)) for i in range(n)]
+    for timer in timers:
+        timer.add_callback(_noop)
+    for timer in timers[::10]:
+        timer.cancel()
+    last = env.timeout(1_000.0)
+    if hook == "tally":
+        env.obs_tally = {}
+    elif hook == "heartbeat":
+        env.heartbeat = _Beat()
+    until = {"none": None, "time": 1_000.0, "event": last}[form]
+    t0 = time.perf_counter()
+    env.run(until)
+    elapsed = time.perf_counter() - t0
+    return elapsed * 1e6 / env.event_count, env.event_count
+
+
+#: ``_event_loop_us`` at the parent commit (dba6bca: three inlined loops
+#: in ``run`` for bare runs, ``_run_instrumented`` once a hook is set),
+#: same box and interpreter as the committed table, median of 5 runs
+#: alternated with this tree's: (until form, hook) -> us per processed
+#: event.
+PARENT_EVENT_LOOP = {
+    ("none", "bare"): 1.292,
+    ("none", "tally"): 1.506,
+    ("none", "heartbeat"): 1.384,
+    ("time", "bare"): 1.312,
+    ("time", "tally"): 1.481,
+    ("time", "heartbeat"): 1.373,
+    ("event", "bare"): 1.295,
+    ("event", "tally"): 1.479,
+    ("event", "heartbeat"): 1.374,
+}
+
+
+def test_event_loop(benchmark):
+    """The kernel layer: one heap pop + dispatch, per until form and hook.
+
+    ``run`` is one loop whatever ``until`` is and whichever
+    observability hook is set (DESIGN.md §5d), so a row here is the
+    per-event price of that hook, not of a second loop.
+    """
+    n = 100_000
+    cases = [(form, hook) for form in ("none", "time", "event")
+             for hook in ("bare", "tally", "heartbeat")]
+
+    def run():
+        out = {}
+        for case in cases:
+            results = [_event_loop_us(*case, n=n) for _ in range(3)]
+            out[case] = min(results)
+        return out
+
+    out = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = []
+    for (form, hook), (us, _events) in out.items():
+        parent = PARENT_EVENT_LOOP.get((form, hook))
+        rows.append([
+            {"none": "run()", "time": "run(until=t)",
+             "event": "run(until=event)"}[form],
+            hook,
+            f"{parent:.3f}" if parent is not None else "-",
+            f"{us:.3f}",
+        ])
+    emit("kernel_loop", format_table(
+        ["until", "hook", "parent (us / event)", "change (us / event)"],
+        rows,
+        title=f"Event loop: {n} timers with one callback each, 10 % "
+              "cancelled, one run",
+    ))
+    for _us, events in out.values():
+        assert events == n - n // 10 + 1
+
+
 def test_process_switching(benchmark):
     """1k interleaved ticker processes, 10 switches each."""
 

@@ -34,6 +34,7 @@ warehouse rows and every pass runs ``tick()``.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from itertools import filterfalse
 from dataclasses import dataclass, field
@@ -136,8 +137,8 @@ class ServerConfig:
     #: presume a PLANNED/SUBMITTED job lost (cancel + replan) after this
     #: many seconds without a report.  The server-side liveness backstop
     #: for plans or terminal reports dropped by a faulty transport or a
-    #: crashed client.  None (default) disables the pass entirely.
-    presume_lost_after_s: Optional[float] = None
+    #: crashed client.  ``inf`` (default) never presumes a job lost.
+    presume_lost_after_s: float = math.inf
     #: proactive planning: when a DAG starts RUNNING, book advance
     #: reservations for its later stages via the ``condor-g`` RPC,
     #: co-allocating each parallel stage across the best-predicted
@@ -164,7 +165,7 @@ class ServerConfig:
 
     def __post_init__(self) -> None:
         require_positive(self, "tick_s", "job_timeout_s",
-                         "reservation_slack")
+                         "reservation_slack", "presume_lost_after_s")
 
 
 class SphinxServer:
@@ -681,11 +682,10 @@ class SphinxServer:
         if oldest is not None:
             # Grace for plan delivery + staging before the client's
             # tracker starts its own clock; a late pass is a no-op.
-            pending = oldest + self.config.job_timeout_s + self.config.tick_s
-            if self.config.presume_lost_after_s is not None:
-                pending = min(
-                    pending, oldest + self.config.presume_lost_after_s
-                )
+            pending = min(
+                oldest + self.config.job_timeout_s + self.config.tick_s,
+                oldest + self.config.presume_lost_after_s,
+            )
             if deadline is None or pending < deadline:
                 deadline = pending
         return deadline
@@ -718,8 +718,7 @@ class SphinxServer:
         """One control-process pass (public for tests and recovery)."""
         self._m_passes.inc()
         self._reduce_new_dags()
-        if self.config.presume_lost_after_s is not None:
-            self._requeue_lost_jobs()
+        self._requeue_lost_jobs()
         self._plan_ready_jobs()
         self._flush_outbox()
 

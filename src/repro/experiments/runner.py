@@ -142,8 +142,8 @@ class Stack:
             obs.bind(env)
             if obs.tracer.enabled:
                 # Span mode also tallies processed kernel events by type;
-                # the instrumented loop replicates run() exactly, so
-                # event_count (and everything else) is unchanged.
+                # the tally only counts, so event_count (and everything
+                # else) is unchanged.
                 env.obs_tally = {}
         self.scenario = scenario
         self.env = env
@@ -381,7 +381,7 @@ def run_scenario(scenario: Scenario,
     controller is inert and the run is bit-identical to ``chaos=None``.
 
     ``heartbeat`` is an optional :class:`repro.obs.runtime.Heartbeat`:
-    the kernel's instrumented loop gives it a wall-clock cadence check
+    the kernel's event loop gives it a wall-clock cadence check
     every few thousand events and it emits live progress records
     (stderr + JSONL) plus stall flags.  Wall-clock only — a heartbeat
     run's scheduling output is bit-identical to a bare one.

@@ -58,8 +58,8 @@ class ObsConfig:
     """What one observability run collects.
 
     ``spans`` turns on the span tracer *and* the kernel event-type
-    tally (the tally needs the non-inlined event loop, so it is kept
-    out of metrics-only runs whose wall-clock feeds benchmark reports).
+    tally (one dict update per processed event, so it is kept out of
+    metrics-only runs whose wall-clock feeds benchmark reports).
     ``sample_sites`` additionally runs a :class:`~repro.experiments.
     telemetry.GridTelemetry` probe against the registry — the only
     collection mode that schedules kernel events (its sampler ticks),

@@ -57,7 +57,7 @@ def _gc_collections() -> int:
 class Heartbeat:
     """Wall-clock progress reporter + stall detector for long runs.
 
-    The kernel's instrumented loop calls :meth:`tick` every few
+    The kernel's event loop calls :meth:`tick` every few
     thousand events with the current sim time and processed-event
     count; a beat fires when ``interval_s`` wall seconds have passed
     (or every ``every_events`` events when set — the deterministic mode

@@ -10,14 +10,14 @@ Design goals, in order:
    bit-identical traces.  Event ties are broken by (priority, sequence
    number), never by object identity or hash order.
 2. **Legibility** — a small simpy-style API (`Process`, `timeout`,
-   `Resource`, `Store`) so simulation code reads like the protocol it
-   models.
-3. **Speed** — a single heapq-based event loop; an entire Grid3-scale day
-   (120 DAGs x 4 concurrent schedulers) simulates in seconds.
+   `Resource`) so simulation code reads like the protocol it models.
+3. **Speed** — one heapq-based event loop, with or without the
+   observability hooks; an entire Grid3-scale day (120 DAGs x 4
+   concurrent schedulers) simulates in seconds.
 
 Public API::
 
-    from repro.sim import Environment, Process, Resource, Store
+    from repro.sim import Environment, Process, Resource
 
     env = Environment()
 
@@ -31,7 +31,7 @@ Public API::
 
 from repro.sim.engine import Environment, Event, Interrupt, SimulationError, Wakeup
 from repro.sim.process import Process
-from repro.sim.resources import Resource, Store, PriorityStore
+from repro.sim.resources import Resource
 from repro.sim.rng import RngStreams
 
 __all__ = [
@@ -42,7 +42,5 @@ __all__ = [
     "Resource",
     "RngStreams",
     "SimulationError",
-    "Store",
-    "PriorityStore",
     "Wakeup",
 ]

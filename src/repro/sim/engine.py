@@ -177,7 +177,11 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed delay."""
+    """An event that fires after a fixed delay.
+
+    Armed by :meth:`Environment.timeout` or :meth:`Environment.timeout_at`;
+    the class itself takes no delay.
+    """
 
     __slots__ = ()
 
@@ -195,20 +199,6 @@ class Timeout(Event):
         if self.callbacks is None:
             raise SimulationError("cancel() of a fired or cancelled timeout")
         self.callbacks = None
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
-        # Timeouts are the single most-constructed object in any run;
-        # Event.__init__ and Environment.schedule are inlined here to
-        # drop two call frames per construction.
-        if not delay >= 0:  # negative or NaN
-            raise ValueError(f"timeout delay must be >= 0, got {delay!r}")
-        self.env = env
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self._defused = False
-        env._seq += 1
-        heappush(env._heap, (env._now + delay, _NORMAL_BASE + env._seq, self))
 
 
 class Wakeup:
@@ -340,13 +330,11 @@ class Environment:
         #: number of events processed so far (profiling / debugging aid)
         self.event_count = 0
         #: observability hook: set to a dict (event type name -> count)
-        #: to tally every processed event by type.  ``run`` then takes a
-        #: non-inlined loop — same semantics, same ``event_count``, just
-        #: slower — so the default fast paths stay untouched.
+        #: to tally every processed event by type.
         self.obs_tally: Optional[dict[str, int]] = None
         #: observability hook: a :class:`repro.obs.runtime.Heartbeat`
-        #: whose ``tick(sim_now, events_processed)`` the instrumented
-        #: loop calls every ``_HB_STRIDE`` processed events.  Wall-clock
+        #: whose ``tick(sim_now, events_processed)`` :meth:`run` calls
+        #: every ``_HB_STRIDE`` processed events.  Wall-clock
         #: only — it never touches the heap, the clock, or any RNG, so
         #: a heartbeat run stays bit-identical to a bare one.
         self.heartbeat = None
@@ -381,7 +369,7 @@ class Environment:
         """An event that fires ``delay`` time units from now.
 
         Builds the Timeout via ``__new__`` + direct slot stores — the
-        same fields :class:`Timeout.__init__` sets — skipping the type
+        same fields :class:`Event.__init__` sets — skipping the type
         call and ``__init__`` frame on the hottest allocation site.
         (The ``_``-prefixed defaults bind hot globals as locals; do not
         pass them.)
@@ -410,8 +398,7 @@ class Environment:
             raise ValueError(
                 f"cannot arm a timer at {when!r} < now {self._now!r}"
             )
-        ev = Timeout.__new__(Timeout)  # Timeout.__init__ takes a delay
-        Event.__init__(ev, self)
+        ev = Timeout(self)
         ev._value = value
         self._seq += 1
         heappush(self._heap, (when, _NORMAL_BASE + self._seq, ev))
@@ -434,25 +421,11 @@ class Environment:
         """Timestamp of the next event, or ``inf`` when the heap is empty."""
         return self._heap[0][0] if self._heap else float("inf")
 
-    def step(self) -> None:
-        """Process exactly one event (skipping cancelled tombstones)."""
-        while True:
-            if not self._heap:
-                raise SimulationError("step() on an empty event heap")
-            when, _key, event = heapq.heappop(self._heap)
-            if when < self._now:
-                raise SimulationError(
-                    "event heap corrupted: time went backwards"
-                )
-            if event.callbacks is not None:
-                break
-        self._now = when
-        self.event_count += 1
-        callbacks, event.callbacks = event.callbacks, None
-        for cb in callbacks:
-            cb(event)
-        if not event._ok and not event._defused:
-            raise event._value
+    #: processed events between heartbeat cadence checks.  4096 events
+    #: take ~1 ms, so a wall-clock heartbeat interval is honoured to
+    #: within a millisecond while the per-event cost stays one decrement
+    #: + one branch.
+    _HB_STRIDE = 4096
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the loop.
@@ -464,161 +437,56 @@ class Environment:
         * an :class:`Event` — run until that event is processed and return
           its value (raising its exception if it failed).
 
-        The loop bodies below inline :meth:`step` (minus the
-        corruption guard — ``schedule`` already rejects negative
-        delays, so heap order implies a monotone clock) with
-        per-iteration attribute lookups hoisted into locals; the event
-        loop dominates every benchmark, so the duplication pays.
+        One loop serves all three: it stops when the heap is empty, when
+        the next event lies past ``stop`` (``inf`` unless ``until`` is a
+        number), or when the target event's sentinel callback has run —
+        checked only after callbacks ran, the one place it can change.
+        The observability hooks are tested per processed event:
+        :attr:`obs_tally` counts it by type, and :attr:`heartbeat` gets a
+        tick at loop entry and then every ``_HB_STRIDE`` events
+        (wall-clock work only — the simulation cannot observe either).
+
         ``event_count`` is not incremented per pop: every push bumps
         ``_seq``, so pops = (entries at entry + pushes during the run)
         − entries left − cancelled tombstones popped, computed once on
         exit (a cancelled timer was never processed; see
-        :meth:`Timeout.cancel`).
-        """
-        if self.obs_tally is not None or self.heartbeat is not None:
-            return self._run_instrumented(until)
-        heap = self._heap
-        pop = heapq.heappop
-        seq0 = self._seq
-        len0 = len(heap)
-        skipped = 0
-        try:
-            # The ``self._now = when`` store sits inside the callbacks
-            # branch: an event with no callbacks runs no code, so the
-            # intermediate clock value is unobservable; the loop exit (or
-            # raise) restores the invariant with one final store.
-            if until is None:
-                when = self._now
-                while heap:
-                    when, _key, event = pop(heap)
-                    callbacks, event.callbacks = event.callbacks, None
-                    if callbacks:
-                        self._now = when
-                        for cb in callbacks:
-                            cb(event)
-                        if not event._ok and not event._defused:
-                            raise event._value
-                    elif callbacks is None:
-                        skipped += 1  # cancelled tombstone
-                    elif not event._ok and not event._defused:
-                        self._now = when
-                        raise event._value
-                self._now = when
-                return None
-
-            if isinstance(until, Event):
-                sentinel = until
-                finished: list[Event] = []
-                sentinel.add_callback(finished.append)
-                when = self._now
-                while heap and not finished:
-                    when, _key, event = pop(heap)
-                    callbacks, event.callbacks = event.callbacks, None
-                    if callbacks:
-                        self._now = when
-                        for cb in callbacks:
-                            cb(event)
-                        if not event._ok and not event._defused:
-                            raise event._value
-                    elif callbacks is None:
-                        skipped += 1  # cancelled tombstone
-                    elif not event._ok and not event._defused:
-                        self._now = when
-                        raise event._value
-                self._now = when
-                if not finished:
-                    raise SimulationError(
-                        "run(until=event) exhausted the event heap before "
-                        "the target event fired"
-                    )
-                if not sentinel.ok:
-                    raise sentinel.value
-                return sentinel.value
-
-            horizon = float(until)
-            if horizon < self._now:
-                raise ValueError(
-                    f"cannot run until {horizon} < now {self._now}"
-                )
-            while heap and heap[0][0] <= horizon:
-                when, _key, event = pop(heap)
-                callbacks, event.callbacks = event.callbacks, None
-                if callbacks:
-                    self._now = when
-                    for cb in callbacks:
-                        cb(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-                elif callbacks is None:
-                    skipped += 1  # cancelled tombstone
-                elif not event._ok and not event._defused:
-                    self._now = when
-                    raise event._value
-            self._now = horizon
-            return None
-        finally:
-            self.event_count += len0 + (self._seq - seq0) - len(heap) - skipped
-
-    #: processed events between heartbeat cadence checks.  4096 events
-    #: take ~1 ms even on the slow instrumented loop, so a wall-clock
-    #: heartbeat interval is honoured to within a millisecond while the
-    #: per-event cost stays one decrement + one branch.
-    _HB_STRIDE = 4096
-
-    def _run_instrumented(self, until: Optional[float | Event] = None) -> Any:
-        """The :meth:`run` semantics with observability hooks live.
-
-        Entered when :attr:`obs_tally` (trace mode) and/or
-        :attr:`heartbeat` is set.  One generic loop replaces the three
-        inlined fast paths; every processed (non-tombstone) event bumps
-        ``obs_tally[type name]``, mirroring exactly what ``event_count``
-        counts, so the tally's sum equals the events processed by this
-        call; every ``_HB_STRIDE`` processed events the heartbeat gets a
-        chance to emit a progress record (wall-clock work only — the
-        simulation cannot observe it).
+        :meth:`Timeout.cancel`).  The heartbeat's count is the same sum.
         """
         heap = self._heap
         pop = heapq.heappop
         tally = self.obs_tally
         heartbeat = self.heartbeat
-        hb_stride = self._HB_STRIDE
-        hb_left = hb_stride
+        hb_left = hb_stride = self._HB_STRIDE
+        target = until if isinstance(until, Event) else None
+        finished: list[Event] = []
+        stop = float("inf")
+        if target is not None:
+            target.add_callback(finished.append)
+        elif until is not None:
+            stop = float(until)
+            if stop < self._now:
+                raise ValueError(f"cannot run until {stop} < now {self._now}")
         base = self.event_count
-        processed = 0
+        seq0 = self._seq
+        len0 = len(heap)
+        skipped = 0
         if heartbeat is not None:
             # Start the wall clock at loop entry, not at the first
             # stride boundary — cumulative events/s stays honest even
             # when the run is only a few strides long.
             heartbeat.tick(self._now, base)
-        seq0 = self._seq
-        len0 = len(heap)
-        skipped = 0
-
-        sentinel: Optional[Event] = None
-        horizon: Optional[float] = None
-        finished: list[Event] = []
-        if isinstance(until, Event):
-            sentinel = until
-            sentinel.add_callback(finished.append)
-        elif until is not None:
-            horizon = float(until)
-            if horizon < self._now:
-                raise ValueError(
-                    f"cannot run until {horizon} < now {self._now}"
-                )
         try:
+            # The ``self._now = when`` store sits inside the callbacks
+            # branch: an event with no callbacks runs no code, so the
+            # intermediate clock value is unobservable; the loop exit (or
+            # raise) restores the invariant with one final store.
             when = self._now
-            while heap:
-                if finished:
-                    break
-                if horizon is not None and heap[0][0] > horizon:
-                    break
+            while heap and heap[0][0] <= stop:
                 when, _key, event = pop(heap)
                 callbacks, event.callbacks = event.callbacks, None
                 if callbacks is None:
                     skipped += 1  # cancelled tombstone
                     continue
-                processed += 1
                 if tally is not None:
                     name = type(event).__name__
                     tally[name] = tally.get(name, 0) + 1
@@ -626,26 +494,30 @@ class Environment:
                     hb_left -= 1
                     if not hb_left:
                         hb_left = hb_stride
-                        heartbeat.tick(when, base + processed)
+                        heartbeat.tick(when, base + len0 + (self._seq - seq0)
+                                       - len(heap) - skipped)
                 if callbacks:
                     self._now = when
                     for cb in callbacks:
                         cb(event)
                     if not event._ok and not event._defused:
                         raise event._value
+                    if finished:
+                        break
                 elif not event._ok and not event._defused:
                     self._now = when
                     raise event._value
-            self._now = when if horizon is None else horizon
-            if sentinel is not None:
-                if not finished:
-                    raise SimulationError(
-                        "run(until=event) exhausted the event heap before "
-                        "the target event fired"
-                    )
-                if not sentinel.ok:
-                    raise sentinel.value
-                return sentinel.value
-            return None
+            if target is None:
+                self._now = when if until is None else stop
+                return None
+            self._now = when
+            if not finished:
+                raise SimulationError(
+                    "run(until=event) exhausted the event heap before "
+                    "the target event fired"
+                )
+            if not target.ok:
+                raise target.value
+            return target.value
         finally:
             self.event_count += len0 + (self._seq - seq0) - len(heap) - skipped

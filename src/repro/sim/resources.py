@@ -1,12 +1,8 @@
-"""Contention primitives: counted resources and object stores.
+"""Contention primitive: a counted resource.
 
-* :class:`Resource` — N interchangeable slots (e.g. the CPUs of a grid
-  site).  Requests queue FIFO (optionally by priority) and are granted as
-  slots free up.
-* :class:`Store` — an unbounded FIFO buffer of objects (e.g. a message
-  queue between the SPHINX client and server).
-* :class:`PriorityStore` — a store whose ``get`` returns the smallest item
-  (used for batch queues ordered by priority/arrival).
+:class:`Resource` holds N interchangeable slots (e.g. the CPUs of a grid
+site).  Requests queue FIFO (optionally by priority) and are granted as
+slots free up.
 """
 
 from __future__ import annotations
@@ -14,12 +10,11 @@ from __future__ import annotations
 import heapq
 import itertools
 from heapq import heappush
-from typing import Any, Callable, Optional
 
 from repro.sim.engine import Environment, Event, PENDING, SimulationError
 from repro.sim.engine import _NORMAL_BASE
 
-__all__ = ["Resource", "Request", "Store", "PriorityStore"]
+__all__ = ["Resource", "Request"]
 
 
 class Request(Event):
@@ -158,69 +153,3 @@ class Resource:
             env._seq += 1
             heappush(env._heap, (env._now, _NORMAL_BASE + env._seq, req))
 
-
-class Store:
-    """Unbounded FIFO buffer with blocking ``get``."""
-
-    def __init__(self, env: Environment):
-        self.env = env
-        self._items: list[Any] = []
-        self._getters: list[Event] = []
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> tuple:
-        """Snapshot of buffered items (oldest first)."""
-        return tuple(self._items)
-
-    def put(self, item: Any) -> None:
-        """Deposit an item, waking the oldest waiting getter if any."""
-        self._items.append(item)
-        self._dispatch()
-
-    def get(self) -> Event:
-        """An event that fires with the next item."""
-        ev = Event(self.env)
-        self._getters.append(ev)
-        self._dispatch()
-        return ev
-
-    def _pop(self) -> Any:
-        return self._items.pop(0)
-
-    def _dispatch(self) -> None:
-        while self._items and self._getters:
-            getter = self._getters.pop(0)
-            getter.succeed(self._pop())
-
-
-class PriorityStore(Store):
-    """A store whose ``get`` yields the smallest buffered item."""
-
-    def __init__(self, env: Environment, key: Optional[Callable[[Any], Any]] = None):
-        super().__init__(env)
-        self._key = key
-        self._counter = itertools.count()
-        self._heap: list[tuple[Any, int, Any]] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def items(self) -> tuple:
-        return tuple(item for _k, _c, item in sorted(self._heap))
-
-    def put(self, item: Any) -> None:
-        key = self._key(item) if self._key else item
-        heapq.heappush(self._heap, (key, next(self._counter), item))
-        self._dispatch()
-
-    def _pop(self) -> Any:
-        return heapq.heappop(self._heap)[2]
-
-    def _dispatch(self) -> None:
-        while self._heap and self._getters:
-            getter = self._getters.pop(0)
-            getter.succeed(self._pop())

@@ -367,13 +367,15 @@ class LocalScheduler:
 
         A window must be able to close: one whose start, length or end
         is NaN or whose end is infinite is rejected, so nothing is held
-        for a reservation whose end timer could never be armed.
+        for a reservation whose end timer could never be armed.  A CPU
+        count that is not an ``int`` (1.7, "2", True, NaN) is rejected
+        too, never rounded into a size nobody asked for.
         """
         now = self.env.now
-        cpus = int(cpus)
         end_s = start_s + duration_s
         if (
             res_id in self._reservations
+            or type(cpus) is not int
             or cpus < 1
             or cpus > self.n_cpus
             or not duration_s > 0  # written so that NaN fails

@@ -60,6 +60,6 @@ def test_inert_controller_leaves_server_configs_alone():
     result = run(chaos=controller)
     for server in controller.servers.values():
         assert server.config.reliable_delivery is False
-        assert server.config.presume_lost_after_s is None
+        assert server.config.presume_lost_after_s == float("inf")
         assert server.config.checkpoint_interval_s == 0.0
     assert result.servers  # the run actually produced results

@@ -10,6 +10,8 @@ which now returns early on the deque's answer, must requeue exactly the
 rows the scan names.
 """
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,7 +40,7 @@ def requeue_lost(rig, window_s):
     before = server.resubmission_count
     server.config.presume_lost_after_s = window_s
     server._requeue_lost_jobs()
-    server.config.presume_lost_after_s = None
+    server.config.presume_lost_after_s = math.inf
     assert server.resubmission_count - before == len(lost)
     jobs = server.warehouse.table("jobs")
     assert all(jobs.get(job_id)["last_status"] == "presumed-lost"

@@ -44,8 +44,6 @@ def test_unordered_delays_rejected_at_every_entry_point(delay):
     with pytest.raises(ValueError, match=">= 0"):
         env.timeout(delay)
     with pytest.raises(ValueError, match=">= 0"):
-        Timeout(env, delay)
-    with pytest.raises(ValueError, match=">= 0"):
         env.schedule(env.event(), delay)
     assert env.peek() == float("inf")  # nothing reached the heap
 
@@ -151,12 +149,6 @@ def test_run_until_never_fired_event_raises():
     env.timeout(1.0)
     with pytest.raises(SimulationError):
         env.run(until=target)
-
-
-def test_step_on_empty_heap_raises():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        env.step()
 
 
 def test_peek_reports_next_event_time():

@@ -15,7 +15,6 @@ from repro.sim.engine import (
     Environment,
     Event,
     SimulationError,
-    Timeout,
     Wakeup,
 )
 
@@ -191,5 +190,5 @@ class TestTimeoutCancel:
 def test_timeout_cancel_is_timeout_only():
     # Plain events have no heap entry to withdraw; the API is on Timeout.
     env = Environment()
-    assert hasattr(Timeout(env, 1.0), "cancel")
+    assert hasattr(env.timeout(1.0), "cancel")
     assert not hasattr(Event(env), "cancel")

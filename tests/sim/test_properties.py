@@ -129,23 +129,3 @@ def test_random_process_graphs_run_deterministically(seed, n_procs):
 
     assert build_and_run() == build_and_run()
 
-
-@given(values=st.lists(st.integers(-1000, 1000), min_size=1, max_size=50))
-@settings(max_examples=40, deadline=None)
-def test_priority_store_total_order(values):
-    """PriorityStore yields items in sorted order regardless of insertion."""
-    from repro.sim import PriorityStore
-
-    env = Environment()
-    store = PriorityStore(env)
-    got = []
-
-    def consumer(env, store, n):
-        for _ in range(n):
-            got.append((yield store.get()))
-
-    for v in values:
-        store.put(v)
-    env.process(consumer(env, store, len(values)))
-    env.run()
-    assert got == sorted(values)

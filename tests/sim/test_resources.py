@@ -1,8 +1,8 @@
-"""Unit tests for Resource / Store / PriorityStore."""
+"""Unit tests for Resource."""
 
 import pytest
 
-from repro.sim import Environment, Resource, Store, PriorityStore
+from repro.sim import Environment, Resource
 from repro.sim.engine import SimulationError
 
 
@@ -126,102 +126,6 @@ def test_resize_down_does_not_evict():
     c = res.request()
     env.run()
     assert c.triggered
-
-
-def test_store_fifo_order():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def consumer(env, store):
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item)
-
-    env.process(consumer(env, store))
-    for x in ("first", "second", "third"):
-        store.put(x)
-    env.run()
-    assert got == ["first", "second", "third"]
-
-
-def test_store_get_blocks_until_put():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def consumer(env, store):
-        item = yield store.get()
-        got.append((env.now, item))
-
-    def producer(env, store):
-        yield env.timeout(4.0)
-        store.put("late")
-
-    env.process(consumer(env, store))
-    env.process(producer(env, store))
-    env.run()
-    assert got == [(4.0, "late")]
-
-
-def test_store_len_and_items():
-    env = Environment()
-    store = Store(env)
-    store.put(1)
-    store.put(2)
-    assert len(store) == 2
-    assert store.items == (1, 2)
-
-
-def test_priority_store_returns_smallest():
-    env = Environment()
-    store = PriorityStore(env)
-    got = []
-
-    def consumer(env, store):
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item)
-
-    store.put(5)
-    store.put(1)
-    store.put(3)
-    env.process(consumer(env, store))
-    env.run()
-    assert got == [1, 3, 5]
-
-
-def test_priority_store_with_key():
-    env = Environment()
-    store = PriorityStore(env, key=lambda job: job["prio"])
-    got = []
-
-    def consumer(env, store):
-        for _ in range(2):
-            item = yield store.get()
-            got.append(item["name"])
-
-    store.put({"name": "low", "prio": 9})
-    store.put({"name": "high", "prio": 1})
-    env.process(consumer(env, store))
-    env.run()
-    assert got == ["high", "low"]
-
-
-def test_priority_store_stable_for_equal_keys():
-    env = Environment()
-    store = PriorityStore(env, key=lambda x: 0)
-    got = []
-
-    def consumer(env, store):
-        for _ in range(3):
-            got.append((yield store.get()))
-
-    for name in ("a", "b", "c"):
-        store.put(name)
-    env.process(consumer(env, store))
-    env.run()
-    assert got == ["a", "b", "c"]
 
 
 def test_take_holds_uncontended_slots_anonymously():

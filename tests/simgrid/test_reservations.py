@@ -56,6 +56,20 @@ def test_reserve_rejects_a_window_that_cannot_close(start_s, duration_s):
     assert sched.reservation_audit() == []
 
 
+@pytest.mark.parametrize("cpus", [1.7, "2", True, float("nan"), float("inf")])
+def test_reserve_rejects_a_cpu_count_that_is_not_an_int(cpus):
+    """``int(cpus)`` used to book 1 CPU for 1.7 or True and 2 for "2",
+    and to raise out of the call for NaN and inf."""
+    env = Environment()
+    sched = LocalScheduler(env, 4, lambda r: r)
+    assert sched.reserve("a", 0.0, 10.0, cpus) is False
+    assert sched.reservations == ()
+    assert sched._cpus.count == 0
+    assert sched.reservation_counts["rejected"] == 1
+    env.run()
+    assert sched._cpus.count == 0
+
+
 def test_reserve_rejects_window_oversubscription():
     env = Environment()
     sched = make(env, n_cpus=2)
