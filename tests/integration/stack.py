@@ -19,7 +19,7 @@ class FullStack:
     """Environment + grid + services + one SPHINX server and client."""
 
     def __init__(self, n_sites=4, n_cpus=8, algorithm="completion-time",
-                 seed=0, background=0.0, **config_kw):
+                 seed=0, background=0.0, quota=None, **config_kw):
         self.env = Environment()
         self.rng = RngStreams(seed)
         self.grid = Grid(self.env, self.rng)
@@ -44,12 +44,24 @@ class FullStack:
         self.server = SphinxServer(self.env, self.bus, self.config,
                                    self.catalog, self.monitoring, self.rls)
         self.user = User("alice", VirtualOrganization("cms"))
-        self.server.policy.grant_unlimited(self.user.proxy)
+        #: resource -> per-site grant for the user; None = quota-exempt
+        self.quota = quota
+        self.apply_policy(self.server)
         self.client = SphinxClient(
             self.env, self.bus, self.server.service_name, self.condorg,
             self.gridftp, self.rls, self.user, "c0", poll_s=1.0,
             rng=self.rng.stream("client-backoff"),
         )
+
+    def apply_policy(self, server):
+        """Grant the user's quota (policy lives outside the warehouse,
+        so a recovered server needs it applied again)."""
+        if self.quota is None:
+            server.policy.grant_unlimited(self.user.proxy)
+            return
+        for site in self.catalog:
+            for resource, amount in self.quota.items():
+                server.policy.grant(self.user.proxy, site, resource, amount)
 
     def submit(self, dag, home="s0"):
         self.client.stage_external_inputs(dag, self.grid.site(home))
