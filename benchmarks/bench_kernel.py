@@ -448,8 +448,7 @@ def _plan_job_us(n_sites: int, bound: bool, draining: bool,
     sites = grid.site_names
     server = SphinxServer(
         env, RpcBus(env),
-        ServerConfig(name="bench", algorithm="completion-time",
-                     checkpoint_interval_s=0.0),
+        ServerConfig(name="bench", algorithm="completion-time"),
         {s: 8 for s in sites},
         MonitoringService(env, grid), ReplicaService(env, sites),
     )

@@ -7,8 +7,8 @@ describes everything to break —
 
 * 10% message drops + 10% delay jitter on every SPHINX service,
 * a 400 s network partition cutting clients off from the server,
-* a server crash *during* the partition, recovered from the last
-  warehouse checkpoint under the same service name,
+* a server crash *during* the partition, recovered from the warehouse
+  as it stood at the crash under the same service name,
 
 and the end-state invariant checker proves no DAG was lost, no effect
 was double-applied, and the transactional outbox drained.
@@ -43,7 +43,6 @@ def main():
         crashes=(
             CrashSpec(component="server", at_s=1350.0, down_s=150.0),
         ),
-        checkpoint_interval_s=120.0,
     )
     scenario = fig2_scenario(4, seed=42, horizon_s=12 * 3600.0)
 

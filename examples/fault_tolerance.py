@@ -8,9 +8,10 @@ survive:
    job tracker's timeout + feedback),
 2. a **mid-run site outage** that kills running jobs (caught by the
    killed-status report + replanning),
-3. a **SPHINX server crash** halfway through, recovered from the last
-   warehouse checkpoint under the same service name (clients retry
-   their reports until the recovered server answers).
+3. a **SPHINX server crash** halfway through, recovered from the
+   warehouse as it stood at the crash (every write is durable) under
+   the same service name (clients retry their reports until the
+   recovered server answers).
 
 Every DAG still finishes.
 
@@ -58,8 +59,7 @@ def main():
     monitoring = MonitoringService(env, grid, update_interval_s=120.0)
     catalog = {s.name: s.n_cpus for s in grid}
     config = ServerConfig(name="ft", algorithm="completion-time",
-                          job_timeout_s=300.0,
-                          checkpoint_interval_s=60.0)
+                          job_timeout_s=300.0)
     server = SphinxServer(env, bus, config, catalog, monitoring, rls)
     user = User("alice", VirtualOrganization("demo"))
     server.policy.grant_unlimited(user.proxy)
@@ -85,15 +85,15 @@ def main():
 
         # 3. ...and then the SPHINX server itself crashes.
         yield env.timeout(300.0)
-        checkpoint = state["server"].last_checkpoint
+        checkpoint = state["server"].checkpoint()
         state["server"].shutdown()
         print(f"[t={env.now:5.0f}] SPHINX server CRASHED "
-              f"(last checkpoint restored on restart)")
+              f"(its warehouse survives the crash)")
         yield env.timeout(120.0)
         state["server"] = recover_server(env, bus, config, catalog,
                                          monitoring, rls, checkpoint)
         state["server"].policy.grant_unlimited(user.proxy)
-        print(f"[t={env.now:5.0f}] SPHINX server RECOVERED from checkpoint")
+        print(f"[t={env.now:5.0f}] SPHINX server RECOVERED from its warehouse")
 
     env.process(chaos(env))
     env.run(until=6 * 3600.0)

@@ -6,13 +6,13 @@
 
 * build the (possibly fault-injecting) RPC bus for the run;
 * contribute the ``ServerConfig`` fields that make a server survive
-  the plan — periodic checkpoints when it crashes servers,
-  transactional outbox delivery and the presumed-lost requeue window
-  when the transport or a client can eat messages;
-* run the drills: kill servers (checkpoint -> ``shutdown`` ->
-  ``recover_server`` under the same service name) and clients
-  (``crash``/``restart``) at plan-scripted or plan-seeded instants,
-  and layer the plan's resource faults onto the grid's injector.
+  the plan — transactional outbox delivery and the presumed-lost
+  requeue window when the transport or a client can eat messages;
+* run the drills: kill servers (warehouse image at the crash instant
+  -> ``shutdown`` -> ``recover_server`` from that image under the
+  same service name) and clients (``crash``/``restart``) at
+  plan-scripted or plan-seeded instants, and layer the plan's
+  resource faults onto the grid's injector.
 
 With an inactive plan the controller is inert: plain bus, untouched
 configs, no processes spawned — a chaos-disabled run is the same run.
@@ -74,8 +74,6 @@ class ChaosController:
         """
         plan = self.plan
         fields: dict = {}
-        if plan.crashes:
-            fields["checkpoint_interval_s"] = plan.checkpoint_interval_s
         if plan.eviction_active:
             fields.update(
                 migrate_on_drain=plan.migrate_on_drain,
@@ -185,8 +183,10 @@ class ChaosController:
             yield self.env.timeout(at - self.env.now)
         labels = self._labels(spec)
         if spec.component == "server":
+            images = {}
             for label in labels:
                 server = self.servers[label]
+                images[label] = server.checkpoint()
                 server.shutdown()
                 self._regen_base[label] = (
                     self._regen_base.get(label, 0)
@@ -200,7 +200,7 @@ class ChaosController:
                 old = self.servers[label]
                 replacement = recover_server(
                     self.env, self.bus, old.config, old.site_catalog,
-                    old.monitoring, old.rls, old.last_checkpoint,
+                    old.monitoring, old.rls, images[label],
                     obs=self.obs if self.obs.enabled else None,
                     server_cls=type(old),
                     reconfigure=self._reconfigure[label],

@@ -170,7 +170,7 @@ def check_invariants(servers: dict, clients: dict, bus, scenario,
                     out.append(Violation(
                         "dag-lost", label, dag_id,
                         "accepted from the client but absent from the "
-                        "warehouse (crash before a checkpoint?)",
+                        "warehouse (was the database itself lost?)",
                     ))
 
         # -- completion + per-dag consistency -----------------------------

@@ -159,9 +159,6 @@ class ChaosPlan:
     #: stochastic site failures: MTBF (None = off) and MTTR
     site_mtbf_s: Optional[float] = None
     site_mttr_s: float = 1800.0
-    #: checkpoint period forced onto servers when the plan has crashes
-    #: (the experiment default of 0 would make every recovery amnesiac)
-    checkpoint_interval_s: float = 120.0
     #: server-side presumed-lost window; None = derive from the
     #: scenario's job timeout (timeout + grace), the safe default
     presume_lost_after_s: Optional[float] = None
@@ -173,9 +170,8 @@ class ChaosPlan:
     eviction_outage_s: float = 600.0
     #: survival settings the plan contributes to ``ServerConfig`` when
     #: the eviction axis is active, under whatever a server's spec set
-    #: explicitly (``ChaosController.server_config``).  Named
-    #: apart from ``checkpoint_interval_s``, which is the *warehouse*
-    #: checkpoint period — these are per-*job* progress checkpoints.
+    #: explicitly (``ChaosController.server_config``).  These are
+    #: per-*job* progress checkpoints, not the warehouse image.
     migrate_on_drain: bool = True
     job_checkpoint_interval_s: float = 60.0
     job_checkpoint_cost_s: float = 1.0
@@ -187,7 +183,7 @@ class ChaosPlan:
             if getattr(self, name) is not None  # None = off / derived
         ))
         require_non_negative(
-            self, "checkpoint_interval_s", "eviction_notice_s",
+            self, "eviction_notice_s",
             "job_checkpoint_interval_s", "job_checkpoint_cost_s",
         )
 
@@ -233,8 +229,7 @@ class ChaosPlan:
 # --------------------------------------------------------------------------
 # Preset plans — the documented drills CI runs.  Every preset respects
 # the liveness envelope the invariant checker enforces: message loss
-# <= 20%, crashes only after the first checkpoint can exist, partitions
-# that end well before the horizon.
+# <= 20%, partitions that end well before the horizon.
 # --------------------------------------------------------------------------
 
 def _lossy(seed: int) -> ChaosPlan:
@@ -266,14 +261,13 @@ def _partition(seed: int) -> ChaosPlan:
 
 
 def _crash(seed: int) -> ChaosPlan:
-    """One server crash-recover cycle after the first checkpoint."""
+    """One server crash-recover cycle mid-run."""
     return ChaosPlan(
         name="crash",
         seed=seed,
         crashes=(
             CrashSpec(component="server", at_s=1300.0, down_s=180.0),
         ),
-        checkpoint_interval_s=120.0,
     )
 
 
@@ -295,7 +289,6 @@ def _full(seed: int) -> ChaosPlan:
             CrashSpec(component="server", at_s=1300.0, down_s=180.0),
             CrashSpec(component="client", at_s=4000.0, down_s=240.0),
         ),
-        checkpoint_interval_s=120.0,
     )
 
 
@@ -361,7 +354,7 @@ def _shard_outage(seed: int) -> ChaosPlan:
     grace (600s), so DAGs admitted while ``shard0`` is dark — routed to
     it anyway, because homes own transient outages — wait out the
     grace and get re-homed to a live peer; DAGs shard0 had already
-    acknowledged stay put and resume from its checkpoint on recovery.
+    acknowledged stay put and resume from its warehouse on recovery.
     The federation invariants then audit both halves: nothing lost,
     nothing double-placed, leases conserved across the crash.
     """
@@ -372,7 +365,6 @@ def _shard_outage(seed: int) -> ChaosPlan:
             CrashSpec(component="server", at_s=1500.0, down_s=900.0,
                       label="shard0"),
         ),
-        checkpoint_interval_s=120.0,
     )
 
 
@@ -445,5 +437,4 @@ def random_plan(seed: int, horizon_s: float = 6 * 3600.0) -> ChaosPlan:
         rules=rules,
         partitions=partitions,
         crashes=crashes,
-        checkpoint_interval_s=120.0,
     )

@@ -1,14 +1,16 @@
 """Server crash recovery (paper §3.1: "robust and recoverable system").
 
-The server checkpoints its warehouse on a period.  After a crash,
-:func:`recover_server` builds a replacement from the last checkpoint
-under the *same service name*, so clients — which retry important
-reports while the name is unreachable — reconnect transparently.
+Every warehouse write is durable the moment it is made, as the paper's
+MySQL tables were, so a crash leaves behind the warehouse as it stood
+at the crash instant (:meth:`~repro.core.server.SphinxServer.checkpoint`).
+:func:`recover_server` builds a replacement from that image under the
+*same service name*, so clients — which retry important reports while
+the name is unreachable — reconnect transparently.
 
 Recovery policy (documented at-least-once semantics):
 
 * **in-flight jobs requeue** — jobs that were PLANNED/SUBMITTED at the
-  checkpoint cannot be trusted: the plan message, the client execution
+  crash cannot be trusted: the plan message, the client execution
   context, or the completion report may have been lost in the crash
   window.  They are marked CANCELLED (state, not feedback — the site
   did nothing wrong) and their quota reservations refunded; the control
@@ -41,16 +43,13 @@ def recover_server(
     site_catalog: Mapping[str, int],
     monitoring,
     rls,
-    checkpoint: Optional[dict],
+    checkpoint: dict,
     obs=None,
     server_cls: type[SphinxServer] = SphinxServer,
     reconfigure: Optional[Callable[[SphinxServer], None]] = None,
 ) -> SphinxServer:
-    """A replacement server resuming from ``checkpoint``.
-
-    ``checkpoint`` may be None (crash before the first checkpoint): the
-    replacement starts empty, and clients' pending work is lost — the
-    same truth a fresh MySQL would tell.
+    """A replacement server resuming from the warehouse image
+    ``checkpoint`` (``Warehouse().snapshot()`` models a lost database).
 
     ``obs`` hands the replacement the same observability facade the
     crashed instance used, so counters keep accumulating across the
@@ -65,18 +64,17 @@ def recover_server(
     user whose exemption is not back yet reads as "never charged".
     """
     warehouse = Warehouse()
-    if checkpoint is not None:
-        warehouse.restore(checkpoint)
-        _requeue_in_flight(warehouse)
-        _drop_stale_plans(warehouse)
+    warehouse.restore(checkpoint)
+    server_cls.init_tables(warehouse)
+    _requeue_in_flight(warehouse)
+    _drop_stale_plans(warehouse)
     server = server_cls(
         env, bus, config, site_catalog, monitoring, rls,
         warehouse=warehouse, obs=obs,
     )
     if reconfigure is not None:
         reconfigure(server)
-    if checkpoint is not None:
-        _refund_requeued(server)
+    _refund_requeued(server)
     return server
 
 

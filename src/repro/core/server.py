@@ -9,10 +9,11 @@ responsible for each state:
   feedback filtering, algorithm choice, transfer planning),
 * incoming tracker reports -> **feedback** + **prediction** updates.
 
-All state lives in warehouse tables; the server checkpoints the
-warehouse on a period, and :class:`SphinxServer.recover` builds a new
-server from the last checkpoint (paper: "easily recoverable from
-internal component failures").
+All state lives in warehouse tables, and every write to them is
+durable the moment it is made, as the paper's MySQL was: a crash hands
+the replacement :meth:`SphinxServer.checkpoint` taken at the crash
+instant, and :func:`repro.core.recovery.recover_server` resumes from it
+(paper: "easily recoverable from internal component failures").
 
 Client communication is message-based over the RPC bus: clients call
 ``submit_dag`` / ``report_status``, and the server sends planning
@@ -25,9 +26,9 @@ Wakeup discipline: the control loop blocks on a
 actually create plannable work — a DAG submission, a
 completion/cancellation report (which also releases active slots,
 refunds quota, and updates feedback), a virtual-data regeneration —
-plus one deadline timer derived from the nearest pending job timeout,
-the dirty-dag retry period (``tick_s``), and the next checkpoint.  A
-quiescent server schedules zero kernel events.  State lives in
+plus one deadline timer derived from the nearest pending job timeout
+and the dirty-dag retry period (``tick_s``).  A quiescent server
+schedules zero kernel events.  State lives in
 warehouse rows and every pass runs ``tick()``.
 """
 
@@ -123,8 +124,6 @@ class ServerConfig:
     #: CPU-equivalents one planned job is charged as in the correction;
     #: > 1 accounts for the transfer/queue pressure a job brings.
     prediction_correction_strength: float = 4.0
-    #: warehouse checkpoint period; 0 disables checkpointing.
-    checkpoint_interval_s: float = 300.0
     #: safety valve: a job cancelled more than this many times fails the
     #: run loudly instead of looping forever.  None = unbounded (paper).
     max_attempts: Optional[int] = None
@@ -222,7 +221,7 @@ class SphinxServer:
                                               server=config.name)
 
         self.warehouse = warehouse if warehouse is not None else Warehouse()
-        self._init_tables()
+        self.init_tables(self.warehouse)
         self.feedback = ReliabilityTracker(self.warehouse, obs=obs)
         self.estimator = CompletionTimeEstimator(
             self.warehouse, mode=config.estimator_mode
@@ -355,22 +354,23 @@ class SphinxServer:
             self._dirty_clients[row["client_id"]] = None
         self._flush_outbox()
 
-        self.last_checkpoint: Optional[dict] = None
         self._proc = env.process(self._control_process())
 
     def shutdown(self) -> None:
         """Simulate a server crash/stop: drop off the bus, halt the loop.
 
-        The warehouse (and ``last_checkpoint``) survive the object; see
-        :mod:`repro.core.recovery` for bringing a replacement up.
+        Take :meth:`checkpoint` first: the image is what survives the
+        crash; see :mod:`repro.core.recovery` for bringing a
+        replacement up.
         """
         self.bus.unregister_service(self.service_name)
         if self._proc.is_alive:
             self._proc.interrupt("shutdown")
 
     # ------------------------------------------------------------------ schema
-    def _init_tables(self) -> None:
-        w = self.warehouse
+    @staticmethod
+    def init_tables(w: Warehouse) -> None:
+        """Create the server's tables and indexes that ``w`` lacks."""
         if "dags" not in w:
             w.create_table(
                 "dags",
@@ -607,23 +607,15 @@ class SphinxServer:
     def _control_process(self):
         from repro.sim import Interrupt
 
-        next_checkpoint = (
-            self.env.now + self.config.checkpoint_interval_s
-            if self.config.checkpoint_interval_s > 0
-            else None
-        )
         while True:
             self.tick()
-            if next_checkpoint is not None and self.env.now >= next_checkpoint:
-                self.checkpoint()
-                next_checkpoint = self.env.now + self.config.checkpoint_interval_s
             try:
                 wake = self._wakeup.wait()
                 if wake.triggered:
                     # A ring landed during this pass; run another now.
                     yield wake
                     continue
-                deadline = self._next_deadline(next_checkpoint)
+                deadline = self._next_deadline()
                 if deadline is not None:
                     delay = deadline - self.env.now
                     if delay <= 0.0:
@@ -661,23 +653,22 @@ class SphinxServer:
         self._deadline_ev = self.env.timeout(when - self.env.now)
         self._deadline_ev.add_callback(_ring)
 
-    def _next_deadline(self, next_checkpoint: Optional[float]) -> Optional[float]:
+    def _next_deadline(self) -> Optional[float]:
         """The next instant a pass must run even without a wakeup.
 
-        Three sources: the checkpoint period; a retry deadline while
-        any dag is dirty (its ready jobs could not all be planned —
-        quota or feedback pressure can relax without a report); and a
-        safety net at the nearest pending job timeout, in case a
-        client-side report is lost and no wakeup ever arrives.
+        Two sources: a retry deadline while any dag is dirty (its ready
+        jobs could not all be planned — quota or feedback pressure can
+        relax without a report); and a safety net at the nearest
+        pending job timeout, in case a client-side report is lost and
+        no wakeup ever arrives.
         """
-        deadline = next_checkpoint
+        deadline = None
         if self._dirty_dags or (
             self.config.reliable_delivery and self._dirty_clients
         ):
             # Dirty dags retry on quota/feedback drift; kept-dirty
             # clients (crashed receiver) retry their redelivery.
-            retry = self.env.now + self.config.tick_s
-            deadline = retry if deadline is None else min(deadline, retry)
+            deadline = self.env.now + self.config.tick_s
         oldest = self._nearest_planned_at()
         if oldest is not None:
             # Grace for plan delivery + staging before the client's
@@ -722,9 +713,16 @@ class SphinxServer:
         self._plan_ready_jobs()
         self._flush_outbox()
 
-    def checkpoint(self) -> None:
-        """Snapshot the warehouse (the recovery point)."""
-        self.last_checkpoint = self.warehouse.snapshot()
+    def checkpoint(self) -> dict:
+        """The warehouse image a crash at this instant leaves behind.
+
+        Every write is durable when made, so the image holds everything
+        the server has decided or heard.  It is a deep copy: the
+        crashed incarnation's pending callbacks (delivery acks,
+        reservation replies, lease credits) still hold the live
+        warehouse and may write to it after the crash.
+        """
+        return self.warehouse.snapshot()
 
     # --------------------------------------------------------------- DAG reducer
     def _reduce_new_dags(self) -> None:

@@ -9,10 +9,9 @@ system easily recoverable from internal component failures" (§3.1).
 
 * named :class:`Table` objects (declared columns, primary key),
 * insert / update / delete / query with equality predicates,
-* **snapshot & restore** — the recovery mechanism: the server
-  checkpoints the warehouse periodically; after a crash a new server
-  restores the snapshot and resumes from the last durable state
-  (exercised by :mod:`repro.core.recovery` tests).
+* **snapshot & restore** — the recovery mechanism: every write is
+  durable when made, so a crash leaves the snapshot taken at the crash
+  instant, and a new server restores it (:mod:`repro.core.recovery`).
 
 Rows are plain dicts of scalars; snapshots deep-copy, so a restored
 warehouse shares nothing with the crashed one.

@@ -199,8 +199,8 @@ class Stack:
 
         The config is written once, in layers: experiment defaults,
         then what an armed chaos plan contributes for survivability
-        (checkpoints, transactional delivery, presumed-lost requeue,
-        eviction tolerance — nothing from an inactive plan, keeping
+        (transactional delivery, presumed-lost requeue, eviction
+        tolerance — nothing from an inactive plan, keeping
         chaos-disabled runs bit-identical), then the spec, whose fields
         are ``ServerConfig``'s by name; an eviction knob the spec left
         on auto (None) is left to the layers below, a set one wins.
@@ -209,7 +209,6 @@ class Stack:
         fields = {
             "tick_s": scenario.tick_s,
             "job_timeout_s": scenario.job_timeout_s,
-            "checkpoint_interval_s": 0.0,  # recovery is drilled, not default
         }
         if self.chaos is not None:
             fields.update(self.chaos.server_config(scenario.job_timeout_s))

@@ -9,12 +9,11 @@ requester credits its own on the reply.
 Conservation is the invariant that matters: the sum of all shards'
 leases, plus debits whose credit never landed, must equal the global
 grant.  Both sides write idempotent transfer rows into their own
-warehouses (keyed by transfer id), and the **source checkpoints
-synchronously inside the debit handler** — on the bus the handler
-and its reply settle atomically, so a received credit always implies a
-durable debit.  The only loss mode is a debited slice whose reply
-died with the requester: quota burns (conservative direction) and the
-unmatched debit row keeps the books auditable.
+warehouses (keyed by transfer id), and every warehouse write is
+durable when made, so a received credit always implies a durable
+debit.  The only loss mode is a debited slice whose reply died with
+the requester: quota burns (conservative direction) and the unmatched
+debit row keeps the books auditable.
 """
 
 from __future__ import annotations
@@ -116,44 +115,7 @@ class ShardQuotaLedger:
              "amount": give, "to_shard": to_shard}
         )
         self.server.policy.grant(user, site, resource, new_amount)
-        # Durable before the reply settles: the bus runs this
-        # handler and the reply in one atomic callback, so the
-        # requester can never hold a credit our next checkpoint would
-        # forget — that would mint quota out of thin air.
-        self._sync_checkpoint()
         return give
-
-    def _sync_checkpoint(self) -> None:
-        """Make the ledger tables durable without re-snapshotting the
-        whole warehouse.
-
-        A full ``server.checkpoint()`` deep-copies every table —
-        jobs, DAGs, in/outboxes — which turns a busy transfer workload
-        into an O(warehouse) copy per debit (measured: ~90% of a
-        10-shard drill's wall clock).  Only the three ledger tables
-        need to be durable before the reply settles, and they are safe
-        to refresh *in place* inside the last checkpoint: all three
-        move together (so a credited lease and its credit row stay
-        consistent), and recovering newer leases against older job
-        state is conservative — requeued jobs are refunded and replan
-        against the accurate lease, while conservation audits exactly
-        the rows synced here (leases + debits).
-        """
-        server = self.server
-        if server.config.checkpoint_interval_s <= 0:
-            return
-        if server.last_checkpoint is None:
-            server.checkpoint()
-            return
-        tables = server.last_checkpoint["tables"]
-        for name, t in (("quota_leases", self.leases),
-                        ("lease_debits", self.debits),
-                        ("lease_credits", self.credits)):
-            tables[name] = {
-                "columns": t.columns,
-                "key": t.key,
-                "rows": [dict(row) for row in t.select(copy=False)],
-            }
 
     def apply_credit(self, transfer_id: str, user: str, site: str,
                      resource: str, amount: float,

@@ -15,6 +15,7 @@ all ride the simulation clock, never wall time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -117,11 +118,12 @@ def ext_federation_scenario(
     catalog (the ext-scale fabric), which is how the acceptance run
     drives 10 shards over 250 sites.  ``with_quota`` makes quota
     genuinely scarce: jobs need 1.0 ``slots`` and the per-(user, site)
-    grant is 1.5x a user's *fair share per site* (never below 1.5), so
-    the grid can absorb the workload with ~50% headroom, but a single
-    shard's 1/N lease slice starves as soon as a user's jobs
-    concentrate — lease transfers sit on the planning critical path,
-    not decoration.
+    grant is 1.5x a user's *fair share per site*, never below 1.5 and
+    never below the share rounded up to whole jobs (a job takes a
+    whole slot, so a 1.8 grant places one), so the grid can always
+    absorb the workload, but a single shard's 1/N lease slice starves
+    as soon as a user's jobs concentrate — lease transfers sit on the
+    planning critical path, not decoration.
     """
     if n_users is None:
         n_users = 2 * n_shards
@@ -139,7 +141,8 @@ def ext_federation_scenario(
     if with_quota:
         requirements = {"slots": 1.0}
         jobs_per_user = dags_per_user * jobs_per_dag
-        quota = {"slots": max(1.5, 1.5 * jobs_per_user / len(sites))}
+        quota = {"slots": max(1.5, 1.5 * jobs_per_user / len(sites),
+                              math.ceil(jobs_per_user / len(sites)))}
     fed = FederationConfig(
         name=f"fed{n_shards}",
         n_shards=n_shards,
@@ -215,11 +218,9 @@ def run_federation(scenario: FederationScenario,
             for user in users:
                 server.policy.grant_unlimited(user.proxy)
             return
-        # Lease rows normally ride in on the checkpoint (the ledger
-        # re-applied them as grants already).  A shard that lost its
-        # whole warehouse (crash before any checkpoint) re-inits its
-        # original 1/N split — the only defensible reconstruction, at
-        # the documented cost that transfers since t=0 are forgotten.
+        # A recovered shard's lease rows ride in on its warehouse (the
+        # ledger re-applied them as grants already); only the first
+        # configure finds none and sets the original 1/N split.
         if len(server.ledger.leases) == 0:
             _init_leases(server, scenario, users)
 

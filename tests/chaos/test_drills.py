@@ -5,6 +5,8 @@ import dataclasses
 import pytest
 
 from repro.chaos import ChaosPlan, CrashSpec, make_plan, run_chaos
+from repro.core.server import SphinxServer
+from repro.core.warehouse import Warehouse
 from repro.experiments.figures import fig2_scenario
 
 N_DAGS = 3
@@ -36,7 +38,6 @@ def test_double_server_crash_in_one_run():
             CrashSpec(component="server", at_s=900.0, down_s=120.0),
             CrashSpec(component="server", at_s=2600.0, down_s=120.0),
         ),
-        checkpoint_interval_s=120.0,
     )
     res = run_chaos(scenario(), plan)
     assert res.ok, res.report.format_text()
@@ -60,14 +61,16 @@ def test_recovery_re_exempts_the_user_before_refunding():
     assert res.ok, res.report.format_text()
 
 
-def test_crash_before_first_checkpoint_is_detected():
-    """With checkpoints disabled, a crash amnesia-wipes the server; the
-    invariant checker must report the dags the client lost."""
+def test_crash_before_first_checkpoint_is_detected(monkeypatch):
+    """A crash that leaves no image of the database behind (the database
+    itself is lost) amnesia-wipes the server; the invariant checker
+    must report the dags the client lost."""
+    monkeypatch.setattr(SphinxServer, "checkpoint",
+                        lambda self: Warehouse().snapshot())
     plan = ChaosPlan(
         name="amnesia",
         seed=3,
         crashes=(CrashSpec(component="server", at_s=60.0, down_s=60.0),),
-        checkpoint_interval_s=0.0,  # never checkpoint: recovery is empty
     )
     res = run_chaos(scenario(), plan)
     assert not res.ok
@@ -81,7 +84,6 @@ def test_stochastic_crash_instant_is_deterministic():
         seed=4,
         crashes=(CrashSpec(component="server",
                            window=(600.0, 1800.0), down_s=90.0),),
-        checkpoint_interval_s=120.0,
     )
     first = run_chaos(scenario(), plan)
     second = run_chaos(scenario(), plan)

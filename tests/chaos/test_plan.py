@@ -39,8 +39,8 @@ def partition(**kw):
      ("site_mtbf_s", "site_mttr_s", "presume_lost_after_s",
       "eviction_mtbf_s", "eviction_outage_s"), (0.0, -1.0, NAN)),
     (ChaosPlan, ">= 0",
-     ("checkpoint_interval_s", "eviction_notice_s",
-      "job_checkpoint_interval_s", "job_checkpoint_cost_s"), (-1.0, NAN)),
+     ("eviction_notice_s", "job_checkpoint_interval_s",
+      "job_checkpoint_cost_s"), (-1.0, NAN)),
 ])
 def test_bad_numbers_are_rejected_naming_class_and_field(build, bound,
                                                          fields, bads):

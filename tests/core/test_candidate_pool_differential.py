@@ -79,8 +79,7 @@ class Rig:
         self.monitoring = MonitoringService(self.env, self.grid,
                                             update_interval_s=POLL_S)
         self.config = ServerConfig(name="t", algorithm="completion-time",
-                                   tick_s=1.0, checkpoint_interval_s=0.0,
-                                   **config)
+                                   tick_s=1.0, **config)
         self.catalog = {s: 4 for s in self.sites}
         self.fed = (
             FederationConfig(name="t", n_shards=2, digest_interval_s=0.0,
@@ -223,7 +222,7 @@ class Rig:
 
     def restore(self):
         old = self.server
-        checkpoint = old.warehouse.snapshot()
+        checkpoint = old.checkpoint()
         old.shutdown()
         self.server = self._wire(recover_server(
             self.env, self.bus, self.config, self.catalog, self.monitoring,

@@ -60,8 +60,7 @@ def test_crash_mid_migration_resolves_to_a_clean_requeue():
     assert any(m["kind"] == "evict"
                for m in st.server.warehouse.table("outbox"))
     # Crash before the eviction kill report makes it back.
-    st.server.checkpoint()
-    checkpoint = st.server.last_checkpoint
+    checkpoint = st.server.checkpoint()
     st.server.shutdown()
     server2 = recover_server(st.env, st.bus, st.config, st.catalog,
                              st.monitoring, st.rls, checkpoint)

@@ -31,8 +31,7 @@ def make_checkpoint(quota_user=None):
                         else {})])
     st.server._rpc_submit_dag("c0", user, dag_to_payload(dag))
     st.server.tick()  # plans c.a
-    st.server.checkpoint()
-    return st, st.server.last_checkpoint
+    return st, st.server.checkpoint()
 
 
 def recover(st, checkpoint):
@@ -72,8 +71,7 @@ def test_dag_finished_notifications_survive():
     st.server._rpc_submit_dag("c0", "/VO=v/CN=u", dag_to_payload(dag))
     st.server.tick()
     st.server._rpc_report_status("f.a", "completed", "s0", 10.0)
-    st.server.checkpoint()
-    server2 = recover(st, st.server.last_checkpoint)
+    server2 = recover(st, st.server.checkpoint())
     kinds = [r["kind"] for r in server2.warehouse.table("outbox")]
     assert "dag-finished" in kinds  # idempotent; redelivered
 

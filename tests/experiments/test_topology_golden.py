@@ -76,12 +76,12 @@ DRILLS = {
                    lambda: make_plan("spot-eviction", 42),
                    (6327, 177, "3270.559366809381")),
     "fig2-crash": (fig2, lambda: make_plan("crash", 1),
-                   (8564, 377, "5343.543163697071")),
+                   (8238, 377, "5343.543163697071")),
     "fig2-full": (fig2, lambda: make_plan("full", 1),
-                  (16409, 415, "8958.540737672542")),
+                  (15891, 415, "8958.540737672542")),
     "fed3-shard-outage": (fed3_staggered,
                           lambda: make_plan("shard-outage", 0),
-                          (6282, 1068, "2764.971448554266")),
+                          (6168, 1068, "2764.971448554266")),
     "fed2-spot": (fed2_evicted, eviction_900,
                   (7464, 1095, "2705.5068275662466")),
 }

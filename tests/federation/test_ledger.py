@@ -5,9 +5,8 @@ Conservation is the headline property — the sum of all shards' leases
 through any sequence of transfers, replays, and recoveries.
 """
 
-from repro.federation.ledger import lease_key
-
 from tests.federation.fedstack import USER, FedStack
+from tests.federation.test_recovery import recover_shard
 
 
 def lease_total(st, site="s0", resource="slots", user=USER):
@@ -110,53 +109,22 @@ def test_lost_credit_shows_as_unmatched_debit():
     assert donor.unmatched_debits(matched_ids={"t:1"}) == []
 
 
-def test_debit_checkpoints_synchronously():
-    st = FedStack(checkpoint_interval_s=120.0)
+def test_debit_survives_a_donor_crash():
+    # Every warehouse write is durable when made, so a donor that
+    # crashes right after granting comes back holding its debits: a
+    # credit the requester applied is never minted twice.
+    st = FedStack()
     st.init_leases(2.0)
-    srv = st.servers["shard0"]
-    assert srv.last_checkpoint is None
-    srv.ledger.grant_transfer(USER, "s0", "slots", 0.5, "shard1", "t:1")
-    # The debit must be durable before the reply settles, or a crash
-    # between reply and next periodic checkpoint would mint quota.
-    rows = srv.last_checkpoint["tables"]["quota_leases"]["rows"]
-    key = lease_key(USER, "s0", "slots")
-    assert [r["amount"] for r in rows if r["key"] == key] == [0.5]
-    assert [r["transfer_id"]
-            for r in srv.last_checkpoint["tables"]["lease_debits"]["rows"]
-            ] == ["t:1"]
-
-
-def test_debit_sync_refreshes_ledger_tables_only():
-    # The synchronous durability path must not re-snapshot the whole
-    # warehouse (O(warehouse) per debit): with a checkpoint already
-    # taken, a debit refreshes the three ledger tables in place and
-    # leaves every other table at its checkpointed state.
-    st = FedStack(checkpoint_interval_s=120.0)
-    st.init_leases(2.0)
-    srv = st.servers["shard0"]
-    srv.checkpoint()
-    snap = srv.last_checkpoint
-    srv.warehouse.table("dags").insert(
-        {"dag_id": "late", "client_id": "c0", "user": USER,
-         "payload": {}, "priority": 10, "state": "received",
-         "received_at": 0.0, "finished_at": None}
-    )
-    srv.ledger.grant_transfer(USER, "s0", "slots", 0.5, "shard1", "t:1")
-    assert srv.last_checkpoint is snap  # updated in place, not replaced
-    key = lease_key(USER, "s0", "slots")
-    rows = snap["tables"]["quota_leases"]["rows"]
-    assert [r["amount"] for r in rows if r["key"] == key] == [0.5]
-    assert [r["transfer_id"]
-            for r in snap["tables"]["lease_debits"]["rows"]] == ["t:1"]
-    # The post-checkpoint dag did NOT ride along: ledger sync is not a
-    # full checkpoint.
-    assert all(r["dag_id"] != "late"
-               for r in snap["tables"]["dags"]["rows"])
-
-
-def test_no_checkpoint_when_checkpointing_disabled():
-    st = FedStack(checkpoint_interval_s=0.0)
-    st.init_leases(2.0)
-    srv = st.servers["shard0"]
-    srv.ledger.grant_transfer(USER, "s0", "slots", 0.5, "shard1", "t:1")
-    assert srv.last_checkpoint is None
+    donor = st.servers["shard0"].ledger
+    taker = st.servers["shard1"].ledger
+    gave = donor.grant_transfer(USER, "s0", "slots", 0.5, "shard1", "t:1")
+    taker.apply_credit("t:1", USER, "s0", "slots", gave, "shard0")
+    donor.grant_transfer(USER, "s0", "slots", 0.25, "shard1", "t:2")
+    recovered = recover_shard(st, "shard0").ledger
+    assert recovered.lease_amount(USER, "s0", "slots") == 0.25
+    assert [r["transfer_id"] for r in recovered.debits.select()] == [
+        "t:1", "t:2"]
+    # t:2's reply died with the crash: its debit stays unmatched.
+    matched = {r["transfer_id"] for r in taker.credits.select()}
+    unmatched = recovered.unmatched_debits(matched)
+    assert lease_total(st) + sum(r["amount"] for r in unmatched) == 2.0

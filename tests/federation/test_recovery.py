@@ -13,7 +13,7 @@ from tests.federation.fedstack import USER, FedStack, one_job_dag
 def recover_shard(st, label):
     """Crash one shard and bring up its replacement, re-federated."""
     old = st.servers[label]
-    checkpoint = old.last_checkpoint
+    checkpoint = old.checkpoint()
     old.shutdown()
     replacement = recover_server(
         st.env, st.bus, st.configs[label], st.catalog, st.monitoring,
@@ -25,12 +25,12 @@ def recover_shard(st, label):
 
 
 def test_recovered_shard_restores_leases_and_grants():
-    st = FedStack(checkpoint_interval_s=120.0)
+    st = FedStack()
     st.init_leases(2.0)
     donor = st.servers["shard0"]
     gave = donor.ledger.grant_transfer(USER, "s0", "slots", 0.5,
                                        "shard1", "t:1")
-    assert gave == 0.5  # the grant checkpointed synchronously
+    assert gave == 0.5
     server2 = recover_shard(st, "shard0")
     # Lease rows rode the checkpoint; the ledger re-derived the policy
     # grants from them (grants live outside the warehouse).
@@ -45,7 +45,7 @@ def test_recovered_shard_restores_leases_and_grants():
 
 
 def test_recovered_shard_does_not_double_charge():
-    st = FedStack(n_sites=1, checkpoint_interval_s=120.0)
+    st = FedStack(n_sites=1)
     st.init_leases(2.0)  # 1.0 per shard: exactly one planned job's worth
     srv = st.servers["shard0"]
     st.submit("shard0", one_job_dag("d0", requirements={"slots": 1.0}))
@@ -53,7 +53,6 @@ def test_recovered_shard_does_not_double_charge():
     assert srv.warehouse.table("jobs").get("d0.a")["state"] == (
         JobState.PLANNED.value)
     assert srv.policy.used(USER, "s0", "slots") == 1.0
-    srv.checkpoint()
     server2 = recover_shard(st, "shard0")
     # The in-flight job was requeued and its reservation refunded once;
     # re-applying lease grants must not have re-applied the usage.
@@ -67,11 +66,9 @@ def test_recovered_shard_does_not_double_charge():
 
 
 def test_recovered_shard_rebuilds_site_views_from_digests():
-    st = FedStack(checkpoint_interval_s=120.0)
+    st = FedStack()
     for srv in st.servers.values():
         srv.policy.grant_unlimited(USER)
-    donor = st.servers["shard0"]
-    donor.checkpoint()
     server2 = recover_shard(st, "shard0")
     assert isinstance(server2, FederatedSphinxServer)
     # Fresh incarnation: empty digest board, remote-load seam wired,

@@ -1,7 +1,11 @@
 """Server crash/recovery integration tests (paper §3.1)."""
 
+from types import SimpleNamespace
+
+from repro.chaos import check_invariants
 from repro.core import recover_server
 from repro.core.states import DagState, JobState
+from repro.core.warehouse import Warehouse
 from repro.workflow import Dag, Job, LogicalFile
 
 from tests.integration.stack import FullStack
@@ -28,8 +32,7 @@ def crash_and_recover(st, at, resume_config=None):
 
     def crash(env):
         yield env.timeout(at)
-        st.server.checkpoint()
-        checkpoint = st.server.last_checkpoint
+        checkpoint = st.server.checkpoint()
         st.server.shutdown()
         yield env.timeout(30.0)  # downtime window
         holder["server"] = recover_server(
@@ -80,11 +83,11 @@ def test_duplicate_completion_after_recovery_is_absorbed():
     assert dag_row["state"] == DagState.FINISHED.value
 
 
-def test_recovery_without_checkpoint_starts_empty():
+def test_recovery_from_empty_image_starts_empty():
     st = FullStack()
     st.server.shutdown()
     server2 = recover_server(st.env, st.bus, st.config, st.catalog,
-                             st.monitoring, st.rls, checkpoint=None)
+                             st.monitoring, st.rls, Warehouse().snapshot())
     assert len(server2.warehouse.table("dags")) == 0
     assert server2.service_name in st.bus.services()
 
@@ -93,8 +96,7 @@ def test_feedback_state_survives_recovery():
     st = FullStack()
     st.server.feedback.record_cancellation("s1")
     st.server.feedback.record_cancellation("s1")
-    st.server.checkpoint()
-    checkpoint = st.server.last_checkpoint
+    checkpoint = st.server.checkpoint()
     st.server.shutdown()
     server2 = recover_server(st.env, st.bus, st.config, st.catalog,
                              st.monitoring, st.rls, checkpoint)
@@ -112,8 +114,7 @@ def test_client_reports_retry_through_downtime():
     def crash(env):
         # Crash while j0 runs; stay down PAST its completion (~t=105).
         yield env.timeout(60.0)
-        st.server.checkpoint()
-        checkpoint = st.server.last_checkpoint
+        checkpoint = st.server.checkpoint()
         st.server.shutdown()
         yield env.timeout(120.0)
         holder["server"] = recover_server(
@@ -129,21 +130,21 @@ def test_client_reports_retry_through_downtime():
 
 
 def test_crash_before_first_checkpoint_loses_state_honestly():
-    """No checkpoint ever taken: the replacement starts empty mid-
-    scenario.  Accepted work is gone — the failure mode the chaos
-    invariant checker flags as dag-lost — and must not resurrect."""
+    """No image of the database survives the crash (the database itself
+    is lost): the replacement starts from an empty image mid-scenario.
+    Accepted work is gone, must not resurrect, and the chaos invariant
+    checker flags it as dag-lost."""
     st = FullStack(tick_s=2.0)
     st.submit(chain(n=2, runtime=300.0))
     holder = {}
 
     def crash(env):
         yield env.timeout(60.0)
-        assert st.server.last_checkpoint is None
         st.server.shutdown()
         yield env.timeout(30.0)
         holder["server"] = recover_server(
             env, st.bus, st.config, st.catalog, st.monitoring, st.rls,
-            checkpoint=None,
+            Warehouse().snapshot(),
         )
         holder["server"].policy.grant_unlimited(st.user.proxy)
 
@@ -154,6 +155,10 @@ def test_crash_before_first_checkpoint_loses_state_honestly():
     assert st.client.finished_dag_count == 0
     # The client knows about a dag the server forgot.
     assert "r" in st.client.dag_times
+    report = check_invariants({"it": server2}, {"it": st.client}, st.bus,
+                              SimpleNamespace(quota_per_site=None))
+    assert [(v.code, v.subject) for v in report.violations] == [
+        ("dag-lost", "r")]
 
 
 def test_two_crashes_in_one_run_still_complete():
@@ -165,8 +170,7 @@ def test_two_crashes_in_one_run_still_complete():
         for at in (90.0, 500.0):
             yield env.timeout(at - env.now)
             server = holder["server"]
-            server.checkpoint()
-            checkpoint = server.last_checkpoint
+            checkpoint = server.checkpoint()
             server.shutdown()
             yield env.timeout(45.0)
             holder["server"] = recover_server(

@@ -91,8 +91,7 @@ def test_presumed_lost_survives_server_recovery():
         yield env.timeout(30.0)
         st.client.crash()
         yield env.timeout(60.0)
-        st.server.checkpoint()
-        checkpoint = st.server.last_checkpoint
+        checkpoint = st.server.checkpoint()
         st.server.shutdown()
         yield env.timeout(60.0)
         holder["server"] = recover_server(

@@ -67,8 +67,7 @@ def test_reconnect_signal_ends_the_backoff_wait():
 
     def crash_then_recover(env):
         yield env.timeout(30.0)
-        st.server.checkpoint()
-        checkpoint = st.server.last_checkpoint
+        checkpoint = st.server.checkpoint()
         st.server.shutdown()
         yield env.timeout(570.0)  # recovery at t=600, mid-backoff
         holder["server"] = recover_server(
