@@ -24,7 +24,7 @@ from repro.simgrid import (
     SiteJob,
     make_grid3,
 )
-from repro.simgrid.grid import SiteSpec
+from repro.simgrid.grid import SiteSpec, synthetic_sites
 from repro.workflow import Dag, Job
 
 from benchmarks.common import emit
@@ -375,6 +375,48 @@ def test_local_scheduler_submit_drain(benchmark):
     assert out["local, 2,500 idle sites round-robin, cohorts of 8"][3] <= 1.18
     assert out["local, idle site, cohorts of 8"][4] == 0.0
     assert out["local, 2,500 idle sites round-robin, cohorts of 8"][4] == 0.0
+
+
+#: ``_grid_build_us`` at the parent commit (6f0c091, four numpy
+#: ``SeedSequence`` derivations per site), same box and interpreter as
+#: the committed table (median of three runs): sites -> us per site.
+PARENT_GRID_BUILD_US = {25: 82.3, 250: 74.6, 2_500: 85.9}
+
+
+def _grid_build_us(n_sites: int, reps: int = 5) -> float:
+    """Host microseconds per site of ``make_grid3`` over
+    ``synthetic_sites(n_sites)``, background loads started; best of
+    ``reps``, each from a collected heap."""
+    sites = synthetic_sites(n_sites)
+    best = float("inf")
+    for _ in range(reps):
+        gc.collect()
+        t0 = time.perf_counter()
+        grid = make_grid3(Environment(), RngStreams(1), sites)
+        best = min(best, time.perf_counter() - t0)
+    assert len(grid) == n_sites
+    return best * 1e6 / n_sites
+
+
+def test_grid_build(benchmark):
+    """The grid layer: what one site costs to build as the catalog grows.
+
+    Every site's and background load's RNG streams are derived in one
+    vectorised pass over the catalog (DESIGN.md §5m), so the per-site
+    cost left is the objects themselves.
+    """
+    sizes = (25, 250, 2_500)
+    out = benchmark.pedantic(
+        lambda: {n: _grid_build_us(n) for n in sizes}, rounds=1, iterations=1)
+    emit("kernel_grid_build", format_table(
+        ["sites", "parent (us / site)", "change (us / site)"],
+        [[n, f"{PARENT_GRID_BUILD_US[n]:.1f}", f"{us:.1f}"]
+         for n, us in out.items()],
+        title="Grid build: make_grid3(env, rng, synthetic_sites(n)), "
+              "background started",
+    ))
+    # no per-site term may grow with the catalog
+    assert out[2_500] <= 2.0 * out[25]
 
 
 def _rls_lookup_us(n_sites: int, n_lfns: int = 200, rounds: int = 20) -> float:

@@ -1,11 +1,10 @@
 #!/usr/bin/env python
 """HEP production on Grid3 — the paper's motivating workload.
 
-Declares a CMS-style generate -> simulate -> digitize -> reconstruct
-pipeline in the miniature virtual-data language (the Chimera front
-end), compiles it into abstract DAGs for a campaign of runs, and
-schedules the campaign on the full 15-site Grid3 testbed with the
-completion-time hybrid — including the standard fault script (a
+Builds a CMS-style generate -> simulate -> digitize -> reconstruct
+pipeline as one abstract DAG per run of a campaign (the shape Chimera's
+virtual-data front end produced), and schedules the campaign on the
+full 15-site Grid3 testbed with the completion-time hybrid — including the standard fault script (a
 permanent blackhole site, periodic outages, a degradation window).
 
 Run:  python examples/hep_pipeline.py
@@ -24,47 +23,40 @@ from repro.sim import Environment
 from repro.sim.rng import RngStreams
 from repro.simgrid import make_grid3
 from repro.simgrid.vo import User, VirtualOrganization
-from repro.workflow import VdlCatalog
+from repro.workflow import Dag, Job, LogicalFile
 
 N_RUNS = 8
 HORIZON_S = 12 * 3600.0
 
 
-def build_campaign_dag(run_number: int):
-    """One production run, declared in VDL and compiled to a DAG."""
-    cat = VdlCatalog()
-    cat.define_transformation("cmkin", inputs=[], outputs=["events"],
-                              runtime_s=45.0, executable="cmkin")
-    cat.define_transformation("cmsim", inputs=["events"], outputs=["fz"],
-                              runtime_s=180.0, executable="cmsim")
-    cat.define_transformation("writeHits", inputs=["fz"], outputs=["hits"],
-                              runtime_s=60.0, executable="writeHits")
-    cat.define_transformation("writeDigis", inputs=["hits"],
-                              outputs=["digis"], runtime_s=90.0,
-                              executable="writeDigis")
-    cat.define_transformation("reco", inputs=["digis"], outputs=["dst"],
-                              runtime_s=120.0, executable="reco")
+#: the CMS production chain: (executable, runtime_s, input, output)
+STAGES = (
+    ("cmkin", 45.0, None, "evt"),
+    ("cmsim", 180.0, "evt", "fz"),
+    ("writeHits", 60.0, "fz", "hits"),
+    ("writeDigis", 90.0, "hits", "digis"),
+    ("reco", 120.0, "digis", "dst"),
+)
+#: file size per suffix (MB): GB-scale intermediates
+SIZES_MB = {"evt": 20.0, "fz": 250.0, "hits": 120.0, "digis": 150.0,
+            "dst": 60.0}
+
+
+def build_campaign_dag(run_number: int) -> Dag:
+    """One production run: each stage reads the file the previous one
+    wrote, so the DAG's edges follow from the shared logical files."""
     prefix = f"run{run_number:03d}"
-    sizes = {f"{prefix}.evt": 20.0, f"{prefix}.fz": 250.0,
-             f"{prefix}.hits": 120.0, f"{prefix}.digis": 150.0,
-             f"{prefix}.dst": 60.0}
-    cat.add_derivation("cmkin", {"events": f"{prefix}.evt"},
-                       derivation_id=f"{prefix}.cmkin", file_sizes_mb=sizes)
-    cat.add_derivation("cmsim", {"events": f"{prefix}.evt",
-                                 "fz": f"{prefix}.fz"},
-                       derivation_id=f"{prefix}.cmsim", file_sizes_mb=sizes)
-    cat.add_derivation("writeHits", {"fz": f"{prefix}.fz",
-                                     "hits": f"{prefix}.hits"},
-                       derivation_id=f"{prefix}.writeHits",
-                       file_sizes_mb=sizes)
-    cat.add_derivation("writeDigis", {"hits": f"{prefix}.hits",
-                                      "digis": f"{prefix}.digis"},
-                       derivation_id=f"{prefix}.writeDigis",
-                       file_sizes_mb=sizes)
-    cat.add_derivation("reco", {"digis": f"{prefix}.digis",
-                                "dst": f"{prefix}.dst"},
-                       derivation_id=f"{prefix}.reco", file_sizes_mb=sizes)
-    return cat.compile(prefix)
+
+    def lfn(suffix):
+        return LogicalFile(f"{prefix}.{suffix}", SIZES_MB[suffix])
+
+    return Dag(prefix, [
+        Job(f"{prefix}.{executable}",
+            inputs=(lfn(src),) if src else (),
+            outputs=(lfn(dst),),
+            runtime_s=runtime_s, executable=executable)
+        for executable, runtime_s, src, dst in STAGES
+    ])
 
 
 def main():

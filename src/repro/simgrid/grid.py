@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping
 
 from repro.sim.engine import Environment
-from repro.sim.rng import RngStreams
+from repro.sim.rng import RngStreams, prime_streams
 from repro.simgrid.background import BackgroundLoad
 from repro.simgrid.failures import FailureInjector
 from repro.simgrid.network import NetworkModel
@@ -126,11 +126,37 @@ class Grid:
 
     # -- construction ---------------------------------------------------------
     def add_site(self, spec: SiteSpec) -> GridSite:
-        if spec.name in self._sites:
-            raise ValueError(f"duplicate site {spec.name!r}")
+        return self.add_sites((spec,))[0]
+
+    def add_sites(self, specs: Iterable[SiteSpec]) -> list[GridSite]:
+        """Add ``specs`` in order.
+
+        Every site's and background load's RNG streams are derived in
+        one vectorised pass over all of them, not per site.
+        """
+        specs = list(specs)
+        seen = set(self._sites)
+        for spec in specs:
+            if spec.name in seen:
+                raise ValueError(f"duplicate site {spec.name!r}")
+            seen.add(spec.name)
+        loaded = [s.name for s in specs if s.background_utilization > 0]
+        kids = self.rng.spawn_many([f"site-{s.name}" for s in specs]
+                                   + [f"bg-{name}" for name in loaded])
+        site_rngs = kids[:len(specs)]
+        bg_rngs = dict(zip(loaded, kids[len(specs):]))
+        # the streams GridSite and BackgroundLoad open at construction
+        prime_streams([(rng, "service-noise") for rng in site_rngs]
+                      + [(bg_rngs[name], f"background-{name}")
+                         for name in loaded])
+        return [self._add(spec, rng, bg_rngs.get(spec.name))
+                for spec, rng in zip(specs, site_rngs)]
+
+    def _add(self, spec: SiteSpec, rng: RngStreams,
+             bg_rng: RngStreams | None) -> GridSite:
         site = GridSite(
             self.env,
-            self.rng.spawn(f"site-{spec.name}"),
+            rng,
             spec.name,
             n_cpus=spec.n_cpus,
             perf_factor=spec.perf_factor,
@@ -139,10 +165,10 @@ class Grid:
         self._sites[spec.name] = site
         self._advertised[spec.name] = spec.catalog_cpus
         self.network.set_uplink(spec.name, spec.uplink_mbps)
-        if spec.background_utilization > 0:
+        if bg_rng is not None:
             self._background[spec.name] = BackgroundLoad(
                 self.env,
-                self.rng.spawn(f"bg-{spec.name}"),
+                bg_rng,
                 site,
                 target_utilization=spec.background_utilization,
                 mean_runtime_s=1200.0,
@@ -210,10 +236,10 @@ def make_grid3(
     """
     grid = Grid(env, rng, background_batch_s=background_batch_s)
     overrides = dict(background_overrides or {})
-    for spec in sites:
-        if spec.name in overrides:
-            spec = replace(spec, background_utilization=overrides[spec.name])
-        grid.add_site(spec)
+    grid.add_sites(
+        replace(spec, background_utilization=overrides[spec.name])
+        if spec.name in overrides else spec
+        for spec in sites)
     if background:
         grid.start_background()
     return grid

@@ -8,23 +8,18 @@ file I/O dependencies.  This package provides:
 * :mod:`repro.workflow.dag` — jobs, DAGs, dependency analysis, validation,
 * :mod:`repro.workflow.generator` — the paper's random workloads
   (10-job random-structure DAGs; 2-3 inputs, ~1 minute compute, sized
-  output per job),
-* :mod:`repro.workflow.vdl` — a miniature virtual-data language for
-  declaring transformations/derivations and compiling them to a DAG.
+  output per job).
 """
 
 from repro.workflow.files import LogicalFile
 from repro.workflow.dag import Dag, DagValidationError, Job
 from repro.workflow.generator import WorkloadGenerator, WorkloadSpec
-from repro.workflow.vdl import VdlCatalog, VdlError
 
 __all__ = [
     "Dag",
     "DagValidationError",
     "Job",
     "LogicalFile",
-    "VdlCatalog",
-    "VdlError",
     "WorkloadGenerator",
     "WorkloadSpec",
 ]

@@ -95,3 +95,11 @@ def test_bad_numbers_fail_at_the_edge(argv, tmp_path, monkeypatch, capsys):
     assert err.count("\n") == 1
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_negative_seed_fails_at_the_edge(capsys):
+    """argparse's ``int`` lets -1 through; the RNG root refuses it in
+    one line naming the seed, not at the first draw deep in numpy."""
+    assert main(["fig2", "--dags", "1", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        "repro fig2: RngStreams seed must be >= 0, got -1\n")

@@ -1,10 +1,27 @@
 """Unit and property tests for hierarchical RNG streams."""
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.rng import RngStreams
+
+
+@pytest.mark.parametrize("seed, error", [
+    (-1, ValueError), (2.7, TypeError), (2.0, TypeError),
+    (True, TypeError), ("3", TypeError), (None, TypeError),
+])
+def test_bad_seed_rejected_at_construction(seed, error):
+    with pytest.raises(error, match="seed"):
+        RngStreams(seed)
+
+
+def test_numpy_integer_seed_is_an_int():
+    assert RngStreams(np.int64(7)).seed == 7
+    assert type(RngStreams(np.uint32(7)).seed) is int
+    assert np.array_equal(RngStreams(np.int64(7)).stream("x").random(4),
+                          RngStreams(7).stream("x").random(4))
 
 
 def test_same_seed_same_stream():
@@ -69,9 +86,10 @@ def test_property_reproducible_for_any_name(seed, name):
 
 
 @given(name1=st.text(min_size=1, max_size=16), name2=st.text(min_size=1, max_size=16))
+@example("é" * 8 + "a", "é" * 8 + "b")  # 16 bytes apart only past byte 16
 @settings(max_examples=50, deadline=None)
 def test_property_prefix_distinct_names_distinct_streams(name1, name2):
-    if name1[:16] == name2[:16]:
+    if name1.encode()[:16] == name2.encode()[:16]:
         return  # identical 16-byte prefixes legitimately share a stream
     rs = RngStreams(seed=42)
     a = rs.stream(name1).random(8)

@@ -48,6 +48,31 @@ def test_duplicate_site_rejected():
         grid.add_site(SiteSpec("x", 10))
 
 
+def test_duplicate_in_one_batch_adds_nothing():
+    grid = Grid(Environment(), RngStreams(0))
+    with pytest.raises(ValueError, match="duplicate site 'y'"):
+        grid.add_sites([SiteSpec("x", 10), SiteSpec("y", 10),
+                        SiteSpec("y", 10)])
+    assert len(grid) == 0
+
+
+def test_batch_equals_site_by_site():
+    """One add_sites call and one add_site per spec draw the same."""
+    specs = GRID3_SITES[:4] + (SiteSpec("idle", 4, background_utilization=0),)
+    batch = Grid(Environment(), RngStreams(3))
+    batch.add_sites(specs)
+    single = Grid(Environment(), RngStreams(3))
+    for spec in specs:
+        single.add_site(spec)
+    for spec in specs:
+        assert (batch.site(spec.name)._rng.random(4).tolist()
+                == single.site(spec.name)._rng.random(4).tolist())
+    assert ({n: batch.background(n)._phase_offset for n in batch._background}
+            == {n: single.background(n)._phase_offset
+                for n in single._background})
+    assert "idle" not in batch._background
+
+
 def test_iteration_in_catalog_order():
     env = Environment()
     grid = make_grid3(env, RngStreams(0), background=False)
