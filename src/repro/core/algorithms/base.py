@@ -62,6 +62,12 @@ class SchedulingAlgorithm(abc.ABC):
         ``candidates`` is never empty-filtered here: the planner only
         calls with a non-empty pool.  Determinism contract: given equal
         scores, earlier candidates win.
+
+        None contract: a None answer depends only on ``candidates`` and
+        leaves the algorithm's state unchanged.  The planner relies on
+        it to ask once per pass for all ready jobs of one user with
+        equal requirements: after a None, later such jobs are deferred
+        without a call until something is committed (DESIGN.md §5g).
         """
 
     def choose_site_ctx(

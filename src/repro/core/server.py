@@ -165,6 +165,17 @@ class ServerConfig:
     def __post_init__(self) -> None:
         require_positive(self, "tick_s", "job_timeout_s",
                          "reservation_slack", "presume_lost_after_s")
+        require_non_negative(self, "job_checkpoint_interval_s",
+                             "job_checkpoint_cost_s",
+                             "prediction_correction_strength")
+        attempts = self.max_attempts
+        if attempts is not None and (
+            type(attempts) is not int or attempts < 1
+        ):
+            raise ValueError(
+                "ServerConfig.max_attempts must be None or an int >= 1, "
+                f"got {attempts!r}"
+            )
 
 
 class SphinxServer:
@@ -306,6 +317,12 @@ class SphinxServer:
                 predicate=lambda r: r["state"] != _DAG_FINISHED, copy=False
             )
         }
+        #: dag_id -> the ready tuple its last pass computed, kept while
+        #: the dag stays dirty with a ready job unplanned.  Its only input
+        #: is which jobs are done, so every write that moves a job into
+        #: or out of ``_JOB_DONE_STATES`` drops it (``_done_changed``).
+        #: Starts empty, which covers recovery.
+        self._ready: dict[str, tuple[str, ...]] = {}
 
         # Counters the experiments read.
         self.resubmission_count = 0
@@ -515,7 +532,7 @@ class SphinxServer:
                             completion_time_s=completion_time_s,
                         )
             # A completion may unlock successors: replan this dag.
-            self._dirty_dags.add(row["dag_id"])
+            self._done_changed(row["dag_id"])
             self._maybe_finish_dag(row["dag_id"])
             self._wakeup.set()
         elif status == "cancelled":
@@ -749,7 +766,7 @@ class SphinxServer:
             else:
                 dags.update(dag_id, state=DagState.REDUCED.value)
                 dags.update(dag_id, state=_DAG_RUNNING)
-                self._dirty_dags.add(dag_id)
+                self._done_changed(dag_id)
                 if self.config.reserve_ahead:
                     self._reserve_dag_stages(dags.get(dag_id, copy=False))
 
@@ -760,7 +777,9 @@ class SphinxServer:
         A clean dag cannot grow new ready jobs between ticks (that takes
         a completion or cancellation, which dirty it), so quiescent dags
         cost nothing per tick.  A dag stays dirty while any of its ready
-        jobs could not be planned — quota or feedback may change.
+        jobs could not be planned — quota or feedback may change — and
+        keeps the ready tuple this pass computed until a job of it
+        enters or leaves a done state.
         """
         dirty = self._dirty_dags
         if not dirty:
@@ -778,28 +797,47 @@ class SphinxServer:
         )
         still_dirty: set[str] = set()
         rows_get = jobs._rows.get
+        ready_cache = self._ready
+        declined: set[tuple] = set()
         for drow in running:
-            dag = self._dag(drow["dag_id"])
-            done = [
-                jid
-                for jid in dag.job_ids
-                if rows_get(jid)["state"] in _JOB_DONE_STATES
-            ]
+            dag_id = drow["dag_id"]
+            dag = self._dag(dag_id)
+            ready = ready_cache.pop(dag_id, None)
+            if ready is None:
+                ready = dag.ready_jobs([
+                    jid
+                    for jid in dag.job_ids
+                    if rows_get(jid)["state"] in _JOB_DONE_STATES
+                ])
             fully_planned = True
-            for jid in dag.ready_jobs(done):
+            for jid in ready:
                 jrow = rows_get(jid)
                 if jrow["state"] not in (_JOB_UNPLANNED, _JOB_CANCELLED):
                     continue  # already planned/submitted
-                if not self._plan_job(drow, dag, jrow):
+                if not self._plan_job(drow, dag, jrow, declined):
                     fully_planned = False
             if not fully_planned:
-                still_dirty.add(drow["dag_id"])
+                still_dirty.add(dag_id)
+                ready_cache[dag_id] = ready
         self._dirty_dags = still_dirty
 
-    def _plan_job(self, drow: dict, dag: Dag, jrow: dict) -> bool:
-        """Try to place one ready job; False means retry next tick."""
+    def _plan_job(self, drow: dict, dag: Dag, jrow: dict,
+                  declined: set[tuple]) -> bool:
+        """Try to place one ready job; False means retry next tick.
+
+        ``declined`` holds this pass's ``(user, requirements)`` classes
+        whose ``choose_site`` said None with nothing committed since; a
+        later job of one is deferred without asking (DESIGN.md §5g).
+        """
         job = dag.job(jrow["job_id"])
         user = drow["user"]
+        group = self._job_reservations.get(job.job_id)
+        job_class = None
+        if group is None and not self.algorithm.wants_context:
+            job_class = (user, tuple(job.requirements.items()))
+            if job_class in declined:
+                self._plan_deferred(drow, job.job_id, "no-site-chosen")
+                return False
         # Each filter hands back the pool it was given — the same tuple
         # object — when it drops nothing, so an unfiltered plan reaches
         # the algorithm with the site table itself.
@@ -816,6 +854,7 @@ class SphinxServer:
                 filterfalse(draining.__contains__, candidates)
             )
             if not candidates:
+                declined.clear()
                 self._plan_deferred(drow, job.job_id, "draining")
                 return False
         feedback_dropped: list[str] = []
@@ -826,12 +865,12 @@ class SphinxServer:
                 kept = set(candidates)
                 feedback_dropped = [s for s in feasible if s not in kept]
         if not candidates:
+            declined.clear()
             self._plan_deferred(drow, job.job_id, "no-feasible-site")
             return False  # nothing feasible now; retry next tick
         views = self._select_views(candidates)
         site = None
         reservation_id = None
-        group = self._job_reservations.get(job.job_id)
         if group is not None:
             if group["state"] == "confirmed" and group["site"] in candidates:
                 # Plan straight to the reserved site; the plan carries
@@ -844,6 +883,7 @@ class SphinxServer:
                 # from the booking (site-side expiry reclaims the slots
                 # if nobody else in the group shows up either).
                 self._abandon_job_reservation(job.job_id, group)
+                declined.clear()
                 group = None
         if site is None:
             if self.algorithm.wants_context:
@@ -853,13 +893,17 @@ class SphinxServer:
             else:
                 site = self.algorithm.choose_site(job.job_id, views)
         if site is None:
+            if job_class is not None:
+                declined.add(job_class)
             self._plan_deferred(drow, job.job_id, "no-site-chosen")
             return False
         try:
             self.policy.charge(user, site, job.requirements)
         except QuotaExceededError:
+            declined.clear()
             self._plan_deferred(drow, job.job_id, "quota")
             return False  # racing reservations; retry next tick
+        declined.clear()
         if group is not None:
             # Consume the booking only once the plan is definitely going
             # out (a quota defer above must keep it claimable).
@@ -1329,9 +1373,15 @@ class SphinxServer:
                 checkpoint_fraction=0.0,
             )
             self.regeneration_count += 1
-            self._dirty_dags.add(dag_id)
+            self._done_changed(dag_id)
 
     # -------------------------------------------------------------- bookkeeping
+    def _done_changed(self, dag_id: str) -> None:
+        """A job of ``dag_id`` entered or left a done state: its ready
+        set may have changed, so replan it from a fresh one."""
+        self._dirty_dags.add(dag_id)
+        self._ready.pop(dag_id, None)
+
     def _count_transition(self, site: str, planned: int = 0,
                           running: int = 0) -> None:
         counters = self._site_active[site]

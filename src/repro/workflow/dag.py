@@ -12,6 +12,7 @@ engine (eq. 4 of the paper): CPU-seconds and disk quota demands.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -44,8 +45,11 @@ class Job:
     def __post_init__(self) -> None:
         if not self.job_id:
             raise ValueError("job_id must be non-empty")
-        if self.runtime_s <= 0:
-            raise ValueError(f"runtime must be > 0, got {self.runtime_s}")
+        if not 0 < self.runtime_s < math.inf:  # also rejects NaN
+            raise ValueError(
+                f"job {self.job_id} runtime_s must be finite and > 0, "
+                f"got {self.runtime_s!r}"
+            )
         for resource, amount in self.requirements.items():
             if not amount >= 0:  # also rejects NaN
                 raise ValueError(

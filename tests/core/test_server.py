@@ -31,7 +31,7 @@ def chain_dag(dag_id="d0"):
 
 class Stack:
     def __init__(self, algorithm="round-robin", use_feedback=True,
-                 n_sites=3, **config_kw):
+                 n_sites=3, obs=None, **config_kw):
         self.env = Environment()
         self.grid = Grid(self.env, RngStreams(0))
         for i in range(n_sites):
@@ -48,7 +48,7 @@ class Stack:
         self.catalog = {s: 4 for s in self.grid.site_names}
         self.server = SphinxServer(
             self.env, self.bus, self.config, self.catalog,
-            self.monitoring, self.rls,
+            self.monitoring, self.rls, obs=obs,
         )
         self.server.policy.grant_unlimited("/VO=v/CN=u")
 
@@ -81,6 +81,29 @@ def test_empty_catalog_rejected():
     mon = MonitoringService(env, grid, update_interval_s=60.0)
     with pytest.raises(ValueError):
         SphinxServer(env, bus, ServerConfig(), {}, mon, rls)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("job_checkpoint_interval_s", float("nan")),
+    ("job_checkpoint_interval_s", -1.0),
+    ("job_checkpoint_cost_s", -5.0),
+    ("job_checkpoint_cost_s", float("nan")),
+    ("prediction_correction_strength", float("nan")),
+    ("prediction_correction_strength", -0.5),
+    ("max_attempts", 0),
+    ("max_attempts", -2),
+    ("max_attempts", 2.0),
+    ("max_attempts", True),
+])
+def test_config_rejects_bad_numbers(field, value):
+    with pytest.raises(ValueError, match=rf"ServerConfig\.{field} must"):
+        ServerConfig(**{field: value})
+
+
+def test_config_accepts_edge_values():
+    ServerConfig(job_checkpoint_interval_s=0.0, job_checkpoint_cost_s=0.0,
+                 prediction_correction_strength=0.0, max_attempts=1)
+    ServerConfig(max_attempts=None)
 
 
 def test_submit_dag_creates_rows():

@@ -49,6 +49,14 @@ class TestJob:
         with pytest.raises(ValueError):
             Job("j", runtime_s=0.0)
 
+    @pytest.mark.parametrize(
+        "runtime_s", [0.0, -1.0, float("nan"), float("inf"), -float("inf")]
+    )
+    def test_runtime_must_be_finite_and_positive(self, runtime_s):
+        with pytest.raises(ValueError, match=r"job j7 runtime_s"):
+            Job("j7", runtime_s=runtime_s)
+        Job("j7", runtime_s=1e-3)  # any finite positive runtime is valid
+
     def test_read_write_same_file_rejected(self):
         with pytest.raises(ValueError, match="reads and writes"):
             Job("j", inputs=(lf("x"),), outputs=(lf("x"),))
