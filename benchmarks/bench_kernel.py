@@ -10,6 +10,7 @@ unrunnable.
 
 import gc
 import time
+import tracemalloc
 
 from repro.core import ServerConfig, SphinxServer
 from repro.core.serialize import dag_to_payload
@@ -255,17 +256,20 @@ def _tracked() -> int:
 
 
 def _batch_queue(n: int, n_cpus: int, cohort: int, reserved: bool,
-                 n_scheds: int = 1):
+                 n_scheds: int = 1, traced: bool = False):
     """Submit ``n`` 60 s jobs at t=0, round-robin over ``n_scheds`` sites
     of ``n_cpus`` each, then drain them: local load in arrivals of
     ``cohort`` jobs through ``submit_local``, or — ``cohort`` 0 — one
     watched ``submit`` per job.
 
     Returns ``(env, submit seconds, drain seconds, GC-tracked objects per
-    job while all are live, ... after all ended)``.  ``reserved`` keeps one
-    reservation live for the whole run (a 1-CPU window far in the
-    future), so every arrival is played one job at a time and pays the
-    backfill offer.
+    job while all are live, ... after all ended, traced bytes per job
+    while all are live)``.  The bytes are what ``tracemalloc`` sees the
+    submits allocate and keep, and are measured only when ``traced``
+    (whose timings tracing inflates; None otherwise).  ``reserved``
+    keeps one reservation live for the whole run (a 1-CPU window far in
+    the future), so every arrival is played one job at a time and pays
+    the backfill offer.
     """
     env = Environment()
     scheds = [LocalScheduler(env, n_cpus, lambda runtime_s: runtime_s)
@@ -281,6 +285,8 @@ def _batch_queue(n: int, n_cpus: int, cohort: int, reserved: bool,
     else:
         work = [(scheds[i % n_scheds].submit, SiteJob(job_id, runtime_s=60.0))
                 for i, job_id in enumerate(ids)]
+    if traced:
+        tracemalloc.start()
     t0 = time.perf_counter()
     if cohort:
         for submit_local, first_id in work:
@@ -290,91 +296,101 @@ def _batch_queue(n: int, n_cpus: int, cohort: int, reserved: bool,
             submit(job)
     t1 = time.perf_counter()
     work = submit = job = submit_local = None  # the schedulers hold what is held
+    held = None
+    if traced:
+        held = tracemalloc.get_traced_memory()[0] / n
+        tracemalloc.stop()
     live = _tracked() - idle
     t2 = time.perf_counter()
     env.run(until=1e8)
     t3 = time.perf_counter()
     assert sum(sched.completed_count for sched in scheds) == n
-    return env, t1 - t0, t3 - t2, live / n, (_tracked() - idle) / n
+    return env, t1 - t0, t3 - t2, live / n, (_tracked() - idle) / n, held
 
 
-#: The matching cases at the parent commit (05bf379: one ``SiteJob`` per
-#: local job, its own run timer and slot token, in four tables while it
-#: runs; ``submit(job, detached=True)`` on a record built outside the
-#: timed loop, where ``submit_local`` is timed whole), same box and
+#: The same cases at the parent commit (a826e32: every cohort member its
+#: own kernel-heap entry, a site's noise block a list), measured with this
+#: file's ``_batch_queue`` on the parent's ``src/``, same box and
 #: interpreter as the committed table: case -> (submit us / job, drain us
-#: / job, tracked objects / job running, ... ended).
+#: / job, tracked objects / job running, ... ended, traced bytes / job
+#: running).
 PARENT_BATCH_QUEUE = {
-    "detached, idle site": (2.72, 2.07, 2.00, 0.00),
-    "watched, idle site": (6.70, 5.15, 8.00, 1.00),
-    "detached, 64 CPUs contended": (6.15, 4.62, 7.99, 0.00),
-    "detached, idle site, 1 live reservation": (3.16, 1.73, 2.00, 0.00),
-    "detached, 2,500 idle sites round-robin": (2.32, 1.69, 2.15, 0.00),
+    "local, idle site, cohorts of 1": (2.66, 1.65, 2.00, 0.00, 296.12),
+    "local, idle site, cohorts of 8": (0.74, 1.23, 1.13, 0.00, 156.14),
+    "watched, idle site": (6.77, 5.44, 8.00, 1.00, 734.18),
+    "local, 64 CPUs contended, cohorts of 8": (6.45, 5.00, 7.99, 0.00, 904.06),
+    "local, idle site, 1 live reservation, cohorts of 8":
+        (2.65, 1.83, 2.00, 0.00, 296.21),
+    "local, 2,500 idle sites round-robin, cohorts of 1":
+        (2.69, 1.54, 2.05, 0.00, 277.67),
+    "local, 2,500 idle sites round-robin, cohorts of 8":
+        (0.68, 1.29, 1.18, 0.00, 157.99),
 }
 
 
 def test_local_scheduler_submit_drain(benchmark):
     """The batch-queue layer: host cost of one job, submit and drain.
 
-    A local job that finds a free CPU is one kernel-heap entry and one
-    counted slot in its arrival's cohort (DESIGN.md §5l): one kernel
-    event, no record.  A watched job is callbacks on one awaited event and
-    its own run timer; it adds its grant wake-up.  The round-robin cases
-    are the shape ``plan-2500x600`` has: no scheduler's tables are warm in
-    the host's caches.
+    A local job that finds a free CPU is one counted slot and one finish
+    instant in its arrival's cohort (DESIGN.md §5l): one kernel event, no
+    record.  The cohort has one kernel-heap entry; its other members'
+    finishes are held in one array, 16 bytes each.  A watched job is
+    callbacks on one awaited event and its own run timer; it adds its
+    grant wake-up.  The round-robin cases are the shape ``plan-2500x600``
+    has: no scheduler's tables are warm in the host's caches.
     """
     n = 50_000
     spare = 2 * n // 2_500  # CPUs per round-robin site: every arrival fits
-    cases = {  # label: (CPUs, cohort, reserved, sites, the parent's case)
-        "local, idle site, cohorts of 1":
-            (n, 1, False, 1, "detached, idle site"),
-        "local, idle site, cohorts of 8":
-            (n, 8, False, 1, "detached, idle site"),
-        "watched, idle site":
-            (n, 0, False, 1, "watched, idle site"),
-        "local, 64 CPUs contended, cohorts of 8":
-            (64, 8, False, 1, "detached, 64 CPUs contended"),
+    cases = {  # label: (CPUs, cohort, reserved, sites)
+        "local, idle site, cohorts of 1": (n, 1, False, 1),
+        "local, idle site, cohorts of 8": (n, 8, False, 1),
+        "watched, idle site": (n, 0, False, 1),
+        "local, 64 CPUs contended, cohorts of 8": (64, 8, False, 1),
         "local, idle site, 1 live reservation, cohorts of 8":
-            (n + 1, 8, True, 1, "detached, idle site, 1 live reservation"),
+            (n + 1, 8, True, 1),
         "local, 2,500 idle sites round-robin, cohorts of 1":
-            (spare, 1, False, 2_500, "detached, 2,500 idle sites round-robin"),
+            (spare, 1, False, 2_500),
         "local, 2,500 idle sites round-robin, cohorts of 8":
-            (spare, 8, False, 2_500, "detached, 2,500 idle sites round-robin"),
+            (spare, 8, False, 2_500),
     }
 
     def run():
         out = {}
-        for label, (*args, _parent) in cases.items():
+        for label, args in cases.items():
             best = (float("inf"), float("inf"))
             for _ in range(3):
-                env, submit_s, drain_s, *census = _batch_queue(n, *args)
+                env, submit_s, drain_s, *census, _ = _batch_queue(n, *args)
                 best = min(best, (submit_s, drain_s), key=sum)
-            out[label] = (env.event_count, *best, *census)
+            held = _batch_queue(n, *args, traced=True)[-1]
+            out[label] = (env.event_count, *best, *census, held)
         return out
 
     out = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = []
-    for label, (events, submit_s, drain_s, live, ended) in out.items():
-        now = (submit_s * 1e6 / n, drain_s * 1e6 / n, live, ended)
+    for label, (events, submit_s, drain_s, *rest) in out.items():
+        now = (submit_s * 1e6 / n, drain_s * 1e6 / n, *rest)
         rows.append([label, f"{events / n:.2f}"] + [
             f"{old:.2f} -> {round(new, 2) + 0.0:.2f}"  # + 0.0: no "-0.00"
-            for old, new in zip(PARENT_BATCH_QUEUE[cases[label][-1]], now)
+            for old, new in zip(PARENT_BATCH_QUEUE[label], now)
         ])
     emit("kernel_local_scheduler", format_table(
         ["case", "kernel events / job", "submit (us / job)",
-         "drain (us / job)", "tracked objects / job, running", "..., ended"],
+         "drain (us / job)", "tracked objects / job, running", "..., ended",
+         "traced bytes / job, running"],
         rows,
         title=f"Batch queue: {n} jobs of 60 s through LocalScheduler "
-              "(parent 05bf379, one detached submit per job -> this tree)",
+              "(parent a826e32, one heap entry per cohort member -> "
+              "this tree)",
     ))
     assert out["local, idle site, cohorts of 8"][0] <= n
-    # one heap entry per running job + one cohort per arrival, nothing
-    # once it ended
+    # one heap entry and one cohort per arrival, nothing once it ended
     assert out["local, idle site, cohorts of 1"][3] <= 2.01
-    assert out["local, idle site, cohorts of 8"][3] <= 1.13
-    assert out["local, 2,500 idle sites round-robin, cohorts of 8"][3] <= 1.18
+    assert out["local, idle site, cohorts of 8"][3] <= 0.51
+    assert out["local, 2,500 idle sites round-robin, cohorts of 8"][3] <= 0.56
     assert out["local, idle site, cohorts of 8"][4] == 0.0
     assert out["local, 2,500 idle sites round-robin, cohorts of 8"][4] == 0.0
+    # a held member is 16 bytes; the arrival's entry and cohort are shared
+    assert out["local, idle site, cohorts of 8"][5] <= 64.0
 
 
 #: ``_grid_build_us`` at the parent commit (6f0c091, four numpy

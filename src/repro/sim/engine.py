@@ -26,8 +26,9 @@ its first ``yield`` inline at its spawn instant — there is no boot event.
 from __future__ import annotations
 
 import heapq
+from array import array
 from heapq import heappush
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 __all__ = [
     "Environment",
@@ -320,13 +321,15 @@ class AllOf(_Condition):
 class Environment:
     """Owns the simulation clock and the pending-event heap."""
 
-    __slots__ = ("_now", "_heap", "_seq", "event_count", "obs_tally",
+    __slots__ = ("_now", "_heap", "_seq", "_held", "event_count", "obs_tally",
                  "heartbeat")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
+        #: entries :meth:`schedule_chain` holds off the heap
+        self._held = 0
         #: number of events processed so far (profiling / debugging aid)
         self.event_count = 0
         #: observability hook: set to a dict (event type name -> count)
@@ -352,6 +355,42 @@ class Environment:
             raise ValueError(f"schedule delay must be >= 0, got {delay!r}")
         self._seq += 1
         heappush(self._heap, (self._now + delay, (priority << _KEY_SHIFT) + self._seq, event))
+
+    def schedule_chain(self, event: Event, delays: Sequence[float]) -> array:
+        """``schedule(event, d)`` for each of ``delays``, with one heap entry.
+
+        The entries are the ones those calls would push, ``(now + d, key,
+        event)`` with keys taken from ``_seq`` in order, but only the
+        earliest goes on the heap.  The rest are *held* in the returned
+        ``array('d')`` as ``(when, seq)`` pairs, the next one last, and
+        ``event``'s callback must call :meth:`push_held` with it on every
+        pop: the next entry then reaches the heap before it could be the
+        smallest there, so the pop order is the one ``schedule`` gives.
+        """
+        if not (min(delays) >= 0 and sum(delays) >= 0):  # negative, or NaN
+            raise ValueError(f"schedule delays must be >= 0, got {delays!r}")
+        now, n = self._now, len(delays)
+        seq = self._seq + 1  # the first delay's
+        whens = [now + d for d in delays]
+        order = sorted(range(n), key=whens.__getitem__)  # stable: ties by seq
+        self._seq += n
+        self._held += n - 1
+        first = order[0]
+        heappush(self._heap, (whens[first], _NORMAL_BASE + seq + first, event))
+        held = array("d")
+        for i in order[:0:-1]:
+            held.append(whens[i])
+            held.append(seq + i)
+        return held
+
+    def push_held(self, event: Event, held: array, _push=heappush,
+                  _base=_NORMAL_BASE) -> None:
+        """Put ``event``'s next held entry (:meth:`schedule_chain`) on the
+        heap.  (The ``_``-prefixed defaults bind globals as locals; do
+        not pass them.)"""
+        seq = held.pop()
+        self._held -= 1
+        _push(self._heap, (held.pop(), _base + int(seq), event))
 
     def event(self) -> Event:
         """A fresh, unsettled event."""
@@ -450,7 +489,10 @@ class Environment:
         ``_seq``, so pops = (entries at entry + pushes during the run)
         − entries left − cancelled tombstones popped, computed once on
         exit (a cancelled timer was never processed; see
-        :meth:`Timeout.cancel`).  The heartbeat's count is the same sum.
+        :meth:`Timeout.cancel`).  An entry :meth:`schedule_chain` holds
+        off the heap took its ``_seq`` when it was scheduled and counts
+        as pending until it pops, so "entries" is ``len(heap) + _held``
+        on both ends.  The heartbeat's count is the same sum.
         """
         heap = self._heap
         pop = heapq.heappop
@@ -467,8 +509,8 @@ class Environment:
             if stop < self._now:
                 raise ValueError(f"cannot run until {stop} < now {self._now}")
         base = self.event_count
-        seq0 = self._seq
-        len0 = len(heap)
+        # pops = start + _seq - entries pending now - skipped (see above)
+        start = len(heap) + self._held - self._seq
         skipped = 0
         if heartbeat is not None:
             # Start the wall clock at loop entry, not at the first
@@ -494,8 +536,8 @@ class Environment:
                     hb_left -= 1
                     if not hb_left:
                         hb_left = hb_stride
-                        heartbeat.tick(when, base + len0 + (self._seq - seq0)
-                                       - len(heap) - skipped)
+                        heartbeat.tick(when, base + start + self._seq
+                                       - len(heap) - self._held - skipped)
                 if callbacks:
                     self._now = when
                     for cb in callbacks:
@@ -520,4 +562,5 @@ class Environment:
                 raise target.value
             return target.value
         finally:
-            self.event_count += len0 + (self._seq - seq0) - len(heap) - skipped
+            self.event_count += (start + self._seq - len(heap) - self._held
+                                 - skipped)

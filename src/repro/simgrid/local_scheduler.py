@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -220,10 +221,12 @@ class Reservation:
 class _Cohort:
     """The local jobs of one arrival that started on free CPUs.
 
-    No member has a record: each is one kernel-heap entry pointing here
-    and one anonymous CPU slot.  The kernel takes ``callbacks`` on every
-    pop, so :meth:`LocalScheduler._local_done` re-arms it for the
-    siblings still on the heap.
+    No member has a record: each is one anonymous CPU slot and one finish
+    instant.  Only the earliest unpopped finish is a kernel-heap entry;
+    the others are ``held`` (:meth:`Environment.schedule_chain`), 16
+    bytes a member.  The kernel takes ``callbacks`` on every pop, so
+    :meth:`LocalScheduler._local_done` re-arms it and pushes the next
+    held finish, whether the cohort is live or killed.
     """
 
     key: str           # the first member's job id; its ``_jobs`` key
@@ -232,6 +235,8 @@ class _Cohort:
     #: still owed, so ``<= 0`` reads "killed" to the stale timers
     live: int
     callbacks: Optional[list]
+    #: finishes not yet on the heap; None for a cohort of one
+    held: Optional[array] = None
     _ok = True
 
 
@@ -518,9 +523,9 @@ class LocalScheduler:
         kills one by one; job ``i`` is ``prefix + str(first_id + i)``.
 
         Those that find a free CPU start here and now as one
-        :class:`_Cohort` — per job one run timer and one counted slot, no
-        record.  The rest queue, in order, as ordinary jobs the scheduler
-        forgets when they end.  With a reservation in the calendar a
+        :class:`_Cohort` — per job one finish instant and one counted
+        slot, no record.  The rest queue, in order, as ordinary jobs the
+        scheduler forgets when they end.  With a reservation in the calendar a
         queued job may be backfilled the instant it arrives, so the
         arrival is then played one job at a time.
         """
@@ -699,16 +704,23 @@ class LocalScheduler:
         cohort = _Cohort(key, env.now, len(runtimes), self._on_local_timer)
         self._jobs[key] = cohort
         service_time = self._service_time_fn
-        for runtime_s in runtimes:
-            # per job, in arrival order: the noise draw and the heap entry
-            # (and ``_seq``) its own run timer would take
+        services = []
+        for runtime_s in runtimes:  # per job, in arrival order: a noise draw
             service = service_time(runtime_s)
             if not service >= 0:
                 raise ValueError(f"negative service time {service} in {key}")
-            env.schedule(cohort, service)
+            services.append(service)
+        # the heap entries (and ``_seq``) the jobs' own run timers would take
+        if len(services) == 1:
+            env.schedule(cohort, services[0])
+        else:
+            cohort.held = env.schedule_chain(cohort, services)
 
     def _local_done(self, cohort: _Cohort) -> None:
         cohort.callbacks = self._on_local_timer  # the kernel took it
+        held = cohort.held
+        if held:  # the next member's finish goes on the heap, live or stale
+            self.env.push_held(cohort, held)
         if cohort.live <= 0:
             return  # stale: killed mid-run, the unwinds free the slots
         self._cpus.give_back()

@@ -37,6 +37,20 @@ _DONE_MB = 1e-9
 _NEVER = float("inf")
 
 
+# Written so that NaN fails too.  An infinite bandwidth would livelock a
+# transfer: ``inf * 0.0`` is NaN, so its flow never drains (_settle_many).
+def _check_bandwidth(bandwidth_mbps: float, where: str) -> None:
+    if not 0 < bandwidth_mbps < _NEVER:
+        raise ValueError(f"bandwidth of {where} must be finite and > 0, "
+                         f"got {bandwidth_mbps!r}")
+
+
+def _check_latency(latency_s: float, where: str) -> None:
+    if not 0 <= latency_s < _NEVER:
+        raise ValueError(f"latency of {where} must be finite and >= 0, "
+                         f"got {latency_s!r}")
+
+
 class _Flow:
     """One live transfer in the link scheduler's table."""
 
@@ -68,10 +82,8 @@ class NetworkModel:
         default_bandwidth_mbps: float = DEFAULT_BANDWIDTH_MBPS,
         default_latency_s: float = DEFAULT_LATENCY_S,
     ):
-        if default_bandwidth_mbps <= 0:
-            raise ValueError("default bandwidth must be > 0")
-        if default_latency_s < 0:
-            raise ValueError("default latency must be >= 0")
+        _check_bandwidth(default_bandwidth_mbps, "default")
+        _check_latency(default_latency_s, "default")
         self.env = env
         self._default_bw = default_bandwidth_mbps
         self._default_lat = default_latency_s
@@ -94,8 +106,7 @@ class NetworkModel:
     # -- topology configuration ------------------------------------------------
     def set_uplink(self, site: str, bandwidth_mbps: float) -> None:
         """Set a site's WAN uplink capacity."""
-        if bandwidth_mbps <= 0:
-            raise ValueError("bandwidth must be > 0")
+        _check_bandwidth(bandwidth_mbps, f"uplink of {site!r}")
         self._uplink_bw[site] = bandwidth_mbps
 
     def set_pair(
@@ -107,12 +118,10 @@ class NetworkModel:
     ) -> None:
         """Override a specific (directed) site pair."""
         if bandwidth_mbps is not None:
-            if bandwidth_mbps <= 0:
-                raise ValueError("bandwidth must be > 0")
+            _check_bandwidth(bandwidth_mbps, f"pair {src!r}->{dst!r}")
             self._pair_bw[(src, dst)] = bandwidth_mbps
         if latency_s is not None:
-            if latency_s < 0:
-                raise ValueError("latency must be >= 0")
+            _check_latency(latency_s, f"pair {src!r}->{dst!r}")
             self._pair_lat[(src, dst)] = latency_s
 
     # -- analytic estimates ------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from typing import Optional, Sequence
 
 from repro import obs as _obs
@@ -105,7 +106,7 @@ class GridSite:
         self.degraded_factor = degraded_factor
         self.disk_capacity_mb = disk_capacity_mb
         self._rng = rng.stream("service-noise")
-        self._noise: list[float] = []  # standard normals drawn ahead
+        self._noise = array("d")  # standard normals drawn ahead
         self._state = SiteState.UP
         self.scheduler = LocalScheduler(env, n_cpus, self._service_time, name=name)
         #: logical files present at this site (lfn -> size_mb)
@@ -225,17 +226,19 @@ class GridSite:
     def store_file(self, lfn: str, size_mb: float) -> None:
         if size_mb < 0:
             raise ValueError("size must be >= 0")
-        growth = size_mb - self._storage.get(lfn, 0.0)
-        if self.stored_mb + growth > self.disk_capacity_mb:
-            raise StorageFullError(
-                f"{self.name}: {size_mb} MB does not fit "
-                f"({self.free_mb:.0f} MB free)"
-            )
+        if self.disk_capacity_mb < math.inf:  # unlimited: nothing to sum
+            growth = size_mb - self._storage.get(lfn, 0.0)
+            if self.stored_mb + growth > self.disk_capacity_mb:
+                raise StorageFullError(
+                    f"{self.name}: {size_mb} MB does not fit "
+                    f"({self.free_mb:.0f} MB free)"
+                )
         self._storage[lfn] = size_mb
 
     @property
     def free_mb(self) -> float:
-        return self.disk_capacity_mb - self.stored_mb
+        capacity = self.disk_capacity_mb
+        return capacity if capacity == math.inf else capacity - self.stored_mb
 
     def delete_file(self, lfn: str) -> None:
         self._storage.pop(lfn, None)
@@ -335,7 +338,7 @@ class GridSite:
             # nothing else draws from this stream: one numpy call per 32
             noise = self._noise
             if not noise:
-                noise.extend(self._rng.standard_normal(32)[::-1].tolist())
+                noise.frombytes(self._rng.standard_normal(32)[::-1].tobytes())
             factor *= math.exp(0.0 + sigma * noise.pop())
         return runtime_s * factor
 

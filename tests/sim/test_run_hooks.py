@@ -4,7 +4,8 @@ Random small event programs run under ``run()``, ``run(until=t)`` and
 ``run(until=event)``, each bare, with ``obs_tally`` set, with a recording
 heartbeat stub, and with both.  Every variant must leave the same
 callback log, clock, ``event_count`` and outcome (return value, or
-exception type and message) of every call, and an empty heap.  Within a
+exception type and message) of every call, and an empty heap with
+nothing held off it (``schedule_chain``).  Within a
 call the tally counts exactly the events the call processed, and the
 heartbeat sees one tick at loop entry and then one every ``_HB_STRIDE``
 processed events.
@@ -29,7 +30,10 @@ _event = st.tuples(st.just("event"),
 _proc = st.tuples(st.just("proc"),
                   st.lists(st.sampled_from(DELAYS), min_size=1, max_size=3),
                   st.booleans())
-programs = st.lists(st.one_of(_timer, _event, _proc), min_size=1, max_size=12)
+_chain = st.tuples(st.just("chain"),
+                   st.lists(st.sampled_from(DELAYS), min_size=1, max_size=4))
+programs = st.lists(st.one_of(_timer, _event, _proc, _chain),
+                    min_size=1, max_size=12)
 
 
 def build(env, program, log):
@@ -68,6 +72,23 @@ def build(env, program, log):
                     settle()
                 else:
                     env.timeout(at).add_callback(settle)
+            events.append(ev)
+        elif op[0] == "chain":
+            # one event firing once per delay, all but the first held off
+            # the heap (Environment.schedule_chain): what a cohort does
+            ev = env.event()
+            ev._value = label
+            held, on_pop = [], []
+
+            def fire(e, label=label, held=held, on_pop=on_pop):
+                log.append((env.now, label))
+                if held[0]:
+                    e.callbacks = on_pop  # the kernel took it
+                    env.push_held(e, held[0])
+
+            on_pop.append(fire)
+            ev.callbacks = on_pop
+            held.append(env.schedule_chain(ev, op[1]))
             events.append(ev)
         else:
             _, delays, catch = op
@@ -134,7 +155,7 @@ def play(program, form, t, pick, hooks, stride):
         done = [ev for ev in events if ev.processed]
         if done:  # run(until=event) on an already-processed event
             call(done[pick % len(done)])
-    assert not env._heap
+    assert not env._heap and not env._held
     return log, outcomes, env.now, env.event_count
 
 

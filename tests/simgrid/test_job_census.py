@@ -1,16 +1,18 @@
 """Object census: what local load costs the host's garbage collector.
 
-At 2,500 sites the batch queues carry ~60k local jobs for every 600 grid
-jobs; each GC-tracked object a job allocates is scanned by every later
-collection, and each one it leaves behind is scanned forever.  The
-contract (DESIGN.md §5l): a local job that finds a free CPU is one
-kernel-heap entry — no record, no id, no table row — beside one cohort
-per arrival; an ended one is nothing.  What a job that has to queue needs
-on top (a record and its CPU request) dies by reference count, not by the
-cycle collector.
+At 2,500 sites the batch queues carry ~48k running local jobs for every
+600 grid jobs; each GC-tracked object a job allocates is scanned by every
+later collection, and each byte it holds is peak RSS.  The contract
+(DESIGN.md §5l): a local job that finds a free CPU has no record, no id
+and no table row; its arrival is one cohort with one kernel-heap entry,
+its earliest finish, and every other member is one held ``(when, seq)``
+pair of doubles in the cohort's one array — 16 bytes, no object.  An ended
+job is nothing.  What a job that has to queue needs on top (a record and
+its CPU request) dies by reference count, not by the cycle collector.
 """
 
 import gc
+import tracemalloc
 
 from repro.sim import Environment
 from repro.sim.resources import Request
@@ -30,25 +32,46 @@ def tracked() -> int:
     return len(gc.get_objects())
 
 
-def test_local_arrival_is_one_heap_entry_per_job_none_ended():
+def big_site():
     env = Environment()
     site = GridSite(env, RngStreams(7), "big", n_cpus=N)
     site.submit_local([1.0], "local", 10, "warm.", 0)  # noise block, method
     env.run()
-    runtimes = [100.0 + i for i in range(N)]  # floats are not GC-tracked
+    return env, site
+
+
+def test_local_arrival_is_one_heap_entry_none_ended():
+    env, site = big_site()
+    runtimes = [100.0 + i % 50 for i in range(N)]  # ties; floats untracked
     idle = tracked()
     site.submit_local(runtimes, "local", 10, "bg.", 0)
     sched = site.scheduler
     assert sched.running_jobs == N and sched.queued_jobs == 0
     assert sched.utilization == 1.0 and sched.reservation_audit() == []
-    # per job: its heap entry; + the cohort + the job table, which CPython
-    # leaves untracked while it is empty
-    assert tracked() - idle <= N + 2
+    assert len(env._heap) == 1 and env._held == N - 1
+    # the heap entry, the cohort, its held array, and the job table, which
+    # CPython leaves untracked while it is empty: none of it per member
+    assert tracked() - idle <= 4
     env.run()
     assert sched.completed_count == N + 1
     assert tracked() - idle == 0
     assert not (sched._jobs or sched._awaiting or sched._running
-                or sched._pending or sched._cpus.count)
+                or sched._pending or sched._cpus.count or env._held)
+
+
+def test_a_running_member_is_at_most_24_traced_bytes():
+    env, site = big_site()
+    runtimes = [100.0 + i % 50 for i in range(N)]
+    tracked()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        site.submit_local(runtimes, "local", 10, "bg.", 0)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert site.running_jobs == N
+    assert held <= 24 * N  # 16 of them the member's (when, seq) pair
 
 
 def test_a_contended_jobs_request_dies_by_refcount():

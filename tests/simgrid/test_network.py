@@ -23,6 +23,43 @@ def test_validation():
         net.transfer_time(-1, "a", "b")
 
 
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("configure,where", [
+    (lambda env, v: NetworkModel(env, default_bandwidth_mbps=v), "default"),
+    (lambda env, v: NetworkModel(env).set_uplink("a", v), "uplink of 'a'"),
+    (lambda env, v: NetworkModel(env).set_pair("a", "b", bandwidth_mbps=v),
+     "pair 'a'->'b'"),
+])
+@pytest.mark.parametrize("bad", [0.0, -5.0, NAN, INF])
+def test_bandwidth_must_be_finite_and_positive(configure, where, bad):
+    # an infinite uplink at both ends used to livelock a transfer at one
+    # instant: inf * 0.0 is NaN, so the flow never drained
+    with pytest.raises(ValueError, match=f"bandwidth of {where} must be "
+                                         "finite and > 0"):
+        configure(Environment(), bad)
+
+
+@pytest.mark.parametrize("configure,where", [
+    (lambda env, v: NetworkModel(env, default_latency_s=v), "default"),
+    (lambda env, v: NetworkModel(env).set_pair("a", "b", latency_s=v),
+     "pair 'a'->'b'"),
+])
+@pytest.mark.parametrize("bad", [-1.0, NAN, INF])
+def test_latency_must_be_finite_and_non_negative(configure, where, bad):
+    with pytest.raises(ValueError, match=f"latency of {where} must be "
+                                         "finite and >= 0"):
+        configure(Environment(), bad)
+
+
+def test_edge_values_are_accepted():
+    net = NetworkModel(Environment(), default_latency_s=0.0)
+    net.set_uplink("a", 1e-9)
+    net.set_pair("a", "b", bandwidth_mbps=1e12, latency_s=0.0)
+    assert net.transfer_time(1.0, "a", "b") == 1e-12
+
+
 @pytest.mark.parametrize("src,dst", [("a", "a"), ("a", "b")])
 def test_negative_size_transfer_is_rejected_before_it_touches_an_uplink(src, dst):
     env = Environment()

@@ -176,6 +176,19 @@ class TestStorage:
         with pytest.raises(ValueError):
             site.store_file("x", -1.0)
 
+    def test_unlimited_disk_never_sums_its_files(self, monkeypatch):
+        _env, site = make_site()
+        site.store_file("x", 10.0)
+
+        def no_sum(_site):
+            raise AssertionError("stored_mb summed on an unlimited disk")
+
+        monkeypatch.setattr(GridSite, "stored_mb", property(no_sum))
+        site.store_file("y", 1e12)
+        site.store_file("x", 20.0)
+        assert site.free_mb == float("inf")
+        assert site.files == ("x", "y")
+
 
 class TestLocalPolicy:
     def test_proxy_relegation_applies(self):
