@@ -8,7 +8,7 @@ Usage::
     python -m repro fig7
     python -m repro fig8
     python -m repro suite [--workers 4] [--scale 0.25] [--only fig2 ...]
-    python -m repro suite --progress --stream-spans --reservoir 512 ...
+    python -m repro suite --progress --stream-spans ...
     python -m repro trace fig2 [--dags 4] [--out traces] [--stream]
     python -m repro list-algorithms
 
@@ -199,10 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --trace-dir: flush closed spans to the per-case "
              "JSONL incrementally instead of retaining them in memory "
              "(skips the Chrome trace, which needs the full span list)")
-    suite.add_argument(
-        "--reservoir", type=int, default=None, metavar="N",
-        help="bound every histogram to N samples (seeded reservoir + "
-             "mergeable quantile sketch; default: exact percentiles)")
     trace = sub.add_parser(
         "trace", help="run one scenario fully instrumented; write "
                       "span JSONL + Chrome trace + summary")
@@ -222,9 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-open", type=int, default=None, metavar="N",
         help="with --stream: evict the oldest open span past N "
              "(backstop against span leaks on huge runs)")
-    trace.add_argument(
-        "--reservoir", type=int, default=None, metavar="N",
-        help="bound every histogram to N samples (default: exact)")
     chaos = sub.add_parser(
         "chaos", help="run one scenario under a deterministic fault plan "
                       "and audit end-state invariants")
@@ -269,9 +262,6 @@ def _run_suite_command(args) -> int:
         print("repro suite: --progress-interval must be > 0",
               file=sys.stderr)
         return 2
-    if args.reservoir is not None and args.reservoir < 1:
-        print("repro suite: --reservoir must be >= 1", file=sys.stderr)
-        return 2
     cases = default_suite(scale=args.scale, seed=args.seed)
     if args.ext_scale:
         cases += scale_suite(args.ext_scale, seed=args.seed,
@@ -292,7 +282,6 @@ def _run_suite_command(args) -> int:
     runs = run_suite(cases, workers=args.workers,
                      trace_dir=args.trace_dir,
                      stream_spans=args.stream_spans,
-                     reservoir=args.reservoir,
                      progress_interval=(args.progress_interval
                                         if args.progress else None))
     payload = suite_payload(runs, scale=args.scale, workers=args.workers)
@@ -355,9 +344,6 @@ def _run_trace_command(args, horizon: float) -> int:
     if args.max_open is not None and not args.stream:
         print("repro trace: --max-open requires --stream", file=sys.stderr)
         return 2
-    if args.reservoir is not None and args.reservoir < 1:
-        print("repro trace: --reservoir must be >= 1", file=sys.stderr)
-        return 2
     scenario = _scenario_from_args(args, horizon)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -369,7 +355,6 @@ def _run_trace_command(args, horizon: float) -> int:
     obs = obs_mod.Obs(obs_mod.ObsConfig(
         spans=True, sample_sites=True,
         telemetry_interval_s=args.telemetry_interval,
-        histogram_max_samples=args.reservoir,
         span_sink=sink, max_open_spans=args.max_open,
     ))
     result, _ = run_topology(scenario, obs=obs)

@@ -24,7 +24,6 @@ events/second throughput, and headline metrics.
 from __future__ import annotations
 
 import json
-import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -48,6 +47,7 @@ from repro.experiments.scenarios import (
     Scenario,
     ServerSpec,
 )
+from repro.obs.metrics import Histogram
 
 __all__ = [
     "SuiteCase",
@@ -265,7 +265,6 @@ def _dispatch(scenario, obs, heartbeat, plan=None) -> ExperimentResult:
 def _run_case(case: SuiteCase,
               trace_dir: Optional[str] = None,
               stream_spans: bool = False,
-              reservoir: Optional[int] = None,
               progress_interval: Optional[float] = None) -> SuiteRun:
     """Worker entry point: run one case, time it (module-level: pickled
     by name into the pool workers; every argument is a picklable
@@ -278,10 +277,9 @@ def _run_case(case: SuiteCase,
     — span payloads never ride through pickling.  ``stream_spans``
     flushes closed spans to the JSONL incrementally instead (tracer
     memory stays at open-spans-only; the Chrome trace, which needs the
-    full span list, is skipped).  ``reservoir`` bounds every histogram
-    to that many samples.  ``progress_interval`` turns on the wall-clock
-    heartbeat: stderr lines plus ``<case>.heartbeat.jsonl`` under
-    ``trace_dir`` (when given).
+    full span list, is skipped).  ``progress_interval`` turns on the
+    wall-clock heartbeat: stderr lines plus ``<case>.heartbeat.jsonl``
+    under ``trace_dir`` (when given).
     """
     from repro.obs.export import JsonlSpanSink, write_trace_pair
     from repro.obs.runtime import Heartbeat, rss_mb
@@ -295,7 +293,6 @@ def _run_case(case: SuiteCase,
         sink = JsonlSpanSink(out / f"{case.name}.spans.jsonl")
     config = obs_mod.ObsConfig(
         spans=trace_dir is not None,
-        histogram_max_samples=reservoir,
         span_sink=sink,
     )
     obs = obs_mod.Obs(config)
@@ -322,7 +319,6 @@ def run_suite(cases: Iterable[SuiteCase],
               workers: int = 1,
               trace_dir: Optional[str] = None,
               stream_spans: bool = False,
-              reservoir: Optional[int] = None,
               progress_interval: Optional[float] = None) -> list[SuiteRun]:
     """Run every case; results come back in case order.
 
@@ -337,9 +333,8 @@ def run_suite(cases: Iterable[SuiteCase],
     with :func:`repro.obs.merge_snapshots`, same order).
 
     Flight-recorder knobs (see :func:`_run_case`): ``stream_spans``
-    flushes spans incrementally (requires ``trace_dir``); ``reservoir``
-    bounds histogram memory; ``progress_interval`` emits a live
-    heartbeat per case.
+    flushes spans incrementally (requires ``trace_dir``);
+    ``progress_interval`` emits a live heartbeat per case.
     """
     cases = list(cases)
     if workers < 1:
@@ -347,14 +342,14 @@ def run_suite(cases: Iterable[SuiteCase],
     if stream_spans and trace_dir is None:
         raise ValueError("stream_spans requires trace_dir")
     if workers == 1 or len(cases) <= 1:
-        runs = [_run_case(c, trace_dir, stream_spans, reservoir,
-                          progress_interval) for c in cases]
+        runs = [_run_case(c, trace_dir, stream_spans, progress_interval)
+                for c in cases]
     else:
         with ProcessPoolExecutor(
             max_workers=min(workers, len(cases))
         ) as pool:
             futures = [pool.submit(_run_case, c, trace_dir, stream_spans,
-                                   reservoir, progress_interval)
+                                   progress_interval)
                        for c in cases]
             # Submission order, not completion order: determinism.
             runs = [f.result() for f in futures]
@@ -413,14 +408,6 @@ def headline_metrics(result: ExperimentResult) -> dict:
     }
 
 
-def _nearest_rank(ordered: Sequence[float], p: float) -> float:
-    """Nearest-rank percentile over a sorted sample list (the same
-    definition :class:`repro.obs.metrics.Histogram` uses, so pooled
-    and single-histogram numbers are directly comparable)."""
-    rank = max(1, math.ceil(p / 100.0 * len(ordered)))
-    return ordered[rank - 1]
-
-
 def planning_latency_percentiles(
     snapshot: dict,
 ) -> tuple[Optional[float], Optional[float]]:
@@ -430,9 +417,9 @@ def planning_latency_percentiles(
     Single-server runs record into the unlabeled histogram.  Federated
     runs record per shard (``shard=<label>``) and leave the unlabeled
     one empty, so when it has no observations this pools the raw
-    samples of every labeled sibling instead — the federation-wide
-    percentiles (requires the snapshot to carry samples, as suite-run
-    snapshots do)."""
+    samples of every labeled sibling into one :class:`Histogram` — the
+    federation-wide percentiles (requires the snapshot to carry samples,
+    as suite-run snapshots do)."""
     pooled: list[float] = []
     for hist in snapshot.get("histograms", ()):
         if hist["name"] != "server.planning_latency_s":
@@ -444,8 +431,9 @@ def planning_latency_percentiles(
         pooled.extend(hist.get("samples", ()))
     if not pooled:
         return None, None
-    pooled.sort()
-    return _nearest_rank(pooled, 50), _nearest_rank(pooled, 95)
+    hist = Histogram()
+    hist.samples = pooled
+    return hist.percentile(50), hist.percentile(95)
 
 
 _RESERVATION_OUTCOMES = ("confirmed", "rejected", "released", "expired",

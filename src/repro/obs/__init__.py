@@ -30,7 +30,6 @@ from repro.obs.metrics import (
     merge_snapshots,
 )
 from repro.obs.runtime import Heartbeat
-from repro.obs.sketch import QuantileSketch, Reservoir
 from repro.obs.tracer import NULL_SPAN, NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
@@ -44,8 +43,6 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "NullTracer",
-    "QuantileSketch",
-    "Reservoir",
     "Span",
     "Tracer",
     "get",
@@ -67,10 +64,6 @@ class ObsConfig:
 
     Flight-recorder knobs (all strictly passive):
 
-    * ``histogram_max_samples`` — bound every histogram to a fixed-size
-      seeded reservoir + mergeable quantile sketch instead of raw
-      samples (``None`` keeps exact percentiles, the right default for
-      paper-figure runs);
     * ``span_sink`` — stream closed spans to this sink (e.g. a
       :class:`~repro.obs.export.JsonlSpanSink`) instead of retaining
       them, keeping tracer memory at open-spans-only;
@@ -81,7 +74,6 @@ class ObsConfig:
     spans: bool = True
     sample_sites: bool = False
     telemetry_interval_s: float = 60.0
-    histogram_max_samples: Optional[int] = None
     span_sink: Optional[object] = None
     max_open_spans: Optional[int] = None
 
@@ -98,8 +90,7 @@ class Obs:
                                  max_open=config.max_open_spans)
         else:
             self.tracer = NULL_TRACER
-        self.metrics = MetricsRegistry(
-            histogram_max_samples=config.histogram_max_samples)
+        self.metrics = MetricsRegistry()
 
     def bind(self, env) -> None:
         """Late-bind the sim clock (drivers build Obs before the env)."""

@@ -244,9 +244,8 @@ def summary_markdown(metrics: Optional[MetricsRegistry] = None,
         for h in snap["histograms"]:
             labels = ",".join(f"{k}={v}" for k, v in h["labels"].items())
             mean = h["sum"] / h["count"] if h["count"] else None
-            approx = " (approx)" if h.get("approx") else ""
             lines.append(
-                f"| {h['name']}{approx} | {labels or '-'} | {h['count']} "
+                f"| {h['name']} | {labels or '-'} | {h['count']} "
                 f"| {_fmt(mean)} | {_fmt(h['p50'])} | {_fmt(h['p95'])} "
                 f"| {_fmt(h['max'])} |"
             )

@@ -12,15 +12,9 @@ no RNG draws, no clock reads except the timestamps callers pass to
 simulation headline metric (kernel ``event_count`` included)
 bit-identical.
 
-Histograms have two modes.  The default keeps every raw sample and
-answers *exact* percentiles — right for paper-figure runs observing a
-few thousand values.  ``MetricsRegistry(histogram_max_samples=N)``
-switches every histogram to **bounded** mode: a fixed-size seeded
-:class:`~repro.obs.sketch.Reservoir` (inspection, determinism tests)
-plus a mergeable :class:`~repro.obs.sketch.QuantileSketch` (quantiles
-within a relative-error bound), so a million-job run holds histogram
-memory constant.  The reservoir seed derives from the instrument key,
-so contents depend only on (name, labels, observation order).
+Histograms keep every raw sample and answer *exact* percentiles; a
+run holds about three samples per job, so even 30k-job runs spend a
+few MB on them (EXPERIMENTS.md, "One histogram mode").
 
 :class:`NullRegistry` is the disabled twin: it hands out shared no-op
 instruments so instrumented call sites stay branch-free.
@@ -29,10 +23,7 @@ instruments so instrumented call sites stay branch-free.
 from __future__ import annotations
 
 import math
-import zlib
 from typing import Any, Iterable, Optional
-
-from repro.obs.sketch import QuantileSketch, Reservoir
 
 __all__ = [
     "Counter",
@@ -79,66 +70,44 @@ class Gauge:
 class Histogram:
     """Distribution of observed values.
 
-    Exact mode (the default, ``max_samples=None``) keeps raw samples
-    and answers exact nearest-rank percentiles from a sorted pass that
-    is *cached* — ``observe`` invalidates it, so a snapshot's p50 and
-    p95 share one sort instead of re-sorting per call.
-
-    Bounded mode (``max_samples=N``) never holds more than ``N``
-    samples: a seeded reservoir retains a uniform subsample and a
-    mergeable quantile sketch answers percentiles within its relative
-    error.  Count/sum/min/max stay exact in both modes.
+    Keeps raw samples and answers exact nearest-rank percentiles from a
+    sorted pass that is *cached* — ``observe`` invalidates it, so a
+    snapshot's p50 and p95 share one sort instead of re-sorting per
+    call.
     """
 
-    __slots__ = ("_samples", "_sorted", "_count", "_sum", "_min", "_max",
-                 "reservoir", "sketch")
+    __slots__ = ("_samples", "_sorted", "_count", "_sum", "_min", "_max")
 
-    def __init__(self, max_samples: Optional[int] = None, seed: int = 1,
-                 rel_err: float = 0.01):
+    def __init__(self):
         self._samples: list[float] = []
         self._sorted: Optional[list[float]] = None
         self._count = 0
         self._sum = 0.0
         self._min: Optional[float] = None
         self._max: Optional[float] = None
-        if max_samples is None:
-            self.reservoir: Optional[Reservoir] = None
-            self.sketch: Optional[QuantileSketch] = None
-        else:
-            self.reservoir = Reservoir(max_samples, seed=seed)
-            self.sketch = QuantileSketch(rel_err=rel_err)
-
-    @property
-    def bounded(self) -> bool:
-        return self.reservoir is not None
 
     def observe(self, value: float) -> None:
         v = float(value)
+        if not math.isfinite(v):
+            # A NaN would poison sum/min/max for the rest of the run and
+            # make the snapshot unencodable as JSON.
+            raise ValueError(f"histogram value must be finite, got {v}")
         self._count += 1
         self._sum += v
         if self._min is None or v < self._min:
             self._min = v
         if self._max is None or v > self._max:
             self._max = v
-        if self.reservoir is None:
-            self._samples.append(v)
-            self._sorted = None
-        else:
-            self.reservoir.observe(v)
-            self.sketch.observe(v)
+        self._samples.append(v)
+        self._sorted = None
 
     @property
     def samples(self) -> list[float]:
-        """Raw samples (exact mode) or the reservoir contents (bounded)."""
-        if self.reservoir is not None:
-            return self.reservoir.values
         return self._samples
 
     @samples.setter
     def samples(self, values: list[float]) -> None:
-        """Replace the sample set (exact mode only — merge plumbing)."""
-        if self.reservoir is not None:
-            raise ValueError("cannot assign samples to a bounded histogram")
+        """Replace the sample set (merge plumbing)."""
         self._samples = list(values)
         self._sorted = None
         self._count = len(self._samples)
@@ -167,15 +136,9 @@ class Histogram:
         return self._sum / self._count if self._count else float("nan")
 
     def percentile(self, p: float) -> float:
-        """Nearest-rank percentile; NaN when empty.
-
-        Exact in exact mode; within the sketch's relative error in
-        bounded mode.
-        """
+        """Nearest-rank percentile; NaN when empty."""
         if not 0.0 <= p <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
-        if self.sketch is not None:
-            return self.sketch.quantile(p)
         if not self._samples:
             return float("nan")
         ordered = self._sorted
@@ -203,38 +166,20 @@ class Series:
 
 
 class MetricsRegistry:
-    """Instrument factory + deterministic snapshot/export surface.
-
-    ``histogram_max_samples`` switches every histogram to bounded mode
-    (see :class:`Histogram`); the default ``None`` keeps the exact
-    behaviour small runs rely on.
-    """
+    """Instrument factory + deterministic snapshot/export surface."""
 
     enabled = True
     _KINDS = {"counter": Counter, "gauge": Gauge,
               "histogram": Histogram, "series": Series}
 
-    def __init__(self, histogram_max_samples: Optional[int] = None,
-                 histogram_rel_err: float = 0.01):
+    def __init__(self):
         self._instruments: dict[_Key, tuple[str, Any]] = {}
-        self.histogram_max_samples = histogram_max_samples
-        self.histogram_rel_err = histogram_rel_err
 
     def _get(self, kind: str, name: str, labels: dict[str, Any]):
         key = _key(name, labels)
         entry = self._instruments.get(key)
         if entry is None:
-            if kind == "histogram":
-                inst = Histogram(
-                    max_samples=self.histogram_max_samples,
-                    # Stable per-instrument seed: reservoir contents
-                    # depend only on the instrument identity + stream.
-                    seed=zlib.crc32(repr(key).encode()) + 1,
-                    rel_err=self.histogram_rel_err,
-                )
-            else:
-                inst = self._KINDS[kind]()
-            entry = (kind, inst)
+            entry = (kind, self._KINDS[kind]())
             self._instruments[key] = entry
         elif entry[0] != kind:
             raise ValueError(
@@ -273,11 +218,8 @@ class MetricsRegistry:
         """JSON-safe dump of every instrument.
 
         Histograms export count/sum/min/max/p50/p95 (plus raw samples
-        when ``include_samples``); bounded histograms additionally
-        export their mergeable sketch (``"sketch"``) and are marked
-        ``"approx": true`` — their ``samples`` are the reservoir
-        subsample, never pooled as if complete.  Series export parallel
-        time/value arrays; NaN never appears (JSON has no NaN).
+        when ``include_samples``).  Series export parallel time/value
+        arrays; NaN never appears (JSON has no NaN).
         """
         out: dict[str, list] = {"counters": [], "gauges": [],
                                 "histograms": [], "series": []}
@@ -300,9 +242,6 @@ class MetricsRegistry:
                     p50=None if empty else inst.percentile(50),
                     p95=None if empty else inst.percentile(95),
                 )
-                if inst.bounded:
-                    entry["approx"] = True
-                    entry["sketch"] = inst.sketch.to_dict()
                 if include_samples:
                     entry["samples"] = list(inst.samples)
                 out["histograms"].append(entry)
@@ -383,14 +322,11 @@ def merge_snapshots(snapshots: Iterable[dict]) -> dict:
     Inputs are merged in the order given (the suite passes case order,
     never completion order).  Counters with the same (name, labels) sum;
     gauges keep the last value seen; series concatenate.  Histograms
-    pool three ways, strongest wins per instrument:
+    pool two ways per instrument:
 
-    * every input carries raw (non-approx) samples — exact pooled
-      percentiles, samples re-exported for further merging;
-    * any input carries a sketch (bounded mode) — sketches merge (an
-      exact input is folded in by observing its samples), pooled
-      percentiles are approximate and marked ``"approx": true``;
-    * neither — count/sum/min/max pool, percentiles degrade to None.
+    * every input carries raw samples — exact pooled percentiles,
+      samples re-exported for further merging;
+    * otherwise — count/sum/min/max pool, percentiles degrade to None.
     """
     merged = MetricsRegistry()
     pooled_hists: dict[_Key, dict] = {}
@@ -408,7 +344,7 @@ def merge_snapshots(snapshots: Iterable[dict]) -> dict:
             agg = pooled_hists.setdefault(key, {
                 "name": h["name"], "labels": h["labels"], "count": 0,
                 "sum": 0.0, "min": None, "max": None, "samples": [],
-                "complete": True, "sketch": None, "pending": [],
+                "complete": True,
             })
             agg["count"] += h["count"]
             agg["sum"] += h["sum"]
@@ -416,18 +352,8 @@ def merge_snapshots(snapshots: Iterable[dict]) -> dict:
                 if h[bound] is not None:
                     agg[bound] = (h[bound] if agg[bound] is None
                                   else pick(agg[bound], h[bound]))
-            if h.get("sketch") is not None:
-                sketch = QuantileSketch.from_dict(h["sketch"])
-                if agg["sketch"] is None:
-                    agg["sketch"] = sketch
-                else:
-                    agg["sketch"].merge(sketch)
-                agg["complete"] = False  # a subsampled input joined
-            elif "samples" in h and not h.get("approx"):
-                # Exact input: pool raw samples, and keep them around in
-                # case a later sketch input degrades the whole pool.
+            if "samples" in h:
                 agg["samples"].extend(h["samples"])
-                agg["pending"].extend(h["samples"])
             elif h["count"]:
                 agg["complete"] = False  # percentiles not poolable
 
@@ -435,23 +361,12 @@ def merge_snapshots(snapshots: Iterable[dict]) -> dict:
     for agg in pooled_hists.values():
         samples = agg.pop("samples")
         complete = agg.pop("complete")
-        sketch = agg.pop("sketch")
-        pending = agg.pop("pending")
         if complete and samples:
             hist = Histogram()
             hist.samples = samples
             agg["p50"] = hist.percentile(50)
             agg["p95"] = hist.percentile(95)
             agg["samples"] = samples
-        elif sketch is not None:
-            # Fold any exact inputs into the merged sketch so the pool
-            # covers every observation, then answer approximately.
-            for v in pending:
-                sketch.observe(v)
-            agg["approx"] = True
-            agg["sketch"] = sketch.to_dict()
-            agg["p50"] = sketch.quantile(50) if agg["count"] else None
-            agg["p95"] = sketch.quantile(95) if agg["count"] else None
         else:
             agg["p50"] = agg["p95"] = None
         out["histograms"].append(agg)

@@ -16,9 +16,10 @@ from repro.experiments import (
     suite_payload,
 )
 from repro.chaos import make_plan
-from repro.experiments.parallel import _scaled
+from repro.experiments.parallel import _scaled, planning_latency_percentiles
 from repro.federation import ext_federation_scenario, run_federation
-from repro.obs import Obs, ObsConfig
+from repro.obs import MetricsRegistry, Obs, ObsConfig
+from repro.obs.metrics import Histogram
 from repro.simgrid.grid import SiteSpec
 
 #: A small fault-free grid so suite tests stay fast.
@@ -204,3 +205,36 @@ def test_suite_payload_sections_pinned():
                      "total_s": 838.0144374356403}}
     assert fig["reservations"] == zero_reservations
     assert not {"shards", "federation"} & set(fig)
+
+
+def _latency_snapshot(unlabeled=(), **shards):
+    m = MetricsRegistry()
+    for v in unlabeled:
+        m.histogram("server.planning_latency_s").observe(v)
+    m.histogram("server.planning_latency_s")
+    for shard, values in shards.items():
+        for v in values:
+            m.histogram("server.planning_latency_s", shard=shard).observe(v)
+    m.histogram("rpc.latency_s").observe(99.0)  # another name: ignored
+    return m.snapshot(include_samples=True)
+
+
+def test_federated_planning_percentiles_pool_every_shard_exactly():
+    shards = {"s0": [0.5, 0.1, 0.9, 0.3], "s1": [2.0, 0.2],
+              "s2": [0.05, 0.7, 1.5]}
+    one = Histogram()
+    for values in shards.values():
+        for v in values:
+            one.observe(v)
+    assert planning_latency_percentiles(_latency_snapshot(**shards)) == \
+        (one.percentile(50), one.percentile(95))
+
+
+def test_single_server_planning_percentiles_short_circuit():
+    snap = _latency_snapshot(unlabeled=[1.0, 2.0, 3.0], s0=[50.0, 60.0])
+    assert planning_latency_percentiles(snap) == (2.0, 3.0)
+
+
+def test_planning_percentiles_without_samples_are_none():
+    assert planning_latency_percentiles(_latency_snapshot()) == (None, None)
+    assert planning_latency_percentiles({}) == (None, None)

@@ -242,74 +242,26 @@ def test_merge_carries_nan_free_gauges_through():
     assert merged["gauges"] == [{"name": "g", "labels": {}, "value": None}]
 
 
-def test_bounded_histogram_stays_bounded_with_exact_scalars():
-    m = MetricsRegistry(histogram_max_samples=16)
-    h = m.histogram("lat")
-    for v in range(1, 10_001):
-        h.observe(float(v))
-    assert h.bounded
-    assert len(h.samples) == 16           # reservoir capped
-    assert (h.count, h.sum) == (10_000, 50_005_000.0)  # scalars exact
-    assert (h.min, h.max) == (1.0, 10_000.0)
-    assert h.percentile(50) == pytest.approx(5000, rel=0.03)
-    with pytest.raises(ValueError):
-        h.samples = [1.0]  # merge plumbing must not bypass the bound
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_histogram_refuses_non_finite_values(bad):
+    h = MetricsRegistry().histogram("h")
+    with pytest.raises(ValueError, match=repr(bad)):
+        h.observe(bad)
+    h.observe(2.0)
+    h.observe(1.0)
+    assert (h.count, h.sum, h.min, h.max) == (2, 3.0, 1.0, 2.0)
 
 
-def test_bounded_snapshot_is_marked_approx_with_sketch():
-    m = MetricsRegistry(histogram_max_samples=8)
-    for v in range(100):
-        m.histogram("lat").observe(float(v + 1))
-    (h,) = m.snapshot(include_samples=True)["histograms"]
-    assert h["approx"] is True
-    assert h["sketch"]["count"] == 100
-    assert len(h["samples"]) == 8  # the reservoir subsample, not raw
-
-
-def test_bounded_reservoirs_are_deterministic_per_instrument():
-    def fill():
-        m = MetricsRegistry(histogram_max_samples=8)
-        for v in range(1_000):
-            m.histogram("a").observe(float(v))
-            m.histogram("b").observe(float(v))
-        return (m.histogram("a").samples, m.histogram("b").samples)
-
-    a1, b1 = fill()
-    a2, b2 = fill()
-    assert (a1, b1) == (a2, b2)   # replayable
-    assert a1 != b1               # but streams are independent
-
-
-def test_merge_pools_bounded_histograms_via_sketches():
-    m1, m2 = MetricsRegistry(histogram_max_samples=8), \
-        MetricsRegistry(histogram_max_samples=8)
-    for v in range(1, 501):
-        m1.histogram("h").observe(float(v))
-    for v in range(501, 1001):
-        m2.histogram("h").observe(float(v))
-    merged = merge_snapshots([m1.snapshot(), m2.snapshot()])
-    (h,) = merged["histograms"]
-    assert h["approx"] is True
-    assert h["count"] == 1000 and (h["min"], h["max"]) == (1.0, 1000.0)
-    assert h["p50"] == pytest.approx(500, rel=0.03)
-    assert h["p95"] == pytest.approx(950, rel=0.03)
-
-
-def test_merge_folds_exact_inputs_into_a_sketch_pool_any_order():
-    # One exact worker, one bounded worker: the pool covers *every*
-    # observation approximately — regardless of input order.
-    def snapshots():
-        exact, bounded = MetricsRegistry(), \
-            MetricsRegistry(histogram_max_samples=8)
-        for v in range(1, 501):
-            exact.histogram("h").observe(float(v))
-        for v in range(501, 1001):
-            bounded.histogram("h").observe(float(v))
-        return exact.snapshot(include_samples=True), bounded.snapshot()
-
-    for order in (lambda e, b: [e, b], lambda e, b: [b, e]):
-        merged = merge_snapshots(order(*snapshots()))
-        (h,) = merged["histograms"]
-        assert h["approx"] is True and h["count"] == 1000
-        assert h["p50"] == pytest.approx(500, rel=0.03)
-        assert h["sketch"]["count"] == 1000  # exact samples folded in
+def test_finite_registry_snapshot_is_strict_json():
+    import json
+    m = MetricsRegistry()
+    m.counter("c").inc()
+    m.gauge("g").set(float("nan"))
+    for v in (3.0, 1.0, 2.0):
+        m.histogram("h", site="a").observe(v)
+    m.histogram("empty")
+    m.series("s").record(0.0, 1.0)
+    json.dumps(m.snapshot(include_samples=True), allow_nan=False)
+    json.dumps(merge_snapshots([m.snapshot(include_samples=True),
+                                m.snapshot()]), allow_nan=False)

@@ -89,15 +89,14 @@ def test_site_sampling_adds_only_sampler_events(bare):
 
 def test_full_flight_recorder_is_bit_identical(bare, tmp_path):
     # The heaviest collection mode there is: streaming span sink,
-    # bounded histograms, open-span backstop, *and* a wall-clock
+    # histograms, open-span backstop, *and* a wall-clock
     # heartbeat driven from the kernel loop.  All of it is wall-clock
     # or file I/O work — the simulation cannot observe any of it.
     from repro.obs import Heartbeat
     from repro.obs.export import JsonlSpanSink
 
     sink = JsonlSpanSink(tmp_path / "spans.jsonl", flush_every=7)
-    obs = Obs(ObsConfig(spans=True, histogram_max_samples=32,
-                        span_sink=sink, max_open_spans=10_000))
+    obs = Obs(ObsConfig(spans=True, span_sink=sink, max_open_spans=10_000))
     hb = Heartbeat(path=tmp_path / "heartbeat.jsonl",
                    stream=None, every_events=1500)
     result = run(obs=obs, heartbeat=hb)

@@ -70,14 +70,14 @@ def test_heartbeat_jsonl_is_byte_identical_across_runs(tmp_path):
     assert [r["seq"] for r in records] == list(range(1, len(records) + 1))
 
 
-def test_heartbeat_reservoir_contents_identical_at_any_flush_cadence():
+def test_heartbeat_histogram_samples_identical_at_any_flush_cadence():
     # The flight-recorder passivity contract, metrics side: how often
     # the heartbeat fires (or whether it runs at all) cannot change
-    # what any bounded histogram retained.
+    # what any histogram retained.
     scenario = fig2_scenario(2, 7, horizon_s=6 * 3600.0)
 
-    def reservoirs(every):
-        obs = Obs(ObsConfig(spans=False, histogram_max_samples=8))
+    def samples(every):
+        obs = Obs(ObsConfig(spans=False))
         hb = (Heartbeat(stream=None, every_events=every,
                         clock=FakeClock()) if every else None)
         run_scenario(scenario, obs=obs, heartbeat=hb)
@@ -87,10 +87,10 @@ def test_heartbeat_reservoir_contents_identical_at_any_flush_cadence():
             if kind == "histogram"
         }
 
-    baseline = reservoirs(None)
-    assert any(samples for samples in baseline.values())
-    assert reservoirs(500) == baseline
-    assert reservoirs(5000) == baseline
+    baseline = samples(None)
+    assert any(baseline.values())
+    assert samples(500) == baseline
+    assert samples(5000) == baseline
 
 
 def test_stall_detector_flags_frozen_sim_clock():
