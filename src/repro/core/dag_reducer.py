@@ -32,7 +32,6 @@ class DagReducer:
 
     def __init__(self, rls: ReplicaService):
         self._rls = rls
-        self.reduced_jobs_total = 0
 
     def removable_jobs(self, dag: Dag) -> tuple[str, ...]:
         """Job ids whose every output already exists in the RLS."""
@@ -48,7 +47,6 @@ class DagReducer:
     def reduce(self, dag: Dag) -> Dag:
         """The reduced DAG (possibly empty of jobs == fully satisfied)."""
         removable = self.removable_jobs(dag)
-        self.reduced_jobs_total += len(removable)
         if not removable:
             return dag
         return dag.without(removable)

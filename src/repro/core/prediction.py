@@ -7,12 +7,13 @@ eq. 3) and offers a *planned-load-corrected* prediction used by the
 completion-time algorithm to avoid herding every ready job onto the
 momentarily-best site within a single planning pass:
 
-    predicted_i = Avg_comp_i * (1 + planned_i / CPU_i)
+    predicted_i = Avg_comp_i * (1 + k * planned_i / CPU_i)
 
-With tens of planned jobs against hundreds of CPUs the correction is
-mild; it matters exactly when a planning pass would otherwise dump a
-whole ready set on one site.  ``bench_ablation_prediction`` measures
-its effect.  State lives in a warehouse table for recoverability.
+where ``k`` is ``_CORRECTION_STRENGTH``.  With tens of planned jobs
+against hundreds of CPUs the correction is mild; it matters exactly
+when a planning pass would otherwise dump a whole ready set on one
+site.  ``bench_ablation_prediction`` measures its effect.  State lives
+in a warehouse table for recoverability.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ from repro.core.warehouse import Warehouse
 __all__ = ["CompletionTimeEstimator"]
 
 _COLUMNS = ("site", "total_s", "count", "ewma_s")
+
+#: CPU-equivalents one planned job is charged as in the correction; > 1
+#: accounts for the bandwidth and queue pressure a job brings beyond its
+#: CPU slot.
+_CORRECTION_STRENGTH = 4.0
 
 
 class CompletionTimeEstimator:
@@ -76,13 +82,6 @@ class CompletionTimeEstimator:
                 ewma_s=(1 - alpha) * row["ewma_s"] + alpha * completion_time_s,
             )
 
-    def has_data(self, site: str) -> bool:
-        return self._table.get(site, copy=False) is not None
-
-    def sample_count(self, site: str) -> int:
-        row = self._table.get(site, copy=False)
-        return row["count"] if row else 0
-
     def mean_s(self, site: str) -> Optional[float]:
         """The all-history running mean."""
         row = self._table.get(site, copy=False)
@@ -101,28 +100,20 @@ class CompletionTimeEstimator:
         """``Avg_comp_i`` under the configured mode, or None if unseen."""
         return self.ewma_s(site) if self.mode == "ewma" else self.mean_s(site)
 
-    def predicted_s(
-        self, site: str, planned_jobs: int = 0, n_cpus: int = 1,
-        strength: float = 1.0,
-    ) -> Optional[float]:
-        """Planned-load-corrected completion estimate (see module doc).
-
-        ``strength`` scales how many CPU-equivalents one planned job is
-        charged as; > 1 accounts for the bandwidth and queue pressure a
-        job brings beyond its CPU slot.
-        """
+    def predicted_s(self, site: str, planned_jobs: int = 0,
+                    n_cpus: int = 1) -> Optional[float]:
+        """Planned-load-corrected completion estimate (see module doc)."""
         avg = self.average_s(site)
         if avg is None:
             return None
-        if strength < 0:
-            raise ValueError("strength must be >= 0")
         if n_cpus < 1:
             # A frozen/outage site advertises zero live CPUs; aborting
             # the whole planning pass over one dead candidate would be
             # worse than an uncorrected estimate, so return the plain
             # average (the load correction is meaningless at capacity 0).
             return avg
-        return avg * (1.0 + strength * max(planned_jobs, 0) / n_cpus)
+        return avg * (1.0 + _CORRECTION_STRENGTH * max(planned_jobs, 0)
+                      / n_cpus)
 
     def snapshot(self) -> dict[str, float]:
         """site -> all-history mean completion time (experiment reports

@@ -74,6 +74,10 @@ _DAG_RECEIVED = DagState.RECEIVED.value
 _DAG_RUNNING = DagState.RUNNING.value
 _DAG_FINISHED = DagState.FINISHED.value
 
+#: walltime margin applied to stage duration/readiness estimates when
+#: sizing reservation windows (> 1 absorbs estimator error).
+_RESERVATION_SLACK = 1.5
+
 
 def require_positive(config, *fields: str) -> None:
     """Reject period/duration fields that are zero, negative or NaN.
@@ -121,9 +125,6 @@ class ServerConfig:
     #: "ewma" tracks the near-future environment (default); "mean" is
     #: eq. 3 read literally; ablation knob.
     estimator_mode: str = "ewma"
-    #: CPU-equivalents one planned job is charged as in the correction;
-    #: > 1 accounts for the transfer/queue pressure a job brings.
-    prediction_correction_strength: float = 4.0
     #: safety valve: a job cancelled more than this many times fails the
     #: run loudly instead of looping forever.  None = unbounded (paper).
     max_attempts: Optional[int] = None
@@ -145,9 +146,6 @@ class ServerConfig:
     #: the reserved site and claim its held slots.  Off by default —
     #: the reactive feedback loop is the paper's configuration.
     reserve_ahead: bool = False
-    #: walltime margin applied to stage duration/readiness estimates
-    #: when sizing reservation windows (> 1 absorbs estimator error).
-    reservation_slack: float = 1.5
     #: live migration off draining sites: on a spot-eviction notice
     #: (:meth:`SphinxServer.drain_notice`) evict every in-flight job at
     #: the site so its checkpoint is persisted and the job replans onto
@@ -164,10 +162,9 @@ class ServerConfig:
 
     def __post_init__(self) -> None:
         require_positive(self, "tick_s", "job_timeout_s",
-                         "reservation_slack", "presume_lost_after_s")
+                         "presume_lost_after_s")
         require_non_negative(self, "job_checkpoint_interval_s",
-                             "job_checkpoint_cost_s",
-                             "prediction_correction_strength")
+                             "job_checkpoint_cost_s")
         attempts = self.max_attempts
         if attempts is not None and (
             type(attempts) is not int or attempts < 1
@@ -1111,7 +1108,7 @@ class SphinxServer:
 
         Each level after the roots gets a window starting at the
         estimated readiness instant (cumulative predicted stage
-        durations, stretched by ``reservation_slack``), co-allocated
+        durations, stretched by ``_RESERVATION_SLACK``), co-allocated
         across the best-predicted sites up to each site's CPU count.
         Confirmations arrive asynchronously; until then the group is
         "pending" and jobs that come ready early just plan normally.
@@ -1128,7 +1125,6 @@ class SphinxServer:
                 candidates = reliable
         views = self._select_views(candidates)
         start = self.env.now
-        slack = self.config.reservation_slack
         for lvl in sorted(stages):
             stage_jobs = [
                 jid for jid in stages[lvl]
@@ -1136,7 +1132,7 @@ class SphinxServer:
             ]
             if not stage_jobs:
                 continue
-            duration = slack * max(
+            duration = _RESERVATION_SLACK * max(
                 self._job_duration_estimate(dag.job(jid))
                 for jid in stage_jobs
             )
@@ -1295,10 +1291,7 @@ class SphinxServer:
         predicted = None
         if avg is not None:
             predicted = (
-                self.estimator.predicted_s(
-                    site, planned, n_cpus,
-                    strength=self.config.prediction_correction_strength,
-                )
+                self.estimator.predicted_s(site, planned, n_cpus)
                 if self.config.use_prediction_correction
                 else avg
             )

@@ -33,7 +33,7 @@ class TrackingResult:
     job_id: str
     site: str
     outcome: str                # "completed" | "cancelled"
-    reason: Optional[str]       # None | "timeout" | "killed" | "held" | "failed"
+    reason: Optional[str]       # None | "timeout" | "killed" | "failed"
     completion_time_s: Optional[float]
     idle_time_s: Optional[float]
     execution_time_s: Optional[float]

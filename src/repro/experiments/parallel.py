@@ -24,6 +24,7 @@ events/second throughput, and headline metrics.
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -102,6 +103,12 @@ class SuiteRun:
     rss_mb: float = 0.0
 
 
+def _check_scale(scale: float) -> None:
+    # Written so that NaN fails too; inf would overflow the DAG counts.
+    if not (scale > 0 and math.isfinite(scale)):
+        raise ValueError(f"scale must be finite and > 0, got {scale}")
+
+
 def _scaled(paper_n: int, scale: float, minimum: int = 4) -> int:
     """A paper DAG count under the suite scale factor (cf. benchmarks)."""
     return max(minimum, round(paper_n * scale))
@@ -115,8 +122,7 @@ def default_suite(scale: float = 1.0,
     mirroring ``REPRO_BENCH_SCALE`` in the benchmark harness; shape
     criteria are only meaningful at scale 1.0.
     """
-    if not scale > 0:
-        raise ValueError(f"scale must be > 0, got {scale}")
+    _check_scale(scale)
     cases = [
         SuiteCase("fig2", fig2_scenario(_scaled(30, scale), seed)),
         SuiteCase("fig3", fig345_scenario(_scaled(30, scale), seed)),
@@ -175,8 +181,7 @@ def federation_suite(shard_counts: Sequence[int], seed: int = 42,
     :func:`repro.federation.runner.run_topology` picks it from the
     scenario type.
     """
-    if not scale > 0:
-        raise ValueError(f"scale must be > 0, got {scale}")
+    _check_scale(scale)
     # Lazy import: repro.federation.runner imports back into the
     # experiments package, so binding it at module-import time would
     # be circular.
@@ -202,8 +207,7 @@ def scale_suite(sizes: Sequence[tuple[int, int]], seed: int = 42,
     ``scale`` shrinks the *job* counts (floor of 10 = one DAG); the
     site counts are the point of the sweep and stay as requested.
     """
-    if not scale > 0:
-        raise ValueError(f"scale must be > 0, got {scale}")
+    _check_scale(scale)
     cases = []
     for n_sites, n_jobs in sizes:
         jobs = max(10, round(n_jobs * scale / 10) * 10)
@@ -226,8 +230,7 @@ def eviction_suite(scale: float = 1.0,
     preemption-loss percentiles land in the report via
     :func:`project`.
     """
-    if not scale > 0:
-        raise ValueError(f"scale must be > 0, got {scale}")
+    _check_scale(scale)
     # Lazy import: repro.chaos.run imports back into this module.
     from repro.chaos.plan import make_plan
 

@@ -4,14 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-__all__ = ["format_table", "format_seconds"]
-
-
-def format_seconds(value: float) -> str:
-    """Human-readable seconds (the paper's axes are in seconds)."""
-    if value != value:  # NaN
-        return "n/a"
-    return f"{value:,.0f}s"
+__all__ = ["format_table"]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]],

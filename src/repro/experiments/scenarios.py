@@ -51,11 +51,9 @@ class ServerSpec:
     algorithm_kwargs: dict = field(default_factory=dict)
     use_prediction_correction: bool = True
     estimator_mode: str = "ewma"
-    prediction_correction_strength: float = 4.0
     #: proactive advance reservations for DAG stages (vs purely
     #: reactive feedback); see ServerConfig.reserve_ahead.
     reserve_ahead: bool = False
-    reservation_slack: float = 1.5
     #: eviction tolerance (see ServerConfig): None = auto — a chaos
     #: plan's eviction axis decides; explicit values win over the plan
     #: (e.g. ``migrate_on_drain=False`` pins the kill-and-resubmit

@@ -101,10 +101,6 @@ class GridTelemetry:
             yield self.env.timeout(self.sample_interval_s)
 
     # -- extraction ---------------------------------------------------------------
-    @property
-    def sample_count(self) -> int:
-        return len(self._times)
-
     def series(self, site: str) -> SiteSeries:
         rows = self._rows[site]
         if not rows:

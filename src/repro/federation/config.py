@@ -70,9 +70,6 @@ class FederationConfig:
         it as ``sphinx-server-{name}``, as for any server)."""
         return f"{self.name}-{label}"
 
-    def shard_service(self, label: str) -> str:
-        return f"sphinx-server-{self.shard_server_name(label)}"
-
     @property
     def meta_service(self) -> str:
         return f"sphinx-meta-{self.name}"

@@ -71,10 +71,6 @@ class ShardQuotaLedger:
                 row["user"], row["site"], row["resource"], row["amount"]
             )
 
-    def lease_amount(self, user: str, site: str, resource: str) -> float:
-        row = self.leases.get(lease_key(user, site, resource), copy=False)
-        return row["amount"] if row else 0.0
-
     def has_lease(self, user: str, site: str, resource: str) -> bool:
         return lease_key(user, site, resource) in self.leases
 
@@ -140,12 +136,3 @@ class ShardQuotaLedger:
              "amount": float(amount), "from_shard": from_shard}
         )
         self.server.policy.grant(user, site, resource, new_amount)
-
-    # -- audit -----------------------------------------------------------
-    def unmatched_debits(self, matched_ids) -> list[dict]:
-        """Debit rows whose transfer id is not in ``matched_ids`` —
-        quota burned by a reply that never landed (or not yet)."""
-        return [
-            row for row in self.debits.select()
-            if row["transfer_id"] not in matched_ids
-        ]

@@ -266,10 +266,6 @@ class MetaScheduler:
             self.bus.discard_waiter(service, reconnect)
 
     # -- audit / lifecycle ------------------------------------------------
-    def assignments(self) -> dict[str, str]:
-        """dag_id -> shard label (current, post-rehome)."""
-        return {d: e.shard for d, e in self.entries.items()}
-
     def unacked(self) -> tuple[str, ...]:
         return tuple(
             d for d, e in self.entries.items() if e.state != "acked"

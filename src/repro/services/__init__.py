@@ -9,7 +9,7 @@ Reproductions of the services the paper's SPHINX deployment talked to:
 * :mod:`repro.services.monitoring` — the monitoring system (query jobs
   against remote batch queues, with the staleness the paper laments),
 * :mod:`repro.services.condorg` — Condor-G/DAGMan grid job submission
-  with idle/running/held/killed/completed states.
+  with idle/running/killed/completed/failed states.
 """
 
 from repro.services.rpc import RpcBus, RpcFault

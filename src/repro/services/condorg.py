@@ -10,7 +10,7 @@ contract:
 
       IDLE -> RUNNING -> COMPLETED
         |        |
-        +--------+--> KILLED / HELD / FAILED
+        +--------+--> KILLED / FAILED
 
   ``FAILED`` covers submission-time failures (gatekeeper unreachable —
   the site is DOWN), which real Condor-G would surface as a held job
@@ -42,7 +42,6 @@ class GridJobStatus(enum.Enum):
     IDLE = "idle"            # submitted, waiting in the remote queue
     RUNNING = "running"
     COMPLETED = "completed"
-    HELD = "held"            # stopped at the site, needs intervention
     KILLED = "killed"        # removed (site crash or condor_rm)
     FAILED = "failed"        # never reached the remote queue
 
@@ -50,7 +49,6 @@ class GridJobStatus(enum.Enum):
     def terminal(self) -> bool:
         return self in (
             GridJobStatus.COMPLETED,
-            GridJobStatus.HELD,
             GridJobStatus.KILLED,
             GridJobStatus.FAILED,
         )
@@ -61,7 +59,6 @@ _SITE_TO_GRID = {
     SiteJobStatus.RUNNING: GridJobStatus.RUNNING,
     SiteJobStatus.COMPLETED: GridJobStatus.COMPLETED,
     SiteJobStatus.KILLED: GridJobStatus.KILLED,
-    SiteJobStatus.HELD: GridJobStatus.HELD,
 }
 
 
@@ -211,7 +208,7 @@ class CondorG:
         site: str,
         runtime_s: float,
         owner: str = "anonymous",
-        priority: Optional[int] = None,
+        priority: int = 10,
         reservation_id: Optional[str] = None,
         scheduler: Optional[str] = None,
         checkpoint_interval_s: float = 0.0,
@@ -274,9 +271,3 @@ class CondorG:
 
     def __contains__(self, job_id: str) -> bool:
         return job_id in self._handles
-
-    @property
-    def active_jobs(self) -> tuple[GridJobHandle, ...]:
-        return tuple(
-            h for h in self._handles.values() if not h.status.terminal
-        )

@@ -21,8 +21,7 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Optional
 
 from repro.sim.engine import Environment
 from repro.sim.rng import RngStreams
@@ -41,9 +40,6 @@ class SiteSnapshot:
     n_cpus: int
     queued_jobs: int
     running_jobs: int
-
-    def age_s(self, now: float) -> float:
-        return now - self.taken_at
 
 
 class MonitoringService:
@@ -83,19 +79,6 @@ class MonitoringService:
         """Latest snapshot for ``site`` — possibly stale, possibly None
         (a site never successfully polled)."""
         return self._snapshots.get(site)
-
-    def all_snapshots(self) -> Mapping[str, SiteSnapshot]:
-        """Read-only live view of every site's latest snapshot.
-
-        A :class:`types.MappingProxyType`, not a copy: callers polling
-        this every decision cycle would otherwise pay a dict copy per
-        call for data they only read.
-        """
-        return MappingProxyType(self._snapshots)
-
-    def staleness_s(self, site: str) -> Optional[float]:
-        snap = self._snapshots.get(site)
-        return None if snap is None else snap.age_s(self.env.now)
 
     # -- internals ---------------------------------------------------------------------
     def _observe(self, site) -> Optional[SiteSnapshot]:

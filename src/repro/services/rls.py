@@ -11,8 +11,7 @@ SPHINX's DAG reducer and transfer planner query the index;
 "SPHINX makes efficient use of the RLS by clubbing all its requests in
 a single call" — reproduced as :meth:`ReplicaLocationIndex.bulk_lookup`.
 
-:class:`ReplicaService` bundles an RLI over per-site LRCs and registers
-the query methods on the RPC bus.
+:class:`ReplicaService` bundles an RLI over per-site LRCs.
 """
 
 from __future__ import annotations
@@ -44,16 +43,6 @@ class LocalReplicaCatalog:
             self._index._holder_added(lfn, self.site_name)
         self._replicas[lfn] = size_mb
 
-    def unregister(self, lfn: str) -> bool:
-        if self._replicas.pop(lfn, None) is None:
-            return False
-        if self._index is not None:
-            self._index._holder_dropped(lfn, self.site_name)
-        return True
-
-    def has(self, lfn: str) -> bool:
-        return lfn in self._replicas
-
     def size_of(self, lfn: str) -> Optional[float]:
         return self._replicas.get(lfn)
 
@@ -70,7 +59,7 @@ class ReplicaLocationIndex:
 
     With ``update_interval_s == 0`` the index is always fresh: attached
     LRCs keep an inverted ``lfn -> holders`` map live as replicas are
-    (un)registered, so a lookup costs O(replicas of that LFN), not
+    registered, so a lookup costs O(replicas of that LFN), not
     O(attached sites).  Otherwise it answers from a snapshot refreshed
     on that period, reproducing the staleness of a production RLI.
     """
@@ -111,12 +100,6 @@ class ReplicaLocationIndex:
     def _holder_added(self, lfn: str, site: str) -> None:
         insort(self._holders.setdefault(lfn, []), (self._rank[site], site))
 
-    def _holder_dropped(self, lfn: str, site: str) -> None:
-        holders = self._holders[lfn]
-        holders.remove((self._rank[site], site))
-        if not holders:
-            del self._holders[lfn]
-
     def lrc(self, site_name: str) -> LocalReplicaCatalog:
         return self._lrcs[site_name]
 
@@ -154,7 +137,7 @@ class ReplicaLocationIndex:
 
 
 class ReplicaService:
-    """RLI + per-site LRCs wired to grid storage and the RPC bus."""
+    """RLI + per-site LRCs wired to grid storage."""
 
     def __init__(self, env: Environment, site_names: Iterable[str],
                  update_interval_s: float = 0.0):
@@ -166,9 +149,6 @@ class ReplicaService:
     # -- the API SPHINX and GridFTP use ---------------------------------------------
     def register_replica(self, lfn: str, site: str, size_mb: float = 0.0) -> None:
         self.index.lrc(site).register(lfn, size_mb)
-
-    def unregister_replica(self, lfn: str, site: str) -> bool:
-        return self.index.lrc(site).unregister(lfn)
 
     def locations(self, lfn: str) -> tuple[str, ...]:
         return self.index.lookup(lfn)
@@ -186,13 +166,3 @@ class ReplicaService:
             if size is not None:
                 return size
         return None
-
-    def expose(self, bus) -> None:
-        """Register query methods on an RPC bus as service ``rls``."""
-        bus.register("rls", "lookup", lambda lfn: list(self.locations(lfn)))
-        bus.register(
-            "rls",
-            "bulk_lookup",
-            lambda lfns: {k: list(v) for k, v in self.bulk_locations(lfns).items()},
-        )
-        bus.register("rls", "exists", self.exists)

@@ -456,10 +456,6 @@ class Environment:
         return Process(self, generator)
 
     # -- main loop ---------------------------------------------------------
-    def peek(self) -> float:
-        """Timestamp of the next event, or ``inf`` when the heap is empty."""
-        return self._heap[0][0] if self._heap else float("inf")
-
     #: processed events between heartbeat cadence checks.  4096 events
     #: take ~1 ms, so a wall-clock heartbeat interval is honoured to
     #: within a millisecond while the per-event cost stays one decrement

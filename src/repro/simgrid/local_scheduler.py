@@ -13,7 +13,7 @@ heterogeneity and noise), and drives the job's status machine::
 
     PENDING -> RUNNING -> COMPLETED
        |          |
-       +-> KILLED +-> KILLED / HELD
+       +----------+-> KILLED
 
 A job is not a kernel process.  While live it waits on exactly one event
 — its CPU request, its reservation grant, or its run timer, which is the
@@ -73,15 +73,10 @@ class SiteJobStatus(enum.Enum):
     RUNNING = "running"      # occupying a CPU slot
     COMPLETED = "completed"  # finished successfully
     KILLED = "killed"        # removed by site failure or remote cancel
-    HELD = "held"            # stopped by the site, needs user attention
 
     @property
     def terminal(self) -> bool:
-        return self in (
-            SiteJobStatus.COMPLETED,
-            SiteJobStatus.KILLED,
-            SiteJobStatus.HELD,
-        )
+        return self in (SiteJobStatus.COMPLETED, SiteJobStatus.KILLED)
 
 
 class ReservationState(enum.Enum):
@@ -288,7 +283,6 @@ class LocalScheduler:
         #: cumulative counters for monitoring / debugging
         self.completed_count = 0
         self.killed_count = 0
-        self.held_count = 0
         self.backfill_count = 0
         #: cumulative CPU-seconds of progress discarded by kills of
         #: RUNNING jobs (the preemption-loss tally evictions minimize)
@@ -557,29 +551,6 @@ class LocalScheduler:
 
         Returns False when the job is already terminal.
         """
-        return self._terminate(job_id, SiteJobStatus.KILLED)
-
-    def hold(self, job_id: str) -> bool:
-        """Put a job on hold (stopped, awaiting user analysis)."""
-        return self._terminate(job_id, SiteJobStatus.HELD)
-
-    def kill_all(self) -> int:
-        """Kill every non-terminal job; returns how many were killed."""
-        victims = [
-            (jid, j) for jid, j in self._jobs.items()
-            if j.__class__ is _Cohort or not j.status.terminal
-        ]
-        killed = 0
-        for jid, job in victims:  # arrival order, a cohort where it began
-            if job.__class__ is _Cohort:
-                killed += self._kill_cohort(job)
-            else:
-                self.kill(jid)
-                killed += 1
-        return killed
-
-    # -- internals ----------------------------------------------------------------------
-    def _terminate(self, job_id: str, status: SiteJobStatus) -> bool:
         job = self.job(job_id)
         if job.status.terminal:
             return False
@@ -623,13 +594,26 @@ class LocalScheduler:
             # killed while PENDING never ran, and its completion_time_s
             # must stay None so it cannot feed completion estimators.
             job.finished_at = self.env.now
-        job._set_status(status)
-        if status is SiteJobStatus.KILLED:
-            self.killed_count += 1
-        else:
-            self.held_count += 1
+        job._set_status(SiteJobStatus.KILLED)
+        self.killed_count += 1
         return True
 
+    def kill_all(self) -> int:
+        """Kill every non-terminal job; returns how many were killed."""
+        victims = [
+            (jid, j) for jid, j in self._jobs.items()
+            if j.__class__ is _Cohort or not j.status.terminal
+        ]
+        killed = 0
+        for jid, job in victims:  # arrival order, a cohort where it began
+            if job.__class__ is _Cohort:
+                killed += self._kill_cohort(job)
+            else:
+                self.kill(jid)
+                killed += 1
+        return killed
+
+    # -- internals ----------------------------------------------------------------------
     def _enqueue(self, job: SiteJob) -> None:
         """Join the general queue."""
         req = self._pending[job.job_id] = self._cpus.request(job.priority)
@@ -641,7 +625,7 @@ class LocalScheduler:
 
     def _granted(self, job: SiteJob, event: Event) -> None:
         if self._awaiting.get(job.job_id) is not event:
-            return  # stale: killed/held while the grant was in flight
+            return  # stale: killed while the grant was in flight
         self._pending.pop(job.job_id, None)
         # The settle value is the slot actually granted: the request
         # itself on the ordinary path, or a reservation hold (claimed, or
@@ -677,7 +661,7 @@ class LocalScheduler:
     def _done(self, job: SiteJob) -> None:
         job_id = job.job_id
         if self._awaiting.get(job_id) is not job:
-            return  # stale: killed/held mid-run, _unwind freed the slot
+            return  # stale: killed mid-run, _unwind freed the slot
         del self._awaiting[job_id]
         self._release_slot(job_id, self._running.pop(job_id))
         job.finished_at = self.env.now
@@ -687,7 +671,7 @@ class LocalScheduler:
             del self._jobs[job_id]
 
     def _unwind(self, kick: Event) -> None:
-        """Free whatever a killed/held job holds; _terminate set the status."""
+        """Free whatever a killed job holds; :meth:`kill` set the status."""
         job = kick.value
         awaited = self._awaiting.pop(job.job_id, None)
         slot = self._running.pop(job.job_id, None)
@@ -730,7 +714,7 @@ class LocalScheduler:
             del self._jobs[cohort.key]
 
     def _kill_cohort(self, cohort: _Cohort) -> int:
-        """Kill every live member, each accounted as :meth:`_terminate`
+        """Kill every live member, each accounted as :meth:`kill`
         accounts a RUNNING job: its lost work, one URGENT unwind event."""
         live = cohort.live
         if live <= 0:

@@ -4,10 +4,10 @@ Transfer planning (planner step 3) and the GridFTP service need a
 transfer-time estimate for moving a file between two sites.  The model
 is deliberately simple and standard:
 
-    time = latency(src, dst) + size_mb / effective_bandwidth(src, dst)
+    time = latency + size_mb / effective_bandwidth(src, dst)
 
 where the effective bandwidth of a path is the minimum of the two
-sites' WAN uplinks unless an explicit pair override exists.  Local
+sites' WAN uplinks and the latency is one network-wide constant.  Local
 (same-site) access is free.
 
 The model supports congestion: each site uplink is a counted channel;
@@ -74,7 +74,7 @@ class _Flow:
 
 
 class NetworkModel:
-    """Bandwidth/latency matrix with fair-share congestion."""
+    """Per-site uplink bandwidths, one latency, fair-share congestion."""
 
     def __init__(
         self,
@@ -88,8 +88,6 @@ class NetworkModel:
         self._default_bw = default_bandwidth_mbps
         self._default_lat = default_latency_s
         self._uplink_bw: dict[str, float] = {}
-        self._pair_bw: dict[tuple[str, str], float] = {}
-        self._pair_lat: dict[tuple[str, str], float] = {}
         #: the link scheduler's flow table: per site uplink, the live
         #: flows crossing it (insertion-ordered; a flow sits under both
         #: of its endpoints).
@@ -109,29 +107,11 @@ class NetworkModel:
         _check_bandwidth(bandwidth_mbps, f"uplink of {site!r}")
         self._uplink_bw[site] = bandwidth_mbps
 
-    def set_pair(
-        self,
-        src: str,
-        dst: str,
-        bandwidth_mbps: Optional[float] = None,
-        latency_s: Optional[float] = None,
-    ) -> None:
-        """Override a specific (directed) site pair."""
-        if bandwidth_mbps is not None:
-            _check_bandwidth(bandwidth_mbps, f"pair {src!r}->{dst!r}")
-            self._pair_bw[(src, dst)] = bandwidth_mbps
-        if latency_s is not None:
-            _check_latency(latency_s, f"pair {src!r}->{dst!r}")
-            self._pair_lat[(src, dst)] = latency_s
-
     # -- analytic estimates ------------------------------------------------------
     def bandwidth_mbps(self, src: str, dst: str) -> float:
         """Uncongested path bandwidth (MB/s)."""
         if src == dst:
             return float("inf")
-        pair = self._pair_bw.get((src, dst))
-        if pair is not None:
-            return pair
         return min(
             self._uplink_bw.get(src, self._default_bw),
             self._uplink_bw.get(dst, self._default_bw),
@@ -140,7 +120,7 @@ class NetworkModel:
     def latency_s(self, src: str, dst: str) -> float:
         if src == dst:
             return 0.0
-        return self._pair_lat.get((src, dst), self._default_lat)
+        return self._default_lat
 
     def transfer_time(self, size_mb: float, src: str, dst: str) -> float:
         """Uncongested transfer-time estimate (what a planner would use)."""

@@ -111,8 +111,6 @@ class GridSite:
         self.scheduler = LocalScheduler(env, n_cpus, self._service_time, name=name)
         #: logical files present at this site (lfn -> size_mb)
         self._storage: dict[str, float] = {}
-        #: per-proxy priority overrides (site-local relegation)
-        self._proxy_priority: dict[str, int] = {}
         #: state transition history [(time, state)] for analysis
         self.state_history: list[tuple[float, SiteState]] = [(env.now, SiteState.UP)]
         #: eviction deadline while DRAINING (spot-style notice), else None
@@ -146,10 +144,6 @@ class GridSite:
     @property
     def state(self) -> SiteState:
         return self._state
-
-    @property
-    def is_up(self) -> bool:
-        return self._state is not SiteState.DOWN
 
     # -- fault state machine ---------------------------------------------------------
     def set_state(self, state: SiteState) -> None:
@@ -214,14 +208,6 @@ class GridSite:
         self.set_state(SiteState.DRAINING)
         return self.drain_deadline
 
-    # -- local policy -------------------------------------------------------------------
-    def set_proxy_priority(self, proxy: str, priority: int) -> None:
-        """Site-local relegation/promotion of a VO proxy's priority."""
-        self._proxy_priority[proxy] = priority
-
-    def priority_for(self, proxy: str, default: int = 10) -> int:
-        return self._proxy_priority.get(proxy, default)
-
     # -- storage -----------------------------------------------------------------------
     def store_file(self, lfn: str, size_mb: float) -> None:
         if size_mb < 0:
@@ -240,19 +226,12 @@ class GridSite:
         capacity = self.disk_capacity_mb
         return capacity if capacity == math.inf else capacity - self.stored_mb
 
-    def delete_file(self, lfn: str) -> None:
-        self._storage.pop(lfn, None)
-
     def has_file(self, lfn: str) -> bool:
         return lfn in self._storage
 
     @property
     def stored_mb(self) -> float:
         return sum(self._storage.values())
-
-    @property
-    def files(self) -> tuple[str, ...]:
-        return tuple(self._storage)
 
     # -- advance reservations -------------------------------------------------------------
     def reserve(
@@ -277,7 +256,7 @@ class GridSite:
         job_id: str,
         runtime_s: float,
         owner: str = "anonymous",
-        priority: Optional[int] = None,
+        priority: int = 10,
         reservation_id: Optional[str] = None,
         checkpoint_interval_s: float = 0.0,
         checkpoint_cost_s: float = 0.0,
@@ -295,9 +274,8 @@ class GridSite:
         """
         if self._state is SiteState.DOWN:
             raise SiteUnavailableError(f"site {self.name} is down")
-        prio = priority if priority is not None else self.priority_for(owner)
         job = SiteJob(
-            job_id=job_id, owner=owner, runtime_s=runtime_s, priority=prio,
+            job_id=job_id, owner=owner, runtime_s=runtime_s, priority=priority,
             checkpoint_interval_s=checkpoint_interval_s,
             checkpoint_cost_s=checkpoint_cost_s,
         )

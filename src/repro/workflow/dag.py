@@ -67,14 +67,6 @@ class Job:
                 f"job {self.job_id} both reads and writes {sorted(overlap)}"
             )
 
-    @property
-    def output_size_mb(self) -> float:
-        return sum(f.size_mb for f in self.outputs)
-
-    @property
-    def input_size_mb(self) -> float:
-        return sum(f.size_mb for f in self.inputs)
-
 
 class Dag:
     """A directed acyclic graph of jobs with file-implied edges.
@@ -177,11 +169,6 @@ class Dag:
         """Jobs with no in-DAG parents."""
         return tuple(jid for jid in self._order if not self._parents[jid])
 
-    @property
-    def leaves(self) -> tuple[str, ...]:
-        """Jobs with no in-DAG children."""
-        return tuple(jid for jid in self._order if not self._children[jid])
-
     # -- scheduling-facing queries ------------------------------------------
     def ready_jobs(self, completed: Iterable[str]) -> tuple[str, ...]:
         """Jobs whose parents have all completed and that are not done.
@@ -198,30 +185,6 @@ class Dag:
             for jid in self._order
             if jid not in done and all(p in done for p in self._parents[jid])
         )
-
-    def descendants(self, job_id: str) -> tuple[str, ...]:
-        """All jobs reachable from ``job_id`` (excluding itself)."""
-        seen: dict[str, None] = {}
-        stack = list(self._children[job_id])
-        while stack:
-            jid = stack.pop(0)
-            if jid in seen:
-                continue
-            seen[jid] = None
-            stack.extend(self._children[jid])
-        return tuple(jid for jid in self._order if jid in seen)
-
-    def ancestors(self, job_id: str) -> tuple[str, ...]:
-        """All jobs ``job_id`` transitively depends on."""
-        seen: dict[str, None] = {}
-        stack = list(self._parents[job_id])
-        while stack:
-            jid = stack.pop(0)
-            if jid in seen:
-                continue
-            seen[jid] = None
-            stack.extend(self._parents[jid])
-        return tuple(jid for jid in self._order if jid in seen)
 
     def without(self, job_ids: Iterable[str]) -> "Dag":
         """A new DAG with the given jobs removed (used by the DAG reducer).

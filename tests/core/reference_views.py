@@ -26,10 +26,7 @@ def naive_view(server, site):
     if avg is not None:
         predicted = avg
         if server.config.use_prediction_correction:
-            predicted = server.estimator.predicted_s(
-                site, planned, n_cpus,
-                strength=server.config.prediction_correction_strength,
-            )
+            predicted = server.estimator.predicted_s(site, planned, n_cpus)
     snap = server.monitoring.snapshot(site)
     return SiteView(
         name=site,

@@ -85,17 +85,15 @@ class TestReliability:
 class TestEstimator:
     def test_no_data(self):
         est = CompletionTimeEstimator(Warehouse())
-        assert not est.has_data("s")
         assert est.average_s("s") is None
         assert est.predicted_s("s") is None
-        assert est.sample_count("s") == 0
+        assert est.snapshot() == {}
 
     def test_running_mean(self):
         est = CompletionTimeEstimator(Warehouse())
         est.record("s", 100.0)
         est.record("s", 200.0)
         assert est.mean_s("s") == 150.0
-        assert est.sample_count("s") == 2
 
     def test_ewma_weights_recent_samples(self):
         est = CompletionTimeEstimator(Warehouse(), ewma_alpha=0.5)
@@ -132,7 +130,8 @@ class TestEstimator:
         est = CompletionTimeEstimator(Warehouse())
         est.record("s", 100.0)
         assert est.predicted_s("s", planned_jobs=0, n_cpus=10) == 100.0
-        assert est.predicted_s("s", planned_jobs=5, n_cpus=10) == 150.0
+        # each planned job counts as 4 CPU-equivalents: 100 * (1 + 4 * 5/10)
+        assert est.predicted_s("s", planned_jobs=5, n_cpus=10) == 300.0
 
     def test_zero_cpus_returns_uncorrected_average(self):
         # A frozen/outage site advertises 0 live CPUs mid-planning; the
@@ -141,8 +140,6 @@ class TestEstimator:
         est = CompletionTimeEstimator(Warehouse())
         est.record("s", 100.0)
         assert est.predicted_s("s", planned_jobs=5, n_cpus=0) == 100.0
-        with pytest.raises(ValueError):
-            est.predicted_s("s", n_cpus=1, strength=-1.0)
 
     def test_negative_planned_clamped(self):
         est = CompletionTimeEstimator(Warehouse())

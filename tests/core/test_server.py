@@ -88,8 +88,6 @@ def test_empty_catalog_rejected():
     ("job_checkpoint_interval_s", -1.0),
     ("job_checkpoint_cost_s", -5.0),
     ("job_checkpoint_cost_s", float("nan")),
-    ("prediction_correction_strength", float("nan")),
-    ("prediction_correction_strength", -0.5),
     ("max_attempts", 0),
     ("max_attempts", -2),
     ("max_attempts", 2.0),
@@ -102,7 +100,7 @@ def test_config_rejects_bad_numbers(field, value):
 
 def test_config_accepts_edge_values():
     ServerConfig(job_checkpoint_interval_s=0.0, job_checkpoint_cost_s=0.0,
-                 prediction_correction_strength=0.0, max_attempts=1)
+                 max_attempts=1)
     ServerConfig(max_attempts=None)
 
 
@@ -295,7 +293,7 @@ def test_completion_feeds_estimator():
 
 
 def test_cancelled_report_never_feeds_estimator():
-    # Killed/held jobs must not contribute completion samples: a job
+    # Killed jobs must not contribute completion samples: a job
     # killed while PENDING reports completion_time_s=None (see
     # SiteJob.completion_time_s), and the cancelled branch must not
     # record anything even if a raced report carries a time.
@@ -304,7 +302,6 @@ def test_cancelled_report_never_feeds_estimator():
     st.server.tick()
     st.drain()
     st.server._rpc_report_status("d0.a", "cancelled", "s0", reason="killed")
-    assert st.server.estimator.sample_count("s0") == 0
     assert st.server.estimator.average_s("s0") is None
     assert st.server.jobs_per_site().get("s0", 0) == 0
 

@@ -93,19 +93,6 @@ def test_kill_reported_as_cancelled_killed():
     assert tracker.stats.by_site["s0"] == [0, 1]
 
 
-def test_held_reported():
-    env, grid, cg, tracker = make()
-    h = cg.submit("j", "s0", runtime_s=1000.0)
-
-    def holder(env):
-        yield env.timeout(5.0)
-        grid.site("s0").scheduler.hold("j")
-
-    env.process(holder(env))
-    r = run_track(env, tracker, h, timeout_s=10_000.0)
-    assert r.reason == "held"
-
-
 def test_failed_submission_tracked_immediately():
     env, grid, cg, tracker = make()
     grid.site("s0").set_state(SiteState.DOWN)

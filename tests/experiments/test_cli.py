@@ -97,6 +97,16 @@ def test_bad_numbers_fail_at_the_edge(argv, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("scale", ["inf", "-inf", "nan", "0", "-1"])
+def test_bad_scale_fails_at_the_edge(scale, tmp_path, monkeypatch, capsys):
+    """inf used to overflow a DAG count into a traceback."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["suite", f"--scale={scale}"]) == 2
+    assert capsys.readouterr().err == (
+        f"repro suite: scale must be finite and > 0, got {float(scale)}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_negative_seed_fails_at_the_edge(capsys):
     """argparse's ``int`` lets -1 through; the RNG root refuses it in
     one line naming the seed, not at the first draw deep in numpy."""

@@ -8,7 +8,7 @@ from repro.experiments.metrics import (
     rank_correlation,
     site_distribution_table,
 )
-from repro.experiments.report import format_seconds, format_table
+from repro.experiments.report import format_table
 
 
 class TestImprovement:
@@ -68,10 +68,6 @@ class TestSiteDistribution:
 
 
 class TestFormatting:
-    def test_format_seconds(self):
-        assert format_seconds(1234.5) == "1,234s"
-        assert format_seconds(float("nan")) == "n/a"
-
     def test_format_table_alignment(self):
         out = format_table(["name", "value"],
                            [["a", 1.0], ["longer", 23.456]],

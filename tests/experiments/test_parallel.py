@@ -1,6 +1,7 @@
 """Tests for the parallel suite runner (repro.experiments.parallel)."""
 
 import json
+import math
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.experiments import (
     federation_suite,
     headline_metrics,
     run_suite,
+    scale_suite,
     suite_payload,
 )
 from repro.chaos import make_plan
@@ -115,6 +117,21 @@ def test_default_suite_scales_workloads():
     assert small["fig2"] == 4  # floor of 4 DAGs
     with pytest.raises(ValueError):
         default_suite(scale=0.0)
+
+
+BAD_SCALES = [math.inf, -math.inf, math.nan, 0, -1]
+
+
+@pytest.mark.parametrize("scale", BAD_SCALES)
+@pytest.mark.parametrize("build", [
+    default_suite,
+    eviction_suite,
+    lambda scale: federation_suite([2], scale=scale),
+    lambda scale: scale_suite([(25, 100)], scale=scale),
+], ids=["default", "eviction", "federation", "ext-scale"])
+def test_suite_builders_refuse_a_bad_scale(build, scale):
+    with pytest.raises(ValueError, match="scale must be finite and > 0"):
+        build(scale=scale)
 
 
 def test_scaled_floor():

@@ -36,7 +36,6 @@ _CONFIGS = {
     "FederationScenario": (lambda **kw: FederationScenario(name="x", **kw),
                            _PERIODS),
     "ServerConfig": (ServerConfig, ("tick_s", "job_timeout_s",
-                                    "reservation_slack",
                                     "presume_lost_after_s")),
     "FederationConfig": (FederationConfig, ("digest_ttl_s", "rehome_after_s",
                                             "forward_retry_s")),

@@ -9,6 +9,7 @@ need).
 from repro.core import ServerConfig
 from repro.core.serialize import dag_to_payload
 from repro.federation import FederationConfig, FederatedSphinxServer
+from repro.federation.ledger import lease_key
 from repro.services import MonitoringService, ReplicaService, RpcBus
 from repro.sim import Environment
 from repro.sim.rng import RngStreams
@@ -21,6 +22,19 @@ USER = "/VO=v/CN=u"
 
 def lf(name, size=1.0):
     return LogicalFile(name, size)
+
+
+def lease_amount(ledger, user, site, resource):
+    """A shard's lease on one (user, site, resource); 0.0 without a row."""
+    row = ledger.leases.get(lease_key(user, site, resource), copy=False)
+    return row["amount"] if row else 0.0
+
+
+def unmatched_debits(ledger, matched_ids):
+    """Debit rows whose transfer id is not in ``matched_ids``: quota
+    burned by a reply that never landed (or not yet)."""
+    return [row for row in ledger.debits.select()
+            if row["transfer_id"] not in matched_ids]
 
 
 def one_job_dag(dag_id="d0", requirements=None):

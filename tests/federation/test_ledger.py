@@ -5,13 +5,18 @@ Conservation is the headline property — the sum of all shards' leases
 through any sequence of transfers, replays, and recoveries.
 """
 
-from tests.federation.fedstack import USER, FedStack
+from tests.federation.fedstack import (
+    USER,
+    FedStack,
+    lease_amount,
+    unmatched_debits,
+)
 from tests.federation.test_recovery import recover_shard
 
 
 def lease_total(st, site="s0", resource="slots", user=USER):
     return sum(
-        srv.ledger.lease_amount(user, site, resource)
+        lease_amount(srv.ledger, user, site, resource)
         for srv in st.servers.values()
     )
 
@@ -20,7 +25,7 @@ def test_init_lease_mirrors_policy_grant():
     st = FedStack()
     st.init_leases(2.0)
     for srv in st.servers.values():
-        assert srv.ledger.lease_amount(USER, "s0", "slots") == 1.0
+        assert lease_amount(srv.ledger, USER, "s0", "slots") == 1.0
         assert srv.policy.remaining(USER, "s0", "slots") == 1.0
 
 
@@ -33,12 +38,12 @@ def test_grant_transfer_gives_full_spare_up_to_request():
     # asymptotically and starve a k-full-slot user forever.
     gave = donor.grant_transfer(USER, "s0", "slots", 1.5, "shard1", "x:1")
     assert gave == 1.0
-    assert donor.lease_amount(USER, "s0", "slots") == 0.0
+    assert lease_amount(donor, USER, "s0", "slots") == 0.0
     # Ask within the spare: granted exactly.
     donor2 = st.servers["shard1"].ledger
     assert donor2.grant_transfer(USER, "s0", "slots", 0.25,
                                  "shard0", "y:1") == 0.25
-    assert donor2.lease_amount(USER, "s0", "slots") == 0.75
+    assert lease_amount(donor2, USER, "s0", "slots") == 0.75
 
 
 def test_grant_transfer_respects_reserved_usage():
@@ -58,7 +63,7 @@ def test_grant_transfer_replay_is_idempotent():
     first = donor.grant_transfer(USER, "s0", "slots", 0.5, "shard1", "t:1")
     again = donor.grant_transfer(USER, "s0", "slots", 0.5, "shard1", "t:1")
     assert first == again == 0.5
-    assert donor.lease_amount(USER, "s0", "slots") == 0.5  # debited once
+    assert lease_amount(donor, USER, "s0", "slots") == 0.5  # debited once
     assert len(donor.debits) == 1
 
 
@@ -68,7 +73,7 @@ def test_apply_credit_replay_is_idempotent():
     taker = st.servers["shard1"].ledger
     taker.apply_credit("t:1", USER, "s0", "slots", 0.5, "shard0")
     taker.apply_credit("t:1", USER, "s0", "slots", 0.5, "shard0")
-    assert taker.lease_amount(USER, "s0", "slots") == 1.5  # credited once
+    assert lease_amount(taker, USER, "s0", "slots") == 1.5  # credited once
     assert len(taker.credits) == 1
 
 
@@ -77,7 +82,7 @@ def test_apply_credit_recreates_lost_lease_row():
     taker = st.servers["shard1"].ledger
     assert not taker.has_lease(USER, "s0", "slots")
     taker.apply_credit("t:9", USER, "s0", "slots", 0.75, "shard0")
-    assert taker.lease_amount(USER, "s0", "slots") == 0.75
+    assert lease_amount(taker, USER, "s0", "slots") == 0.75
     assert taker.server.policy.remaining(USER, "s0", "slots") == 0.75
 
 
@@ -103,10 +108,10 @@ def test_lost_credit_shows_as_unmatched_debit():
     # The reply died with the requester: quota burns conservatively but
     # the books still balance once unmatched debits are counted.
     assert lease_total(st) == 1.5
-    unmatched = donor.unmatched_debits(matched_ids=set())
+    unmatched = unmatched_debits(donor, matched_ids=set())
     assert [r["transfer_id"] for r in unmatched] == ["t:1"]
     assert lease_total(st) + sum(r["amount"] for r in unmatched) == 2.0
-    assert donor.unmatched_debits(matched_ids={"t:1"}) == []
+    assert unmatched_debits(donor, matched_ids={"t:1"}) == []
 
 
 def test_debit_survives_a_donor_crash():
@@ -121,10 +126,10 @@ def test_debit_survives_a_donor_crash():
     taker.apply_credit("t:1", USER, "s0", "slots", gave, "shard0")
     donor.grant_transfer(USER, "s0", "slots", 0.25, "shard1", "t:2")
     recovered = recover_shard(st, "shard0").ledger
-    assert recovered.lease_amount(USER, "s0", "slots") == 0.25
+    assert lease_amount(recovered, USER, "s0", "slots") == 0.25
     assert [r["transfer_id"] for r in recovered.debits.select()] == [
         "t:1", "t:2"]
     # t:2's reply died with the crash: its debit stays unmatched.
     matched = {r["transfer_id"] for r in taker.credits.select()}
-    unmatched = recovered.unmatched_debits(matched)
+    unmatched = unmatched_debits(recovered, matched)
     assert lease_total(st) + sum(r["amount"] for r in unmatched) == 2.0

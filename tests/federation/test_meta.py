@@ -22,6 +22,11 @@ def home_of(st, user="/VO=v/CN=u"):
     return ShardMap(tuple(st.services)).home(user)
 
 
+def assignments(meta):
+    """dag_id -> shard label (current, post-rehome)."""
+    return {d: e.shard for d, e in meta.entries.items()}
+
+
 def test_duplicate_meta_service_raises():
     st = FedStack()
     make_meta(st)
@@ -37,7 +42,7 @@ def test_dag_forwarded_to_home_shard():
     assert submit(st, meta, one_job_dag("d0")) == "accepted"
     st.run(until=10.0)
     home = home_of(st)
-    assert meta.assignments() == {"d0": home}
+    assert assignments(meta) == {"d0": home}
     assert meta.unacked() == ()
     assert "d0" in st.servers[home].warehouse.table("dags")
     for label, srv in st.servers.items():
@@ -61,8 +66,8 @@ def test_saturated_home_spills_to_live_peer():
     submit(st, meta, one_job_dag("d0"))
     submit(st, meta, one_job_dag("d1"))
     home = home_of(st)
-    assert meta.assignments()["d0"] == home
-    assert meta.assignments()["d1"] != home
+    assert assignments(meta)["d0"] == home
+    assert assignments(meta)["d1"] != home
     assert meta.spilled_count == 1
 
 
@@ -74,7 +79,7 @@ def test_outage_within_grace_waits_for_the_home_shard():
     submit(st, meta, one_job_dag("d0"))
     st.run(until=599.0)
     # Still parked on the dead home: no re-home before the grace.
-    assert meta.assignments()["d0"] == home
+    assert assignments(meta)["d0"] == home
     assert meta.unacked() == ("d0",)
     assert meta.rehomed_count == 0
 
@@ -87,7 +92,7 @@ def test_continuous_outage_past_grace_rehomes_unacked_dags():
     st.servers[home].shutdown()
     submit(st, meta, one_job_dag("d0"))
     st.run(until=700.0)
-    assert meta.assignments()["d0"] == other
+    assert assignments(meta)["d0"] == other
     assert meta.unacked() == ()
     assert meta.rehomed_count == 1
     assert "d0" in st.servers[other].warehouse.table("dags")
@@ -105,7 +110,7 @@ def test_digest_is_proof_of_life_for_the_outage_clock():
     meta._rpc_digest({"shard": home, "seq": 99, "issued_at": 400.0,
                       "sites": {}, "inflight_dags": 0})
     st.run(until=900.0)
-    assert meta.assignments()["d0"] == home
+    assert assignments(meta)["d0"] == home
     assert meta.rehomed_count == 0
 
 

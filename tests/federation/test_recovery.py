@@ -7,7 +7,7 @@ from repro.core.states import JobState
 from repro.federation import FederatedSphinxServer
 from repro.federation.digest import DigestBoard
 
-from tests.federation.fedstack import USER, FedStack, one_job_dag
+from tests.federation.fedstack import USER, FedStack, lease_amount, one_job_dag
 
 
 def recover_shard(st, label):
@@ -34,13 +34,13 @@ def test_recovered_shard_restores_leases_and_grants():
     server2 = recover_shard(st, "shard0")
     # Lease rows rode the checkpoint; the ledger re-derived the policy
     # grants from them (grants live outside the warehouse).
-    assert server2.ledger.lease_amount(USER, "s0", "slots") == 0.5
-    assert server2.ledger.lease_amount(USER, "s1", "slots") == 1.0
+    assert lease_amount(server2.ledger, USER, "s0", "slots") == 0.5
+    assert lease_amount(server2.ledger, USER, "s1", "slots") == 1.0
     assert server2.policy.remaining(USER, "s0", "slots") == 0.5
     assert len(server2.ledger.debits) == 1
     # Conservation across the crash: 0.5 here + 1.0 on the peer + the
     # 0.5 in-flight debit == the 2.0 global grant.
-    peer = st.servers["shard1"].ledger.lease_amount(USER, "s0", "slots")
+    peer = lease_amount(st.servers["shard1"].ledger, USER, "s0", "slots")
     assert peer == 1.0
 
 

@@ -76,7 +76,6 @@ def test_config_naming():
     fed = FederationConfig(name="f9", n_shards=2)
     assert fed.shard_labels() == ("shard0", "shard1")
     assert fed.shard_server_name("shard1") == "f9-shard1"
-    assert fed.shard_service("shard1") == "sphinx-server-f9-shard1"
     assert fed.meta_service == "sphinx-meta-f9"
 
 

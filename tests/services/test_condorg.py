@@ -121,16 +121,6 @@ def test_unknown_site_rejected():
         cg.submit("j1", "ghost", runtime_s=1.0)
 
 
-def test_active_jobs_listing():
-    env, grid, cg = make(n_cpus=1)
-    cg.submit("a", "s0", runtime_s=5.0)
-    cg.submit("b", "s0", runtime_s=5.0)
-    env.run(until=1.0)
-    assert {h.job_id for h in cg.active_jobs} == {"a", "b"}
-    env.run()
-    assert cg.active_jobs == ()
-
-
 def test_handle_lookup_and_contains():
     env, grid, cg = make()
     cg.submit("j1", "s0", runtime_s=1.0)
@@ -145,12 +135,3 @@ def test_idle_time_reflects_queueing():
     env.run()
     assert h.idle_time_s == 10.0
     assert h.completion_time_s == 20.0
-
-
-def test_held_status_propagates():
-    env, grid, cg = make()
-    h = cg.submit("j1", "s0", runtime_s=1000.0)
-    env.run(until=5.0)
-    grid.site("s0").scheduler.hold("j1")
-    env.run(until=6.0)
-    assert h.status is GridJobStatus.HELD

@@ -102,8 +102,9 @@ class TestStageIn:
 
     def test_picks_fastest_source(self):
         env, grid, rls, ftp = make_env()
-        grid.network.set_pair("s0", "s2", bandwidth_mbps=1.0)   # slow
-        grid.network.set_pair("s1", "s2", bandwidth_mbps=100.0)  # fast
+        grid.network.set_uplink("s0", 1.0)    # s0 -> s2 is slow
+        grid.network.set_uplink("s1", 100.0)  # s1 -> s2 is fast
+        grid.network.set_uplink("s2", 100.0)
         put_file(grid, rls, "f", "s0", 100.0)
         put_file(grid, rls, "f", "s1", 100.0)
         out = run_transfer(env, ftp.stage_in("f", "s2"))

@@ -51,7 +51,7 @@ def test_staleness_between_polls():
         grid.site("s0").submit(f"j{i}", runtime_s=1000.0)
     env.run(until=50.0)
     assert mon.snapshot("s0").queued_jobs == 0   # stale!
-    assert mon.staleness_s("s0") == pytest.approx(50.0)
+    assert env.now - mon.snapshot("s0").taken_at == pytest.approx(50.0)
     env.run(until=150.0)
     assert mon.snapshot("s0").queued_jobs == 4   # refreshed at t=100
 
@@ -110,15 +110,14 @@ def test_all_snapshots():
     grid = make_grid(env, n_sites=3)
     mon = MonitoringService(env, grid, update_interval_s=10.0)
     env.run(until=1.0)
-    snaps = mon.all_snapshots()
-    assert set(snaps) == {"s0", "s1", "s2"}
+    assert all(mon.snapshot(s) is not None for s in ("s0", "s1", "s2"))
 
 
 def test_staleness_none_for_unknown_site():
     env = Environment()
     grid = make_grid(env)
     mon = MonitoringService(env, grid, update_interval_s=10.0)
-    assert mon.staleness_s("ghost") is None
+    assert mon.snapshot("ghost") is None
 
 
 def test_poll_count():

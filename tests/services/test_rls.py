@@ -10,7 +10,7 @@ class TestLrc:
     def test_register_and_query(self):
         lrc = LocalReplicaCatalog("ufl")
         lrc.register("data.root", 100.0)
-        assert lrc.has("data.root")
+        assert lrc.lfns == ("data.root",)
         assert lrc.size_of("data.root") == 100.0
         assert len(lrc) == 1
 
@@ -20,13 +20,6 @@ class TestLrc:
             lrc.register("", 1.0)
         with pytest.raises(ValueError):
             lrc.register("x", -1.0)
-
-    def test_unregister(self):
-        lrc = LocalReplicaCatalog("ufl")
-        lrc.register("x")
-        assert lrc.unregister("x") is True
-        assert lrc.unregister("x") is False
-        assert not lrc.has("x")
 
     def test_reregister_updates_size(self):
         lrc = LocalReplicaCatalog("ufl")
@@ -68,7 +61,6 @@ class TestRli:
         early.register("x", 2.0)  # size update
         late.register("x", 3.0)
         assert rli.lookup("x") == ("early", "late")  # attach order
-        assert early.unregister("x") and rli.lookup("x") == ("late",)
 
     def test_negative_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -132,8 +124,6 @@ class TestReplicaService:
         assert svc.locations("f") == ("a", "b")
         assert svc.exists("f")
         assert svc.size_of("f") == 10.0
-        assert svc.unregister_replica("f", "a") is True
-        assert svc.locations("f") == ("b",)
 
     def test_size_of_unknown_is_none(self):
         svc = ReplicaService(Environment(), ["a"])
@@ -144,26 +134,3 @@ class TestReplicaService:
         svc = ReplicaService(env, ["a"])
         svc.register_replica("f", "a")
         assert svc.bulk_locations(["f", "g"]) == {"f": ("a",), "g": ()}
-
-    def test_expose_on_rpc_bus(self):
-        from repro.services import RpcBus
-
-        env = Environment()
-        svc = ReplicaService(env, ["a"])
-        svc.register_replica("f", "a")
-        bus = RpcBus(env)
-        svc.expose(bus)
-        out = {}
-
-        def caller(env):
-            out["lookup"] = yield bus.call("p", "rls", "lookup", "f")
-            out["bulk"] = yield bus.call("p", "rls", "bulk_lookup", ["f", "g"])
-            out["exists"] = yield bus.call("p", "rls", "exists", "g")
-
-        env.process(caller(env))
-        env.run()
-        assert out == {
-            "lookup": ["a"],
-            "bulk": {"f": ["a"], "g": []},
-            "exists": False,
-        }

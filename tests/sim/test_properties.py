@@ -32,7 +32,7 @@ def test_clock_never_runs_backwards(delays):
             assert env.now >= last
             last = env.now
             observed.append(env.now)
-            if env.peek() == float("inf"):
+            if not env._heap:  # no other event is pending
                 return
 
     for d in delays:

@@ -3,7 +3,7 @@
 Test-only.  This is the job lifecycle that shipped before the callback
 state machine replaced it: every submitted job is driven by its own
 kernel ``Process`` wrapping the ``_run`` -> ``_execute`` generator (or
-``_run_reserved`` for a job bound to a reservation), and ``_terminate``
+``_run_reserved`` for a job bound to a reservation), and ``kill``
 unwinds a live job by throwing ``Interrupt`` into that process.  It is
 obviously correct and slow; the differential test in
 ``test_local_scheduler_differential.py`` holds the state machine to it
@@ -117,7 +117,7 @@ class ReferenceLocalScheduler(LocalScheduler):
         for job in jobs:
             self.submit(job, detached=True)
 
-    def _terminate(self, job_id: str, status: SiteJobStatus) -> bool:
+    def kill(self, job_id: str) -> bool:
         job = self._jobs.get(job_id)
         if job is None:
             raise KeyError(f"unknown job {job_id!r}")
@@ -154,17 +154,14 @@ class ReferenceLocalScheduler(LocalScheduler):
             self._record_preemption(job)
         proc = self._procs.get(job_id)
         if proc is not None and proc.is_alive:  # type: ignore[attr-defined]
-            proc.interrupt(status)  # type: ignore[attr-defined]
+            proc.interrupt(SiteJobStatus.KILLED)  # type: ignore[attr-defined]
         if job.started_at is not None:
             # Only jobs that actually ran get a finish instant; a job
             # killed while PENDING never ran, and its completion_time_s
             # must stay None so it cannot feed completion estimators.
             job.finished_at = self.env.now
-        job._set_status(status)
-        if status is SiteJobStatus.KILLED:
-            self.killed_count += 1
-        else:
-            self.held_count += 1
+        job._set_status(SiteJobStatus.KILLED)
+        self.killed_count += 1
         return True
 
     def _run(self, job: SiteJob, req: Request):
@@ -180,7 +177,7 @@ class ReferenceLocalScheduler(LocalScheduler):
                 # reservation hold when EASY backfilling redirected us.
                 slot = yield req
             except Interrupt:
-                # Killed/held while pending; _terminate set the status.
+                # Killed while pending; kill() set the status.
                 self._procs.pop(job.job_id, None)
                 self._reclaim_orphan_slot(job.job_id, req)
                 return
@@ -228,7 +225,7 @@ class ReferenceLocalScheduler(LocalScheduler):
         try:
             yield self.env.timeout(occupancy)
         except Interrupt:
-            return  # killed/held while running; _terminate set the status
+            return  # killed while running; kill() set the status
         finally:
             self._running.discard(job.job_id)
             self._release_slot(job.job_id, slot)

@@ -130,17 +130,6 @@ def test_kill_unknown_job_raises():
         make(env).kill("nope")
 
 
-def test_hold_marks_held():
-    env = Environment()
-    sched = make(env, n_cpus=1)
-    job = sched.submit(SiteJob("j", runtime_s=100.0))
-    env.run(until=5.0)
-    sched.hold("j")
-    env.run()
-    assert job.status is SiteJobStatus.HELD
-    assert sched.held_count == 1
-
-
 def test_kill_all():
     env = Environment()
     sched = make(env, n_cpus=1)

@@ -70,7 +70,7 @@ class SubmitLocal:
 
 @dataclass(frozen=True)
 class Stop:
-    verb: str  # "kill" | "hold"
+    verb: str  # "kill"
     target: int
 
 
@@ -97,8 +97,8 @@ class Case:
 
 WATCHES = st.builds(
     Watch,
-    on=st.sampled_from(["running", "completed", "killed", "held"]),
-    verb=st.sampled_from(["kill", "hold"]),
+    on=st.sampled_from(["running", "completed", "killed"]),
+    verb=st.just("kill"),
     target=SMALL,
 )
 OPS = st.one_of(
@@ -125,7 +125,7 @@ OPS = st.one_of(
         runtimes=st.lists(RUNTIMES, min_size=1, max_size=6).map(tuple),
         priority=PRIORITIES,
     ),
-    st.builds(Stop, verb=st.sampled_from(["kill", "kill", "hold"]), target=SMALL),
+    st.builds(Stop, verb=st.just("kill"), target=SMALL),
     st.builds(
         Reserve,
         start_in_s=st.sampled_from([0.0, 1.0, 5.0, 20.0]) | st.floats(0.0, 30.0),
@@ -226,7 +226,7 @@ def simulate(cls, case: Case):
             log.append(("seen", env.now, sched.queued_jobs,
                         sched.running_jobs, sched.utilization))
             log.append(("counted", sched.completed_count, sched.killed_count,
-                        sched.held_count, sched.backfill_count,
+                        sched.backfill_count,
                         repr(sched.preempted_work_s),
                         sched.reservation_audit()))
 
@@ -243,7 +243,7 @@ def simulate(cls, case: Case):
         for j in made
     }
     counters = (
-        sched.completed_count, sched.killed_count, sched.held_count,
+        sched.completed_count, sched.killed_count,
         sched.backfill_count, repr(sched.preempted_work_s),
         dict(sched.reservation_counts), list(sched.reservation_miss_latencies),
         [(r.res_id, r.state, r.started_jobs) for r in sched.reservations],
@@ -304,7 +304,7 @@ def test_kill_landing_on_a_grant_instant():
     assert got["jobs"]["j2"][2] == 5.0         # took the slot at once
 
 
-@pytest.mark.parametrize("verb", ["kill", "hold"])
+@pytest.mark.parametrize("verb", ["kill"])
 def test_kill_landing_on_a_backfill_redirect(verb):
     # Two CPUs, both busy; a short job queues.  A 1-CPU reservation for
     # t=50 issues a hold; j0's slot frees at t=5, drains into the hold,
@@ -320,7 +320,7 @@ def test_kill_landing_on_a_backfill_redirect(verb):
     got = assert_same(case)
     assert (verb, "j2", True) in got["log"]
     assert got["jobs"]["j2"][2] is None
-    assert got["counters"][3] == 2             # j2 and then j3 backfilled
+    assert got["counters"][2] == 2             # j2 and then j3 backfilled
     assert got["jobs"]["j3"][2] == 6.0
 
 
@@ -416,7 +416,7 @@ def test_kill_all_half_finished_cohort_stale_pops():
     assert [e for e in got["log"] if e[0] == "kill_all"] == [
         ("kill_all", 2), ("kill_all", 4)]
     assert seen(got, 5.0) == [(0, 2, 0.5), (0, 4, 1.0), (0, 4, 1.0)]
-    completed, killed, _held, _bf, preempted = got["counters"][:5]
+    completed, killed, _bf, preempted = got["counters"][:4]
     assert (completed, killed, preempted) == (2, 6, "10.0")
     # 8 run timers (6 of them stale) + 6 unwinds + the driver's 4 steps
     assert got["events"] == (18, 18)
@@ -452,7 +452,7 @@ def test_live_reservation_one_job_at_a_time():
     ])
     got = assert_same(case)
     assert seen(got, 1.0) == [(2, 1, 1.0)]     # bg.1's borrowed start in flight
-    assert got["counters"][3] == 2             # bg.1, then bg.2 after it
+    assert got["counters"][2] == 2             # bg.1, then bg.2 after it
     assert got["counters"][0] == 3
     assert got["audit"] == [] and not got["sched"]._jobs
 
@@ -464,7 +464,7 @@ def test_kill_of_a_forgotten_detached_id_is_an_unknown_id():
     # bg.0 runs in a cohort: no record, not addressable, though its id is
     # taken; bg.1 queued behind it and is a job like any other until it ends
     assert "bg.0" not in sched and "bg.1" in sched
-    for verb in (sched.kill, sched.hold, sched.job):
+    for verb in (sched.kill, sched.job):
         with pytest.raises(KeyError):
             verb("bg.0")
     with pytest.raises(ValueError, match="duplicate"):
@@ -474,7 +474,7 @@ def test_kill_of_a_forgotten_detached_id_is_an_unknown_id():
     assert sched.job("bg.1").status is SiteJobStatus.PENDING
     env.run()
     assert sched.completed_count == 2 and "bg.1" not in sched
-    for verb in (sched.kill, sched.hold, sched.job):
+    for verb in (sched.kill, sched.job):
         with pytest.raises(KeyError):
             verb("bg.1")
     with pytest.raises(KeyError):

@@ -16,10 +16,6 @@ def test_validation():
     with pytest.raises(ValueError):
         net.set_uplink("a", 0)
     with pytest.raises(ValueError):
-        net.set_pair("a", "b", bandwidth_mbps=-5)
-    with pytest.raises(ValueError):
-        net.set_pair("a", "b", latency_s=-1)
-    with pytest.raises(ValueError):
         net.transfer_time(-1, "a", "b")
 
 
@@ -29,8 +25,6 @@ INF, NAN = float("inf"), float("nan")
 @pytest.mark.parametrize("configure,where", [
     (lambda env, v: NetworkModel(env, default_bandwidth_mbps=v), "default"),
     (lambda env, v: NetworkModel(env).set_uplink("a", v), "uplink of 'a'"),
-    (lambda env, v: NetworkModel(env).set_pair("a", "b", bandwidth_mbps=v),
-     "pair 'a'->'b'"),
 ])
 @pytest.mark.parametrize("bad", [0.0, -5.0, NAN, INF])
 def test_bandwidth_must_be_finite_and_positive(configure, where, bad):
@@ -43,8 +37,6 @@ def test_bandwidth_must_be_finite_and_positive(configure, where, bad):
 
 @pytest.mark.parametrize("configure,where", [
     (lambda env, v: NetworkModel(env, default_latency_s=v), "default"),
-    (lambda env, v: NetworkModel(env).set_pair("a", "b", latency_s=v),
-     "pair 'a'->'b'"),
 ])
 @pytest.mark.parametrize("bad", [-1.0, NAN, INF])
 def test_latency_must_be_finite_and_non_negative(configure, where, bad):
@@ -56,8 +48,10 @@ def test_latency_must_be_finite_and_non_negative(configure, where, bad):
 def test_edge_values_are_accepted():
     net = NetworkModel(Environment(), default_latency_s=0.0)
     net.set_uplink("a", 1e-9)
-    net.set_pair("a", "b", bandwidth_mbps=1e12, latency_s=0.0)
-    assert net.transfer_time(1.0, "a", "b") == 1e-12
+    net.set_uplink("b", 1e12)
+    net.set_uplink("c", 1e12)
+    assert net.transfer_time(1e-9, "a", "b") == 1.0
+    assert net.transfer_time(1.0, "b", "c") == 1e-12
 
 
 @pytest.mark.parametrize("src,dst", [("a", "a"), ("a", "b")])
@@ -94,17 +88,6 @@ def test_path_bandwidth_is_min_of_uplinks():
     net.set_uplink("slow", 5.0)
     assert net.bandwidth_mbps("fast", "slow") == 5.0
     assert net.bandwidth_mbps("slow", "fast") == 5.0
-
-
-def test_pair_override_wins():
-    net = NetworkModel(Environment())
-    net.set_uplink("a", 100.0)
-    net.set_uplink("b", 100.0)
-    net.set_pair("a", "b", bandwidth_mbps=1.0, latency_s=2.0)
-    assert net.bandwidth_mbps("a", "b") == 1.0
-    assert net.latency_s("a", "b") == 2.0
-    # Override is directed.
-    assert net.bandwidth_mbps("b", "a") == 100.0
 
 
 def test_simulated_transfer_matches_estimate_when_uncongested():

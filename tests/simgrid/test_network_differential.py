@@ -48,7 +48,6 @@ class Case:
     default_bw: float
     default_lat: float
     uplinks: dict
-    pairs: list
     transfers: list
 
 
@@ -57,15 +56,6 @@ CASES = st.builds(
     default_bw=BANDWIDTHS,
     default_lat=LATENCIES,
     uplinks=st.dictionaries(st.sampled_from(SITES), BANDWIDTHS, max_size=5),
-    pairs=st.lists(
-        st.tuples(
-            st.sampled_from(SITES),
-            st.sampled_from(SITES),
-            st.none() | BANDWIDTHS,
-            st.none() | LATENCIES,
-        ),
-        max_size=3,
-    ),
     transfers=st.lists(
         st.builds(
             Transfer,
@@ -92,8 +82,6 @@ def simulate(model_cls, case: Case):
     )
     for site, bw in case.uplinks.items():
         net.set_uplink(site, bw)
-    for src, dst, bw, lat in case.pairs:
-        net.set_pair(src, dst, bandwidth_mbps=bw, latency_s=lat)
     outcome: dict[int, tuple] = {}
 
     def mover(i: int, t: Transfer):

@@ -51,14 +51,6 @@ def test_overwrite_counts_growth_only():
         site.store_file("a", 120.0)
 
 
-def test_delete_frees_space():
-    site = make_site(capacity=100.0)
-    site.store_file("a", 90.0)
-    site.delete_file("a")
-    site.store_file("b", 90.0)
-    assert site.has_file("b")
-
-
 class TestGridFtpWithCapacity:
     def make(self):
         env = Environment()

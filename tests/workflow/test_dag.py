@@ -65,11 +65,6 @@ class TestJob:
         with pytest.raises(ValueError, match="twice"):
             Job("j", outputs=(lf("x"), lf("x")))
 
-    def test_size_aggregates(self):
-        j = Job("j", inputs=(lf("a", 2.0), lf("b", 3.0)), outputs=(lf("c", 5.0),))
-        assert j.input_size_mb == 5.0
-        assert j.output_size_mb == 5.0
-
 
 class TestDagConstruction:
     def test_empty_dag_id_rejected(self):
@@ -122,7 +117,7 @@ class TestDagQueries:
     def test_roots_and_leaves(self):
         d = diamond()
         assert d.roots == ("a",)
-        assert d.leaves == ("d",)
+        assert [j for j in d.job_ids if not d.children(j)] == ["d"]
 
     def test_external_inputs(self):
         d = chain3()
@@ -149,13 +144,6 @@ class TestDagQueries:
     def test_ready_jobs_unknown_id_raises(self):
         with pytest.raises(KeyError):
             diamond().ready_jobs(["nope"])
-
-    def test_descendants_and_ancestors(self):
-        d = diamond()
-        assert set(d.descendants("a")) == {"b", "c", "d"}
-        assert d.descendants("d") == ()
-        assert set(d.ancestors("d")) == {"a", "b", "c"}
-        assert d.ancestors("a") == ()
 
     def test_iteration_yields_topological_jobs(self):
         ids = [j.job_id for j in diamond()]
