@@ -32,17 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.states import DagState, JobState
+from repro.core.states import (DAG_FINISHED, JOB_FINISHED, JOB_PLANNED,
+                               JOB_REMOVED, JOB_SUBMITTED)
 
 __all__ = ["Violation", "InvariantReport", "check_invariants"]
 
-_JOB_PLANNED = JobState.PLANNED.value
-_JOB_SUBMITTED = JobState.SUBMITTED.value
-_JOB_FINISHED = JobState.FINISHED.value
-_JOB_REMOVED = JobState.REMOVED.value
-_JOB_TERMINAL = (_JOB_FINISHED, _JOB_REMOVED)
-_JOB_CHARGED = (_JOB_PLANNED, _JOB_SUBMITTED, _JOB_FINISHED)
-_DAG_FINISHED = DagState.FINISHED.value
+_JOB_TERMINAL = (JOB_FINISHED, JOB_REMOVED)
+_JOB_CHARGED = (JOB_PLANNED, JOB_SUBMITTED, JOB_FINISHED)
 
 
 @dataclass(frozen=True)
@@ -176,7 +172,7 @@ def check_invariants(servers: dict, clients: dict, bus, scenario,
         # -- completion + per-dag consistency -----------------------------
         for dag_id in sorted(dag_rows):
             drow = dag_rows[dag_id]
-            if drow["state"] != _DAG_FINISHED:
+            if drow["state"] != DAG_FINISHED:
                 out.append(Violation(
                     "dag-terminal", label, dag_id,
                     f"end state {drow['state']!r}, expected finished",
@@ -213,7 +209,7 @@ def check_invariants(servers: dict, clients: dict, bus, scenario,
                     "job-referential", label, jrow["job_id"],
                     f"references unknown dag {jrow['dag_id']!r}",
                 ))
-            if jrow["state"] == _JOB_FINISHED:
+            if jrow["state"] == JOB_FINISHED:
                 total_finished_jobs += 1
                 site = jrow["site"]
                 if site is not None and site not in server.site_catalog:
@@ -235,7 +231,7 @@ def check_invariants(servers: dict, clients: dict, bus, scenario,
 
         # -- exactly-once effects -----------------------------------------
         finished_here = sum(
-            1 for r in job_rows if r["state"] == _JOB_FINISHED
+            1 for r in job_rows if r["state"] == JOB_FINISHED
         )
         completions = sum(
             c for c, _x in server.feedback.snapshot().values()
@@ -354,7 +350,7 @@ def check_invariants(servers: dict, clients: dict, bus, scenario,
                 drow = servers[shard].warehouse.table("dags").get(
                     dag_id, copy=False
                 )
-                if drow["state"] == _DAG_FINISHED:
+                if drow["state"] == DAG_FINISHED:
                     times = client.dag_times.get(dag_id)
                     if times is None or times[1] is None:
                         out.append(Violation(

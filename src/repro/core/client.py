@@ -13,8 +13,10 @@ The client:
    site via GridFTP, creates the submission and hands it to Condor-G;
 4. runs the **job tracker** on every submission, reporting completions
    (with timing) and cancellations (with reason) back to the server,
-   and requesting replanning simply by reporting — the server's
-   automaton moves CANCELLED jobs back to READY;
+   and requesting replanning simply by reporting — a cancelled job
+   goes back to the server's planner.  Every report names its
+   ``(job_id, attempt)``, so the server can tell a superseded
+   attempt's report from the live one's;
 5. on completion, materializes the job's output files at the execution
    site and registers them in the RLS, which is what makes downstream
    jobs ready and future DAG reductions possible.
@@ -198,7 +200,7 @@ class SphinxClient:
         for msg in messages:
             if msg["kind"] == "plan":
                 payload = msg["payload"]
-                key = (payload["job_id"], payload.get("attempt", 0))
+                key = (payload["job_id"], payload["attempt"])
                 if key in self._seen_plans:
                     continue  # redelivered batch / duplicated call
                 self._seen_plans.add(key)
@@ -209,7 +211,7 @@ class SphinxClient:
                     self._inflight[key] = proc
             elif msg["kind"] == "evict":
                 payload = msg["payload"]
-                self._evict(payload["job_id"], payload.get("attempt", 0))
+                self._evict(payload["job_id"], payload["attempt"])
             elif msg["kind"] == "dag-finished":
                 times = self.dag_times.get(msg["payload"]["dag_id"])
                 if times is not None and times[1] is None:
@@ -276,7 +278,7 @@ class SphinxClient:
     # -- plan execution --------------------------------------------------------------
     def _execute_plan(self, plan: dict):
         job_id = plan["job_id"]
-        attempt = plan.get("attempt", 0)
+        attempt = plan["attempt"]
         self._live_attempts[job_id] = attempt
         try:
             yield from self._run_plan(plan)
@@ -295,11 +297,6 @@ class SphinxClient:
     def _run_plan(self, plan: dict):
         job_id = plan["job_id"]
         site = plan["site"]
-        # Report to the plan's origin: under a federation the shard that
-        # planned the job owns its state, which may not be the meta
-        # service this client submits DAGs to.  Plans without the field
-        # (pre-federation servers) fall back to the submission service.
-        origin = plan.get("server") or self.server_service
         started_at = self.env.now
 
         # 1. Stage missing inputs (planner step 3: optimal source chosen
@@ -317,19 +314,17 @@ class SphinxClient:
                 if not self.gridftp.has_live_replica(f["lfn"])
             ]
             yield from self._report_reliably(
-                job_id, "cancelled", site, reason="stage-in",
-                missing=missing, service=origin,
+                plan, "cancelled", reason="stage-in", missing=missing,
             )
             return
 
         # 2. Submit through Condor-G.  Grid ids are attempt-unique.
-        if (job_id, plan.get("attempt", 0)) in self._evict_requested:
+        if (job_id, plan["attempt"]) in self._evict_requested:
             # The server evicted this attempt while inputs were staging;
             # hand it straight back for replanning instead of submitting
             # to a site that is about to drain.
-            yield from self._report_reliably(
-                job_id, "cancelled", site, reason="evicted", service=origin,
-            )
+            yield from self._report_reliably(plan, "cancelled",
+                                             reason="evicted")
             return
         grid_id = f"{self.client_id}.{next(self._grid_ids)}.{job_id}"
         handle = self.condorg.submit(
@@ -338,7 +333,7 @@ class SphinxClient:
             runtime_s=plan["runtime_s"],
             owner=self.user.proxy,
             reservation_id=plan.get("reservation_id"),
-            scheduler=origin,
+            scheduler=plan["server"],
             checkpoint_interval_s=plan.get("checkpoint_interval_s", 0.0),
             checkpoint_cost_s=plan.get("checkpoint_cost_s", 0.0),
         )
@@ -347,7 +342,7 @@ class SphinxClient:
         # eq. 1's "unfinished_jobs" counter is fed by these reports.
         handle.on_status_change(
             lambda _h, status: (
-                self._report(job_id, "running", site, service=origin)
+                self._report(plan, "running")
                 if status is GridJobStatus.RUNNING and not self.crashed
                 else None
             )
@@ -371,22 +366,17 @@ class SphinxClient:
             except StorageFullError:
                 # The work is lost with its output; the site's disk is a
                 # site problem — report as an ordinary cancellation.
-                yield from self._report_reliably(
-                    job_id, "cancelled", site, reason="storage",
-                    service=origin,
-                )
+                yield from self._report_reliably(plan, "cancelled",
+                                                 reason="storage")
                 return
             yield from self._report_reliably(
-                job_id, "completed", site,
-                completion_time_s=result.completion_time_s,
-                service=origin,
+                plan, "completed", completion_time_s=result.completion_time_s,
             )
         else:
             yield from self._report_reliably(
-                job_id, "cancelled", site, reason=result.reason,
+                plan, "cancelled", reason=result.reason,
                 checkpointed_fraction=result.checkpointed_fraction,
                 lost_work_s=result.lost_work_s,
-                service=origin,
             )
 
     def _stage_inputs(self, inputs: list, site: str,
@@ -408,21 +398,27 @@ class SphinxClient:
                     yield self.env.timeout(backoff_s)
         return False
 
-    def _report(self, job_id: str, status: str, site: str,
+    def _report(self, plan: dict, status: str,
                 completion_time_s: Optional[float] = None,
                 reason: Optional[str] = None,
                 missing: Optional[list] = None,
                 checkpointed_fraction: float = 0.0,
-                lost_work_s: float = 0.0,
-                service: Optional[str] = None):
-        """One fire-and-forget tracker report (faults are defused)."""
+                lost_work_s: float = 0.0):
+        """One fire-and-forget tracker report on ``plan``'s attempt
+        (faults are defused).
+
+        It goes to the plan's origin: under a federation the shard that
+        planned the job owns its state, which may not be the meta
+        service this client submits DAGs to.
+        """
         return self.bus.call(
             self.user.proxy,
-            service or self.server_service,
+            plan["server"],
             "report_status",
-            job_id,
+            plan["job_id"],
+            plan["attempt"],
             status,
-            site,
+            plan["site"],
             completion_time_s,
             reason,
             missing,
@@ -430,13 +426,7 @@ class SphinxClient:
             lost_work_s,
         )
 
-    def _report_reliably(self, job_id: str, status: str, site: str,
-                         completion_time_s: Optional[float] = None,
-                         reason: Optional[str] = None,
-                         missing: Optional[list] = None,
-                         checkpointed_fraction: float = 0.0,
-                         lost_work_s: float = 0.0,
-                         service: Optional[str] = None):
+    def _report_reliably(self, plan: dict, status: str, **details):
         """At-least-once report: retries while the server is unreachable.
 
         A server being restarted (recovery) answers again under the same
@@ -451,22 +441,16 @@ class SphinxClient:
         additionally fires the instant the service re-registers on the
         bus, whichever comes first.
         """
-        attempt = 0
+        retry = 0
         while True:
             try:
-                ack = yield self._report(
-                    job_id, status, site,
-                    completion_time_s=completion_time_s, reason=reason,
-                    missing=missing,
-                    checkpointed_fraction=checkpointed_fraction,
-                    lost_work_s=lost_work_s, service=service,
-                )
-                return ack
+                return (yield self._report(plan, status, **details))
             except RpcFault as fault:
                 if "unknown service" not in str(fault):
                     return None
-                yield from self._unreachable_wait(attempt, service=service)
-                attempt += 1
+                yield from self._unreachable_wait(retry,
+                                                  service=plan["server"])
+                retry += 1
 
     def _unreachable_wait(self, attempt: int,
                           service: Optional[str] = None):

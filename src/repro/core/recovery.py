@@ -14,9 +14,9 @@ Recovery policy (documented at-least-once semantics):
   context, or the completion report may have been lost in the crash
   window.  They are marked CANCELLED (state, not feedback — the site
   did nothing wrong) and their quota reservations refunded; the control
-  loop replans them on its first tick.  A duplicate completion from a
-  surviving client-side attempt is absorbed by the server's duplicate
-  guard.
+  loop replans them on its first tick.  A completion from a surviving
+  client-side attempt is kept (the first completion wins); that
+  attempt's other reports change nothing.
 * **undelivered plan messages drop** — requeuing supersedes them;
   delivering both would run the attempt twice for nothing.
 * **dag-finished notifications keep** — idempotent for the client.
@@ -28,12 +28,13 @@ from typing import Callable, Mapping, Optional
 
 from repro.core.serialize import payload_to_dag
 from repro.core.server import ServerConfig, SphinxServer
-from repro.core.states import JobState
+from repro.core.states import (JOB_CANCELLED, JOB_PLANNED, JOB_SUBMITTED,
+                               move)
 from repro.core.warehouse import Warehouse
 
 __all__ = ["recover_server"]
 
-_IN_FLIGHT = (JobState.PLANNED.value, JobState.SUBMITTED.value)
+_IN_FLIGHT = (JOB_PLANNED, JOB_SUBMITTED)
 
 
 def recover_server(
@@ -66,7 +67,7 @@ def recover_server(
     warehouse = Warehouse()
     warehouse.restore(checkpoint)
     server_cls.init_tables(warehouse)
-    _requeue_in_flight(warehouse)
+    _requeue_in_flight(warehouse, env.now)
     _drop_stale_plans(warehouse)
     server = server_cls(
         env, bus, config, site_catalog, monitoring, rls,
@@ -78,14 +79,11 @@ def recover_server(
     return server
 
 
-def _requeue_in_flight(warehouse: Warehouse) -> None:
+def _requeue_in_flight(warehouse: Warehouse, now: float) -> None:
     jobs = warehouse.table("jobs")
-    for row in jobs.select(predicate=lambda r: r["state"] in _IN_FLIGHT):
-        jobs.update(
-            row["job_id"],
-            state=JobState.CANCELLED.value,
-            last_status="recovered",
-        )
+    for row in jobs.select(predicate=lambda r: r["state"] in _IN_FLIGHT,
+                           copy=False):
+        move(jobs, row, JOB_CANCELLED, now, last_status="recovered")
 
 
 def _drop_stale_plans(warehouse: Warehouse) -> None:

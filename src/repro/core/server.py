@@ -49,7 +49,11 @@ from repro.core.feedback import ReliabilityTracker
 from repro.core.policies import PolicyEngine, QuotaExceededError
 from repro.core.prediction import CompletionTimeEstimator
 from repro.core.serialize import payload_to_dag
-from repro.core.states import DagState, JobState
+from repro.core.states import (
+    DAG_FINISHED, DAG_RECEIVED, DAG_REDUCED, DAG_REDUCING, DAG_RUNNING, EDGES,
+    JOB_CANCELLED, JOB_FINISHED, JOB_PLANNED, JOB_REMOVED, JOB_SUBMITTED,
+    JOB_UNPLANNED, move,
+)
 from repro.core.warehouse import Warehouse
 from repro.services.monitoring import MonitoringService
 from repro.services.rls import ReplicaService
@@ -60,19 +64,7 @@ from repro.workflow.dag import Dag
 __all__ = ["ServerConfig", "SphinxServer", "require_non_negative",
            "require_positive"]
 
-# Enum .value lookups cost a descriptor call each; the control loop
-# compares job/dag states hundreds of thousands of times per run, so the
-# string values are hoisted to module constants.
-_JOB_UNPLANNED = JobState.UNPLANNED.value
-_JOB_PLANNED = JobState.PLANNED.value
-_JOB_SUBMITTED = JobState.SUBMITTED.value
-_JOB_FINISHED = JobState.FINISHED.value
-_JOB_CANCELLED = JobState.CANCELLED.value
-_JOB_REMOVED = JobState.REMOVED.value
-_JOB_DONE_STATES = (_JOB_FINISHED, _JOB_REMOVED)
-_DAG_RECEIVED = DagState.RECEIVED.value
-_DAG_RUNNING = DagState.RUNNING.value
-_DAG_FINISHED = DagState.FINISHED.value
+_JOB_DONE_STATES = (JOB_FINISHED, JOB_REMOVED)
 
 #: walltime margin applied to stage duration/readiness estimates when
 #: sizing reservation windows (> 1 absorbs estimator error).
@@ -227,6 +219,16 @@ class SphinxServer:
                                           server=config.name)
         self._m_preemption_loss = m.histogram("server.preemption_loss_s",
                                               server=config.name)
+        #: table -> (old, new) -> the edge's counter (see :meth:`_move`)
+        self._m_transitions = {
+            table: {
+                (old, new): m.counter("server.transitions",
+                                      server=config.name, table=table,
+                                      edge=f"{old}→{new}")
+                for old, targets in edges.items() for new in sorted(targets)
+            }
+            for table, edges in EDGES.items()
+        }
 
         self.warehouse = warehouse if warehouse is not None else Warehouse()
         self.init_tables(self.warehouse)
@@ -311,7 +313,7 @@ class SphinxServer:
         self._dirty_dags: set[str] = {
             r["dag_id"]
             for r in self.warehouse.table("dags").select(
-                predicate=lambda r: r["state"] != _DAG_FINISHED, copy=False
+                predicate=lambda r: r["state"] != DAG_FINISHED, copy=False
             )
         }
         #: dag_id -> the ready tuple its last pass computed, kept while
@@ -430,7 +432,7 @@ class SphinxServer:
             "client_id": client_id,
             "user": user,
             "priority": int(priority),
-            "state": DagState.RECEIVED.value,
+            "state": DAG_RECEIVED,
             "received_at": self.env.now,
             "finished_at": None,
             "payload": dag_payload,
@@ -440,7 +442,7 @@ class SphinxServer:
             jobs.insert({
                 "job_id": jid,
                 "dag_id": dag.dag_id,
-                "state": JobState.UNPLANNED.value,
+                "state": JOB_UNPLANNED,
                 "site": None,
                 "attempts": 0,
                 "last_status": None,
@@ -471,6 +473,7 @@ class SphinxServer:
     def _rpc_report_status(
         self,
         job_id: str,
+        attempt: int,
         status: str,
         site: str,
         completion_time_s: Optional[float] = None,
@@ -479,30 +482,26 @@ class SphinxServer:
         checkpointed_fraction: float = 0.0,
         lost_work_s: float = 0.0,
     ) -> str:
-        """Tracker report ingestion (feedback + prediction + automaton)."""
+        """Tracker report ingestion (feedback + prediction + automaton).
+
+        A report names its placement, ``(job_id, attempt)``.  A running
+        or cancelled report from an attempt the job has been replanned
+        past is ``"stale"`` and writes nothing; the first completion of
+        any attempt wins (DESIGN.md §5c).
+        """
         jobs = self.warehouse.table("jobs")
         row = jobs.get(job_id, copy=False)
         if row is None:
             raise KeyError(f"unknown job {job_id!r}")
-        if status == "running":
-            if (row["state"] == _JOB_PLANNED
-                    and row["last_status"] != "running"):
-                jobs.update(job_id, state=_JOB_SUBMITTED,
-                            last_status="running")
-                self._count_transition(site, planned=-1, running=+1)
-                if self._trace:
-                    span = self._job_spans.get(job_id)
-                    if span is not None:
-                        self.obs.tracer.add_event(span, "running", site=site)
-            elif row["state"] == _JOB_SUBMITTED:
-                jobs.update(job_id, last_status="running")
-        elif status == "completed":
-            if row["state"] == _JOB_FINISHED:
+        if status == "completed":
+            if row["state"] == JOB_FINISHED:
                 return "duplicate"
-            self._release_active(row, site)
-            jobs.update(
-                job_id,
-                state=_JOB_FINISHED,
+            # Completed work is kept, whichever attempt did it: the row
+            # keeps the live attempt's site and quota charge, so the
+            # ledger stays conserved and a regeneration refunds it once.
+            self._release_active(row)
+            self._move(
+                jobs, row, JOB_FINISHED,
                 last_status="completed",
                 finished_at=self.env.now,
                 completion_time_s=completion_time_s,
@@ -532,38 +531,35 @@ class SphinxServer:
             self._done_changed(row["dag_id"])
             self._maybe_finish_dag(row["dag_id"])
             self._wakeup.set()
-        elif status == "cancelled":
-            if row["state"] in (_JOB_FINISHED, _JOB_CANCELLED):
+        elif status not in ("running", "cancelled"):
+            raise ValueError(f"unknown status {status!r}")
+        elif attempt != row["attempts"]:
+            return "stale"
+        elif status == "running":
+            if row["state"] == JOB_PLANNED:
+                self._move(jobs, row, JOB_SUBMITTED, last_status="running")
+                self._count_transition(site, planned=-1, running=+1)
+                if self._trace:
+                    span = self._job_spans.get(job_id)
+                    if span is not None:
+                        self.obs.tracer.add_event(span, "running", site=site)
+        else:
+            if row["state"] in (JOB_FINISHED, JOB_CANCELLED):
                 return "duplicate"
-            # The reservation to return is the one at the *planned* site.
-            # A stale cancel from a superseded attempt may name a site the
-            # job has since been replanned away from; refunding there would
-            # corrupt both ledgers.  (row is a live view: read before the
-            # update below nulls the column.)
-            charged_site = row["site"]
-            self._release_active(row, site)
-            jobs.update(
-                job_id,
-                state=_JOB_CANCELLED,
-                last_status=reason or "cancelled",
-                site=None,
-            )
+            changes = {}
             if checkpointed_fraction > 0.0:
                 # The attempt's fraction is relative to its (already
                 # reduced) runtime; fold it into the overall fraction so
                 # progress across attempts only ever grows.
                 prev = row["checkpoint_fraction"]
-                jobs.update(
-                    job_id,
-                    checkpoint_fraction=min(
-                        1.0, prev + (1.0 - prev) * checkpointed_fraction
-                    ),
+                changes["checkpoint_fraction"] = min(
+                    1.0, prev + (1.0 - prev) * checkpointed_fraction
                 )
+            self._requeue_job(row, reason or "cancelled", **changes)
             if lost_work_s > 0.0:
                 self.preempted_work_s += lost_work_s
                 if self.obs.enabled:
                     self._m_preemption_loss.observe(lost_work_s)
-            self._dirty_dags.add(row["dag_id"])
             if reason == "stage-in":
                 # A missing *source* replica is not the execution site's
                 # fault; penalizing it would poison the reliability pool.
@@ -581,30 +577,10 @@ class SphinxServer:
                     self.feedback.record_cancellation(site)
             else:
                 self.feedback.record_cancellation(site)
-            self.resubmission_count += 1
             if reason == "timeout":
                 self.timeout_count += 1
-            if self.obs.enabled:
-                self._m_resubmissions.inc()
-                self.obs.metrics.counter(
-                    "server.cancellations", server=self.config.name,
-                    reason=reason or "cancelled",
-                ).inc()
-                if reason == "timeout":
+                if self.obs.enabled:
                     self._m_timeouts.inc()
-                self._ready_since[job_id] = self.env.now
-                if self._trace:
-                    span = self._job_spans.pop(job_id, None)
-                    if span is not None:
-                        self.obs.tracer.end_span(
-                            span, "cancelled",
-                            reason=reason or "cancelled",
-                        )
-            user = self._dag_user(row["dag_id"])
-            dag = self._dag(row["dag_id"])
-            self.policy.refund(
-                user, charged_site or site, dag.job(job_id).requirements
-            )
             # Slot released, quota refunded, feedback updated: replan now.
             self._wakeup.set()
             if (self.config.max_attempts is not None
@@ -612,8 +588,6 @@ class SphinxServer:
                 raise RuntimeError(
                     f"job {job_id} exceeded {self.config.max_attempts} attempts"
                 )
-        else:
-            raise ValueError(f"unknown status {status!r}")
         self._flush_outbox()  # e.g. a dag-finished message from this report
         return "ok"
 
@@ -703,7 +677,7 @@ class SphinxServer:
         if plans is None:
             plans = self._plans_in_flight = deque(sorted(
                 (row["planned_at"], row["job_id"])
-                for state in (_JOB_PLANNED, _JOB_SUBMITTED)
+                for state in (JOB_PLANNED, JOB_SUBMITTED)
                 for row in jobs.select(where={"state": state}, copy=False)
                 if row["planned_at"] is not None
             ))
@@ -713,7 +687,7 @@ class SphinxServer:
             planned_at, job_id = plans[0]
             row = rows_get(job_id)
             if (row is not None and row["planned_at"] == planned_at
-                    and row["state"] in (_JOB_PLANNED, _JOB_SUBMITTED)):
+                    and row["state"] in (JOB_PLANNED, JOB_SUBMITTED)):
                 nearest = planned_at
                 break
             plans.popleft()
@@ -742,30 +716,29 @@ class SphinxServer:
     def _reduce_new_dags(self) -> None:
         dags = self.warehouse.table("dags")
         jobs = self.warehouse.table("jobs")
-        for row in dags.select(where={"state": _DAG_RECEIVED}):
+        for row in dags.select(where={"state": DAG_RECEIVED}, copy=False):
             dag_id = row["dag_id"]
-            dags.update(dag_id, state=DagState.REDUCING.value)
+            self._move(dags, row, DAG_REDUCING)
             dag = self._dag(dag_id)
             removable = self.reducer.removable_jobs(dag)
             for jid in removable:
-                jobs.update(jid, state=_JOB_REMOVED,
-                            finished_at=self.env.now)
+                self._move(jobs, jobs.get(jid, copy=False), JOB_REMOVED,
+                           finished_at=self.env.now)
             if self._trace and removable:
                 span = self._dag_spans.get(dag_id)
                 if span is not None:
                     self.obs.tracer.add_event(span, "reduced",
                                               removed_jobs=len(removable))
             if len(removable) == len(dag):
-                dags.update(dag_id, state=_DAG_FINISHED,
-                            finished_at=self.env.now)
+                self._move(dags, row, DAG_FINISHED, finished_at=self.env.now)
                 self._end_dag_span(dag_id, fully_reduced=True)
                 self._notify_dag_finished(row["client_id"], dag_id)
             else:
-                dags.update(dag_id, state=DagState.REDUCED.value)
-                dags.update(dag_id, state=_DAG_RUNNING)
+                self._move(dags, row, DAG_REDUCED)
+                self._move(dags, row, DAG_RUNNING)
                 self._done_changed(dag_id)
                 if self.config.reserve_ahead:
-                    self._reserve_dag_stages(dags.get(dag_id, copy=False))
+                    self._reserve_dag_stages(row)
 
     # -------------------------------------------------------------------- planner
     def _plan_ready_jobs(self) -> None:
@@ -786,7 +759,7 @@ class SphinxServer:
         running = []
         for dag_id in dirty:
             drow = dags.get(dag_id, copy=False)
-            if drow is not None and drow["state"] == _DAG_RUNNING:
+            if drow is not None and drow["state"] == DAG_RUNNING:
                 running.append(drow)
         # Serve higher-priority users first; FIFO within a priority.
         running.sort(
@@ -809,7 +782,7 @@ class SphinxServer:
             fully_planned = True
             for jid in ready:
                 jrow = rows_get(jid)
-                if jrow["state"] not in (_JOB_UNPLANNED, _JOB_CANCELLED):
+                if jrow["state"] not in (JOB_UNPLANNED, JOB_CANCELLED):
                     continue  # already planned/submitted
                 if not self._plan_job(drow, dag, jrow, declined):
                     fully_planned = False
@@ -907,8 +880,7 @@ class SphinxServer:
             group["jobs"].discard(job.job_id)
             group["claimed"] += 1
             self._job_reservations.pop(job.job_id, None)
-        jobs = self.warehouse.table("jobs")
-        # jrow may be the live row; read attempts before update mutates it.
+        # jrow is the live row: read it before the move mutates it.
         attempt = jrow["attempts"] + 1
         fraction = jrow["checkpoint_fraction"]
         runtime_s = job.runtime_s
@@ -919,9 +891,8 @@ class SphinxServer:
             self.checkpoint_restore_count += 1
             if self.obs.enabled:
                 self._m_ckpt_restores.inc()
-        jobs.update(
-            job.job_id,
-            state=_JOB_PLANNED,
+        self._move(
+            self.warehouse.table("jobs"), jrow, JOB_PLANNED,
             site=site,
             attempts=attempt,
             planned_at=self.env.now,
@@ -1039,7 +1010,7 @@ class SphinxServer:
         dags = self.warehouse.table("dags")
         slack = deadline_s - self.env.now
         moved = 0
-        for state in (_JOB_PLANNED, _JOB_SUBMITTED):
+        for state in (JOB_PLANNED, JOB_SUBMITTED):
             for row in jobs.select(where={"state": state}, copy=False):
                 if row["site"] != site:
                     continue
@@ -1051,7 +1022,7 @@ class SphinxServer:
                 ).runtime_s * (1.0 - row["checkpoint_fraction"])
                 elapsed = (
                     self.env.now - row["planned_at"]
-                    if state == _JOB_SUBMITTED and row["planned_at"] is not None
+                    if state == JOB_SUBMITTED and row["planned_at"] is not None
                     else 0.0
                 )
                 if runtime - elapsed <= slack:
@@ -1128,7 +1099,7 @@ class SphinxServer:
         for lvl in sorted(stages):
             stage_jobs = [
                 jid for jid in stages[lvl]
-                if jobs.get(jid, copy=False)["state"] == _JOB_UNPLANNED
+                if jobs.get(jid, copy=False)["state"] == JOB_UNPLANNED
             ]
             if not stage_jobs:
                 continue
@@ -1342,7 +1313,7 @@ class SphinxServer:
             prow = jobs.get(producer, copy=False)
             if prow is None or prow["state"] not in _JOB_DONE_STATES:
                 continue  # already re-running
-            if prow["state"] == _JOB_FINISHED and prow["site"] is not None:
+            if prow["state"] == JOB_FINISHED and prow["site"] is not None:
                 # A finished job still holds its quota charge; reverting
                 # it without the refund would leak usage at the site it
                 # finished on, once per regeneration.  (A REMOVED
@@ -1354,9 +1325,8 @@ class SphinxServer:
             # A REMOVED producer was skipped because its output existed
             # in the catalog at reduction time; the replica is gone now,
             # so the skipped work must actually run.
-            jobs.update(
-                producer,
-                state=JobState.CANCELLED.value,
+            self._move(
+                jobs, prow, JOB_CANCELLED,
                 last_status="regenerate",
                 site=None,
                 finished_at=None,
@@ -1384,13 +1354,18 @@ class SphinxServer:
         # prediction reads planned); O(1) invalidation per transition.
         self._stale.add(site)
 
-    def _release_active(self, row: dict, site: str) -> None:
-        """Drop a terminal job from the per-site active counters."""
-        if row["state"] == _JOB_SUBMITTED or \
-                row["last_status"] == "running":
-            self._count_transition(site, running=-1)
-        elif row["state"] == _JOB_PLANNED:
-            self._count_transition(site, planned=-1)
+    def _release_active(self, row: dict) -> None:
+        """Drop an in-flight job from its site's active counters."""
+        if row["state"] == JOB_SUBMITTED:
+            self._count_transition(row["site"], running=-1)
+        elif row["state"] == JOB_PLANNED:
+            self._count_transition(row["site"], planned=-1)
+
+    def _move(self, table, row: dict, new: str, **changes) -> None:
+        """Every server state write: the automaton's edge check, the
+        write, and the edge's transition counter."""
+        old = move(table, row, new, self.env.now, **changes)
+        self._m_transitions[table.name][old, new].inc()
 
     def _rebuild_site_counters(self) -> None:
         """Reconstruct counters from the jobs table (recovery path)."""
@@ -1399,14 +1374,14 @@ class SphinxServer:
             counters[0] = counters[1] = 0
         for row in self.warehouse.table("jobs").select(
             predicate=lambda r: r["state"] in (
-                _JOB_PLANNED, _JOB_SUBMITTED
+                JOB_PLANNED, JOB_SUBMITTED
             ),
             copy=False,
         ):
             site = row["site"]
             if site not in self._site_active:
                 continue
-            if row["last_status"] == "running":
+            if row["state"] == JOB_SUBMITTED:
                 self._count_transition(site, running=+1)
             else:
                 self._count_transition(site, planned=+1)
@@ -1420,10 +1395,9 @@ class SphinxServer:
             if rows_get(jid)["state"] not in _JOB_DONE_STATES:
                 return
         drow = dags.get(dag_id, copy=False)
-        if drow["state"] == _DAG_FINISHED:
+        if drow["state"] == DAG_FINISHED:
             return
-        dags.update(dag_id, state=_DAG_FINISHED,
-                    finished_at=self.env.now)
+        self._move(dags, drow, DAG_FINISHED, finished_at=self.env.now)
         self._end_dag_span(dag_id)
         self._notify_dag_finished(drow["client_id"], dag_id)
 
@@ -1544,46 +1518,51 @@ class SphinxServer:
         ate produces no further signal; after the window expires the
         server cancels it server-side and replans, exactly like a
         tracker cancellation but without a feedback penalty — the wire,
-        not the site, dropped the ball.  A straggler completion racing
-        the requeue is absorbed by the duplicate guard.
+        not the site, dropped the ball.  A straggler report from the
+        requeued attempt is stale, except a completion: that work is
+        kept (the first completion wins).
         """
         window = self.config.presume_lost_after_s
         now = self.env.now
         oldest = self._nearest_planned_at()
         if oldest is None or now - oldest < window:
             return  # every in-flight plan is younger than the window
-        jobs = self.warehouse.table("jobs")
-        for state in (_JOB_PLANNED, _JOB_SUBMITTED):
-            for row in jobs.select(where={"state": state}, copy=False):
+        for state in (JOB_PLANNED, JOB_SUBMITTED):
+            for row in self.warehouse.table("jobs").select(
+                where={"state": state}, copy=False
+            ):
                 planned_at = row["planned_at"]
-                if planned_at is None or now - planned_at < window:
-                    continue
-                job_id, site = row["job_id"], row["site"]
-                self._release_active(row, site)
-                jobs.update(
-                    job_id,
-                    state=_JOB_CANCELLED,
-                    last_status="presumed-lost",
-                    site=None,
-                )
-                self._dirty_dags.add(row["dag_id"])
-                self.resubmission_count += 1
-                user = self._dag_user(row["dag_id"])
-                dag = self._dag(row["dag_id"])
-                self.policy.refund(user, site, dag.job(job_id).requirements)
-                if self.obs.enabled:
-                    self._m_resubmissions.inc()
-                    self.obs.metrics.counter(
-                        "server.cancellations", server=self.config.name,
-                        reason="presumed-lost",
-                    ).inc()
-                    self._ready_since[job_id] = now
-                    if self._trace:
-                        span = self._job_spans.pop(job_id, None)
-                        if span is not None:
-                            self.obs.tracer.end_span(
-                                span, "cancelled", reason="presumed-lost"
-                            )
+                if planned_at is not None and now - planned_at >= window:
+                    self._requeue_job(row, "presumed-lost")
+
+    def _requeue_job(self, row: dict, reason: str, **changes) -> None:
+        """Hand an in-flight job back to the planner.
+
+        The one requeue path, shared by cancelled reports and the
+        presumed-lost backstop: the site's slot and the quota charge
+        come back, the job moves to CANCELLED with ``changes``, and its
+        dag replans.  Feedback is the caller's call.
+        """
+        job_id, site, dag_id = row["job_id"], row["site"], row["dag_id"]
+        self._release_active(row)
+        self._move(self.warehouse.table("jobs"), row, JOB_CANCELLED,
+                   last_status=reason, site=None, **changes)
+        self._dirty_dags.add(dag_id)
+        self.resubmission_count += 1
+        self.policy.refund(self._dag_user(dag_id), site,
+                           self._dag(dag_id).job(job_id).requirements)
+        if self.obs.enabled:
+            self._m_resubmissions.inc()
+            self.obs.metrics.counter(
+                "server.cancellations", server=self.config.name,
+                reason=reason,
+            ).inc()
+            self._ready_since[job_id] = self.env.now
+            if self._trace:
+                span = self._job_spans.pop(job_id, None)
+                if span is not None:
+                    self.obs.tracer.end_span(span, "cancelled",
+                                             reason=reason)
 
     def _dag(self, dag_id: str) -> Dag:
         dag = self._dag_cache.get(dag_id)
@@ -1601,7 +1580,7 @@ class SphinxServer:
         """dag_id -> completion seconds for every finished DAG."""
         out = {}
         for row in self.warehouse.table("dags").select(
-            where={"state": _DAG_FINISHED}, copy=False
+            where={"state": DAG_FINISHED}, copy=False
         ):
             out[row["dag_id"]] = row["finished_at"] - row["received_at"]
         return out
@@ -1610,7 +1589,7 @@ class SphinxServer:
         return tuple(
             r["dag_id"]
             for r in self.warehouse.table("dags").select(
-                predicate=lambda r: r["state"] != _DAG_FINISHED, copy=False
+                predicate=lambda r: r["state"] != DAG_FINISHED, copy=False
             )
         )
 
@@ -1618,7 +1597,7 @@ class SphinxServer:
         """site -> completed-job count (Fig. 6 series)."""
         counts: dict[str, int] = {}
         for row in self.warehouse.table("jobs").select(
-            where={"state": _JOB_FINISHED}, copy=False
+            where={"state": JOB_FINISHED}, copy=False
         ):
             if row["site"] is not None:
                 counts[row["site"]] = counts.get(row["site"], 0) + 1

@@ -6,24 +6,30 @@ allocation to the jobs in the DAG."  Each server module owns one or two
 transitions; the control process wakes the module responsible for
 whatever state an entity is in.
 
-DAG automaton::
+The edges, as :data:`EDGES` holds them.  DAG automaton::
 
     RECEIVED -> REDUCING -> REDUCED -> RUNNING -> FINISHED
+    REDUCING -> FINISHED                      every job reduced away
 
 Job automaton::
 
-    UNPLANNED -> READY -> PLANNED -> SUBMITTED -> FINISHED
-        ^                    |           |            |
-        |  (replan after     v           v            | (output lost:
-        +---- cancel) --- CANCELLED <----+------------+  re-derive)
-    (REMOVED: eliminated by the DAG reducer, terminal)
+    UNPLANNED -> PLANNED -> SUBMITTED -> FINISHED   the happy path
+    UNPLANNED -> REMOVED                            reduced away
+    PLANNED | SUBMITTED -> CANCELLED -> PLANNED     fail, then replan
+    PLANNED | CANCELLED -> FINISHED                 completion, see below
+    FINISHED | REMOVED -> CANCELLED                 output lost: re-derive
 
-FINISHED is *almost* terminal: when a finished job's output loses its
-last live replica (the site holding it died for good), the virtual-data
-model says the file can simply be re-derived — the server reverts the
-producer to CANCELLED and replans it.
+Readiness (parents done) is computed by the planner, not stored.
+PLANNED -> FINISHED is a completion whose running report never came,
+or a superseded attempt's; CANCELLED -> FINISHED is a completion that
+outlived its attempt's requeue.  Completed work is kept, never re-run.
+FINISHED and REMOVED are *almost* terminal: when a job's output loses
+its last live replica, the virtual-data model re-derives it, so the
+server sends the producer back to CANCELLED and replans it.
 
-Transitions are validated: an illegal move raises
+:data:`EDGES` is the whole automaton, keyed by table name because
+``"finished"`` is a state of both tables.  Every state write the server
+makes goes through :func:`move`; an edge the table lacks raises
 :class:`IllegalTransitionError`, which in a scheduler is always a logic
 bug worth failing loudly on.
 """
@@ -31,8 +37,10 @@ bug worth failing loudly on.
 from __future__ import annotations
 
 import enum
+from typing import Any
 
-__all__ = ["DagState", "JobState", "IllegalTransitionError"]
+__all__ = ["DagState", "JobState", "IllegalTransitionError", "EDGES",
+           "move"]
 
 
 class IllegalTransitionError(RuntimeError):
@@ -46,58 +54,63 @@ class DagState(enum.Enum):
     RUNNING = "running"      # jobs being planned/executed
     FINISHED = "finished"    # every job finished (or removed)
 
-    @property
-    def terminal(self) -> bool:
-        return self is DagState.FINISHED
-
-
-_DAG_EDGES = {
-    DagState.RECEIVED: {DagState.REDUCING},
-    DagState.REDUCING: {DagState.REDUCED, DagState.FINISHED},
-    DagState.REDUCED: {DagState.RUNNING},
-    DagState.RUNNING: {DagState.FINISHED},
-    DagState.FINISHED: set(),
-}
-
 
 class JobState(enum.Enum):
-    UNPLANNED = "unplanned"  # waiting for input availability
-    READY = "ready"          # inputs available; awaiting a site decision
+    UNPLANNED = "unplanned"  # never planned yet
     PLANNED = "planned"      # site chosen; plan sent to the client
     SUBMITTED = "submitted"  # client staged data and handed to Condor-G
     FINISHED = "finished"    # completed; outputs registered
-    CANCELLED = "cancelled"  # failed / timed out; awaiting replan
+    CANCELLED = "cancelled"  # failed / timed out / lost; awaiting replan
     REMOVED = "removed"      # eliminated by the DAG reducer
 
-    @property
-    def terminal(self) -> bool:
-        """Done for dependency purposes (a FINISHED job may still be
-        re-derived later if its output is lost)."""
-        return self in (JobState.FINISHED, JobState.REMOVED)
 
-    @property
-    def active(self) -> bool:
-        """Counts toward a site's SPHINX-local load (eqs. 1-2)."""
-        return self in (JobState.PLANNED, JobState.SUBMITTED)
+# The stored values.  Enum ``.value`` lookups cost a descriptor call
+# each and the control loop compares states hundreds of thousands of
+# times per run, so readers compare against these strings.
+JOB_UNPLANNED = JobState.UNPLANNED.value
+JOB_PLANNED = JobState.PLANNED.value
+JOB_SUBMITTED = JobState.SUBMITTED.value
+JOB_FINISHED = JobState.FINISHED.value
+JOB_CANCELLED = JobState.CANCELLED.value
+JOB_REMOVED = JobState.REMOVED.value
+DAG_RECEIVED = DagState.RECEIVED.value
+DAG_REDUCING = DagState.REDUCING.value
+DAG_REDUCED = DagState.REDUCED.value
+DAG_RUNNING = DagState.RUNNING.value
+DAG_FINISHED = DagState.FINISHED.value
 
-
-_JOB_EDGES = {
-    JobState.UNPLANNED: {JobState.READY, JobState.REMOVED},
-    JobState.READY: {JobState.PLANNED},
-    JobState.PLANNED: {JobState.SUBMITTED, JobState.CANCELLED,
-                       JobState.FINISHED},
-    JobState.SUBMITTED: {JobState.FINISHED, JobState.CANCELLED},
-    JobState.CANCELLED: {JobState.READY},
-    JobState.FINISHED: {JobState.CANCELLED},  # lost output: re-derive
-    JobState.REMOVED: {JobState.CANCELLED},   # reduced away, then lost
+#: table name -> stored state -> the states it may move to
+EDGES: dict[str, dict[str, frozenset[str]]] = {
+    "jobs": {
+        JOB_UNPLANNED: frozenset({JOB_PLANNED, JOB_REMOVED}),
+        JOB_PLANNED: frozenset({JOB_SUBMITTED, JOB_CANCELLED, JOB_FINISHED}),
+        JOB_SUBMITTED: frozenset({JOB_FINISHED, JOB_CANCELLED}),
+        JOB_CANCELLED: frozenset({JOB_PLANNED, JOB_FINISHED}),
+        JOB_FINISHED: frozenset({JOB_CANCELLED}),
+        JOB_REMOVED: frozenset({JOB_CANCELLED}),
+    },
+    "dags": {
+        DAG_RECEIVED: frozenset({DAG_REDUCING}),
+        DAG_REDUCING: frozenset({DAG_REDUCED, DAG_FINISHED}),
+        DAG_REDUCED: frozenset({DAG_RUNNING}),
+        DAG_RUNNING: frozenset({DAG_FINISHED}),
+        DAG_FINISHED: frozenset(),
+    },
 }
 
 
-def check_dag_transition(old: DagState, new: DagState) -> None:
-    if new not in _DAG_EDGES[old]:
-        raise IllegalTransitionError(f"dag cannot move {old.value} -> {new.value}")
+def move(table, row: dict, new: str, now: float, **changes: Any) -> str:
+    """Move ``row`` of ``table`` to state ``new``, writing ``changes``
+    with it; returns the state it left.
 
-
-def check_job_transition(old: JobState, new: JobState) -> None:
-    if new not in _JOB_EDGES[old]:
-        raise IllegalTransitionError(f"job cannot move {old.value} -> {new.value}")
+    ``row`` must be the live row (``copy=False``): its ``state`` is the
+    edge's origin.  ``now`` is the sim time, for the error message.
+    """
+    old = row["state"]
+    if new not in EDGES[table.name].get(old, ()):
+        raise IllegalTransitionError(
+            f"{table.name} {row[table.key]!r} cannot move {old} -> {new} "
+            f"(t={now})"
+        )
+    table.update(row[table.key], state=new, **changes)
+    return old

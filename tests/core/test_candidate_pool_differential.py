@@ -168,8 +168,8 @@ class Rig:
             extra["completion_time_s"] = 30.0 + 7.0 * k
         elif kind == "cancelled":
             extra["reason"] = ("timeout", None, "evicted")[k % 3]
-        self.server._rpc_report_status(row["job_id"], kind, row["site"],
-                                       **extra)
+        self.server._rpc_report_status(row["job_id"], row["attempts"],
+                                       kind, row["site"], **extra)
 
     def site_state(self, i, state):
         self.grid.site(self.sites[i]).set_state(state)

@@ -53,7 +53,7 @@ def test_crash_mid_migration_resolves_to_a_clean_requeue():
     st.submit(one_job("m", runtime_s=600.0), user=QUSER)
     st.server.tick()
     site = st.server.warehouse.table("jobs").get("m.a")["site"]
-    st.server._rpc_report_status("m.a", "running", site)
+    st.server._rpc_report_status("m.a", 1, "running", site)
     # A 10s notice window against 600s of remaining work: migrate.
     st.server.drain_notice(site, deadline_s=st.env.now + 10.0)
     assert st.server.migration_count == 1
@@ -73,7 +73,7 @@ def test_crash_mid_migration_resolves_to_a_clean_requeue():
     # The dying attempt's kill report straggles in post-recovery: a
     # duplicate against the requeued row, never a second refund.
     assert server2._rpc_report_status(
-        "m.a", "cancelled", site, reason="evicted", checkpointed_fraction=0.5
+        "m.a", 1, "cancelled", site, reason="evicted", checkpointed_fraction=0.5
     ) == "duplicate"
     assert server2.policy.used(QUSER, site, "slots") == 0.0
     # The recovered incarnation finishes the work normally.
@@ -82,7 +82,7 @@ def test_crash_mid_migration_resolves_to_a_clean_requeue():
     server2.tick()
     row = server2.warehouse.table("jobs").get("m.a")
     assert row["state"] == JobState.PLANNED.value
-    server2._rpc_report_status("m.a", "completed", row["site"],
+    server2._rpc_report_status("m.a", 2, "completed", row["site"],
                                completion_time_s=600.0)
     report = audit(st, server2)
     assert report.ok, report.format_text()
@@ -93,8 +93,8 @@ def test_drain_notice_after_completion_is_a_noop():
     st.submit(one_job("f", runtime_s=30.0), user=QUSER)
     st.server.tick()
     site = st.server.warehouse.table("jobs").get("f.a")["site"]
-    st.server._rpc_report_status("f.a", "running", site)
-    st.server._rpc_report_status("f.a", "completed", site,
+    st.server._rpc_report_status("f.a", 1, "running", site)
+    st.server._rpc_report_status("f.a", 1, "completed", site,
                                  completion_time_s=30.0)
     resubs = st.server.resubmission_count
     st.server.drain_notice(site, deadline_s=st.env.now + 5.0)

@@ -67,16 +67,16 @@ def test_killed_running_job_refunds_charged_site_exactly_once():
     st.server.tick()
     site = planned_site(st, "k.a")
     assert usage(st, site) == 1.0  # the plan charged the site
-    st.server._rpc_report_status("k.a", "running", site)
+    st.server._rpc_report_status("k.a", 1, "running", site)
     assert st.server._rpc_report_status(
-        "k.a", "cancelled", site, reason="evicted", lost_work_s=12.5
+        "k.a", 1, "cancelled", site, reason="evicted", lost_work_s=12.5
     ) == "ok"
     assert usage(st, site) == 0.0
     assert st.server.preempted_work_s == 12.5
     # The tracker's kill report raced the client's: the replay must be
     # swallowed, not refunded again (usage would go negative).
     assert st.server._rpc_report_status(
-        "k.a", "cancelled", site, reason="evicted"
+        "k.a", 1, "cancelled", site, reason="evicted"
     ) == "duplicate"
     assert usage(st, site) == 0.0
 
@@ -89,7 +89,7 @@ def test_killed_planned_job_refunds_without_a_running_report():
     st.server.tick()
     site = planned_site(st, "k.a")
     assert usage(st, site) == 1.0
-    st.server._rpc_report_status("k.a", "cancelled", site, reason="evicted")
+    st.server._rpc_report_status("k.a", 1, "cancelled", site, reason="evicted")
     assert usage(st, site) == 0.0
 
 
@@ -98,12 +98,12 @@ def test_killed_job_never_trains_the_estimator():
     st.submit(one_job(), user=QUSER)
     st.server.tick()
     site = planned_site(st, "k.a")
-    st.server._rpc_report_status("k.a", "running", site)
+    st.server._rpc_report_status("k.a", 1, "running", site)
     before = st.server.estimator.snapshot()
     # A buggy tracker stamps a completion time onto the kill report;
     # neither the estimator nor the warehouse row may absorb it.
     st.server._rpc_report_status(
-        "k.a", "cancelled", site, completion_time_s=999.0, reason="evicted"
+        "k.a", 1, "cancelled", site, completion_time_s=999.0, reason="evicted"
     )
     assert st.server.estimator.snapshot() == before
     row = st.server.warehouse.table("jobs").get("k.a")
@@ -113,7 +113,7 @@ def test_killed_job_never_trains_the_estimator():
     st.server.tick()
     site = planned_site(st, "k.a")
     st.server._rpc_report_status(
-        "k.a", "completed", site, completion_time_s=30.0
+        "k.a", 2, "completed", site, completion_time_s=30.0
     )
     assert st.server.estimator.snapshot() != before
 
@@ -126,13 +126,13 @@ def test_regenerated_producer_refunds_its_held_charge():
     st.submit(chain2(), user=QUSER)
     st.server.tick()
     a_site = planned_site(st, "k.a")
-    st.server._rpc_report_status("k.a", "completed", a_site,
+    st.server._rpc_report_status("k.a", 1, "completed", a_site,
                                  completion_time_s=30.0)
     assert usage(st, a_site) == 1.0  # FINISHED still holds the slot
     st.server.tick()
     b_site = planned_site(st, "k.b")
     assert total_usage(st) == 2.0
-    st.server._rpc_report_status("k.b", "cancelled", b_site,
+    st.server._rpc_report_status("k.b", 1, "cancelled", b_site,
                                  reason="stage-in", missing=["k.a.out"])
     # Both the consumer's charge and the reverted producer's came back.
     assert total_usage(st) == 0.0
@@ -140,6 +140,6 @@ def test_regenerated_producer_refunds_its_held_charge():
     # A replayed stage-in report is a duplicate: no double revert, no
     # double refund.
     assert st.server._rpc_report_status(
-        "k.b", "cancelled", b_site, reason="stage-in", missing=["k.a.out"]
+        "k.b", 1, "cancelled", b_site, reason="stage-in", missing=["k.a.out"]
     ) == "duplicate"
     assert total_usage(st) == 0.0

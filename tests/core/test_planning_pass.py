@@ -190,11 +190,11 @@ def test_retry_only_dag_reuses_its_ready_set(monkeypatch):
     assert stack.server._ready == {"d0": ("d0.a",)}
     stack.server.tick()
     assert computed == ["d0"]  # reused, not recomputed
-    stack.server._rpc_report_status("probe.0", "completed", "s0", 30.0)
+    stack.server._rpc_report_status("probe.0", 1, "completed", "s0", 30.0)
     stack.server.tick()  # s0 sampled now: d0.a plans, d0 leaves the dirty set
     assert stack.job_state("d0.a") == JobState.PLANNED.value
     assert stack.server._ready == {}
-    stack.server._rpc_report_status("d0.a", "completed", "s0", 30.0)
+    stack.server._rpc_report_status("d0.a", 1, "completed", "s0", 30.0)
     stack.server.tick()
     assert stack.job_state("d0.b") == JobState.PLANNED.value
     assert computed == ["d0", "d0"]
@@ -216,7 +216,7 @@ def test_a_completion_drops_the_kept_ready_set():
     stack.server.tick()
     assert stack.job_state("d.a") == JobState.PLANNED.value
     assert stack.server._ready == {"d": ("d.a", "d.x")}
-    stack.server._rpc_report_status("d.a", "completed", "s0", 30.0)
+    stack.server._rpc_report_status("d.a", 1, "completed", "s0", 30.0)
     assert stack.server._ready == {}
     stack.server.tick()
     assert stack.server._ready == {"d": ("d.x", "d.b")}

@@ -84,8 +84,8 @@ def test_a_replanned_and_a_recovered_job_are_found_without_a_hook():
         (0.0, "d0.a"), (0.0, "d0.b"), (20.0, "d1.a"), (20.0, "d1.b")]
     for job_id in ("d0.a", "d0.b"):
         row = server.warehouse.table("jobs").get(job_id)
-        server._rpc_report_status(job_id, "cancelled", row["site"],
-                                  reason="timeout")
+        server._rpc_report_status(job_id, row["attempts"], "cancelled",
+                                  row["site"], reason="timeout")
     rig.advance(10.0)                       # the woken pass replans both, t=20
     # their t=0 entries are stale (same row, newer planned_at) and are
     # dropped as they reach the front

@@ -70,7 +70,7 @@ def test_dag_finished_notifications_survive():
     dag = Dag("f", [Job("f.a", outputs=(lf("f.out"),))])
     st.server._rpc_submit_dag("c0", "/VO=v/CN=u", dag_to_payload(dag))
     st.server.tick()
-    st.server._rpc_report_status("f.a", "completed", "s0", 10.0)
+    st.server._rpc_report_status("f.a", 1, "completed", "s0", 10.0)
     server2 = recover(st, st.server.checkpoint())
     kinds = [r["kind"] for r in server2.warehouse.table("outbox")]
     assert "dag-finished" in kinds  # idempotent; redelivered

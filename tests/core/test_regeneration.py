@@ -26,10 +26,10 @@ class TestServerRegeneration:
         st = Stack()
         st.submit(chain2())
         st.server.tick()
-        st.server._rpc_report_status("r.a", "completed", "s0", 10.0)
+        st.server._rpc_report_status("r.a", 1, "completed", "s0", 10.0)
         st.server.tick()  # b planned
         st.server._rpc_report_status(
-            "r.b", "cancelled", "s1", reason="stage-in",
+            "r.b", 1, "cancelled", "s1", reason="stage-in",
             missing=["r.a.out"],
         )
         row = st.server.warehouse.table("jobs").get("r.a")
@@ -48,7 +48,7 @@ class TestServerRegeneration:
         st.submit(chain2())
         st.server.tick()
         st.server._rpc_report_status(
-            "r.a", "cancelled", "s0", reason="stage-in",
+            "r.a", 1, "cancelled", "s0", reason="stage-in",
             missing=["r.raw"],  # external: no producer
         )
         assert st.server.regeneration_count == 0
@@ -57,17 +57,17 @@ class TestServerRegeneration:
         st = Stack()
         st.submit(chain2())
         st.server.tick()
-        st.server._rpc_report_status("r.a", "completed", "s0", 10.0)
+        st.server._rpc_report_status("r.a", 1, "completed", "s0", 10.0)
         st.server.tick()
         st.server._rpc_report_status(
-            "r.b", "cancelled", "s1", reason="stage-in",
+            "r.b", 1, "cancelled", "s1", reason="stage-in",
             missing=["r.a.out"],
         )
         # Second report for the same missing file: no double-revert.
-        st.server._rpc_report_status("r.b", "running", "s1")  # stale noise
+        st.server._rpc_report_status("r.b", 1, "running", "s1")  # stale noise
         st.server.tick()
         st.server._rpc_report_status(
-            "r.b", "cancelled", "s1", reason="stage-in",
+            "r.b", 2, "cancelled", "s1", reason="stage-in",
             missing=["r.a.out"],
         ) if st.server.warehouse.table("jobs").get("r.b")["state"] == \
             JobState.PLANNED.value else None
@@ -83,7 +83,7 @@ class TestServerRegeneration:
         assert st.server.warehouse.table("jobs").get("r.a")["state"] == \
             JobState.REMOVED.value
         st.server._rpc_report_status(
-            "r.b", "cancelled", "s1", reason="stage-in",
+            "r.b", 1, "cancelled", "s1", reason="stage-in",
             missing=["r.a.out"],
         )
         assert st.server.warehouse.table("jobs").get("r.a")["state"] == \

@@ -148,7 +148,7 @@ def test_completion_unlocks_children():
     st = Stack()
     st.submit(chain_dag())
     st.server.tick()
-    st.server._rpc_report_status("d0.a", "completed", "s0",
+    st.server._rpc_report_status("d0.a", 1, "completed", "s0",
                                  completion_time_s=100.0)
     assert st.job_state("d0.a") == JobState.FINISHED.value
     st.server.tick()
@@ -159,9 +159,9 @@ def test_dag_finishes_and_notifies():
     st = Stack()
     st.submit(chain_dag())
     st.server.tick()
-    st.server._rpc_report_status("d0.a", "completed", "s0", 10.0)
+    st.server._rpc_report_status("d0.a", 1, "completed", "s0", 10.0)
     st.server.tick()
-    st.server._rpc_report_status("d0.b", "completed", "s1", 10.0)
+    st.server._rpc_report_status("d0.b", 1, "completed", "s1", 10.0)
     assert st.dag_state("d0") == DagState.FINISHED.value
     kinds = [m["kind"] for m in st.drain()]
     assert "dag-finished" in kinds
@@ -173,7 +173,7 @@ def test_cancellation_replans_next_tick():
     st.submit(chain_dag())
     st.server.tick()
     st.drain()
-    st.server._rpc_report_status("d0.a", "cancelled", "s0", reason="timeout")
+    st.server._rpc_report_status("d0.a", 1, "cancelled", "s0", reason="timeout")
     assert st.job_state("d0.a") == JobState.CANCELLED.value
     assert st.server.resubmission_count == 1
     assert st.server.timeout_count == 1
@@ -190,7 +190,7 @@ def test_feedback_excludes_unreliable_site():
     # Poison s0 badly.
     for _ in range(3):
         st.server.feedback.record_cancellation("s0")
-    st.server._rpc_report_status("d0.a", "cancelled", "s1", reason="killed")
+    st.server._rpc_report_status("d0.a", 1, "cancelled", "s1", reason="killed")
     planned_sites = set()
     for _ in range(6):
         st.server.tick()
@@ -198,7 +198,8 @@ def test_feedback_excludes_unreliable_site():
         if row["site"]:
             planned_sites.add(row["site"])
         if row["state"] == JobState.PLANNED.value:
-            st.server._rpc_report_status("d0.a", "cancelled", row["site"],
+            st.server._rpc_report_status("d0.a", row["attempts"],
+                                         "cancelled", row["site"],
                                          reason="killed")
     assert "s0" not in planned_sites
 
@@ -214,7 +215,8 @@ def test_without_feedback_unreliable_sites_stay_in_pool():
         row = st.server.warehouse.table("jobs").get("d0.a")
         if row["state"] == JobState.PLANNED.value:
             sites.add(row["site"])
-            st.server._rpc_report_status("d0.a", "cancelled", row["site"])
+            st.server._rpc_report_status("d0.a", row["attempts"],
+                                         "cancelled", row["site"])
     assert "s0" in sites
 
 
@@ -223,7 +225,7 @@ def test_stage_in_cancel_with_missing_source_does_not_poison_feedback():
     st = Stack()
     st.submit(chain_dag())
     st.server.tick()
-    st.server._rpc_report_status("d0.a", "cancelled", "s0", reason="stage-in",
+    st.server._rpc_report_status("d0.a", 1, "cancelled", "s0", reason="stage-in",
                                  missing=["lost.lfn"])
     assert st.server.feedback.cancelled("s0") == 0
     assert st.server.stage_in_failures == 1
@@ -237,7 +239,7 @@ def test_stage_in_cancel_at_destination_penalizes_site_in_push_mode():
     st = Stack()
     st.submit(chain_dag())
     st.server.tick()
-    st.server._rpc_report_status("d0.a", "cancelled", "s0", reason="stage-in")
+    st.server._rpc_report_status("d0.a", 1, "cancelled", "s0", reason="stage-in")
     assert st.server.feedback.cancelled("s0") == 1
     assert st.server.stage_in_failures == 1
     assert st.server.resubmission_count == 1
@@ -250,10 +252,10 @@ def test_running_report_moves_to_submitted_and_counters():
     row = st.server.warehouse.table("jobs").get("d0.a")
     site = row["site"]
     assert st.server._site_active[site] == [1, 0]
-    st.server._rpc_report_status("d0.a", "running", site)
+    st.server._rpc_report_status("d0.a", 1, "running", site)
     assert st.job_state("d0.a") == JobState.SUBMITTED.value
     assert st.server._site_active[site] == [0, 1]
-    st.server._rpc_report_status("d0.a", "completed", site, 50.0)
+    st.server._rpc_report_status("d0.a", 1, "completed", site, 50.0)
     assert st.server._site_active[site] == [0, 0]
 
 
@@ -261,34 +263,36 @@ def test_duplicate_reports_are_idempotent():
     st = Stack()
     st.submit(chain_dag())
     st.server.tick()
-    st.server._rpc_report_status("d0.a", "completed", "s0", 10.0)
-    assert st.server._rpc_report_status("d0.a", "completed", "s0", 10.0) == \
+    st.server._rpc_report_status("d0.a", 1, "completed", "s0", 10.0)
+    assert st.server._rpc_report_status("d0.a", 1, "completed", "s0", 10.0) == \
         "duplicate"
     assert st.server.feedback.completed("s0") == 1
-    st.server._rpc_report_status("d0.b", "cancelled", "s0")
-    assert st.server._rpc_report_status("d0.b", "cancelled", "s0") == \
+    st.server.tick()
+    site = st.server.warehouse.table("jobs").get("d0.b")["site"]
+    st.server._rpc_report_status("d0.b", 1, "cancelled", site)
+    assert st.server._rpc_report_status("d0.b", 1, "cancelled", site) == \
         "duplicate"
-    assert st.server.feedback.cancelled("s0") == 1
+    assert st.server.feedback.cancelled(site) == 1
 
 
 def test_unknown_job_report_raises():
     st = Stack()
     with pytest.raises(KeyError):
-        st.server._rpc_report_status("ghost", "completed", "s0", 1.0)
+        st.server._rpc_report_status("ghost", 1, "completed", "s0", 1.0)
 
 
 def test_unknown_status_raises():
     st = Stack()
     st.submit(chain_dag())
     with pytest.raises(ValueError):
-        st.server._rpc_report_status("d0.a", "exploded", "s0")
+        st.server._rpc_report_status("d0.a", 1, "exploded", "s0")
 
 
 def test_completion_feeds_estimator():
     st = Stack()
     st.submit(chain_dag())
     st.server.tick()
-    st.server._rpc_report_status("d0.a", "completed", "s2", 123.0)
+    st.server._rpc_report_status("d0.a", 1, "completed", "s2", 123.0)
     assert st.server.estimator.average_s("s2") == 123.0
 
 
@@ -301,7 +305,7 @@ def test_cancelled_report_never_feeds_estimator():
     st.submit(chain_dag())
     st.server.tick()
     st.drain()
-    st.server._rpc_report_status("d0.a", "cancelled", "s0", reason="killed")
+    st.server._rpc_report_status("d0.a", 1, "cancelled", "s0", reason="killed")
     assert st.server.estimator.average_s("s0") is None
     assert st.server.jobs_per_site().get("s0", 0) == 0
 
@@ -361,7 +365,7 @@ def test_cancel_refunds_quota():
     st.server.tick()
     site = st.server.warehouse.table("jobs").get("q.a")["site"]
     assert st.server.policy.used(user, site, "cpu_seconds") == 60.0
-    st.server._rpc_report_status("q.a", "cancelled", site, reason="killed")
+    st.server._rpc_report_status("q.a", 1, "cancelled", site, reason="killed")
     assert st.server.policy.used(user, site, "cpu_seconds") == 0.0
 
 
@@ -369,10 +373,10 @@ def test_max_attempts_safety_valve():
     st = Stack(max_attempts=2)
     st.submit(chain_dag())
     st.server.tick()  # attempt 1
-    st.server._rpc_report_status("d0.a", "cancelled", "s0")
+    st.server._rpc_report_status("d0.a", 1, "cancelled", "s0")
     st.server.tick()  # attempt 2
     with pytest.raises(RuntimeError, match="attempts"):
-        st.server._rpc_report_status("d0.a", "cancelled", "s1")
+        st.server._rpc_report_status("d0.a", 2, "cancelled", "s1")
 
 
 def test_shutdown_unregisters_and_halts():
@@ -387,9 +391,9 @@ def test_jobs_per_site_counts_completions():
     st = Stack()
     st.submit(chain_dag())
     st.server.tick()
-    st.server._rpc_report_status("d0.a", "completed", "s0", 10.0)
+    st.server._rpc_report_status("d0.a", 1, "completed", "s0", 10.0)
     st.server.tick()
     row = st.server.warehouse.table("jobs").get("d0.b")
-    st.server._rpc_report_status("d0.b", "completed", row["site"], 10.0)
+    st.server._rpc_report_status("d0.b", 1, "completed", row["site"], 10.0)
     counts = st.server.jobs_per_site()
     assert sum(counts.values()) == 2

@@ -76,9 +76,9 @@ DRILLS = {
                    lambda: make_plan("spot-eviction", 42),
                    (6327, 177, "3270.559366809381")),
     "fig2-crash": (fig2, lambda: make_plan("crash", 1),
-                   (8238, 377, "5343.543163697071")),
+                   (19162, 385, "11572.815926701765")),
     "fig2-full": (fig2, lambda: make_plan("full", 1),
-                  (15891, 415, "8958.540737672542")),
+                  (16318, 419, "8817.338148929077")),
     "fed3-shard-outage": (fed3_staggered,
                           lambda: make_plan("shard-outage", 0),
                           (6168, 1068, "2764.971448554266")),

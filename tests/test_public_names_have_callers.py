@@ -19,10 +19,6 @@ CALLER_DIRS = ("src", "examples", "benchmarks")
 ALLOWED = {
     # the CLI entry point: its caller is ``python -m repro``
     "repro.cli.main",
-    # the job and dag automatons' guards; ROADMAP item 10 decides
-    # whether the server enforces them or they go
-    "repro.core.states.check_dag_transition",
-    "repro.core.states.check_job_transition",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
