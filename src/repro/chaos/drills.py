@@ -6,8 +6,9 @@
 
 * build the (possibly fault-injecting) RPC bus for the run;
 * contribute the ``ServerConfig`` fields that make a server survive
-  the plan — transactional outbox delivery and the presumed-lost
-  requeue window when the transport or a client can eat messages;
+  the plan — the presumed-lost requeue window when the transport, a
+  crash or an eviction can eat messages (outbox delivery is always
+  transactional, so it needs no arming);
 * run the drills: kill servers (warehouse image at the crash instant
   -> ``shutdown`` -> ``recover_server`` from that image under the
   same service name) and clients (``crash``/``restart``) at
@@ -80,18 +81,10 @@ class ChaosController:
                 job_checkpoint_interval_s=plan.job_checkpoint_interval_s,
                 job_checkpoint_cost_s=plan.job_checkpoint_cost_s,
             )
-        needs_redelivery = plan.transport_active or any(
-            c.component == "client" for c in plan.crashes
-        )
-        if needs_redelivery:
-            fields["reliable_delivery"] = True
-        if needs_redelivery or plan.crashes or plan.eviction_active:
-            window = plan.presume_lost_after_s
-            if window is None:
-                # Past the client's own timeout + a healthy grace for
-                # backoff/retry storms, a silent job is a lost message.
-                window = job_timeout_s + 900.0
-            fields["presume_lost_after_s"] = window
+        if plan.transport_active or plan.crashes or plan.eviction_active:
+            # Past the client's own timeout + a healthy grace for
+            # backoff/retry storms, a silent job is a lost message.
+            fields["presume_lost_after_s"] = job_timeout_s + 900.0
         return fields
 
     def register(self, label: str, server=None, client=None,

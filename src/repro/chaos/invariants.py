@@ -18,7 +18,7 @@ promises (and the ones our at-least-once implementation documents):
   requeue/cancel path must have refunded exactly once;
 * **referential integrity** — every job row belongs to a known DAG,
   the job set per DAG matches its payload, executed sites exist;
-* **delivery** — with transactional delivery, the outbox drained;
+* **delivery** — every outbox row acked and deleted (the outbox drained);
 * **obs self-consistency** — when observability is on, the RPC call
   counter agrees with the bus's own count (the two are incremented on
   independent paths).
@@ -299,13 +299,12 @@ def check_invariants(servers: dict, clients: dict, bus, scenario,
                 ))
 
         # -- delivery ------------------------------------------------------
-        if server.config.reliable_delivery:
-            left = len(server.warehouse.table("outbox"))
-            if left:
-                out.append(Violation(
-                    "outbox-drained", label, "outbox",
-                    f"{left} undelivered messages at run end",
-                ))
+        left = len(server.warehouse.table("outbox"))
+        if left:
+            out.append(Violation(
+                "outbox-drained", label, "outbox",
+                f"{left} undelivered messages at run end",
+            ))
 
     # -- reservation conservation (site side) -----------------------------
     if grid is not None:

@@ -159,9 +159,6 @@ class ChaosPlan:
     #: stochastic site failures: MTBF (None = off) and MTTR
     site_mtbf_s: Optional[float] = None
     site_mttr_s: float = 1800.0
-    #: server-side presumed-lost window; None = derive from the
-    #: scenario's job timeout (timeout + grace), the safe default
-    presume_lost_after_s: Optional[float] = None
     #: spot-style evictions (resource layer): scripted drain events
     #: and/or a stochastic per-site eviction storm (MTBF; None = off).
     site_evictions: tuple[EvictionEvent, ...] = ()
@@ -178,9 +175,8 @@ class ChaosPlan:
 
     def __post_init__(self) -> None:
         require_positive(self, "site_mttr_s", "eviction_outage_s", *(
-            name for name in ("site_mtbf_s", "presume_lost_after_s",
-                              "eviction_mtbf_s")
-            if getattr(self, name) is not None  # None = off / derived
+            name for name in ("site_mtbf_s", "eviction_mtbf_s")
+            if getattr(self, name) is not None  # None = off
         ))
         require_non_negative(
             self, "eviction_notice_s",

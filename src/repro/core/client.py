@@ -6,9 +6,9 @@ The client:
    package) and forwards it to the server with client information;
 2. receives planning decisions from the server's message-handling
    module by push delivery: the client registers a tiny ``deliver``
-   RPC service and the server sends each drained outbox batch straight
-   to it, so an idle client schedules zero kernel events and a busy
-   one costs one RPC per batch;
+   RPC service and the server sends each batch of outbox rows straight
+   to it (a row lives until this call's ack), so an idle client
+   schedules zero kernel events and a busy one costs one RPC per batch;
 3. executes each plan: stages missing input files to the execution
    site via GridFTP, creates the submission and hands it to Condor-G;
 4. runs the **job tracker** on every submission, reporting completions
@@ -179,19 +179,18 @@ class SphinxClient:
 
     # -- message pump -------------------------------------------------------------
     def _rpc_deliver(self, messages: list) -> str:
-        """The server hands us a drained outbox batch.
+        """The server hands us a batch of its outbox rows.
 
-        Delivery is at-least-once end to end: the server only puts a
-        batch on the wire for a service registered at our construction
-        and never unregistered, and a server that crashes *before*
-        flushing leaves the rows in its warehouse outbox, which the
-        recovered server re-delivers.
+        Delivery is at-least-once end to end: the server deletes a row
+        only when this call's ack lands and redelivers a faulted batch,
+        and a server that crashes first leaves the rows in its warehouse
+        outbox, which the recovered server re-delivers.
         """
         self._dispatch(messages)
         return "ok"
 
     def _dispatch(self, messages: list) -> None:
-        """Act on one drained batch of server messages.
+        """Act on one batch of server messages.
 
         Idempotent, because delivery is at-least-once: a plan already
         executing (same job_id + attempt) is not started twice, and a
@@ -264,8 +263,9 @@ class SphinxClient:
     def restart(self) -> None:
         """Bring a crashed client back under the same identity.
 
-        Re-registers the delivery service (which lets a
-        reliable-delivery server redeliver every kept outbox row).
+        Re-registers the delivery service; the server, which kept our
+        outbox rows while we were off the bus, redelivers them within
+        ``tick_s``.
         Abandoned attempts are *not* resumed — the server's
         presumed-lost requeue owns those.
         """

@@ -107,7 +107,8 @@ class ServerConfig:
     #: retry pacing: the control loop re-runs a pass this long after
     #: one that left a dag not fully planned (quota/feedback pressure
     #: may change without an observable report), after an overdue
-    #: deadline, and before redelivering an un-acked outbox batch.
+    #: deadline, before redelivering a faulted outbox batch, and while
+    #: a client with outbox rows is off the bus.
     tick_s: float = 5.0
     #: client-side job timeout before cancellation + replan.
     job_timeout_s: float = 1800.0
@@ -120,12 +121,6 @@ class ServerConfig:
     #: safety valve: a job cancelled more than this many times fails the
     #: run loudly instead of looping forever.  None = unbounded (paper).
     max_attempts: Optional[int] = None
-    #: transactional push delivery: outbox rows survive until the
-    #: client's ``deliver`` ack and un-acked batches are redelivered
-    #: (chaos runs, where the wire can eat a batch).  Off by default —
-    #: the lossless-transport fast path deletes before sending and
-    #: schedules no ack callbacks, keeping default runs bit-identical.
-    reliable_delivery: bool = False
     #: presume a PLANNED/SUBMITTED job lost (cancel + replan) after this
     #: many seconds without a report.  The server-side liveness backstop
     #: for plans or terminal reports dropped by a faulty transport or a
@@ -360,7 +355,7 @@ class SphinxServer:
         #: clients with outbox rows enqueued since the last flush, in
         #: first-dirtied order (dict-as-ordered-set for determinism).
         self._dirty_clients: dict[str, None] = {}
-        #: clients with a reliable-delivery batch awaiting its ack.
+        #: msg_ids of outbox rows in a ``deliver`` batch awaiting its ack.
         self._delivery_inflight: set[str] = set()
         # A restored warehouse may carry undelivered messages (e.g.
         # dag-finished notifications recovery keeps); deliver them
@@ -651,11 +646,9 @@ class SphinxServer:
         no wakeup ever arrives.
         """
         deadline = None
-        if self._dirty_dags or (
-            self.config.reliable_delivery and self._dirty_clients
-        ):
+        if self._dirty_dags or self._dirty_clients:
             # Dirty dags retry on quota/feedback drift; kept-dirty
-            # clients (crashed receiver) retry their redelivery.
+            # clients (receiver off the bus) retry their delivery.
             deadline = self.env.now + self.config.tick_s
         oldest = self._nearest_planned_at()
         if oldest is not None:
@@ -1419,69 +1412,39 @@ class SphinxServer:
         self._dirty_clients[client_id] = None
 
     def _flush_outbox(self) -> None:
-        """Push delivery: send each dirty client its drained batch.
+        """Transactional push delivery: send each dirty client its rows.
 
         Called at the end of every enqueue scope (a control pass, a
         report handler), so a planning pass emitting many messages for
-        one client costs a single ``deliver`` call and a single kernel
-        event.  The call is fire-and-forget (the bus pre-defuses
-        faults); a batch is only put on the wire for a client whose
-        delivery service is on the bus, so it cannot be refused.  A
-        client with no service registered keeps its rows in the outbox.
-        """
-        if not self._dirty_clients:
-            return
-        if self.config.reliable_delivery:
-            self._flush_outbox_reliable()
-            return
-        outbox = self.warehouse.table("outbox")
-        proxy = f"/CN={self.service_name}"
-        for client_id in list(self._dirty_clients):
-            if not self.bus.has_service(client_service_name(client_id)):
-                continue
-            mine = outbox.select(where={"client_id": client_id}, copy=False)
-            for msg in mine:
-                outbox.delete(msg["msg_id"])
-            if mine:
-                self.bus.call(
-                    proxy,
-                    client_service_name(client_id),
-                    "deliver",
-                    [{"kind": m["kind"], "payload": m["payload"]}
-                     for m in mine],
-                )
-        self._dirty_clients.clear()
-
-    def _flush_outbox_reliable(self) -> None:
-        """Transactional push delivery (``config.reliable_delivery``).
-
-        Rows stay in the outbox until the client's ``deliver`` ack
-        lands; a failed or lost batch is redelivered after ``tick_s``
-        and a crashed client keeps its rows until it re-registers.
+        one client costs a single ``deliver`` call.  Rows stay in the
+        outbox until the batch's ack lands; a batch only carries rows
+        not already in flight, and a faulted batch is redelivered after
+        ``tick_s``.  A client whose delivery service is off the bus
+        stays dirty and keeps its rows until it re-registers.
         Redelivery makes the channel at-least-once — the client's
         (job_id, attempt) guard makes it effectively exactly-once.
         """
+        if not self._dirty_clients:
+            return
         outbox = self.warehouse.table("outbox")
+        inflight = self._delivery_inflight
         proxy = f"/CN={self.service_name}"
         keep: dict[str, None] = {}
-        for client_id in list(self._dirty_clients):
-            if client_id in self._delivery_inflight:
-                keep[client_id] = None  # await the pending ack first
-                continue
-            if not self.bus.has_service(client_service_name(client_id)):
+        for client_id in self._dirty_clients:
+            service = client_service_name(client_id)
+            if not self.bus.has_service(service):
                 keep[client_id] = None  # receiver down; retry later
                 continue
-            mine = outbox.select(where={"client_id": client_id}, copy=False)
+            mine = [m for m in outbox.select(where={"client_id": client_id},
+                                             copy=False)
+                    if m["msg_id"] not in inflight]
             if not mine:
                 continue
             msg_ids = [m["msg_id"] for m in mine]
-            batch = [
+            inflight.update(msg_ids)
+            ev = self.bus.call(proxy, service, "deliver", [
                 {"kind": m["kind"], "payload": m["payload"]} for m in mine
-            ]
-            self._delivery_inflight.add(client_id)
-            ev = self.bus.call(
-                proxy, client_service_name(client_id), "deliver", batch
-            )
+            ])
             ev.add_callback(
                 lambda e, c=client_id, ids=msg_ids:
                     self._delivery_settled(e, c, ids)
@@ -1490,16 +1453,12 @@ class SphinxServer:
 
     def _delivery_settled(self, ev, client_id: str,
                           msg_ids: list[str]) -> None:
-        """Ack handler for one reliable-delivery batch."""
-        self._delivery_inflight.discard(client_id)
-        outbox = self.warehouse.table("outbox")
+        """Ack handler for one ``deliver`` batch: delete exactly its rows."""
+        self._delivery_inflight.difference_update(msg_ids)
         if ev.ok:
+            outbox = self.warehouse.table("outbox")
             for mid in msg_ids:
                 outbox.delete(mid)
-            if outbox.select(where={"client_id": client_id}, copy=False):
-                # Rows enqueued while the batch flew: flush them next pass.
-                self._dirty_clients[client_id] = None
-                self._wakeup.set()
             return
         ev.defuse()
 

@@ -60,6 +60,5 @@ def test_inert_controller_leaves_server_configs_alone():
     assert controller.server_config(job_timeout_s=1800.0) == {}
     result = run(chaos=controller)
     for server in controller.servers.values():
-        assert server.config.reliable_delivery is False
         assert server.config.presume_lost_after_s == float("inf")
     assert result.servers  # the run actually produced results

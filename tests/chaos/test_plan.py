@@ -36,8 +36,8 @@ def partition(**kw):
     (crash, ">= 0", ("at_s",), (-1.0, NAN)),
     (crash, "> 0", ("down_s",), (0.0, -1.0, NAN)),
     (ChaosPlan, "> 0",
-     ("site_mtbf_s", "site_mttr_s", "presume_lost_after_s",
-      "eviction_mtbf_s", "eviction_outage_s"), (0.0, -1.0, NAN)),
+     ("site_mtbf_s", "site_mttr_s", "eviction_mtbf_s",
+      "eviction_outage_s"), (0.0, -1.0, NAN)),
     (ChaosPlan, ">= 0",
      ("eviction_notice_s", "job_checkpoint_interval_s",
       "job_checkpoint_cost_s"), (-1.0, NAN)),

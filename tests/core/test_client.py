@@ -227,8 +227,7 @@ def test_finished_dag_count_equals_the_scan_under_duplicates_and_a_crash():
     # dag-finished is delivered twice more by hand, plus one for a DAG the
     # client never submitted.  The counter moves once per DAG, keeps the
     # first finish instant, and survives the crash with ``dag_times``.
-    st = FullStack(tick_s=2.0, reliable_delivery=True,
-                   presume_lost_after_s=600.0)
+    st = FullStack(tick_s=2.0, presume_lost_after_s=600.0)
     counts = []
 
     def drill(env):

@@ -13,7 +13,7 @@ import pytest
 
 from repro.experiments import fig2_feedback
 
-GOLDEN_EVENT_COUNT = 35407
+GOLDEN_EVENT_COUNT = 35555
 GOLDEN_RPC_COUNT = 511
 GOLDEN = {
     "round-robin+fb": {

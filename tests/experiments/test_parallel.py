@@ -192,7 +192,7 @@ def test_suite_payload_sections_pinned():
                          "rejected": 0, "cancelled": 0, "backfill_starts": 0}
 
     fig = figures["ext-reservation"]
-    assert fingerprint(fig) == (3314, 253, "2186.5350820653853")
+    assert fingerprint(fig) == (3376, 253, "2186.5350820653853")
     assert fig["reservations"] == {
         "confirmed": 20, "released": 15, "expired": 5,
         "rejected": 0, "cancelled": 0, "backfill_starts": 0}
@@ -200,7 +200,7 @@ def test_suite_payload_sections_pinned():
     assert not {"shards", "federation", "preemption_loss_s"} & set(fig)
 
     fig = figures["ext-federation-2shards"]
-    assert fingerprint(fig) == (2042, 345, "658.8995577940586")
+    assert fingerprint(fig) == (2103, 345, "658.8995577940586")
     assert fig["federation"] == {"admitted": 8, "spilled": 0, "rehomed": 0}
     assert fig["shards"] == {
         "shard0": {"count": 0, "p50": None, "p95": None},
@@ -210,7 +210,7 @@ def test_suite_payload_sections_pinned():
     assert "preemption_loss_s" not in fig
 
     fig = figures["ext-eviction"]
-    assert fingerprint(fig) == (27494, 522, "3246.158274889085")
+    assert fingerprint(fig) == (27625, 522, "3246.158274889085")
     assert fig["evictions"] == {"evictions": 2594, "migrations": 2,
                                 "checkpoint_restores": 2}
     assert fig["preemption_loss_s"] == {

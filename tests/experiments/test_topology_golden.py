@@ -44,9 +44,9 @@ def grid3():
 
 
 @pytest.mark.parametrize("run, golden", [
-    (fed3, (2053, 462, "634.0146877989665")),
-    (scale, (691, 113, "533.8427728960356")),
-    (grid3, (8325, 259, "5657.643599069359")),
+    (fed3, (2107, 462, "634.0146877989665")),
+    (scale, (720, 113, "533.8427728960356")),
+    (grid3, (8401, 259, "5657.643599069359")),
 ])
 def test_fault_free_fingerprint(run, golden):
     assert fingerprint(run()) == golden
@@ -74,16 +74,16 @@ def eviction_900():
 DRILLS = {
     "evict-spot": (lambda: ext_eviction_scenario(50, 3, 42),
                    lambda: make_plan("spot-eviction", 42),
-                   (6327, 177, "3270.559366809381")),
+                   (6373, 177, "3270.559366809381")),
     "fig2-crash": (fig2, lambda: make_plan("crash", 1),
-                   (19162, 385, "11572.815926701765")),
+                   (19270, 385, "11572.815926701765")),
     "fig2-full": (fig2, lambda: make_plan("full", 1),
                   (16318, 419, "8817.338148929077")),
     "fed3-shard-outage": (fed3_staggered,
                           lambda: make_plan("shard-outage", 0),
-                          (6168, 1068, "2764.971448554266")),
+                          (6268, 1068, "2764.971448554266")),
     "fed2-spot": (fed2_evicted, eviction_900,
-                  (7464, 1095, "2705.5068275662466")),
+                  (7642, 1095, "2705.5068275662466")),
 }
 
 

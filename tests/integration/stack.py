@@ -1,5 +1,6 @@
 """Shared full-stack assembly for integration tests."""
 
+from repro.chaos.bus import ChaoticBus
 from repro.core import ServerConfig, SphinxClient, SphinxServer
 from repro.services import (
     CondorG,
@@ -19,7 +20,8 @@ class FullStack:
     """Environment + grid + services + one SPHINX server and client."""
 
     def __init__(self, n_sites=4, n_cpus=8, algorithm="completion-time",
-                 seed=0, background=0.0, quota=None, **config_kw):
+                 seed=0, background=0.0, quota=None, chaos_plan=None,
+                 **config_kw):
         self.env = Environment()
         self.rng = RngStreams(seed)
         self.grid = Grid(self.env, self.rng)
@@ -31,7 +33,9 @@ class FullStack:
             ))
         if background > 0:
             self.grid.start_background()
-        self.bus = RpcBus(self.env)
+        #: a ChaosPlan puts the stack on a fault-injecting wire
+        self.bus = (RpcBus(self.env) if chaos_plan is None
+                    else ChaoticBus(self.env, chaos_plan))
         self.rls = ReplicaService(self.env, self.grid.site_names)
         self.gridftp = GridFtpService(self.env, self.grid, self.rls)
         self.condorg = CondorG(self.env, self.grid)

@@ -1,13 +1,15 @@
 """Transactional outbox delivery + presumed-lost requeue.
 
-Both are chaos-survivability knobs (default off, see ServerConfig):
-with ``reliable_delivery`` the server keeps an outbox row until the
-push delivery is positively acked, redelivering on the next tick
-otherwise; with ``presume_lost_after_s`` it requeues jobs that have
-been silent past the window — the safety net for executions that died
-with a crashed client.
+The server keeps every outbox row until its push delivery is
+positively acked, redelivering a faulted batch after ``tick_s`` and
+holding the rows of a client that is off the bus; that is how the
+server always delivers, so no config arms it.  The chaos-survivability
+knob (default off, see ServerConfig) is ``presume_lost_after_s``: it
+requeues jobs that have been silent past the window — the safety net
+for executions that died with a crashed client.
 """
 
+from repro.chaos.plan import ChaosPlan, FaultRule
 from repro.core import recover_server
 from repro.core.states import DagState, JobState
 from repro.workflow import Dag, Job, LogicalFile
@@ -22,8 +24,8 @@ def one_job_dag(dag_id="r", runtime=120.0):
                             runtime_s=runtime)])
 
 
-def test_reliable_delivery_is_invisible_on_a_healthy_run():
-    st = FullStack(tick_s=2.0, reliable_delivery=True)
+def test_delivery_acks_drain_the_outbox_on_a_healthy_run():
+    st = FullStack(tick_s=2.0)
     st.submit(one_job_dag())
     st.run(until=3600.0)
     assert st.client.finished_dag_count == 1
@@ -34,8 +36,7 @@ def test_reliable_delivery_is_invisible_on_a_healthy_run():
 def test_plan_survives_client_downtime_and_redelivers():
     """A plan pushed while the client is unregistered must redeliver
     after the client returns — at-least-once, not fire-and-forget."""
-    st = FullStack(tick_s=2.0, reliable_delivery=True,
-                   presume_lost_after_s=3600.0)
+    st = FullStack(tick_s=2.0, presume_lost_after_s=3600.0)
 
     def drill(env):
         # Crash the client *before* submission so the plan lands while
@@ -52,11 +53,28 @@ def test_plan_survives_client_downtime_and_redelivers():
     assert len(st.server.warehouse.table("outbox")) == 0
 
 
+def test_a_lost_deliver_is_redelivered_under_the_default_config():
+    """A ``deliver`` whose request leg the wire eats is redelivered
+    after ``tick_s``: no presumed-lost window, no delivery knob."""
+    plan = ChaosPlan(seed=41, rules=(FaultRule(
+        service="sphinx-client-*", method="deliver", drop_p=0.5),))
+    st = FullStack(tick_s=2.0, chaos_plan=plan)
+    assert st.config.presume_lost_after_s == float("inf")
+    st.submit(one_job_dag())
+    st.run(until=3600.0)
+    assert st.client.finished_dag_count == 1
+    assert len(st.server.warehouse.table("outbox")) == 0
+    # The plan's first three delivers were lost before the client
+    # heard them (this seed's fault schedule).
+    assert [f[2:] for f in st.bus.fault_log[:3]] == \
+        [("deliver", "drop-request")] * 3
+
+
 def test_presumed_lost_jobs_requeue_and_finish():
     """An execution that dies silently (client crash mid-run, state
     cleared) is requeued once the silence exceeds the window."""
     st = FullStack(tick_s=2.0, job_timeout_s=600.0,
-                   reliable_delivery=True, presume_lost_after_s=300.0)
+                   presume_lost_after_s=300.0)
     st.submit(one_job_dag(runtime=200.0))
 
     def drill(env):
@@ -83,7 +101,7 @@ def test_presumed_lost_survives_server_recovery():
     """Crash the *server* inside the silence window: the recovered
     instance requeues via its own recovery path and still converges."""
     st = FullStack(tick_s=2.0, job_timeout_s=600.0,
-                   reliable_delivery=True, presume_lost_after_s=300.0)
+                   presume_lost_after_s=300.0)
     st.submit(one_job_dag(runtime=200.0))
     holder = {}
 
