@@ -37,6 +37,9 @@ from repro.sim.rng import RngStreams
 
 __all__ = ["ChaoticBus"]
 
+#: a duplicated dispatch lands this much later (scaled 0.5-1.5x)
+_DUP_DELAY_S = 1.0
+
 
 def _discard(ev: Event) -> None:
     """Swallow a ghost dispatch's result (defusing faults)."""
@@ -99,7 +102,7 @@ class ChaoticBus(RpcBus):
         u -= rule.drop_p
         if u < rule.dup_p:
             self._note(service, method, "duplicate")
-            extra = rule.dup_delay_s * (0.5 + float(rng.random()))
+            extra = _DUP_DELAY_S * (0.5 + float(rng.random()))
             self._ghost_later(extra, proxy, service, method, args, kwargs)
             return super().call(proxy, service, method, *args, **kwargs)
         u -= rule.dup_p

@@ -69,18 +69,14 @@ class ChaosController:
         """The ``ServerConfig`` fields this plan contributes so a server
         survives it (an inactive plan contributes none).
 
-        They are defaults: the stack lays a spec's explicit eviction
-        knobs over them, so an explicit False/0 — a deliberate
-        kill-and-resubmit baseline — stays as written.
+        They are defaults: the stack lays a spec's explicit
+        ``migrate_on_drain`` over them, so an explicit False — a
+        deliberate kill-and-resubmit baseline — stays as written.
         """
         plan = self.plan
         fields: dict = {}
         if plan.eviction_active:
-            fields.update(
-                migrate_on_drain=plan.migrate_on_drain,
-                job_checkpoint_interval_s=plan.job_checkpoint_interval_s,
-                job_checkpoint_cost_s=plan.job_checkpoint_cost_s,
-            )
+            fields["migrate_on_drain"] = True
         if plan.transport_active or plan.crashes or plan.eviction_active:
             # Past the client's own timeout + a healthy grace for
             # backoff/retry storms, a silent job is a lost message.
@@ -118,8 +114,6 @@ class ChaosController:
                 mtbf_s=self.plan.site_mtbf_s,
                 mttr_s=self.plan.site_mttr_s,
             )
-        if self.plan.site_evictions:
-            grid.failures.schedule_evictions(self.plan.site_evictions)
         if self.plan.eviction_mtbf_s is not None:
             grid.failures.start_eviction_storm(
                 self._rngs.spawn("eviction-chaos"),

@@ -30,7 +30,7 @@ from fnmatch import fnmatch
 from typing import Optional
 
 from repro.core.server import require_non_negative, require_positive
-from repro.simgrid.failures import DowntimeWindow, EvictionEvent
+from repro.simgrid.failures import DowntimeWindow
 
 __all__ = [
     "FaultRule",
@@ -60,8 +60,6 @@ class FaultRule:
     delay_p: float = 0.0
     #: extra one-way delay drawn uniformly from [0, max_extra_delay_s]
     max_extra_delay_s: float = 0.0
-    #: the duplicated dispatch lands this much later (scaled 0.5-1.5x)
-    dup_delay_s: float = 1.0
 
     def __post_init__(self) -> None:
         for name in ("drop_p", "dup_p", "delay_p"):
@@ -76,7 +74,7 @@ class FaultRule:
                 f"FaultRule.drop_p + dup_p + delay_p must be <= 1, "
                 f"got {total!r}"
             )
-        require_non_negative(self, "max_extra_delay_s", "dup_delay_s")
+        require_non_negative(self, "max_extra_delay_s")
 
     def matches(self, service: str, method: str) -> bool:
         return fnmatch(service, self.service) and fnmatch(method, self.method)
@@ -159,29 +157,20 @@ class ChaosPlan:
     #: stochastic site failures: MTBF (None = off) and MTTR
     site_mtbf_s: Optional[float] = None
     site_mttr_s: float = 1800.0
-    #: spot-style evictions (resource layer): scripted drain events
-    #: and/or a stochastic per-site eviction storm (MTBF; None = off).
-    site_evictions: tuple[EvictionEvent, ...] = ()
+    #: spot-style evictions (resource layer): a stochastic per-site
+    #: eviction storm (MTBF; None = off).  An active storm arms
+    #: ``ServerConfig.migrate_on_drain`` on every server whose spec
+    #: left it unset (``ChaosController.server_config``).
     eviction_mtbf_s: Optional[float] = None
     eviction_notice_s: float = 120.0
     eviction_outage_s: float = 600.0
-    #: survival settings the plan contributes to ``ServerConfig`` when
-    #: the eviction axis is active, under whatever a server's spec set
-    #: explicitly (``ChaosController.server_config``).  These are
-    #: per-*job* progress checkpoints, not the warehouse image.
-    migrate_on_drain: bool = True
-    job_checkpoint_interval_s: float = 60.0
-    job_checkpoint_cost_s: float = 1.0
 
     def __post_init__(self) -> None:
         require_positive(self, "site_mttr_s", "eviction_outage_s", *(
             name for name in ("site_mtbf_s", "eviction_mtbf_s")
             if getattr(self, name) is not None  # None = off
         ))
-        require_non_negative(
-            self, "eviction_notice_s",
-            "job_checkpoint_interval_s", "job_checkpoint_cost_s",
-        )
+        require_non_negative(self, "eviction_notice_s")
 
     # -- classification ---------------------------------------------------
     @property
@@ -190,9 +179,9 @@ class ChaosPlan:
 
     @property
     def eviction_active(self) -> bool:
-        """True when the plan drains sites spot-style (scripted or
-        stochastic) — the axis that arms job checkpointing and migration."""
-        return bool(self.site_evictions) or self.eviction_mtbf_s is not None
+        """True when the plan drains sites spot-style — the axis that
+        arms drain migration and job checkpointing."""
+        return self.eviction_mtbf_s is not None
 
     @property
     def active(self) -> bool:
@@ -327,12 +316,12 @@ def _spot_eviction(seed: int) -> ChaosPlan:
     """Spot-market churn: every site can be drained with 120s notice.
 
     A stochastic per-site eviction storm (2h MTBF) publishes drain
-    notices and reclaims the slots 600s at a time.  The plan arms job
-    checkpointing and drain migration on every server whose spec left
-    them on auto, so the drill exercises the full preempt → checkpoint
-    → migrate → resume loop; the invariants then audit that no DAG is
-    lost, every checkpoint fraction stays in [0, 1], and the quota
-    ledgers balance across the migrations.
+    notices and reclaims the slots 600s at a time.  The plan arms drain
+    migration (and with it job checkpointing) on every server whose spec
+    left ``migrate_on_drain`` unset, so the drill exercises the full
+    preempt → checkpoint → migrate → resume loop; the invariants then
+    audit that no DAG is lost, every checkpoint fraction stays in
+    [0, 1], and the quota ledgers balance across the migrations.
     """
     return ChaosPlan(
         name="spot-eviction",

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -258,8 +259,8 @@ def _run_suite_command(args) -> int:
         print("repro suite: --stream-spans requires --trace-dir",
               file=sys.stderr)
         return 2
-    if not args.progress_interval > 0:
-        print("repro suite: --progress-interval must be > 0",
+    if not 0 < args.progress_interval < math.inf:
+        print("repro suite: --progress-interval must be > 0 and finite",
               file=sys.stderr)
         return 2
     cases = default_suite(scale=args.scale, seed=args.seed)
@@ -337,8 +338,8 @@ def _run_trace_command(args, horizon: float) -> int:
     from repro.federation.runner import run_topology
     from repro.obs.export import summary_markdown, write_trace_pair
 
-    if not args.telemetry_interval > 0:
-        print("repro trace: --telemetry-interval must be > 0",
+    if not 0 < args.telemetry_interval < math.inf:
+        print("repro trace: --telemetry-interval must be > 0 and finite",
               file=sys.stderr)
         return 2
     if args.max_open is not None and not args.stream:

@@ -356,19 +356,10 @@ class SphinxClient:
 
         if result.outcome == "completed":
             # 4. Outputs materialize at the execution site.
-            from repro.simgrid.site import StorageFullError
-
             exec_site = self.gridftp.grid.site(site)
-            try:
-                for f in plan["outputs"]:
-                    exec_site.store_file(f["lfn"], f["size_mb"])
-                    self.rls.register_replica(f["lfn"], site, f["size_mb"])
-            except StorageFullError:
-                # The work is lost with its output; the site's disk is a
-                # site problem — report as an ordinary cancellation.
-                yield from self._report_reliably(plan, "cancelled",
-                                                 reason="storage")
-                return
+            for f in plan["outputs"]:
+                exec_site.store_file(f["lfn"], f["size_mb"])
+                self.rls.register_replica(f["lfn"], site, f["size_mb"])
             yield from self._report_reliably(
                 plan, "completed", completion_time_s=result.completion_time_s,
             )

@@ -21,17 +21,17 @@ from repro.core.warehouse import Warehouse
 __all__ = ["ReliabilityTracker"]
 
 _COLUMNS = ("site", "completed", "cancelled")
+_TABLE = "site_feedback"
 
 
 class ReliabilityTracker:
     """Per-site completed/cancelled tallies + the paper's reliability rule."""
 
-    def __init__(self, warehouse: Warehouse, table_name: str = "site_feedback",
-                 obs=None):
+    def __init__(self, warehouse: Warehouse, obs=None):
         self._table = (
-            warehouse.table(table_name)
-            if table_name in warehouse
-            else warehouse.create_table(table_name, _COLUMNS, key="site")
+            warehouse.table(_TABLE)
+            if _TABLE in warehouse
+            else warehouse.create_table(_TABLE, _COLUMNS, key="site")
         )
         #: sites currently failing the reliability rule, maintained
         #: incrementally under every tally bump (a "verdict flip" is

@@ -24,6 +24,7 @@ from repro.core.warehouse import Warehouse
 __all__ = ["PolicyEngine", "QuotaExceededError"]
 
 _COLUMNS = ("key", "user", "site", "resource", "used")
+_TABLE = "quota_usage"
 
 
 class QuotaExceededError(RuntimeError):
@@ -49,11 +50,11 @@ class _Headroom:
 class PolicyEngine:
     """Quota grants + usage accounting + feasible-site filtering."""
 
-    def __init__(self, warehouse: Warehouse, table_name: str = "quota_usage"):
+    def __init__(self, warehouse: Warehouse):
         self._usage = (
-            warehouse.table(table_name)
-            if table_name in warehouse
-            else warehouse.create_table(table_name, _COLUMNS, key="key")
+            warehouse.table(_TABLE)
+            if _TABLE in warehouse
+            else warehouse.create_table(_TABLE, _COLUMNS, key="key")
         )
         #: (user, site, resource) -> granted amount.  Grants are static
         #: VO policy, not runtime state, so they live outside the

@@ -25,6 +25,7 @@ from repro.core.warehouse import Warehouse
 __all__ = ["CompletionTimeEstimator"]
 
 _COLUMNS = ("site", "total_s", "count", "ewma_s")
+_TABLE = "completion_times"
 
 #: CPU-equivalents one planned job is charged as in the correction; > 1
 #: accounts for the bandwidth and queue pressure a job brings beyond its
@@ -49,7 +50,6 @@ class CompletionTimeEstimator:
     """
 
     def __init__(self, warehouse: Warehouse,
-                 table_name: str = "completion_times",
                  mode: str = "ewma", ewma_alpha: float = 0.2):
         if mode not in ("mean", "ewma"):
             raise ValueError(f"unknown estimator mode {mode!r}")
@@ -58,9 +58,9 @@ class CompletionTimeEstimator:
         self.mode = mode
         self.ewma_alpha = ewma_alpha
         self._table = (
-            warehouse.table(table_name)
-            if table_name in warehouse
-            else warehouse.create_table(table_name, _COLUMNS, key="site")
+            warehouse.table(_TABLE)
+            if _TABLE in warehouse
+            else warehouse.create_table(_TABLE, _COLUMNS, key="site")
         )
 
     def record(self, site: str, completion_time_s: float) -> None:

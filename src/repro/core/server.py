@@ -70,12 +70,20 @@ _JOB_DONE_STATES = (JOB_FINISHED, JOB_REMOVED)
 #: sizing reservation windows (> 1 absorbs estimator error).
 _RESERVATION_SLACK = 1.5
 
+#: per-job progress checkpoints, armed with ``migrate_on_drain``: a
+#: planned job persists its fraction done every interval, paying the
+#: cost in CPU-seconds per write.
+_JOB_CHECKPOINT_INTERVAL_S = 60.0
+_JOB_CHECKPOINT_COST_S = 1.0
+
 
 def require_positive(config, *fields: str) -> None:
-    """Reject period/duration fields that are zero, negative or NaN.
+    """Reject period/duration fields that are zero, negative, NaN or
+    infinite.
 
-    A zero ``tick_s`` spins the control loop at one instant and a NaN
-    only surfaces deep in the kernel, so configs check at construction.
+    A zero ``tick_s`` spins the control loop at one instant, a NaN
+    only surfaces deep in the kernel, and an infinite period silently
+    switches off what it paces, so configs check at construction.
     """
     for name in fields:
         value = getattr(config, name)
@@ -83,16 +91,26 @@ def require_positive(config, *fields: str) -> None:
             raise ValueError(
                 f"{type(config).__name__}.{name} must be > 0, got {value!r}"
             )
+        _require_finite(config, name, value)
 
 
 def require_non_negative(config, *fields: str) -> None:
-    """Reject delay/amount fields that are negative or NaN (0 = off)."""
+    """Reject delay/amount fields that are negative, NaN or infinite
+    (0 = off)."""
     for name in fields:
         value = getattr(config, name)
         if not value >= 0:
             raise ValueError(
                 f"{type(config).__name__}.{name} must be >= 0, got {value!r}"
             )
+        _require_finite(config, name, value)
+
+
+def _require_finite(config, name: str, value) -> None:
+    if value == math.inf:
+        raise ValueError(
+            f"{type(config).__name__}.{name} must be finite, got {value!r}"
+        )
 
 
 @dataclass(slots=True)
@@ -118,9 +136,6 @@ class ServerConfig:
     #: "ewma" tracks the near-future environment (default); "mean" is
     #: eq. 3 read literally; ablation knob.
     estimator_mode: str = "ewma"
-    #: safety valve: a job cancelled more than this many times fails the
-    #: run loudly instead of looping forever.  None = unbounded (paper).
-    max_attempts: Optional[int] = None
     #: presume a PLANNED/SUBMITTED job lost (cancel + replan) after this
     #: many seconds without a report.  The server-side liveness backstop
     #: for plans or terminal reports dropped by a faulty transport or a
@@ -133,32 +148,25 @@ class ServerConfig:
     #: the reserved site and claim its held slots.  Off by default —
     #: the reactive feedback loop is the paper's configuration.
     reserve_ahead: bool = False
-    #: live migration off draining sites: on a spot-eviction notice
-    #: (:meth:`SphinxServer.drain_notice`) evict every in-flight job at
-    #: the site so its checkpoint is persisted and the job replans onto
-    #: a live site inside the notice window, instead of losing the work
-    #: at the reclaim instant.  Off by default (kill-and-resubmit); a
-    #: chaos plan's eviction axis arms it for specs that left it unset.
+    #: eviction tolerance, one switch: every planned job checkpoints
+    #: its progress (every ``_JOB_CHECKPOINT_INTERVAL_S``, at
+    #: ``_JOB_CHECKPOINT_COST_S`` CPU-seconds per write), so a killed
+    #: attempt resumes from its last checkpoint rather than zero; and a
+    #: spot-eviction notice (:meth:`SphinxServer.drain_notice`) evicts
+    #: the site's in-flight jobs so they replan onto a live site inside
+    #: the notice window instead of losing the work at the reclaim
+    #: instant.  Off by default (kill-and-resubmit); a chaos plan's
+    #: eviction axis arms it for specs that left it unset.
     migrate_on_drain: bool = False
-    #: job checkpointing: > 0 makes every planned job persist progress
-    #: each interval (at ``job_checkpoint_cost_s`` CPU-seconds per
-    #: write), so a killed attempt resumes from its last checkpoint
-    #: rather than zero.  0 = off.
-    job_checkpoint_interval_s: float = 0.0
-    job_checkpoint_cost_s: float = 0.0
 
     def __post_init__(self) -> None:
-        require_positive(self, "tick_s", "job_timeout_s",
-                         "presume_lost_after_s")
-        require_non_negative(self, "job_checkpoint_interval_s",
-                             "job_checkpoint_cost_s")
-        attempts = self.max_attempts
-        if attempts is not None and (
-            type(attempts) is not int or attempts < 1
-        ):
+        require_positive(self, "tick_s", "job_timeout_s")
+        # inf is this field's "never", so it is the one period that may
+        # be infinite
+        if not self.presume_lost_after_s > 0:
             raise ValueError(
-                "ServerConfig.max_attempts must be None or an int >= 1, "
-                f"got {attempts!r}"
+                "ServerConfig.presume_lost_after_s must be > 0, "
+                f"got {self.presume_lost_after_s!r}"
             )
 
 
@@ -248,8 +256,9 @@ class SphinxServer:
         #: expiry, which is cheaper than replaying RPC state.
         self._job_reservations: dict[str, dict] = {}
         self._reservation_groups: dict[str, dict] = {}
+        #: reservation windows asked of Condor-G; read by
+        #: tests/experiments/test_reservation_integration.py
         self.reservations_requested = 0
-        self.reservations_confirmed = 0
 
         #: live DAG objects reconstructed from payloads (cache over the
         #: dag payload column; rebuilt lazily after recovery).
@@ -318,7 +327,11 @@ class SphinxServer:
         #: Starts empty, which covers recovery.
         self._ready: dict[str, tuple[str, ...]] = {}
 
-        # Counters the experiments read.
+        # Counters and their readers: ServerResult (experiments/runner.py)
+        # reads the resubmission, timeout, migration, checkpoint-restore
+        # and preempted-work tallies; the chaos drills and invariants
+        # read regeneration_count; stage_in_failures is an oracle only
+        # tests/core/test_client.py and tests/core/test_server.py read.
         self.resubmission_count = 0
         self.timeout_count = 0
         self.stage_in_failures = 0
@@ -578,11 +591,6 @@ class SphinxServer:
                     self._m_timeouts.inc()
             # Slot released, quota refunded, feedback updated: replan now.
             self._wakeup.set()
-            if (self.config.max_attempts is not None
-                    and row["attempts"] >= self.config.max_attempts):
-                raise RuntimeError(
-                    f"job {job_id} exceeded {self.config.max_attempts} attempts"
-                )
         self._flush_outbox()  # e.g. a dag-finished message from this report
         return "ok"
 
@@ -934,13 +942,9 @@ class SphinxServer:
             # front door admitted the DAG.
             "server": self.service_name,
         }
-        if self.config.job_checkpoint_interval_s:
-            plan_payload["checkpoint_interval_s"] = (
-                self.config.job_checkpoint_interval_s
-            )
-            plan_payload["checkpoint_cost_s"] = (
-                self.config.job_checkpoint_cost_s
-            )
+        if self.config.migrate_on_drain:
+            plan_payload["checkpoint_interval_s"] = _JOB_CHECKPOINT_INTERVAL_S
+            plan_payload["checkpoint_cost_s"] = _JOB_CHECKPOINT_COST_S
         self._send(drow["client_id"], "plan", plan_payload)
         return True
 
@@ -1176,7 +1180,6 @@ class SphinxServer:
             return
         if ev.ok and ev.value is True:
             group["state"] = "confirmed"
-            self.reservations_confirmed += 1
             # Jobs deferred while the ack was in flight can now plan to
             # the reserved site.
             self._wakeup.set()

@@ -222,10 +222,10 @@ def ext_eviction_scenario(n_sites: int = 250, n_dags: int = 30,
     Two completion-time servers compete on a synthetic ``n_sites``
     catalog with the scenario's own faults *off* — a spot-eviction
     chaos plan supplies the churn, so both servers see the identical
-    drain schedule.  The ``resubmit`` spec pins every tolerance knob
+    drain schedule.  The ``resubmit`` spec pins ``migrate_on_drain``
     off (an evicted attempt restarts from zero); the ``migrate`` spec
-    leaves them on auto, so the plan arms job checkpointing and drain
-    migration.  Jobs carry CPU-second requirements against a quota
+    leaves it unset, so the plan arms drain migration and, with it, job
+    checkpointing.  Jobs carry CPU-second requirements against a quota
     sized to never bind, purely so the quota-conservation invariant
     audits the refund/recharge ledger across every migration.
 
@@ -239,10 +239,7 @@ def ext_eviction_scenario(n_sites: int = 250, n_dags: int = 30,
     return Scenario(
         name=f"ext-eviction-{n_sites}x{n_dags}dags",
         servers=(
-            ServerSpec("resubmit", "completion-time",
-                       migrate_on_drain=False,
-                       job_checkpoint_interval_s=0.0,
-                       job_checkpoint_cost_s=0.0),
+            ServerSpec("resubmit", "completion-time", migrate_on_drain=False),
             ServerSpec("migrate", "completion-time"),
         ),
         n_dags=n_dags,

@@ -202,8 +202,8 @@ class Stack:
         (transactional delivery, presumed-lost requeue, eviction
         tolerance — nothing from an inactive plan, keeping
         chaos-disabled runs bit-identical), then the spec, whose fields
-        are ``ServerConfig``'s by name; an eviction knob the spec left
-        on auto (None) is left to the layers below, a set one wins.
+        are ``ServerConfig``'s by name; a ``migrate_on_drain`` the spec
+        left unset (None) is left to the layers below, a set one wins.
         """
         scenario = self.scenario
         fields = {

@@ -54,13 +54,12 @@ class ServerSpec:
     #: proactive advance reservations for DAG stages (vs purely
     #: reactive feedback); see ServerConfig.reserve_ahead.
     reserve_ahead: bool = False
-    #: eviction tolerance (see ServerConfig): None = auto — a chaos
-    #: plan's eviction axis decides; explicit values win over the plan
-    #: (e.g. ``migrate_on_drain=False`` pins the kill-and-resubmit
-    #: baseline even under a migration-armed plan).
+    #: eviction tolerance, drain migration plus job checkpoints (see
+    #: ServerConfig.migrate_on_drain): None = the chaos plan decides —
+    #: its eviction axis arms it; an explicit value wins over the plan
+    #: (``False`` pins the kill-and-resubmit baseline even under an
+    #: eviction plan).
     migrate_on_drain: Optional[bool] = None
-    job_checkpoint_interval_s: Optional[float] = None
-    job_checkpoint_cost_s: Optional[float] = None
 
 
 def default_fault_windows(horizon_s: float) -> tuple[DowntimeWindow, ...]:

@@ -65,12 +65,11 @@ _SITE_TO_GRID = {
 class GridJobHandle:
     """What the submitter holds: status, timings, and change callbacks."""
 
-    def __init__(self, env: Environment, job_id: str, site: str, owner: str,
+    def __init__(self, env: Environment, job_id: str, site: str,
                  scheduler: Optional[str] = None):
         self.env = env
         self.job_id = job_id
         self.site = site
-        self.owner = owner
         #: service name of the SPHINX server whose plan drove this
         #: submission (None for direct/legacy submitters)
         self.scheduler = scheduler
@@ -165,7 +164,6 @@ class CondorG:
         #: submissions (key None: submitter gave no scheduler).
         self.submissions_by_scheduler: dict[Optional[str], int] = {}
         self.failed_submissions = 0
-        self.reservations_confirmed = 0
         self.reservations_rejected = 0
         if bus is not None:
             bus.register(self.SERVICE, "reserve", self._rpc_reserve)
@@ -191,9 +189,7 @@ class CondorG:
         if site not in self.grid:
             raise KeyError(f"unknown site {site!r}")
         ok = self.grid.site(site).reserve(res_id, start_s, duration_s, cpus)
-        if ok:
-            self.reservations_confirmed += 1
-        else:
+        if not ok:
             self.reservations_rejected += 1
         return ok
 
@@ -230,8 +226,7 @@ class CondorG:
             raise ValueError(f"duplicate grid job id {job_id!r}")
         if site not in self.grid:
             raise KeyError(f"unknown site {site!r}")
-        handle = GridJobHandle(self.env, job_id, site, owner,
-                               scheduler=scheduler)
+        handle = GridJobHandle(self.env, job_id, site, scheduler=scheduler)
         self._handles[job_id] = handle
         self.submitted_count += 1
         self.submissions_by_scheduler[scheduler] = (

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.sim.engine import Environment
 from repro.simgrid.grid import Grid
-from repro.simgrid.site import SiteState, StorageFullError
+from repro.simgrid.site import SiteState
 from repro.services.rls import ReplicaService
 
 __all__ = ["GridFtpService", "TransferError"]
@@ -58,22 +58,13 @@ class GridFtpService:
             self.failed_count += 1
             raise TransferError(f"endpoint down for {lfn!r}: {src}->{dst}")
         size = src_site._storage[lfn]
-        if dst_site.free_mb < size:
-            self.failed_count += 1
-            raise TransferError(
-                f"{dst} storage full: {size} MB does not fit for {lfn!r}"
-            )
         start = self.env.now
         yield from self.grid.network.transfer_process(size, src, dst)
-        # Destination may have died or filled up mid-flight.
+        # Destination may have died mid-flight.
         if dst_site.state is SiteState.DOWN:
             self.failed_count += 1
             raise TransferError(f"destination {dst} died during {lfn!r}")
-        try:
-            dst_site.store_file(lfn, size)
-        except StorageFullError as exc:
-            self.failed_count += 1
-            raise TransferError(str(exc)) from exc
+        dst_site.store_file(lfn, size)
         self.rls.register_replica(lfn, dst, size)
         self.log.append((self.env.now, lfn, src, dst, size, self.env.now - start))
         return self.env.now - start

@@ -13,9 +13,8 @@ Both run as simulation processes and restore sites to UP afterwards.
 Spot-style **evictions** are a third shape built from the same parts:
 the site first publishes a drain notice (DRAINING for ``notice_s`` —
 still running, still accepting), then its slots are reclaimed (DOWN,
-killing whatever is left), then capacity returns.  Scripted
-:class:`EvictionEvent` lists and a per-site stochastic eviction storm
-both funnel through the one drain→reclaim→restore process.
+killing whatever is left), then capacity returns.  A per-site
+stochastic eviction storm drives the one drain→reclaim→restore process.
 
 Restores are *epoch-guarded*: each injection bumps a per-site epoch and
 remembers it; the paired restore only fires if the epoch is unchanged,
@@ -34,7 +33,7 @@ from repro.sim.engine import Environment
 from repro.sim.rng import RngStreams
 from repro.simgrid.site import GridSite, SiteState
 
-__all__ = ["DowntimeWindow", "EvictionEvent", "FailureInjector"]
+__all__ = ["DowntimeWindow", "FailureInjector"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,28 +52,6 @@ class DowntimeWindow:
             )
         if self.state is SiteState.UP:
             raise ValueError("a downtime window cannot inject state UP")
-
-
-@dataclass(frozen=True, slots=True)
-class EvictionEvent:
-    """One scripted spot eviction: ``site`` drains at ``at_s``.
-
-    The site publishes ``notice_s`` of warning (DRAINING), loses its
-    capacity for ``outage_s`` (DOWN — running jobs killed), then comes
-    back UP.  ``notice_s`` may be 0 (pure preemption, no warning).
-    """
-
-    site: str
-    at_s: float
-    notice_s: float = 120.0
-    outage_s: float = 600.0
-
-    def __post_init__(self) -> None:
-        if self.at_s < 0 or self.notice_s < 0 or self.outage_s <= 0:
-            raise ValueError(
-                f"invalid eviction (at={self.at_s}, notice={self.notice_s}, "
-                f"outage={self.outage_s}) for {self.site}"
-            )
 
 
 class FailureInjector:
@@ -137,13 +114,6 @@ class FailureInjector:
         self._restore(w.site, token)
 
     # -- spot-style evictions --------------------------------------------------
-    def schedule_evictions(self, events: Iterable[EvictionEvent]) -> None:
-        """Install scripted spot evictions (drain → reclaim → restore)."""
-        for ev in sorted(events, key=lambda e: (e.site, e.at_s)):
-            if ev.site not in self._sites:
-                raise KeyError(f"unknown site {ev.site!r}")
-            self.env.process(self._apply_eviction(ev))
-
     def start_eviction_storm(
         self,
         rng: RngStreams,
@@ -171,14 +141,6 @@ class FailureInjector:
             self.env.process(
                 self._eviction_storm(name, stream, mtbf_s, notice_s, outage_s)
             )
-
-    def _apply_eviction(self, ev: EvictionEvent):
-        if ev.at_s > self.env.now:
-            yield self.env.timeout(ev.at_s - self.env.now)
-        site = self._sites[ev.site]
-        if site.state is not SiteState.UP:
-            return  # another fault owns the site; skip this eviction
-        yield from self._evict(site, ev.notice_s, ev.outage_s)
 
     def _eviction_storm(self, name, stream, mtbf_s, notice_s, outage_s):
         site = self._sites[name]

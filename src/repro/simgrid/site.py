@@ -28,15 +28,14 @@ from repro.sim.engine import Environment
 from repro.sim.rng import RngStreams
 from repro.simgrid.local_scheduler import LocalScheduler, SiteJob
 
-__all__ = ["GridSite", "SiteState", "SiteUnavailableError", "StorageFullError"]
+__all__ = ["GridSite", "SiteState", "SiteUnavailableError"]
+
+#: service-time multiplier while a site is DEGRADED
+_DEGRADED_FACTOR = 4.0
 
 
 class SiteUnavailableError(RuntimeError):
     """Submission to a site that is down."""
-
-
-class StorageFullError(RuntimeError):
-    """A file write would exceed the site's disk capacity."""
 
 
 class SiteState(enum.Enum):
@@ -70,12 +69,6 @@ class GridSite:
     service_noise_sigma:
         Sigma of the log-normal noise applied to every service time
         (shared-node jitter, I/O interference).
-    degraded_factor:
-        Extra multiplier applied while the site is DEGRADED.
-    disk_capacity_mb:
-        Storage element size; writes beyond it raise
-        :class:`StorageFullError` (the paper's "hard disk quota"
-        concern made physical).  Default: unlimited.
     """
 
     def __init__(
@@ -86,16 +79,11 @@ class GridSite:
         n_cpus: int,
         perf_factor: float = 1.0,
         service_noise_sigma: float = 0.1,
-        degraded_factor: float = 4.0,
-        disk_capacity_mb: float = float("inf"),
     ):
         # `not x > 0` rather than `x <= 0`: NaN stops here, not mid-run
-        for field, value in (("perf_factor", perf_factor),
-                             ("degraded_factor", degraded_factor),
-                             ("disk_capacity_mb", disk_capacity_mb)):
-            if not value > 0:
-                raise ValueError(
-                    f"GridSite.{field} must be > 0, got {value!r}")
+        if not perf_factor > 0:
+            raise ValueError(
+                f"GridSite.perf_factor must be > 0, got {perf_factor!r}")
         if not service_noise_sigma >= 0:
             raise ValueError("GridSite.service_noise_sigma must be >= 0, "
                              f"got {service_noise_sigma!r}")
@@ -103,8 +91,6 @@ class GridSite:
         self.name = name
         self.perf_factor = perf_factor
         self.service_noise_sigma = service_noise_sigma
-        self.degraded_factor = degraded_factor
-        self.disk_capacity_mb = disk_capacity_mb
         self._rng = rng.stream("service-noise")
         self._noise = array("d")  # standard normals drawn ahead
         self._state = SiteState.UP
@@ -212,26 +198,10 @@ class GridSite:
     def store_file(self, lfn: str, size_mb: float) -> None:
         if size_mb < 0:
             raise ValueError("size must be >= 0")
-        if self.disk_capacity_mb < math.inf:  # unlimited: nothing to sum
-            growth = size_mb - self._storage.get(lfn, 0.0)
-            if self.stored_mb + growth > self.disk_capacity_mb:
-                raise StorageFullError(
-                    f"{self.name}: {size_mb} MB does not fit "
-                    f"({self.free_mb:.0f} MB free)"
-                )
         self._storage[lfn] = size_mb
-
-    @property
-    def free_mb(self) -> float:
-        capacity = self.disk_capacity_mb
-        return capacity if capacity == math.inf else capacity - self.stored_mb
 
     def has_file(self, lfn: str) -> bool:
         return lfn in self._storage
-
-    @property
-    def stored_mb(self) -> float:
-        return sum(self._storage.values())
 
     # -- advance reservations -------------------------------------------------------------
     def reserve(
@@ -309,7 +279,7 @@ class GridSite:
     def _service_time(self, runtime_s: float) -> float:
         factor = self.perf_factor
         if self._state is SiteState.DEGRADED:
-            factor *= self.degraded_factor
+            factor *= _DEGRADED_FACTOR
         sigma = self.service_noise_sigma
         if sigma > 0:
             # normal(0, sigma) is 0.0 + sigma * z over the same z's, and

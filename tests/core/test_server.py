@@ -1,10 +1,17 @@
 """Unit tests for the SPHINX server: automaton, planner, reports."""
 
+import ast
+import math
+from pathlib import Path
+
 import pytest
 
+from repro.chaos import ChaosPlan, CrashSpec, FaultRule, PartitionWindow
 from repro.core import ServerConfig, SphinxServer
 from repro.core.serialize import dag_to_payload
 from repro.core.states import DagState, JobState
+from repro.experiments import Scenario, ServerSpec
+from repro.federation import FederationConfig, FederationScenario
 from repro.services import MonitoringService, ReplicaService, RpcBus
 from repro.sim import Environment
 from repro.sim.rng import RngStreams
@@ -83,25 +90,53 @@ def test_empty_catalog_rejected():
         SphinxServer(env, bus, ServerConfig(), {}, mon, rls)
 
 
-@pytest.mark.parametrize("field, value", [
-    ("job_checkpoint_interval_s", float("nan")),
-    ("job_checkpoint_interval_s", -1.0),
-    ("job_checkpoint_cost_s", -5.0),
-    ("job_checkpoint_cost_s", float("nan")),
-    ("max_attempts", 0),
-    ("max_attempts", -2),
-    ("max_attempts", 2.0),
-    ("max_attempts", True),
-])
-def test_config_rejects_bad_numbers(field, value):
-    with pytest.raises(ValueError, match=rf"ServerConfig\.{field} must"):
-        ServerConfig(**{field: value})
+#: how to build each class whose fields ``require_positive`` or
+#: ``require_non_negative`` guard, with one field overridden
+_GUARDED = {
+    "ServerConfig": ServerConfig,
+    "Scenario": lambda **kw: Scenario(
+        name="x", servers=(ServerSpec("a", "round-robin"),), **kw),
+    "FederationScenario": lambda **kw: FederationScenario(name="x", **kw),
+    "FederationConfig": FederationConfig,
+    "FaultRule": FaultRule,
+    "PartitionWindow": lambda **kw: PartitionWindow(
+        **{"service": "x", "start_s": 10.0, "end_s": 20.0, **kw}),
+    "CrashSpec": lambda **kw: CrashSpec("server", **{"at_s": 1.0, **kw}),
+    "ChaosPlan": ChaosPlan,
+}
+
+
+def guarded_fields():
+    """(class, field) for every field named in a ``require_positive`` or
+    ``require_non_negative`` call in ``src/``."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    for path in sorted(src.rglob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for call in ast.walk(cls):
+                if (isinstance(call, ast.Call)
+                        and getattr(call.func, "id", None)
+                        in ("require_positive", "require_non_negative")):
+                    for arg in call.args[1:]:
+                        for node in ast.walk(arg):
+                            if (isinstance(node, ast.Constant)
+                                    and isinstance(node.value, str)):
+                                yield cls.name, node.value
+
+
+@pytest.mark.parametrize("config, field", sorted(set(guarded_fields())))
+def test_every_guarded_field_rejects_inf(config, field):
+    # An infinite horizon never ended; an infinite tick_s or
+    # background_batch_s silently switched off what it paces.
+    with pytest.raises(ValueError, match=rf"^{config}\.{field} must be finite"):
+        _GUARDED[config](**{field: math.inf})
 
 
 def test_config_accepts_edge_values():
-    ServerConfig(job_checkpoint_interval_s=0.0, job_checkpoint_cost_s=0.0,
-                 max_attempts=1)
-    ServerConfig(max_attempts=None)
+    # inf is presume_lost_after_s's "never", the default
+    ServerConfig(presume_lost_after_s=math.inf)
+    ServerConfig(migrate_on_drain=True)
 
 
 def test_submit_dag_creates_rows():
@@ -367,16 +402,6 @@ def test_cancel_refunds_quota():
     assert st.server.policy.used(user, site, "cpu_seconds") == 60.0
     st.server._rpc_report_status("q.a", 1, "cancelled", site, reason="killed")
     assert st.server.policy.used(user, site, "cpu_seconds") == 0.0
-
-
-def test_max_attempts_safety_valve():
-    st = Stack(max_attempts=2)
-    st.submit(chain_dag())
-    st.server.tick()  # attempt 1
-    st.server._rpc_report_status("d0.a", 1, "cancelled", "s0")
-    st.server.tick()  # attempt 2
-    with pytest.raises(RuntimeError, match="attempts"):
-        st.server._rpc_report_status("d0.a", 2, "cancelled", "s1")
 
 
 def test_shutdown_unregisters_and_halts():

@@ -75,18 +75,22 @@ def test_suite_rejects_unknown_filter(tmp_path):
     ["fig2", "--dags", "0"],
     ["fig2", "--horizon-hours", "nan"],
     ["fig2", "--horizon-hours", "-1"],
+    ["fig2", "--horizon-hours", "inf"],
+    ["chaos", "fig2", "--horizon-hours", "inf"],
     ["fig345", "--dags", "0"],
     ["suite", "--scale", "nan"],
     ["suite", "--scale", "0.05", "--shards", "0"],
     ["suite", "--progress", "--progress-interval", "nan"],
+    ["suite", "--progress", "--progress-interval", "inf"],
     ["trace", "fig2", "--telemetry-interval", "nan"],
+    ["trace", "fig2", "--telemetry-interval", "inf"],
     ["trace", "fig2", "--dags", "0"],
     ["trace", "ext-federation", "--shards", "0"],
     ["chaos", "fig2", "--dags", "0"],
     ["chaos", "ext-federation", "--submit-interval", "nan"],
 ], ids=" ".join)
 def test_bad_numbers_fail_at_the_edge(argv, tmp_path, monkeypatch, capsys):
-    """0, negative and NaN pass argparse's ``int``/``float``; every
+    """0, negative, NaN and inf pass argparse's ``int``/``float``; every
     command refuses them in one line, before anything runs."""
     monkeypatch.chdir(tmp_path)  # suite/trace default outputs land here
     assert main(argv) == 2

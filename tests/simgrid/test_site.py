@@ -22,14 +22,11 @@ def test_validation():
         GridSite(env, RngStreams(0), "s", n_cpus=2, perf_factor=0)
     with pytest.raises(ValueError):
         GridSite(env, RngStreams(0), "s", n_cpus=2, service_noise_sigma=-1)
-    with pytest.raises(ValueError):
-        GridSite(env, RngStreams(0), "s", n_cpus=2, degraded_factor=0)
 
 
 @pytest.mark.parametrize("bad", [0, -1, float("nan")])
 @pytest.mark.parametrize("field,bound", [
-    ("perf_factor", "> 0"), ("degraded_factor", "> 0"),
-    ("disk_capacity_mb", "> 0"), ("service_noise_sigma", ">= 0"),
+    ("perf_factor", "> 0"), ("service_noise_sigma", ">= 0"),
 ])
 def test_fields_must_be_in_range(field, bound, bad):
     # NaN passed every `x <= 0` test and surfaced as a NaN service time
@@ -128,7 +125,7 @@ class TestFaultStates:
         assert job.status is SiteJobStatus.COMPLETED
 
     def test_degraded_slows_jobs(self):
-        env, site = make_site(perf_factor=1.0, degraded_factor=4.0)
+        env, site = make_site(perf_factor=1.0)
         site.set_state(SiteState.DEGRADED)
         job = site.submit("j", runtime_s=10.0)
         env.run()
@@ -153,25 +150,11 @@ class TestStorage:
         site.store_file("data.root", 100.0)
         assert site.has_file("data.root")
         assert not site.has_file("other")
-        assert site.stored_mb == 100.0
 
     def test_negative_size_rejected(self):
         _env, site = make_site()
         with pytest.raises(ValueError):
             site.store_file("x", -1.0)
-
-    def test_unlimited_disk_never_sums_its_files(self, monkeypatch):
-        _env, site = make_site()
-        site.store_file("x", 10.0)
-
-        def no_sum(_site):
-            raise AssertionError("stored_mb summed on an unlimited disk")
-
-        monkeypatch.setattr(GridSite, "stored_mb", property(no_sum))
-        site.store_file("y", 1e12)
-        site.store_file("x", 20.0)
-        assert site.free_mb == float("inf")
-        assert site.has_file("x") and site.has_file("y")
 
 
 class TestLocalPolicy:
