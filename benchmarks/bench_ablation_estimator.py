@@ -12,45 +12,31 @@ Two design choices DESIGN.md calls out on top of eq. 3:
 Both variants are run head-to-head against the default.
 """
 
-from repro.experiments import Scenario, ServerSpec, format_table, run_scenario
+from repro.experiments import format_table
 
-from benchmarks.common import SEED, emit, scale, scaled_dags
+from benchmarks.common import emit, full_scale, run_cases
 
-PAPER_DAGS = 30
-
-VARIANTS = (
-    ServerSpec("default(ewma+corr)", "completion-time"),
-    ServerSpec("mean-estimator", "completion-time", estimator_mode="mean"),
-    ServerSpec("no-correction", "completion-time",
-               use_prediction_correction=False),
-)
+CASES = {"ablation-estimator": ("default(ewma+corr)", "mean-estimator",
+                                "no-correction")}
 
 
 def test_ablation_estimator(benchmark):
-    n_dags = scaled_dags(PAPER_DAGS)
-    sc = Scenario(
-        name="ablation-estimator",
-        servers=VARIANTS,
-        n_dags=n_dags,
-        seed=SEED,
-        horizon_s=24 * 3600.0,
-    )
-    result = benchmark.pedantic(lambda: run_scenario(sc),
-                                rounds=1, iterations=1)
+    result = run_cases(benchmark, CASES)["ablation-estimator"].result
+    n_dags = result["default(ewma+corr)"].total_dags
     rows = []
-    for spec in VARIANTS:
-        s = result[spec.label]
-        rows.append([spec.label, f"{s.finished_dags}/{s.total_dags}",
+    for label in CASES["ablation-estimator"]:
+        s = result[label]
+        rows.append([label, f"{s.finished_dags}/{s.total_dags}",
                      s.avg_dag_completion_s, s.resubmissions])
     emit("ablation_estimator", format_table(
         ["variant", "dags", "avg dag completion (s)", "resubmissions"],
         rows,
         title=f"Ablation: completion-time estimator variants, {n_dags} dags",
     ))
-    if scale() >= 1.0:
+    if full_scale():
         # All variants must complete the workload; the default should not
         # be dominated (>25% worse) by either ablated variant.
         base = result["default(ewma+corr)"].avg_dag_completion_s
-        for spec in VARIANTS:
-            assert result[spec.label].finished_dags == n_dags
-            assert base < 1.25 * result[spec.label].avg_dag_completion_s
+        for label in CASES["ablation-estimator"]:
+            assert result[label].finished_dags == n_dags
+            assert base < 1.25 * result[label].avg_dag_completion_s

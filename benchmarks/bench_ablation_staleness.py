@@ -7,48 +7,31 @@ strategy should close much of its gap to the completion-time hybrid;
 at 2004-realistic staleness (300-900 s) it degrades.
 """
 
-from repro.experiments import Scenario, ServerSpec, format_table, run_scenario
+from repro.experiments import format_table
 
-from benchmarks.common import SEED, emit, scale, scaled_dags
+from benchmarks.common import emit, full_scale, run_cases
 
-PAPER_DAGS = 30
-INTERVALS = (30.0, 300.0, 900.0)
-
-
-def run(n_dags):
-    out = {}
-    for interval in INTERVALS:
-        sc = Scenario(
-            name=f"staleness-{interval:.0f}",
-            servers=(ServerSpec("queue-length", "queue-length"),
-                     ServerSpec("completion-time", "completion-time")),
-            n_dags=n_dags,
-            seed=SEED,
-            monitoring_interval_s=interval,
-            horizon_s=24 * 3600.0,
-        )
-        out[interval] = run_scenario(sc)
-    return out
+CASES = {f"ablation-staleness-{interval}s": ("queue-length", "completion-time")
+         for interval in (30, 300, 900)}
 
 
 def test_ablation_monitoring_staleness(benchmark):
-    n_dags = scaled_dags(PAPER_DAGS)
-    results = benchmark.pedantic(lambda: run(n_dags), rounds=1, iterations=1)
+    runs = run_cases(benchmark, CASES)
     rows = []
-    for interval in INTERVALS:
-        ql = results[interval]["queue-length"]
-        ct = results[interval]["completion-time"]
-        rows.append([f"{interval:.0f}s", ql.avg_dag_completion_s,
-                     ct.avg_dag_completion_s,
+    for name in CASES:
+        ql = runs[name].result["queue-length"]
+        ct = runs[name].result["completion-time"]
+        rows.append([name.removeprefix("ablation-staleness-"),
+                     ql.avg_dag_completion_s, ct.avg_dag_completion_s,
                      ql.avg_dag_completion_s / ct.avg_dag_completion_s])
     emit("ablation_staleness", format_table(
         ["monitor interval", "queue-length (s)", "completion-time (s)",
          "ratio"],
         rows,
-        title=(f"Ablation: monitoring staleness, {n_dags} dags "
+        title=(f"Ablation: monitoring staleness, {ct.total_dags} dags "
                f"(paper: stale monitoring is why queue-length loses)"),
     ))
-    if scale() >= 1.0:
+    if full_scale():
         # At the 2004-realistic staleness (300 s) queue-length clearly
         # loses to the hybrid.  (Staleness is not monotone in our
         # testbed — very stale data dampens herding — so the paper's

@@ -9,58 +9,42 @@ downward, the expected shape is that both variants finish the workload
 (evictions are transient; the DAGs must survive at any rate) while the
 checkpoint+migrate policy loses measurably less attempt progress —
 the paper's fault-tolerance argument extended from site crashes to
-advertised preemption.
+advertised preemption.  Each case is a chaos drill, so a violated
+invariant fails the run.
 """
 
 from repro.experiments import format_table
-from repro.experiments.figures import ext_eviction
 
-from benchmarks.common import SEED, emit, scale, scaled_dags
+from benchmarks.common import emit, full_scale, run_cases
 
-PAPER_DAGS = 30
-N_SITES = 10
-#: per-site mean time between evictions, calm -> aggressive
-RATES = (3600.0, 900.0)
+#: per-site mean time between evictions on 10 sites, calm -> aggressive
+CASES = {f"ext-eviction-mtbf{mtbf}": ("resubmit", "migrate")
+         for mtbf in (3600, 900)}
 
 
 def test_ext_eviction(benchmark):
-    n_dags = scaled_dags(PAPER_DAGS)
-
-    def run_all():
-        return {
-            mtbf: ext_eviction(n_sites=N_SITES, n_dags=n_dags,
-                               seed=SEED, eviction_mtbf_s=mtbf)
-            for mtbf in RATES
-        }
-
-    drills = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    rows = []
-    for mtbf, drill in drills.items():
-        for label in ("resubmit", "migrate"):
-            s = drill.result[label]
-            rows.append([f"{mtbf:.0f}", label,
-                         f"{s.finished_dags}/{s.total_dags}",
-                         s.avg_dag_completion_s, s.preempted_work_s,
-                         s.migrations, s.checkpoint_restores])
+    runs = run_cases(benchmark, CASES)
+    servers = [(name, label, runs[name].result[label])
+               for name, labels in CASES.items() for label in labels]
+    rows = [[name.removeprefix("ext-eviction-mtbf"), label,
+             f"{s.finished_dags}/{s.total_dags}",
+             s.avg_dag_completion_s, s.preempted_work_s,
+             s.migrations, s.checkpoint_restores]
+            for name, label, s in servers]
     emit("ext_eviction", format_table(
         ["MTBF (s)", "policy", "dags", "avg dag (s)",
          "lost work (s)", "migrations", "restores"],
         rows,
-        title=(f"Extension: eviction tolerance, {N_SITES} sites, "
-               f"{n_dags} dags per server"),
+        title=(f"Extension: eviction tolerance, 10 sites, "
+               f"{servers[0][2].total_dags} dags per server"),
     ))
-    for mtbf, drill in drills.items():
-        assert drill.ok, \
-            f"invariant violations at MTBF {mtbf}:\n{drill.report.format_text()}"
-        for label in ("resubmit", "migrate"):
-            s = drill.result[label]
-            assert s.finished_dags == s.total_dags, \
-                f"{label} lost DAGs at MTBF {mtbf}"
-    if scale() >= 1.0:
+    for name, label, s in servers:
+        assert s.finished_dags == s.total_dags, f"{label} lost DAGs in {name}"
+    if full_scale():
         # The point of the extension: at the aggressive eviction rate,
         # checkpoint+migrate must preserve strictly more attempt
         # progress than kill-and-resubmit.
-        aggressive = drills[RATES[-1]].result
+        aggressive = runs["ext-eviction-mtbf900"].result
         assert (aggressive["migrate"].preempted_work_s
                 < aggressive["resubmit"].preempted_work_s), \
             "checkpoint+migrate did not reduce preemption loss"

@@ -7,32 +7,20 @@ completion-time hybrid still beats round-robin — the feedback signal
 survives runtime heterogeneity.
 """
 
-from repro.experiments import Scenario, ServerSpec, format_table, run_scenario
+from repro.experiments import format_table
 
-from benchmarks.common import SEED, emit, scale, scaled_dags
+from benchmarks.common import emit, full_scale, run_cases
 
-PAPER_DAGS = 30
+CASES = {"ext-heterogeneous": ("completion-time", "round-robin")}
 
 
 def test_ext_heterogeneous_workload(benchmark):
-    n_dags = scaled_dags(PAPER_DAGS)
-    sc = Scenario(
-        name="ext-hetero",
-        servers=(ServerSpec("completion-time", "completion-time"),
-                 ServerSpec("round-robin", "round-robin")),
-        n_dags=n_dags,
-        seed=SEED,
-        horizon_s=24 * 3600.0,
-        workload_overrides={
-            "runtime_classes": [(30.0, 0.6), (300.0, 0.4)],
-        },
-    )
-    result = benchmark.pedantic(lambda: run_scenario(sc),
-                                rounds=1, iterations=1)
+    result = run_cases(benchmark, CASES)["ext-heterogeneous"].result
+    n_dags = result["completion-time"].total_dags
     rows = [
         [label, f"{result[label].finished_dags}/{n_dags}",
          result[label].avg_dag_completion_s, result[label].resubmissions]
-        for label in ("completion-time", "round-robin")
+        for label in CASES["ext-heterogeneous"]
     ]
     emit("ext_heterogeneous", format_table(
         ["algorithm", "dags", "avg dag completion (s)", "resubmissions"],
@@ -40,6 +28,6 @@ def test_ext_heterogeneous_workload(benchmark):
         title=(f"Extension: heterogeneous workload (30s/300s mix), "
                f"{n_dags} dags"),
     ))
-    if scale() >= 1.0:
+    if full_scale():
         assert result["completion-time"].avg_dag_completion_s < \
             result["round-robin"].avg_dag_completion_s

@@ -9,13 +9,11 @@ The hybrid shows the light-load baseline (it meets deadlines for free
 by being fast); round-robin anchors the naive end.
 """
 
-from repro.experiments import Scenario, ServerSpec, format_table, run_scenario
+from repro.experiments import format_table
 
-from benchmarks.common import SEED, emit, scale, scaled_dags
+from benchmarks.common import emit, full_scale, run_cases, suite_cases
 
-PAPER_DAGS = 30
-#: absolute per-DAG deadline (submission -> last job done)
-DEADLINE_S = 3600.0
+CASES = {"ext-qos": ("qos-deadline", "completion-time", "round-robin")}
 
 
 def dag_deadline_hits(server_result, deadline_s):
@@ -28,37 +26,26 @@ def dag_deadline_hits(server_result, deadline_s):
 
 
 def test_ext_qos_deadline(benchmark):
-    n_dags = scaled_dags(PAPER_DAGS)
-    sc = Scenario(
-        name="ext-qos",
-        servers=(
-            ServerSpec("qos-deadline", "qos-deadline",
-                       algorithm_kwargs={"deadline_s": DEADLINE_S}),
-            ServerSpec("completion-time", "completion-time"),
-            ServerSpec("round-robin", "round-robin"),
-        ),
-        n_dags=n_dags,
-        seed=SEED,
-        fault_windows=(),
-        horizon_s=24 * 3600.0,
-    )
-    result = benchmark.pedantic(lambda: run_scenario(sc),
-                                rounds=1, iterations=1)
+    # the absolute per-DAG deadline (submission -> last job done)
+    specs = {s.label: s for s in suite_cases()["ext-qos"].scenario.servers}
+    deadline_s = specs["qos-deadline"].algorithm_kwargs["deadline_s"]
+    result = run_cases(benchmark, CASES)["ext-qos"].result
     rows = []
-    for label in ("qos-deadline", "completion-time", "round-robin"):
+    for label in CASES["ext-qos"]:
         s = result[label]
         rows.append([label, s.avg_dag_completion_s,
-                     dag_deadline_hits(s, DEADLINE_S)])
+                     dag_deadline_hits(s, deadline_s)])
     emit("ext_qos", format_table(
         ["algorithm", "avg dag completion (s)",
-         f"% dags <= {DEADLINE_S:.0f}s"],
+         f"% dags <= {deadline_s:.0f}s"],
         rows,
         title=f"Extension: QoS DAG-deadline scheduling (fault-free), "
-              f"{n_dags} dags",
+              f"{result['qos-deadline'].total_dags} dags",
     ))
-    if scale() >= 1.0:
+    if full_scale():
         # Within a couple of points of round-robin's DAG hit rate while
         # deliberately spreading load (not racing to the fastest site).
-        assert dag_deadline_hits(result["qos-deadline"], DEADLINE_S) >= \
-            dag_deadline_hits(result["round-robin"], DEADLINE_S) - 3.0
-        assert result["qos-deadline"].finished_dags == n_dags
+        assert dag_deadline_hits(result["qos-deadline"], deadline_s) >= \
+            dag_deadline_hits(result["round-robin"], deadline_s) - 3.0
+        assert result["qos-deadline"].finished_dags == \
+            result["qos-deadline"].total_dags

@@ -10,25 +10,20 @@ slot a dead or slow plan strands), and the reservation variant's DAG
 completion average is no worse than the reactive baseline's.
 """
 
-from repro import obs as obs_mod
-from repro.experiments import format_table, run_scenario
-from repro.experiments.figures import ext_reservation_scenario
+from repro.experiments import format_table
 from repro.experiments.parallel import project
 
-from benchmarks.common import SEED, emit, scale, scaled_dags
+from benchmarks.common import emit, full_scale, run_cases
 
-PAPER_DAGS = 30
+CASES = {"ext-reservation": ("reactive", "reservation")}
 
 
 def test_ext_reservation(benchmark):
-    n_dags = scaled_dags(PAPER_DAGS)
-    sc = ext_reservation_scenario(n_dags, SEED, horizon_s=24 * 3600.0)
-    obs = obs_mod.Obs(obs_mod.ObsConfig())
-    result = benchmark.pedantic(lambda: run_scenario(sc, obs=obs),
-                                rounds=1, iterations=1)
-    counts = project(obs.metrics.snapshot())["reservations"]
+    run = run_cases(benchmark, CASES)["ext-reservation"]
+    result = run.result
+    counts = project(run.metrics)["reservations"]
     rows = []
-    for label in ("reactive", "reservation"):
+    for label in CASES["ext-reservation"]:
         s = result[label]
         rows.append([label, s.finished_dags, s.avg_dag_completion_s,
                      s.avg_job_idle_s, s.resubmissions])
@@ -36,12 +31,13 @@ def test_ext_reservation(benchmark):
         ["variant", "finished dags", "avg dag completion (s)",
          "avg job idle (s)", "resubmissions"],
         rows,
-        title=(f"Extension: reactive vs advance reservations, {n_dags} dags"
+        title=(f"Extension: reactive vs advance reservations, "
+               f"{result['reactive'].total_dags} dags"
                f" | reservations: "
                + " ".join(f"{k}={v}" for k, v in counts.items())),
     ))
     assert counts["confirmed"] > 0, "reserve-ahead server never reserved"
-    if scale() >= 1.0:
+    if full_scale():
         # Proactive reservations must not cost completions: site-side
         # expiry frees stranded slots, and unplanned jobs fall back to
         # the normal queue, so at worst it ties the reactive baseline

@@ -5,23 +5,19 @@ feedback, 30 DAGs x 10 jobs.  With-feedback variants complete DAGs
 about 20-29% faster because unreliable sites are flagged and avoided.
 """
 
-from repro.experiments import fig2_feedback, format_table
+from repro.experiments import format_table
 from repro.experiments.metrics import improvement_pct
 
-from benchmarks.common import SEED, emit, scale, scaled_dags
+from benchmarks.common import emit, full_scale, run_cases
 
-PAPER_DAGS = 30
-
-
-def run():
-    return fig2_feedback(n_dags=scaled_dags(PAPER_DAGS), seed=SEED)
+CASES = {"fig2": ("round-robin+fb", "round-robin-nofb",
+                  "num-cpus+fb", "num-cpus-nofb")}
 
 
 def test_fig2_feedback(benchmark):
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run_cases(benchmark, CASES)["fig2"].result
     rows = []
-    for label in ("round-robin+fb", "round-robin-nofb",
-                  "num-cpus+fb", "num-cpus-nofb"):
+    for label in CASES["fig2"]:
         s = result[label]
         rows.append([label, f"{s.finished_dags}/{s.total_dags}",
                      s.avg_dag_completion_s, s.resubmissions])
@@ -36,8 +32,8 @@ def test_fig2_feedback(benchmark):
     table = format_table(
         ["strategy", "dags", "avg dag completion (s)", "resubmissions"],
         rows,
-        title=(f"Fig 2: feedback effect ({scaled_dags(PAPER_DAGS)} dags x 10 "
-               f"jobs; paper: with-feedback 20-29% faster)\n"
+        title=(f"Fig 2: feedback effect ({result['num-cpus+fb'].total_dags} "
+               f"dags x 10 jobs; paper: with-feedback 20-29% faster)\n"
                f"measured gain: round-robin {rr_gain:.0f}%, "
                f"num-cpus {cpu_gain:.0f}%"),
     )
@@ -45,7 +41,7 @@ def test_fig2_feedback(benchmark):
 
     # Shape: feedback must not lose, and at full scale it clearly wins
     # for round-robin (the paper's headline case).
-    if scale() >= 1.0:
+    if full_scale():
         assert rr_gain > 5.0
         assert result["num-cpus+fb"].avg_dag_completion_s <= \
             result["num-cpus-nofb"].avg_dag_completion_s * 1.10

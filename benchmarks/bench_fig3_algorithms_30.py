@@ -5,17 +5,18 @@ about 17%; (b) average job execution and idle time — hybrid jobs
 execute ~5% faster and idle ~6% less.
 """
 
-from repro.experiments import fig3_algorithms, format_table
+from repro.experiments import format_table
 from repro.experiments.figures import ALGORITHM_LINEUP
 from repro.experiments.metrics import improvement_pct
 
-from benchmarks.common import SEED, emit, scale, scaled_dags
+from benchmarks.common import emit, full_scale, run_cases
 
-PAPER_DAGS = 30
 LABELS = tuple(s.label for s in ALGORITHM_LINEUP)
+CASES = {"fig3": LABELS}
 
 
-def _emit_tables(result, n_dags, fig, expectation):
+def _emit_tables(result, fig, expectation):
+    n_dags = result["completion-time"].total_dags
     rows_a = []
     rows_b = []
     for label in LABELS:
@@ -42,14 +43,9 @@ def _emit_tables(result, n_dags, fig, expectation):
 
 
 def test_fig3_algorithms_30(benchmark):
-    n_dags = scaled_dags(PAPER_DAGS)
-    result = benchmark.pedantic(
-        lambda: fig3_algorithms(n_dags=n_dags, seed=SEED),
-        rounds=1, iterations=1,
-    )
-    margins = _emit_tables(result, n_dags, "3",
-                           "paper: completion-time ~17% better")
-    if scale() >= 1.0:
+    result = run_cases(benchmark, CASES)["fig3"].result
+    margins = _emit_tables(result, "3", "paper: completion-time ~17% better")
+    if full_scale():
         # Shape: the hybrid beats every other strategy at 30 dags.
         assert all(m > 0 for m in margins.values()), margins
         # And its jobs run on faster sites.

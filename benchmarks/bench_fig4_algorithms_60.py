@@ -6,23 +6,16 @@ Paper: the completion-time hybrid's margin grows with load — "from
 completion time information".
 """
 
-from repro.experiments import fig3_algorithms
+from benchmarks.bench_fig3_algorithms_30 import LABELS, _emit_tables
+from benchmarks.common import full_scale, run_cases
 
-from benchmarks.bench_fig3_algorithms_30 import _emit_tables
-from benchmarks.common import SEED, scale, scaled_dags
-
-PAPER_DAGS = 60
+CASES = {"fig4": LABELS}
 
 
 def test_fig4_algorithms_60(benchmark):
-    n_dags = scaled_dags(PAPER_DAGS)
-    result = benchmark.pedantic(
-        lambda: fig3_algorithms(n_dags=n_dags, seed=SEED),
-        rounds=1, iterations=1,
-    )
-    margins = _emit_tables(result, n_dags, "4",
-                           "paper: completion-time 33-50% better")
-    if scale() >= 1.0:
+    result = run_cases(benchmark, CASES)["fig4"].result
+    margins = _emit_tables(result, "4", "paper: completion-time 33-50% better")
+    if full_scale():
         # Shape: the hybrid clearly beats the baselines at this load...
         assert margins["round-robin"] > 25.0
         assert margins["queue-length"] > 15.0

@@ -10,21 +10,18 @@ completion-time hybrid head-to-head under identical conditions.
 """
 
 from repro.experiments import format_table
-from repro.experiments.figures import fig5_pairwise
 from repro.experiments.metrics import improvement_pct
 
-from benchmarks.common import SEED, emit, scale, scaled_dags
+from benchmarks.common import emit, full_scale, run_cases
 
-PAPER_DAGS = 120
 RIVALS = ("queue-length", "num-cpus", "round-robin")
+CASES = {f"fig5-pair-{rival}": ("completion-time", rival) for rival in RIVALS}
 
 
 def test_fig5_algorithms_120(benchmark):
-    n_dags = scaled_dags(PAPER_DAGS)
-    results = benchmark.pedantic(
-        lambda: fig5_pairwise(n_dags=n_dags, seed=SEED),
-        rounds=1, iterations=1,
-    )
+    runs = run_cases(benchmark, CASES)
+    results = {rival: runs[f"fig5-pair-{rival}"].result for rival in RIVALS}
+    n_dags = results["round-robin"]["completion-time"].total_dags
     rows_a, rows_b = [], []
     margins = {}
     for rival in RIVALS:
@@ -51,7 +48,7 @@ def test_fig5_algorithms_120(benchmark):
          "ct exec (s)", "ct idle (s)"], rows_b,
         title=f"Fig 5(b): job execution/idle per pairing, {n_dags} dags",
     ))
-    if scale() >= 1.0:
+    if full_scale():
         # Shape at full load (see EXPERIMENTS.md for the full story):
         # every pairing finishes its whole workload (the scalability
         # claim), the hybrid clearly beats round-robin and at least

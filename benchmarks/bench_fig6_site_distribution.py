@@ -7,21 +7,19 @@ We quantify "inversely proportional" as a Spearman rank correlation:
 strongly negative for completion-time, weaker for num-cpus.
 """
 
-from repro.experiments import fig6_site_distribution, format_table
+from repro.experiments import format_table
+from repro.experiments.figures import fig6_tables
 
-from benchmarks.common import SEED, emit, scale, scaled_dags
+from benchmarks.common import emit, full_scale, run_cases
 
-PAPER_DAGS = 120
+CASES = {"fig6": ("completion-time", "num-cpus")}
 
 
 def test_fig6_site_distribution(benchmark):
-    n_dags = scaled_dags(PAPER_DAGS)
-    result, tables, correlations = benchmark.pedantic(
-        lambda: fig6_site_distribution(n_dags=n_dags, seed=SEED,
-                                       horizon_s=36 * 3600.0),
-        rounds=1, iterations=1,
-    )
-    for label in ("completion-time", "num-cpus"):
+    result = run_cases(benchmark, CASES)["fig6"].result
+    tables, correlations = fig6_tables(result)
+    n_dags = result["completion-time"].total_dags
+    for label in CASES["fig6"]:
         rows = [[site, jobs, avg] for site, jobs, avg in tables[label]]
         sub = "a" if label == "completion-time" else "b"
         emit(f"fig6{sub}_{label.replace('-', '_')}", format_table(
@@ -30,7 +28,7 @@ def test_fig6_site_distribution(benchmark):
                    f"jobs-vs-avg-completion Spearman r = "
                    f"{correlations[label]:+.2f}"),
         ))
-    if scale() >= 1.0:
+    if full_scale():
         # Shape: strong inverse proportionality for the hybrid (Fig 6a).
         assert correlations["completion-time"] < -0.5
         # num-cpus must not show a *stronger* inverse trend than the

@@ -3,31 +3,23 @@
 Paper: "A user's remaining usage quota defines the list of sites
 available to him ... The results obtained are similar to those without
 policy", i.e. SPHINX keeps its scheduling efficiency inside a policy-
-constrained pool.
+constrained pool.  ``fig7-baseline`` is the same run without quotas.
 """
 
-from repro.experiments import fig3_algorithms, fig7_policy, format_table
+from repro.experiments import format_table
 from repro.experiments.figures import ALGORITHM_LINEUP
 
-from benchmarks.common import SEED, emit, scale, scaled_dags
+from benchmarks.common import emit, full_scale, run_cases
 
-PAPER_DAGS = 120
 LABELS = tuple(s.label for s in ALGORITHM_LINEUP)
-
-
-def run(n_dags):
-    constrained = fig7_policy(n_dags=n_dags, seed=SEED,
-                              horizon_s=36 * 3600.0)
-    unconstrained = fig3_algorithms(n_dags=n_dags, seed=SEED,
-                                    horizon_s=36 * 3600.0)
-    return constrained, unconstrained
+CASES = {"fig7": LABELS, "fig7-baseline": LABELS}
 
 
 def test_fig7_policy(benchmark):
-    n_dags = scaled_dags(PAPER_DAGS)
-    constrained, unconstrained = benchmark.pedantic(
-        lambda: run(n_dags), rounds=1, iterations=1,
-    )
+    runs = run_cases(benchmark, CASES)
+    constrained = runs["fig7"].result
+    unconstrained = runs["fig7-baseline"].result
+    n_dags = constrained["completion-time"].total_dags
     rows_a, rows_b = [], []
     for label in LABELS:
         c, u = constrained[label], unconstrained[label]
@@ -43,7 +35,7 @@ def test_fig7_policy(benchmark):
         ["algorithm", "avg exec (s)", "avg idle (s)"], rows_b,
         title=f"Fig 7(b): job execution/idle under quotas, {n_dags} dags",
     ))
-    if scale() >= 1.0:
+    if full_scale():
         for label in LABELS:
             c, u = constrained[label], unconstrained[label]
             # The quota binds (some site hits its cap), yet the workload

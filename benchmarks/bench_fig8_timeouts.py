@@ -7,33 +7,28 @@ The shape to reproduce: the no-feedback variant resubmits an order of
 magnitude more than the feedback-driven strategies.
 """
 
-from repro.experiments import fig8_timeouts, format_table
+from repro.experiments import format_table
 
-from benchmarks.common import SEED, emit, scale, scaled_dags
+from benchmarks.common import emit, full_scale, run_cases
 
-PAPER_DAGS = 120
-LABELS = ("completion-time", "queue-length", "num-cpus", "round-robin",
-          "num-cpus-nofb")
+CASES = {"fig8": ("completion-time", "queue-length", "num-cpus",
+                  "round-robin", "num-cpus-nofb")}
 
 
 def test_fig8_timeouts(benchmark):
-    n_dags = scaled_dags(PAPER_DAGS)
-    result = benchmark.pedantic(
-        lambda: fig8_timeouts(n_dags=n_dags, seed=SEED,
-                              horizon_s=36 * 3600.0),
-        rounds=1, iterations=1,
-    )
+    result = run_cases(benchmark, CASES)["fig8"].result
     rows = []
-    for label in LABELS:
+    for label in CASES["fig8"]:
         s = result[label]
         rows.append([label, s.resubmissions, s.timeouts,
                      f"{s.finished_dags}/{s.total_dags}"])
     emit("fig8_timeouts", format_table(
         ["strategy", "resubmissions", "timeouts", "dags"], rows,
-        title=(f"Fig 8: rescheduling counts, {n_dags} dags x 10 jobs "
+        title=(f"Fig 8: rescheduling counts, "
+               f"{result['completion-time'].total_dags} dags x 10 jobs "
                f"(paper: 125 completion-time ... 2258 without feedback)"),
     ))
-    if scale() >= 1.0:
+    if full_scale():
         nofb = result["num-cpus-nofb"].resubmissions
         withfb = result["num-cpus"].resubmissions
         ct = result["completion-time"].resubmissions

@@ -35,48 +35,37 @@ from repro.experiments import (
     default_suite,
     eviction_suite,
     federation_suite,
-    fig2_feedback,
-    fig3_algorithms,
-    fig6_site_distribution,
-    fig7_policy,
-    fig8_timeouts,
     format_table,
+    run_scenario,
     run_suite,
     scale_suite,
     suite_payload,
 )
 from repro.experiments.figures import (
-    ALGORITHM_LINEUP,
     ext_eviction_scenario,
     ext_reservation_scenario,
     fig2_scenario,
     fig345_scenario,
     fig6_scenario,
+    fig6_tables,
     fig7_scenario,
     fig8_scenario,
 )
 
 __all__ = ["main"]
 
-def _ext_eviction_entry(n_dags, seed=42, horizon_s=24 * 3600.0):
-    """Adapter for the ``(n_dags, seed, ...)`` calling convention every
-    other entry in :data:`TRACE_SCENARIOS` follows —
-    :func:`ext_eviction_scenario` takes the catalog size first, which
-    stays at its 250-site default here (``--dags`` sets the DAG count,
-    as for every other scenario)."""
-    return ext_eviction_scenario(n_dags=n_dags, seed=seed,
-                                 horizon_s=horizon_s)
-
-
-#: scenario builders the ``trace`` subcommand can instrument
-TRACE_SCENARIOS = {
+#: scenario builders by name, each called ``(n_dags, seed, horizon_s=)``:
+#: a figure subcommand runs its own, ``trace`` and ``chaos`` take any
+#: (ext-eviction keeps its 250-site catalog; ``--dags`` sets the DAGs)
+SCENARIOS = {
     "fig2": fig2_scenario,
     "fig345": fig345_scenario,
     "fig6": fig6_scenario,
     "fig7": fig7_scenario,
     "fig8": fig8_scenario,
     "ext-reservation": ext_reservation_scenario,
-    "ext-eviction": _ext_eviction_entry,
+    "ext-eviction": lambda n_dags, seed, horizon_s: ext_eviction_scenario(
+        n_dags=n_dags, seed=seed, horizon_s=horizon_s),
 }
 
 
@@ -92,7 +81,7 @@ def _add_scenario(p: argparse.ArgumentParser) -> None:
     """The arguments ``trace`` and ``chaos`` pick their scenario with
     (read back by :func:`_scenario_from_args`)."""
     p.add_argument("scenario",
-                   choices=sorted(TRACE_SCENARIOS) + ["ext-federation"],
+                   choices=sorted(SCENARIOS) + ["ext-federation"],
                    help="which figure scenario to run (ext-federation: "
                         "meta + N shards; --dags becomes DAGs per user)")
     _add_common(p, 4)
@@ -115,9 +104,7 @@ def _scenario_from_args(args, horizon: float):
             seed=args.seed, horizon_s=horizon,
             submit_interval_s=args.submit_interval,
         )
-    return TRACE_SCENARIOS[args.scenario](
-        args.dags, args.seed, horizon_s=horizon,
-    )
+    return SCENARIOS[args.scenario](args.dags, args.seed, horizon_s=horizon)
 
 
 def _parse_scale_size(spec: str) -> tuple[int, int]:
@@ -237,10 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_lineup(result, labels) -> None:
+def _print_lineup(result) -> None:
     rows = []
-    for label in labels:
-        s = result[label]
+    for label, s in result.servers.items():
         rows.append([label, f"{s.finished_dags}/{s.total_dags}",
                      s.avg_dag_completion_s, s.avg_job_execution_s,
                      s.avg_job_idle_s, s.resubmissions, s.timeouts])
@@ -439,22 +425,10 @@ def _run_command(args) -> int:
     if args.command == "chaos":
         return _run_chaos_command(args, horizon)
 
-    if args.command == "fig2":
-        result = fig2_feedback(n_dags=args.dags, seed=args.seed,
-                               horizon_s=horizon)
-        _print_lineup(result, ("round-robin+fb", "round-robin-nofb",
-                               "num-cpus+fb", "num-cpus-nofb"))
-        return 0
-
-    lineup = tuple(s.label for s in ALGORITHM_LINEUP)
-    if args.command == "fig345":
-        result = fig3_algorithms(n_dags=args.dags, seed=args.seed,
-                                 horizon_s=horizon)
-        _print_lineup(result, lineup)
-        return 0
+    result = run_scenario(
+        SCENARIOS[args.command](args.dags, args.seed, horizon_s=horizon))
     if args.command == "fig6":
-        result, tables, correlations = fig6_site_distribution(
-            n_dags=args.dags, seed=args.seed, horizon_s=horizon)
+        tables, correlations = fig6_tables(result)
         for label, rows in tables.items():
             print(format_table(
                 ["site", "# jobs", "avg completion (s)"],
@@ -462,20 +436,13 @@ def _run_command(args) -> int:
                 title=f"{label}: Spearman r = {correlations[label]:+.2f}",
             ))
             print()
-        return 0
-    if args.command == "fig7":
-        result = fig7_policy(n_dags=args.dags, seed=args.seed,
-                             horizon_s=horizon)
-        _print_lineup(result, lineup)
-        return 0
-    if args.command == "fig8":
-        result = fig8_timeouts(n_dags=args.dags, seed=args.seed,
-                               horizon_s=horizon)
-        rows = [[label, result[label].resubmissions, result[label].timeouts]
-                for label in lineup + ("num-cpus-nofb",)]
+    elif args.command == "fig8":
+        rows = [[label, s.resubmissions, s.timeouts]
+                for label, s in result.servers.items()]
         print(format_table(["strategy", "resubmissions", "timeouts"], rows))
-        return 0
-    raise AssertionError(f"unhandled command {args.command!r}")
+    else:
+        _print_lineup(result)
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

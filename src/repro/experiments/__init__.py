@@ -6,9 +6,10 @@
   services + N concurrent SPHINX servers competing for the same
   resources, the paper's pair/group-wise protocol) and runs it,
 * :mod:`repro.experiments.metrics` — per-server result extraction,
-* :mod:`repro.experiments.figures` — one driver per paper figure,
-* :mod:`repro.experiments.parallel` — the process-pool suite runner
-  behind ``repro suite`` and BENCH_SUITE.json,
+* :mod:`repro.experiments.figures` — one scenario builder per figure,
+* :mod:`repro.experiments.parallel` — the suite: every figure,
+  ablation and extension as a named case, and the process-pool runner
+  behind ``repro suite``, BENCH_SUITE.json and the bench tables,
 * :mod:`repro.experiments.report` — plain-text tables for the bench
   harness and EXPERIMENTS.md.
 """
@@ -19,20 +20,6 @@ from repro.experiments.scenarios import (
     default_fault_windows,
 )
 from repro.experiments.runner import ExperimentResult, ServerResult, run_scenario
-from repro.experiments.figures import (
-    ext_eviction,
-    ext_eviction_scenario,
-    ext_reservation,
-    ext_reservation_scenario,
-    ext_scale,
-    ext_scale_scenario,
-    fig2_feedback,
-    fig3_algorithms,
-    fig5_pairwise,
-    fig6_site_distribution,
-    fig7_policy,
-    fig8_timeouts,
-)
 from repro.experiments.parallel import (
     SuiteCase,
     SuiteRun,
@@ -56,19 +43,7 @@ __all__ = [
     "default_fault_windows",
     "default_suite",
     "eviction_suite",
-    "ext_eviction",
-    "ext_eviction_scenario",
-    "ext_reservation",
-    "ext_reservation_scenario",
-    "ext_scale",
-    "ext_scale_scenario",
-    "fig2_feedback",
-    "fig3_algorithms",
-    "fig5_pairwise",
-    "fig6_site_distribution",
-    "fig7_policy",
     "federation_suite",
-    "fig8_timeouts",
     "format_table",
     "headline_metrics",
     "run_scenario",

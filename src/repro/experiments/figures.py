@@ -1,17 +1,14 @@
-"""Per-figure experiment drivers.
+"""Per-figure scenario builders.
 
-Each figure has two layers:
-
-* a **scenario builder** (``fig*_scenario``) returning the plain
-  :class:`Scenario` the paper figure used — picklable, so the suite
-  runner (:mod:`repro.experiments.parallel`) can ship it to a worker
-  process;
-* a **driver** (the original ``fig*`` function) that runs the scenario
-  and returns the raw :class:`ExperimentResult` plus any derived
-  series.
+Each ``fig*_scenario`` / ``ext_*_scenario`` returns the plain
+:class:`Scenario` a paper figure or extension uses — picklable, so the
+suite runner (:mod:`repro.experiments.parallel`) can ship it to a
+worker process.  The suite names every figure, ablation and extension
+as one case built from these, and is the one path that runs them
+(``repro suite``, and the ``benchmarks/bench_*.py`` tables).
 
 ``n_dags`` defaults to the paper's value but is a parameter so tests
-and quick benchmarks can run scaled-down versions with the same shape.
+and quick runs can use scaled-down versions with the same shape.
 """
 
 from __future__ import annotations
@@ -19,31 +16,22 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.experiments.metrics import rank_correlation, site_distribution_table
-from repro.experiments.runner import ExperimentResult, run_scenario
+from repro.experiments.runner import ExperimentResult
 from repro.experiments.scenarios import (
     Scenario,
     ServerSpec,
 )
 
 __all__ = [
-    "fig2_feedback",
     "fig2_scenario",
-    "fig3_algorithms",
     "fig345_scenario",
-    "fig5_pairwise",
     "fig5_pair_scenario",
-    "fig6_site_distribution",
     "fig6_scenario",
     "fig6_tables",
-    "fig7_policy",
     "fig7_scenario",
-    "fig8_timeouts",
     "fig8_scenario",
-    "ext_reservation",
     "ext_reservation_scenario",
-    "ext_scale",
     "ext_scale_scenario",
-    "ext_eviction",
     "ext_eviction_scenario",
     "ALGORITHM_LINEUP",
 ]
@@ -255,54 +243,14 @@ def ext_eviction_scenario(n_sites: int = 250, n_dags: int = 30,
     )
 
 
-# -- drivers ---------------------------------------------------------------------
-def fig2_feedback(n_dags: int = 30, seed: int = 42,
-                  horizon_s: float = 24 * 3600.0,
-                  ) -> ExperimentResult:
-    """Fig. 2: round-robin and #CPUs, each with and without feedback.
-
-    Expected shape: each with-feedback variant beats its without-
-    feedback twin on average DAG completion time (paper: by 20-29%).
-    """
-    return run_scenario(fig2_scenario(n_dags, seed, horizon_s))
-
-
-def fig3_algorithms(n_dags: int = 30, seed: int = 42,
-                    horizon_s: float = 24 * 3600.0,
-                    ) -> ExperimentResult:
-    """Figs. 3 (30 DAGs), 4 (60), 5 (120): the four-way comparison.
-
-    Expected shape: completion-time wins average DAG completion, and
-    its margin grows with load (17% at 30 DAGs -> 33-50% at 60-120);
-    its jobs also spend less idle (queue) time.
-    """
-    return run_scenario(fig345_scenario(n_dags, seed, horizon_s))
-
-
-def fig5_pairwise(n_dags: int = 120, seed: int = 42,
-                  horizon_s: float = 36 * 3600.0) -> dict:
-    """Fig. 5 via the paper's *pair-wise* protocol.
-
-    At 120 DAGs a four-way group run doubles the SPHINX-side grid load
-    relative to pair-wise runs and pushes the simulated testbed into
-    saturation; the paper notes comparisons were made "in the pair-wise
-    or group-wise approach".  Here the completion-time hybrid meets
-    each rival head-to-head on an otherwise identical grid.
-
-    Returns ``{rival_label: ExperimentResult}`` — each result holds the
-    hybrid and that rival under equal conditions.
-    """
-    return {
-        rival: run_scenario(
-            fig5_pair_scenario(rival, n_dags, seed, horizon_s)
-        )
-        for rival in ("queue-length", "num-cpus", "round-robin")
-    }
-
-
 def fig6_tables(result: ExperimentResult):
     """Fig. 6's derived series: per-server distribution tables and the
-    Spearman rank correlation between jobs-per-site and avg completion."""
+    Spearman rank correlation between jobs-per-site and avg completion.
+
+    Returns ``(tables, correlations)``: ``tables[label]`` holds (site,
+    jobs, avg-completion) rows.  Expected shape: strongly negative for
+    completion-time (Fig. 6a), weak or indifferent for num-cpus (6b).
+    """
     tables = {}
     correlations = {}
     for label, server in result.servers.items():
@@ -318,102 +266,3 @@ def fig6_tables(result: ExperimentResult):
         else:
             correlations[label] = float("nan")
     return tables, correlations
-
-
-def fig6_site_distribution(n_dags: int = 120, seed: int = 42,
-                           horizon_s: float = 24 * 3600.0):
-    """Fig. 6: per-site job distribution vs avg completion time.
-
-    Returns ``(result, tables, correlations)`` where ``tables[label]``
-    holds (site, jobs, avg-completion) rows and ``correlations[label]``
-    the Spearman rank correlation between the two series.  Expected
-    shape: strongly negative for completion-time (inverse proportional,
-    Fig. 6a); weak/indifferent for num-cpus (Fig. 6b).
-    """
-    result = run_scenario(fig6_scenario(n_dags, seed, horizon_s))
-    tables, correlations = fig6_tables(result)
-    return result, tables, correlations
-
-
-def fig7_policy(n_dags: int = 120, seed: int = 42,
-                horizon_s: float = 24 * 3600.0,
-                cpu_quota_s: Optional[float] = None,
-                ) -> ExperimentResult:
-    """Fig. 7: the four-way comparison under per-user usage quotas.
-
-    Every job demands its nominal CPU-seconds; each user holds a per-
-    site CPU-second quota sized so no single site can absorb the whole
-    workload — the quota genuinely constrains placement.  Expected
-    shape: per-algorithm results within a modest factor of the
-    unconstrained run (the paper: "similar to those without policy").
-    """
-    return run_scenario(fig7_scenario(n_dags, seed, horizon_s, cpu_quota_s))
-
-
-def fig8_timeouts(n_dags: int = 120, seed: int = 42,
-                  horizon_s: float = 24 * 3600.0,
-                  ) -> ExperimentResult:
-    """Fig. 8: rescheduling (timeout) counts per strategy.
-
-    The paper's series: completion-time 125, round-robin(+fb) 154,
-    ... and #CPUs *without* feedback 2258.  Expected shape: the
-    without-feedback variant resubmits an order of magnitude more than
-    the feedback-driven strategies.
-    """
-    return run_scenario(fig8_scenario(n_dags, seed, horizon_s))
-
-
-def ext_reservation(n_dags: int = 30, seed: int = 42,
-                    horizon_s: float = 24 * 3600.0,
-                    ) -> ExperimentResult:
-    """Extension: reactive feedback vs proactive stage reservations.
-
-    Expected shape: the reservation variant finishes at least as many
-    DAGs as the reactive one under the chaos fault script (reservations
-    on crashed sites expire site-side and the planner falls back to the
-    normal queue, so proactivity never *costs* completions).
-    """
-    return run_scenario(ext_reservation_scenario(n_dags, seed, horizon_s))
-
-
-def ext_eviction(n_sites: int = 250, n_dags: int = 30, seed: int = 42,
-                 horizon_s: float = 24 * 3600.0,
-                 eviction_mtbf_s: float = 2 * 3600.0,
-                 obs=None):
-    """Extension: preemption tolerance under spot-eviction churn.
-
-    Runs :func:`ext_eviction_scenario` under the ``spot-eviction``
-    chaos plan (same seed => same drain schedule for both servers) and
-    returns the :class:`~repro.chaos.run.ChaosRunResult` — its
-    ``.result`` holds the per-server migration/restore/preemption-loss
-    counters, its ``.report`` the invariant audit.  Expected shape:
-    the ``migrate`` server loses measurably less work (lower
-    ``preempted_work_s``) and finishes no fewer DAGs than ``resubmit``
-    at the same eviction rate.
-    """
-    from dataclasses import replace
-
-    from repro.chaos.plan import make_plan
-    from repro.chaos.run import run_chaos
-
-    plan = replace(make_plan("spot-eviction", seed=seed),
-                   eviction_mtbf_s=eviction_mtbf_s)
-    scenario = ext_eviction_scenario(n_sites, n_dags, seed, horizon_s)
-    return run_chaos(scenario, plan, obs=obs)
-
-
-def ext_scale(n_sites: int = 250, n_jobs: int = 10_000, seed: int = 42,
-              horizon_s: float = 48 * 3600.0,
-              background_batch_s: float = 300.0) -> ExperimentResult:
-    """Extension: extreme-scale planning throughput.
-
-    Expected shape: the campaign finishes within the horizon and
-    ``event_count / wall-clock`` stays in the tens of thousands of
-    events per second up to 2,500 sites x 10^5 jobs (the acceptance
-    gate for the incremental-scoring + O(dirty) warehouse work; see
-    ``repro suite --ext-scale`` and the ``plan-2500x600`` /
-    ``scale-250x2400`` workloads of ``benchmarks/perf``).
-    """
-    return run_scenario(ext_scale_scenario(
-        n_sites, n_jobs, seed, horizon_s, background_batch_s,
-    ))

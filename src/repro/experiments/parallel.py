@@ -1,8 +1,8 @@
 """Parallel experiment suite — fan independent scenarios across CPUs.
 
-Every paper figure (and ablation) is an independent simulation: its
-own :class:`~repro.sim.engine.Environment`, its own RNG streams seeded
-from the scenario, no shared mutable state.  That makes the suite
+Every figure, ablation and extension is one named case here and an
+independent simulation: its own :class:`~repro.sim.engine.Environment`,
+its own RNG streams seeded from the scenario, no shared mutable state.  That makes the suite
 embarrassingly parallel — each :class:`SuiteCase` runs in a worker
 process and the merged output is **bit-identical** to a sequential
 run:
@@ -27,7 +27,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -114,31 +114,42 @@ def _scaled(paper_n: int, scale: float, minimum: int = 4) -> int:
     return max(minimum, round(paper_n * scale))
 
 
+#: horizons: the paper's Grid3 day, and the longer run its 120-DAG
+#: figures need to drain
+_DAY_S = 24 * 3600.0
+_LONG_S = 36 * 3600.0
+
+
 def default_suite(scale: float = 1.0,
                   seed: int = 42) -> tuple[SuiteCase, ...]:
-    """The full evaluation: Figs. 2-8 plus the two ablations.
+    """The full evaluation: Figs. 2-8, the two ablations and the
+    Grid3 extensions — each figure's one definition, which ``repro
+    suite`` and the ``benchmarks/bench_*.py`` tables both run.
 
-    ``scale`` shrinks every workload proportionally (floor of 4 DAGs),
-    mirroring ``REPRO_BENCH_SCALE`` in the benchmark harness; shape
-    criteria are only meaningful at scale 1.0.
+    ``scale`` shrinks every workload proportionally (floor of 4 DAGs);
+    ``REPRO_BENCH_SCALE`` is the same factor for the benchmark harness.
+    Shape criteria are only meaningful at scale 1.0.
     """
     _check_scale(scale)
+    n30, n60, n120 = (_scaled(n, scale) for n in (30, 60, 120))
     cases = [
-        SuiteCase("fig2", fig2_scenario(_scaled(30, scale), seed)),
-        SuiteCase("fig3", fig345_scenario(_scaled(30, scale), seed)),
-        SuiteCase("fig4", fig345_scenario(_scaled(60, scale), seed)),
+        SuiteCase("fig2", fig2_scenario(n30, seed, _DAY_S)),
+        SuiteCase("fig3", fig345_scenario(n30, seed, _DAY_S)),
+        SuiteCase("fig4", fig345_scenario(n60, seed, _DAY_S)),
     ]
     for rival in ("queue-length", "num-cpus", "round-robin"):
         cases.append(SuiteCase(
             f"fig5-pair-{rival}",
-            fig5_pair_scenario(rival, _scaled(120, scale), seed),
+            fig5_pair_scenario(rival, n120, seed, _LONG_S),
         ))
     cases += [
-        SuiteCase("fig6", fig6_scenario(_scaled(120, scale), seed)),
-        SuiteCase("fig7", fig7_scenario(_scaled(120, scale), seed)),
-        SuiteCase("fig8", fig8_scenario(_scaled(120, scale), seed)),
+        SuiteCase("fig6", fig6_scenario(n120, seed, _LONG_S)),
+        SuiteCase("fig7", fig7_scenario(n120, seed, _LONG_S)),
+        # Fig. 7's comparison: the same four-way run without quotas
+        SuiteCase("fig7-baseline", fig345_scenario(n120, seed, _LONG_S)),
+        SuiteCase("fig8", fig8_scenario(n120, seed, _LONG_S)),
         SuiteCase("ablation-estimator", Scenario(
-            name=f"ablation-estimator-{_scaled(30, scale)}dags",
+            name=f"ablation-estimator-{n30}dags",
             servers=(
                 ServerSpec("default(ewma+corr)", "completion-time"),
                 ServerSpec("mean-estimator", "completion-time",
@@ -146,8 +157,9 @@ def default_suite(scale: float = 1.0,
                 ServerSpec("no-correction", "completion-time",
                            use_prediction_correction=False),
             ),
-            n_dags=_scaled(30, scale),
+            n_dags=n30,
             seed=seed,
+            horizon_s=_DAY_S,
         )),
     ]
     for interval in (30.0, 300.0, 900.0):
@@ -159,15 +171,42 @@ def default_suite(scale: float = 1.0,
                     ServerSpec("queue-length", "queue-length"),
                     ServerSpec("completion-time", "completion-time"),
                 ),
-                n_dags=_scaled(30, scale),
+                n_dags=n30,
                 seed=seed,
                 monitoring_interval_s=interval,
+                horizon_s=_DAY_S,
             ),
         ))
-    cases.append(SuiteCase(
-        "ext-reservation",
-        ext_reservation_scenario(_scaled(30, scale), seed),
-    ))
+    cases += [
+        # whole-DAG deadlines on a fault-free grid (paper §6)
+        SuiteCase("ext-qos", Scenario(
+            name=f"ext-qos-{n30}dags",
+            servers=(
+                ServerSpec("qos-deadline", "qos-deadline",
+                           algorithm_kwargs={"deadline_s": 3600.0}),
+                ServerSpec("completion-time", "completion-time"),
+                ServerSpec("round-robin", "round-robin"),
+            ),
+            n_dags=n30,
+            seed=seed,
+            fault_windows=(),
+            horizon_s=_DAY_S,
+        )),
+        # a 30 s / 300 s job mix instead of identical jobs (paper §6)
+        SuiteCase("ext-heterogeneous", Scenario(
+            name=f"ext-heterogeneous-{n30}dags",
+            servers=(ServerSpec("completion-time", "completion-time"),
+                     ServerSpec("round-robin", "round-robin")),
+            n_dags=n30,
+            seed=seed,
+            horizon_s=_DAY_S,
+            workload_overrides={
+                "runtime_classes": [(30.0, 0.6), (300.0, 0.4)],
+            },
+        )),
+        SuiteCase("ext-reservation",
+                  ext_reservation_scenario(n30, seed, _DAY_S)),
+    ]
     return tuple(cases)
 
 
@@ -220,12 +259,14 @@ def scale_suite(sizes: Sequence[tuple[int, int]], seed: int = 42,
 
 def eviction_suite(scale: float = 1.0,
                    seed: int = 42) -> tuple[SuiteCase, ...]:
-    """The eviction-tolerance case: ``ext-eviction`` under the
-    ``spot-eviction`` chaos preset.
+    """The eviction-tolerance cases, each under the ``spot-eviction``
+    chaos preset.
 
-    Runs the kill-and-resubmit baseline and the checkpoint+migrate
-    server side by side on the 250-site synthetic catalog while the
-    preset's per-site eviction storm drains sites out from under them.
+    ``ext-eviction`` runs the kill-and-resubmit baseline and the
+    checkpoint+migrate server side by side on the 250-site synthetic
+    catalog while the preset's per-site eviction storm drains sites out
+    from under them.  ``ext-eviction-mtbf<S>`` sweeps the per-site mean
+    time between evictions, calm to aggressive, on a 10-site catalog.
     ``scale`` shrinks the DAG count (floor of 4); migration counts and
     preemption-loss percentiles land in the report via
     :func:`project`.
@@ -234,11 +275,20 @@ def eviction_suite(scale: float = 1.0,
     # Lazy import: repro.chaos.run imports back into this module.
     from repro.chaos.plan import make_plan
 
-    return (SuiteCase(
+    n_dags = _scaled(30, scale)
+    storm = make_plan("spot-eviction", seed)
+    cases = [SuiteCase(
         "ext-eviction",
-        ext_eviction_scenario(n_dags=_scaled(30, scale), seed=seed),
-        plan=make_plan("spot-eviction", seed),
-    ),)
+        ext_eviction_scenario(n_dags=n_dags, seed=seed, horizon_s=_DAY_S),
+        plan=storm,
+    )]
+    for mtbf in (3600.0, 900.0):
+        cases.append(SuiteCase(
+            f"ext-eviction-mtbf{mtbf:.0f}",
+            ext_eviction_scenario(10, n_dags, seed, _DAY_S),
+            plan=replace(storm, eviction_mtbf_s=mtbf),
+        ))
+    return tuple(cases)
 
 
 def _dispatch(scenario, obs, heartbeat, plan=None) -> ExperimentResult:

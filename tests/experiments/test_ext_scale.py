@@ -6,7 +6,8 @@ import argparse
 import pytest
 
 from repro.cli import _parse_scale_size, main
-from repro.experiments.figures import ext_scale, ext_scale_scenario
+from repro.experiments import run_scenario
+from repro.experiments.figures import ext_scale_scenario
 from repro.experiments.parallel import scale_suite
 from repro.simgrid.grid import synthetic_sites
 
@@ -48,7 +49,8 @@ class TestExtScaleScenario:
             ext_scale_scenario(10, 5)
 
     def test_smoke_run_completes(self):
-        result = ext_scale(n_sites=15, n_jobs=100, horizon_s=24 * 3600.0)
+        result = run_scenario(ext_scale_scenario(
+            n_sites=15, n_jobs=100, horizon_s=24 * 3600.0))
         server = result.servers["completion-time"]
         assert not result.horizon_reached
         assert server.finished_dags == server.total_dags == 10

@@ -1,6 +1,6 @@
 """Golden regression for the control plane (fig2 scenario, smoke scale).
 
-Headline metrics of ``fig2_feedback(4 DAGs, seed 7, 6 h)`` are pinned
+Headline metrics of ``fig2_scenario(4 DAGs, seed 7, 6 h)`` are pinned
 bit-for-bit: kernel event count, RPC count, and per variant the
 finished DAGs, average DAG completion, resubmission/timeout tallies and
 per-site job distribution.  The pins are tied to the kernel's event
@@ -11,7 +11,8 @@ re-captures them and lists old and new values in CHANGES.md.
 
 import pytest
 
-from repro.experiments import fig2_feedback
+from repro.experiments import run_scenario
+from repro.experiments.figures import fig2_scenario
 
 GOLDEN_EVENT_COUNT = 35555
 GOLDEN_RPC_COUNT = 511
@@ -65,7 +66,7 @@ GOLDEN = {
 
 @pytest.fixture(scope="module")
 def result():
-    return fig2_feedback(n_dags=4, seed=7, horizon_s=6 * 3600.0)
+    return run_scenario(fig2_scenario(n_dags=4, seed=7, horizon_s=6 * 3600.0))
 
 
 def test_event_and_rpc_counts_are_bit_identical(result):

@@ -176,9 +176,11 @@ def test_suite_payload_sections_pinned():
     """Every report section, on the one case of each kind that fills it
     (reserve-ahead, federated, eviction drill) — the projection from a
     metrics snapshot to BENCH_SUITE.json is held to these numbers."""
-    cases = (default_suite(scale=0.1, seed=42)[-1:]
-             + federation_suite([2], seed=42, scale=0.4)
-             + eviction_suite(scale=0.3, seed=42))
+    pinned = {"ext-reservation", "ext-federation-2shards", "ext-eviction"}
+    cases = [c for c in (default_suite(scale=0.1, seed=42)
+                         + federation_suite([2], seed=42, scale=0.4)
+                         + eviction_suite(scale=0.3, seed=42))
+             if c.name in pinned]
     figures = suite_payload(run_suite(cases, workers=1),
                             scale=0.1, workers=1)["figures"]
 
