@@ -12,7 +12,6 @@ Two measurements:
 from repro.core.dag_reducer import DagReducer
 from repro.experiments import format_table
 from repro.services import ReplicaService
-from repro.sim import Environment
 from repro.sim.rng import RngStreams
 from repro.workflow import WorkloadGenerator, WorkloadSpec
 
@@ -22,7 +21,7 @@ from benchmarks.common import emit
 def build_corpus(n_dags=50):
     gen = WorkloadGenerator(RngStreams(7).stream("w"))
     dags = gen.generate(WorkloadSpec(n_dags=n_dags), name_prefix="red")
-    rls = ReplicaService(Environment(), ["site0"])
+    rls = ReplicaService(["site0"])
     # Half the DAGs are already fully computed.
     for dag in dags[: n_dags // 2]:
         for f in dag.all_outputs:

@@ -438,7 +438,7 @@ def test_grid_build(benchmark):
 def _rls_lookup_us(n_sites: int, n_lfns: int = 200, rounds: int = 20) -> float:
     """Mean ``locations`` cost with 3 replicas per LFN among ``n_sites``."""
     sites = [f"s{i}" for i in range(n_sites)]
-    rls = ReplicaService(Environment(), sites)
+    rls = ReplicaService(sites)
     lfns = [f"lfn{i}" for i in range(n_lfns)]
     for i, lfn in enumerate(lfns):
         for k in range(3):
@@ -499,7 +499,7 @@ def _planner_server(n_sites: int) -> SphinxServer:
         env, RpcBus(env),
         ServerConfig(name="bench", algorithm="completion-time"),
         {s: 8 for s in sites},
-        MonitoringService(env, grid), ReplicaService(env, sites),
+        MonitoringService(env, grid), ReplicaService(sites),
     )
 
 

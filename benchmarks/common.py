@@ -5,7 +5,8 @@ Every ``bench_{fig,ext,ablation}*.py`` names the suite cases it renders
 once through :func:`repro.experiments.parallel.run_suite` under
 ``pytest-benchmark`` (rounds=1 — a full Grid3 day is not a
 microbenchmark), prints the paper-style table, saves it under
-``benchmarks/output/``, and asserts the figure's *shape* criteria.
+``benchmarks/output/`` when run at scale 1, and asserts the figure's
+*shape* criteria.
 The cases are the ones ``repro suite --ext-eviction`` runs: a figure is
 defined once, in the suite.
 
@@ -58,8 +59,12 @@ def full_scale() -> bool:
 
 
 def emit(name: str, text: str) -> None:
-    """Print a table and persist it under benchmarks/output/."""
+    """Print a table; at scale 1 also persist it under benchmarks/output/
+    (the committed tables are the scale-1 run, so a smoke pass at
+    another scale must not overwrite them)."""
     print()
     print(text)
+    if _scale() != 1.0:
+        return
     OUTPUT_DIR.mkdir(exist_ok=True)
     (OUTPUT_DIR / f"{name}.txt").write_text(text + "\n")

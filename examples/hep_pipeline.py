@@ -66,7 +66,7 @@ def main():
     grid.failures.schedule_windows(default_fault_windows(HORIZON_S))
 
     bus = RpcBus(env)
-    rls = ReplicaService(env, grid.site_names)
+    rls = ReplicaService(grid.site_names)
     gridftp = GridFtpService(env, grid, rls)
     condorg = CondorG(env, grid)
     monitoring = MonitoringService(env, grid, update_interval_s=300.0)

@@ -2,12 +2,15 @@
 """Policy-constrained scheduling — per-user resource quotas (eq. 4).
 
 Two users of the same VO share one SPHINX server.  The production
-manager holds generous CPU-second quotas everywhere; the student holds
-quota at only two small sites.  The same workload is submitted for
-both: the policy engine confines the student's jobs to the granted
-sites while the production manager's spread freely — and the usage
-accounting shows exactly who consumed what, the bookkeeping the paper
-notes "no such accounting exists currently in the grid".
+manager holds generous CPU-second quotas everywhere and outranks the
+student (priority 1 against the default 10: the planner serves its
+ready jobs first); the student holds quota at only two small sites.
+The same workload is submitted for both: the policy engine confines
+the student's jobs to the granted sites while the production
+manager's spread freely, each user's mean DAG time shows what that
+costs — and the usage accounting shows exactly who consumed what, the
+bookkeeping the paper notes "no such accounting exists currently in
+the grid".
 
 Run:  python examples/policy_quotas.py
 """
@@ -34,7 +37,7 @@ def main():
     rng = RngStreams(seed=11)
     grid = make_grid3(env, rng)
     bus = RpcBus(env)
-    rls = ReplicaService(env, grid.site_names)
+    rls = ReplicaService(grid.site_names)
     gridftp = GridFtpService(env, grid, rls)
     condorg = CondorG(env, grid)
     monitoring = MonitoringService(env, grid, update_interval_s=300.0)
@@ -47,7 +50,7 @@ def main():
     )
 
     vo = VirtualOrganization("uscms")
-    prodmgr = User("prodmgr", vo)
+    prodmgr = User("prodmgr", vo, priority=1)
     student = User("student", vo)
 
     # Quota policy: CPU-seconds per (user, site).
@@ -84,8 +87,13 @@ def main():
         for row in jobs.select(predicate=lambda r: r["job_id"].startswith(user.name)
                                and r["site"] is not None):
             sites[row["site"]] = sites.get(row["site"], 0) + 1
-        finished = clients[user.name].finished_dag_count
-        print(f"\n  {user.name} ({finished}/3 dags done): {sites}")
+        client = clients[user.name]
+        spans = [done - sent for sent, done in client.dag_times.values()
+                 if done is not None]
+        mean = f"{sum(spans) / len(spans):.0f} s" if spans else "n/a"
+        print(f"\n  {user.name} (priority {user.priority}, "
+              f"{client.finished_dag_count}/3 dags done, "
+              f"mean DAG time {mean}): {sites}")
         if user is student:
             outside = set(sites) - set(STUDENT_SITES)
             print(f"  jobs outside the student's quota sites: "

@@ -43,7 +43,7 @@ def main():
 
     # --- the middleware services SPHINX talks to ------------------------
     bus = RpcBus(env)
-    rls = ReplicaService(env, grid.site_names)
+    rls = ReplicaService(grid.site_names)
     gridftp = GridFtpService(env, grid, rls)
     condorg = CondorG(env, grid)
     monitoring = MonitoringService(env, grid, update_interval_s=120.0)

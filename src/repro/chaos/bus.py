@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.chaos.plan import ChaosPlan, FaultRule
-from repro.services.rpc import RpcBus, RpcFault
+from repro.services.rpc import LATENCY_S, RpcBus, RpcFault
 from repro.sim.engine import Environment, Event
 from repro.sim.rng import RngStreams
 
@@ -50,12 +50,11 @@ def _discard(ev: Event) -> None:
 class ChaoticBus(RpcBus):
     """An :class:`RpcBus` with a deterministic gremlin on the wire."""
 
-    def __init__(self, env: Environment, plan: ChaosPlan,
-                 latency_s: float = 0.05, obs=None):
-        super().__init__(env, latency_s=latency_s, obs=obs)
+    def __init__(self, env: Environment, plan: ChaosPlan, obs=None):
+        super().__init__(env, obs=obs)
         self.plan = plan
         self._rngs = RngStreams(plan.seed)
-        self._rule_cache: dict[tuple[str, str], FaultRule | None] = {}
+        self._rule_cache: dict[str, FaultRule | None] = {}
         #: injected faults [(time, service, method, kind)], in injection
         #: order — the deterministic fault schedule.
         self.fault_log: list[tuple[float, str, str, str]] = []
@@ -70,13 +69,12 @@ class ChaoticBus(RpcBus):
     def _stream(self, service: str, method: str):
         return self._rngs.stream(f"chaos:{service}.{method}")
 
-    def _rule(self, service: str, method: str) -> FaultRule | None:
-        key = (service, method)
+    def _rule(self, service: str) -> FaultRule | None:
         try:
-            return self._rule_cache[key]
+            return self._rule_cache[service]
         except KeyError:
-            rule = self.plan.rule_for(service, method)
-            self._rule_cache[key] = rule
+            rule = self.plan.rule_for(service)
+            self._rule_cache[service] = rule
             return rule
 
     # -- the perturbed call path -----------------------------------------
@@ -85,7 +83,7 @@ class ChaoticBus(RpcBus):
         if self.plan.in_partition(service, self.env.now):
             self._note(service, method, "partition")
             return self._fault_after(service, "partitioned")
-        rule = self._rule(service, method)
+        rule = self._rule(service)
         if rule is None:
             return super().call(proxy, service, method, *args, **kwargs)
         rng = self._stream(service, method)
@@ -123,7 +121,7 @@ class ChaoticBus(RpcBus):
             result.fail(fault)
             result.defuse()
 
-        self.env.timeout(2.0 * self.latency_s).add_callback(_finish)
+        self.env.timeout(2.0 * LATENCY_S).add_callback(_finish)
         return result
 
     def _drop_reply(self, inner: Event, service: str) -> Event:

@@ -128,8 +128,8 @@ class ChaosController:
             # land on recovered incarnations too.
             for site in grid:
                 site.add_state_listener(self._drain_listener)
-        for idx, spec in enumerate(self.plan.crashes):
-            env.process(self._crash_drill(spec, idx))
+        for spec in self.plan.crashes:
+            env.process(self._crash_drill(spec))
 
     # -- the drills -------------------------------------------------------
     def _drain_listener(self, site, old, new) -> None:
@@ -147,12 +147,6 @@ class ChaosController:
             for server in list(self.servers.values()):
                 server.drain_cleared(site.name)
 
-    def _crash_instant(self, spec: CrashSpec, idx: int) -> float:
-        if spec.at_s is not None:
-            return spec.at_s
-        lo, hi = spec.window
-        return float(self._rngs.stream(f"crash:{idx}").uniform(lo, hi))
-
     def _labels(self, spec: CrashSpec) -> list[str]:
         pool = self.servers if spec.component == "server" else self.clients
         if spec.label is not None:
@@ -164,10 +158,9 @@ class ChaosController:
             return [spec.label]
         return list(pool)
 
-    def _crash_drill(self, spec: CrashSpec, idx: int):
-        at = self._crash_instant(spec, idx)
-        if at > self.env.now:
-            yield self.env.timeout(at - self.env.now)
+    def _crash_drill(self, spec: CrashSpec):
+        if spec.at_s > self.env.now:
+            yield self.env.timeout(spec.at_s - self.env.now)
         labels = self._labels(spec)
         if spec.component == "server":
             images = {}

@@ -3,10 +3,10 @@
 A :class:`ChaosPlan` is the single input to a chaos run.  It describes
 faults on three layers:
 
-* **transport** — per-(service, method) message fault rules (drop,
+* **transport** — per-service message fault rules (drop,
   duplicate, delay-jitter) and scripted partition windows, executed by
   :class:`repro.chaos.bus.ChaoticBus`;
-* **component** — scripted or stochastic crash/restart drills for
+* **component** — scripted crash/restart drills for
   servers and clients, executed by
   :class:`repro.chaos.drills.ChaosController`;
 * **resource** — extra site downtime windows and/or a stochastic
@@ -45,7 +45,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FaultRule:
-    """Message faults for calls matching (service, method) patterns.
+    """Message faults for calls to services matching a pattern.
 
     Per call, one uniform draw classifies the outcome: drop (request or
     reply leg, 50/50), duplicate (the handler runs twice, the caller
@@ -54,7 +54,6 @@ class FaultRule:
     """
 
     service: str = "sphinx-*"
-    method: str = "*"
     drop_p: float = 0.0
     dup_p: float = 0.0
     delay_p: float = 0.0
@@ -76,8 +75,8 @@ class FaultRule:
             )
         require_non_negative(self, "max_extra_delay_s")
 
-    def matches(self, service: str, method: str) -> bool:
-        return fnmatch(service, self.service) and fnmatch(method, self.method)
+    def matches(self, service: str) -> bool:
+        return fnmatch(service, self.service)
 
     @property
     def active(self) -> bool:
@@ -111,17 +110,14 @@ class PartitionWindow:
 class CrashSpec:
     """Kill one component (and bring it back) during a run.
 
-    ``at_s`` fixes the crash instant; leaving it None draws one
-    uniformly from ``window`` using the plan's seed (a "stochastic
-    instant" that is still deterministic per plan+seed).  ``label``
+    The component goes down at ``at_s`` for ``down_s``.  ``label``
     None means every server/client label in the scenario crashes.
     """
 
     component: str  # "server" | "client"
-    at_s: Optional[float] = None
+    at_s: float
     down_s: float = 120.0
     label: Optional[str] = None
-    window: Optional[tuple[float, float]] = None
 
     def __post_init__(self) -> None:
         if self.component not in ("server", "client"):
@@ -129,18 +125,8 @@ class CrashSpec:
                 f"CrashSpec.component must be 'server' or 'client', "
                 f"got {self.component!r}"
             )
-        if self.at_s is None and self.window is None:
-            raise ValueError(
-                "CrashSpec needs at_s or a window to draw the instant from"
-            )
-        if self.at_s is not None:
-            require_non_negative(self, "at_s")
+        require_non_negative(self, "at_s")
         require_positive(self, "down_s")
-        if self.window is not None and not self.window[0] < self.window[1]:
-            raise ValueError(
-                f"CrashSpec.window must be (lo, hi) with lo < hi, "
-                f"got {self.window!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -190,10 +176,10 @@ class ChaosPlan:
                 or bool(self.site_windows) or self.site_mtbf_s is not None
                 or self.eviction_active)
 
-    def rule_for(self, service: str, method: str) -> Optional[FaultRule]:
+    def rule_for(self, service: str) -> Optional[FaultRule]:
         """First matching active rule (None = calls pass clean)."""
         for rule in self.rules:
-            if rule.active and rule.matches(service, method):
+            if rule.active and rule.matches(service):
                 return rule
         return None
 
@@ -335,7 +321,7 @@ def _spot_eviction(seed: int) -> ChaosPlan:
 def _shard_outage(seed: int) -> ChaosPlan:
     """Kill one federation shard long enough to force re-homing.
 
-    The down window (900s) exceeds the federation's default re-home
+    The down window (900s) exceeds the federation's re-home
     grace (600s), so DAGs admitted while ``shard0`` is dark — routed to
     it anyway, because homes own transient outages — wait out the
     grace and get re-homed to a live peer; DAGs shard0 had already

@@ -22,14 +22,14 @@ wants_context`), each job's per-stage budget is re-derived as sim-time
 elapses::
 
     remaining  = deadline_s - (now - dag.received_at)
-    budget     = safety_margin * remaining / remaining_levels
+    budget     = _SAFETY_MARGIN * remaining / remaining_levels
 
 where ``remaining_levels`` counts this job's level plus the longest
 chain of levels below it.  Early stages that finish fast leave slack to
 later stages; a DAG already past its deadline degrades every remaining
 job to finish-ASAP.  Without context (direct ``choose_site`` calls,
 ``dag_deadline=False``) the legacy static per-job interpretation
-applies: every job is checked against ``safety_margin * deadline_s``.
+applies: every job is checked against ``_SAFETY_MARGIN * deadline_s``.
 
 Rotation cursors persist in the ``qos_cursors`` warehouse table (via
 :meth:`bind_state`), so a crash-restarted server resumes the rotation
@@ -45,6 +45,10 @@ from repro.core.algorithms.base import SchedulingAlgorithm, SiteView
 
 __all__ = ["QosDeadline"]
 
+#: the share of a budget a predicted completion time may use (< 1
+#: guards against stale or optimistic estimates)
+_SAFETY_MARGIN = 0.6
+
 
 class QosDeadline(SchedulingAlgorithm):
     name = "qos-deadline"
@@ -56,15 +60,11 @@ class QosDeadline(SchedulingAlgorithm):
     def __init__(
         self,
         deadline_s: float = 600.0,
-        safety_margin: float = 0.6,
         dag_deadline: bool = True,
     ):
         if deadline_s <= 0:
             raise ValueError("deadline must be > 0")
-        if not 0.0 < safety_margin <= 1.0:
-            raise ValueError("safety margin must be in (0, 1]")
         self.deadline_s = deadline_s
-        self.safety_margin = safety_margin
         self.dag_deadline = dag_deadline
         self._bootstrap_cursor = 0
         self._spread_cursor = 0
@@ -105,7 +105,7 @@ class QosDeadline(SchedulingAlgorithm):
         self, job_id: str, candidates: Sequence[SiteView]
     ) -> Optional[str]:
         """Legacy static semantics: every job vs the full deadline."""
-        return self._choose(candidates, self.safety_margin * self.deadline_s)
+        return self._choose(candidates, _SAFETY_MARGIN * self.deadline_s)
 
     def choose_site_ctx(
         self, job_id: str, candidates: Sequence[SiteView], ctx: dict
@@ -118,7 +118,7 @@ class QosDeadline(SchedulingAlgorithm):
         # remaining <= 0: the DAG already blew its deadline — the budget
         # goes to 0, no site is "feasible", and _choose degrades every
         # remaining job to the finish-ASAP argmin.
-        budget = self.safety_margin * max(0.0, remaining) / levels
+        budget = _SAFETY_MARGIN * max(0.0, remaining) / levels
         return self._choose(candidates, budget)
 
     def _choose(

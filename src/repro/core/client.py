@@ -53,7 +53,9 @@ def client_service_name(client_id: str) -> str:
 class SphinxClient:
     """One scheduling agent bound to one server and one user."""
 
-    #: ceiling for the exponential report-retry backoff (seconds).
+    #: base and ceiling of the exponential report-retry backoff
+    #: (seconds).
+    RETRY_BASE_S = 2.0
     RETRY_CAP_S = 60.0
 
     def __init__(
@@ -66,12 +68,9 @@ class SphinxClient:
         rls: ReplicaService,
         user: User,
         client_id: str,
-        poll_s: float = 2.0,
         rng=None,
         obs=None,
     ):
-        if poll_s <= 0:
-            raise ValueError("poll_s (retry backoff base) must be > 0")
         self.env = env
         self.bus = bus
         self.server_service = server_service
@@ -80,8 +79,6 @@ class SphinxClient:
         self.rls = rls
         self.user = user
         self.client_id = client_id
-        #: base of the report-retry backoff (see :meth:`_retry_delay`)
-        self.poll_s = poll_s
         #: numpy Generator for retry jitter (None = no jitter); the
         #: runner hands each client its own named stream so backoff is
         #: deterministic per seed and independent across clients.
@@ -426,9 +423,10 @@ class SphinxClient:
         owns those.
 
         Retry pacing is capped jittered exponential backoff (base
-        ``poll_s``, cap :attr:`RETRY_CAP_S`): a fleet of trackers whose
-        jobs all finished inside one server fault window must not hammer
-        the recovering server in lockstep every ``poll_s``.  A retry
+        :attr:`RETRY_BASE_S`, cap :attr:`RETRY_CAP_S`): a fleet of
+        trackers whose jobs all finished inside one server fault window
+        must not hammer the recovering server in lockstep every
+        :attr:`RETRY_BASE_S`.  A retry
         additionally fires the instant the service re-registers on the
         bus, whichever comes first.
         """
@@ -462,7 +460,7 @@ class SphinxClient:
 
     def _retry_delay(self, attempt: int) -> float:
         """Backoff before retry ``attempt`` (0-based), jittered."""
-        base = min(self.poll_s * (2.0 ** attempt), self.RETRY_CAP_S)
+        base = min(self.RETRY_BASE_S * (2.0 ** attempt), self.RETRY_CAP_S)
         if self._rng is not None:
             return base * float(self._rng.uniform(0.5, 1.5))
         return base

@@ -32,6 +32,9 @@ _TABLE = "completion_times"
 #: CPU slot.
 _CORRECTION_STRENGTH = 4.0
 
+#: weight of the newest report in the ``ewma`` estimate
+_EWMA_ALPHA = 0.2
+
 
 class CompletionTimeEstimator:
     """Per-site completion-time statistics from tracker reports.
@@ -49,14 +52,10 @@ class CompletionTimeEstimator:
     uses; ``bench_ablation_estimator`` compares the two.
     """
 
-    def __init__(self, warehouse: Warehouse,
-                 mode: str = "ewma", ewma_alpha: float = 0.2):
+    def __init__(self, warehouse: Warehouse, mode: str = "ewma"):
         if mode not in ("mean", "ewma"):
             raise ValueError(f"unknown estimator mode {mode!r}")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError("ewma alpha must be in (0, 1]")
         self.mode = mode
-        self.ewma_alpha = ewma_alpha
         self._table = (
             warehouse.table(_TABLE)
             if _TABLE in warehouse
@@ -74,12 +73,12 @@ class CompletionTimeEstimator:
                  "ewma_s": completion_time_s}
             )
         else:
-            alpha = self.ewma_alpha
             self._table.update(
                 site,
                 total_s=row["total_s"] + completion_time_s,
                 count=row["count"] + 1,
-                ewma_s=(1 - alpha) * row["ewma_s"] + alpha * completion_time_s,
+                ewma_s=((1 - _EWMA_ALPHA) * row["ewma_s"]
+                        + _EWMA_ALPHA * completion_time_s),
             )
 
     def mean_s(self, site: str) -> Optional[float]:

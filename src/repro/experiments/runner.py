@@ -152,7 +152,6 @@ class Stack:
         self.heartbeat = heartbeat
         self.rng = RngStreams(scenario.seed)
         grid = make_grid3(env, self.rng, sites=scenario.sites,
-                          background=scenario.background,
                           background_batch_s=scenario.background_batch_s)
         grid.failures.schedule_windows(scenario.resolved_fault_windows())
         if obs.enabled:
@@ -164,7 +163,7 @@ class Stack:
             self.bus = chaos.make_bus(env, obs=obs)
         else:
             self.bus = RpcBus(env, obs=obs)
-        self.rls = ReplicaService(env, grid.site_names)
+        self.rls = ReplicaService(grid.site_names)
         self.gridftp = GridFtpService(env, grid, self.rls)
         # The bus reference exposes the "condor-g" reservation RPCs to
         # reserve-ahead servers; registration is pure dict work, so
@@ -249,7 +248,6 @@ class Stack:
         client = SphinxClient(
             self.env, self.bus, service_name, self.condorg, self.gridftp,
             self.rls, user, client_id=f"client-{label}",
-            poll_s=scenario.poll_s,
             # Dedicated jitter stream per client: drawing backoff jitter
             # must never perturb workload/grid streams (and is only
             # drawn at all while a server is unreachable).

@@ -89,7 +89,6 @@ class Scenario:
     jobs_per_dag: int = 10
     seed: int = 42
     sites: tuple[SiteSpec, ...] = GRID3_SITES
-    background: bool = True
     #: 0 = legacy per-arrival background processes (bit-identical
     #: default); > 0 = batched background arrivals on this interval,
     #: the extreme-scale mode (one kernel event per site per interval).
@@ -100,8 +99,6 @@ class Scenario:
     job_timeout_s: float = 1800.0
     #: server retry pacing (see ServerConfig.tick_s).
     tick_s: float = 5.0
-    #: base of the clients' report-retry backoff.
-    poll_s: float = 2.0
     horizon_s: float = 24 * 3600.0
     #: per-job resource demands; empty = no policy run.
     job_requirements: dict = field(default_factory=dict)
@@ -119,7 +116,7 @@ class Scenario:
         if self.n_dags < 1:
             raise ValueError("need at least one DAG")
         require_non_negative(self, "background_batch_s")
-        require_positive(self, "tick_s", "poll_s", "job_timeout_s",
+        require_positive(self, "tick_s", "job_timeout_s",
                          "monitoring_interval_s", "horizon_s")
 
     def workload_spec(self) -> WorkloadSpec:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.server import require_non_negative, require_positive
+from repro.core.server import require_non_negative
 
 __all__ = ["FederationConfig"]
 
@@ -27,23 +27,9 @@ class FederationConfig:
     #: period of each shard's site-load digest broadcast; 0 disables
     #: the loop (digests then only move when pushed explicitly).
     digest_interval_s: float = 60.0
-    #: a peer digest older than this no longer counts toward remote
-    #: load — better to plan on stale-free local truth than on a dead
-    #: shard's last words.
-    digest_ttl_s: float = 300.0
     #: in-flight DAGs at which the meta stops routing to a shard's
     #: home and spills to the least-loaded live peer; None = never.
     spill_threshold: Optional[int] = None
-    #: how long a shard must stay continuously unreachable before the
-    #: meta re-homes that shard's unacknowledged DAGs.  Must exceed
-    #: any planned crash-recovery gap you want survived in place.
-    rehome_after_s: float = 600.0
-    #: pause between forward attempts while a shard is unreachable
-    #: (the registration latch usually wins long before this fires).
-    forward_retry_s: float = 15.0
-    #: per-quota-key cooldown between a shard's lease-transfer request
-    #: bursts, so a starved shard doesn't spam its peers every defer.
-    lease_request_cooldown_s: float = 30.0
 
     def __post_init__(self):
         if not self.n_shards >= 1:
@@ -56,10 +42,7 @@ class FederationConfig:
                 f"FederationConfig.spill_threshold must be >= 1 or None, "
                 f"got {self.spill_threshold!r}"
             )
-        require_positive(self, "digest_ttl_s", "rehome_after_s",
-                         "forward_retry_s")
-        require_non_negative(self, "digest_interval_s",
-                             "lease_request_cooldown_s")
+        require_non_negative(self, "digest_interval_s")
 
     # -- naming ----------------------------------------------------------
     def shard_labels(self) -> tuple[str, ...]:

@@ -17,7 +17,12 @@ less remote load — it still plans, it never crashes.
 
 from __future__ import annotations
 
-__all__ = ["DigestBoard"]
+__all__ = ["DIGEST_TTL_S", "DigestBoard"]
+
+#: a peer digest older than this no longer counts toward remote load —
+#: better to plan on stale-free local truth than on a dead shard's last
+#: words.
+DIGEST_TTL_S = 300.0
 
 
 class DigestBoard:

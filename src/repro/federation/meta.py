@@ -18,7 +18,7 @@ lost may have landed — so even under transport chaos (dropped
 requests, dropped replies, duplicated dispatches) a DAG lands in
 exactly one shard warehouse, which the chaos invariant checker
 audits.  A shard that stays continuously unreachable past
-``rehome_after_s`` gets its **unoffered/unconfirmed-and-unpinned**
+``_REHOME_AFTER_S`` gets its **unoffered/unconfirmed-and-unpinned**
 DAGs re-homed to a live peer; pinned ones stay put, because the dead
 shard's warehouse may own them and its recovery will resume them
 (re-homing those would run the work twice).
@@ -30,7 +30,7 @@ from typing import Mapping, Optional
 
 from repro import obs as obs_mod
 from repro.federation.config import FederationConfig
-from repro.federation.digest import DigestBoard
+from repro.federation.digest import DIGEST_TTL_S, DigestBoard
 from repro.federation.shards import ShardMap
 from repro.services.rpc import RpcBus, RpcFault
 from repro.sim.engine import Environment, Interrupt
@@ -40,6 +40,15 @@ __all__ = ["MetaScheduler"]
 #: admission proxy the meta forwards under (shard ACLs, if any, must
 #: admit it; the default runs have no server ACLs).
 _META_PROXY = "sphinx-meta"
+
+#: how long a shard must stay continuously unreachable before the meta
+#: re-homes that shard's unacknowledged DAGs.  Must exceed any planned
+#: crash-recovery gap to be survived in place.
+_REHOME_AFTER_S = 600.0
+
+#: pause between forward attempts while a shard is unreachable (the
+#: registration latch usually wins long before this fires).
+_FORWARD_RETRY_S = 15.0
 
 
 class _Entry:
@@ -81,7 +90,7 @@ class MetaScheduler:
         self.service_name = config.meta_service
         #: the meta reuses DigestBoard for its routing view; its "own
         #: label" is a name no shard uses, so every digest counts.
-        self.board = DigestBoard("__meta__", config.digest_ttl_s)
+        self.board = DigestBoard("__meta__", DIGEST_TTL_S)
         #: dag_id -> _Entry, admission order
         self.entries: dict[str, _Entry] = {}
         #: first instant each shard's forward went unreachable, or None
@@ -231,7 +240,7 @@ class MetaScheduler:
         if since is None:
             self._unreachable_since[shard] = self.env.now
             return False
-        if self.env.now - since < self.config.rehome_after_s:
+        if self.env.now - since < _REHOME_AFTER_S:
             return False
         replacement = self._rehome_target(exclude=shard)
         if replacement is None:
@@ -258,7 +267,7 @@ class MetaScheduler:
         """Pause a forward while its shard is off the bus: released by
         re-registration or the retry timer, whichever first."""
         reconnect = self.bus.on_register(service)
-        pause = self.env.timeout(self.config.forward_retry_s)
+        pause = self.env.timeout(_FORWARD_RETRY_S)
         yield self.env.any_of([reconnect, pause])
         if not pause.processed:
             pause.cancel()

@@ -38,6 +38,9 @@ __all__ = [
     "run_topology",
 ]
 
+#: the one algorithm every shard plans with
+_ALGORITHM = "completion-time"
+
 
 @dataclass(slots=True)
 class FederationScenario:
@@ -56,17 +59,11 @@ class FederationScenario:
     dags_per_user: int = 5
     jobs_per_dag: int = 10
     seed: int = 42
-    algorithm: str = "completion-time"
     sites: tuple = GRID3_SITES
-    background: bool = True
     background_batch_s: float = 0.0
-    #: federated runs default to fault-free sites; chaos plans supply
-    #: their own shard/site faults.
-    fault_windows: tuple = ()
     monitoring_interval_s: float = 300.0
     job_timeout_s: float = 1800.0
     tick_s: float = 5.0
-    poll_s: float = 2.0
     horizon_s: float = 24 * 3600.0
     job_requirements: dict = field(default_factory=dict)
     #: resource -> amount granted per (user, site), split evenly into
@@ -84,7 +81,7 @@ class FederationScenario:
         if self.dags_per_user < 1:
             raise ValueError("need at least one DAG per user")
         require_non_negative(self, "background_batch_s", "submit_interval_s")
-        require_positive(self, "tick_s", "poll_s", "job_timeout_s",
+        require_positive(self, "tick_s", "job_timeout_s",
                          "monitoring_interval_s", "horizon_s")
 
     def workload_spec(self) -> WorkloadSpec:
@@ -97,7 +94,9 @@ class FederationScenario:
         return WorkloadSpec(**kwargs)
 
     def resolved_fault_windows(self) -> tuple:
-        return self.fault_windows
+        """Federated runs have fault-free sites; chaos plans supply
+        their own shard and site faults."""
+        return ()
 
 
 def ext_federation_scenario(
@@ -202,7 +201,7 @@ def run_federation(scenario: FederationScenario,
     stack = Stack(scenario, env=env, obs=obs, chaos=chaos,
                   heartbeat=heartbeat)
     for label in fed.shard_labels():
-        stack.add_server(ServerSpec(label, scenario.algorithm),
+        stack.add_server(ServerSpec(label, _ALGORITHM),
                          name=fed.shard_server_name(label),
                          server_cls=FederatedSphinxServer)
     #: shard label -> bus service name

@@ -27,11 +27,15 @@ from typing import Mapping, Optional
 
 from repro.core.server import SphinxServer
 from repro.federation.config import FederationConfig
-from repro.federation.digest import DigestBoard
+from repro.federation.digest import DIGEST_TTL_S, DigestBoard
 from repro.federation.ledger import ShardQuotaLedger, lease_key
 from repro.sim.engine import Interrupt
 
 __all__ = ["FederatedSphinxServer"]
+
+#: per-quota-key cooldown between a shard's lease-transfer request
+#: bursts, so a starved shard doesn't spam its peers every defer.
+_LEASE_REQUEST_COOLDOWN_S = 30.0
 
 
 class FederatedSphinxServer(SphinxServer):
@@ -82,7 +86,7 @@ class FederatedSphinxServer(SphinxServer):
             lbl: svc for lbl, svc in peers.items() if lbl != label
         }
         self._meta_service = meta_service
-        self.board = DigestBoard(label, config.digest_ttl_s)
+        self.board = DigestBoard(label, DIGEST_TTL_S)
         self.ledger = ShardQuotaLedger(self)
         self._remote_load = self._digest_remote_load
         # Remote load changes every row's inputs; start clean.
@@ -231,7 +235,6 @@ class FederatedSphinxServer(SphinxServer):
         requirements = self._dag(drow["dag_id"]).job(job_id).requirements
         if not requirements or not self._peer_services:
             return
-        cooldown = self.fed_config.lease_request_cooldown_s
         earliest_retry = None
         for site in self._catalog_sites:
             for resource in sorted(requirements):
@@ -242,8 +245,9 @@ class FederatedSphinxServer(SphinxServer):
                     continue
                 key = lease_key(user, site, resource)
                 asked = self._lease_asked_at.get(key)
-                if asked is not None and self.env.now - asked < cooldown:
-                    expiry = asked + cooldown
+                if (asked is not None
+                        and self.env.now - asked < _LEASE_REQUEST_COOLDOWN_S):
+                    expiry = asked + _LEASE_REQUEST_COOLDOWN_S
                     if earliest_retry is None or expiry < earliest_retry:
                         earliest_retry = expiry
                     continue

@@ -50,6 +50,10 @@ def write_spans_jsonl(spans: Iterable[Span], path) -> None:
         fh.write(spans_to_jsonl(spans))
 
 
+#: spans a :class:`JsonlSpanSink` writes between two flushes
+_FLUSH_EVERY = 1000
+
+
 class JsonlSpanSink:
     """Streaming span sink: one JSONL line per span, written at close
     time.
@@ -61,9 +65,8 @@ class JsonlSpanSink:
     ``sort`` by the ``span_id`` field recovers canonical start order.
     """
 
-    def __init__(self, path, flush_every: int = 1000):
+    def __init__(self, path):
         self._fh = open(path, "w")
-        self._flush_every = flush_every
         self.path = path
         self.written = 0
 
@@ -72,7 +75,7 @@ class JsonlSpanSink:
             raise ValueError(f"span sink {self.path} is closed")
         self._fh.write(json.dumps(span.to_dict(), sort_keys=True) + "\n")
         self.written += 1
-        if self._flush_every and self.written % self._flush_every == 0:
+        if self.written % _FLUSH_EVERY == 0:
             self._fh.flush()
 
     def close(self) -> None:

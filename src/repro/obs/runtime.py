@@ -19,7 +19,7 @@ the obs no-op tests).
     planned/completed, RSS, GC collections, open-span count, and an ETA
     extrapolated from job completions.  A **stall detector** flags runs
     whose sim clock stops advancing or whose instantaneous throughput
-    collapses below a configurable fraction of its trailing mean.
+    collapses below a fixed fraction of its trailing mean.
 """
 
 from __future__ import annotations
@@ -31,6 +31,11 @@ import time
 from typing import Any, Callable, Optional
 
 __all__ = ["Heartbeat", "rss_mb"]
+
+#: a beat whose events/s falls below this fraction of the mean over the
+#: last ``_TRAILING`` beats is flagged as a throughput collapse
+_STALL_FRACTION = 0.25
+_TRAILING = 5
 
 
 def rss_mb() -> float:
@@ -67,8 +72,8 @@ class Heartbeat:
 
     Stall detection: a beat whose sim clock has not advanced since the
     previous beat, or whose instantaneous events/s falls below
-    ``stall_fraction`` of the trailing-``trailing``-beat mean, is
-    flagged ``stalled`` with a reason.
+    ``_STALL_FRACTION`` of the mean over the last ``_TRAILING`` beats,
+    is flagged ``stalled`` with a reason.
 
     ``clock``, ``rss_fn`` and ``gc_fn`` are injectable so tests can pin
     byte-identical output; the defaults read the real process.
@@ -79,21 +84,14 @@ class Heartbeat:
                  stream: Any = "<stderr>",
                  every_events: Optional[int] = None,
                  label: str = "run",
-                 stall_fraction: float = 0.25,
-                 trailing: int = 5,
                  clock: Callable[[], float] = time.monotonic,
                  rss_fn: Callable[[], float] = rss_mb,
                  gc_fn: Callable[[], int] = _gc_collections):
         if not interval_s >= 0:
             raise ValueError(f"interval_s must be >= 0, got {interval_s}")
-        if not 0.0 < stall_fraction < 1.0:
-            raise ValueError(
-                f"stall_fraction must be in (0, 1), got {stall_fraction}")
         self.interval_s = interval_s
         self.label = label
         self.every_events = every_events
-        self.stall_fraction = stall_fraction
-        self.trailing = trailing
         self._clock = clock
         self._rss_fn = rss_fn
         self._gc_fn = gc_fn
@@ -172,17 +170,17 @@ class Heartbeat:
             if self._last_sim is not None and sim_now <= self._last_sim \
                     and d_events > 0:
                 stalled, reason = True, "sim-clock not advancing"
-            elif (len(self._rates) >= self.trailing and
-                  inst < self.stall_fraction *
-                  (sum(self._rates[-self.trailing:]) / self.trailing)):
+            elif (len(self._rates) >= _TRAILING and
+                  inst < _STALL_FRACTION *
+                  (sum(self._rates[-_TRAILING:]) / _TRAILING)):
                 stalled, reason = True, (
-                    f"events/s collapsed below {self.stall_fraction:g}x "
+                    f"events/s collapsed below {_STALL_FRACTION:g}x "
                     f"trailing mean")
             if stalled:
                 self.stall_count += 1
             self._rates.append(inst)
-            if len(self._rates) > 4 * self.trailing:
-                del self._rates[: -2 * self.trailing]
+            if len(self._rates) > 4 * _TRAILING:
+                del self._rates[: -2 * _TRAILING]
 
         planned, completed = self._job_counters()
         eta_s = None

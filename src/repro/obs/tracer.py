@@ -95,12 +95,12 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, env=None, sink=None, max_open: Optional[int] = None):
+    def __init__(self, sink=None, max_open: Optional[int] = None):
         if max_open is not None and max_open < 1:
             raise ValueError(f"max_open must be >= 1, got {max_open}")
         if max_open is not None and sink is None:
             raise ValueError("max_open requires a sink (nowhere to evict to)")
-        self._env = env
+        self._env = None
         self._ids = itertools.count(1)
         self._spans: list[Span] = []
         self._sink = sink

@@ -13,7 +13,9 @@ of that pipeline drive the paper's conclusions and are modelled here:
   so monitoring-driven algorithms keep trusting a dead site until a
   scheduler-side mechanism (feedback) intervenes.
 
-Optionally, multiplicative noise models measurement error.
+Optionally, multiplicative noise models measurement error; it draws
+from the grid's own named stream, so turning it on perturbs no other
+stream.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.sim.engine import Environment
-from repro.sim.rng import RngStreams
 from repro.simgrid.grid import Grid
 from repro.simgrid.site import SiteState
 
@@ -51,19 +52,17 @@ class MonitoringService:
         grid: Grid,
         update_interval_s: float = 300.0,
         noise_sigma: float = 0.0,
-        rng: Optional[RngStreams] = None,
     ):
         if update_interval_s <= 0:
             raise ValueError("update interval must be > 0")
         if noise_sigma < 0:
             raise ValueError("noise sigma must be >= 0")
-        if noise_sigma > 0 and rng is None:
-            raise ValueError("noise requires an RNG")
         self.env = env
         self.grid = grid
         self.update_interval_s = update_interval_s
         self.noise_sigma = noise_sigma
-        self._rng = rng.stream("monitoring-noise") if rng else None
+        self._rng = (grid.rng.stream("monitoring-noise")
+                     if noise_sigma > 0 else None)
         self._snapshots: dict[str, SiteSnapshot] = {}
         #: completed polls, and the sites whose snapshot object the
         #: latest one replaced — how a poll announces itself.  A reader
@@ -86,7 +85,7 @@ class MonitoringService:
         if site.state in (SiteState.DOWN, SiteState.BLACKHOLE):
             return None  # the query job never comes back
         queued, running = site.queued_jobs, site.running_jobs
-        if self._rng is not None and self.noise_sigma > 0:
+        if self._rng is not None:
             factor = math.exp(float(self._rng.normal(0.0, self.noise_sigma)))
             queued = int(round(queued * factor))
             running = min(int(round(running * factor)), site.n_cpus)

@@ -4,8 +4,10 @@ The RLS architecture the paper used is two-tier:
 
 * a **Local Replica Catalog (LRC)** per site records which logical
   files have physical replicas there, authoritatively;
-* a **Replica Location Index (RLI)** aggregates LRC contents via
-  periodic *soft-state* updates, so index answers can lag reality.
+* a **Replica Location Index (RLI)** aggregates LRC contents.  The
+  production RLI did so by periodic *soft-state* updates; here attached
+  LRCs report every new holder as it registers, so the index is always
+  fresh.
 
 SPHINX's DAG reducer and transfer planner query the index;
 "SPHINX makes efficient use of the RLS by clubbing all its requests in
@@ -18,8 +20,6 @@ from __future__ import annotations
 
 from bisect import insort
 from typing import Iterable, Optional
-
-from repro.sim.engine import Environment
 
 __all__ = ["LocalReplicaCatalog", "ReplicaLocationIndex", "ReplicaService"]
 
@@ -55,33 +55,19 @@ class LocalReplicaCatalog:
 
 
 class ReplicaLocationIndex:
-    """Soft-state index over a set of LRCs.
+    """Live index over a set of LRCs.
 
-    With ``update_interval_s == 0`` the index is always fresh: attached
-    LRCs keep an inverted ``lfn -> holders`` map live as replicas are
-    registered, so a lookup costs O(replicas of that LFN), not
-    O(attached sites).  Otherwise it answers from a snapshot refreshed
-    on that period, reproducing the staleness of a production RLI.
+    Attached LRCs keep an inverted ``lfn -> holders`` map live as
+    replicas are registered, so a lookup costs O(replicas of that LFN),
+    not O(attached sites).
     """
 
-    def __init__(
-        self,
-        env: Environment,
-        update_interval_s: float = 0.0,
-    ):
-        if update_interval_s < 0:
-            raise ValueError("update interval must be >= 0")
-        self.env = env
-        self.update_interval_s = update_interval_s
+    def __init__(self):
         self._lrcs: dict[str, LocalReplicaCatalog] = {}
         self._rank: dict[str, int] = {}  # site -> attach order
         #: live inverted index: lfn -> [(attach rank, site)], rank-sorted
         #: so answers come out in attach order
         self._holders: dict[str, list[tuple[int, str]]] = {}
-        self._snapshot: dict[str, tuple[str, ...]] = {}
-        self.last_update_at: Optional[float] = None
-        if update_interval_s > 0:
-            env.process(self._refresher())
 
     # -- LRC management --------------------------------------------------------
     def attach(self, lrc: LocalReplicaCatalog) -> None:
@@ -109,10 +95,8 @@ class ReplicaLocationIndex:
 
     # -- queries -------------------------------------------------------------------
     def lookup(self, lfn: str) -> tuple[str, ...]:
-        """Sites believed to hold ``lfn`` (deterministic order)."""
-        if self.update_interval_s == 0:
-            return tuple([site for _rank, site in self._holders.get(lfn, ())])
-        return self._snapshot.get(lfn, ())
+        """Sites holding ``lfn``, in attach order."""
+        return tuple([site for _rank, site in self._holders.get(lfn, ())])
 
     def bulk_lookup(self, lfns: Iterable[str]) -> dict[str, tuple[str, ...]]:
         """One round trip for many LFNs — the paper's "clubbed" call."""
@@ -121,28 +105,12 @@ class ReplicaLocationIndex:
     def exists(self, lfn: str) -> bool:
         return bool(self.lookup(lfn))
 
-    def refresh(self) -> None:
-        """Force a soft-state update (also runs on the timer)."""
-        snapshot: dict[str, list[str]] = {}
-        for name, lrc in self._lrcs.items():
-            for lfn in lrc.lfns:
-                snapshot.setdefault(lfn, []).append(name)
-        self._snapshot = {lfn: tuple(sites) for lfn, sites in snapshot.items()}
-        self.last_update_at = self.env.now
-
-    def _refresher(self):
-        while True:
-            self.refresh()
-            yield self.env.timeout(self.update_interval_s)
-
 
 class ReplicaService:
     """RLI + per-site LRCs wired to grid storage."""
 
-    def __init__(self, env: Environment, site_names: Iterable[str],
-                 update_interval_s: float = 0.0):
-        self.env = env
-        self.index = ReplicaLocationIndex(env, update_interval_s)
+    def __init__(self, site_names: Iterable[str]):
+        self.index = ReplicaLocationIndex()
         for name in site_names:
             self.index.attach(LocalReplicaCatalog(name))
 

@@ -25,7 +25,10 @@ from typing import Any, Callable, Iterable, Optional
 from repro import obs as obs_mod
 from repro.sim.engine import Environment, Event
 
-__all__ = ["RpcBus", "RpcFault"]
+__all__ = ["LATENCY_S", "RpcBus", "RpcFault"]
+
+#: one-way latency of every call
+LATENCY_S = 0.05
 
 
 class RpcFault(RuntimeError):
@@ -95,12 +98,8 @@ class _Service:
 class RpcBus:
     """Registry + dispatcher for in-simulation RPC services."""
 
-    def __init__(self, env: Environment, latency_s: float = 0.05,
-                 obs=None):
-        if latency_s < 0:
-            raise ValueError("latency must be >= 0")
+    def __init__(self, env: Environment, obs=None):
         self.env = env
-        self.latency_s = latency_s
         self._services: dict[str, _Service] = {}
         #: service name -> events armed by :meth:`on_register`, fired
         #: (and cleared) the moment the service (re-)appears.
@@ -218,7 +217,7 @@ class RpcBus:
         the simulation, matching fire-and-forget RPC semantics.
 
         The round trip is carried by a single kernel event: the handler
-        runs and the result settles at ``now + 2 * latency_s`` in one
+        runs and the result settles at ``now + 2 * LATENCY_S`` in one
         step, so handler and reply are atomic — no fault can fall
         between them.
         """
@@ -257,5 +256,5 @@ class RpcBus:
             result.defuse()
 
         # Latency to the server and back, folded into one hop.
-        self.env.timeout(2.0 * self.latency_s).add_callback(_dispatch)
+        self.env.timeout(2.0 * LATENCY_S).add_callback(_dispatch)
         return result

@@ -324,8 +324,8 @@ class Environment:
     __slots__ = ("_now", "_heap", "_seq", "_held", "event_count", "obs_tally",
                  "heartbeat")
 
-    def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+    def __init__(self):
+        self._now = 0.0
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         #: entries :meth:`schedule_chain` holds off the heap

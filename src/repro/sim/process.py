@@ -26,7 +26,7 @@ class Process(Event):
 
     __slots__ = ("_generator", "_target", "_interrupted_away_from", "_name")
 
-    def __init__(self, env, generator: Generator[Event, Any, Any], name: str | None = None):
+    def __init__(self, env, generator: Generator[Event, Any, Any]):
         if type(generator) is not GeneratorType and (
             not hasattr(generator, "send") or not hasattr(generator, "throw")
         ):
@@ -39,7 +39,7 @@ class Process(Event):
         self._generator = generator
         self._target: Event | None = None
         self._interrupted_away_from: Event | None = None
-        self._name = name
+        self._name = None
         # Run the body to its first yield right now: the pre-settled
         # stand-in below never touches the heap.
         boot = Event.__new__(Event)
@@ -52,7 +52,7 @@ class Process(Event):
 
     @property
     def name(self) -> str:
-        """Process name (defaults to the generator's name, resolved lazily)."""
+        """Process name: the generator's name, resolved lazily."""
         n = self._name
         if n is None:
             gen = self._generator

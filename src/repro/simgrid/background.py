@@ -24,6 +24,10 @@ from repro.simgrid.site import GridSite, SiteState
 
 __all__ = ["BackgroundLoad"]
 
+#: batch priority of background jobs: the same class as grid users, and
+#: the local batch queue is FIFO within a class
+_PRIORITY = 10
+
 
 class BackgroundLoad:
     """Poisson background job stream against one site.
@@ -38,9 +42,6 @@ class BackgroundLoad:
     modulation_amplitude / modulation_period_s:
         Optional sinusoidal modulation of the arrival rate, so site
         load genuinely changes over the experiment.
-    priority:
-        Batch priority of background jobs (10 = same class as grid
-        users; the local batch queue is FIFO within a class).
     surge_interval_s / surge_jobs_factor / surge_runtime_s:
         Occasionally another VO dumps a whole production batch on the
         site — ``surge_jobs_factor * n_cpus`` jobs at once, each of
@@ -74,7 +75,6 @@ class BackgroundLoad:
         mean_runtime_s: float = 300.0,
         modulation_amplitude: float = 0.0,
         modulation_period_s: float = 6 * 3600.0,
-        priority: int = 10,
         surge_interval_s: float = 0.0,
         surge_jobs_factor: float = 1.5,
         surge_runtime_s: float = 1800.0,
@@ -103,7 +103,6 @@ class BackgroundLoad:
         self.mean_runtime_s = mean_runtime_s
         self.modulation_amplitude = modulation_amplitude
         self.modulation_period_s = modulation_period_s
-        self.priority = priority
         self.surge_interval_s = surge_interval_s
         self.surge_jobs_factor = surge_jobs_factor
         self.surge_runtime_s = surge_runtime_s
@@ -155,7 +154,7 @@ class BackgroundLoad:
         first_id, self._next_id = self._next_id, self._next_id + n
         self.site.submit_local(
             [r if r > 1.0 else 1.0 for r in runtimes],
-            owner, self.priority, prefix, first_id,
+            owner, _PRIORITY, prefix, first_id,
         )
         self.submitted += n
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.chaos import ChaosPlan, ChaoticBus, FaultRule, PartitionWindow
 from repro.services import RpcFault
+from repro.services.rpc import LATENCY_S
 from repro.sim import Environment
 
 
@@ -77,7 +78,7 @@ def test_delay_defers_the_round_trip():
     env.process(caller(env))
     env.run()
     assert done["value"] == "pong"
-    assert done["at"] > 2.0 * bus.latency_s  # slower than a clean call
+    assert done["at"] > 2.0 * LATENCY_S  # slower than a clean call
 
 
 def test_partition_faults_matching_services_inside_window():

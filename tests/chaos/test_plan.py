@@ -64,10 +64,9 @@ class TestFaultRule:
             FaultRule(max_extra_delay_s=-1.0)
 
     def test_matching_is_glob_based(self):
-        rule = FaultRule(service="sphinx-server-*", method="report_*")
-        assert rule.matches("sphinx-server-a", "report_status")
-        assert not rule.matches("sphinx-client-a", "report_status")
-        assert not rule.matches("sphinx-server-a", "submit_dag")
+        rule = FaultRule(service="sphinx-server-*")
+        assert rule.matches("sphinx-server-a")
+        assert not rule.matches("sphinx-client-a")
 
     def test_activity(self):
         assert not FaultRule().active
@@ -90,19 +89,16 @@ class TestPartitionWindow:
 
 
 class TestCrashSpec:
-    def test_needs_an_instant_or_a_window(self):
-        with pytest.raises(ValueError):
+    def test_needs_an_instant(self):
+        with pytest.raises(TypeError):
             CrashSpec(component="server")
         CrashSpec(component="server", at_s=100.0)
-        CrashSpec(component="client", window=(100.0, 200.0))
 
     def test_validation(self):
         with pytest.raises(ValueError):
             CrashSpec(component="database", at_s=1.0)
         with pytest.raises(ValueError):
             CrashSpec(component="server", at_s=1.0, down_s=0.0)
-        with pytest.raises(ValueError):
-            CrashSpec(component="server", window=(200.0, 100.0))
 
 
 class TestChaosPlan:
@@ -124,9 +120,9 @@ class TestChaosPlan:
         specific = FaultRule(service="sphinx-server-*", drop_p=0.2)
         broad = FaultRule(service="sphinx-*", drop_p=0.1)
         plan = ChaosPlan(rules=(specific, broad))
-        assert plan.rule_for("sphinx-server-a", "m") is specific
-        assert plan.rule_for("sphinx-client-a", "m") is broad
-        assert plan.rule_for("other", "m") is None
+        assert plan.rule_for("sphinx-server-a") is specific
+        assert plan.rule_for("sphinx-client-a") is broad
+        assert plan.rule_for("other") is None
 
     def test_presets_build_and_serialize(self):
         for name in PRESET_PLANS:

@@ -7,6 +7,7 @@ from repro.core.algorithms import (
     available_algorithms,
     make_algorithm,
 )
+from repro.core.algorithms.qos import _SAFETY_MARGIN
 
 
 def view(name, cpus=10, planned=0, unfinished=0, queued=None, running=None,
@@ -192,15 +193,11 @@ class TestQosDeadline:
 
     def test_safety_margin_guards_stale_estimates(self):
         alg = make_algorithm("qos-deadline", deadline_s=200.0)
-        # 180 <= 200 but > 0.6*200: too risky, use the fast site.
+        # 180 <= 200 but > the safety margin's share: too risky, use
+        # the fast site.
+        assert _SAFETY_MARGIN * 200.0 < 180.0
         sites = [view("fast", avg=50.0), view("risky", avg=180.0)]
         assert alg.choose_site("j", sites) == "fast"
-
-    def test_margin_validation(self):
-        with pytest.raises(ValueError):
-            make_algorithm("qos-deadline", safety_margin=0.0)
-        with pytest.raises(ValueError):
-            make_algorithm("qos-deadline", safety_margin=1.5)
 
     def test_falls_back_to_fastest_when_deadline_unmeetable(self):
         alg = make_algorithm("qos-deadline", deadline_s=10.0)

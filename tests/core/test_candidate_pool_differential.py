@@ -31,6 +31,7 @@ from repro.core.recovery import recover_server
 from repro.core.serialize import dag_to_payload
 from repro.experiments import Scenario, ServerSpec, run_scenario
 from repro.federation import FederatedSphinxServer, FederationConfig
+from repro.federation.digest import DIGEST_TTL_S
 from repro.services import MonitoringService, ReplicaService, RpcBus
 from repro.sim import Environment
 from repro.sim.rng import RngStreams
@@ -51,10 +52,10 @@ FREE = "/VO=v/CN=free"
 STRANGER = "/VO=v/CN=stranger"  # no grant anywhere
 USERS = (BOUND, FREE, STRANGER)
 N_SITES = 6
-TTL_S = 100.0
+TTL_S = DIGEST_TTL_S
 #: longer than the TTL, so a digest can age out between two polls and
 #: only the expiry itself can refresh the rows it touched
-POLL_S = 300.0
+POLL_S = 2 * TTL_S
 IN_FLIGHT = ("planned", "submitted")
 
 
@@ -75,15 +76,14 @@ class Rig:
         self.grid = _grid(self.env, N_SITES)
         self.sites = tuple(self.grid.site_names)
         self.bus = RpcBus(self.env)
-        self.rls = ReplicaService(self.env, self.sites)
+        self.rls = ReplicaService(self.sites)
         self.monitoring = MonitoringService(self.env, self.grid,
                                             update_interval_s=POLL_S)
         self.config = ServerConfig(name="t", algorithm="completion-time",
                                    tick_s=1.0, **config)
         self.catalog = {s: 4 for s in self.sites}
         self.fed = (
-            FederationConfig(name="t", n_shards=2, digest_interval_s=0.0,
-                             digest_ttl_s=TTL_S)
+            FederationConfig(name="t", n_shards=2, digest_interval_s=0.0)
             if federated else None
         )
         #: BOUND's grants, re-applied after a restore (grants are policy
@@ -297,7 +297,7 @@ OPS = st.one_of(
               st.sampled_from([0, 2, 7, 60])),
     st.tuples(st.just("restore")),
     st.tuples(st.just("digest"),
-              st.sampled_from([0.0, 50.0, 99.0, 150.0]),
+              st.sampled_from([0.0, TTL_S / 2, TTL_S - 1.0, 1.5 * TTL_S]),
               st.lists(st.tuples(SITE, st.integers(0, 3),
                                  st.integers(0, 3)),
                        max_size=3, unique_by=lambda load: load[0])),
@@ -344,7 +344,7 @@ def test_clean_table_plan_makes_no_per_site_call(monkeypatch):
         ServerConfig(name="t", algorithm="round-robin", tick_s=1.0),
         {s: 4 for s in sites},
         MonitoringService(env, grid, update_interval_s=60.0),
-        ReplicaService(env, sites),
+        ReplicaService(sites),
     )
     server.policy.grant_unlimited(FREE)
     for site in sites:

@@ -19,15 +19,6 @@ def one_job_dag(dag_id="c", runtime=60.0):
                             runtime_s=runtime)])
 
 
-def test_poll_period_validation():
-    from repro.core import SphinxClient
-
-    st = FullStack()
-    with pytest.raises(ValueError):
-        SphinxClient(st.env, st.bus, st.server.service_name, st.condorg,
-                     st.gridftp, st.rls, st.user, "cX", poll_s=0.0)
-
-
 def test_submit_dag_acked():
     st = FullStack()
     acks = []

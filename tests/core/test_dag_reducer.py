@@ -2,7 +2,6 @@
 
 from repro.core.dag_reducer import DagReducer
 from repro.services import ReplicaService
-from repro.sim import Environment
 from repro.workflow import Dag, Job, LogicalFile
 
 
@@ -22,7 +21,7 @@ def chain():
 
 
 def make(existing=()):
-    rls = ReplicaService(Environment(), ["site0"])
+    rls = ReplicaService(["site0"])
     for lfn in existing:
         rls.register_replica(lfn, "site0", 1.0)
     return DagReducer(rls), rls
@@ -77,7 +76,7 @@ def test_mid_chain_removal_keeps_consumers():
 def test_uses_one_bulk_rls_call():
     class CountingRls(ReplicaService):
         def __init__(self):
-            super().__init__(Environment(), ["s"])
+            super().__init__(["s"])
             self.bulk_calls = 0
 
         def bulk_locations(self, lfns):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.feedback import ReliabilityTracker
-from repro.core.prediction import CompletionTimeEstimator
+from repro.core.prediction import _EWMA_ALPHA, CompletionTimeEstimator
 from repro.core.warehouse import Warehouse
 
 
@@ -96,13 +96,16 @@ class TestEstimator:
         assert est.mean_s("s") == 150.0
 
     def test_ewma_weights_recent_samples(self):
-        est = CompletionTimeEstimator(Warehouse(), ewma_alpha=0.5)
-        est.record("s", 100.0)
-        est.record("s", 200.0)
-        assert est.ewma_s("s") == 150.0
+        a = _EWMA_ALPHA
+        est = CompletionTimeEstimator(Warehouse())
+        for _ in range(10):
+            est.record("s", 100.0)
+        assert est.ewma_s("s") == pytest.approx(100.0)
         est.record("s", 400.0)
-        assert est.ewma_s("s") == 275.0  # recent sample dominates
-        assert est.mean_s("s") == pytest.approx(700.0 / 3)
+        assert est.ewma_s("s") == pytest.approx((1 - a) * 100.0 + a * 400.0)
+        assert est.mean_s("s") == pytest.approx(1400.0 / 11)
+        # one recent sample outweighs a long history
+        assert est.ewma_s("s") > est.mean_s("s")
 
     def test_mode_selects_estimate(self):
         w = Warehouse()
@@ -110,17 +113,15 @@ class TestEstimator:
         est.record("s", 100.0)
         est.record("s", 300.0)
         assert est.average_s("s") == est.mean_s("s") == 200.0
-        est2 = CompletionTimeEstimator(Warehouse(), mode="ewma",
-                                       ewma_alpha=1.0)
+        est2 = CompletionTimeEstimator(Warehouse(), mode="ewma")
         est2.record("s", 100.0)
         est2.record("s", 300.0)
-        assert est2.average_s("s") == 300.0  # alpha=1: last sample
+        assert est2.average_s("s") == est2.ewma_s("s") == pytest.approx(
+            (1 - _EWMA_ALPHA) * 100.0 + _EWMA_ALPHA * 300.0)
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             CompletionTimeEstimator(Warehouse(), mode="median")
-        with pytest.raises(ValueError):
-            CompletionTimeEstimator(Warehouse(), ewma_alpha=0.0)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -171,11 +172,10 @@ class TestEstimator:
             est.record("s", t)
         assert est.mean_s("s") == pytest.approx(np.mean(times), rel=1e-9)
 
-    @given(times=st.lists(st.floats(1.0, 1e5), min_size=1, max_size=50),
-           alpha=st.floats(0.05, 1.0))
+    @given(times=st.lists(st.floats(1.0, 1e5), min_size=1, max_size=50))
     @settings(max_examples=50, deadline=None)
-    def test_property_ewma_bounded_by_extremes(self, times, alpha):
-        est = CompletionTimeEstimator(Warehouse(), ewma_alpha=alpha)
+    def test_property_ewma_bounded_by_extremes(self, times):
+        est = CompletionTimeEstimator(Warehouse())
         for t in times:
             est.record("s", t)
         eps = 1e-9 * max(times)

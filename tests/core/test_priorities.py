@@ -52,8 +52,7 @@ def test_client_forwards_user_priority():
     vip = User("vip", VirtualOrganization("cms"), priority=1)
     st.server.policy.grant_unlimited(vip.proxy)
     vip_client = SphinxClient(st.env, st.bus, st.server.service_name,
-                              st.condorg, st.gridftp, st.rls, vip, "cvip",
-                              poll_s=1.0)
+                              st.condorg, st.gridftp, st.rls, vip, "cvip")
     # Default user (priority 10) submits first, VIP second.
     st.submit(one_job("peon"))
     vip_client.stage_external_inputs(one_job("royal"), st.grid.site("s0"))

@@ -46,7 +46,7 @@ class Stack:
                                         background_utilization=0.0,
                                         service_noise_sigma=0.0))
         self.bus = RpcBus(self.env)
-        self.rls = ReplicaService(self.env, self.grid.site_names)
+        self.rls = ReplicaService(self.grid.site_names)
         self.monitoring = MonitoringService(self.env, self.grid,
                                             update_interval_s=60.0)
         self.config = ServerConfig(name="t", algorithm=algorithm,
@@ -84,7 +84,7 @@ def test_empty_catalog_rejected():
     grid = Grid(env, RngStreams(0))
     grid.add_site(SiteSpec("s", 4, background_utilization=0.0))
     bus = RpcBus(env)
-    rls = ReplicaService(env, grid.site_names)
+    rls = ReplicaService(grid.site_names)
     mon = MonitoringService(env, grid, update_interval_s=60.0)
     with pytest.raises(ValueError):
         SphinxServer(env, bus, ServerConfig(), {}, mon, rls)

@@ -40,7 +40,7 @@ def _stack(n_sites=3, **config_kw):
                                background_utilization=0.0,
                                service_noise_sigma=0.0))
     bus = RpcBus(env)
-    rls = ReplicaService(env, grid.site_names)
+    rls = ReplicaService(grid.site_names)
     monitoring = MonitoringService(env, grid, update_interval_s=60.0)
     config = ServerConfig(name="t", algorithm="round-robin", tick_s=1.0,
                           **config_kw)

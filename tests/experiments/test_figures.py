@@ -138,3 +138,16 @@ def test_bench_scale_goes_through_the_suite_rule(bad, monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_SCALE", bad)
     with pytest.raises(ValueError, match="scale must be finite and > 0"):
         common.suite_cases()
+
+
+@pytest.mark.parametrize("scale, persisted", [("0.1", False), ("1", True)])
+def test_emit_persists_only_scale_1_tables(scale, persisted, tmp_path,
+                                           monkeypatch, capsys):
+    # the committed benchmarks/output/ tables are the scale-1 run; a
+    # smoke pass at another scale prints its tables and writes nothing
+    monkeypatch.setenv("REPRO_BENCH_SCALE", scale)
+    monkeypatch.setattr(common, "OUTPUT_DIR", tmp_path / "output")
+    common.emit("fig0", "a table")
+    assert "a table" in capsys.readouterr().out
+    written = sorted(p.name for p in tmp_path.rglob("*.txt"))
+    assert written == (["fig0.txt"] if persisted else [])

@@ -28,8 +28,7 @@ def test_n_dags_validation():
         Scenario(name="x", servers=spec(), n_dags=0)
 
 
-_PERIODS = ("tick_s", "poll_s", "job_timeout_s", "monitoring_interval_s",
-            "horizon_s")
+_PERIODS = ("tick_s", "job_timeout_s", "monitoring_interval_s", "horizon_s")
 _CONFIGS = {
     "Scenario": (lambda **kw: Scenario(name="x", servers=spec(), **kw),
                  _PERIODS),
@@ -37,8 +36,6 @@ _CONFIGS = {
                            _PERIODS),
     "ServerConfig": (ServerConfig, ("tick_s", "job_timeout_s",
                                     "presume_lost_after_s")),
-    "FederationConfig": (FederationConfig, ("digest_ttl_s", "rehome_after_s",
-                                            "forward_retry_s")),
 }
 
 
@@ -59,8 +56,7 @@ _MAY_BE_ZERO = {
     "Scenario": (_CONFIGS["Scenario"][0], ("background_batch_s",)),
     "FederationScenario": (_CONFIGS["FederationScenario"][0],
                            ("background_batch_s", "submit_interval_s")),
-    "FederationConfig": (FederationConfig,
-                         ("digest_interval_s", "lease_request_cooldown_s")),
+    "FederationConfig": (FederationConfig, ("digest_interval_s",)),
 }
 
 

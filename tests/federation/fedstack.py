@@ -47,7 +47,7 @@ class FedStack:
     """N federated shards sharing one grid, bus, and monitoring."""
 
     def __init__(self, n_shards=2, n_sites=3, digest_interval_s=0.0,
-                 lease_cooldown_s=30.0, fed_kw=None, bus_factory=RpcBus,
+                 fed_kw=None, bus_factory=RpcBus,
                  **config_kw):
         self.env = Environment()
         self.grid = Grid(self.env, RngStreams(0))
@@ -56,14 +56,13 @@ class FedStack:
                                         background_utilization=0.0,
                                         service_noise_sigma=0.0))
         self.bus = bus_factory(self.env)
-        self.rls = ReplicaService(self.env, self.grid.site_names)
+        self.rls = ReplicaService(self.grid.site_names)
         self.monitoring = MonitoringService(self.env, self.grid,
                                             update_interval_s=60.0)
         self.catalog = {s: 4 for s in self.grid.site_names}
         self.fed = FederationConfig(
             name="t", n_shards=n_shards,
             digest_interval_s=digest_interval_s,
-            lease_request_cooldown_s=lease_cooldown_s,
             **(fed_kw or {}),
         )
         self.servers = {}

@@ -76,7 +76,7 @@ def test_quota_planning_survives_dropped_digests(seed):
     # No digest ever arrives (total drop): local truth alone must
     # still plan, including across a lease transfer.
     rng = random.Random(seed)
-    st = FedStack(n_shards=2, n_sites=2, lease_cooldown_s=5.0)
+    st = FedStack(n_shards=2, n_sites=2)
     st.init_leases(2.0)  # 1.0 per shard
     order = ["shard0", "shard1"]
     rng.shuffle(order)

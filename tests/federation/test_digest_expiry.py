@@ -6,7 +6,7 @@ something else invalidated the site — the next monitoring refresh, and
 never for a site that is DOWN.  Expiry is an invalidation of its own.
 """
 
-from repro.federation.digest import DigestBoard
+from repro.federation.digest import DIGEST_TTL_S, DigestBoard
 from repro.simgrid.site import SiteState
 
 from tests.core.reference_views import naive_views
@@ -35,7 +35,7 @@ def test_expire_reports_each_aged_out_digest_once():
 
 
 def test_expired_peer_digest_leaves_the_views():
-    st = FedStack(n_shards=2, n_sites=3, fed_kw={"digest_ttl_s": TTL_S})
+    st = FedStack(n_shards=2, n_sites=3)
     planner, peer = st.servers["shard0"], st.servers["shard1"]
     for server in st.servers.values():
         server.policy.grant_unlimited(USER)
@@ -50,7 +50,7 @@ def test_expired_peer_digest_leaves_the_views():
     # The shared site dies, so no monitoring poll replaces its snapshot:
     # nothing but the expiry itself can refresh the row.
     st.grid.site(site).set_state(SiteState.DOWN)
-    st.run(until=st.env.now + TTL_S + 1.0)
+    st.run(until=st.env.now + DIGEST_TTL_S + 1.0)
     assert planner.board.remote_load(site, st.env.now) == (0, 0)
     assert planner._site_views() == naive_views(planner)
     assert planner._site_views()[row].planned_jobs == 0

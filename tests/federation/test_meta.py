@@ -4,8 +4,9 @@ import pytest
 
 from repro.core.serialize import dag_to_payload
 from repro.federation import MetaScheduler
+from repro.federation.meta import _REHOME_AFTER_S
 from repro.federation.shards import ShardMap
-from repro.services.rpc import RpcBus, RpcFault
+from repro.services.rpc import LATENCY_S, RpcBus, RpcFault
 
 from tests.federation.fedstack import FedStack, one_job_dag
 
@@ -72,12 +73,12 @@ def test_saturated_home_spills_to_live_peer():
 
 
 def test_outage_within_grace_waits_for_the_home_shard():
-    st = FedStack(n_shards=2, fed_kw={"rehome_after_s": 600.0})
+    st = FedStack(n_shards=2)
     meta = make_meta(st)
     home = home_of(st)
     st.servers[home].shutdown()
     submit(st, meta, one_job_dag("d0"))
-    st.run(until=599.0)
+    st.run(until=_REHOME_AFTER_S - 1.0)
     # Still parked on the dead home: no re-home before the grace.
     assert assignments(meta)["d0"] == home
     assert meta.unacked() == ("d0",)
@@ -85,13 +86,13 @@ def test_outage_within_grace_waits_for_the_home_shard():
 
 
 def test_continuous_outage_past_grace_rehomes_unacked_dags():
-    st = FedStack(n_shards=2, fed_kw={"rehome_after_s": 600.0})
+    st = FedStack(n_shards=2)
     meta = make_meta(st)
     home = home_of(st)
     other = next(lbl for lbl in st.services if lbl != home)
     st.servers[home].shutdown()
     submit(st, meta, one_job_dag("d0"))
-    st.run(until=700.0)
+    st.run(until=_REHOME_AFTER_S + 100.0)
     assert assignments(meta)["d0"] == other
     assert meta.unacked() == ()
     assert meta.rehomed_count == 1
@@ -99,7 +100,7 @@ def test_continuous_outage_past_grace_rehomes_unacked_dags():
 
 
 def test_digest_is_proof_of_life_for_the_outage_clock():
-    st = FedStack(n_shards=2, fed_kw={"rehome_after_s": 600.0})
+    st = FedStack(n_shards=2)
     meta = make_meta(st)
     home = home_of(st)
     st.servers[home].shutdown()
@@ -142,7 +143,7 @@ class FlakyBus(RpcBus):
                 outer.fail(fault)
                 outer.defuse()
 
-            self.env.timeout(2.0 * self.latency_s).add_callback(_fail)
+            self.env.timeout(2.0 * LATENCY_S).add_callback(_fail)
             return outer
         if key in self.drop_reply:
             self.drop_reply.discard(key)

@@ -36,7 +36,7 @@ class FullStack:
         #: a ChaosPlan puts the stack on a fault-injecting wire
         self.bus = (RpcBus(self.env) if chaos_plan is None
                     else ChaoticBus(self.env, chaos_plan))
-        self.rls = ReplicaService(self.env, self.grid.site_names)
+        self.rls = ReplicaService(self.grid.site_names)
         self.gridftp = GridFtpService(self.env, self.grid, self.rls)
         self.condorg = CondorG(self.env, self.grid)
         self.monitoring = MonitoringService(self.env, self.grid,
@@ -53,7 +53,7 @@ class FullStack:
         self.apply_policy(self.server)
         self.client = SphinxClient(
             self.env, self.bus, self.server.service_name, self.condorg,
-            self.gridftp, self.rls, self.user, "c0", poll_s=1.0,
+            self.gridftp, self.rls, self.user, "c0",
             rng=self.rng.stream("client-backoff"),
         )
 

@@ -154,7 +154,7 @@ def test_concurrent_servers_compete_on_one_grid():
     user2 = User("bob", VirtualOrganization("cms"))
     server2.policy.grant_unlimited(user2.proxy)
     client2 = SphinxClient(st.env, st.bus, server2.service_name, st.condorg,
-                           st.gridftp, st.rls, user2, "c1", poll_s=1.0)
+                           st.gridftp, st.rls, user2, "c1")
 
     st.submit(diamond("a1"))
     client2.stage_external_inputs(diamond("b1"), st.grid.site("s1"))

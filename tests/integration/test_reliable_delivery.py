@@ -57,7 +57,7 @@ def test_a_lost_deliver_is_redelivered_under_the_default_config():
     """A ``deliver`` whose request leg the wire eats is redelivered
     after ``tick_s``: no presumed-lost window, no delivery knob."""
     plan = ChaosPlan(seed=41, rules=(FaultRule(
-        service="sphinx-client-*", method="deliver", drop_p=0.5),))
+        service="sphinx-client-*", drop_p=0.5),))
     st = FullStack(tick_s=2.0, chaos_plan=plan)
     assert st.config.presume_lost_after_s == float("inf")
     st.submit(one_job_dag())

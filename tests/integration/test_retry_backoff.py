@@ -2,7 +2,7 @@
 
 A server fault window turns every tracker with a finished job into a
 retrying reporter.  Before the event-driven control plane these
-retried every ``poll_s`` (2 s) in lockstep — a ~1800-attempt storm per
+retried every 2 s in lockstep — a ~1800-attempt storm per
 client per hour of outage.  The capped jittered exponential backoff
 bounds the storm, and the bus's re-registration signal ends it the
 instant a recovered server appears.

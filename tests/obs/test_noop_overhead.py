@@ -95,7 +95,7 @@ def test_full_flight_recorder_is_bit_identical(bare, tmp_path):
     from repro.obs import Heartbeat
     from repro.obs.export import JsonlSpanSink
 
-    sink = JsonlSpanSink(tmp_path / "spans.jsonl", flush_every=7)
+    sink = JsonlSpanSink(tmp_path / "spans.jsonl")
     obs = Obs(ObsConfig(spans=True, span_sink=sink, max_open_spans=10_000))
     hb = Heartbeat(path=tmp_path / "heartbeat.jsonl",
                    stream=None, every_events=1500)

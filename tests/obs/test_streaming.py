@@ -14,7 +14,7 @@ import pytest
 
 from repro.experiments.figures import ext_scale_scenario, fig2_scenario
 from repro.experiments.runner import run_scenario
-from repro.obs import Obs, ObsConfig, Tracer
+from repro.obs import Obs, ObsConfig, Tracer, export
 from repro.obs.export import JsonlSpanSink
 from repro.sim import Environment
 
@@ -38,9 +38,10 @@ class ListSink:
 
 
 # ------------------------------------------------------------------ the sink
-def test_jsonl_sink_writes_incrementally(tmp_path):
+def test_jsonl_sink_writes_incrementally(tmp_path, monkeypatch):
+    monkeypatch.setattr(export, "_FLUSH_EVERY", 1)
     path = tmp_path / "spans.jsonl"
-    sink = JsonlSpanSink(path, flush_every=1)
+    sink = JsonlSpanSink(path)
     tracer = bound_tracer(sink=sink)
     for i in range(3):
         tracer.end_span(tracer.start_span(f"work-{i}"))
@@ -126,7 +127,7 @@ def test_streamed_spans_equal_retained_spans_sorted_by_id(tmp_path):
 
     path = tmp_path / "streamed.jsonl"
     obs_stream = Obs(ObsConfig(
-        spans=True, span_sink=JsonlSpanSink(path, flush_every=1)))
+        spans=True, span_sink=JsonlSpanSink(path)))
     run_scenario(scenario, obs=obs_stream)
     streamed = _by_span_id(path.read_text())
 
@@ -134,14 +135,13 @@ def test_streamed_spans_equal_retained_spans_sorted_by_id(tmp_path):
     assert streamed == retained
 
 
-def test_flush_cadence_cannot_change_the_stream(tmp_path):
+def test_flush_cadence_cannot_change_the_stream(tmp_path, monkeypatch):
     scenario = fig2_scenario(2, 7, horizon_s=6 * 3600.0)
     texts = []
-    for flush_every in (1, 1000):
+    for flush_every in (1, export._FLUSH_EVERY):
+        monkeypatch.setattr(export, "_FLUSH_EVERY", flush_every)
         path = tmp_path / f"f{flush_every}.jsonl"
-        obs = Obs(ObsConfig(
-            spans=True,
-            span_sink=JsonlSpanSink(path, flush_every=flush_every)))
+        obs = Obs(ObsConfig(spans=True, span_sink=JsonlSpanSink(path)))
         run_scenario(scenario, obs=obs)
         texts.append(path.read_text())
     assert texts[0] == texts[1]
@@ -158,7 +158,7 @@ def test_ext_scale_decisions_identical_under_full_flight_recorder(
     scenario = ext_scale_scenario(10, 50, seed=42, horizon_s=24 * 3600.0)
     bare = run_scenario(scenario)
 
-    sink = JsonlSpanSink(tmp_path / "spans.jsonl", flush_every=10)
+    sink = JsonlSpanSink(tmp_path / "spans.jsonl")
     obs = Obs(ObsConfig(spans=True, span_sink=sink, max_open_spans=500))
     hb = Heartbeat(path=tmp_path / "heartbeat.jsonl",
                    stream=None, every_events=1000)

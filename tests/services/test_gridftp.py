@@ -16,7 +16,7 @@ def make_env(n_sites=3):
         grid.add_site(SiteSpec(f"s{i}", n_cpus=4, uplink_mbps=10.0,
                                background_utilization=0.0,
                                service_noise_sigma=0.0))
-    rls = ReplicaService(env, grid.site_names)
+    rls = ReplicaService(grid.site_names)
     ftp = GridFtpService(env, grid, rls)
     return env, grid, rls, ftp
 

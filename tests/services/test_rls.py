@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.sim import Environment
 from repro.services import LocalReplicaCatalog, ReplicaLocationIndex, ReplicaService
 
 
@@ -31,8 +30,7 @@ class TestLrc:
 
 class TestRli:
     def test_direct_mode_always_fresh(self):
-        env = Environment()
-        rli = ReplicaLocationIndex(env, update_interval_s=0.0)
+        rli = ReplicaLocationIndex()
         lrc = LocalReplicaCatalog("a")
         rli.attach(lrc)
         assert rli.lookup("x") == ()
@@ -40,19 +38,19 @@ class TestRli:
         assert rli.lookup("x") == ("a",)
 
     def test_duplicate_attach_rejected(self):
-        rli = ReplicaLocationIndex(Environment())
+        rli = ReplicaLocationIndex()
         rli.attach(LocalReplicaCatalog("a"))
         with pytest.raises(ValueError):
             rli.attach(LocalReplicaCatalog("a"))
 
     def test_lrc_feeds_one_index_only(self):
         lrc = LocalReplicaCatalog("a")
-        ReplicaLocationIndex(Environment()).attach(lrc)
+        ReplicaLocationIndex().attach(lrc)
         with pytest.raises(ValueError, match="another index"):
-            ReplicaLocationIndex(Environment()).attach(lrc)
+            ReplicaLocationIndex().attach(lrc)
 
     def test_reregistering_adds_no_second_holder(self):
-        rli = ReplicaLocationIndex(Environment())
+        rli = ReplicaLocationIndex()
         early, late = LocalReplicaCatalog("early"), LocalReplicaCatalog("late")
         late.register("x", 1.0)  # before attach
         rli.attach(early)
@@ -62,24 +60,8 @@ class TestRli:
         late.register("x", 3.0)
         assert rli.lookup("x") == ("early", "late")  # attach order
 
-    def test_negative_interval_rejected(self):
-        with pytest.raises(ValueError):
-            ReplicaLocationIndex(Environment(), update_interval_s=-1)
-
-    def test_soft_state_is_stale_between_refreshes(self):
-        env = Environment()
-        rli = ReplicaLocationIndex(env, update_interval_s=100.0)
-        lrc = LocalReplicaCatalog("a")
-        rli.attach(lrc)
-        env.run(until=10.0)  # first refresh happened at t=0
-        lrc.register("x")
-        assert rli.lookup("x") == ()  # not yet visible
-        env.run(until=150.0)  # refresh at t=100 picked it up
-        assert rli.lookup("x") == ("a",)
-
     def test_multi_site_lookup_order_deterministic(self):
-        env = Environment()
-        rli = ReplicaLocationIndex(env)
+        rli = ReplicaLocationIndex()
         for name in ("a", "b", "c"):
             lrc = LocalReplicaCatalog(name)
             lrc.register("x")
@@ -87,8 +69,7 @@ class TestRli:
         assert rli.lookup("x") == ("a", "b", "c")
 
     def test_bulk_lookup(self):
-        env = Environment()
-        rli = ReplicaLocationIndex(env)
+        rli = ReplicaLocationIndex()
         lrc = LocalReplicaCatalog("a")
         lrc.register("x")
         rli.attach(lrc)
@@ -96,29 +77,17 @@ class TestRli:
         assert result == {"x": ("a",), "y": ()}
 
     def test_exists(self):
-        env = Environment()
-        rli = ReplicaLocationIndex(env)
+        rli = ReplicaLocationIndex()
         lrc = LocalReplicaCatalog("a")
         rli.attach(lrc)
         assert not rli.exists("x")
         lrc.register("x")
         assert rli.exists("x")
 
-    def test_manual_refresh(self):
-        env = Environment()
-        rli = ReplicaLocationIndex(env, update_interval_s=1e9)
-        lrc = LocalReplicaCatalog("a")
-        rli.attach(lrc)
-        lrc.register("x")
-        rli.refresh()
-        assert rli.lookup("x") == ("a",)
-        assert rli.last_update_at == env.now
-
 
 class TestReplicaService:
     def test_end_to_end(self):
-        env = Environment()
-        svc = ReplicaService(env, ["a", "b"])
+        svc = ReplicaService(["a", "b"])
         svc.register_replica("f", "a", 10.0)
         svc.register_replica("f", "b", 10.0)
         assert svc.locations("f") == ("a", "b")
@@ -126,11 +95,10 @@ class TestReplicaService:
         assert svc.size_of("f") == 10.0
 
     def test_size_of_unknown_is_none(self):
-        svc = ReplicaService(Environment(), ["a"])
+        svc = ReplicaService(["a"])
         assert svc.size_of("ghost") is None
 
     def test_bulk_locations(self):
-        env = Environment()
-        svc = ReplicaService(env, ["a"])
+        svc = ReplicaService(["a"])
         svc.register_replica("f", "a")
         assert svc.bulk_locations(["f", "g"]) == {"f": ("a",), "g": ()}

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.services import LocalReplicaCatalog, ReplicaService
-from repro.sim import Environment
 
 SITES = [f"s{i}" for i in range(6)]
 LFNS = [f"f{i}" for i in range(5)]
@@ -40,7 +39,7 @@ def naive_size_of(attached, lfn):
 @settings(max_examples=300, deadline=None)
 @given(ops=OPS)
 def test_index_matches_naive_scan_in_attach_order(ops):
-    svc = ReplicaService(Environment(), [])
+    svc = ReplicaService([])
     catalogs = {name: LocalReplicaCatalog(name) for name in SITES}
     attached: list[LocalReplicaCatalog] = []
     for op in ops:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.sim import Environment
 from repro.services import RpcBus, RpcFault
-from repro.services.rpc import _check_serializable
+from repro.services.rpc import LATENCY_S, _check_serializable
 
 
 def call_sync(env, bus, *args, **kwargs):
@@ -25,11 +25,6 @@ def call_sync(env, bus, *args, **kwargs):
     return result
 
 
-def test_latency_validation():
-    with pytest.raises(ValueError):
-        RpcBus(Environment(), latency_s=-1)
-
-
 def test_basic_call():
     env = Environment()
     bus = RpcBus(env)
@@ -40,7 +35,7 @@ def test_basic_call():
 
 def test_call_costs_round_trip():
     env = Environment()
-    bus = RpcBus(env, latency_s=0.5)
+    bus = RpcBus(env)
     bus.register("svc", "ping", lambda: "pong")
     times = {}
 
@@ -51,7 +46,7 @@ def test_call_costs_round_trip():
 
     env.process(caller(env))
     env.run()
-    assert times["done"] == pytest.approx(1.0)
+    assert times["done"] == pytest.approx(2 * LATENCY_S)
 
 
 def test_unknown_service_faults():

@@ -17,11 +17,6 @@ def test_clock_starts_at_zero():
     assert env.now == 0.0
 
 
-def test_clock_custom_start():
-    env = Environment(initial_time=100.0)
-    assert env.now == 100.0
-
-
 def test_timeout_advances_clock():
     env = Environment()
     env.timeout(5.0)

@@ -1,8 +1,8 @@
 """Every attribute ``src/`` stores has a reader, and every setting has a
 caller that sets it, outside the tests.
 
-The sibling of ``test_public_names_have_callers.py``, and a scan by name
-over the same callers (``src/``, ``examples/``, ``benchmarks/``):
+The sibling of ``test_public_names_have_callers.py``, and a scan of the
+same callers (``src/``, ``examples/``, ``benchmarks/``):
 
 * **(a) no write-only attribute.**  A ``self.x = ...`` or
   ``self.x += ...`` in ``src/`` counts as read when a caller loads
@@ -10,10 +10,14 @@ over the same callers (``src/``, ``examples/``, ``benchmarks/``):
   A counter nothing reads costs a write per event and tells no one.
 * **(b) no setting no caller sets.**  Every dataclass field with a
   default, and every defaulted parameter of a public class's
-  ``__init__``, counts as set when a caller passes it: as a keyword
-  ``x=``, as a dict key ``"x"`` (a literal, or ``d["x"] = ...``, bound
-  for a ``**`` call), or by position in a call of the class by name.
-  A knob only tests turn keeps a code path alive for its tests alone.
+  ``__init__``, counts as set when a caller passes it to *that* class:
+  as a keyword ``x=`` or by position in a call of the class by name
+  (or of a name in :data:`CALL_ALIASES` that builds it), or as a
+  keyword of ``dataclasses.replace`` for a dataclass field.  A dict
+  key ``"x"`` (a literal, ``d["x"] = ...``, or a keyword of
+  ``dict(...)``) still counts by name, because it is bound for a
+  ``**`` call the scan does not follow.  A knob only tests turn keeps
+  a code path alive for its tests alone.
 
 What may stay anyway is allowlisted below, each entry with one reason
 from :data:`REASONS` and the evidence for it: the test file that reads
@@ -44,8 +48,6 @@ UNREAD_ALLOWED = {
     "CondorG.reservations_rejected":
         (ORACLE, "tests/services/test_condorg.py"),
     "CondorG.submitted_count": (ORACLE, "tests/core/test_client.py"),
-    "ReplicaLocationIndex.last_update_at":
-        (ORACLE, "tests/services/test_rls.py"),
     "SphinxServer.reservations_requested":
         (ORACLE, "tests/experiments/test_reservation_integration.py"),
     "SphinxServer.stage_in_failures": (ORACLE, "tests/core/test_server.py"),
@@ -77,25 +79,16 @@ UNSET_ALLOWED = {
     "WorkloadGenerator.p_internal": (MODEL, "random-structure DAGs"),
 }
 
-#: settings only tests turn that no reason above covers, and that
-#: cannot go without dropping assertions of the test that turns them
-#: -> that test.  Not allowlisted: debt, and the list may only shrink
-#: (ROADMAP item 6).
-UNSET_PENDING = {
-    "CrashSpec.window": "tests/chaos/test_drills.py",
-    "QosDeadline.safety_margin": "tests/core/test_algorithms.py",
-    "CompletionTimeEstimator.ewma_alpha":
-        "tests/core/test_feedback_prediction.py",
-    "FederationConfig.digest_ttl_s": "tests/federation/test_digest_expiry.py",
-    "FederationConfig.rehome_after_s": "tests/federation/test_meta.py",
-    "FederationConfig.forward_retry_s": "tests/federation/test_shards.py",
-    "FederationConfig.lease_request_cooldown_s":
-        "tests/federation/fedstack.py",
-    "JsonlSpanSink.flush_every": "tests/obs/test_streaming.py",
-    "Heartbeat.stall_fraction": "tests/obs/test_runtime.py",
-    "Heartbeat.trailing": "tests/obs/test_runtime.py",
-    "Environment.initial_time": "tests/sim/test_engine.py",
+#: callees that construct a class they do not name -> the base class
+#: whose family (itself and every class below it) they may build
+CALL_ALIASES = {
+    "server_cls": "SphinxServer",  # Stack.add_server, recover_server
+    "make_algorithm": "SchedulingAlgorithm",
 }
+
+#: class -> class its keywords carry over to (``Stack.add_server``
+#: builds ``ServerConfig(**asdict(spec))``)
+CARRIED = {"ServerSpec": "ServerConfig"}
 
 #: runtime-state holders: their defaults are initial state, not settings
 STATE_HOLDERS = {"Reservation", "SiteJob", "TrackerStats"}
@@ -117,9 +110,41 @@ def _str(node) -> bool:
     return isinstance(node, ast.Constant) and isinstance(node.value, str)
 
 
+def _family(base: str, children: dict[str, set[str]]) -> set[str]:
+    """``base`` and every class below it."""
+    family, todo = set(), [base]
+    while todo:
+        name = todo.pop()
+        if name not in family:
+            family.add(name)
+            todo.extend(children.get(name, ()))
+    return family
+
+
+def _aliases() -> dict[str, set[str]]:
+    """:data:`CALL_ALIASES` with each base class expanded to its family."""
+    children = {}
+    for _path, tree in _trees(("src",)):
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for base in cls.bases:
+                    name = getattr(base, "id", None) or getattr(
+                        base, "attr", None)
+                    children.setdefault(name, set()).add(cls.name)
+    return {callee: _family(base, children)
+            for callee, base in CALL_ALIASES.items()}
+
+
 def caller_usage():
-    """(names read, names passed, class name -> most positional args)."""
-    read, passed, positional = set(), set(), {}
+    """(names read, dict keys, class name -> keywords passed to it,
+    class name -> most positional args).
+
+    A keyword counts only for the class the call constructs; a dict key
+    counts by name, because it is bound for a ``**`` call the scan does
+    not follow.  ``dataclasses.replace(obj, x=...)`` files ``x`` under
+    ``"replace"``: it sets a field of whichever dataclass ``obj`` is."""
+    aliases = _aliases()
+    read, keys, passed, positional = set(), set(), {}, {}
     for _path, tree in _trees(CALLER_DIRS):
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx,
@@ -127,13 +152,11 @@ def caller_usage():
                 read.add(node.attr)
             elif _str(node):
                 read.add(node.value)
-            elif isinstance(node, ast.keyword) and node.arg:
-                passed.add(node.arg)
             elif isinstance(node, ast.Dict):
-                passed.update(k.value for k in node.keys if _str(k))
+                keys.update(k.value for k in node.keys if _str(k))
             elif (isinstance(node, ast.Subscript)
                   and isinstance(node.ctx, ast.Store) and _str(node.slice)):
-                passed.add(node.slice.value)
+                keys.add(node.slice.value)
             elif (isinstance(node, ast.For)
                   and isinstance(node.target, ast.Name)
                   and isinstance(node.iter, (ast.Tuple, ast.List))
@@ -143,12 +166,20 @@ def caller_usage():
                           and n.slice.id == node.target.id
                           for n in ast.walk(node))):
                 # for field in ("a", "b"): overrides[field] = ...
-                passed.update(e.value for e in node.iter.elts if _str(e))
+                keys.update(e.value for e in node.iter.elts if _str(e))
             elif isinstance(node, ast.Call) and _callee(node):
-                n = sum(not isinstance(a, ast.Starred) for a in node.args)
                 name = _callee(node)
-                positional[name] = max(positional.get(name, 0), n)
-    return read, passed, positional
+                words = {k.arg for k in node.keywords if k.arg}
+                if name == "dict":
+                    keys |= words
+                    continue
+                n = sum(not isinstance(a, ast.Starred) for a in node.args)
+                for cls in aliases.get(name, {name}):
+                    passed.setdefault(cls, set()).update(words)
+                    positional[cls] = max(positional.get(cls, 0), n)
+    for src, dst in CARRIED.items():
+        passed.setdefault(dst, set()).update(passed.get(src, ()))
+    return read, keys, passed, positional
 
 
 def stored_attributes():
@@ -184,8 +215,9 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
 
 
 def settings():
-    """(``Class.name``, position, ``path:line``) of every defaulted
-    dataclass field and ``__init__`` parameter of a public class."""
+    """(``Class.name``, position, ``path:line``, is a dataclass field)
+    of every defaulted dataclass field and ``__init__`` parameter of a
+    public class."""
     for path, tree in _trees(("src",)):
         for cls in tree.body:
             if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
@@ -198,7 +230,7 @@ def settings():
                 for i, s in enumerate(fields):
                     if s.value is not None:
                         yield f"{cls.name}.{s.target.id}", i, \
-                            f"{where}:{s.lineno}"
+                            f"{where}:{s.lineno}", True
             for member in cls.body:
                 if not (isinstance(member, ast.FunctionDef)
                         and member.name == "__init__"):
@@ -206,16 +238,17 @@ def settings():
                 params = member.args.args[1:]
                 first = len(params) - len(member.args.defaults)
                 for i, a in enumerate(params[first:], first):
-                    yield f"{cls.name}.{a.arg}", i, f"{where}:{a.lineno}"
+                    yield f"{cls.name}.{a.arg}", i, \
+                        f"{where}:{a.lineno}", False
                 for a, d in zip(member.args.kwonlyargs,
                                 member.args.kw_defaults):
                     if d is not None:
                         yield f"{cls.name}.{a.arg}", None, \
-                            f"{where}:{a.lineno}"
+                            f"{where}:{a.lineno}", False
 
 
 def unread_attributes():
-    read, _passed, _pos = caller_usage()
+    read = caller_usage()[0]
     return sorted({
         (qual, where) for qual, where in stored_attributes()
         if qual.split(".", 1)[1] not in read
@@ -223,11 +256,14 @@ def unread_attributes():
 
 
 def unset_settings():
-    _read, passed, positional = caller_usage()
+    _read, keys, passed, positional = caller_usage()
     out = []
-    for qual, index, where in settings():
+    for qual, index, where, is_field in settings():
         cls, name = qual.split(".", 1)
-        if name.startswith("_") or cls in STATE_HOLDERS or name in passed:
+        if name.startswith("_") or cls in STATE_HOLDERS or name in keys:
+            continue
+        if name in passed.get(cls, ()) or (
+                is_field and name in passed.get("replace", ())):
             continue
         if index is not None and positional.get(cls, 0) > index:
             continue
@@ -268,17 +304,10 @@ def test_every_stored_attribute_has_a_reader_outside_tests():
 def test_every_setting_has_a_caller_that_sets_it_outside_tests():
     unset = unset_settings()
     stray = [f"{where} {qual}" for qual, where in unset
-             if qual not in UNSET_ALLOWED and qual not in UNSET_PENDING]
+             if qual not in UNSET_ALLOWED]
     assert not stray, (
         "settings that only tests set (make them constants, give them a "
         "caller in src/, examples/ or benchmarks/, or allowlist them "
         "with a reason):\n  " + "\n  ".join(stray))
-    found = {q for q, _ in unset}
-    problems = _check_allowlist(UNSET_ALLOWED, found)
-    for qual, test in UNSET_PENDING.items():
-        # a pending entry that got a caller, or went, leaves the list
-        if qual not in found:
-            problems.append(f"{qual}: pending but not found")
-        if qual.split(".", 1)[1] not in (ROOT / test).read_text():
-            problems.append(f"{qual}: {test} never names it")
+    problems = _check_allowlist(UNSET_ALLOWED, {q for q, _ in unset})
     assert not problems, "\n".join(problems)
