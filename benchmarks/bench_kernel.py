@@ -467,22 +467,24 @@ def test_rls_lookup_scaling(benchmark):
     assert out[2_500] <= 2.0 * out[25]
 
 
-#: ``_plan_job_us`` at the parent commit (1924a9a, the per-job rebuild of
-#: the candidate pool), same box and interpreter as the committed table:
-#: (sites, quota-bound, draining) -> us per planned job.
+#: ``_plan_job_us`` at the parent commit (0d2c740, every algorithm a
+#: Python scan of one ``SiteView`` per candidate), same box and
+#: interpreter as the committed table:
+#: (sites, quota-bound, draining, sampled) -> us per planned job.
 PARENT_PLAN_US = {
-    (25, False, False): 18.5,
-    (25, False, True): 19.5,
-    (25, True, False): 68.5,
-    (25, True, True): 77.0,
-    (250, False, False): 78.4,
-    (250, False, True): 78.8,
-    (250, True, False): 462.9,
-    (250, True, True): 488.6,
-    (2_500, False, False): 655.3,
-    (2_500, False, True): 728.5,
-    (2_500, True, False): 4746.1,
-    (2_500, True, True): 4621.1,
+    (25, False, False, True): 11.0,
+    (25, False, True, True): 12.7,
+    (25, True, False, True): 16.9,
+    (25, True, True, True): 19.2,
+    (250, False, False, True): 16.2,
+    (250, False, True, True): 29.8,
+    (250, True, False, True): 22.4,
+    (250, True, True, True): 37.4,
+    (2_500, False, False, True): 67.5,
+    (2_500, False, True, True): 211.3,
+    (2_500, True, False, True): 75.0,
+    (2_500, True, True, True): 226.1,
+    (2_500, False, False, False): 79.1,
 }
 
 
@@ -513,15 +515,17 @@ def _submit(server, user, dag_id, n, requirements=None):
 
 
 def _plan_job_us(n_sites: int, bound: bool, draining: bool,
-                 n_jobs: int = 300) -> float:
+                 sampled: bool = True, n_jobs: int = 300) -> float:
     """Host microseconds to plan one ready job in a warm server.
 
-    ``n_sites`` idle sites with completion history (the completion-time
-    algorithm runs its full argmin scan), one user — quota-exempt, or
-    bound by two ample quotas — and optionally every tenth site
-    draining.  One job is planned first so the measured pass starts
-    from a built site table; the clock then covers one ``tick`` that
-    plans ``n_jobs`` independent ready jobs.
+    ``n_sites`` idle sites, one user — quota-exempt, or bound by two
+    ample quotas — and optionally every tenth site draining.  With
+    ``sampled`` every site has completion history, so the
+    completion-time algorithm takes its argmin; without, none has, and
+    every plan is a bootstrap probe of an unsampled site (the path
+    every plan of ``plan-2500x600`` takes).  One job is planned first
+    so the measured pass starts from a built site table; the clock then
+    covers one ``tick`` that plans ``n_jobs`` independent ready jobs.
     """
     server = _planner_server(n_sites)
     sites = server._catalog_sites
@@ -534,8 +538,9 @@ def _plan_job_us(n_sites: int, bound: bool, draining: bool,
                 server.policy.grant(user, site, resource, 1e9)
     else:
         server.policy.grant_unlimited(user)
-    for i, site in enumerate(sites):
-        server.estimator.record(site, 100.0 + i % 7)
+    if sampled:
+        for i, site in enumerate(sites):
+            server.estimator.record(site, 100.0 + i % 7)
     if draining:
         for site in sites[::10]:
             server.drain_notice(site, 1e9)
@@ -551,10 +556,12 @@ def _plan_job_us(n_sites: int, bound: bool, draining: bool,
     return elapsed * 1e6 / n_jobs
 
 
-#: ``_declined_pass_us`` at the parent commit (17a8368, every ready job
-#: re-asked and every ready set recomputed), same box and interpreter as
-#: the committed table: sites -> us per retry pass (median of three).
-PARENT_DECLINED_US = {25: 617.2, 250: 2150.5, 2_500: 17411.4}
+#: ``_declined_pass_us`` at the parent commit (0d2c740), same box and
+#: interpreter as the committed table: sites -> us per retry pass.
+PARENT_DECLINED_US = {25: 135.3, 250: 140.9, 2_500: 179.7}
+#: ``_declined_pass_us(2_500)`` before declined classes were skipped
+#: (17a8368: every ready job re-asked, every ready set recomputed)
+BEFORE_DECLINED_CLASSES_US = 17411.4
 
 
 def _declined_pass_us(n_sites: int, n_jobs: int = 300,
@@ -586,21 +593,22 @@ def _declined_pass_us(n_sites: int, n_jobs: int = 300,
 def test_plan_job_candidates(benchmark):
     """The planner layer: what one planned job costs as the catalog grows.
 
-    The candidate pool is a maintained site table (DESIGN.md §5g): a
-    plan refreshes the rows earlier plans dirtied and hands the
-    algorithm the table, or one selection of it when sites are
-    draining.  What still grows with the catalog is the algorithm's own
-    scan of its candidates.  The "declined" rows time a pass in which
-    the algorithm declines every ready job: it is asked once, and the
-    retrying dag keeps its ready set (DESIGN.md §5g).
+    The candidate pool is a maintained site table of numpy columns
+    (DESIGN.md §5g): a plan rewrites the rows earlier plans dirtied,
+    builds one feasibility mask, and the algorithm chooses with one
+    masked argmin or one rotation over the columns.  The bootstrap row
+    times the probe rotation over 2,500 unsampled sites.  The
+    "declined" rows time a pass in which the algorithm declines every
+    ready job: it is asked once, and the retrying dag keeps its ready
+    set (DESIGN.md §5g).
     """
     sizes = (25, 250, 2_500)
     cases = [
-        (n_sites, bound, draining)
+        (n_sites, bound, draining, True)
         for n_sites in sizes
         for bound in (False, True)
         for draining in (False, True)
-    ]
+    ] + [(2_500, False, False, False)]
 
     def run():
         return {
@@ -610,12 +618,14 @@ def test_plan_job_candidates(benchmark):
 
     out, declined = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = []
-    for (n_sites, bound, draining), us in out.items():
-        parent = PARENT_PLAN_US.get((n_sites, bound, draining))
+    for case, us in out.items():
+        n_sites, bound, draining, sampled = case
+        parent = PARENT_PLAN_US.get(case)
         rows.append([
             n_sites,
             "quota-bound" if bound else "quota-exempt",
             "10 %" if draining else "none",
+            "every" if sampled else "none (bootstrap)",
             f"{parent:.1f}" if parent is not None else "-",
             f"{us:.1f}",
         ])
@@ -624,11 +634,11 @@ def test_plan_job_candidates(benchmark):
         for n, us in declined.items()
     ]
     emit("kernel_planner", format_table(
-        ["sites", "user", "draining", "parent (us / job)",
-         "change (us / job)"],
+        ["sites", "user", "draining", "sites sampled",
+         "parent (us / job)", "change (us / job)"],
         rows,
         title="Planner: one warm tick planning 300 ready jobs "
-              "(completion-time, every site sampled)",
+              "(completion-time)",
     ) + "\n\n" + format_table(
         ["sites", "parent (us / pass)", "change (us / pass)"],
         declined_rows,
@@ -636,7 +646,8 @@ def test_plan_job_candidates(benchmark):
               "one user behind in-flight probes (completion-time)",
     ))
     # Ten times the sites must cost well under ten times as much: the
-    # per-site work left is the algorithm's scan, not the pool build.
-    assert out[(2_500, True, False)] <= 60.0 * out[(25, True, False)]
+    # per-site work left is vectorised over the columns.
+    assert out[(2_500, True, False, True)] \
+        <= 60.0 * out[(25, True, False, True)]
     # A declined class is asked once a pass, not once a job.
-    assert declined[2_500] <= 0.1 * PARENT_DECLINED_US[2_500]
+    assert declined[2_500] <= 0.1 * BEFORE_DECLINED_CLASSES_US

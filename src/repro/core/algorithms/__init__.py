@@ -12,26 +12,21 @@ completion-time   min normalized Avg_comp, RR bootstrap (eq. 3)   tracker
 qos-deadline      cheapest site meeting a deadline (extension)    tracker
 ================  ==============================================  =========
 
-All operate on the *feasible* pool: policy-filtered (eq. 4) and, when
-feedback is enabled, reliability-filtered.
+All operate on the *feasible* pool — policy-filtered (eq. 4) and, when
+feedback is enabled, reliability-filtered — as a mask over the
+planner's site table, and declare their rule as a score over its
+columns (``base.py``).
 """
 
-from repro.core.algorithms.base import SchedulingAlgorithm, SiteView
+from repro.core.algorithms.base import Candidates, SchedulingAlgorithm, SiteColumns
 from repro.core.algorithms.registry import available_algorithms, make_algorithm
-from repro.core.algorithms.round_robin import RoundRobin
-from repro.core.algorithms.num_cpus import NumCpus
-from repro.core.algorithms.queue_length import QueueLength
-from repro.core.algorithms.completion_time import CompletionTime
+from repro.core.algorithms.paper import (
+    CompletionTime, NumCpus, QueueLength, RoundRobin,
+)
 from repro.core.algorithms.qos import QosDeadline
 
 __all__ = [
-    "CompletionTime",
-    "NumCpus",
-    "QosDeadline",
-    "QueueLength",
-    "RoundRobin",
-    "SchedulingAlgorithm",
-    "SiteView",
-    "available_algorithms",
-    "make_algorithm",
+    "Candidates", "CompletionTime", "NumCpus", "QosDeadline", "QueueLength",
+    "RoundRobin", "SchedulingAlgorithm", "SiteColumns",
+    "available_algorithms", "make_algorithm",
 ]

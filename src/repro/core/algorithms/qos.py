@@ -39,9 +39,11 @@ cross-restart determinism.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.core.algorithms.base import SchedulingAlgorithm, SiteView
+import numpy as np
+
+from repro.core.algorithms.base import Candidates, SchedulingAlgorithm
 
 __all__ = ["QosDeadline"]
 
@@ -62,7 +64,7 @@ class QosDeadline(SchedulingAlgorithm):
         deadline_s: float = 600.0,
         dag_deadline: bool = True,
     ):
-        if deadline_s <= 0:
+        if not deadline_s > 0:  # NaN too: it would void every budget
             raise ValueError("deadline must be > 0")
         self.deadline_s = deadline_s
         self.dag_deadline = dag_deadline
@@ -101,17 +103,18 @@ class QosDeadline(SchedulingAlgorithm):
             self._table.update(name, value=value)
 
     # -- selection ---------------------------------------------------------
-    def choose_site(
-        self, job_id: str, candidates: Sequence[SiteView]
-    ) -> Optional[str]:
+    def score(self, pool: Candidates) -> np.ndarray:
+        return pool.cols.predicted  # NaN where unsampled
+
+    def choose_site(self, job_id: str, pool: Candidates) -> Optional[str]:
         """Legacy static semantics: every job vs the full deadline."""
-        return self._choose(candidates, _SAFETY_MARGIN * self.deadline_s)
+        return self._choose(pool, _SAFETY_MARGIN * self.deadline_s)
 
     def choose_site_ctx(
-        self, job_id: str, candidates: Sequence[SiteView], ctx: dict
+        self, job_id: str, pool: Candidates, ctx: dict
     ) -> Optional[str]:
         if not self.dag_deadline or not ctx:
-            return self.choose_site(job_id, candidates)
+            return self.choose_site(job_id, pool)
         elapsed = max(0.0, ctx["now"] - ctx.get("received_at", ctx["now"]))
         remaining = self.deadline_s - elapsed
         levels = max(1, int(ctx.get("remaining_levels", 1)))
@@ -119,27 +122,19 @@ class QosDeadline(SchedulingAlgorithm):
         # goes to 0, no site is "feasible", and _choose degrades every
         # remaining job to the finish-ASAP argmin.
         budget = _SAFETY_MARGIN * max(0.0, remaining) / levels
-        return self._choose(candidates, budget)
+        return self._choose(pool, budget)
 
-    def _choose(
-        self, candidates: Sequence[SiteView], budget_s: float
-    ) -> Optional[str]:
-        if not candidates:
-            return None
-        unsampled = [v for v in candidates if v.avg_completion_s is None]
-        if unsampled:
-            choice = unsampled[self._bootstrap_cursor % len(unsampled)].name
+    def _choose(self, pool: Candidates, budget_s: float) -> Optional[str]:
+        cols = pool.cols
+        choice = pool.nth(pool.mask & np.isnan(cols.avg),
+                          self._bootstrap_cursor)
+        if choice is not None:
             self._advance("bootstrap")
             return choice
-
-        def predicted(v: SiteView) -> float:
-            if v.predicted_completion_s is not None:
-                return v.predicted_completion_s
-            return v.avg_completion_s  # type: ignore[return-value]
-
-        feasible = [v for v in candidates if predicted(v) <= budget_s]
-        if feasible:
-            choice = feasible[self._spread_cursor % len(feasible)].name
+        # Every candidate is sampled from here on.
+        choice = pool.nth(pool.mask & (cols.predicted <= budget_s),
+                          self._spread_cursor)
+        if choice is not None:
             self._advance("spread")
             return choice
-        return self._argmin(candidates, predicted)
+        return pool.argmin(cols.predicted)

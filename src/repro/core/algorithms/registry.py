@@ -9,11 +9,10 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.core.algorithms.base import SchedulingAlgorithm
-from repro.core.algorithms.completion_time import CompletionTime
-from repro.core.algorithms.num_cpus import NumCpus
+from repro.core.algorithms.paper import (
+    CompletionTime, NumCpus, QueueLength, RoundRobin,
+)
 from repro.core.algorithms.qos import QosDeadline
-from repro.core.algorithms.queue_length import QueueLength
-from repro.core.algorithms.round_robin import RoundRobin
 
 __all__ = ["make_algorithm", "available_algorithms"]
 

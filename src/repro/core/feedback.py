@@ -97,6 +97,10 @@ class ReliabilityTracker:
         """
         return site not in self._unreliable
 
+    def unreliable_sites(self) -> set[str]:
+        """The sites marked unreliable now (the live set: read only)."""
+        return self._unreliable
+
     def reliable_sites(self, sites: Iterable[str]) -> tuple[str, ...]:
         """Filter ``sites`` to the reliable ones, preserving order."""
         unreliable = self._unreliable

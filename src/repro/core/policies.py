@@ -32,7 +32,7 @@ class QuotaExceededError(RuntimeError):
 
 
 class _Headroom:
-    """One quota-bound user's tight sites (see :meth:`feasible_sites`)."""
+    """One quota-bound user's tight sites (see :meth:`short_sites`)."""
 
     __slots__ = ("pool", "high", "tight")
 
@@ -65,7 +65,7 @@ class PolicyEngine:
         #: user -> headroom bookkeeping.  Derived state, like the
         #: feedback tracker's unreliable set: a new (or recovered)
         #: engine holds none and builds a user's entry on that user's
-        #: first ``feasible_sites``; ``grant`` and ``_add_usage`` — the
+        #: first ``short_sites``; ``grant`` and ``_add_usage`` — the
         #: only writers of what ``remaining`` reads — keep it current.
         self._headroom: dict[str, _Headroom] = {}
 
@@ -161,28 +161,27 @@ class PolicyEngine:
         else:
             room.tight.add(site)
 
-    def feasible_sites(
-        self,
-        user: str,
-        requirements: Mapping[str, float],
-        sites: Iterable[str],
-    ) -> tuple[str, ...]:
-        """Sites where the user's remaining quota covers the job.
+    def feasible_sites(self, user: str, requirements: Mapping[str, float],
+                       sites: Iterable[str]) -> tuple[str, ...]:
+        """Sites where the user's remaining quota covers the job; a
+        tuple pool that loses no site comes back as the same object."""
+        pool = tuple(sites)
+        short = self.short_sites(user, requirements, pool)
+        return tuple(filterfalse(short.__contains__, pool)) if short else pool
 
-        A tuple pool is answered from the user's headroom entry: a site
-        outside ``tight`` covers every amount up to the user's high-water
-        marks, so only the tight sites are tested, and a pool that loses
-        no site comes back as the same object.  A requirement above a
-        mark (or a different pool) rebuilds the entry over the whole
-        pool first, so the answer is exact for any requirement map.
+    def short_sites(self, user: str, requirements: Mapping[str, float],
+                    sites: tuple[str, ...]) -> set[str]:
+        """The sites of ``sites`` where the user's remaining quota falls
+        short of the job (eq. 4's complement; usually empty).
+
+        Answered from the user's headroom entry: a site outside
+        ``tight`` covers every amount up to the user's high-water marks,
+        so only the tight sites are tested.  A requirement above a mark
+        (or a different pool) rebuilds the entry over the whole pool
+        first, so the answer is exact for any requirement map.
         """
         if user in self._unlimited_users or not requirements:
-            return tuple(sites)
-        if type(sites) is not tuple:
-            # A mutable pool cannot be remembered by identity.
-            return tuple(
-                s for s in sites if self._covers(user, s, requirements)
-            )
+            return set()
         room = self._headroom.get(user)
         grown = room is None or room.pool is not sites
         if grown:
@@ -196,9 +195,6 @@ class PolicyEngine:
             room.tight = {
                 s for s in sites if not self._covers(user, s, high)
             }
-        short = {
+        return {
             s for s in room.tight if not self._covers(user, s, requirements)
         }
-        if not short:
-            return sites
-        return tuple(filterfalse(short.__contains__, sites))

@@ -37,12 +37,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from itertools import filterfalse
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
+import numpy as np
+
 from repro import obs as obs_mod
-from repro.core.algorithms import SiteView, make_algorithm
+from repro.core.algorithms import Candidates, SiteColumns, make_algorithm
 from repro.core.client import client_service_name
 from repro.core.dag_reducer import DagReducer
 from repro.core.feedback import ReliabilityTracker
@@ -285,26 +286,26 @@ class SphinxServer:
         #: until first read, then built from the jobs table: recovery
         #: needs no hook.
         self._plans_in_flight: Optional[deque[tuple[float, str]]] = None
-        #: candidate pool handed to the policy filter every plan; the
-        #: catalog is immutable for the server's lifetime, so one tuple
-        #: serves every job (``tuple(t)`` returns ``t`` unchanged, so
-        #: the quota-exempt fast path allocates nothing per job).
+        #: the catalog, immutable for the server's lifetime: the pool the
+        #: policy's headroom sets are kept over (by identity)
         self._catalog_sites: tuple[str, ...] = tuple(self.site_catalog)
-        #: the site table: one :class:`SiteView` per site in catalog
-        #: order, read only through :meth:`_site_views`, which first
-        #: rebuilds the rows named in ``_stale``.  A row goes stale
-        #: where one of its inputs changes (every ``_stale.add`` /
-        #: ``_stale.update``) or when a monitoring poll replaces its
-        #: snapshot (``_monitoring_poll`` is the last poll folded in);
-        #: every row starts stale, which covers recovery.
-        self._site_row: dict[str, int] = {
-            s: i for i, s in enumerate(self._catalog_sites)
-        }
-        self._site_table: list[SiteView] = [None] * len(self._site_row)
+        #: the site table: numpy columns, one row per catalog site, read
+        #: only through :meth:`_site_columns`, which first rewrites the
+        #: rows named in ``_stale``.  A row goes stale where one of its
+        #: inputs changes (every ``_stale.add`` / ``_stale.update``) or
+        #: when a monitoring poll replaces its snapshot
+        #: (``_monitoring_poll`` is the last poll folded in); every row
+        #: starts stale, which covers recovery.
+        self._site_row = {s: i for i, s in enumerate(self._catalog_sites)}
+        self._site_table = SiteColumns(self._catalog_sites,
+                                       list(self.site_catalog.values()))
         self._stale: set[str] = set(self._site_row)
+        #: the feasibility mask of a plan that nothing filters
+        self._all_rows = np.ones(len(self._site_row), dtype=bool)
+        self._all_rows.flags.writeable = False
         self._monitoring_poll = monitoring.poll_count
         #: federation seam: a callable ``site -> (planned, running)``
-        #: merged into every view's load counters (peer-shard load from
+        #: merged into every row's load counters (peer-shard load from
         #: digests).  None — the default — keeps single-server runs
         #: decision-identical.
         self._remote_load = None
@@ -346,6 +347,8 @@ class SphinxServer:
         #: recovered server re-learns live drains from fresh notices,
         #: and ``presume_lost_after_s`` backstops what it missed.
         self._draining: dict[str, float] = {}
+        #: False at the rows of ``_draining``
+        self._drain_free = np.ones(len(self._site_row), dtype=bool)
 
         self.service_name = f"sphinx-server-{config.name}"
         if bus.has_service(self.service_name):
@@ -809,41 +812,41 @@ class SphinxServer:
             if job_class in declined:
                 self._plan_deferred(drow, job.job_id, "no-site-chosen")
                 return False
-        # Each filter hands back the pool it was given — the same tuple
-        # object — when it drops nothing, so an unfiltered plan reaches
-        # the algorithm with the site table itself.
-        candidates = self.policy.feasible_sites(
-            user, job.requirements, self._catalog_sites
+        # One feasibility mask over the site table: eq. 4's quota, the
+        # drain filter, the feedback filter.  Each clears only the rows
+        # it excludes, and a plan nothing filters shares ``_all_rows``.
+        mask = self._without(
+            self._all_rows,
+            self.policy.short_sites(user, job.requirements,
+                                    self._catalog_sites),
         )
-        draining = self._draining
-        if draining:
+        if self._draining:
             # Never place new work on a site that published an eviction
             # notice (it would be killed at the reclaim instant); if
             # *every* feasible site is draining, wait a tick rather than
             # knowingly burn the work.
-            candidates = tuple(
-                filterfalse(draining.__contains__, candidates)
-            )
-            if not candidates:
+            mask = mask & self._drain_free
+            if not np.count_nonzero(mask):
                 declined.clear()
                 self._plan_deferred(drow, job.job_id, "draining")
                 return False
         feedback_dropped: list[str] = []
         if self.config.use_feedback:
-            feasible = candidates
-            candidates = self.feedback.reliable_sites(candidates)
-            if self._trace and len(candidates) != len(feasible):
-                kept = set(candidates)
-                feedback_dropped = [s for s in feasible if s not in kept]
-        if not candidates:
+            feasible = mask
+            mask = self._without(mask, self.feedback.unreliable_sites())
+            if self._trace and mask is not feasible:
+                feedback_dropped = [self._catalog_sites[i] for i in
+                                    np.flatnonzero(feasible & ~mask)]
+        if not np.count_nonzero(mask):
             declined.clear()
             self._plan_deferred(drow, job.job_id, "no-feasible-site")
             return False  # nothing feasible now; retry next tick
-        views = self._select_views(candidates)
+        pool = Candidates(self._site_columns(), mask)
         site = None
         reservation_id = None
         if group is not None:
-            if group["state"] == "confirmed" and group["site"] in candidates:
+            if (group["state"] == "confirmed"
+                    and mask[self._site_row[group["site"]]]):
                 # Plan straight to the reserved site; the plan carries
                 # the res_id so the submission claims a held slot.
                 site = group["site"]
@@ -856,13 +859,15 @@ class SphinxServer:
                 self._abandon_job_reservation(job.job_id, group)
                 declined.clear()
                 group = None
+        # Scored before the choice can move a rotation cursor.
+        scores = self.algorithm.score(pool) if self._trace else None
         if site is None:
             if self.algorithm.wants_context:
                 site = self.algorithm.choose_site_ctx(
-                    job.job_id, views, self._plan_context(drow, dag, job.job_id)
+                    job.job_id, pool, self._plan_context(drow, dag, job.job_id)
                 )
             else:
-                site = self.algorithm.choose_site(job.job_id, views)
+                site = self.algorithm.choose_site(job.job_id, pool)
         if site is None:
             if job_class is not None:
                 declined.add(job_class)
@@ -917,7 +922,9 @@ class SphinxServer:
                     job_id=job.job_id, dag_id=dag.dag_id, site=site,
                     attempt=attempt, algorithm=self.config.algorithm,
                     candidate_scores={
-                        v.name: v.predicted_completion_s for v in views
+                        self._catalog_sites[i]:
+                            None if np.isnan(scores[i]) else float(scores[i])
+                        for i in pool.mask.nonzero()[0]
                     },
                     feedback_dropped=feedback_dropped,
                 )
@@ -980,6 +987,7 @@ class SphinxServer:
         self._draining[site] = (
             deadline_s if deadline_s is not None else self.env.now
         )
+        self._drain_free[self._site_row[site]] = False
         if self.config.migrate_on_drain and not already:
             self._migrate_off(site, self._draining[site])
         self._wakeup.set()
@@ -987,6 +995,7 @@ class SphinxServer:
     def drain_cleared(self, site: str) -> None:
         """The drained site's capacity is back; it may be planned again."""
         if self._draining.pop(site, None) is not None:
+            self._drain_free[self._site_row[site]] = True
             self._wakeup.set()
 
     def _migrate_off(self, site: str, deadline_s: float) -> None:
@@ -1086,12 +1095,18 @@ class SphinxServer:
         stages = self._stage_levels(dag)
         if len(stages) < 2:
             return  # single-stage dags plan immediately; nothing to book
-        candidates = self._catalog_sites
+        mask = self._all_rows
         if self.config.use_feedback:
-            reliable = self.feedback.reliable_sites(candidates)
-            if reliable:
-                candidates = reliable
-        views = self._select_views(candidates)
+            mask = self._without(mask, self.feedback.unreliable_sites())
+            if not np.count_nonzero(mask):
+                mask = self._all_rows
+        # Best predicted first; unsampled sites last, by size.
+        cols = self._site_columns()
+        score = np.where(np.isnan(cols.predicted), np.inf, cols.predicted)
+        ranked = sorted(
+            (float(score[i]), -int(cols.n_cpus[i]), cols.names[i])
+            for i in mask.nonzero()[0]
+        )
         start = self.env.now
         for lvl in sorted(stages):
             stage_jobs = [
@@ -1106,7 +1121,7 @@ class SphinxServer:
             )
             if lvl > 0:
                 self._reserve_stage(drow, lvl, stage_jobs, start, duration,
-                                    views)
+                                    ranked)
             start += duration
 
     def _job_duration_estimate(self, job) -> float:
@@ -1128,30 +1143,20 @@ class SphinxServer:
         stage_jobs: list,
         start_s: float,
         duration_s: float,
-        views: list,
+        ranked: list,
     ) -> None:
-        """Co-allocate one parallel stage across the best-predicted sites."""
-
-        def rank(view) -> tuple:
-            score = view.predicted_completion_s
-            if score is None:
-                score = view.avg_completion_s
-            if score is None:
-                score = float("inf")  # unsampled sites last, by size
-            return (score, -view.n_cpus, view.name)
-
+        """Co-allocate one parallel stage across the best-ranked sites
+        (``(score, -n_cpus, site)`` tuples, best first)."""
         remaining = list(stage_jobs)
-        for view in sorted(views, key=rank):
+        for _score, minus_cpus, site in ranked:
             if not remaining:
                 break
-            chunk = remaining[: max(1, view.n_cpus)]
+            chunk = remaining[: max(1, -minus_cpus)]
             remaining = remaining[len(chunk):]
-            res_id = (
-                f"{self.config.name}:{drow['dag_id']}:L{level}:{view.name}"
-            )
+            res_id = f"{self.config.name}:{drow['dag_id']}:L{level}:{site}"
             group = {
                 "res_id": res_id,
-                "site": view.name,
+                "site": site,
                 "state": "pending",
                 "jobs": set(chunk),
                 "claimed": 0,
@@ -1165,7 +1170,7 @@ class SphinxServer:
                 "condor-g",
                 "reserve",
                 res_id,
-                view.name,
+                site,
                 start_s,
                 duration_s,
                 len(chunk),
@@ -1213,10 +1218,10 @@ class SphinxServer:
                 group["site"],
             ).add_callback(lambda e: e.defuse() if not e.ok else None)
 
-    def _site_views(self) -> list[SiteView]:
-        """The site table, current: stale rows are rebuilt first.
+    def _site_columns(self) -> SiteColumns:
+        """The site table, current: stale rows are rewritten first.
 
-        The returned list is the table itself — read it, do not keep it
+        The columns are the table itself — read them, do not keep them
         across anything that plans.
         """
         stale = self._stale
@@ -1228,24 +1233,14 @@ class SphinxServer:
             else:
                 stale.update(self._site_row)  # polls went by unread
             self._monitoring_poll = poll
-        table = self._site_table
         if stale:
-            row = self._site_row
             for site in stale:
-                table[row[site]] = self._site_view(site)
+                self._refresh_row(site)
             stale.clear()
-        return table
+        return self._site_table
 
-    def _select_views(self, sites: tuple[str, ...]) -> list[SiteView]:
-        """The table rows of ``sites``, in that order."""
-        table = self._site_views()
-        if sites is self._catalog_sites:
-            return table
-        return list(map(table.__getitem__,
-                        map(self._site_row.__getitem__, sites)))
-
-    def _site_view(self, site: str) -> SiteView:
-        """Build one site's row from its inputs."""
+    def _refresh_row(self, site: str) -> None:
+        """Rewrite one site's row from its inputs."""
         snap = self.monitoring.snapshot(site)
         planned, unfinished = self._site_active[site]
         remote = self._remote_load
@@ -1255,23 +1250,27 @@ class SphinxServer:
             unfinished += extra_running
         n_cpus = self.site_catalog[site]
         avg = self.estimator.average_s(site)
-        predicted = None
-        if avg is not None:
-            predicted = (
-                self.estimator.predicted_s(site, planned, n_cpus)
-                if self.config.use_prediction_correction
-                else avg
-            )
-        return SiteView(
-            name=site,
-            n_cpus=n_cpus,
-            planned_jobs=planned,
-            unfinished_jobs=unfinished,
-            monitored_queued=snap.queued_jobs if snap else None,
-            monitored_running=snap.running_jobs if snap else None,
-            avg_completion_s=avg,
-            predicted_completion_s=predicted,
-        )
+        predicted = avg
+        if avg is not None and self.config.use_prediction_correction:
+            predicted = self.estimator.predicted_s(site, planned, n_cpus)
+        cols, i = self._site_table, self._site_row[site]
+        cols.planned[i] = planned
+        cols.unfinished[i] = unfinished
+        cols.queued[i] = snap.queued_jobs if snap else np.nan
+        cols.running[i] = snap.running_jobs if snap else np.nan
+        cols.avg[i] = np.nan if avg is None else avg
+        cols.predicted[i] = np.nan if predicted is None else predicted
+
+    def _without(self, mask: np.ndarray, sites) -> np.ndarray:
+        """``mask`` with the rows of ``sites`` cleared: ``mask`` itself
+        when none of them is in it, else a new array."""
+        row = self._site_row
+        rows = [row[s] for s in sites if s in row]
+        if not rows or not np.count_nonzero(mask[rows]):
+            return mask
+        mask = mask.copy()
+        mask[rows] = False
+        return mask
 
     def site_load_snapshot(self) -> dict:
         """Compact load digest of this server (the federation export).

@@ -10,7 +10,7 @@ when the home shard is saturated or down).
 
 Shards share no database.  Instead each periodically publishes a
 compact **site-load digest** over the ordinary :class:`RpcBus`; peers
-fold fresh digests into their site views, so every shard plans against
+fold fresh digests into their site tables, so every shard plans against
 near-global load without a shared warehouse.  Per-user quotas are
 split into per-shard **leases** rebalanced by explicit lease-transfer
 RPCs, with debit/credit rows that make cross-shard conservation an

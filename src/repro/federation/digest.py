@@ -4,7 +4,7 @@ Each shard periodically broadcasts ``{"shard", "seq", "issued_at",
 "sites": {site: [planned, running]}, "inflight_dags"}`` to its peers
 and the meta.  A :class:`DigestBoard` keeps the newest digest per peer
 and answers "how much extra load do my peers have at this site?" —
-the number a federated shard folds into its site views.
+the number a federated shard folds into its site table.
 
 Digests are advisory: stale ones (older than the TTL) stop counting,
 out-of-order ones are dropped by sequence number, and malformed ones

@@ -7,7 +7,7 @@ federation-specific through :meth:`enable_federation`, called by the
 runner after construction and again after every recovery:
 
 * a :class:`DigestBoard` wired into the base planner's remote-load
-  seam (``_remote_load``), so site views include fresh peer load;
+  seam (``_remote_load``), so site table rows include fresh peer load;
 * a periodic digest broadcast of its own :meth:`site_load_snapshot`
   to peers and the meta;
 * a :class:`ShardQuotaLedger` plus the ``lease_transfer`` RPC, and a
@@ -120,14 +120,14 @@ class FederatedSphinxServer(SphinxServer):
     def _digest_remote_load(self, site: str):
         return self.board.remote_load(site, self.env.now)
 
-    def _site_views(self):
+    def _site_columns(self):
         board = self.board
         if board is not None and self.env.now >= board.next_expiry:
             # A digest aging out moves remote load like a new one does.
             self._stale.update(
                 self._site_row.keys() & board.expire(self.env.now)
             )
-        return super()._site_views()
+        return super()._site_columns()
 
     def _digest_loop(self):
         try:

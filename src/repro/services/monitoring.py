@@ -53,9 +53,12 @@ class MonitoringService:
         update_interval_s: float = 300.0,
         noise_sigma: float = 0.0,
     ):
-        if update_interval_s <= 0:
+        # Written so NaN fails too: a NaN interval would pass ``<= 0``
+        # and end the run at the first poll, inside the kernel; a NaN
+        # sigma would silently turn the noise off.
+        if not update_interval_s > 0:
             raise ValueError("update interval must be > 0")
-        if noise_sigma < 0:
+        if not noise_sigma >= 0:
             raise ValueError("noise sigma must be >= 0")
         self.env = env
         self.grid = grid

@@ -2,16 +2,21 @@
 
 Everything here is recomputed from the inputs on every call — the
 per-site counters, the monitoring service, the estimator, the
-remote-load seam, the quota ledger — and nothing reads the server's
-site table or the policy engine's headroom sets.  The differential
-tests hold the shipped planner against these, and ``patch_naive`` runs
-whole scenarios on them.
+remote-load seam, the quota ledger, the drain notices — and nothing
+reads the server's site table, its drain column or the policy engine's
+headroom sets.  The differential tests hold the shipped planner against
+these, and ``patch_naive`` runs whole scenarios on them.
 """
 
-from repro.core.algorithms import SiteView
 from repro.core.policies import PolicyEngine
 from repro.core.server import SphinxServer
 from repro.federation import FederatedSphinxServer
+
+from tests.core.reference_algorithms import (
+    SiteView,
+    columns_of,
+    patch_twin_algorithms,
+)
 
 
 def naive_view(server, site):
@@ -45,6 +50,11 @@ def naive_views(server):
     return [naive_view(server, s) for s in server.site_catalog]
 
 
+def naive_columns(server):
+    """The site table rebuilt from scratch."""
+    return columns_of(naive_views(server))
+
+
 def naive_feasible_sites(policy, user, requirements, sites):
     """Eq. 4 as an all-sites filter."""
     if user in policy._unlimited_users or not requirements:
@@ -56,6 +66,12 @@ def naive_feasible_sites(policy, user, requirements, sites):
             for resource, amount in requirements.items()
         )
     )
+
+
+def naive_short_sites(policy, user, requirements, sites):
+    """Eq. 4's complement as an all-sites filter."""
+    kept = naive_feasible_sites(policy, user, requirements, sites)
+    return {s for s in sites if s not in kept}
 
 
 def naive_candidates(server, job_id):
@@ -74,7 +90,9 @@ def naive_candidates(server, job_id):
 
 
 def patch_naive(monkeypatch):
-    """Run every server on the naive builders instead of its table."""
+    """Run every server on the naive builders instead of its table, and
+    every algorithm as its list-scan twin."""
     for cls in (SphinxServer, FederatedSphinxServer):
-        monkeypatch.setattr(cls, "_site_views", naive_views)
-    monkeypatch.setattr(PolicyEngine, "feasible_sites", naive_feasible_sites)
+        monkeypatch.setattr(cls, "_site_columns", naive_columns)
+    monkeypatch.setattr(PolicyEngine, "short_sites", naive_short_sites)
+    patch_twin_algorithms(monkeypatch)

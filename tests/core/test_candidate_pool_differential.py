@@ -1,10 +1,10 @@
 """The planner's maintained candidate pool against its naive twin.
 
-``SphinxServer`` keeps one site table and refreshes only the rows whose
-inputs changed; ``PolicyEngine`` keeps per-user tight-site sets and
-tests only those.  Both are held here against
-``tests/core/reference_views.py``, which recomputes everything from the
-inputs on every call:
+``SphinxServer`` keeps one site table (numpy columns) and rewrites only
+the rows whose inputs changed, plus a drain column; ``PolicyEngine``
+keeps per-user tight-site sets and tests only those.  All are held here
+against ``tests/core/reference_views.py``, which recomputes everything
+from the inputs on every call:
 
 * a Hypothesis rig drives every invalidation point in random order —
   DAG submits, planning passes, running/completed/cancelled reports,
@@ -12,13 +12,15 @@ inputs on every call:
   verdict flips, quota grants/charges/refunds on a two-resource user
   whose job amounts grow mid-sequence, a warehouse snapshot restored
   into a new server, peer digests applied and aged out — and after
-  every step the table, ``feasible_sites`` and the exact candidate list
-  handed to the algorithm must equal the naive ones;
+  every step the table, the drain column, ``short_sites`` /
+  ``feasible_sites`` and the exact candidates handed to the algorithm
+  must equal the naive ones;
 * a 250-site server shows the point of it all: a plan with nothing
   stale and nothing excluded makes no per-site call before the
   algorithm runs;
-* whole scenarios (three algorithms, quota-bound users, faults) end in
-  the same place as shipped and on the naive builders.
+* whole scenarios (three algorithms, quota-bound users, faults) make the
+  same plans in the same order as shipped and on the naive builders
+  with the list-scan algorithms.
 """
 
 import pytest
@@ -40,9 +42,11 @@ from repro.simgrid.grid import SiteSpec
 from repro.simgrid.site import SiteState
 from repro.workflow import Dag, Job, LogicalFile
 
+from tests.core.reference_algorithms import candidate_views, views_of
 from tests.core.reference_views import (
     naive_candidates,
     naive_feasible_sites,
+    naive_short_sites,
     naive_views,
     patch_naive,
 )
@@ -117,10 +121,10 @@ class Rig:
             )
         choose = server.algorithm.choose_site
 
-        def checked_choose(job_id, candidates):
-            assert list(candidates) == naive_candidates(server, job_id)
+        def checked_choose(job_id, pool):
+            assert candidate_views(pool) == naive_candidates(server, job_id)
             self.plans_checked += 1
-            return choose(job_id, candidates)
+            return choose(job_id, pool)
 
         server.algorithm.choose_site = checked_choose
         return server
@@ -255,12 +259,15 @@ class Rig:
         assert got == want, (user, requirements)
         if len(want) == len(pool):
             assert got is pool  # an unfiltered pool is handed back as is
+        assert server.policy.short_sites(user, requirements, pool) == \
+            naive_short_sites(server.policy, user, requirements, pool)
 
     def check(self):
         server = self.server
-        assert server._site_views() == naive_views(server)
-        assert server._select_views(server._catalog_sites) \
-            is server._site_table
+        assert views_of(server._site_columns()) == naive_views(server)
+        assert list(server._drain_free) == [
+            s not in server._draining for s in server.site_catalog
+        ]
         for user in USERS:
             self._check_filter(user, {})
             seen = self.largest[user]
@@ -335,7 +342,8 @@ def test_differential_rig_reaches_the_planner():
 def test_clean_table_plan_makes_no_per_site_call(monkeypatch):
     """Nothing stale, nothing excluded: between the start of a plan and
     ``choose_site`` no per-site Python call runs at all, and the
-    algorithm is handed the table itself."""
+    algorithm is handed the table itself under the shared all-rows
+    mask."""
     env = Environment()
     grid = _grid(env, 250)
     sites = tuple(grid.site_names)
@@ -358,10 +366,10 @@ def test_clean_table_plan_makes_no_per_site_call(monkeypatch):
     one_job("warm-free", FREE, {})
     one_job("warm-bound", BOUND, {"cpu": 5.0})
     server.tick()
-    server._site_views()  # fold in the rows those two plans dirtied
+    server._site_columns()  # fold in the rows those two plans dirtied
     assert not server._stale
 
-    calls = {"_site_view": 0, "snapshot": 0, "remaining": 0}
+    calls = {"_refresh_row": 0, "snapshot": 0, "remaining": 0}
 
     def counted(cls, attr, key):
         real = getattr(cls, attr)
@@ -372,15 +380,15 @@ def test_clean_table_plan_makes_no_per_site_call(monkeypatch):
 
         monkeypatch.setattr(cls, attr, wrapper)
 
-    counted(SphinxServer, "_site_view", "_site_view")
+    counted(SphinxServer, "_refresh_row", "_refresh_row")
     counted(MonitoringService, "snapshot", "snapshot")
     counted(type(server.policy), "remaining", "remaining")
     handed = []
     choose = server.algorithm.choose_site
 
-    def spy(job_id, candidates):
-        handed.append((candidates, dict(calls)))
-        return choose(job_id, candidates)
+    def spy(job_id, pool):
+        handed.append((pool, dict(calls)))
+        return choose(job_id, pool)
 
     server.algorithm.choose_site = spy
     for dag_id, user, requirements in (
@@ -389,14 +397,15 @@ def test_clean_table_plan_makes_no_per_site_call(monkeypatch):
     ):
         one_job(dag_id, user, requirements)
         server.tick()
-        candidates, calls_before_choose = handed.pop()
-        assert candidates is server._site_table
-        assert len(candidates) == 250
+        pool, calls_before_choose = handed.pop()
+        assert pool.cols is server._site_table
+        assert pool.mask is server._all_rows
+        assert len(pool) == 250
         assert calls_before_choose == {
-            "_site_view": 0, "snapshot": 0, "remaining": 0
+            "_refresh_row": 0, "snapshot": 0, "remaining": 0
         }
         assert not handed
-        server._site_views()
+        server._site_columns()
         for key in calls:
             calls[key] = 0
 
@@ -420,14 +429,28 @@ def _quota_scenario(seed):
 @pytest.mark.parametrize("seed", [7, 42])
 def test_scenario_identical_shipped_and_naive(seed, monkeypatch):
     """Quota-bound users on a faulty grid, three algorithms: the same
-    event count, completions and placements either way."""
+    event count, completions and placements, and the same plans in the
+    same order, either way."""
+    send = SphinxServer._send
+
     def run():
-        result = run_scenario(_quota_scenario(seed))
+        plans = []
+
+        def recording_send(self, client_id, kind, payload):
+            if kind == "plan":
+                plans.append((self.config.name, payload["job_id"],
+                              payload["attempt"], payload["site"]))
+            return send(self, client_id, kind, payload)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SphinxServer, "_send", recording_send)
+            result = run_scenario(_quota_scenario(seed))
         return (
             result.event_count,
             {label: (s.finished_dags, s.dag_completion_times,
                      s.resubmissions, s.jobs_per_site)
              for label, s in result.servers.items()},
+            plans,
         )
 
     shipped = run()
@@ -436,5 +459,6 @@ def test_scenario_identical_shipped_and_naive(seed, monkeypatch):
         len(per_site) > 5
         for _f, _t, _r, per_site in shipped[1].values()
     )
+    assert shipped[2]
     patch_naive(monkeypatch)
     assert run() == shipped

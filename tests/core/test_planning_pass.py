@@ -12,7 +12,9 @@ recomputes every ready set and asks about every job:
 * whole scenarios — the four paper algorithms, a scarce-quota
   federation with its lease hook, a spot-eviction drill, stage
   reservations, QoS deadlines — give the same simulation, the same
-  plans in the same order and the same deferral counts either way.
+  plans in the same order and the same deferral counts either way, and
+  again with every algorithm swapped for its list-scan twin
+  (``tests/core/reference_algorithms.py``).
 """
 
 import pytest
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.chaos.plan import make_plan
 from repro.chaos.run import run_chaos
-from repro.core.algorithms import SchedulingAlgorithm, SiteView, make_algorithm
+from repro.core.algorithms import SchedulingAlgorithm, make_algorithm
 from repro.core.algorithms.registry import _REGISTRY, available_algorithms
 from repro.core.server import SphinxServer
 from repro.core.states import JobState
@@ -35,6 +37,11 @@ from repro.federation.runner import ext_federation_scenario, run_federation
 from repro.obs import Obs, ObsConfig
 from repro.workflow import Dag, Job, LogicalFile
 
+from tests.core.reference_algorithms import (
+    SiteView,
+    patch_twin_algorithms,
+    pool_of,
+)
 from tests.core.reference_planner import patch_naive_planner
 from tests.core.test_server import Stack, chain_dag
 
@@ -152,13 +159,16 @@ def test_a_context_aware_algorithm_is_asked_about_every_job():
         name = "picky"
         wants_context = True
 
-        def choose_site(self, job_id, candidates):
+        def score(self, pool):
+            return pool.cols.predicted
+
+        def choose_site(self, job_id, pool):
             raise AssertionError("the planner passes context")
 
-        def choose_site_ctx(self, job_id, candidates, ctx):
+        def choose_site_ctx(self, job_id, pool, ctx):
             asked.append(job_id)
-            return candidates[0].name if ctx["remaining_levels"] == 1 \
-                else None
+            return pool.cols.names[pool.mask.argmax()] \
+                if ctx["remaining_levels"] == 1 else None
 
     asked = []
     stack = Stack()
@@ -247,11 +257,11 @@ IN_FLIGHT_PROBES = [SiteView(f"s{i}", 4, planned_jobs=1) for i in range(3)]
 def test_a_none_answer_depends_only_on_candidates(name, warmup, views):
     algorithm = make_algorithm(name)
     for i, pool in enumerate(warmup):  # move cursors off their start
-        algorithm.choose_site(f"w{i}", pool)
+        algorithm.choose_site(f"w{i}", pool_of(pool))
     before = dict(vars(algorithm))
-    if algorithm.choose_site("j0", views) is None:
+    if algorithm.choose_site("j0", pool_of(views)) is None:
         assert vars(algorithm) == before
-        assert algorithm.choose_site("j1", views) is None
+        assert algorithm.choose_site("j1", pool_of(views)) is None
         assert vars(algorithm) == before
 
 
@@ -359,3 +369,17 @@ def test_scenario_identical_shipped_and_twin(run, declines, monkeypatch):
         assert shipped_counts["ready_jobs"] < twin_counts["ready_jobs"]
     else:  # nothing declined, nothing to skip
         assert shipped_counts == twin_counts
+
+
+@pytest.mark.parametrize("run", [
+    _fig345, _federation, _eviction, _reservation, _qos,
+])
+def test_scenario_identical_column_and_list_scan(run, monkeypatch):
+    """Every algorithm choosing over the site table's columns makes the
+    same simulation, plans and deferrals as its list-scan twin
+    (``tests/core/reference_algorithms.py``) handed one view per
+    candidate."""
+    shipped, _counts = _observe(run, monkeypatch)
+    patch_twin_algorithms(monkeypatch)
+    twin, _counts = _observe(run, monkeypatch)
+    assert twin == shipped

@@ -2,14 +2,14 @@
 
 Two layers of evidence:
 
-* unit: after every kind of state transition the table equals the
-  test-local naive builder's from-scratch views
+* unit: after every kind of state transition every row of the table
+  equals the test-local naive builder's from-scratch view
   (``tests/core/reference_views.py``), so the invalidation hooks fired
-  where they had to;
-* scenario: full runs as shipped and with the naive builder patched in
-  produce identical deterministic results (event counts, completions,
-  placements) — the property the fig2 golden test pins forever for
-  the default configuration.
+  where they had to, and a read with nothing stale rewrites no row;
+* scenario: full runs as shipped and with the naive builder (and the
+  list-scan algorithms) patched in produce identical deterministic
+  results (event counts, completions, placements) — the property the
+  fig2 golden test pins forever for the default configuration.
 
 ``test_candidate_pool_differential.py`` drives the same comparison
 through every invalidation point in random order.
@@ -29,6 +29,7 @@ from repro.sim.rng import RngStreams
 from repro.simgrid import Grid
 from repro.simgrid.grid import SiteSpec
 from repro.workflow import Dag, Job, LogicalFile
+from tests.core.reference_algorithms import row_view
 from tests.core.reference_views import naive_view, patch_naive
 
 
@@ -58,7 +59,16 @@ def _dag(dag_id):
 
 
 def _table_view(server, site):
-    return server._site_views()[server._site_row[site]]
+    return row_view(server._site_columns(), server._site_row[site])
+
+
+def _count_rewrites(server, monkeypatch):
+    """site -> rows rewritten from here on."""
+    rewritten = []
+    refresh = server._refresh_row
+    monkeypatch.setattr(server, "_refresh_row",
+                        lambda site: (rewritten.append(site), refresh(site)))
+    return rewritten
 
 
 def _assert_views_match(server, grid_sites):
@@ -66,11 +76,15 @@ def _assert_views_match(server, grid_sites):
         assert _table_view(server, site) == naive_view(server, site), site
 
 
-def test_cache_hit_returns_same_object():
+def test_cache_hit_returns_same_object(monkeypatch):
+    """A read with nothing stale returns the table itself and rewrites
+    no row."""
     env, server = _stack()
-    v1 = _table_view(server, "s0")
-    assert _table_view(server, "s0") is v1
+    _table_view(server, "s0")
     assert not server._stale
+    rewritten = _count_rewrites(server, monkeypatch)
+    assert server._site_columns() is server._site_table
+    assert rewritten == []
 
 
 def test_cache_invalidated_by_planning_transitions():
@@ -90,18 +104,19 @@ def test_cache_invalidated_by_planning_transitions():
     assert view == naive_view(server, site)
 
 
-def test_cache_invalidated_by_monitoring_refresh():
+def test_cache_invalidated_by_monitoring_refresh(monkeypatch):
     env, server = _stack()
-    before = _table_view(server, "s0")
+    _table_view(server, "s0")
     polled = server.monitoring.snapshot("s0")  # the construction-time poll
     assert server._monitoring_poll == 1
+    rewritten = _count_rewrites(server, monkeypatch)
     env.run(until=env.timeout(61.0))  # the next monitoring poll elapses
     assert server.monitoring.snapshot("s0") is not polled
     _assert_views_match(server, ("s0", "s1", "s2"))
-    # The announced poll must have rebuilt the row against the new
+    # The announced poll must have rewritten the row against the new
     # snapshot, not served the one built against the previous poll.
     assert server._monitoring_poll == 2
-    assert _table_view(server, "s0") is not before
+    assert "s0" in rewritten
 
 
 def test_recovery_clears_cache():

@@ -1,4 +1,4 @@
-"""A peer digest that ages past the TTL must leave the planner's views.
+"""A peer digest that ages past the TTL must leave the planner's site table.
 
 ``DigestBoard.remote_load`` stops counting a stale digest, but a site
 row built while the digest was fresh kept the dead shard's load until
@@ -9,6 +9,7 @@ never for a site that is DOWN.  Expiry is an invalidation of its own.
 from repro.federation.digest import DIGEST_TTL_S, DigestBoard
 from repro.simgrid.site import SiteState
 
+from tests.core.reference_algorithms import views_of
 from tests.core.reference_views import naive_views
 from tests.federation.fedstack import USER, FedStack, one_job_dag
 
@@ -46,11 +47,11 @@ def test_expired_peer_digest_leaves_the_views():
     peer.publish_digest()
     st.run(until=st.env.now + 1.0)
     row = planner._site_row[site]
-    assert planner._site_views()[row].planned_jobs == 1
+    assert planner._site_columns().planned[row] == 1
     # The shared site dies, so no monitoring poll replaces its snapshot:
     # nothing but the expiry itself can refresh the row.
     st.grid.site(site).set_state(SiteState.DOWN)
     st.run(until=st.env.now + DIGEST_TTL_S + 1.0)
     assert planner.board.remote_load(site, st.env.now) == (0, 0)
-    assert planner._site_views() == naive_views(planner)
-    assert planner._site_views()[row].planned_jobs == 0
+    assert views_of(planner._site_columns()) == naive_views(planner)
+    assert planner._site_columns().planned[row] == 0

@@ -27,6 +27,17 @@ def test_validation():
         MonitoringService(env, grid, noise_sigma=-1)
 
 
+@pytest.mark.parametrize("setting", ["update_interval_s", "noise_sigma"])
+def test_nan_setting_rejected_at_construction(setting):
+    """NaN passes a ``<= 0`` / ``< 0`` check: a NaN interval would end
+    the run at the first poll, inside the kernel, and a NaN sigma would
+    silently turn the noise off."""
+    env = Environment()
+    grid = make_grid(env)
+    with pytest.raises(ValueError):
+        MonitoringService(env, grid, **{setting: float("nan")})
+
+
 def test_initial_snapshot_at_t0():
     env = Environment()
     grid = make_grid(env)
