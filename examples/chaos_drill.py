@@ -31,7 +31,7 @@ def main():
         name="crash-under-partition",
         seed=11,
         rules=(
-            FaultRule(service="sphinx-*", drop_p=0.10,
+            FaultRule(drop_p=0.10,
                       delay_p=0.10, max_extra_delay_s=3.0),
         ),
         # Clients cannot reach the server for [1200 s, 1600 s)...

@@ -27,6 +27,7 @@ from repro import obs as obs_mod
 from repro.chaos.bus import ChaoticBus
 from repro.chaos.plan import ChaosPlan, CrashSpec
 from repro.core.recovery import recover_server
+from repro.core.server import ServerConfig
 from repro.services.rpc import RpcBus
 from repro.sim.rng import RngStreams
 from repro.simgrid.site import SiteState
@@ -65,7 +66,7 @@ class ChaosController:
             self.bus = RpcBus(env, obs=obs)
         return self.bus
 
-    def server_config(self, job_timeout_s: float) -> dict:
+    def server_config(self) -> dict:
         """The ``ServerConfig`` fields this plan contributes so a server
         survives it (an inactive plan contributes none).
 
@@ -80,7 +81,8 @@ class ChaosController:
         if plan.transport_active or plan.crashes or plan.eviction_active:
             # Past the client's own timeout + a healthy grace for
             # backoff/retry storms, a silent job is a lost message.
-            fields["presume_lost_after_s"] = job_timeout_s + 900.0
+            fields["presume_lost_after_s"] = (ServerConfig().job_timeout_s
+                                              + 900.0)
         return fields
 
     def register(self, label: str, server=None, client=None,

@@ -358,7 +358,6 @@ def check_invariants(servers: dict, clients: dict, bus, scenario,
                             "never notified",
                         ))
         stats["fed_rehomed"] = federation.meta.rehomed_count
-        stats["fed_spilled"] = federation.meta.spilled_count
 
         if scenario.quota_per_site is not None:
             landed: set[str] = set()

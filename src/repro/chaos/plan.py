@@ -43,9 +43,15 @@ __all__ = [
 ]
 
 
+#: the services every fault rule covers: all of SPHINX's, none of the
+#: grid's (condor-g, rls, ...)
+_RULE_SERVICES = "sphinx-*"
+
+
 @dataclass(frozen=True)
 class FaultRule:
-    """Message faults for calls to services matching a pattern.
+    """Message faults for calls to every SPHINX service
+    (:data:`_RULE_SERVICES`).
 
     Per call, one uniform draw classifies the outcome: drop (request or
     reply leg, 50/50), duplicate (the handler runs twice, the caller
@@ -53,7 +59,6 @@ class FaultRule:
     therefore exclusive and must sum to at most 1.
     """
 
-    service: str = "sphinx-*"
     drop_p: float = 0.0
     dup_p: float = 0.0
     delay_p: float = 0.0
@@ -76,7 +81,7 @@ class FaultRule:
         require_non_negative(self, "max_extra_delay_s")
 
     def matches(self, service: str) -> bool:
-        return fnmatch(service, self.service)
+        return fnmatch(service, _RULE_SERVICES)
 
     @property
     def active(self) -> bool:
@@ -209,7 +214,7 @@ def _lossy(seed: int) -> ChaosPlan:
         name="lossy",
         seed=seed,
         rules=(
-            FaultRule(service="sphinx-*", drop_p=0.15, dup_p=0.05,
+            FaultRule(drop_p=0.15, dup_p=0.05,
                       delay_p=0.20, max_extra_delay_s=5.0),
         ),
     )
@@ -221,7 +226,7 @@ def _partition(seed: int) -> ChaosPlan:
         name="partition",
         seed=seed,
         rules=(
-            FaultRule(service="sphinx-*", drop_p=0.05,
+            FaultRule(drop_p=0.05,
                       delay_p=0.10, max_extra_delay_s=2.0),
         ),
         partitions=(
@@ -249,7 +254,7 @@ def _full(seed: int) -> ChaosPlan:
         name="full",
         seed=seed,
         rules=(
-            FaultRule(service="sphinx-*", drop_p=0.10, dup_p=0.05,
+            FaultRule(drop_p=0.10, dup_p=0.05,
                       delay_p=0.15, max_extra_delay_s=4.0),
         ),
         partitions=(
@@ -376,7 +381,6 @@ def random_plan(seed: int, horizon_s: float = 6 * 3600.0) -> ChaosPlan:
     rng = RngStreams(seed).stream("chaos-plan")
     rules = (
         FaultRule(
-            service="sphinx-*",
             drop_p=round(float(rng.uniform(0.0, 0.20)), 3),
             dup_p=round(float(rng.uniform(0.0, 0.10)), 3),
             delay_p=round(float(rng.uniform(0.0, 0.25)), 3),

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from repro.chaos.drills import ChaosController
 from repro.chaos.invariants import InvariantReport, check_invariants
 from repro.chaos.plan import ChaosPlan
+from repro.core.server import ServerConfig
 from repro.experiments.parallel import headline_metrics
 from repro.experiments.runner import ExperimentResult
 from repro.federation.runner import run_topology
@@ -102,7 +103,7 @@ def run_chaos(scenario, plan: ChaosPlan, obs=None) -> ChaosRunResult:
                                       chaos=controller)
     # The run stops the instant the last DAG finishes; transactional
     # delivery acks for that very report may still be on the wire.
-    env.run(until=env.now + scenario.tick_s + _DRAIN_GRACE_S)
+    env.run(until=env.now + ServerConfig().tick_s + _DRAIN_GRACE_S)
     report = check_invariants(
         controller.servers, controller.clients, controller.bus,
         scenario, regen_slack=controller.regen_slack(), obs=obs,

@@ -1277,8 +1277,8 @@ class SphinxServer:
 
         Only sites with nonzero active counters appear — on a large
         catalog the digest stays proportional to live load, not to
-        catalog size.  ``inflight_dags`` is the admission-side
-        saturation signal a meta-scheduler spills on.
+        catalog size.  ``inflight_dags`` is the load a meta-scheduler
+        weighs when it re-homes a DAG off a dead shard.
         """
         return {
             "sites": {

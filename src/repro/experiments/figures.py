@@ -13,8 +13,6 @@ and quick runs can use scaled-down versions with the same shape.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.metrics import rank_correlation, site_distribution_table
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.scenarios import (
@@ -107,15 +105,13 @@ def fig6_scenario(n_dags: int = 120, seed: int = 42,
 
 
 def fig7_scenario(n_dags: int = 120, seed: int = 42,
-                  horizon_s: float = 24 * 3600.0,
-                  cpu_quota_s: Optional[float] = None) -> Scenario:
+                  horizon_s: float = 24 * 3600.0) -> Scenario:
     """Fig. 7: the four-way comparison under per-user usage quotas."""
-    if cpu_quota_s is None:
-        # Each job needs 60 CPU-seconds; a site may take at most 15% of
-        # one user's total demand, so the quota genuinely forces the
-        # scheduler to spread (no site can absorb more than 180 of a
-        # 1200-job campaign).
-        cpu_quota_s = 0.15 * n_dags * 10 * 60.0
+    # Each job needs 60 CPU-seconds; a site may take at most 15% of
+    # one user's total demand, so the quota genuinely forces the
+    # scheduler to spread (no site can absorb more than 180 of a
+    # 1200-job campaign).
+    cpu_quota_s = 0.15 * n_dags * 10 * 60.0
     return Scenario(
         name=f"fig7-{n_dags}dags",
         servers=ALGORITHM_LINEUP,
@@ -168,10 +164,7 @@ def ext_reservation_scenario(n_dags: int = 30, seed: int = 42,
 
 
 def ext_scale_scenario(n_sites: int = 250, n_jobs: int = 10_000,
-                       seed: int = 42,
-                       horizon_s: float = 48 * 3600.0,
-                       background_batch_s: float = 300.0,
-                       ) -> Scenario:
+                       seed: int = 42) -> Scenario:
     """Extension: extreme-scale planning (``n_sites`` x ``n_jobs``).
 
     A single completion-time server plans a ``n_jobs``-job campaign
@@ -193,10 +186,10 @@ def ext_scale_scenario(n_sites: int = 250, n_jobs: int = 10_000,
         jobs_per_dag=10,
         seed=seed,
         sites=synthetic_sites(n_sites),
-        background_batch_s=background_batch_s,
+        background_batch_s=300.0,
         fault_windows=(),
         monitoring_interval_s=600.0,
-        horizon_s=horizon_s,
+        horizon_s=48 * 3600.0,
     )
 
 

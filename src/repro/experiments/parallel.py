@@ -511,7 +511,6 @@ _COUNTER_SECTIONS = {
     },
     "federation": {
         "admitted": ("meta.dags_admitted", None),
-        "spilled": ("meta.dags_spilled", None),
         "rehomed": ("meta.dags_rehomed", None),
     },
 }

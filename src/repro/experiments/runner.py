@@ -196,21 +196,15 @@ class Stack:
         """Build one server from ``spec`` (config name ``name``, default
         the spec's label).
 
-        The config is written once, in layers: experiment defaults,
-        then what an armed chaos plan contributes for survivability
-        (transactional delivery, presumed-lost requeue, eviction
-        tolerance — nothing from an inactive plan, keeping
-        chaos-disabled runs bit-identical), then the spec, whose fields
-        are ``ServerConfig``'s by name; a ``migrate_on_drain`` the spec
+        The config is written once, in layers: ``ServerConfig``'s
+        defaults, then what an armed chaos plan contributes for
+        survivability (presumed-lost requeue, eviction tolerance —
+        nothing from an inactive plan, keeping chaos-disabled runs
+        bit-identical), then the spec, whose fields are
+        ``ServerConfig``'s by name; a ``migrate_on_drain`` the spec
         left unset (None) is left to the layers below, a set one wins.
         """
-        scenario = self.scenario
-        fields = {
-            "tick_s": scenario.tick_s,
-            "job_timeout_s": scenario.job_timeout_s,
-        }
-        if self.chaos is not None:
-            fields.update(self.chaos.server_config(scenario.job_timeout_s))
+        fields = {} if self.chaos is None else self.chaos.server_config()
         fields.update((k, v) for k, v in asdict(spec).items() if v is not None)
         label = fields.pop("label")
         config = ServerConfig(name=name if name is not None else label,
@@ -307,18 +301,15 @@ class Stack:
             obs.metrics.gauge("run.elapsed_sim_s").set(elapsed_sim_s)
             obs.tracer.close()
 
-        result = ExperimentResult(
+        return ExperimentResult(
             scenario_name=scenario.name,
             horizon_reached=not all_done,
             elapsed_sim_s=elapsed_sim_s,
             event_count=env.event_count,
             rpc_count=self.bus.call_count,
+            servers={spec.label: self._server_result(spec, elapsed_sim_s)
+                     for spec in self.specs},
         )
-        for spec in self.specs:
-            result.servers[spec.label] = self._server_result(
-                spec, elapsed_sim_s
-            )
-        return result
 
     def _server_result(self, spec: ServerSpec,
                        elapsed_sim_s: float) -> ServerResult:

@@ -96,9 +96,6 @@ class Scenario:
     #: None = use default_fault_windows(horizon); () = fault-free.
     fault_windows: Optional[tuple[DowntimeWindow, ...]] = None
     monitoring_interval_s: float = 300.0
-    job_timeout_s: float = 1800.0
-    #: server retry pacing (see ServerConfig.tick_s).
-    tick_s: float = 5.0
     horizon_s: float = 24 * 3600.0
     #: per-job resource demands; empty = no policy run.
     job_requirements: dict = field(default_factory=dict)
@@ -116,8 +113,7 @@ class Scenario:
         if self.n_dags < 1:
             raise ValueError("need at least one DAG")
         require_non_negative(self, "background_batch_s")
-        require_positive(self, "tick_s", "job_timeout_s",
-                         "monitoring_interval_s", "horizon_s")
+        require_positive(self, "monitoring_interval_s", "horizon_s")
 
     def workload_spec(self) -> WorkloadSpec:
         kwargs = dict(

@@ -5,8 +5,8 @@ distributed; this package takes that to its conclusion (cf. DIANA's
 scheduler hierarchies): N independent SPHINX servers ("shards"), each
 with its own warehouse, plan concurrently against one grid while a
 thin **meta-scheduler** admits DAGs and routes each to a shard by a
-deterministic user shard map (spilling to the least-loaded live shard
-when the home shard is saturated or down).
+deterministic user shard map (re-homing to the least-loaded live shard
+only a DAG whose home stays down past a grace).
 
 Shards share no database.  Instead each periodically publishes a
 compact **site-load digest** over the ordinary :class:`RpcBus`; peers

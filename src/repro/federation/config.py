@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 from repro.core.server import require_non_negative
 
 __all__ = ["FederationConfig"]
@@ -27,20 +25,12 @@ class FederationConfig:
     #: period of each shard's site-load digest broadcast; 0 disables
     #: the loop (digests then only move when pushed explicitly).
     digest_interval_s: float = 60.0
-    #: in-flight DAGs at which the meta stops routing to a shard's
-    #: home and spills to the least-loaded live peer; None = never.
-    spill_threshold: Optional[int] = None
 
     def __post_init__(self):
         if not self.n_shards >= 1:
             raise ValueError(
                 f"FederationConfig.n_shards must be >= 1, "
                 f"got {self.n_shards!r}"
-            )
-        if self.spill_threshold is not None and not self.spill_threshold >= 1:
-            raise ValueError(
-                f"FederationConfig.spill_threshold must be >= 1 or None, "
-                f"got {self.spill_threshold!r}"
             )
         require_non_negative(self, "digest_interval_s")
 

@@ -3,8 +3,8 @@
 Clients submit DAGs to the meta exactly as they would to a single
 SPHINX server (same ``submit_dag`` RPC shape), so the client code is
 federation-blind.  The meta does admission only: it picks a shard
-(deterministic home by user, spillover when the home is saturated or
-down), forwards the DAG, and keeps retrying until some shard durably
+(the user's deterministic home, re-homed only after a long outage),
+forwards the DAG, and keeps retrying until some shard durably
 acknowledges it.  Planning, quota, and client reporting all happen
 shard-side — each plan carries its origin service, so execution
 reports bypass the meta entirely.
@@ -97,12 +97,10 @@ class MetaScheduler:
         self._unreachable_since: dict[str, Optional[float]] = {
             label: None for label in self.shard_services
         }
-        self.spilled_count = 0
         self.rehomed_count = 0
         self.obs = obs_mod.get(obs)
         m = self.obs.metrics
         self._m_admitted = m.counter("meta.dags_admitted", fed=config.name)
-        self._m_spilled = m.counter("meta.dags_spilled", fed=config.name)
         self._m_rehomed = m.counter("meta.dags_rehomed", fed=config.name)
         if bus.has_service(self.service_name):
             raise ValueError(
@@ -122,7 +120,7 @@ class MetaScheduler:
         dag_id = payload["dag_id"]
         if dag_id in self.entries:
             return "accepted"
-        shard = self._route(proxy)
+        shard = self.shard_map.home(proxy)
         entry = _Entry(dag_id, client_id, proxy, payload, priority,
                        proxy, shard)
         self.entries[dag_id] = entry
@@ -162,18 +160,6 @@ class MetaScheduler:
             label: self.bus.has_service(service)
             for label, service in self.shard_services.items()
         }
-
-    def _route(self, user: str) -> str:
-        shard = self.shard_map.route(
-            user, self._alive(), self._loads(),
-            self.config.spill_threshold,
-        )
-        if shard != self.shard_map.home(user):
-            # Saturation spill (route only leaves home for load; shard
-            # *outages* are handled downstream by the forward loop).
-            self.spilled_count += 1
-            self._m_spilled.inc()
-        return shard
 
     # -- forwarding -------------------------------------------------------
     def _forward(self, entry: _Entry):

@@ -57,13 +57,10 @@ class FederationScenario:
     federation: FederationConfig = field(default_factory=FederationConfig)
     n_users: int = 4
     dags_per_user: int = 5
-    jobs_per_dag: int = 10
     seed: int = 42
     sites: tuple = GRID3_SITES
     background_batch_s: float = 0.0
     monitoring_interval_s: float = 300.0
-    job_timeout_s: float = 1800.0
-    tick_s: float = 5.0
     horizon_s: float = 24 * 3600.0
     job_requirements: dict = field(default_factory=dict)
     #: resource -> amount granted per (user, site), split evenly into
@@ -81,17 +78,19 @@ class FederationScenario:
         if self.dags_per_user < 1:
             raise ValueError("need at least one DAG per user")
         require_non_negative(self, "background_batch_s", "submit_interval_s")
-        require_positive(self, "tick_s", "job_timeout_s",
-                         "monitoring_interval_s", "horizon_s")
+        require_positive(self, "monitoring_interval_s", "horizon_s")
 
     def workload_spec(self) -> WorkloadSpec:
         kwargs = dict(
             n_dags=self.dags_per_user,
-            jobs_per_dag=self.jobs_per_dag,
             requirements=dict(self.job_requirements),
         )
         kwargs.update(self.workload_overrides)
         return WorkloadSpec(**kwargs)
+
+    @property
+    def jobs_per_dag(self) -> int:
+        return self.workload_spec().jobs_per_dag
 
     def resolved_fault_windows(self) -> tuple:
         """Federated runs have fault-free sites; chaos plans supply
@@ -101,67 +100,41 @@ class FederationScenario:
 
 def ext_federation_scenario(
     n_shards: int = 3,
-    n_users: Optional[int] = None,
     dags_per_user: int = 5,
-    jobs_per_dag: int = 10,
     seed: int = 42,
-    n_sites: Optional[int] = None,
     horizon_s: float = 24 * 3600.0,
-    spill_threshold: Optional[int] = None,
-    with_quota: bool = True,
     submit_interval_s: float = 0.0,
 ) -> FederationScenario:
-    """The ``ext-federation`` scenario family.
+    """The ``ext-federation`` scenario family: ``2 * n_shards`` users
+    on the Grid3 testbed, each submitting ``dags_per_user`` DAGs.
 
-    ``n_sites`` switches from the Grid3 testbed to the synthetic
-    catalog (the ext-scale fabric), which is how the acceptance run
-    drives 10 shards over 250 sites.  ``with_quota`` makes quota
-    genuinely scarce: jobs need 1.0 ``slots`` and the per-(user, site)
-    grant is 1.5x a user's *fair share per site*, never below 1.5 and
-    never below the share rounded up to whole jobs (a job takes a
-    whole slot, so a 1.8 grant places one), so the grid can always
-    absorb the workload, but a single shard's 1/N lease slice starves
-    as soon as a user's jobs concentrate — lease transfers sit on the
-    planning critical path, not decoration.
+    Quota is genuinely scarce: jobs need 1.0 ``slots`` and the
+    per-(user, site) grant is :func:`_scarce_quota`, so the grid can
+    always absorb the workload, but a single shard's 1/N lease slice
+    starves as soon as a user's jobs concentrate — lease transfers sit
+    on the planning critical path, not decoration.
     """
-    if n_users is None:
-        n_users = 2 * n_shards
-    sites = GRID3_SITES
-    background_batch_s = 0.0
-    monitoring_interval_s = 300.0
-    if n_sites is not None:
-        from repro.simgrid.grid import synthetic_sites
-
-        sites = synthetic_sites(n_sites)
-        background_batch_s = 300.0
-        monitoring_interval_s = 600.0
-    quota = None
-    requirements = {}
-    if with_quota:
-        requirements = {"slots": 1.0}
-        jobs_per_user = dags_per_user * jobs_per_dag
-        quota = {"slots": max(1.5, 1.5 * jobs_per_user / len(sites),
-                              math.ceil(jobs_per_user / len(sites)))}
-    fed = FederationConfig(
-        name=f"fed{n_shards}",
-        n_shards=n_shards,
-        spill_threshold=spill_threshold,
-    )
     return FederationScenario(
         name=f"ext-federation-{n_shards}shards",
-        federation=fed,
-        n_users=n_users,
+        federation=FederationConfig(name=f"fed{n_shards}",
+                                    n_shards=n_shards),
+        n_users=2 * n_shards,
         dags_per_user=dags_per_user,
-        jobs_per_dag=jobs_per_dag,
         seed=seed,
-        sites=sites,
-        background_batch_s=background_batch_s,
-        monitoring_interval_s=monitoring_interval_s,
         horizon_s=horizon_s,
-        job_requirements=requirements,
-        quota_per_site=quota,
+        job_requirements={"slots": 1.0},
+        quota_per_site=_scarce_quota(
+            dags_per_user * WorkloadSpec().jobs_per_dag, len(GRID3_SITES)),
         submit_interval_s=submit_interval_s,
     )
+
+
+def _scarce_quota(jobs_per_user: int, n_sites: int) -> dict:
+    """The per-(user, site) ``slots`` grant: 1.5x a user's fair share
+    per site, never below 1.5 and never below the share rounded up to
+    whole jobs (a job takes a whole slot, so a 1.8 grant places one)."""
+    return {"slots": max(1.5, 1.5 * jobs_per_user / n_sites,
+                         math.ceil(jobs_per_user / n_sites))}
 
 
 def _init_leases(server: FederatedSphinxServer,

@@ -3,20 +3,23 @@
 The home shard is a pure function of the user name (crc32, not
 Python's salted ``hash``), so every meta incarnation — including one
 rebuilt after a crash — routes the same user the same way without any
-shared state.  Spillover is equally deterministic: ties break on
-shard index, never on dict order.
+shared state.  Admission always routes to the home shard, even a
+dead one: outages belong to the meta's forward loop (registration
+latch, retry timer, re-home grace), not to admission-time liveness
+judgements, so a shard bouncing through a restart does not scatter its
+users.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Mapping, Sequence
+from typing import Sequence
 
 __all__ = ["ShardMap"]
 
 
 class ShardMap:
-    """Static shard list + the two routing decisions the meta makes."""
+    """Static shard list + each user's home shard."""
 
     def __init__(self, labels: Sequence[str]):
         if not labels:
@@ -25,35 +28,3 @@ class ShardMap:
 
     def home(self, user: str) -> str:
         return self.labels[zlib.crc32(user.encode()) % len(self.labels)]
-
-    def route(
-        self,
-        user: str,
-        alive: Mapping[str, bool],
-        loads: Mapping[str, int],
-        spill_threshold: int | None,
-    ) -> str:
-        """The shard a new DAG from ``user`` should land on.
-
-        Home wins while it is under the spill threshold — even when it
-        is currently unreachable: transient shard outages are owned by
-        the forward loop (registration latch, retry timer, re-home
-        grace), not by admission-time liveness snap judgements, so a
-        shard bouncing through a restart does not scatter its users.
-        A *saturated* home spills to the least-loaded live shard
-        (lowest index on ties); with no live alternative, home again.
-        """
-        home = self.home(user)
-        if (spill_threshold is None
-                or loads.get(home, 0) < spill_threshold):
-            return home
-        live = [
-            lbl for lbl in self.labels
-            if lbl != home and alive.get(lbl, False)
-        ]
-        if not live:
-            return home
-        return min(
-            live,
-            key=lambda lbl: (loads.get(lbl, 0), self.labels.index(lbl)),
-        )

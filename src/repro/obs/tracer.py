@@ -133,10 +133,6 @@ class Tracer:
         """Currently-open spans (the heartbeat's memory signal)."""
         return len(self._open)
 
-    @property
-    def streaming(self) -> bool:
-        return self._sink is not None
-
     # -- recording ---------------------------------------------------------
     def start_span(self, name: str, *, parent: Optional[Span] = None,
                    kind: str = "span", **attrs: Any) -> Span:
@@ -197,15 +193,16 @@ class Tracer:
             self._spans.append(span)
         return span
 
-    def close(self, status: str = "unfinished") -> None:
-        """End every still-open span at the current instant (run end).
+    def close(self) -> None:
+        """End every still-open span at the current instant (run end),
+        with status ``"unfinished"``.
 
         Idempotent; in streaming mode also flushes them to the sink and
         closes it.
         """
         for span in self._open.values():
             span.end = self.now
-            span.status = status
+            span.status = "unfinished"
             if self._sink is not None:
                 self._sink.write(span)
         self._open.clear()
@@ -219,7 +216,6 @@ class NullTracer:
     """The disabled tracer: free to call, records nothing."""
 
     enabled = False
-    streaming = False
     spans: tuple[Span, ...] = ()
     open_count = 0
     evicted = 0
@@ -239,7 +235,7 @@ class NullTracer:
     def instant(self, name, **attrs):
         return NULL_SPAN
 
-    def close(self, status="unfinished"):
+    def close(self):
         pass
 
 

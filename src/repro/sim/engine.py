@@ -135,7 +135,7 @@ class Event:
         heappush(env._heap, (env._now, (priority << _KEY_SHIFT) + env._seq, self))
         return self
 
-    def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
+    def fail(self, exception: BaseException) -> "Event":
         """Settle the event with an exception.
 
         If no callback *defuses* the failure (a process waiting on it),
@@ -150,7 +150,7 @@ class Event:
         self._value = exception
         env = self.env
         env._seq += 1
-        heappush(env._heap, (env._now, (priority << _KEY_SHIFT) + env._seq, self))
+        heappush(env._heap, (env._now, _NORMAL_BASE + env._seq, self))
         return self
 
     def defuse(self) -> None:
@@ -349,12 +349,12 @@ class Environment:
         return self._now
 
     # -- scheduling primitives --------------------------------------------
-    def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
+    def schedule(self, event: Event, delay: float = 0.0) -> None:
         """Put a settled (or pre-valued) event on the heap."""
         if not delay >= 0:  # negative or NaN
             raise ValueError(f"schedule delay must be >= 0, got {delay!r}")
         self._seq += 1
-        heappush(self._heap, (self._now + delay, (priority << _KEY_SHIFT) + self._seq, event))
+        heappush(self._heap, (self._now + delay, _NORMAL_BASE + self._seq, event))
 
     def schedule_chain(self, event: Event, delays: Sequence[float]) -> array:
         """``schedule(event, d)`` for each of ``delays``, with one heap entry.

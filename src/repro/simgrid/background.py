@@ -40,8 +40,8 @@ class BackgroundLoad:
     mean_runtime_s:
         Mean background-job length (exponential).
     modulation_amplitude / modulation_period_s:
-        Optional sinusoidal modulation of the arrival rate, so site
-        load genuinely changes over the experiment.
+        Sinusoidal modulation of the arrival rate, so site load
+        genuinely changes over the experiment (amplitude 0 disables it).
     surge_interval_s / surge_jobs_factor / surge_runtime_s:
         Occasionally another VO dumps a whole production batch on the
         site — ``surge_jobs_factor * n_cpus`` jobs at once, each of
@@ -51,6 +51,8 @@ class BackgroundLoad:
         with more number of CPUs might already be overloaded").
         ``surge_interval_s`` is the mean time between surges per site;
         0 disables them.
+
+        The defaults are the Grid3 calibration every grid runs with.
     batch_interval_s:
         0 (default) keeps the legacy per-arrival Poisson process: one
         kernel event per background job, pinned bit-identical by the
@@ -72,12 +74,12 @@ class BackgroundLoad:
         rng: RngStreams,
         site: GridSite,
         target_utilization: float = 0.5,
-        mean_runtime_s: float = 300.0,
-        modulation_amplitude: float = 0.0,
-        modulation_period_s: float = 6 * 3600.0,
-        surge_interval_s: float = 0.0,
-        surge_jobs_factor: float = 1.5,
-        surge_runtime_s: float = 1800.0,
+        mean_runtime_s: float = 1200.0,
+        modulation_amplitude: float = 0.6,
+        modulation_period_s: float = 4 * 3600.0,
+        surge_interval_s: float = 6 * 3600.0,
+        surge_jobs_factor: float = 1.0,
+        surge_runtime_s: float = 1200.0,
         batch_interval_s: float = 0.0,
     ):
         if not 0.0 <= target_utilization < 1.0:

@@ -27,13 +27,17 @@ to be in effect — last-injected-fault-wins is the deterministic rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.sim.engine import Environment
 from repro.sim.rng import RngStreams
 from repro.simgrid.site import GridSite, SiteState
 
 __all__ = ["DowntimeWindow", "FailureInjector"]
+
+#: what a stochastic failure turns a site into, and how often each
+_STOCHASTIC_STATES = (SiteState.DOWN, SiteState.BLACKHOLE)
+_STOCHASTIC_WEIGHTS = (0.7, 0.3)
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,12 +121,11 @@ class FailureInjector:
     def start_eviction_storm(
         self,
         rng: RngStreams,
-        site_names: Sequence[str] | None = None,
         mtbf_s: float = 4 * 3600.0,
         notice_s: float = 120.0,
         outage_s: float = 600.0,
     ) -> None:
-        """Start a Poisson spot-eviction process per site.
+        """Start a Poisson spot-eviction process on every site.
 
         Each site draws exponential inter-eviction times from its own
         named stream (``<site>/evictions`` — site name *first*, because
@@ -133,10 +136,7 @@ class FailureInjector:
         """
         if mtbf_s <= 0:
             raise ValueError("eviction MTBF must be > 0")
-        names = list(site_names) if site_names is not None else sorted(self._sites)
-        for name in names:
-            if name not in self._sites:
-                raise KeyError(f"unknown site {name!r}")
+        for name in sorted(self._sites):
             stream = rng.stream(f"{name}/evictions")
             self.env.process(
                 self._eviction_storm(name, stream, mtbf_s, notice_s, outage_s)
@@ -176,37 +176,29 @@ class FailureInjector:
     def start_stochastic(
         self,
         rng: RngStreams,
-        site_names: Sequence[str] | None = None,
         mtbf_s: float = 12 * 3600.0,
         mttr_s: float = 1800.0,
-        states: Sequence[SiteState] = (SiteState.DOWN, SiteState.BLACKHOLE),
-        state_weights: Sequence[float] = (0.7, 0.3),
     ) -> None:
-        """Start an exponential MTBF/MTTR failure process per site."""
+        """Start an exponential MTBF/MTTR failure process on every site;
+        each failure is DOWN or a silent BLACKHOLE (70/30)."""
         if mtbf_s <= 0 or mttr_s <= 0:
             raise ValueError("MTBF and MTTR must be > 0")
-        if len(states) != len(state_weights):
-            raise ValueError("states and weights must align")
-        names = list(site_names) if site_names is not None else sorted(self._sites)
-        for name in names:
-            if name not in self._sites:
-                raise KeyError(f"unknown site {name!r}")
+        for name in sorted(self._sites):
             stream = rng.stream(f"failures-{name}")
-            self.env.process(
-                self._stochastic(name, stream, mtbf_s, mttr_s, states, state_weights)
-            )
+            self.env.process(self._stochastic(name, stream, mtbf_s, mttr_s))
 
-    def _stochastic(self, name, stream, mtbf_s, mttr_s, states, weights):
+    def _stochastic(self, name, stream, mtbf_s, mttr_s):
         import numpy as np
 
         site = self._sites[name]
-        probs = np.asarray(weights, dtype=float)
+        probs = np.asarray(_STOCHASTIC_WEIGHTS, dtype=float)
         probs /= probs.sum()
         while True:
             yield self.env.timeout(float(stream.exponential(mtbf_s)))
             if site.state is not SiteState.UP:
                 continue  # a scripted fault is already in effect
-            state = states[int(stream.choice(len(states), p=probs))]
+            state = _STOCHASTIC_STATES[int(stream.choice(
+                len(_STOCHASTIC_STATES), p=probs))]
             token = self._inject(name, state)
             yield self.env.timeout(float(stream.exponential(mttr_s)))
             self._restore(name, token)

@@ -11,8 +11,8 @@ production grid actually had.  Absolute values are calibrated only for
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from repro.sim.engine import Environment
 from repro.sim.rng import RngStreams, prime_streams
@@ -75,7 +75,11 @@ GRID3_SITES: tuple[SiteSpec, ...] = (
 )
 
 
-def synthetic_sites(n_sites: int, seed: int = 2025) -> tuple[SiteSpec, ...]:
+#: the synthetic catalog's own numpy seed
+_SYNTHETIC_SEED = 2025
+
+
+def synthetic_sites(n_sites: int) -> tuple[SiteSpec, ...]:
     """A deterministic synthetic catalog for extreme-scale runs.
 
     Grid3 had 15 sites; open-science grids that followed it federated
@@ -83,14 +87,14 @@ def synthetic_sites(n_sites: int, seed: int = 2025) -> tuple[SiteSpec, ...]:
     counts spanning two orders of magnitude, overstated advertised
     capacity, heterogeneous speeds and uplinks, background utilization
     skewed toward the big centres — to ``n_sites`` sites, fully
-    determined by ``seed`` (its own numpy generator; grid/workload RNG
-    streams are untouched).
+    determined by ``_SYNTHETIC_SEED`` (its own numpy generator;
+    grid/workload RNG streams are untouched).
     """
     import numpy as np
 
     if n_sites < 1:
         raise ValueError("need at least one site")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SYNTHETIC_SEED)
     specs = []
     for i in range(n_sites):
         n_cpus = int(rng.integers(8, 129))
@@ -171,12 +175,6 @@ class Grid:
                 bg_rng,
                 site,
                 target_utilization=spec.background_utilization,
-                mean_runtime_s=1200.0,
-                modulation_amplitude=0.6,
-                modulation_period_s=4 * 3600.0,
-                surge_interval_s=6 * 3600.0,
-                surge_jobs_factor=1.0,
-                surge_runtime_s=1200.0,
                 batch_interval_s=self.background_batch_s,
             )
         return site
@@ -214,32 +212,20 @@ class Grid:
         scheduler actually had (may overstate reality)."""
         return dict(self._advertised)
 
-    def background(self, name: str) -> BackgroundLoad:
-        return self._background[name]
-
 
 def make_grid3(
     env: Environment,
     rng: RngStreams,
     sites: Iterable[SiteSpec] = GRID3_SITES,
-    background: bool = True,
-    background_overrides: Mapping[str, float] | None = None,
     background_batch_s: float = 0.0,
 ) -> Grid:
-    """Build the Grid3-like testbed.
+    """Build the Grid3-like testbed and start its background load.
 
-    ``background_overrides`` maps site name -> target utilization,
-    replacing the catalog values (used by scenario configs).
     ``background_batch_s`` > 0 switches every site's background stream
     to batched arrivals on that interval (extreme-scale runs); 0 keeps
     the per-arrival legacy processes.
     """
     grid = Grid(env, rng, background_batch_s=background_batch_s)
-    overrides = dict(background_overrides or {})
-    grid.add_sites(
-        replace(spec, background_utilization=overrides[spec.name])
-        if spec.name in overrides else spec
-        for spec in sites)
-    if background:
-        grid.start_background()
+    grid.add_sites(sites)
+    grid.start_background()
     return grid

@@ -28,7 +28,7 @@ def make_bus(env, **plan_kwargs):
 
 def test_unmatched_services_pass_clean():
     env = Environment()
-    bus = make_bus(env, rules=(FaultRule(service="sphinx-*", drop_p=1.0),))
+    bus = make_bus(env, rules=(FaultRule(drop_p=1.0),))
     bus.register("other", "ping", lambda: "pong")
     assert call_sync(env, bus, "p", "other", "ping")["value"] == "pong"
     assert bus.fault_log == []
@@ -36,10 +36,10 @@ def test_unmatched_services_pass_clean():
 
 def test_certain_drop_faults_with_retryable_text():
     env = Environment()
-    bus = make_bus(env, rules=(FaultRule(service="svc", drop_p=1.0),))
+    bus = make_bus(env, rules=(FaultRule(drop_p=1.0),))
     calls = []
-    bus.register("svc", "ping", lambda: calls.append(1))
-    r = call_sync(env, bus, "p", "svc", "ping")
+    bus.register("sphinx-svc", "ping", lambda: calls.append(1))
+    r = call_sync(env, bus, "p", "sphinx-svc", "ping")
     # The injected fault must look transient so clients retry it.
     assert "unknown service" in str(r["fault"])
     kind = bus.fault_log[0][3]
@@ -51,10 +51,11 @@ def test_certain_drop_faults_with_retryable_text():
 
 def test_duplicate_runs_the_handler_twice():
     env = Environment()
-    bus = make_bus(env, rules=(FaultRule(service="svc", dup_p=1.0),))
+    bus = make_bus(env, rules=(FaultRule(dup_p=1.0),))
     calls = []
-    bus.register("svc", "ping", lambda: (calls.append(env.now), "pong")[1])
-    r = call_sync(env, bus, "p", "svc", "ping")
+    bus.register("sphinx-svc", "ping",
+                 lambda: (calls.append(env.now), "pong")[1])
+    r = call_sync(env, bus, "p", "sphinx-svc", "ping")
     assert r["value"] == "pong"  # the caller sees the first result
     assert len(calls) == 2
     assert calls[1] > calls[0]  # the ghost lands later
@@ -65,14 +66,14 @@ def test_delay_defers_the_round_trip():
     env = Environment()
     bus = make_bus(
         env,
-        rules=(FaultRule(service="svc", delay_p=1.0,
+        rules=(FaultRule(delay_p=1.0,
                          max_extra_delay_s=5.0),),
     )
-    bus.register("svc", "ping", lambda: "pong")
+    bus.register("sphinx-svc", "ping", lambda: "pong")
     done = {}
 
     def caller(env):
-        done["value"] = yield bus.call("p", "svc", "ping")
+        done["value"] = yield bus.call("p", "sphinx-svc", "ping")
         done["at"] = env.now
 
     env.process(caller(env))
@@ -85,12 +86,12 @@ def test_partition_faults_matching_services_inside_window():
     env = Environment()
     bus = make_bus(
         env,
-        partitions=(PartitionWindow(service="svc", start_s=0.0,
+        partitions=(PartitionWindow(service="sphinx-svc", start_s=0.0,
                                     end_s=10.0),),
     )
     calls = []
-    bus.register("svc", "ping", lambda: calls.append(1))
-    r = call_sync(env, bus, "p", "svc", "ping")
+    bus.register("sphinx-svc", "ping", lambda: calls.append(1))
+    r = call_sync(env, bus, "p", "sphinx-svc", "ping")
     assert "unknown service" in str(r["fault"])
     assert calls == []  # partitioned: the handler never ran
 
@@ -99,23 +100,23 @@ def test_partition_faults_matching_services_inside_window():
     bus2 = ChaoticBus(
         env2,
         ChaosPlan(partitions=(
-            PartitionWindow(service="svc", start_s=100.0, end_s=200.0),
+            PartitionWindow(service="sphinx-svc", start_s=100.0, end_s=200.0),
         )),
     )
-    bus2.register("svc", "ping", lambda: "pong")
-    assert call_sync(env2, bus2, "p", "svc", "ping")["value"] == "pong"
+    bus2.register("sphinx-svc", "ping", lambda: "pong")
+    assert call_sync(env2, bus2, "p", "sphinx-svc", "ping")["value"] == "pong"
 
 
 def test_duplicate_failures_are_defused():
     """A ghost dispatch whose handler faults must not crash the run."""
     env = Environment()
-    bus = make_bus(env, rules=(FaultRule(service="svc", dup_p=1.0),))
+    bus = make_bus(env, rules=(FaultRule(dup_p=1.0),))
 
     def boom():
         raise RuntimeError("handler exploded")
 
-    bus.register("svc", "boom", boom)
-    r = call_sync(env, bus, "p", "svc", "boom")
+    bus.register("sphinx-svc", "boom", boom)
+    r = call_sync(env, bus, "p", "sphinx-svc", "boom")
     assert "fault" in r
     env.run()  # the ghost's failure must already be defused
 
@@ -126,15 +127,15 @@ def test_fault_schedule_is_deterministic(seed):
         env = Environment()
         bus = ChaoticBus(env, ChaosPlan(
             seed=seed,
-            rules=(FaultRule(service="svc", drop_p=0.3, dup_p=0.2,
+            rules=(FaultRule(drop_p=0.3, dup_p=0.2,
                              delay_p=0.3, max_extra_delay_s=2.0),),
         ))
-        bus.register("svc", "ping", lambda: "pong")
+        bus.register("sphinx-svc", "ping", lambda: "pong")
 
         def caller(env):
             for _ in range(50):
                 try:
-                    yield bus.call("p", "svc", "ping")
+                    yield bus.call("p", "sphinx-svc", "ping")
                 except RpcFault:
                     pass
                 yield env.timeout(1.0)
@@ -152,10 +153,10 @@ def test_call_count_counts_only_dispatched_calls():
     """The obs invariant rpc.calls == bus.call_count must survive
     injection: dropped-request calls never reach the parent dispatch."""
     env = Environment()
-    bus = make_bus(env, rules=(FaultRule(service="svc", drop_p=1.0),))
-    bus.register("svc", "ping", lambda: "pong")
+    bus = make_bus(env, rules=(FaultRule(drop_p=1.0),))
+    bus.register("sphinx-svc", "ping", lambda: "pong")
     before = bus.call_count
-    r = call_sync(env, bus, "p", "svc", "ping")
+    r = call_sync(env, bus, "p", "sphinx-svc", "ping")
     assert "fault" in r
     kind = bus.fault_log[0][3]
     expected = 1 if kind == "drop-reply" else 0

@@ -57,7 +57,7 @@ def test_inert_controller_is_bit_identical(baseline):
 
 def test_inert_controller_leaves_server_configs_alone():
     controller = ChaosController(ChaosPlan())
-    assert controller.server_config(job_timeout_s=1800.0) == {}
+    assert controller.server_config() == {}
     result = run(chaos=controller)
     for server in controller.servers.values():
         assert server.config.presume_lost_after_s == float("inf")

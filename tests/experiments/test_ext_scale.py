@@ -2,6 +2,7 @@
 wiring (``repro suite --ext-scale``)."""
 
 import argparse
+import dataclasses
 
 import pytest
 
@@ -15,7 +16,6 @@ from repro.simgrid.grid import synthetic_sites
 class TestSyntheticSites:
     def test_deterministic(self):
         assert synthetic_sites(40) == synthetic_sites(40)
-        assert synthetic_sites(40, seed=1) != synthetic_sites(40, seed=2)
 
     def test_prefix_is_stable_under_growth(self):
         # The first N sites of a bigger catalog are the smaller catalog:
@@ -49,8 +49,8 @@ class TestExtScaleScenario:
             ext_scale_scenario(10, 5)
 
     def test_smoke_run_completes(self):
-        result = run_scenario(ext_scale_scenario(
-            n_sites=15, n_jobs=100, horizon_s=24 * 3600.0))
+        result = run_scenario(dataclasses.replace(ext_scale_scenario(
+            n_sites=15, n_jobs=100), horizon_s=24 * 3600.0))
         server = result.servers["completion-time"]
         assert not result.horizon_reached
         assert server.finished_dags == server.total_dags == 10

@@ -203,7 +203,7 @@ def test_suite_payload_sections_pinned():
 
     fig = figures["ext-federation-2shards"]
     assert fingerprint(fig) == (2103, 345, "658.8995577940586")
-    assert fig["federation"] == {"admitted": 8, "spilled": 0, "rehomed": 0}
+    assert fig["federation"] == {"admitted": 8, "rehomed": 0}
     assert fig["shards"] == {
         "shard0": {"count": 0, "p50": None, "p95": None},
         "shard1": {"count": 80, "p50": 0.0, "p95": 0.10000000000002274}}

@@ -28,7 +28,7 @@ def test_n_dags_validation():
         Scenario(name="x", servers=spec(), n_dags=0)
 
 
-_PERIODS = ("tick_s", "job_timeout_s", "monitoring_interval_s", "horizon_s")
+_PERIODS = ("monitoring_interval_s", "horizon_s")
 _CONFIGS = {
     "Scenario": (lambda **kw: Scenario(name="x", servers=spec(), **kw),
                  _PERIODS),

@@ -25,6 +25,8 @@ from repro.experiments.figures import (
 from repro.experiments.runner import run_scenario
 from repro.federation import ext_federation_scenario, run_federation
 
+from tests.federation.fedstack import on_synthetic_sites
+
 
 def fingerprint(result):
     return (result.event_count, result.rpc_count, repr(result.elapsed_sim_s))
@@ -62,8 +64,8 @@ def fed3_staggered():
 
 
 def fed2_evicted():
-    return ext_federation_scenario(n_shards=2, dags_per_user=6, seed=42,
-                                   n_sites=25)
+    return on_synthetic_sites(
+        ext_federation_scenario(n_shards=2, dags_per_user=6, seed=42), 25)
 
 
 def eviction_900():

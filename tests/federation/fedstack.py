@@ -6,18 +6,32 @@ Mirrors ``tests.core.test_server.Stack`` but builds
 need).
 """
 
+import dataclasses
+
 from repro.core import ServerConfig
 from repro.core.serialize import dag_to_payload
 from repro.federation import FederationConfig, FederatedSphinxServer
 from repro.federation.ledger import lease_key
+from repro.federation.runner import _scarce_quota
 from repro.services import MonitoringService, ReplicaService, RpcBus
 from repro.sim import Environment
 from repro.sim.rng import RngStreams
 from repro.simgrid import Grid
-from repro.simgrid.grid import SiteSpec
+from repro.simgrid.grid import SiteSpec, synthetic_sites
 from repro.workflow import Dag, Job, LogicalFile
 
 USER = "/VO=v/CN=u"
+
+
+def on_synthetic_sites(scenario, n_sites):
+    """``scenario`` moved from Grid3 to the ext-scale fabric: the
+    synthetic ``n_sites`` catalog, batched background, slow monitoring,
+    and the scarce quota re-sized for that many sites."""
+    jobs_per_user = scenario.dags_per_user * scenario.jobs_per_dag
+    return dataclasses.replace(
+        scenario, sites=synthetic_sites(n_sites), background_batch_s=300.0,
+        monitoring_interval_s=600.0,
+        quota_per_site=_scarce_quota(jobs_per_user, n_sites))
 
 
 def lf(name, size=1.0):
@@ -47,8 +61,7 @@ class FedStack:
     """N federated shards sharing one grid, bus, and monitoring."""
 
     def __init__(self, n_shards=2, n_sites=3, digest_interval_s=0.0,
-                 fed_kw=None, bus_factory=RpcBus,
-                 **config_kw):
+                 bus_factory=RpcBus, **config_kw):
         self.env = Environment()
         self.grid = Grid(self.env, RngStreams(0))
         for i in range(n_sites):
@@ -63,7 +76,6 @@ class FedStack:
         self.fed = FederationConfig(
             name="t", n_shards=n_shards,
             digest_interval_s=digest_interval_s,
-            **(fed_kw or {}),
         )
         self.servers = {}
         self.configs = {}

@@ -1,17 +1,21 @@
 """End-to-end federation runs: determinism, suite payload, chaos."""
 
+import dataclasses
+
 from repro.chaos import make_plan, run_chaos
 from repro.experiments import run_suite, suite_payload
 from repro.experiments.parallel import federation_suite
 from repro.federation import ext_federation_scenario, run_federation
+from repro.federation.runner import _scarce_quota
+
+from tests.federation.fedstack import on_synthetic_sites
 
 
-def small_scenario(**kw):
-    kw.setdefault("n_shards", 2)
-    kw.setdefault("dags_per_user", 2)
-    kw.setdefault("jobs_per_dag", 3)
-    kw.setdefault("seed", 7)
-    return ext_federation_scenario(**kw)
+def small_scenario():
+    """Two shards, four users, two 3-job DAGs each."""
+    return dataclasses.replace(
+        ext_federation_scenario(n_shards=2, dags_per_user=2, seed=7),
+        workload_overrides={"jobs_per_dag": 3})
 
 
 def fingerprint(result):
@@ -37,13 +41,13 @@ def test_quota_covers_whole_jobs_per_site():
     # 30 jobs per user over 25 sites: a fair share of 1.2 jobs per
     # site.  A job takes a whole 1.0 slot, so a grant must round up to
     # two, or each user can place only 25 of its 30 jobs.
-    scenario = ext_federation_scenario(n_shards=3, dags_per_user=3, seed=42,
-                                       n_sites=25, horizon_s=1800.0)
+    scenario = on_synthetic_sites(ext_federation_scenario(
+        n_shards=3, dags_per_user=3, seed=42, horizon_s=1800.0), 25)
     run = run_federation(scenario)
     assert not run.result.horizon_reached
     finished = sum(sr.finished_dags for sr in run.result.servers.values())
     assert finished == 3 * len(run.users)
-    assert scenario.quota_per_site == {"slots": 2}
+    assert scenario.quota_per_site == _scarce_quota(30, 25) == {"slots": 2}
 
 
 def test_same_seed_runs_are_bit_identical():

@@ -1,4 +1,4 @@
-"""Unit tests: meta-scheduler admission, routing, spill, re-homing."""
+"""Unit tests: meta-scheduler admission, routing, re-homing."""
 
 import pytest
 
@@ -57,19 +57,6 @@ def test_replayed_submission_is_an_ack_not_a_new_dag():
     assert submit(st, meta, one_job_dag("d0")) == "accepted"
     assert submit(st, meta, one_job_dag("d0")) == "accepted"
     assert len(meta.entries) == 1
-
-
-def test_saturated_home_spills_to_live_peer():
-    st = FedStack(n_shards=3, fed_kw={"spill_threshold": 1})
-    meta = make_meta(st)
-    # Two admissions in one instant: the first forward is still
-    # pending, so the home shows load 1 >= threshold and d1 spills.
-    submit(st, meta, one_job_dag("d0"))
-    submit(st, meta, one_job_dag("d1"))
-    home = home_of(st)
-    assert assignments(meta)["d0"] == home
-    assert assignments(meta)["d1"] != home
-    assert meta.spilled_count == 1
 
 
 def test_outage_within_grace_waits_for_the_home_shard():

@@ -4,8 +4,11 @@ import zlib
 
 import pytest
 
-from repro.federation import FederationConfig
+from repro.core.serialize import dag_to_payload
+from repro.federation import FederationConfig, MetaScheduler
 from repro.federation.shards import ShardMap
+
+from tests.federation.fedstack import FedStack, one_job_dag
 
 LABELS = ("shard0", "shard1", "shard2")
 
@@ -32,44 +35,13 @@ def test_empty_shard_list_rejected():
 def test_route_prefers_home_even_when_dead():
     # Outages belong to the forward loop, not admission: a bouncing
     # shard must not scatter its users across the federation.
-    m = ShardMap(LABELS)
-    user = "u"
-    home = m.home(user)
-    alive = {lbl: lbl != home for lbl in LABELS}
-    assert m.route(user, alive, {}, spill_threshold=None) == home
-    assert m.route(user, alive, {home: 3}, spill_threshold=10) == home
-
-
-def test_route_spills_saturated_home_to_least_loaded_live():
-    m = ShardMap(LABELS)
-    user = "u"
-    home = m.home(user)
-    others = [lbl for lbl in LABELS if lbl != home]
-    alive = dict.fromkeys(LABELS, True)
-    loads = {home: 5, others[0]: 2, others[1]: 1}
-    assert m.route(user, alive, loads, spill_threshold=5) == others[1]
-    # Dead peers never receive spill.
-    alive[others[1]] = False
-    assert m.route(user, alive, loads, spill_threshold=5) == others[0]
-
-
-def test_route_spill_tie_breaks_on_shard_index():
-    m = ShardMap(LABELS)
-    user = "u"
-    home = m.home(user)
-    others = [lbl for lbl in LABELS if lbl != home]
-    alive = dict.fromkeys(LABELS, True)
-    loads = {home: 9, others[0]: 1, others[1]: 1}
-    want = min(others, key=LABELS.index)
-    assert m.route(user, alive, loads, spill_threshold=1) == want
-
-
-def test_route_saturated_home_with_no_live_peer_stays_home():
-    m = ShardMap(LABELS)
-    user = "u"
-    home = m.home(user)
-    alive = {lbl: False for lbl in LABELS}
-    assert m.route(user, alive, {home: 99}, spill_threshold=1) == home
+    st = FedStack(n_shards=3)
+    meta = MetaScheduler(st.env, st.bus, st.fed, st.services)
+    user = "/VO=v/CN=u"
+    home = ShardMap(tuple(st.services)).home(user)
+    st.servers[home].shutdown()
+    meta._rpc_submit_dag("c0", user, dag_to_payload(one_job_dag("d0")), 10)
+    assert meta.entries["d0"].shard == home
 
 
 def test_config_naming():
@@ -82,7 +54,7 @@ def test_config_naming():
 @pytest.mark.parametrize("kwargs", [
     {"n_shards": 0},
     {"digest_interval_s": -1.0},
-    {"spill_threshold": 0},
+    {"digest_interval_s": float("nan")},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):

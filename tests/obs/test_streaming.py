@@ -8,6 +8,7 @@ sorting on the fixed-width span id.  And because the sink is plain file
 I/O outside the kernel, the simulation itself stays bit-identical.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -155,7 +156,8 @@ def test_ext_scale_decisions_identical_under_full_flight_recorder(
     the same scheduling decisions, event for event, as a bare run."""
     from repro.obs import Heartbeat
 
-    scenario = ext_scale_scenario(10, 50, seed=42, horizon_s=24 * 3600.0)
+    scenario = dataclasses.replace(ext_scale_scenario(10, 50, seed=42),
+                                   horizon_s=24 * 3600.0)
     bare = run_scenario(scenario)
 
     sink = JsonlSpanSink(tmp_path / "spans.jsonl")

@@ -121,8 +121,7 @@ def test_grid_streams_follow_the_literal_formulas(seed, monkeypatch):
         raise AssertionError("grid build fell back to a per-name derivation")
 
     monkeypatch.setattr(np.random, "SeedSequence", per_name)
-    grid = make_grid3(Environment(), RngStreams(seed), sites,
-                      background=False)
+    grid = make_grid3(Environment(), RngStreams(seed), sites)
     monkeypatch.undo()
     for spec in sites:
         site_seed = literal_spawn_seed(seed, f"site-{spec.name}")
@@ -131,4 +130,4 @@ def test_grid_streams_follow_the_literal_formulas(seed, monkeypatch):
         bg_seed = literal_spawn_seed(seed, f"bg-{spec.name}")
         phase = literal_stream(bg_seed, f"background-{spec.name}").uniform(
             0.0, 2.0 * math.pi)
-        assert grid.background(spec.name)._phase_offset == phase
+        assert grid._background[spec.name]._phase_offset == phase

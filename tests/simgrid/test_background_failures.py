@@ -18,6 +18,14 @@ def make_site(env, name="s", n_cpus=10, seed=0):
                     service_noise_sigma=0.0)
 
 
+def steady_load(env, rng, site, **kw):
+    """A stationary stream: 300 s jobs, no modulation, no surges (the
+    Grid3 calibration's defaults turn both on)."""
+    return BackgroundLoad(env, rng, site, **{
+        "mean_runtime_s": 300.0, "modulation_amplitude": 0.0,
+        "surge_interval_s": 0.0, **kw})
+
+
 class TestBackgroundLoad:
     def test_validation(self):
         env = Environment()
@@ -60,8 +68,8 @@ class TestBackgroundLoad:
     def test_generates_load(self):
         env = Environment()
         site = make_site(env, n_cpus=20)
-        bg = BackgroundLoad(env, RngStreams(1), site,
-                            target_utilization=0.5, mean_runtime_s=100.0)
+        bg = steady_load(env, RngStreams(1), site,
+                         target_utilization=0.5, mean_runtime_s=100.0)
         bg.start()
         env.run(until=2000.0)
         assert bg.submitted > 0
@@ -71,7 +79,7 @@ class TestBackgroundLoad:
     def test_zero_utilization_is_inert(self):
         env = Environment()
         site = make_site(env)
-        bg = BackgroundLoad(env, RngStreams(1), site, target_utilization=0.0)
+        bg = steady_load(env, RngStreams(1), site, target_utilization=0.0)
         bg.start()
         env.run(until=1000.0)
         assert bg.submitted == 0
@@ -79,7 +87,7 @@ class TestBackgroundLoad:
     def test_start_idempotent(self):
         env = Environment()
         site = make_site(env)
-        bg = BackgroundLoad(env, RngStreams(1), site, target_utilization=0.3)
+        bg = steady_load(env, RngStreams(1), site, target_utilization=0.3)
         bg.start()
         bg.start()
         env.run(until=500.0)
@@ -88,8 +96,8 @@ class TestBackgroundLoad:
     def test_survives_site_downtime(self):
         env = Environment()
         site = make_site(env)
-        bg = BackgroundLoad(env, RngStreams(1), site,
-                            target_utilization=0.5, mean_runtime_s=50.0)
+        bg = steady_load(env, RngStreams(1), site,
+                         target_utilization=0.5, mean_runtime_s=50.0)
         bg.start()
 
         def fault(env, site):
@@ -106,8 +114,8 @@ class TestBackgroundLoad:
         def run(seed):
             env = Environment()
             site = make_site(env, seed=seed)
-            bg = BackgroundLoad(env, RngStreams(seed), site,
-                                target_utilization=0.4)
+            bg = steady_load(env, RngStreams(seed), site,
+                             target_utilization=0.4)
             bg.start()
             env.run(until=1000.0)
             return bg.submitted
@@ -117,22 +125,22 @@ class TestBackgroundLoad:
     def test_surge_saturates_queue(self):
         env = Environment()
         site = make_site(env, n_cpus=10)
-        bg = BackgroundLoad(env, RngStreams(1), site,
-                            target_utilization=0.2,
-                            surge_interval_s=500.0,
-                            surge_jobs_factor=2.0,
-                            surge_runtime_s=5000.0)
+        bg = steady_load(env, RngStreams(1), site,
+                         target_utilization=0.2,
+                         surge_interval_s=500.0,
+                         surge_jobs_factor=2.0,
+                         surge_runtime_s=5000.0)
         bg.start()
         env.run(until=5000.0)
         assert bg.surges >= 1
         # A surge dumps 2x the CPU count at once: the queue backs up.
         assert site.queued_jobs + site.running_jobs > site.n_cpus
 
-    def test_surge_disabled_by_default(self):
+    def test_zero_surge_interval_disables_surges(self):
         env = Environment()
         site = make_site(env)
-        bg = BackgroundLoad(env, RngStreams(1), site,
-                            target_utilization=0.3)
+        bg = steady_load(env, RngStreams(1), site,
+                         target_utilization=0.3, surge_interval_s=0.0)
         bg.start()
         env.run(until=20_000.0)
         assert bg.surges == 0
@@ -229,12 +237,8 @@ class TestFailureInjector:
         inj = FailureInjector(env, {"s": make_site(env)})
         with pytest.raises(ValueError):
             inj.start_stochastic(RngStreams(0), mtbf_s=0)
-        with pytest.raises(KeyError):
-            inj.start_stochastic(RngStreams(0), site_names=["ghost"])
         with pytest.raises(ValueError):
-            inj.start_stochastic(
-                RngStreams(0), states=(SiteState.DOWN,), state_weights=(1.0, 2.0)
-            )
+            inj.start_stochastic(RngStreams(0), mttr_s=0)
 
 
 class TestEpochGuardedRestores:
@@ -282,8 +286,7 @@ class TestEpochGuardedRestores:
         env = Environment()
         site = make_site(env)
         inj = FailureInjector(env, {"s": site})
-        inj.start_stochastic(FixedRng(), states=(SiteState.DOWN,),
-                             state_weights=(1.0,))
+        inj.start_stochastic(FixedRng())  # choice 0: DOWN
         # Scripted BLACKHOLE lands mid-outage at t=100.
         inj.schedule_windows(
             [DowntimeWindow("s", 100.0, 500.0, state=SiteState.BLACKHOLE)]

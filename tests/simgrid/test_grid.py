@@ -1,5 +1,7 @@
 """Unit tests for the Grid container and Grid3 catalog."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.sim import Environment
@@ -32,7 +34,7 @@ def test_grid3_heterogeneous():
 
 def test_make_grid3_builds_all_sites():
     env = Environment()
-    grid = make_grid3(env, RngStreams(0), background=False)
+    grid = make_grid3(env, RngStreams(0))
     assert len(grid) == 15
     assert sum(grid.advertised_catalog.values()) > 2000
     assert "acdc" in grid
@@ -67,31 +69,31 @@ def test_batch_equals_site_by_site():
     for spec in specs:
         assert (batch.site(spec.name)._rng.random(4).tolist()
                 == single.site(spec.name)._rng.random(4).tolist())
-    assert ({n: batch.background(n)._phase_offset for n in batch._background}
-            == {n: single.background(n)._phase_offset
+    assert ({n: batch._background[n]._phase_offset for n in batch._background}
+            == {n: single._background[n]._phase_offset
                 for n in single._background})
     assert "idle" not in batch._background
 
 
 def test_iteration_in_catalog_order():
     env = Environment()
-    grid = make_grid3(env, RngStreams(0), background=False)
+    grid = make_grid3(env, RngStreams(0))
     assert [s.name for s in grid] == [s.name for s in GRID3_SITES]
     assert grid.site_names == tuple(s.name for s in GRID3_SITES)
 
 
 def test_network_uplinks_configured():
     env = Environment()
-    grid = make_grid3(env, RngStreams(0), background=False)
+    grid = make_grid3(env, RngStreams(0))
     # tier2-01 has a 60 MB/s uplink; nest has 5 -> path min is 5.
     assert grid.network.bandwidth_mbps("tier2-01", "nest") == 5.0
 
 
 def test_background_generates_competing_load():
     env = Environment()
-    grid = make_grid3(env, RngStreams(1), background=True)
+    grid = make_grid3(env, RngStreams(1))
     env.run(until=2000.0)
-    total_bg = sum(grid.background(n).submitted for n in grid.site_names)
+    total_bg = sum(grid._background[n].submitted for n in grid.site_names)
     assert total_bg > 50
 
 
@@ -100,18 +102,16 @@ def test_background_override():
     grid = make_grid3(
         env,
         RngStreams(1),
-        background=True,
-        background_overrides={"acdc": 0.0},
+        sites=[replace(s, background_utilization=0.0) if s.name == "acdc"
+               else s for s in GRID3_SITES],
     )
     env.run(until=2000.0)
-    with pytest.raises(KeyError):
-        grid.background("acdc")  # override 0.0 -> no generator at all
+    assert "acdc" not in grid._background  # 0.0 -> no generator at all
 
 
 def test_subset_of_sites():
     env = Environment()
-    grid = make_grid3(env, RngStreams(0), sites=GRID3_SITES[:3],
-                      background=False)
+    grid = make_grid3(env, RngStreams(0), sites=GRID3_SITES[:3])
     assert len(grid) == 3
 
 

@@ -15,9 +15,20 @@ same callers (``src/``, ``examples/``, ``benchmarks/``):
   (or of a name in :data:`CALL_ALIASES` that builds it), or as a
   keyword of ``dataclasses.replace`` for a dataclass field.  A dict
   key ``"x"`` (a literal, ``d["x"] = ...``, or a keyword of
-  ``dict(...)``) still counts by name, because it is bound for a
-  ``**`` call the scan does not follow.  A knob only tests turn keeps
-  a code path alive for its tests alone.
+  ``dict(...)``) counts by name for a class or def some caller calls
+  with ``**``, because it may be bound for that call, which the scan
+  does not follow.  A knob only tests turn keeps a code path alive for its
+  tests alone.
+* **(b′) functions too.**  A defaulted parameter of a public
+  module-level function or of a public method of a public class is a
+  setting as well, set by a call of that name.
+* **(b″) pass-throughs follow their source.**  A keyword whose value is
+  a defaulted parameter of the enclosing def, unchanged there, sets
+  only what that parameter is set to, followed transitively: a default
+  handed down a chain of builders is still a default.
+* **(c) one literal is a constant.**  A setting that every caller
+  passes, each as the same literal (``6 * 3600.0`` included), with no
+  caller left on the default, is that constant.
 
 What may stay anyway is allowlisted below, each entry with one reason
 from :data:`REASONS` and the evidence for it: the test file that reads
@@ -26,6 +37,9 @@ name the model parameter.
 """
 
 import ast
+from typing import NamedTuple, Optional
+
+import pytest
 
 from tests.test_public_names_have_callers import CALLER_DIRS, ROOT
 
@@ -77,6 +91,30 @@ UNSET_ALLOWED = {
     "WorkloadSpec.runtime_cv": (MODEL, "~1 min compute"),
     "WorkloadSpec.output_size_sigma": (MODEL, "sized outputs"),
     "WorkloadGenerator.p_internal": (MODEL, "random-structure DAGs"),
+    # the integration stacks pace retries at 1-2 s so a drill fits a
+    # short horizon; every run outside the tests keeps the 5 s default
+    "ServerConfig.tick_s": (SEAM, "tests/integration/stack.py"),
+    "Heartbeat.clock": (SEAM, "tests/obs/test_runtime.py"),
+    # the CLI's entry point; ``python -m repro`` passes sys.argv
+    "main.argv": (SEAM, "tests/experiments/test_cli.py"),
+    # the Grid3 calibration's defaults; the unit tests hold a
+    # stationary stream and sweep surges and modulation
+    **{f"BackgroundLoad.{name}": (MODEL, "background (competing) load")
+       for name in ("mean_runtime_s", "modulation_amplitude",
+                    "modulation_period_s", "surge_interval_s",
+                    "surge_jobs_factor", "surge_runtime_s")},
+    # a federated run on a synthetic catalog (the eviction topology
+    # golden) rebuilds the scenario with these
+    "FederationScenario.sites": (MODEL, "Grid3-like site catalog"),
+    "FederationScenario.background_batch_s":
+        (MODEL, "background (competing) load"),
+    "FederationScenario.monitoring_interval_s":
+        (MODEL, "configurable staleness and noise"),
+    "RpcBus.register.allowed_proxies": (MODEL, "token-based auth"),
+    "RpcBus.register.allowed_vos": (MODEL, "token-based auth"),
+    # the kernel tests tell timers apart by the value they fire with
+    "Environment.timeout.value": (ORACLE, "tests/sim/test_run_hooks.py"),
+    "Environment.timeout_at.value": (ORACLE, "tests/sim/test_timeout_at.py"),
 }
 
 #: callees that construct a class they do not name -> the base class
@@ -94,9 +132,9 @@ CARRIED = {"ServerSpec": "ServerConfig"}
 STATE_HOLDERS = {"Reservation", "SiteJob", "TrackerStats"}
 
 
-def _trees(dirs):
+def _trees(dirs, root=ROOT):
     for d in dirs:
-        for path in sorted((ROOT / d).rglob("*.py")):
+        for path in sorted((root / d).rglob("*.py")):
             yield path, ast.parse(path.read_text())
 
 
@@ -121,10 +159,10 @@ def _family(base: str, children: dict[str, set[str]]) -> set[str]:
     return family
 
 
-def _aliases() -> dict[str, set[str]]:
+def _aliases(root=ROOT) -> dict[str, set[str]]:
     """:data:`CALL_ALIASES` with each base class expanded to its family."""
     children = {}
-    for _path, tree in _trees(("src",)):
+    for _path, tree in _trees(("src",), root):
         for cls in ast.walk(tree):
             if isinstance(cls, ast.ClassDef):
                 for base in cls.bases:
@@ -135,17 +173,101 @@ def _aliases() -> dict[str, set[str]]:
             for callee, base in CALL_ALIASES.items()}
 
 
-def caller_usage():
-    """(names read, dict keys, class name -> keywords passed to it,
-    class name -> most positional args).
+_DEF = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-    A keyword counts only for the class the call constructs; a dict key
-    counts by name, because it is bound for a ``**`` call the scan does
-    not follow.  ``dataclasses.replace(obj, x=...)`` files ``x`` under
-    ``"replace"``: it sets a field of whichever dataclass ``obj`` is."""
-    aliases = _aliases()
-    read, keys, passed, positional = set(), set(), {}, {}
-    for _path, tree in _trees(CALLER_DIRS):
+
+def _owner(fn, cls) -> str:
+    """The name callers reach ``fn``'s parameters by: the class for an
+    ``__init__``, else the def's own name."""
+    return cls if fn.name == "__init__" and cls else fn.name
+
+
+def _defaulted(fn, method: bool) -> dict[str, Optional[int]]:
+    """Defaulted parameter -> its position as a caller counts it (after
+    ``self``), or None for a keyword-only one."""
+    args = fn.args.posonlyargs + fn.args.args
+    skip = int(method and not any(getattr(d, "id", None) == "staticmethod"
+                                  for d in fn.decorator_list))
+    first = len(args) - len(fn.args.defaults)
+    out = {a.arg: i - skip for i, a in enumerate(args) if i >= first}
+    out.update((a.arg, None) for a, d in zip(fn.args.kwonlyargs,
+                                             fn.args.kw_defaults)
+               if d is not None)
+    return out
+
+
+class _Call(NamedTuple):
+    """One call in the callers, as the settings scan reads it."""
+
+    #: setting owners it may set: class names, or a def's name
+    targets: frozenset
+    #: keyword -> value node
+    words: dict
+    #: positional value nodes, up to the first ``*args``
+    args: list
+    #: a ``**kwargs`` binds keywords the scan cannot see
+    splat: bool
+    #: keyword -> (owner, parameter, position) of the enclosing def's
+    #: defaulted parameter the keyword passes on unchanged
+    through: dict
+
+
+def _calls(tree, aliases):
+    """Every call with a nameable callee, with its pass-throughs."""
+    out = []
+
+    def through(fn, method, value):
+        if fn is None or not isinstance(value, ast.Name):
+            return None
+        params = _defaulted(fn[1], method)
+        name = value.id
+        if name not in params or any(
+                isinstance(n, ast.Name) and n.id == name
+                and isinstance(n.ctx, ast.Store) for n in ast.walk(fn[1])):
+            return None  # not a parameter, or rebound before the call
+        return fn[0], name, params[name]
+
+    def visit(node, cls, fn, method):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, fn, False)
+                continue
+            if isinstance(child, _DEF):
+                in_class = isinstance(node, ast.ClassDef)
+                visit(child, cls, (_owner(child, cls if in_class else None),
+                                   child), in_class)
+                continue
+            if isinstance(child, ast.Call) and _callee(child):
+                name = _callee(child)
+                args = []
+                for a in child.args:
+                    if isinstance(a, ast.Starred):
+                        break
+                    args.append(a)
+                words = {k.arg: k.value for k in child.keywords if k.arg}
+                out.append(_Call(
+                    frozenset(aliases.get(name, {name})), words, args,
+                    len(words) < len(child.keywords),
+                    {w: t for w, v in words.items()
+                     if (t := through(fn, method, v)) is not None}))
+            visit(child, cls, fn, method)
+
+    visit(tree, None, None, False)
+    return out
+
+
+def caller_usage(root=ROOT):
+    """(names read, dict keys, calls).
+
+    A keyword counts only for the class or def the call reaches; a dict
+    key counts by name, because it is bound for a ``**`` call the scan
+    does not follow.  ``dataclasses.replace(obj, x=...)`` files ``x``
+    under ``"replace"``: it sets a field of whichever dataclass ``obj``
+    is."""
+    aliases = _aliases(root)
+    read, keys, calls = set(), set(), []
+    for _path, tree in _trees(CALLER_DIRS, root):
+        calls += _calls(tree, aliases)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx,
                                                                ast.Load):
@@ -167,24 +289,15 @@ def caller_usage():
                           for n in ast.walk(node))):
                 # for field in ("a", "b"): overrides[field] = ...
                 keys.update(e.value for e in node.iter.elts if _str(e))
-            elif isinstance(node, ast.Call) and _callee(node):
-                name = _callee(node)
-                words = {k.arg for k in node.keywords if k.arg}
-                if name == "dict":
-                    keys |= words
-                    continue
-                n = sum(not isinstance(a, ast.Starred) for a in node.args)
-                for cls in aliases.get(name, {name}):
-                    passed.setdefault(cls, set()).update(words)
-                    positional[cls] = max(positional.get(cls, 0), n)
-    for src, dst in CARRIED.items():
-        passed.setdefault(dst, set()).update(passed.get(src, ()))
-    return read, keys, passed, positional
+            elif isinstance(node, ast.Call) and _callee(node) == "dict":
+                keys.update(k.arg for k in node.keywords if k.arg)
+    calls = [c for c in calls if "dict" not in c.targets]
+    return read, keys, calls
 
 
-def stored_attributes():
+def stored_attributes(root=ROOT):
     """(``Class.attr``, ``path:line``) of every ``self.attr`` store."""
-    for path, tree in _trees(("src",)):
+    for path, tree in _trees(("src",), root):
         for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
@@ -202,7 +315,7 @@ def stored_attributes():
                                 and t.value.id == "self"
                                 and not t.attr.startswith("__")):
                             yield (f"{cls.name}.{t.attr}",
-                                   f"{path.relative_to(ROOT)}:{t.lineno}")
+                                   f"{path.relative_to(root)}:{t.lineno}")
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
@@ -214,61 +327,163 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
     return False
 
 
-def settings():
-    """(``Class.name``, position, ``path:line``, is a dataclass field)
-    of every defaulted dataclass field and ``__init__`` parameter of a
+class Setting(NamedTuple):
+    qual: str
+    #: the class or def name callers reach it by
+    owner: str
+    name: str
+    #: position as a caller counts it, None for keyword-only
+    index: Optional[int]
+    where: str
+    is_field: bool
+
+
+def settings(root=ROOT):
+    """Every defaulted dataclass field and ``__init__`` parameter of a
     public class."""
-    for path, tree in _trees(("src",)):
+    for path, tree in _trees(("src",), root):
         for cls in tree.body:
             if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
                 continue
-            where = f"{path.relative_to(ROOT)}"
+            where = f"{path.relative_to(root)}"
             if _is_dataclass(cls):
                 fields = [s for s in cls.body if isinstance(s, ast.AnnAssign)
                           and isinstance(s.target, ast.Name)
                           and "ClassVar" not in ast.unparse(s.annotation)]
                 for i, s in enumerate(fields):
                     if s.value is not None:
-                        yield f"{cls.name}.{s.target.id}", i, \
-                            f"{where}:{s.lineno}", True
+                        yield Setting(f"{cls.name}.{s.target.id}", cls.name,
+                                      s.target.id, i, f"{where}:{s.lineno}",
+                                      True)
             for member in cls.body:
-                if not (isinstance(member, ast.FunctionDef)
-                        and member.name == "__init__"):
-                    continue
-                params = member.args.args[1:]
-                first = len(params) - len(member.args.defaults)
-                for i, a in enumerate(params[first:], first):
-                    yield f"{cls.name}.{a.arg}", i, \
-                        f"{where}:{a.lineno}", False
-                for a, d in zip(member.args.kwonlyargs,
-                                member.args.kw_defaults):
-                    if d is not None:
-                        yield f"{cls.name}.{a.arg}", None, \
-                            f"{where}:{a.lineno}", False
+                if isinstance(member, _DEF) and member.name == "__init__":
+                    for name, i in _defaulted(member, True).items():
+                        yield Setting(f"{cls.name}.{name}", cls.name, name,
+                                      i, f"{where}:{member.lineno}", False)
 
 
-def unread_attributes():
-    read = caller_usage()[0]
+def function_settings(root=ROOT):
+    """Every defaulted parameter of a public module-level function and
+    of a public method of a public class (rule b′)."""
+    for path, tree in _trees(("src",), root):
+        where = f"{path.relative_to(root)}"
+        defs = [(None, fn) for fn in tree.body if isinstance(fn, _DEF)]
+        for cls in tree.body:
+            if (isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+                    and cls.name not in STATE_HOLDERS):
+                defs += [(cls.name, fn) for fn in cls.body
+                         if isinstance(fn, _DEF)]
+        for cls, fn in defs:
+            if fn.name.startswith("_"):
+                continue
+            prefix = f"{cls}.{fn.name}" if cls else fn.name
+            for name, i in _defaulted(fn, cls is not None).items():
+                yield Setting(f"{prefix}.{name}", fn.name, name, i,
+                              f"{where}:{fn.lineno}", False)
+
+
+def _set_words(keys, calls):
+    """owner -> parameters some caller sets, following pass-throughs
+    (rule b″): a keyword whose value is the enclosing def's defaulted
+    parameter, unchanged, sets only what that parameter is set to."""
+    passed, positional, splatted = {}, {}, set()
+    for call in calls:
+        for owner in call.targets:
+            positional[owner] = max(positional.get(owner, 0), len(call.args))
+        if call.splat:
+            splatted |= call.targets
+    splatted |= {dst for src, dst in CARRIED.items() if src in splatted}
+
+    def is_set(owner, name, index):
+        return ((name in keys and owner in splatted)
+                or name in passed.get(owner, ())
+                or any(name in passed.get(src, ())
+                       for src, dst in CARRIED.items() if dst == owner)
+                or (index is not None and positional.get(owner, 0) > index))
+
+    pending = []
+    for call in calls:
+        for word in call.words:
+            if word in call.through:
+                pending.append((call.targets, word, call.through[word]))
+            else:
+                for owner in call.targets:
+                    passed.setdefault(owner, set()).add(word)
+    changed = True
+    while changed:
+        changed = False
+        for targets, word, source in pending:
+            if is_set(*source) and any(
+                    word not in passed.get(t, ()) for t in targets):
+                for owner in targets:
+                    passed.setdefault(owner, set()).add(word)
+                changed = True
+    return is_set
+
+
+_LITERAL = (ast.Constant, ast.BinOp, ast.UnaryOp, ast.Tuple, ast.List,
+            ast.operator, ast.unaryop, ast.Load)
+
+
+def _literal(node) -> Optional[str]:
+    """The repr of a literal expression (``6 * 3600.0`` included), or
+    None for anything else."""
+    if all(isinstance(n, _LITERAL) for n in ast.walk(node)):
+        return repr(eval(compile(ast.Expression(node), "<lit>", "eval")))
+    return None
+
+
+def _one_literal(setting, keys, calls) -> bool:
+    """Rule (c): every caller passes ``setting`` as one and the same
+    literal, and none relies on the default."""
+    if setting.name in keys:
+        return False
+    values = set()
+    for call in calls:
+        if setting.owner not in call.targets and not (
+                setting.is_field and "replace" in call.targets
+                and setting.name in call.words):
+            continue
+        if setting.name in call.words:
+            value = call.words[setting.name]
+        elif setting.index is not None and setting.index < len(call.args):
+            value = call.args[setting.index]
+        else:
+            return False  # the default, or what a ** binds
+        values.add(_literal(value))
+    return len(values) == 1 and None not in values
+
+
+def settable(found) -> list[Setting]:
+    """The settings of ``found`` that count: not ``_``-named, and not
+    the initial state of a :data:`STATE_HOLDERS` class.  CI ratchets
+    ``len(settable(settings()))``."""
+    return [s for s in found
+            if not s.name.startswith("_") and s.owner not in STATE_HOLDERS]
+
+
+def unset_settings(root=ROOT):
+    """(``qual``, ``path:line``, why) of every setting no caller outside
+    the tests sets (rules b, b′, b″), and of every setting each such
+    caller passes as the same literal (rule c)."""
+    _read, keys, calls = caller_usage(root)
+    is_set = _set_words(keys, calls)
+    out = []
+    for s in settable([*settings(root), *function_settings(root)]):
+        if not (is_set(s.owner, s.name, s.index) or (
+                s.is_field and is_set("replace", s.name, None))):
+            out.append((s.qual, s.where, "unset"))
+        elif _one_literal(s, keys, calls):
+            out.append((s.qual, s.where, "one literal"))
+    return out
+
+
+def unread_attributes(root=ROOT):
+    read = caller_usage(root)[0]
     return sorted({
-        (qual, where) for qual, where in stored_attributes()
+        (qual, where) for qual, where in stored_attributes(root)
         if qual.split(".", 1)[1] not in read
     })
-
-
-def unset_settings():
-    _read, keys, passed, positional = caller_usage()
-    out = []
-    for qual, index, where, is_field in settings():
-        cls, name = qual.split(".", 1)
-        if name.startswith("_") or cls in STATE_HOLDERS or name in keys:
-            continue
-        if name in passed.get(cls, ()) or (
-                is_field and name in passed.get("replace", ())):
-            continue
-        if index is not None and positional.get(cls, 0) > index:
-            continue
-        out.append((qual, where))
-    return out
 
 
 def _check_allowlist(allowed: dict, found: set[str]) -> list[str]:
@@ -276,7 +491,7 @@ def _check_allowlist(allowed: dict, found: set[str]) -> list[str]:
     design = (ROOT / "DESIGN.md").read_text()
     section1 = design[design.index("## 1."):design.index("## 2.")]
     for qual, (reason, evidence) in allowed.items():
-        name = qual.split(".", 1)[1]
+        name = qual.rsplit(".", 1)[1]
         if reason not in REASONS:
             problems.append(f"{qual}: {reason!r} is not one of REASONS")
         elif reason == MODEL:
@@ -303,11 +518,68 @@ def test_every_stored_attribute_has_a_reader_outside_tests():
 
 def test_every_setting_has_a_caller_that_sets_it_outside_tests():
     unset = unset_settings()
-    stray = [f"{where} {qual}" for qual, where in unset
+    stray = [f"{where} {qual} ({why})" for qual, where, why in unset
              if qual not in UNSET_ALLOWED]
     assert not stray, (
-        "settings that only tests set (make them constants, give them a "
-        "caller in src/, examples/ or benchmarks/, or allowlist them "
-        "with a reason):\n  " + "\n  ".join(stray))
-    problems = _check_allowlist(UNSET_ALLOWED, {q for q, _ in unset})
+        "settings that only tests set, or that every caller outside "
+        "the tests passes as one literal (make them constants, give "
+        "them a caller in src/, examples/ or benchmarks/ that sets "
+        "another value, or allowlist them with a reason):\n  "
+        + "\n  ".join(stray))
+    problems = _check_allowlist(UNSET_ALLOWED, {q for q, _, _ in unset})
     assert not problems, "\n".join(problems)
+
+
+# -- the rules themselves, on fixture trees ----------------------------------
+
+def _tree(root, files: dict[str, str]):
+    for d in CALLER_DIRS:
+        (root / d).mkdir(parents=True, exist_ok=True)
+    for rel, text in files.items():
+        (root / rel).write_text(text)
+    return {qual for qual, _where, _why in unset_settings(root)}
+
+
+_DEFAULT_ONLY = "def build(n, scale=1.0):\n    return n * scale\n"
+
+_PASS_THROUGH = """\
+class Config:
+    def __init__(self, spill=None):
+        self.spill = spill
+
+
+def make_config(spill=None):
+    return Config(spill=spill)
+
+
+def scenario(n, spill=None):
+    return make_config(spill=spill)
+"""
+
+_ONE_LITERAL = """\
+class Load:
+    def __init__(self, rate=1.0):
+        self.rate = rate
+
+
+def grid():
+    return [Load(rate=2.0), Load(rate=2.0)]
+"""
+
+
+@pytest.mark.parametrize("module, caller, flagged, other", [
+    # (b') a public function's default no caller sets
+    (_DEFAULT_ONLY, "build(3)\n", {"build.scale"}, "build(3, scale=2.0)\n"),
+    # (b'') a default that only passes through, to a class keyword
+    (_PASS_THROUGH, "scenario(3)\n",
+     {"Config.spill", "make_config.spill", "scenario.spill"},
+     "scenario(3, spill=2)\n"),
+    # (c) every caller passes the one literal 2.0
+    (_ONE_LITERAL, "grid()\n", {"Load.rate"}, "Load(rate=3.0)\n"),
+], ids=("default-only", "pass-through", "one-literal"))
+def test_each_rule_flags_its_fixture_and_a_second_value_clears_it(
+        tmp_path, module, caller, flagged, other):
+    files = {"src/mod.py": module, "examples/use.py": caller}
+    assert _tree(tmp_path / "one", files) == flagged
+    files["benchmarks/other.py"] = other
+    assert _tree(tmp_path / "two", files) == set()
