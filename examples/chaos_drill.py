@@ -30,10 +30,7 @@ def main():
     plan = ChaosPlan(
         name="crash-under-partition",
         seed=11,
-        rules=(
-            FaultRule(drop_p=0.10,
-                      delay_p=0.10, max_extra_delay_s=3.0),
-        ),
+        rule=FaultRule(drop_p=0.10, delay_p=0.10, max_extra_delay_s=3.0),
         # Clients cannot reach the server for [1200 s, 1600 s)...
         partitions=(
             PartitionWindow(service="sphinx-server-*",

@@ -1,7 +1,7 @@
 """A fault-injecting RPC bus.
 
 :class:`ChaoticBus` subclasses :class:`~repro.services.rpc.RpcBus` and
-perturbs calls per the plan's :class:`~repro.chaos.plan.FaultRule`s and
+perturbs calls per the plan's :class:`~repro.chaos.plan.FaultRule` and
 partition windows:
 
 * **drop (request leg)** — the handler never runs; the caller faults
@@ -54,7 +54,9 @@ class ChaoticBus(RpcBus):
         super().__init__(env, obs=obs)
         self.plan = plan
         self._rngs = RngStreams(plan.seed)
-        self._rule_cache: dict[str, FaultRule | None] = {}
+        rule = plan.rule
+        self._rule: FaultRule | None = (
+            rule if rule is not None and rule.active else None)
         #: injected faults [(time, service, method, kind)], in injection
         #: order — the deterministic fault schedule.
         self.fault_log: list[tuple[float, str, str, str]] = []
@@ -69,22 +71,14 @@ class ChaoticBus(RpcBus):
     def _stream(self, service: str, method: str):
         return self._rngs.stream(f"chaos:{service}.{method}")
 
-    def _rule(self, service: str) -> FaultRule | None:
-        try:
-            return self._rule_cache[service]
-        except KeyError:
-            rule = self.plan.rule_for(service)
-            self._rule_cache[service] = rule
-            return rule
-
     # -- the perturbed call path -----------------------------------------
     def call(self, proxy: str, service: str, method: str, *args: Any,
              **kwargs: Any) -> Event:
         if self.plan.in_partition(service, self.env.now):
             self._note(service, method, "partition")
             return self._fault_after(service, "partitioned")
-        rule = self._rule(service)
-        if rule is None:
+        rule = self._rule
+        if rule is None or not rule.matches(service):
             return super().call(proxy, service, method, *args, **kwargs)
         rng = self._stream(service, method)
         u = float(rng.random())

@@ -3,8 +3,9 @@
 A :class:`ChaosPlan` is the single input to a chaos run.  It describes
 faults on three layers:
 
-* **transport** — per-service message fault rules (drop,
-  duplicate, delay-jitter) and scripted partition windows, executed by
+* **transport** — one message fault rule over every SPHINX service
+  (drop, duplicate, delay-jitter) and scripted partition windows,
+  executed by
   :class:`repro.chaos.bus.ChaoticBus`;
 * **component** — scripted crash/restart drills for
   servers and clients, executed by
@@ -140,7 +141,8 @@ class ChaosPlan:
 
     name: str = "custom"
     seed: int = 0
-    rules: tuple[FaultRule, ...] = ()
+    #: message faults on every SPHINX service (None = calls pass clean)
+    rule: Optional[FaultRule] = None
     partitions: tuple[PartitionWindow, ...] = ()
     crashes: tuple[CrashSpec, ...] = ()
     #: extra scripted site faults (resource layer)
@@ -166,7 +168,8 @@ class ChaosPlan:
     # -- classification ---------------------------------------------------
     @property
     def transport_active(self) -> bool:
-        return bool(self.partitions) or any(r.active for r in self.rules)
+        return bool(self.partitions) or (
+            self.rule is not None and self.rule.active)
 
     @property
     def eviction_active(self) -> bool:
@@ -180,13 +183,6 @@ class ChaosPlan:
         return (self.transport_active or bool(self.crashes)
                 or bool(self.site_windows) or self.site_mtbf_s is not None
                 or self.eviction_active)
-
-    def rule_for(self, service: str) -> Optional[FaultRule]:
-        """First matching active rule (None = calls pass clean)."""
-        for rule in self.rules:
-            if rule.active and rule.matches(service):
-                return rule
-        return None
 
     def in_partition(self, service: str, now: float) -> bool:
         return any(p.covers(service, now) for p in self.partitions)
@@ -213,10 +209,8 @@ def _lossy(seed: int) -> ChaosPlan:
     return ChaosPlan(
         name="lossy",
         seed=seed,
-        rules=(
-            FaultRule(drop_p=0.15, dup_p=0.05,
-                      delay_p=0.20, max_extra_delay_s=5.0),
-        ),
+        rule=FaultRule(drop_p=0.15, dup_p=0.05,
+                       delay_p=0.20, max_extra_delay_s=5.0),
     )
 
 
@@ -225,10 +219,7 @@ def _partition(seed: int) -> ChaosPlan:
     return ChaosPlan(
         name="partition",
         seed=seed,
-        rules=(
-            FaultRule(drop_p=0.05,
-                      delay_p=0.10, max_extra_delay_s=2.0),
-        ),
+        rule=FaultRule(drop_p=0.05, delay_p=0.10, max_extra_delay_s=2.0),
         partitions=(
             PartitionWindow(service="sphinx-server-*",
                             start_s=900.0, end_s=1500.0),
@@ -253,10 +244,8 @@ def _full(seed: int) -> ChaosPlan:
     return ChaosPlan(
         name="full",
         seed=seed,
-        rules=(
-            FaultRule(drop_p=0.10, dup_p=0.05,
-                      delay_p=0.15, max_extra_delay_s=4.0),
-        ),
+        rule=FaultRule(drop_p=0.10, dup_p=0.05,
+                       delay_p=0.15, max_extra_delay_s=4.0),
         partitions=(
             PartitionWindow(service="sphinx-server-*",
                             start_s=2400.0, end_s=2900.0),
@@ -379,13 +368,11 @@ def random_plan(seed: int, horizon_s: float = 6 * 3600.0) -> ChaosPlan:
     from repro.sim.rng import RngStreams
 
     rng = RngStreams(seed).stream("chaos-plan")
-    rules = (
-        FaultRule(
-            drop_p=round(float(rng.uniform(0.0, 0.20)), 3),
-            dup_p=round(float(rng.uniform(0.0, 0.10)), 3),
-            delay_p=round(float(rng.uniform(0.0, 0.25)), 3),
-            max_extra_delay_s=round(float(rng.uniform(0.5, 8.0)), 2),
-        ),
+    rule = FaultRule(
+        drop_p=round(float(rng.uniform(0.0, 0.20)), 3),
+        dup_p=round(float(rng.uniform(0.0, 0.10)), 3),
+        delay_p=round(float(rng.uniform(0.0, 0.25)), 3),
+        max_extra_delay_s=round(float(rng.uniform(0.5, 8.0)), 2),
     )
     partitions = ()
     if rng.random() < 0.5:
@@ -409,7 +396,7 @@ def random_plan(seed: int, horizon_s: float = 6 * 3600.0) -> ChaosPlan:
     return ChaosPlan(
         name=f"random-{seed}",
         seed=seed,
-        rules=rules,
+        rule=rule,
         partitions=partitions,
         crashes=crashes,
     )

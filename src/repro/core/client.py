@@ -33,11 +33,12 @@ from typing import Optional
 
 from repro.core.serialize import dag_to_payload
 from repro.core.tracker import JobTracker
-from repro.services.condorg import CondorG, GridJobStatus
+from repro.services.condorg import CondorG
 from repro.services.gridftp import GridFtpService, TransferError
 from repro.services.rls import ReplicaService
 from repro.services.rpc import RpcBus, RpcFault
 from repro.sim.engine import Environment, Interrupt
+from repro.simgrid.local_scheduler import SiteJob, SiteJobStatus
 from repro.simgrid.vo import User
 from repro.workflow.dag import Dag
 
@@ -102,11 +103,11 @@ class SphinxClient:
         #: in-flight work.
         self._inflight: dict[tuple[str, int], object] = {}
         #: job_id -> attempt currently executing, and job_id -> the
-        #: Condor-G handle once that attempt is submitted — the lookup
-        #: an "evict" message (server-driven migration off a draining
-        #: site) uses to kill the right attempt.
+        #: grid job Condor-G returned once that attempt is submitted —
+        #: the lookup an "evict" message (server-driven migration off a
+        #: draining site) uses to kill the right attempt.
         self._live_attempts: dict[str, int] = {}
-        self._live_handles: dict[str, object] = {}
+        self._live_jobs: dict[str, SiteJob] = {}
         #: (job_id, attempt) pairs evicted before their submission went
         #: out; the plan execution cancels itself instead of submitting.
         self._evict_requested: set[tuple[str, int]] = set()
@@ -228,11 +229,11 @@ class SphinxClient:
         """
         if self._live_attempts.get(job_id) != attempt:
             return  # stale notice for a finished or superseded attempt
-        handle = self._live_handles.get(job_id)
-        if handle is None:
+        job = self._live_jobs.get(job_id)
+        if job is None:
             self._evict_requested.add((job_id, attempt))
-        elif not handle.status.terminal:
-            self.condorg.cancel(handle.job_id)
+        elif not job.status.terminal:
+            self.condorg.cancel(job.job_id)
 
     # -- crash drills ------------------------------------------------------------
     def crash(self) -> None:
@@ -254,7 +255,7 @@ class SphinxClient:
         self._inflight.clear()
         self._seen_plans.clear()
         self._live_attempts.clear()
-        self._live_handles.clear()
+        self._live_jobs.clear()
         self._evict_requested.clear()
 
     def restart(self) -> None:
@@ -287,7 +288,7 @@ class SphinxClient:
             # the attempt that owns an entry may retire it.
             if self._live_attempts.get(job_id) == attempt:
                 del self._live_attempts[job_id]
-                self._live_handles.pop(job_id, None)
+                self._live_jobs.pop(job_id, None)
             self._evict_requested.discard((job_id, attempt))
             self._inflight.pop((job_id, attempt), None)
 
@@ -324,47 +325,47 @@ class SphinxClient:
                                              reason="evicted")
             return
         grid_id = f"{self.client_id}.{next(self._grid_ids)}.{job_id}"
-        handle = self.condorg.submit(
+        job = self.condorg.submit(
             grid_id,
             site,
             runtime_s=plan["runtime_s"],
             owner=self.user.proxy,
             reservation_id=plan.get("reservation_id"),
-            scheduler=plan["server"],
             checkpoint_interval_s=plan.get("checkpoint_interval_s", 0.0),
             checkpoint_cost_s=plan.get("checkpoint_cost_s", 0.0),
         )
-        self._live_handles[job_id] = handle
+        self._live_jobs[job_id] = job
         # Relay the RUNNING transition to the server (fire-and-forget);
         # eq. 1's "unfinished_jobs" counter is fed by these reports.
-        handle.on_status_change(
-            lambda _h, status: (
+        job.on_status_change(
+            lambda _j, _old, new: (
                 self._report(plan, "running")
-                if status is GridJobStatus.RUNNING and not self.crashed
+                if new is SiteJobStatus.RUNNING and not self.crashed
                 else None
             )
         )
 
         # 3. Track to a terminal state or timeout, inline: a Process
         # wrapper would only add a settle event per attempt.
-        result = yield from self.tracker.track(
-            handle, plan["timeout_s"], started_at=started_at
+        reason = yield from self.tracker.track(
+            job, site, plan["timeout_s"], started_at
         )
 
-        if result.outcome == "completed":
+        if reason is None:
+            completion_time_s = self.env.now - started_at
             # 4. Outputs materialize at the execution site.
             exec_site = self.gridftp.grid.site(site)
             for f in plan["outputs"]:
                 exec_site.store_file(f["lfn"], f["size_mb"])
                 self.rls.register_replica(f["lfn"], site, f["size_mb"])
             yield from self._report_reliably(
-                plan, "completed", completion_time_s=result.completion_time_s,
+                plan, "completed", completion_time_s=completion_time_s,
             )
         else:
             yield from self._report_reliably(
-                plan, "cancelled", reason=result.reason,
-                checkpointed_fraction=result.checkpointed_fraction,
-                lost_work_s=result.lost_work_s,
+                plan, "cancelled", reason=reason,
+                checkpointed_fraction=job.checkpointed_fraction,
+                lost_work_s=job.lost_work_s,
             )
 
     def _stage_inputs(self, inputs: list, site: str,

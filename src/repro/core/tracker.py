@@ -17,32 +17,13 @@ the paper's Figure 8 counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro import obs as obs_mod
-from repro.services.condorg import CondorG, GridJobHandle, GridJobStatus
+from repro.services.condorg import CondorG
 from repro.sim.engine import Environment
+from repro.simgrid.local_scheduler import SiteJob, SiteJobStatus
 
-__all__ = ["JobTracker", "TrackingResult"]
-
-
-@dataclass(frozen=True, slots=True)
-class TrackingResult:
-    """Outcome of tracking one job attempt."""
-
-    job_id: str
-    site: str
-    outcome: str                # "completed" | "cancelled"
-    reason: Optional[str]       # None | "timeout" | "killed" | "failed"
-    completion_time_s: Optional[float]
-    idle_time_s: Optional[float]
-    execution_time_s: Optional[float]
-    #: fraction of the work preserved by the attempt's last checkpoint
-    #: (nonzero only for cancelled attempts of checkpointing jobs) and
-    #: the CPU-seconds the kill discarded — what the server needs to
-    #: resume the next attempt instead of restarting it from zero.
-    checkpointed_fraction: float = 0.0
-    lost_work_s: float = 0.0
+__all__ = ["JobTracker"]
 
 
 @dataclass
@@ -59,7 +40,8 @@ class TrackerStats:
 
 
 class JobTracker:
-    """Watches Condor-G handles, applies timeouts, collects timings."""
+    """Watches the grid jobs Condor-G hands back, applies timeouts,
+    collects timings."""
 
     def __init__(self, env: Environment, condorg: CondorG, obs=None):
         self.env = env
@@ -73,94 +55,68 @@ class JobTracker:
         self._m_completion = m.histogram("tracker.completion_time_s")
         self._m_idle = m.histogram("tracker.idle_time_s")
 
-    def track(self, handle: GridJobHandle, timeout_s: float,
-              started_at: Optional[float] = None):
-        """A generator resolving to a :class:`TrackingResult`.
+    def track(self, job: SiteJob, site: str, timeout_s: float,
+              started_at: float):
+        """A generator resolving to the cancel reason: None when ``job``
+        completed, else ``"timeout"``, ``"killed"`` or ``"failed"``.
 
-        ``started_at`` anchors the completion-time measurement; it
-        defaults to the handle's submission time, but the client passes
-        the moment planning began so staging is included — the paper's
-        completion times include input transfer.
+        ``started_at`` anchors the completion-time measurement; the
+        client passes the moment planning began so staging is included
+        — the paper's completion times include input transfer.
         """
-        if timeout_s <= 0:
-            raise ValueError("timeout must be > 0")
-        t0 = started_at if started_at is not None else handle.submitted_at
+        if not timeout_s > 0:  # <= 0 or NaN
+            raise ValueError(f"timeout must be > 0, got {timeout_s!r}")
 
-        if handle.status.terminal:
-            # Already resolved: no need to arm the timeout/AnyOf pair.
-            status = handle.status
-            if status is GridJobStatus.COMPLETED:
-                return self._completed(handle, t0)
-            return self._cancelled(handle, reason=status.value)
+        # An already resolved job (a FAILED submission) arms nothing.
+        if not job.status.terminal:
+            terminal = self.env.event()
 
-        terminal = self.env.event()
+            def _watch(_job: SiteJob, _old: SiteJobStatus,
+                       new: SiteJobStatus) -> None:
+                if new.terminal and not terminal.triggered:
+                    terminal.succeed()
 
-        def _watch(h: GridJobHandle, status: GridJobStatus) -> None:
-            if status.terminal and not terminal.triggered:
-                terminal.succeed(status)
+            job.on_status_change(_watch)
+            deadline = self.env.timeout(timeout_s)
+            yield self.env.any_of([terminal, deadline])
 
-        handle.on_status_change(_watch)
-
-        deadline = self.env.timeout(timeout_s)
-        yield self.env.any_of([terminal, deadline])
-
-        if terminal.triggered:  # prefer a real outcome over a same-instant timeout
+            if not terminal.triggered:
+                # Timeout: cancel remotely, report, request replanning.
+                # Drop our watcher first — cancellation triggers a
+                # synchronous KILLED transition that would otherwise
+                # settle the orphaned `terminal` event.
+                job.off_status_change(_watch)
+                self.condorg.cancel(job.job_id)
+                self.stats.timeouts += 1
+                self._m_timeouts.inc()
+                return self._cancelled(site, "timeout")
+            # A real outcome beats a same-instant timeout.
             if not deadline.processed:
-                # The job resolved first; the safety-net timer would sit
-                # in the heap until timeout_s — withdraw it.
+                # The safety-net timer would sit in the heap until
+                # timeout_s — withdraw it.
                 deadline.cancel()
-            status = terminal.value
-            if status is GridJobStatus.COMPLETED:
-                return self._completed(handle, t0)
-            return self._cancelled(handle, reason=status.value)
 
-        # Timeout: cancel remotely, report, request replanning.  Drop our
-        # watcher first — cancellation triggers a synchronous KILLED
-        # transition that would otherwise settle the orphaned `terminal`
-        # event, and the callback must not outlive this tracking attempt.
-        handle.off_status_change(_watch)
-        self.condorg.cancel(handle.job_id)
-        self.stats.timeouts += 1
-        self._m_timeouts.inc()
-        return self._cancelled(handle, reason="timeout")
+        if job.status is SiteJobStatus.COMPLETED:
+            self._completed(job, site, self.env.now - started_at)
+            return None
+        return self._cancelled(site, job.status.value)
 
     # -- internals ------------------------------------------------------------
-    def _completed(self, handle: GridJobHandle, t0: float) -> TrackingResult:
+    def _completed(self, job: SiteJob, site: str,
+                   completion_time_s: float) -> None:
         self.stats.completed += 1
         self._m_completed.inc()
-        self._m_completion.observe(self.env.now - t0)
-        tally = self.stats.by_site.setdefault(handle.site, [0, 0])
-        tally[0] += 1
-        self.stats.completion_times.append(self.env.now - t0)
-        if handle.idle_time_s is not None:
-            self.stats.idle_times.append(handle.idle_time_s)
-            self._m_idle.observe(handle.idle_time_s)
-        if handle.execution_time_s is not None:
-            self.stats.execution_times.append(handle.execution_time_s)
-        return TrackingResult(
-            job_id=handle.job_id,
-            site=handle.site,
-            outcome="completed",
-            reason=None,
-            completion_time_s=self.env.now - t0,
-            idle_time_s=handle.idle_time_s,
-            execution_time_s=handle.execution_time_s,
-        )
+        self._m_completion.observe(completion_time_s)
+        self.stats.by_site.setdefault(site, [0, 0])[0] += 1
+        self.stats.completion_times.append(completion_time_s)
+        if job.idle_time_s is not None:
+            self.stats.idle_times.append(job.idle_time_s)
+            self._m_idle.observe(job.idle_time_s)
+        if job.execution_time_s is not None:
+            self.stats.execution_times.append(job.execution_time_s)
 
-    def _cancelled(self, handle: GridJobHandle,
-                   reason: str) -> TrackingResult:
+    def _cancelled(self, site: str, reason: str) -> str:
         self.stats.cancelled += 1
         self._m_cancelled.inc()
-        tally = self.stats.by_site.setdefault(handle.site, [0, 0])
-        tally[1] += 1
-        return TrackingResult(
-            job_id=handle.job_id,
-            site=handle.site,
-            outcome="cancelled",
-            reason=reason,
-            completion_time_s=None,
-            idle_time_s=handle.idle_time_s,
-            execution_time_s=None,
-            checkpointed_fraction=handle.checkpointed_fraction,
-            lost_work_s=handle.lost_work_s,
-        )
+        self.stats.by_site.setdefault(site, [0, 0])[1] += 1
+        return reason

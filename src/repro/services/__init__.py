@@ -8,21 +8,20 @@ Reproductions of the services the paper's SPHINX deployment talked to:
 * :mod:`repro.services.gridftp` — GSI-FTP file transfers,
 * :mod:`repro.services.monitoring` — the monitoring system (query jobs
   against remote batch queues, with the staleness the paper laments),
-* :mod:`repro.services.condorg` — Condor-G/DAGMan grid job submission
-  with idle/running/killed/completed/failed states.
+* :mod:`repro.services.condorg` — Condor-G/DAGMan grid job submission;
+  it hands back the site's own job record, whose state is
+  pending/running/completed/killed/failed.
 """
 
 from repro.services.rpc import RpcBus, RpcFault
 from repro.services.rls import LocalReplicaCatalog, ReplicaLocationIndex, ReplicaService
 from repro.services.gridftp import GridFtpService, TransferError
 from repro.services.monitoring import MonitoringService, SiteSnapshot
-from repro.services.condorg import CondorG, GridJobHandle, GridJobStatus
+from repro.services.condorg import CondorG
 
 __all__ = [
     "CondorG",
     "GridFtpService",
-    "GridJobHandle",
-    "GridJobStatus",
     "LocalReplicaCatalog",
     "MonitoringService",
     "ReplicaLocationIndex",

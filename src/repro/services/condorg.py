@@ -5,18 +5,20 @@ description to Condor-G, which submits through the site's gatekeeper
 and reports grid-level job states back.  This module reproduces that
 contract:
 
-* :meth:`CondorG.submit` — submit a job to a named site; returns a
-  :class:`GridJobHandle` whose status moves through::
+* :meth:`CondorG.submit` — submit a job to a named site; returns the
+  site's own :class:`~repro.simgrid.local_scheduler.SiteJob`, whose
+  status moves through::
 
-      IDLE -> RUNNING -> COMPLETED
-        |        |
-        +--------+--> KILLED / FAILED
+      PENDING -> RUNNING -> COMPLETED
+         |          |
+         +----------+--> KILLED / FAILED
 
   ``FAILED`` covers submission-time failures (gatekeeper unreachable —
   the site is DOWN), which real Condor-G would surface as a held job
   after retries; we surface it promptly so the tracker can replan.
 * :meth:`CondorG.cancel` — condor_rm against the remote batch system.
-* status-change callbacks — what the SPHINX job tracker subscribes to.
+* the job's status-change callbacks — what the SPHINX job tracker
+  subscribes to.
 * the ``condor-g`` RPC service (when built with a bus): ``reserve`` /
   ``cancel_reservation`` let the *server* book advance-reservation
   windows at sites ahead of DAG-stage readiness — the proactive
@@ -25,122 +27,14 @@ contract:
 
 from __future__ import annotations
 
-import enum
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.sim.engine import Environment
 from repro.simgrid.grid import Grid
 from repro.simgrid.local_scheduler import SiteJob, SiteJobStatus
 from repro.simgrid.site import SiteUnavailableError
 
-__all__ = ["CondorG", "GridJobHandle", "GridJobStatus"]
-
-
-class GridJobStatus(enum.Enum):
-    """Grid-level job state, as Condor-G reports it."""
-
-    IDLE = "idle"            # submitted, waiting in the remote queue
-    RUNNING = "running"
-    COMPLETED = "completed"
-    KILLED = "killed"        # removed (site crash or condor_rm)
-    FAILED = "failed"        # never reached the remote queue
-
-    @property
-    def terminal(self) -> bool:
-        return self in (
-            GridJobStatus.COMPLETED,
-            GridJobStatus.KILLED,
-            GridJobStatus.FAILED,
-        )
-
-
-_SITE_TO_GRID = {
-    SiteJobStatus.PENDING: GridJobStatus.IDLE,
-    SiteJobStatus.RUNNING: GridJobStatus.RUNNING,
-    SiteJobStatus.COMPLETED: GridJobStatus.COMPLETED,
-    SiteJobStatus.KILLED: GridJobStatus.KILLED,
-}
-
-
-class GridJobHandle:
-    """What the submitter holds: status, timings, and change callbacks."""
-
-    def __init__(self, env: Environment, job_id: str, site: str,
-                 scheduler: Optional[str] = None):
-        self.env = env
-        self.job_id = job_id
-        self.site = site
-        #: service name of the SPHINX server whose plan drove this
-        #: submission (None for direct/legacy submitters)
-        self.scheduler = scheduler
-        self.status = GridJobStatus.IDLE
-        self.submitted_at = env.now
-        self.finished_at: Optional[float] = None
-        self._site_job: Optional[SiteJob] = None
-        self._watchers: list[Callable[["GridJobHandle", GridJobStatus], None]] = []
-
-    def on_status_change(
-        self, callback: Callable[["GridJobHandle", GridJobStatus], None]
-    ) -> None:
-        self._watchers.append(callback)
-
-    def off_status_change(
-        self, callback: Callable[["GridJobHandle", GridJobStatus], None]
-    ) -> None:
-        """Deregister a watcher; a no-op if it is not registered.
-
-        Trackers abandon a handle on timeout; without deregistration
-        the watcher list grows for the handle's lifetime and a late
-        terminal transition still settles the tracker's orphaned event.
-        """
-        try:
-            self._watchers.remove(callback)
-        except ValueError:
-            pass
-
-    # -- timing passthroughs -----------------------------------------------------
-    @property
-    def idle_time_s(self) -> Optional[float]:
-        return self._site_job.idle_time_s if self._site_job else None
-
-    @property
-    def checkpointed_fraction(self) -> float:
-        """Fraction of the job's work preserved by its last checkpoint
-        (0.0 unless the job checkpoints and was killed mid-run)."""
-        return self._site_job.checkpointed_fraction if self._site_job else 0.0
-
-    @property
-    def lost_work_s(self) -> float:
-        """CPU-seconds discarded when this attempt was killed (0.0 for
-        completed or never-started attempts)."""
-        return self._site_job.lost_work_s if self._site_job else 0.0
-
-    @property
-    def execution_time_s(self) -> Optional[float]:
-        return self._site_job.execution_time_s if self._site_job else None
-
-    @property
-    def completion_time_s(self) -> Optional[float]:
-        """Submission -> completion, as the SPHINX tracker measures it."""
-        if self.finished_at is None:
-            return None
-        return self.finished_at - self.submitted_at
-
-    # -- internals -------------------------------------------------------------------
-    def _update(self, status: GridJobStatus) -> None:
-        if self.status is status:
-            return
-        self.status = status
-        terminal = status.terminal
-        if terminal:
-            self.finished_at = self.env.now
-        for cb in list(self._watchers):
-            cb(self, status)
-        if terminal:
-            # No further transitions can happen; drop the watchers so a
-            # long-lived handle does not pin every tracker that ever
-            # watched it.
-            self._watchers.clear()
+__all__ = ["CondorG"]
 
 
 class CondorG:
@@ -156,13 +50,9 @@ class CondorG:
     def __init__(self, env: Environment, grid: Grid, bus=None):
         self.env = env
         self.grid = grid
-        self._handles: dict[str, GridJobHandle] = {}
+        #: grid job id -> (site name, the site's record of the job)
+        self._jobs: dict[str, tuple[str, SiteJob]] = {}
         self.submitted_count = 0
-        #: submissions per planning scheduler service — under a
-        #: federation every shard shares this one Condor-G, and this is
-        #: the grid-level audit of which shard's plans drove how many
-        #: submissions (key None: submitter gave no scheduler).
-        self.submissions_by_scheduler: dict[Optional[str], int] = {}
         self.failed_submissions = 0
         self.reservations_rejected = 0
         if bus is not None:
@@ -206,34 +96,27 @@ class CondorG:
         owner: str = "anonymous",
         priority: int = 10,
         reservation_id: Optional[str] = None,
-        scheduler: Optional[str] = None,
         checkpoint_interval_s: float = 0.0,
         checkpoint_cost_s: float = 0.0,
-    ) -> GridJobHandle:
-        """Submit a job to ``site``; always returns a handle.
+    ) -> SiteJob:
+        """Submit a job to ``site``; always returns the job's record.
 
-        A dead gatekeeper yields a handle in status FAILED (never an
+        A dead gatekeeper yields a record in status FAILED (never an
         exception) so callers have one uniform tracking path.
         ``reservation_id`` claims a slot of a previously booked window;
         an unknown or expired reservation silently degrades to the
-        ordinary queue (the job must still run).  ``scheduler`` tags the
-        submission with the planning server's service name for the
-        per-shard accounting.  ``checkpoint_interval_s`` > 0 makes the
-        job persist progress every interval (``checkpoint_cost_s`` per
-        write) so a later kill preserves partial work.
+        ordinary queue (the job must still run).
+        ``checkpoint_interval_s`` > 0 makes the job persist progress
+        every interval (``checkpoint_cost_s`` per write) so a later kill
+        preserves partial work.
         """
-        if job_id in self._handles:
+        if job_id in self._jobs:
             raise ValueError(f"duplicate grid job id {job_id!r}")
         if site not in self.grid:
             raise KeyError(f"unknown site {site!r}")
-        handle = GridJobHandle(self.env, job_id, site, scheduler=scheduler)
-        self._handles[job_id] = handle
         self.submitted_count += 1
-        self.submissions_by_scheduler[scheduler] = (
-            self.submissions_by_scheduler.get(scheduler, 0) + 1
-        )
         try:
-            site_job = self.grid.site(site).submit(
+            job = self.grid.site(site).submit(
                 job_id, runtime_s=runtime_s, owner=owner, priority=priority,
                 reservation_id=reservation_id,
                 checkpoint_interval_s=checkpoint_interval_s,
@@ -241,28 +124,20 @@ class CondorG:
             )
         except SiteUnavailableError:
             self.failed_submissions += 1
-            handle._update(GridJobStatus.FAILED)
-            return handle
-        handle._site_job = site_job
-        site_job.on_status_change(
-            lambda _j, _old, new: handle._update(_SITE_TO_GRID[new])
-        )
-        return handle
+            job = SiteJob(job_id, owner, runtime_s, priority)
+            job.status = SiteJobStatus.FAILED
+        self._jobs[job_id] = (site, job)
+        return job
 
     def cancel(self, job_id: str) -> bool:
         """condor_rm: remove the job from the remote site.
 
-        Returns False when already terminal or never submitted.
+        Returns False when the job is already terminal.
         """
-        handle = self._handles.get(job_id)
-        if handle is None:
+        entry = self._jobs.get(job_id)
+        if entry is None:
             raise KeyError(f"unknown grid job {job_id!r}")
-        if handle.status.terminal:
+        site, job = entry
+        if job.status.terminal:
             return False
-        return self.grid.site(handle.site).kill(job_id)
-
-    def handle(self, job_id: str) -> GridJobHandle:
-        return self._handles[job_id]
-
-    def __contains__(self, job_id: str) -> bool:
-        return job_id in self._handles
+        return self.grid.site(site).kill(job_id)

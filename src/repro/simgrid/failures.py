@@ -69,8 +69,6 @@ class FailureInjector:
         #: per-site injection epoch; a restore is valid only while the
         #: epoch still matches the one its own injection minted.
         self._epoch: dict[str, int] = {}
-        #: spot-eviction tally: site -> running jobs killed at reclaim
-        self.evicted_jobs: dict[str, int] = {}
 
     def _inject(self, name: str, state: SiteState) -> int:
         """Apply a fault and mint the epoch token guarding its restore."""
@@ -134,8 +132,13 @@ class FailureInjector:
         into one shared stream), so the schedule is a pure function of
         the seed and never perturbs other streams.
         """
-        if mtbf_s <= 0:
-            raise ValueError("eviction MTBF must be > 0")
+        if not (mtbf_s > 0 and outage_s > 0):  # one is <= 0 or NaN
+            raise ValueError(
+                f"eviction MTBF and outage must be > 0, got "
+                f"mtbf_s={mtbf_s!r}, outage_s={outage_s!r}")
+        if not notice_s >= 0:
+            raise ValueError(
+                f"eviction notice must be >= 0, got notice_s={notice_s!r}")
         for name in sorted(self._sites):
             stream = rng.stream(f"{name}/evictions")
             self.env.process(
@@ -162,7 +165,6 @@ class FailureInjector:
         if self._epoch.get(name) != token or site.state is not SiteState.DRAINING:
             return  # superseded mid-notice; the newer fault owns the site
         evicted = site.scheduler.running_jobs
-        self.evicted_jobs[name] = self.evicted_jobs.get(name, 0) + evicted
         if site.obs.enabled and evicted:
             site.obs.metrics.counter("site.evictions", site=name).inc(evicted)
         # Reclaim: the DOWN transition kills what is left and freezes
@@ -181,8 +183,10 @@ class FailureInjector:
     ) -> None:
         """Start an exponential MTBF/MTTR failure process on every site;
         each failure is DOWN or a silent BLACKHOLE (70/30)."""
-        if mtbf_s <= 0 or mttr_s <= 0:
-            raise ValueError("MTBF and MTTR must be > 0")
+        if not (mtbf_s > 0 and mttr_s > 0):  # one is <= 0 or NaN
+            raise ValueError(
+                f"MTBF and MTTR must be > 0, got mtbf_s={mtbf_s!r}, "
+                f"mttr_s={mttr_s!r}")
         for name in sorted(self._sites):
             stream = rng.stream(f"failures-{name}")
             self.env.process(self._stochastic(name, stream, mtbf_s, mttr_s))

@@ -15,6 +15,12 @@ heterogeneity and noise), and drives the job's status machine::
        |          |
        +----------+-> KILLED
 
+The same record is what Condor-G hands back to the SPHINX client and
+what the client's tracker watches; a submission the gatekeeper refused
+is a record born ``FAILED`` that never reached a queue.  Watchers are
+dropped at the terminal transition, so the records the scheduler keeps
+for the run do not pin their trackers.
+
 A job is not a kernel process.  While live it waits on exactly one event
 — its CPU request, its reservation grant, or its run timer, which is the
 job record itself — and plain callbacks move it on; a callback from any
@@ -73,10 +79,11 @@ class SiteJobStatus(enum.Enum):
     RUNNING = "running"      # occupying a CPU slot
     COMPLETED = "completed"  # finished successfully
     KILLED = "killed"        # removed by site failure or remote cancel
+    FAILED = "failed"        # never reached the queue (site DOWN)
 
     @property
     def terminal(self) -> bool:
-        return self in (SiteJobStatus.COMPLETED, SiteJobStatus.KILLED)
+        return self not in (SiteJobStatus.PENDING, SiteJobStatus.RUNNING)
 
 
 class ReservationState(enum.Enum):
@@ -98,8 +105,8 @@ class SiteJob:
 
     ``runtime_s`` is the nominal demand; the actual service time is
     decided by the site at start.  Status-change callbacks fire with
-    ``(job, old_status, new_status)`` and are the hook the Condor-G
-    layer uses to surface grid-level job states.
+    ``(job, old_status, new_status)``; they are how the SPHINX client
+    and its tracker follow a grid job.
     """
 
     job_id: str
@@ -143,6 +150,19 @@ class SiteJob:
             self._watchers = []
         self._watchers.append(callback)
 
+    def off_status_change(
+        self, callback: Callable[["SiteJob", SiteJobStatus, SiteJobStatus], None]
+    ) -> None:
+        """Deregister a watcher; a no-op if it is not registered.
+
+        A tracker abandons a job on timeout; without deregistration the
+        cancellation's KILLED transition would still settle its
+        orphaned event.
+        """
+        watchers = self._watchers
+        if watchers and callback in watchers:
+            watchers.remove(callback)
+
     def _set_status(self, new: SiteJobStatus) -> None:
         old, self.status = self.status, new
         watchers = self._watchers
@@ -150,6 +170,10 @@ class SiteJob:
             # copy: a callback may (de)register watchers while we iterate
             for cb in list(watchers):
                 cb(self, old, new)
+            if new.terminal:
+                # Nothing can fire again: the scheduler keeps the record
+                # for the run, but not the closures that watched it.
+                self._watchers = None
 
     # -- timing observables ----------------------------------------------------
     @property
@@ -579,8 +603,8 @@ class LocalScheduler:
                 pass
         if job_id in self._running:
             # Killed while RUNNING: account checkpoint progress before
-            # the slot unwinds, so status watchers (the Condor-G handle,
-            # the tracker) already see the final checkpointed_fraction
+            # the slot unwinds, so status watchers (the client, the
+            # tracker) already see the final checkpointed_fraction
             # when the KILLED transition fires.
             self._record_preemption(job)
         # The slot unwinds through one URGENT event at this instant, after

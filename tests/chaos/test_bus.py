@@ -28,15 +28,23 @@ def make_bus(env, **plan_kwargs):
 
 def test_unmatched_services_pass_clean():
     env = Environment()
-    bus = make_bus(env, rules=(FaultRule(drop_p=1.0),))
+    bus = make_bus(env, rule=FaultRule(drop_p=1.0))
     bus.register("other", "ping", lambda: "pong")
     assert call_sync(env, bus, "p", "other", "ping")["value"] == "pong"
     assert bus.fault_log == []
 
 
+def test_an_inactive_rule_passes_calls_clean():
+    env = Environment()
+    bus = make_bus(env, rule=FaultRule())
+    bus.register("sphinx-svc", "ping", lambda: "pong")
+    assert call_sync(env, bus, "p", "sphinx-svc", "ping")["value"] == "pong"
+    assert bus.fault_log == []
+
+
 def test_certain_drop_faults_with_retryable_text():
     env = Environment()
-    bus = make_bus(env, rules=(FaultRule(drop_p=1.0),))
+    bus = make_bus(env, rule=FaultRule(drop_p=1.0))
     calls = []
     bus.register("sphinx-svc", "ping", lambda: calls.append(1))
     r = call_sync(env, bus, "p", "sphinx-svc", "ping")
@@ -51,7 +59,7 @@ def test_certain_drop_faults_with_retryable_text():
 
 def test_duplicate_runs_the_handler_twice():
     env = Environment()
-    bus = make_bus(env, rules=(FaultRule(dup_p=1.0),))
+    bus = make_bus(env, rule=FaultRule(dup_p=1.0))
     calls = []
     bus.register("sphinx-svc", "ping",
                  lambda: (calls.append(env.now), "pong")[1])
@@ -66,8 +74,7 @@ def test_delay_defers_the_round_trip():
     env = Environment()
     bus = make_bus(
         env,
-        rules=(FaultRule(delay_p=1.0,
-                         max_extra_delay_s=5.0),),
+        rule=FaultRule(delay_p=1.0, max_extra_delay_s=5.0),
     )
     bus.register("sphinx-svc", "ping", lambda: "pong")
     done = {}
@@ -110,7 +117,7 @@ def test_partition_faults_matching_services_inside_window():
 def test_duplicate_failures_are_defused():
     """A ghost dispatch whose handler faults must not crash the run."""
     env = Environment()
-    bus = make_bus(env, rules=(FaultRule(dup_p=1.0),))
+    bus = make_bus(env, rule=FaultRule(dup_p=1.0))
 
     def boom():
         raise RuntimeError("handler exploded")
@@ -127,8 +134,8 @@ def test_fault_schedule_is_deterministic(seed):
         env = Environment()
         bus = ChaoticBus(env, ChaosPlan(
             seed=seed,
-            rules=(FaultRule(drop_p=0.3, dup_p=0.2,
-                             delay_p=0.3, max_extra_delay_s=2.0),),
+            rule=FaultRule(drop_p=0.3, dup_p=0.2,
+                           delay_p=0.3, max_extra_delay_s=2.0),
         ))
         bus.register("sphinx-svc", "ping", lambda: "pong")
 
@@ -153,7 +160,7 @@ def test_call_count_counts_only_dispatched_calls():
     """The obs invariant rpc.calls == bus.call_count must survive
     injection: dropped-request calls never reach the parent dispatch."""
     env = Environment()
-    bus = make_bus(env, rules=(FaultRule(drop_p=1.0),))
+    bus = make_bus(env, rule=FaultRule(drop_p=1.0))
     bus.register("sphinx-svc", "ping", lambda: "pong")
     before = bus.call_count
     r = call_sync(env, bus, "p", "sphinx-svc", "ping")

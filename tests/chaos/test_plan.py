@@ -109,20 +109,13 @@ class TestChaosPlan:
         assert not plan.transport_active
 
     def test_activity_per_layer(self):
-        assert ChaosPlan(rules=(FaultRule(drop_p=0.1),)).transport_active
+        assert ChaosPlan(rule=FaultRule(drop_p=0.1)).transport_active
         assert ChaosPlan(
             crashes=(CrashSpec(component="server", at_s=1.0),)
         ).active
         assert ChaosPlan(site_mtbf_s=3600.0).active
-        # Inactive rules do not make the transport active.
-        assert not ChaosPlan(rules=(FaultRule(),)).transport_active
-
-    def test_rule_for_returns_first_active_match(self):
-        first = FaultRule(drop_p=0.2)
-        plan = ChaosPlan(rules=(FaultRule(), first, FaultRule(drop_p=0.1)))
-        assert plan.rule_for("sphinx-server-a") is first
-        assert plan.rule_for("sphinx-client-a") is first
-        assert plan.rule_for("other") is None
+        # An inactive rule does not make the transport active.
+        assert not ChaosPlan(rule=FaultRule()).transport_active
 
     def test_presets_build_and_serialize(self):
         for name in PRESET_PLANS:
@@ -144,7 +137,7 @@ class TestRandomPlan:
     def test_stays_inside_liveness_envelope(self):
         for seed in range(20):
             plan = random_plan(seed)
-            rule = plan.rules[0]
+            rule = plan.rule
             assert rule.drop_p <= 0.20
             assert rule.drop_p + rule.dup_p + rule.delay_p <= 1.0
             for crash in plan.crashes:

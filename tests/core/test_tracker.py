@@ -8,6 +8,7 @@ from repro.sim import Environment
 from repro.sim.rng import RngStreams
 from repro.simgrid import Grid, SiteState
 from repro.simgrid.grid import SiteSpec
+from repro.simgrid.local_scheduler import SiteJobStatus
 
 
 def make(n_cpus=2):
@@ -19,34 +20,37 @@ def make(n_cpus=2):
     return env, grid, cg, JobTracker(env, cg)
 
 
-def run_track(env, tracker, handle, timeout_s, started_at=None):
+def run_track(env, tracker, job, timeout_s, started_at=0.0):
+    """The cancel reason ``track`` resolves to, and when it resolved."""
     out = {}
 
     def proc(env):
-        out["result"] = yield env.process(
-            tracker.track(handle, timeout_s, started_at=started_at)
+        out["reason"] = yield env.process(
+            tracker.track(job, "s0", timeout_s, started_at)
         )
+        out["at"] = env.now
 
     env.process(proc(env))
     env.run()
-    return out["result"]
+    return out["reason"], out["at"]
 
 
 def test_timeout_validation():
     env, grid, cg, tracker = make()
-    h = cg.submit("j", "s0", runtime_s=1.0)
+    job = cg.submit("j", "s0", runtime_s=1.0)
     with pytest.raises(ValueError):
-        next(tracker.track(h, 0.0))
+        next(tracker.track(job, "s0", 0.0, 0.0))
 
 
 def test_completion_tracked_with_timing():
     env, grid, cg, tracker = make()
-    h = cg.submit("j", "s0", runtime_s=10.0)
-    r = run_track(env, tracker, h, timeout_s=1000.0)
-    assert r.outcome == "completed"
-    assert r.reason is None
-    assert r.completion_time_s == 10.0
-    assert r.execution_time_s == 10.0
+    job = cg.submit("j", "s0", runtime_s=10.0)
+    reason, at = run_track(env, tracker, job, timeout_s=1000.0)
+    assert reason is None
+    assert job.status is SiteJobStatus.COMPLETED
+    assert at == 10.0
+    assert tracker.stats.completion_times == [10.0]
+    assert tracker.stats.execution_times == [10.0]
     assert tracker.stats.completed == 1
     assert tracker.stats.by_site["s0"] == [1, 0]
 
@@ -58,21 +62,23 @@ def test_started_at_anchors_completion_time():
     def proc(env):
         t0 = env.now
         yield env.timeout(30.0)  # pretend staging took 30 s
-        h = cg.submit("j", "s0", runtime_s=10.0)
-        r = yield env.process(tracker.track(h, 1000.0, started_at=t0))
-        assert r.completion_time_s == 40.0
+        job = cg.submit("j", "s0", runtime_s=10.0)
+        reason = yield env.process(tracker.track(job, "s0", 1000.0, t0))
+        assert reason is None
 
     env.process(proc(env))
     env.run()
+    assert tracker.stats.completion_times == [40.0]
 
 
 def test_timeout_cancels_and_reports():
     env, grid, cg, tracker = make()
     grid.site("s0").set_state(SiteState.BLACKHOLE)
-    h = cg.submit("j", "s0", runtime_s=10.0)
-    r = run_track(env, tracker, h, timeout_s=300.0)
-    assert r.outcome == "cancelled"
-    assert r.reason == "timeout"
+    job = cg.submit("j", "s0", runtime_s=10.0)
+    reason, at = run_track(env, tracker, job, timeout_s=300.0)
+    assert reason == "timeout"
+    assert at == 300.0
+    assert job.status is SiteJobStatus.KILLED
     assert tracker.stats.timeouts == 1
     # The cancellation reached the site: nothing left queued.
     assert grid.site("s0").queued_jobs == 0
@@ -80,98 +86,104 @@ def test_timeout_cancels_and_reports():
 
 def test_kill_reported_as_cancelled_killed():
     env, grid, cg, tracker = make()
-    h = cg.submit("j", "s0", runtime_s=1000.0)
+    job = cg.submit("j", "s0", runtime_s=1000.0)
 
     def killer(env):
         yield env.timeout(5.0)
         grid.site("s0").set_state(SiteState.DOWN)
 
     env.process(killer(env))
-    r = run_track(env, tracker, h, timeout_s=10_000.0)
-    assert r.outcome == "cancelled"
-    assert r.reason == "killed"
+    reason, at = run_track(env, tracker, job, timeout_s=10_000.0)
+    assert reason == "killed"
+    assert at == 5.0
     assert tracker.stats.by_site["s0"] == [0, 1]
 
 
 def test_failed_submission_tracked_immediately():
     env, grid, cg, tracker = make()
     grid.site("s0").set_state(SiteState.DOWN)
-    h = cg.submit("j", "s0", runtime_s=1.0)
-    assert h.status.terminal
-    resolved_at = {}
-
-    def proc(env):
-        r = yield env.process(tracker.track(h, 100.0))
-        resolved_at["t"] = env.now
-        resolved_at["r"] = r
-
-    env.process(proc(env))
-    env.run()
-    assert resolved_at["r"].outcome == "cancelled"
-    assert resolved_at["r"].reason == "failed"
-    assert resolved_at["t"] < 100.0  # did not wait for the timeout
+    job = cg.submit("j", "s0", runtime_s=1.0)
+    assert job.status is SiteJobStatus.FAILED
+    reason, at = run_track(env, tracker, job, timeout_s=100.0)
+    assert reason == "failed"
+    assert at < 100.0  # did not wait for the timeout
+    assert job.status is SiteJobStatus.FAILED
 
 
 def test_completion_wins_same_instant_as_timeout():
     env, grid, cg, tracker = make()
-    h = cg.submit("j", "s0", runtime_s=50.0)
-    r = run_track(env, tracker, h, timeout_s=50.0)
-    assert r.outcome == "completed"
+    job = cg.submit("j", "s0", runtime_s=50.0)
+    reason, at = run_track(env, tracker, job, timeout_s=50.0)
+    assert reason is None
+    assert at == 50.0
+    assert tracker.stats.timeouts == 0
 
 
 def test_timeout_deregisters_watcher():
     """An abandoned tracking attempt must not leave its watcher behind.
 
     Regression: the timeout path never removed ``_watch`` from the
-    handle, so the handle pinned one closure per attempt for its whole
-    life, and the cancellation's KILLED transition settled the orphaned
+    job, so the job pinned one closure per attempt for its whole life,
+    and the cancellation's KILLED transition settled the orphaned
     ``terminal`` event."""
     env, grid, cg, tracker = make()
     grid.site("s0").set_state(SiteState.BLACKHOLE)
-    h = cg.submit("j", "s0", runtime_s=10.0)
-    r = run_track(env, tracker, h, timeout_s=300.0)
-    assert r.reason == "timeout"
-    assert h._watchers == []
+    job = cg.submit("j", "s0", runtime_s=10.0)
+    seen = []
+    # registered before the tracker's: it sees who is still watching
+    # when the cancellation's KILLED transition fires
+    job.on_status_change(
+        lambda j, _old, new: seen.append((new, len(j._watchers))))
+    reason, _at = run_track(env, tracker, job, timeout_s=300.0)
+    assert reason == "timeout"
+    assert seen == [(SiteJobStatus.KILLED, 1)]
+    assert job._watchers is None
 
 
 def test_completion_clears_watchers():
     """Terminal transitions drop all watchers — nothing can fire again."""
     env, grid, cg, tracker = make()
-    h = cg.submit("j", "s0", runtime_s=10.0)
-    r = run_track(env, tracker, h, timeout_s=1000.0)
-    assert r.outcome == "completed"
-    assert h._watchers == []
+    job = cg.submit("j", "s0", runtime_s=10.0)
+    reason, _at = run_track(env, tracker, job, timeout_s=1000.0)
+    assert reason is None
+    assert job.status.terminal
+    assert job._watchers is None
 
 
 def test_off_status_change_unregistered_is_noop():
     env, grid, cg, tracker = make()
-    h = cg.submit("j", "s0", runtime_s=10.0)
-    h.off_status_change(lambda _h, _s: None)  # never registered: no raise
+    job = cg.submit("j", "s0", runtime_s=10.0)
+    job.off_status_change(lambda _j, _old, _new: None)  # never registered
+    job.on_status_change(lambda _j, _old, _new: None)
+    job.off_status_change(lambda _j, _old, _new: None)  # another one
+    assert len(job._watchers) == 1
 
 
 def test_off_status_change_stops_callbacks():
     env, grid, cg, tracker = make()
-    h = cg.submit("j", "s0", runtime_s=10.0)
+    job = cg.submit("j", "s0", runtime_s=10.0)
     seen = []
-    cb = lambda _h, status: seen.append(status)
-    h.on_status_change(cb)
-    h.off_status_change(cb)
+    cb = lambda _j, _old, new: seen.append(new)
+    job.on_status_change(cb)
+    job.off_status_change(cb)
     env.run()
-    assert h.status.terminal
+    assert job.status.terminal
     assert seen == []
 
 
 def test_stats_accumulate_across_jobs():
     env, grid, cg, tracker = make(n_cpus=4)
-    handles = [cg.submit(f"j{i}", "s0", runtime_s=5.0) for i in range(3)]
-    results = []
+    jobs = [cg.submit(f"j{i}", "s0", runtime_s=5.0) for i in range(3)]
+    reasons = []
 
-    def proc(env, h):
-        r = yield env.process(tracker.track(h, 1000.0))
-        results.append(r)
+    def proc(env, job):
+        reasons.append((yield env.process(
+            tracker.track(job, "s0", 1000.0, 0.0))))
 
-    for h in handles:
-        env.process(proc(env, h))
+    for job in jobs:
+        env.process(proc(env, job))
     env.run()
     assert tracker.stats.completed == 3
-    assert len(results) == 3
+    assert reasons == [None, None, None]
+    assert tracker.stats.completion_times == [5.0, 5.0, 5.0]
+    assert tracker.stats.by_site["s0"] == [3, 0]

@@ -56,7 +56,7 @@ def test_plan_survives_client_downtime_and_redelivers():
 def test_a_lost_deliver_is_redelivered_under_the_default_config():
     """A ``deliver`` whose request leg the wire eats is redelivered
     after ``tick_s``: no presumed-lost window, no delivery knob."""
-    plan = ChaosPlan(seed=41, rules=(FaultRule(drop_p=0.5),))
+    plan = ChaosPlan(seed=41, rule=FaultRule(drop_p=0.5))
     st = FullStack(tick_s=2.0, chaos_plan=plan)
     assert st.config.presume_lost_after_s == float("inf")
     st.submit(one_job_dag())

@@ -12,6 +12,8 @@ from repro.simgrid import (
     SiteState,
 )
 
+NAN = float("nan")
+
 
 def make_site(env, name="s", n_cpus=10, seed=0):
     return GridSite(env, RngStreams(seed), name, n_cpus=n_cpus,
@@ -239,6 +241,27 @@ class TestFailureInjector:
             inj.start_stochastic(RngStreams(0), mtbf_s=0)
         with pytest.raises(ValueError):
             inj.start_stochastic(RngStreams(0), mttr_s=0)
+
+    @pytest.mark.parametrize("start, kwargs", [
+        ("start_stochastic", {"mtbf_s": NAN}),
+        ("start_stochastic", {"mttr_s": NAN}),
+        ("start_eviction_storm", {"mtbf_s": NAN}),
+        ("start_eviction_storm", {"outage_s": NAN}),
+        ("start_eviction_storm", {"outage_s": 0.0}),
+        ("start_eviction_storm", {"notice_s": NAN}),
+        ("start_eviction_storm", {"notice_s": -1.0}),
+    ], ids=("mtbf-nan", "mttr-nan", "storm-mtbf-nan", "storm-outage-nan",
+            "storm-outage-0", "storm-notice-nan", "storm-notice-negative"))
+    def test_bad_rates_fail_at_the_edge(self, start, kwargs):
+        """A NaN rate used to pass the ``<= 0`` check and die deep in
+        the kernel at the first draw; it stops at the call now, before
+        any site process starts."""
+        env = Environment()
+        inj = FailureInjector(env, {"s": make_site(env)})
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            getattr(inj, start)(RngStreams(0), **kwargs)
+        env.run(until=10 * 86_400.0)
+        assert inj.log == []
 
 
 class TestEpochGuardedRestores:

@@ -7,7 +7,10 @@ same callers (``src/``, ``examples/``, ``benchmarks/``):
 * **(a) no write-only attribute.**  A ``self.x = ...`` or
   ``self.x += ...`` in ``src/`` counts as read when a caller loads
   ``.x`` or names ``"x"`` in a string constant (``getattr`` by name).
-  A counter nothing reads costs a write per event and tells no one.
+  A load of ``self.x`` inside a statement that stores to ``self.x``
+  (``self.d[k] = self.d.get(k, 0) + 1``) is the counter's own update,
+  not a read.  A counter nothing reads costs a write per event and
+  tells no one.
 * **(b) no setting no caller sets.**  Every dataclass field with a
   default, and every defaulted parameter of a public class's
   ``__init__``, counts as set when a caller passes it to *that* class:
@@ -55,6 +58,8 @@ UNREAD_ALLOWED = {
         (ORACLE, "tests/simgrid/test_reservations.py"),
     "LocalScheduler.killed_count":
         (ORACLE, "tests/simgrid/test_local_scheduler.py"),
+    "LocalScheduler.reservation_counts":
+        (ORACLE, "tests/simgrid/test_reservations.py"),
     "BackgroundLoad.surges":
         (ORACLE, "tests/simgrid/test_background_batched.py"),
     "GridFtpService.failed_count": (ORACLE, "tests/services/test_gridftp.py"),
@@ -256,6 +261,29 @@ def _calls(tree, aliases):
     return out
 
 
+def _self_attr(node) -> bool:
+    return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "self")
+
+
+def _own_updates(tree) -> set[int]:
+    """ids of the ``self.x`` loads inside a statement that stores to
+    ``self.x``: a counter's own update is not a read of it."""
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        stored = {t.attr for target in targets for t in ast.walk(target)
+                  if _self_attr(t)}
+        skip.update(id(n) for n in ast.walk(node) if _self_attr(n)
+                    and n.attr in stored and isinstance(n.ctx, ast.Load))
+    return skip
+
+
 def caller_usage(root=ROOT):
     """(names read, dict keys, calls).
 
@@ -268,10 +296,12 @@ def caller_usage(root=ROOT):
     read, keys, calls = set(), set(), []
     for _path, tree in _trees(CALLER_DIRS, root):
         calls += _calls(tree, aliases)
+        own = _own_updates(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx,
                                                                ast.Load):
-                read.add(node.attr)
+                if id(node) not in own:
+                    read.add(node.attr)
             elif _str(node):
                 read.add(node.value)
             elif isinstance(node, ast.Dict):
@@ -532,12 +562,20 @@ def test_every_setting_has_a_caller_that_sets_it_outside_tests():
 
 # -- the rules themselves, on fixture trees ----------------------------------
 
-def _tree(root, files: dict[str, str]):
+def _unset(root):
+    return {qual for qual, _where, _why in unset_settings(root)}
+
+
+def _unread(root):
+    return {qual for qual, _where in unread_attributes(root)}
+
+
+def _tree(root, files: dict[str, str], scan):
     for d in CALLER_DIRS:
         (root / d).mkdir(parents=True, exist_ok=True)
     for rel, text in files.items():
         (root / rel).write_text(text)
-    return {qual for qual, _where, _why in unset_settings(root)}
+    return scan(root)
 
 
 _DEFAULT_ONLY = "def build(n, scale=1.0):\n    return n * scale\n"
@@ -567,19 +605,33 @@ def grid():
 """
 
 
-@pytest.mark.parametrize("module, caller, flagged, other", [
+_OWN_UPDATE = """\
+class Tally:
+    def __init__(self):
+        self.by_site = {}
+
+    def add(self, site):
+        self.by_site[site] = self.by_site.get(site, 0) + 1
+"""
+
+
+@pytest.mark.parametrize("scan, module, caller, flagged, other", [
+    # (a) a counter whose only loads are its own updates
+    (_unread, _OWN_UPDATE, "Tally().add('s0')\n", {"Tally.by_site"},
+     "print(Tally().by_site)\n"),
     # (b') a public function's default no caller sets
-    (_DEFAULT_ONLY, "build(3)\n", {"build.scale"}, "build(3, scale=2.0)\n"),
+    (_unset, _DEFAULT_ONLY, "build(3)\n", {"build.scale"},
+     "build(3, scale=2.0)\n"),
     # (b'') a default that only passes through, to a class keyword
-    (_PASS_THROUGH, "scenario(3)\n",
+    (_unset, _PASS_THROUGH, "scenario(3)\n",
      {"Config.spill", "make_config.spill", "scenario.spill"},
      "scenario(3, spill=2)\n"),
     # (c) every caller passes the one literal 2.0
-    (_ONE_LITERAL, "grid()\n", {"Load.rate"}, "Load(rate=3.0)\n"),
-], ids=("default-only", "pass-through", "one-literal"))
+    (_unset, _ONE_LITERAL, "grid()\n", {"Load.rate"}, "Load(rate=3.0)\n"),
+], ids=("own-update", "default-only", "pass-through", "one-literal"))
 def test_each_rule_flags_its_fixture_and_a_second_value_clears_it(
-        tmp_path, module, caller, flagged, other):
+        tmp_path, scan, module, caller, flagged, other):
     files = {"src/mod.py": module, "examples/use.py": caller}
-    assert _tree(tmp_path / "one", files) == flagged
+    assert _tree(tmp_path / "one", files, scan) == flagged
     files["benchmarks/other.py"] = other
-    assert _tree(tmp_path / "two", files) == set()
+    assert _tree(tmp_path / "two", files, scan) == set()

@@ -21,10 +21,6 @@ CALLER_DIRS = ("src", "examples", "benchmarks")
 ALLOWED = {
     # the CLI entry point: its caller is ``python -m repro``
     "repro.cli.main": "python -m repro",
-    "repro.services.condorg.CondorG.handle":
-        "tests/services/test_condorg.py",
-    "repro.services.condorg.GridJobHandle.completion_time_s":
-        "tests/services/test_condorg.py",
     "repro.services.rpc.RpcBus.services": "tests/services/test_rpc.py",
     "repro.services.rls.ReplicaLocationIndex.exists":
         "tests/services/test_rls.py",
