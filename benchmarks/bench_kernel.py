@@ -467,24 +467,25 @@ def test_rls_lookup_scaling(benchmark):
     assert out[2_500] <= 2.0 * out[25]
 
 
-#: ``_plan_job_us`` at the parent commit (0d2c740, every algorithm a
-#: Python scan of one ``SiteView`` per candidate), same box and
-#: interpreter as the committed table:
+#: ``_plan_job_us`` at the parent commit (aad3ab7), fastest of six, on
+#: the box and interpreter of the committed table (a shared 2-vCPU
+#: Linux container, CPython 3.11; the 0d2c740 -> 4fa3463 table before
+#: it came from a box about 1.7x faster):
 #: (sites, quota-bound, draining, sampled) -> us per planned job.
 PARENT_PLAN_US = {
-    (25, False, False, True): 11.0,
-    (25, False, True, True): 12.7,
-    (25, True, False, True): 16.9,
-    (25, True, True, True): 19.2,
-    (250, False, False, True): 16.2,
-    (250, False, True, True): 29.8,
-    (250, True, False, True): 22.4,
-    (250, True, True, True): 37.4,
-    (2_500, False, False, True): 67.5,
-    (2_500, False, True, True): 211.3,
-    (2_500, True, False, True): 75.0,
-    (2_500, True, True, True): 226.1,
-    (2_500, False, False, False): 79.1,
+    (25, False, False, True): 20.1,
+    (25, False, True, True): 20.8,
+    (25, True, False, True): 29.6,
+    (25, True, True, True): 31.0,
+    (250, False, False, True): 20.3,
+    (250, False, True, True): 22.8,
+    (250, True, False, True): 31.0,
+    (250, True, True, True): 32.9,
+    (2_500, False, False, True): 25.6,
+    (2_500, False, True, True): 26.3,
+    (2_500, True, False, True): 38.5,
+    (2_500, True, True, True): 40.1,
+    (2_500, False, False, False): 25.1,
 }
 
 
@@ -556,9 +557,9 @@ def _plan_job_us(n_sites: int, bound: bool, draining: bool,
     return elapsed * 1e6 / n_jobs
 
 
-#: ``_declined_pass_us`` at the parent commit (0d2c740), same box and
+#: ``_declined_pass_us`` at the parent commit (aad3ab7), same box and
 #: interpreter as the committed table: sites -> us per retry pass.
-PARENT_DECLINED_US = {25: 135.3, 250: 140.9, 2_500: 179.7}
+PARENT_DECLINED_US = {25: 221.2, 250: 223.5, 2_500: 223.3}
 #: ``_declined_pass_us(2_500)`` before declined classes were skipped
 #: (17a8368: every ready job re-asked, every ready set recomputed)
 BEFORE_DECLINED_CLASSES_US = 17411.4

@@ -94,8 +94,8 @@ def main():
 
     times = server.dag_completion_times()
     print(f"finished {len(times)}/{N_RUNS} runs; "
-          f"timeouts {server.timeout_count}, "
-          f"resubmissions {server.resubmission_count}")
+          f"timeouts {server.tally('timeouts')}, "
+          f"resubmissions {server.tally('resubmissions')}")
     for dag_id in sorted(times):
         print(f"  {dag_id}: {times[dag_id]:6.0f}s")
     print("\nsites the scheduler learned to trust (jobs / avg time):")

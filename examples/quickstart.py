@@ -73,8 +73,8 @@ def main():
     # --- what happened ----------------------------------------------------
     times = server.dag_completion_times()
     print(f"\ndag finished in {times[dag.dag_id]:.0f}s simulated time")
-    print(f"jobs completed: {client.tracker.stats.completed}, "
-          f"resubmissions: {server.resubmission_count}")
+    print(f"jobs completed: {len(client.tracker.stats.completion_times)}, "
+          f"resubmissions: {server.tally('resubmissions')}")
     print("\nper-site placement (completed jobs / avg completion):")
     per_site = server.jobs_per_site()
     averages = server.estimator.snapshot()

@@ -50,9 +50,6 @@ class ChaosController:
         self.servers: dict = {}
         self.clients: dict = {}
         self._reconfigure: dict[str, Callable] = {}
-        #: regenerations tallied by crashed incarnations (a recovered
-        #: server restarts its counter at zero)
-        self._regen_base: dict[str, int] = {}
         #: [(time, component, label, "crash"|"recover")]
         self.crash_log: list[tuple[float, str, str, str]] = []
 
@@ -170,10 +167,6 @@ class ChaosController:
                 server = self.servers[label]
                 images[label] = server.checkpoint()
                 server.shutdown()
-                self._regen_base[label] = (
-                    self._regen_base.get(label, 0)
-                    + server.regeneration_count
-                )
                 self.crash_log.append(
                     (self.env.now, "server", label, "crash")
                 )
@@ -203,15 +196,6 @@ class ChaosController:
                 self.crash_log.append(
                     (self.env.now, "client", label, "recover")
                 )
-
-    def regen_slack(self) -> dict[str, int]:
-        """label -> regenerations across all incarnations (the tolerance
-        the exactly-once invariant grants for re-derived outputs)."""
-        return {
-            label: self._regen_base.get(label, 0)
-            + server.regeneration_count
-            for label, server in self.servers.items()
-        }
 
     # -- reporting --------------------------------------------------------
     def fault_schedule(self) -> dict:

@@ -18,10 +18,7 @@ promises (and the ones our at-least-once implementation documents):
   requeue/cancel path must have refunded exactly once;
 * **referential integrity** — every job row belongs to a known DAG,
   the job set per DAG matches its payload, executed sites exist;
-* **delivery** — every outbox row acked and deleted (the outbox drained);
-* **obs self-consistency** — when observability is on, the RPC call
-  counter agrees with the bus's own count (the two are incremented on
-  independent paths).
+* **delivery** — every outbox row acked and deleted (the outbox drained).
 
 The checker only *reports*; callers decide whether a violation fails
 the run.  Reports are deterministic: violations are sorted, floats
@@ -100,23 +97,17 @@ _CHECKS = (
     "checkpoint-progress",
     "outbox-drained",
     "reservation-conservation",
-    "obs-consistency",
     "fed-dag-routed",
     "fed-lease-conservation",
 )
 
 
-def check_invariants(servers: dict, clients: dict, bus, scenario,
-                     regen_slack: dict | None = None,
-                     obs=None, grid=None,
+def check_invariants(servers: dict, clients: dict, scenario, grid=None,
                      federation=None) -> InvariantReport:
     """Audit the end state of a run; see the module docstring.
 
-    ``regen_slack`` maps server label -> cumulative virtual-data
-    regeneration count across all of that label's incarnations (crash
-    drills replace the server object, losing its counter); it widens
-    the exactly-once tolerance, since a regenerated job legitimately
-    completes twice.
+    A server's whole-run regeneration tally widens its exactly-once
+    tolerance, since a regenerated job legitimately completes twice.
 
     ``grid`` (when supplied) additionally runs the **reservation
     conservation** audit on every site's local scheduler: no terminal
@@ -141,7 +132,6 @@ def check_invariants(servers: dict, clients: dict, bus, scenario,
     """
     out: list[Violation] = []
     stats: dict = {"servers": len(servers)}
-    regen_slack = regen_slack or {}
     total_dags = total_finished_dags = 0
     total_jobs = total_finished_jobs = 0
 
@@ -236,7 +226,7 @@ def check_invariants(servers: dict, clients: dict, bus, scenario,
         completions = sum(
             c for c, _x in server.feedback.snapshot().values()
         )
-        slack = regen_slack.get(label, server.regeneration_count)
+        slack = server.tally("regenerations")
         delta = completions - finished_here
         if delta < 0 or delta > slack:
             out.append(Violation(
@@ -394,18 +384,6 @@ def check_invariants(servers: dict, clients: dict, bus, scenario,
                         f"shard leases + unmatched debits sum to "
                         f"{totals[key]:.6f}, grant is {want:.6f}",
                     ))
-
-    # -- obs self-consistency ---------------------------------------------
-    if obs is not None and obs.enabled and bus is not None:
-        counted = sum(
-            inst.value for _l, inst in obs.metrics.find("rpc.calls")
-        )
-        if counted != bus.call_count:
-            out.append(Violation(
-                "obs-consistency", "*", "rpc.calls",
-                f"metric says {counted}, bus dispatched "
-                f"{bus.call_count}",
-            ))
 
     stats.update(
         dags=total_dags,

@@ -105,8 +105,7 @@ def run_chaos(scenario, plan: ChaosPlan, obs=None) -> ChaosRunResult:
     # delivery acks for that very report may still be on the wire.
     env.run(until=env.now + ServerConfig().tick_s + _DRAIN_GRACE_S)
     report = check_invariants(
-        controller.servers, controller.clients, controller.bus,
-        scenario, regen_slack=controller.regen_slack(), obs=obs,
+        controller.servers, controller.clients, scenario,
         grid=controller.grid, federation=federation,
     )
     return ChaosRunResult(

@@ -155,7 +155,8 @@ class SphinxClient:
                     break
                 if "unknown service" not in text:
                     raise
-                yield from self._unreachable_wait(attempt)
+                yield from self.bus.await_service(
+                    self.server_service, self._retry_delay(attempt))
                 attempt += 1
         self.submitted_dags += 1
         return ack
@@ -348,7 +349,7 @@ class SphinxClient:
         # 3. Track to a terminal state or timeout, inline: a Process
         # wrapper would only add a settle event per attempt.
         reason = yield from self.tracker.track(
-            job, site, plan["timeout_s"], started_at
+            job, plan["timeout_s"], started_at
         )
 
         if reason is None:
@@ -438,26 +439,9 @@ class SphinxClient:
             except RpcFault as fault:
                 if "unknown service" not in str(fault):
                     return None
-                yield from self._unreachable_wait(retry,
-                                                  service=plan["server"])
+                yield from self.bus.await_service(
+                    plan["server"], self._retry_delay(retry))
                 retry += 1
-
-    def _unreachable_wait(self, attempt: int,
-                          service: Optional[str] = None):
-        """One backoff step while the server is away (shared by report
-        and submission retries).  The wait also ends the instant the
-        service re-registers; a reconnect waiter whose backoff timer
-        won is withdrawn from the bus so abandoned waiters cannot pile
-        up against a server that never returns."""
-        target = service or self.server_service
-        delay = self._retry_delay(attempt)
-        reconnect = self.bus.on_register(target)
-        pause = self.env.timeout(delay)
-        yield self.env.any_of([reconnect, pause])
-        if not pause.processed:
-            pause.cancel()  # reconnect beat the backoff timer
-        if not reconnect.triggered:
-            self.bus.discard_waiter(target, reconnect)
 
     def _retry_delay(self, attempt: int) -> float:
         """Backoff before retry ``attempt`` (0-based), jittered."""

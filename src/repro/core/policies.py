@@ -65,8 +65,9 @@ class PolicyEngine:
         #: user -> headroom bookkeeping.  Derived state, like the
         #: feedback tracker's unreliable set: a new (or recovered)
         #: engine holds none and builds a user's entry on that user's
-        #: first ``short_sites``; ``grant`` and ``_add_usage`` — the
-        #: only writers of what ``remaining`` reads — keep it current.
+        #: first ``short_sites``; ``grant``, ``charge`` and ``refund`` —
+        #: the only writers of what ``remaining`` reads — keep it
+        #: current.
         self._headroom: dict[str, _Headroom] = {}
 
     # -- policy configuration ----------------------------------------------------
@@ -77,7 +78,7 @@ class PolicyEngine:
                 f"got {amount!r}"
             )
         self._grants[(user, site, resource)] = amount
-        self._recheck(user, site)
+        self._recheck(user, site, {})
 
     def grant_unlimited(self, user: str) -> None:
         """Exempt a user from quota checks entirely (no policy run)."""
@@ -100,28 +101,37 @@ class PolicyEngine:
 
     def charge(self, user: str, site: str,
                requirements: Mapping[str, float]) -> None:
-        """Reserve quota for a planned job; all-or-nothing."""
+        """Reserve quota for a planned job; all-or-nothing.
+
+        One pass: each remaining quota is read once, and the site is
+        re-classified once from what the charge leaves."""
         if user in self._unlimited_users or not requirements:
             return
         for resource, amount in requirements.items():
-            if self.remaining(user, site, resource) < amount:
+            have = self.remaining(user, site, resource)
+            if have < amount:
                 raise QuotaExceededError(
-                    f"{user} needs {amount} {resource} at {site}, has "
-                    f"{self.remaining(user, site, resource)}"
+                    f"{user} needs {amount} {resource} at {site}, has {have}"
                 )
-        for resource, amount in requirements.items():
-            self._add_usage(user, site, resource, amount)
+        left = {
+            resource: self.granted(user, site, resource)
+            - self._add_usage(user, site, resource, amount)
+            for resource, amount in requirements.items()
+        }
+        self._recheck(user, site, left)
 
     def refund(self, user: str, site: str,
                requirements: Mapping[str, float]) -> None:
         """Return a cancelled job's reservation."""
-        if user in self._unlimited_users:
+        if user in self._unlimited_users or not requirements:
             return
         for resource, amount in requirements.items():
             self._add_usage(user, site, resource, -amount)
+        self._recheck(user, site, {})
 
     def _add_usage(self, user: str, site: str, resource: str,
-                   delta: float) -> None:
+                   delta: float) -> float:
+        """Add ``delta`` to one usage row; the usage it leaves."""
         key = f"{user}|{site}|{resource}"
         row = self._usage.get(key, copy=False)
         if row is None:
@@ -133,14 +143,15 @@ class PolicyEngine:
                 {"key": key, "user": user, "site": site,
                  "resource": resource, "used": delta}
             )
-        else:
-            new = row["used"] + delta
-            if new < -1e-9:
-                raise QuotaExceededError(
-                    f"usage of {resource} for {user}@{site} went negative"
-                )
-            self._usage.update(key, used=max(new, 0.0))
-        self._recheck(user, site)
+            return delta
+        new = row["used"] + delta
+        if new < -1e-9:
+            raise QuotaExceededError(
+                f"usage of {resource} for {user}@{site} went negative"
+            )
+        new = max(new, 0.0)
+        self._usage.update(key, used=new)
+        return new
 
     # -- the planner-facing filter (eq. 4) -------------------------------------------
     def _covers(self, user: str, site: str,
@@ -151,12 +162,15 @@ class PolicyEngine:
                 return False
         return True
 
-    def _recheck(self, user: str, site: str) -> None:
-        """Re-classify one site after a write to its grant or usage."""
+    def _recheck(self, user: str, site: str,
+                 left: Mapping[str, float]) -> None:
+        """Re-classify one site after a write to its grant or usage;
+        ``left`` holds the remaining quotas the writer already knows."""
         room = self._headroom.get(user)
         if room is None:
             return
-        if self._covers(user, site, room.high):
+        if all((left[r] if r in left else self.remaining(user, site, r))
+               >= amount for r, amount in room.high.items()):
             room.tight.discard(site)
         else:
             room.tight.add(site)

@@ -77,6 +77,17 @@ _RESERVATION_SLACK = 1.5
 _JOB_CHECKPOINT_INTERVAL_S = 60.0
 _JOB_CHECKPOINT_COST_S = 1.0
 
+#: the server's whole-run tallies and their zeros, one row each of the
+#: ``tallies`` table: durable like every other write, so a recovered
+#: server carries on counting where its image left off.  ServerResult
+#: (experiments/runner.py) reads the first five (``preempted_work_s``:
+#: CPU-seconds lost to preemption across all attempts); the chaos audit
+#: reads ``regenerations``; ``stage_in_failures`` is an oracle only
+#: tests/core/test_client.py and tests/core/test_server.py read.
+TALLIES = {"resubmissions": 0, "timeouts": 0, "migrations": 0,
+           "checkpoint_restores": 0, "preempted_work_s": 0.0,
+           "regenerations": 0, "stage_in_failures": 0}
+
 
 def require_positive(config, *fields: str) -> None:
     """Reject period/duration fields that are zero, negative, NaN or
@@ -212,15 +223,17 @@ class SphinxServer:
                                          server=config.name)
         self._m_jobs_completed = m.counter("server.jobs_completed",
                                            server=config.name)
-        self._m_resubmissions = m.counter("server.resubmissions",
-                                          server=config.name)
-        self._m_timeouts = m.counter("server.timeouts", server=config.name)
+        m.reading("server.resubmissions",
+                  lambda: self.tally("resubmissions"), server=config.name)
+        m.reading("server.timeouts", lambda: self.tally("timeouts"),
+                  server=config.name)
         self._m_passes = m.counter("server.control_passes",
                                    server=config.name)
-        self._m_migrations = m.counter("server.migrations",
-                                       server=config.name)
-        self._m_ckpt_restores = m.counter("job.checkpoint_restores",
-                                          server=config.name)
+        m.reading("server.migrations", lambda: self.tally("migrations"),
+                  server=config.name)
+        m.reading("job.checkpoint_restores",
+                  lambda: self.tally("checkpoint_restores"),
+                  server=config.name)
         self._m_preemption_loss = m.histogram("server.preemption_loss_s",
                                               server=config.name)
         #: table -> (old, new) -> the edge's counter (see :meth:`_move`)
@@ -236,6 +249,7 @@ class SphinxServer:
 
         self.warehouse = warehouse if warehouse is not None else Warehouse()
         self.init_tables(self.warehouse)
+        self._tallies = self.warehouse.table("tallies")
         self.feedback = ReliabilityTracker(self.warehouse, obs=obs)
         self.estimator = CompletionTimeEstimator(
             self.warehouse, mode=config.estimator_mode
@@ -328,19 +342,6 @@ class SphinxServer:
         #: Starts empty, which covers recovery.
         self._ready: dict[str, tuple[str, ...]] = {}
 
-        # Counters and their readers: ServerResult (experiments/runner.py)
-        # reads the resubmission, timeout, migration, checkpoint-restore
-        # and preempted-work tallies; the chaos drills and invariants
-        # read regeneration_count; stage_in_failures is an oracle only
-        # tests/core/test_client.py and tests/core/test_server.py read.
-        self.resubmission_count = 0
-        self.timeout_count = 0
-        self.stage_in_failures = 0
-        self.regeneration_count = 0
-        self.migration_count = 0
-        self.checkpoint_restore_count = 0
-        #: CPU-seconds reported lost to preemption across all attempts.
-        self.preempted_work_s = 0.0
         #: site -> published eviction deadline while it drains (kept
         #: through the reclaim outage; cleared when the site is back).
         #: The planner skips these sites; deliberately in-memory — a
@@ -419,6 +420,11 @@ class SphinxServer:
                 ("msg_id", "client_id", "kind", "payload"),
                 key="msg_id",
             )
+        if "tallies" not in w:
+            # An image from before the table recovers to zeros.
+            tallies = w.create_table("tallies", ("name", "value"), key="name")
+            for name, zero in TALLIES.items():
+                tallies.insert({"name": name, "value": zero})
         # ensure_index is idempotent and builds from existing rows, so
         # this also covers warehouses restored from a checkpoint.
         w.table("dags").ensure_index("state")
@@ -568,13 +574,13 @@ class SphinxServer:
                 )
             self._requeue_job(row, reason or "cancelled", **changes)
             if lost_work_s > 0.0:
-                self.preempted_work_s += lost_work_s
+                self._count("preempted_work_s", lost_work_s)
                 if self.obs.enabled:
                     self._m_preemption_loss.observe(lost_work_s)
             if reason == "stage-in":
                 # A missing *source* replica is not the execution site's
                 # fault; penalizing it would poison the reliability pool.
-                self.stage_in_failures += 1
+                self._count("stage_in_failures")
                 if missing:
                     self._regenerate_lost_inputs(row["dag_id"], missing)
                 else:
@@ -589,9 +595,7 @@ class SphinxServer:
             else:
                 self.feedback.record_cancellation(site)
             if reason == "timeout":
-                self.timeout_count += 1
-                if self.obs.enabled:
-                    self._m_timeouts.inc()
+                self._count("timeouts")
             # Slot released, quota refunded, feedback updated: replan now.
             self._wakeup.set()
         self._flush_outbox()  # e.g. a dag-finished message from this report
@@ -894,9 +898,7 @@ class SphinxServer:
             # Resume from the last persisted checkpoint: the attempt
             # only has to run the unfinished remainder.
             runtime_s = job.runtime_s * (1.0 - fraction)
-            self.checkpoint_restore_count += 1
-            if self.obs.enabled:
-                self._m_ckpt_restores.inc()
+            self._count("checkpoint_restores")
         self._move(
             self.warehouse.table("jobs"), jrow, JOB_PLANNED,
             site=site,
@@ -1040,9 +1042,7 @@ class SphinxServer:
                 })
                 moved += 1
         if moved:
-            self.migration_count += moved
-            if self.obs.enabled:
-                self._m_migrations.inc(moved)
+            self._count("migrations", moved)
         self._flush_outbox()
 
     # ------------------------------------------------------ proactive reservations
@@ -1330,10 +1330,17 @@ class SphinxServer:
                 # old checkpoint predates the replica that is now gone.
                 checkpoint_fraction=0.0,
             )
-            self.regeneration_count += 1
+            self._count("regenerations")
             self._done_changed(dag_id)
 
     # -------------------------------------------------------------- bookkeeping
+    def tally(self, name: str):
+        """The whole-run tally ``name`` (one of :data:`TALLIES`)."""
+        return self._tallies.get(name, copy=False)["value"]
+
+    def _count(self, name: str, n=1) -> None:
+        self._tallies.update(name, value=self.tally(name) + n)
+
     def _done_changed(self, dag_id: str) -> None:
         """A job of ``dag_id`` entered or left a done state: its ready
         set may have changed, so replan it from a fresh one."""
@@ -1509,11 +1516,10 @@ class SphinxServer:
         self._move(self.warehouse.table("jobs"), row, JOB_CANCELLED,
                    last_status=reason, site=None, **changes)
         self._dirty_dags.add(dag_id)
-        self.resubmission_count += 1
+        self._count("resubmissions")
         self.policy.refund(self._dag_user(dag_id), site,
                            self._dag(dag_id).job(job_id).requirements)
         if self.obs.enabled:
-            self._m_resubmissions.inc()
             self.obs.metrics.counter(
                 "server.cancellations", server=self.config.name,
                 reason=reason,

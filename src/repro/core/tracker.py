@@ -28,12 +28,9 @@ __all__ = ["JobTracker"]
 
 @dataclass
 class TrackerStats:
-    completed: int = 0
-    cancelled: int = 0
-    timeouts: int = 0
-    #: per-site tallies: site -> [completed, cancelled]
-    by_site: dict = field(default_factory=dict)
-    #: timing samples of completed jobs (experiment metrics)
+    """Timing samples of completed jobs (experiment metrics); the
+    outcome counts are the registry's ``tracker.*`` counters."""
+
     completion_times: list = field(default_factory=list)
     idle_times: list = field(default_factory=list)
     execution_times: list = field(default_factory=list)
@@ -55,8 +52,7 @@ class JobTracker:
         self._m_completion = m.histogram("tracker.completion_time_s")
         self._m_idle = m.histogram("tracker.idle_time_s")
 
-    def track(self, job: SiteJob, site: str, timeout_s: float,
-              started_at: float):
+    def track(self, job: SiteJob, timeout_s: float, started_at: float):
         """A generator resolving to the cancel reason: None when ``job``
         completed, else ``"timeout"``, ``"killed"`` or ``"failed"``.
 
@@ -87,9 +83,9 @@ class JobTracker:
                 # settle the orphaned `terminal` event.
                 job.off_status_change(_watch)
                 self.condorg.cancel(job.job_id)
-                self.stats.timeouts += 1
                 self._m_timeouts.inc()
-                return self._cancelled(site, "timeout")
+                self._m_cancelled.inc()
+                return "timeout"
             # A real outcome beats a same-instant timeout.
             if not deadline.processed:
                 # The safety-net timer would sit in the heap until
@@ -97,26 +93,18 @@ class JobTracker:
                 deadline.cancel()
 
         if job.status is SiteJobStatus.COMPLETED:
-            self._completed(job, site, self.env.now - started_at)
+            self._completed(job, self.env.now - started_at)
             return None
-        return self._cancelled(site, job.status.value)
+        self._m_cancelled.inc()
+        return job.status.value
 
     # -- internals ------------------------------------------------------------
-    def _completed(self, job: SiteJob, site: str,
-                   completion_time_s: float) -> None:
-        self.stats.completed += 1
+    def _completed(self, job: SiteJob, completion_time_s: float) -> None:
         self._m_completed.inc()
         self._m_completion.observe(completion_time_s)
-        self.stats.by_site.setdefault(site, [0, 0])[0] += 1
         self.stats.completion_times.append(completion_time_s)
         if job.idle_time_s is not None:
             self.stats.idle_times.append(job.idle_time_s)
             self._m_idle.observe(job.idle_time_s)
         if job.execution_time_s is not None:
             self.stats.execution_times.append(job.execution_time_s)
-
-    def _cancelled(self, site: str, reason: str) -> str:
-        self.stats.cancelled += 1
-        self._m_cancelled.inc()
-        self.stats.by_site.setdefault(site, [0, 0])[1] += 1
-        return reason

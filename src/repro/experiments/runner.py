@@ -65,6 +65,7 @@ class ServerResult:
     job_completion_times: list[float]
     job_idle_times: list[float]
     job_execution_times: list[float]
+    #: whole-run tallies (the warehouse carries them across a crash)
     resubmissions: int
     timeouts: int
     jobs_per_site: dict[str, int]
@@ -338,14 +339,14 @@ class Stack:
             job_completion_times=list(stats.completion_times) if stats else [],
             job_idle_times=list(stats.idle_times) if stats else [],
             job_execution_times=list(stats.execution_times) if stats else [],
-            resubmissions=server.resubmission_count,
-            timeouts=server.timeout_count,
+            resubmissions=server.tally("resubmissions"),
+            timeouts=server.tally("timeouts"),
             jobs_per_site=server.jobs_per_site(),
             avg_completion_per_site=server.estimator.snapshot(),
             feedback_snapshot=server.feedback.snapshot(),
-            migrations=server.migration_count,
-            checkpoint_restores=server.checkpoint_restore_count,
-            preempted_work_s=server.preempted_work_s,
+            migrations=server.tally("migrations"),
+            checkpoint_restores=server.tally("checkpoint_restores"),
+            preempted_work_s=server.tally("preempted_work_s"),
         )
 
 

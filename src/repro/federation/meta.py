@@ -100,8 +100,10 @@ class MetaScheduler:
         self.rehomed_count = 0
         self.obs = obs_mod.get(obs)
         m = self.obs.metrics
-        self._m_admitted = m.counter("meta.dags_admitted", fed=config.name)
-        self._m_rehomed = m.counter("meta.dags_rehomed", fed=config.name)
+        m.reading("meta.dags_admitted", lambda: len(self.entries),
+                  fed=config.name)
+        m.reading("meta.dags_rehomed", lambda: self.rehomed_count,
+                  fed=config.name)
         if bus.has_service(self.service_name):
             raise ValueError(
                 f"service {self.service_name!r} is already on the bus — "
@@ -124,7 +126,6 @@ class MetaScheduler:
         entry = _Entry(dag_id, client_id, proxy, payload, priority,
                        proxy, shard)
         self.entries[dag_id] = entry
-        self._m_admitted.inc()
         entry.proc = self.env.process(self._forward(entry))
         return "accepted"
 
@@ -193,7 +194,8 @@ class MetaScheduler:
                             raise  # config error, not a fault to absorb
                         if self._note_unreachable(entry):
                             continue  # re-homed; offer to the new shard
-                        yield from self._unreachable_wait(service)
+                        yield from self.bus.await_service(
+                            service, _FORWARD_RETRY_S)
                         continue
                     self._unreachable_since[entry.shard] = None
                     offered = True
@@ -207,7 +209,8 @@ class MetaScheduler:
                         raise
                     # Pinned: never re-home; wait and re-send the
                     # confirm to the same shard.
-                    yield from self._unreachable_wait(service)
+                    yield from self.bus.await_service(
+                        service, _FORWARD_RETRY_S)
                     continue
                 self._unreachable_since[entry.shard] = None
                 if reply == "unknown":
@@ -233,7 +236,6 @@ class MetaScheduler:
             return False  # nowhere to go; keep waiting for the shard
         entry.shard = replacement
         self.rehomed_count += 1
-        self._m_rehomed.inc()
         return True
 
     def _rehome_target(self, exclude: str) -> Optional[str]:
@@ -248,17 +250,6 @@ class MetaScheduler:
         order = tuple(self.shard_services)
         return min(live, key=lambda lbl: (loads.get(lbl, 0),
                                           order.index(lbl)))
-
-    def _unreachable_wait(self, service: str):
-        """Pause a forward while its shard is off the bus: released by
-        re-registration or the retry timer, whichever first."""
-        reconnect = self.bus.on_register(service)
-        pause = self.env.timeout(_FORWARD_RETRY_S)
-        yield self.env.any_of([reconnect, pause])
-        if not pause.processed:
-            pause.cancel()
-        if not reconnect.triggered:
-            self.bus.discard_waiter(service, reconnect)
 
     # -- audit / lifecycle ------------------------------------------------
     def unacked(self) -> tuple[str, ...]:

@@ -23,7 +23,7 @@ instruments so instrumented call sites stay branch-free.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 __all__ = [
     "Counter",
@@ -53,6 +53,21 @@ class Counter:
 
     def inc(self, n: int = 1) -> None:
         self.value += n
+
+
+class _Reading:
+    """A counter that keeps no count: its value is read, when read,
+    from the one store the count lives in (see
+    :meth:`MetricsRegistry.reading`)."""
+
+    __slots__ = ("read",)
+
+    def __init__(self, read: Callable[[], float]):
+        self.read = read
+
+    @property
+    def value(self) -> float:
+        return self.read()
 
 
 class Gauge:
@@ -191,6 +206,23 @@ class MetricsRegistry:
     def counter(self, name: str, **labels: Any) -> Counter:
         return self._get("counter", name, labels)
 
+    def reading(self, name: str, read: Callable[[], float],
+                **labels: Any) -> None:
+        """Register counter ``name`` as a read of ``read()``: the count
+        lives in one store (a warehouse tally, an attribute of its
+        owner) and the registry reads it there instead of mirroring
+        it.  Registering it again rebinds the read, so a recovered
+        incarnation's store takes over."""
+        key = _key(name, labels)
+        entry = self._instruments.get(key)
+        if entry is None:
+            self._instruments[key] = ("counter", _Reading(read))
+        elif isinstance(entry[1], _Reading):
+            entry[1].read = read
+        else:
+            raise ValueError(f"metric {name!r}{dict(key[1])} already "
+                             "counts for itself")
+
     def gauge(self, name: str, **labels: Any) -> Gauge:
         return self._get("gauge", name, labels)
 
@@ -292,6 +324,10 @@ class NullRegistry:
 
     def counter(self, name: str, **labels: Any) -> Counter:
         return self._COUNTER
+
+    def reading(self, name: str, read: Callable[[], float],
+                **labels: Any) -> None:
+        pass
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
         return self._GAUGE

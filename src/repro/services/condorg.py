@@ -94,7 +94,6 @@ class CondorG:
         site: str,
         runtime_s: float,
         owner: str = "anonymous",
-        priority: int = 10,
         reservation_id: Optional[str] = None,
         checkpoint_interval_s: float = 0.0,
         checkpoint_cost_s: float = 0.0,
@@ -117,14 +116,14 @@ class CondorG:
         self.submitted_count += 1
         try:
             job = self.grid.site(site).submit(
-                job_id, runtime_s=runtime_s, owner=owner, priority=priority,
+                job_id, runtime_s=runtime_s, owner=owner,
                 reservation_id=reservation_id,
                 checkpoint_interval_s=checkpoint_interval_s,
                 checkpoint_cost_s=checkpoint_cost_s,
             )
         except SiteUnavailableError:
             self.failed_submissions += 1
-            job = SiteJob(job_id, owner, runtime_s, priority)
+            job = SiteJob(job_id, owner, runtime_s)
             job.status = SiteJobStatus.FAILED
         self._jobs[job_id] = (site, job)
         return job

@@ -104,12 +104,13 @@ class RpcBus:
         #: service name -> events armed by :meth:`on_register`, fired
         #: (and cleared) the moment the service (re-)appears.
         self._register_waiters: dict[str, list[Event]] = {}
-        #: total calls dispatched (for experiment accounting)
+        #: total calls dispatched (for experiment accounting; the
+        #: registry's ``rpc.calls`` reads it)
         self.call_count = 0
         #: observability (RPC round trips by method, fault counts);
         #: strictly passive — see :mod:`repro.obs`.
         self.obs = obs_mod.get(obs)
-        self._m_calls = self.obs.metrics.counter("rpc.calls")
+        self.obs.metrics.reading("rpc.calls", lambda: self.call_count)
         self._m_faults = self.obs.metrics.counter("rpc.faults")
 
     # -- registration -----------------------------------------------------------
@@ -192,6 +193,20 @@ class RpcBus:
             del self._register_waiters[service]
         return True
 
+    def await_service(self, service: str, delay_s: float):
+        """Pause (a generator, for ``yield from``) while ``service`` is
+        off the bus: released by its re-registration or a ``delay_s``
+        timer, whichever first.  The loser is withdrawn — the timer
+        cancelled, the reconnect waiter discarded — so abandoned
+        waiters cannot pile up against a service that never returns."""
+        reconnect = self.on_register(service)
+        pause = self.env.timeout(delay_s)
+        yield self.env.any_of([reconnect, pause])
+        if not pause.processed:
+            pause.cancel()
+        if not reconnect.triggered:
+            self.discard_waiter(service, reconnect)
+
     def unregister_service(self, service: str) -> bool:
         """Remove a whole service (a server shutting down).
 
@@ -224,7 +239,6 @@ class RpcBus:
         self.call_count += 1
         obs = self.obs
         if obs.enabled:
-            self._m_calls.inc()
             obs.metrics.counter("rpc.calls_by_method", method=method).inc()
         result = self.env.event()
 

@@ -20,13 +20,10 @@ from typing import Optional
 
 from repro.sim.engine import Environment
 from repro.sim.rng import RngStreams
+from repro.simgrid.local_scheduler import JOB_PRIORITY
 from repro.simgrid.site import GridSite, SiteState
 
 __all__ = ["BackgroundLoad"]
-
-#: batch priority of background jobs: the same class as grid users, and
-#: the local batch queue is FIFO within a class
-_PRIORITY = 10
 
 
 class BackgroundLoad:
@@ -156,7 +153,7 @@ class BackgroundLoad:
         first_id, self._next_id = self._next_id, self._next_id + n
         self.site.submit_local(
             [r if r > 1.0 else 1.0 for r in runtimes],
-            owner, _PRIORITY, prefix, first_id,
+            owner, JOB_PRIORITY, prefix, first_id,
         )
         self.submitted += n
 

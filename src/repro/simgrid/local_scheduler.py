@@ -59,12 +59,17 @@ from repro.sim.engine import URGENT, Environment, Event, SimulationError
 from repro.sim.resources import Request, Resource
 
 __all__ = [
+    "JOB_PRIORITY",
     "LocalScheduler",
     "Reservation",
     "ReservationState",
     "SiteJob",
     "SiteJobStatus",
 ]
+
+#: batch priority of every job the grid submits — grid users and
+#: background load are one class, and the queue is FIFO within a class
+JOB_PRIORITY = 10
 
 #: Priority used by reservation hold requests.  More urgent than any job
 #: priority a user can express, so freed slots drain into the calendar
@@ -112,7 +117,7 @@ class SiteJob:
     job_id: str
     owner: str = "anonymous"
     runtime_s: float = 60.0
-    priority: int = 10
+    priority: int = JOB_PRIORITY
     #: reservation the job was bound to at submit, if any
     reservation_id: Optional[str] = None
     #: checkpoint cadence in service-time seconds; 0 = no checkpointing

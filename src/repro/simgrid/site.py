@@ -226,7 +226,6 @@ class GridSite:
         job_id: str,
         runtime_s: float,
         owner: str = "anonymous",
-        priority: int = 10,
         reservation_id: Optional[str] = None,
         checkpoint_interval_s: float = 0.0,
         checkpoint_cost_s: float = 0.0,
@@ -245,7 +244,7 @@ class GridSite:
         if self._state is SiteState.DOWN:
             raise SiteUnavailableError(f"site {self.name} is down")
         job = SiteJob(
-            job_id=job_id, owner=owner, runtime_s=runtime_s, priority=priority,
+            job_id=job_id, owner=owner, runtime_s=runtime_s,
             checkpoint_interval_s=checkpoint_interval_s,
             checkpoint_cost_s=checkpoint_cost_s,
         )

@@ -157,8 +157,9 @@ def test_fault_schedule_is_deterministic(seed):
 
 
 def test_call_count_counts_only_dispatched_calls():
-    """The obs invariant rpc.calls == bus.call_count must survive
-    injection: dropped-request calls never reach the parent dispatch."""
+    """The registry's rpc.calls reads bus.call_count, which must
+    survive injection: dropped-request calls never reach the parent
+    dispatch."""
     env = Environment()
     bus = make_bus(env, rule=FaultRule(drop_p=1.0))
     bus.register("sphinx-svc", "ping", lambda: "pong")

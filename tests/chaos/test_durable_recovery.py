@@ -92,7 +92,7 @@ def test_completion_heard_before_the_crash_is_never_rerun():
     )
     assert charged == 2 * CPU_S
     report = check_invariants(
-        {"it": server}, {"it": st.client}, st.bus,
+        {"it": server}, {"it": st.client},
         SimpleNamespace(quota_per_site={"cpu_s": 10 * CPU_S}),
     )
     assert report.ok, report.format_text()

@@ -31,9 +31,7 @@ def healthy():
 
 def audit(scenario, controller):
     return check_invariants(controller.servers, controller.clients,
-                            controller.bus, scenario,
-                            regen_slack=controller.regen_slack(),
-                            grid=controller.grid)
+                            scenario, grid=controller.grid)
 
 
 def test_healthy_run_audits_clean(healthy):
@@ -129,7 +127,6 @@ def test_detects_quota_ledger_drift():
     assert rows, "quota'd scenario must have usage rows"
     usage.update(rows[0]["key"], used=rows[0]["used"] + 999.0)
     report = check_invariants(controller.servers, controller.clients,
-                              controller.bus, scenario,
-                              regen_slack=controller.regen_slack())
+                              scenario)
     assert any(v.code == "quota-conservation" and v.server == label
                for v in report.violations)

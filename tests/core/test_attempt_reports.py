@@ -47,14 +47,14 @@ def audit(st):
     for msg in outbox.select():
         outbox.delete(msg["msg_id"])
     scenario = SimpleNamespace(quota_per_site={"slots": 4.0})
-    return check_invariants({"t": st.server}, {}, st.bus, scenario)
+    return check_invariants({"t": st.server}, {}, scenario)
 
 
 def test_a_stale_cancel_leaves_the_live_attempt_alone():
     st = quota_stack(presume_lost_after_s=WINDOW_S)
     st.submit(one_job(), user=QUSER)
     first, second = superseded(st, "k.a")
-    resubmissions = st.server.resubmission_count
+    resubmissions = st.server.tally("resubmissions")
     assert (usage(st, first), usage(st, second)) == (0.0, 1.0)
     # Attempt 1 times out at its old site and says so, late.
     assert st.server._rpc_report_status(
@@ -64,7 +64,7 @@ def test_a_stale_cancel_leaves_the_live_attempt_alone():
     assert (live["state"], live["attempts"], live["site"]) == \
         (JobState.PLANNED.value, 2, second)
     assert (usage(st, first), usage(st, second)) == (0.0, 1.0)
-    assert st.server.resubmission_count == resubmissions
+    assert st.server.tally("resubmissions") == resubmissions
     assert st.server.feedback.cancelled(first) == 0
     assert st.server._site_active[second] == [1, 0]
     # So is its running report: attempt 2 has not started.

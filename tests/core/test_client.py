@@ -47,7 +47,7 @@ def test_client_executes_plan_and_reports_completion():
     st.submit(one_job_dag())
     st.run(until=1800.0)
     assert st.client.finished_dag_count == 1
-    assert st.client.tracker.stats.completed == 1
+    assert len(st.client.tracker.stats.completion_times) == 1
     jobs = st.server.warehouse.table("jobs")
     row = jobs.get("c.a")
     assert row["state"] == JobState.FINISHED.value
@@ -87,8 +87,8 @@ def test_timeout_cancels_and_requests_replan():
     st.grid.site("s1").set_state(SiteState.BLACKHOLE)
     st.submit(one_job_dag())
     st.run(until=400.0)
-    assert st.client.tracker.stats.timeouts >= 1
-    assert st.server.timeout_count >= 1
+    # every tracker timeout is reported: the server's tally counts them
+    assert st.server.tally("timeouts") >= 1
     # Nothing lingers in remote queues after cancellation.
     total_queued = sum(s.queued_jobs for s in st.grid)
     jobs = st.server.warehouse.table("jobs")
@@ -106,11 +106,11 @@ def test_stage_in_retries_then_cancels():
     st.grid.site("s1").set_state(SiteState.DOWN)  # sole replica offline
     st.env.process(st.client.submit_dag(dag))
     st.run(until=120.0)
-    assert st.server.stage_in_failures == 0  # still retrying
+    assert st.server.tally("stage_in_failures") == 0  # still retrying
     st.run(until=3600.0)
     # s1 never came back: stage-in eventually failed at least once,
     # and the job kept being replanned rather than finishing.
-    assert st.server.stage_in_failures >= 1
+    assert st.server.tally("stage_in_failures") >= 1
     assert st.client.finished_dag_count == 0
 
 

@@ -51,7 +51,7 @@ def audit(st, server):
     for msg in outbox.select():
         outbox.delete(msg["msg_id"])
     scenario = SimpleNamespace(quota_per_site={"slots": 4.0})
-    return check_invariants({"t": server}, {}, st.bus, scenario)
+    return check_invariants({"t": server}, {}, scenario)
 
 
 def test_crash_mid_migration_resolves_to_a_clean_requeue():
@@ -62,7 +62,7 @@ def test_crash_mid_migration_resolves_to_a_clean_requeue():
     st.server._rpc_report_status("m.a", 1, "running", site)
     # A 10s notice window against 600s of remaining work: migrate.
     st.server.drain_notice(site, deadline_s=st.env.now + 10.0)
-    assert st.server.migration_count == 1
+    assert st.server.tally("migrations") == 1
     assert any(m["kind"] == "evict"
                for m in st.server.warehouse.table("outbox"))
     # Crash before the eviction kill report makes it back.
@@ -102,12 +102,12 @@ def test_drain_notice_after_completion_is_a_noop():
     st.server._rpc_report_status("f.a", 1, "running", site)
     st.server._rpc_report_status("f.a", 1, "completed", site,
                                  completion_time_s=30.0)
-    resubs = st.server.resubmission_count
+    resubs = st.server.tally("resubmissions")
     st.server.drain_notice(site, deadline_s=st.env.now + 5.0)
     # Nothing in flight at the site: no eviction, no resubmission, and
     # the FINISHED job keeps holding its charge.
-    assert st.server.migration_count == 0
-    assert st.server.resubmission_count == resubs
+    assert st.server.tally("migrations") == 0
+    assert st.server.tally("resubmissions") == resubs
     assert st.job_state("f.a") == JobState.FINISHED.value
     assert st.server.policy.used(QUSER, site, "slots") == 1.0
     report = audit(st, st.server)
@@ -117,4 +117,4 @@ def test_drain_notice_after_completion_is_a_noop():
 def test_drain_notice_for_a_foreign_site_is_ignored():
     st = quota_stack(migrate_on_drain=True)
     st.server.drain_notice("not-our-site", deadline_s=1.0)
-    assert st.server.migration_count == 0
+    assert st.server.tally("migrations") == 0

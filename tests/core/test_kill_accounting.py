@@ -72,7 +72,7 @@ def test_killed_running_job_refunds_charged_site_exactly_once():
         "k.a", 1, "cancelled", site, reason="evicted", lost_work_s=12.5
     ) == "ok"
     assert usage(st, site) == 0.0
-    assert st.server.preempted_work_s == 12.5
+    assert st.server.tally("preempted_work_s") == 12.5
     # The tracker's kill report raced the client's: the replay must be
     # swallowed, not refunded again (usage would go negative).
     assert st.server._rpc_report_status(

@@ -37,11 +37,11 @@ def scan(server, window_s=WINDOW_S):
 def requeue_lost(rig, window_s):
     server = rig.server
     _oldest, lost = scan(server, window_s)
-    before = server.resubmission_count
+    before = server.tally("resubmissions")
     server.config.presume_lost_after_s = window_s
     server._requeue_lost_jobs()
     server.config.presume_lost_after_s = math.inf
-    assert server.resubmission_count - before == len(lost)
+    assert server.tally("resubmissions") - before == len(lost)
     jobs = server.warehouse.table("jobs")
     assert all(jobs.get(job_id)["last_status"] == "presumed-lost"
                for job_id in lost)
@@ -92,12 +92,12 @@ def test_a_replanned_and_a_recovered_job_are_found_without_a_hook():
     assert server._nearest_planned_at() == 20.0 == scan(server)[0]
     assert list(server._plans_in_flight) == [
         (20.0, "d1.a"), (20.0, "d1.b"), (20.0, "d0.a"), (20.0, "d0.b")]
-    before = server.resubmission_count
+    before = server.tally("resubmissions")
     rig.advance(WINDOW_S - 11.0)            # t=169: all younger than the window
     rig.tick()
-    assert server.resubmission_count == before
+    assert server.tally("resubmissions") == before
     rig.advance(1.0)    # the deadline armed at oldest + window runs the pass
-    assert server.resubmission_count - before == 4
+    assert server.tally("resubmissions") - before == 4
     assert scan(server) == (170.0, []) and server._nearest_planned_at() == 170.0
     # a recovered server requeues everything, its first pass replans it ...
     rig.restore()

@@ -35,7 +35,7 @@ class TestServerRegeneration:
         row = st.server.warehouse.table("jobs").get("r.a")
         assert row["state"] == JobState.CANCELLED.value
         assert row["last_status"] == "regenerate"
-        assert st.server.regeneration_count == 1
+        assert st.server.tally("regenerations") == 1
         # Next tick replans the producer, not the child (parent not done).
         st.server.tick()
         assert st.server.warehouse.table("jobs").get("r.a")["state"] == \
@@ -51,7 +51,7 @@ class TestServerRegeneration:
             "r.a", 1, "cancelled", "s0", reason="stage-in",
             missing=["r.raw"],  # external: no producer
         )
-        assert st.server.regeneration_count == 0
+        assert st.server.tally("regenerations") == 0
 
     def test_already_rerunning_producer_untouched(self):
         st = Stack()
@@ -71,7 +71,7 @@ class TestServerRegeneration:
             missing=["r.a.out"],
         ) if st.server.warehouse.table("jobs").get("r.b")["state"] == \
             JobState.PLANNED.value else None
-        assert st.server.regeneration_count == 1
+        assert st.server.tally("regenerations") == 1
 
     def test_removed_producer_regenerated(self):
         """A job skipped by the DAG reducer re-runs when the catalogued
@@ -119,4 +119,4 @@ class TestEndToEndRegeneration:
         jobs = st.server.warehouse.table("jobs")
         # a ran (at least) twice: original + regeneration.
         assert jobs.get("v.a")["attempts"] >= 2
-        assert st.server.regeneration_count >= 1
+        assert st.server.tally("regenerations") >= 1

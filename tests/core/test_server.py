@@ -210,8 +210,8 @@ def test_cancellation_replans_next_tick():
     st.drain()
     st.server._rpc_report_status("d0.a", 1, "cancelled", "s0", reason="timeout")
     assert st.job_state("d0.a") == JobState.CANCELLED.value
-    assert st.server.resubmission_count == 1
-    assert st.server.timeout_count == 1
+    assert st.server.tally("resubmissions") == 1
+    assert st.server.tally("timeouts") == 1
     st.server.tick()
     assert st.job_state("d0.a") == JobState.PLANNED.value
     msgs = st.drain()
@@ -263,8 +263,8 @@ def test_stage_in_cancel_with_missing_source_does_not_poison_feedback():
     st.server._rpc_report_status("d0.a", 1, "cancelled", "s0", reason="stage-in",
                                  missing=["lost.lfn"])
     assert st.server.feedback.cancelled("s0") == 0
-    assert st.server.stage_in_failures == 1
-    assert st.server.resubmission_count == 1
+    assert st.server.tally("stage_in_failures") == 1
+    assert st.server.tally("resubmissions") == 1
 
 
 def test_stage_in_cancel_at_destination_penalizes_site_in_push_mode():
@@ -276,8 +276,8 @@ def test_stage_in_cancel_at_destination_penalizes_site_in_push_mode():
     st.server.tick()
     st.server._rpc_report_status("d0.a", 1, "cancelled", "s0", reason="stage-in")
     assert st.server.feedback.cancelled("s0") == 1
-    assert st.server.stage_in_failures == 1
-    assert st.server.resubmission_count == 1
+    assert st.server.tally("stage_in_failures") == 1
+    assert st.server.tally("resubmissions") == 1
 
 
 def test_running_report_moves_to_submitted_and_counters():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.tracker import JobTracker
+from repro.obs import Obs, ObsConfig
 from repro.services import CondorG
 from repro.sim import Environment
 from repro.sim.rng import RngStreams
@@ -17,7 +18,12 @@ def make(n_cpus=2):
     grid.add_site(SiteSpec("s0", n_cpus=n_cpus, background_utilization=0.0,
                            service_noise_sigma=0.0))
     cg = CondorG(env, grid)
-    return env, grid, cg, JobTracker(env, cg)
+    return env, grid, cg, JobTracker(env, cg, obs=Obs(ObsConfig(spans=False)))
+
+
+def count(tracker, outcome):
+    """The tracker's ``tracker.<outcome>`` count (the registry keeps it)."""
+    return tracker.obs.metrics.counter(f"tracker.{outcome}").value
 
 
 def run_track(env, tracker, job, timeout_s, started_at=0.0):
@@ -26,7 +32,7 @@ def run_track(env, tracker, job, timeout_s, started_at=0.0):
 
     def proc(env):
         out["reason"] = yield env.process(
-            tracker.track(job, "s0", timeout_s, started_at)
+            tracker.track(job, timeout_s, started_at)
         )
         out["at"] = env.now
 
@@ -39,7 +45,7 @@ def test_timeout_validation():
     env, grid, cg, tracker = make()
     job = cg.submit("j", "s0", runtime_s=1.0)
     with pytest.raises(ValueError):
-        next(tracker.track(job, "s0", 0.0, 0.0))
+        next(tracker.track(job, 0.0, 0.0))
 
 
 def test_completion_tracked_with_timing():
@@ -51,8 +57,8 @@ def test_completion_tracked_with_timing():
     assert at == 10.0
     assert tracker.stats.completion_times == [10.0]
     assert tracker.stats.execution_times == [10.0]
-    assert tracker.stats.completed == 1
-    assert tracker.stats.by_site["s0"] == [1, 0]
+    assert count(tracker, "completed") == 1
+    assert count(tracker, "cancelled") == 0
 
 
 def test_started_at_anchors_completion_time():
@@ -63,7 +69,7 @@ def test_started_at_anchors_completion_time():
         t0 = env.now
         yield env.timeout(30.0)  # pretend staging took 30 s
         job = cg.submit("j", "s0", runtime_s=10.0)
-        reason = yield env.process(tracker.track(job, "s0", 1000.0, t0))
+        reason = yield env.process(tracker.track(job, 1000.0, t0))
         assert reason is None
 
     env.process(proc(env))
@@ -79,7 +85,8 @@ def test_timeout_cancels_and_reports():
     assert reason == "timeout"
     assert at == 300.0
     assert job.status is SiteJobStatus.KILLED
-    assert tracker.stats.timeouts == 1
+    assert count(tracker, "timeouts") == 1
+    assert count(tracker, "cancelled") == 1
     # The cancellation reached the site: nothing left queued.
     assert grid.site("s0").queued_jobs == 0
 
@@ -96,7 +103,8 @@ def test_kill_reported_as_cancelled_killed():
     reason, at = run_track(env, tracker, job, timeout_s=10_000.0)
     assert reason == "killed"
     assert at == 5.0
-    assert tracker.stats.by_site["s0"] == [0, 1]
+    assert count(tracker, "cancelled") == 1
+    assert count(tracker, "completed") == 0
 
 
 def test_failed_submission_tracked_immediately():
@@ -116,7 +124,7 @@ def test_completion_wins_same_instant_as_timeout():
     reason, at = run_track(env, tracker, job, timeout_s=50.0)
     assert reason is None
     assert at == 50.0
-    assert tracker.stats.timeouts == 0
+    assert count(tracker, "timeouts") == 0
 
 
 def test_timeout_deregisters_watcher():
@@ -178,12 +186,11 @@ def test_stats_accumulate_across_jobs():
 
     def proc(env, job):
         reasons.append((yield env.process(
-            tracker.track(job, "s0", 1000.0, 0.0))))
+            tracker.track(job, 1000.0, 0.0))))
 
     for job in jobs:
         env.process(proc(env, job))
     env.run()
-    assert tracker.stats.completed == 3
+    assert count(tracker, "completed") == 3
     assert reasons == [None, None, None]
     assert tracker.stats.completion_times == [5.0, 5.0, 5.0]
-    assert tracker.stats.by_site["s0"] == [3, 0]

@@ -155,7 +155,7 @@ def test_crash_before_first_checkpoint_loses_state_honestly():
     assert st.client.finished_dag_count == 0
     # The client knows about a dag the server forgot.
     assert "r" in st.client.dag_times
-    report = check_invariants({"it": server2}, {"it": st.client}, st.bus,
+    report = check_invariants({"it": server2}, {"it": st.client},
                               SimpleNamespace(quota_per_site=None))
     assert [(v.code, v.subject) for v in report.violations] == [
         ("dag-lost", "r")]

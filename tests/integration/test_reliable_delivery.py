@@ -92,7 +92,7 @@ def test_presumed_lost_jobs_requeue_and_finish():
     assert st.server.warehouse.table("dags").get("r")["state"] == \
         DagState.FINISHED.value
     # The lost attempt really was presumed lost and requeued.
-    assert st.server.resubmission_count >= 1
+    assert st.server.tally("resubmissions") >= 1
     assert st.client.finished_dag_count == 1
 
 

@@ -24,6 +24,22 @@ def test_kind_collision_is_an_error():
         m.gauge("x")
 
 
+def test_a_reading_is_read_when_snapshotted_and_rebinds():
+    m = MetricsRegistry()
+    store = {"old": 2, "new": 5}
+    m.counter("before").inc()
+    m.reading("tally", lambda: store["old"], server="s")
+    assert m.snapshot()["counters"][1] == {
+        "name": "tally", "labels": {"server": "s"}, "value": 2}
+    store["old"] = 3
+    m.reading("tally", lambda: store["new"], server="s")  # a recovery
+    assert [c["value"] for c in m.snapshot()["counters"]] == [1, 5]
+    with pytest.raises(ValueError):
+        m.reading("before", lambda: 0)
+    NULL_REGISTRY.reading("tally", lambda: 1)
+    assert NULL_REGISTRY.snapshot()["counters"] == []
+
+
 def test_gauge_keeps_last_value():
     m = MetricsRegistry()
     g = m.gauge("depth")

@@ -158,12 +158,6 @@ class TestStorage:
 
 
 class TestLocalPolicy:
-    def test_explicit_priority_overrides(self):
-        env, site = make_site()
-        job = site.submit("j", runtime_s=1.0, priority=3)
-        assert job.priority == 3
-        env.run()
-
     def test_priority_for_default(self):
         _env, site = make_site()
         assert site.submit("j", runtime_s=1.0, owner="/VO=x/CN=y").priority == 10

@@ -29,6 +29,11 @@ same callers (``src/``, ``examples/``, ``benchmarks/``):
   a defaulted parameter of the enclosing def, unchanged there, sets
   only what that parameter is set to, followed transitively: a default
   handed down a chain of builders is still a default.
+* **(b‴) a library's methods are its own.**  A call of a method on
+  an object a library built (``pool = Pool()`` or ``with Pool() as
+  pool``, where ``Pool`` comes from a module outside the caller
+  tree, and the file binds ``pool`` to nothing else) sets nothing in
+  ``src/``, whatever the method's name.
 * **(c) one literal is a constant.**  A setting that every caller
   passes, each as the same literal (``6 * 3600.0`` included), with no
   caller left on the default, is that constant.
@@ -69,7 +74,6 @@ UNREAD_ALLOWED = {
     "CondorG.submitted_count": (ORACLE, "tests/core/test_client.py"),
     "SphinxServer.reservations_requested":
         (ORACLE, "tests/experiments/test_reservation_integration.py"),
-    "SphinxServer.stage_in_failures": (ORACLE, "tests/core/test_server.py"),
     "Heartbeat.stall_count": (ORACLE, "tests/obs/test_runtime.py"),
     "RpcFault.cause": (ORACLE, "tests/services/test_rpc.py"),
     "Interrupt.cause": (ORACLE, "tests/sim/test_process.py"),
@@ -217,8 +221,59 @@ class _Call(NamedTuple):
     through: dict
 
 
-def _calls(tree, aliases):
-    """Every call with a nameable callee, with its pass-throughs."""
+def _local_modules(root) -> set[str]:
+    """Top-level module names the caller tree itself provides."""
+    out = set()
+    for d in CALLER_DIRS:
+        for path in (root / d).rglob("*.py"):
+            out.add(path.stem)
+            out.update(p.name for p in path.relative_to(root).parents)
+    return out
+
+
+def _library_objects(tree, local) -> set[str]:
+    """Names a caller file binds only to objects a library builds (rule
+    b‴): ``x = lib(...)`` or ``with lib(...) as x``, where ``lib`` is
+    (an attribute of) a name imported from outside the caller tree."""
+    library = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            pairs = [(a.name, a) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            pairs = [(node.module, a) for a in node.names]
+        else:
+            continue
+        library.update((a.asname or a.name).split(".")[0] for module, a
+                       in pairs if module.split(".")[0] not in local)
+    built, other = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            pairs = [(t, node.value) for t in node.targets]
+        elif isinstance(node, ast.withitem) and node.optional_vars:
+            pairs = [(node.optional_vars, node.context_expr)]
+        else:
+            continue
+        for target, value in pairs:
+            if isinstance(target, ast.Name):
+                head = value.func if isinstance(value, ast.Call) else None
+                while isinstance(head, ast.Attribute):
+                    head = head.value
+                by_library = isinstance(head, ast.Name) and head.id in library
+                (built if by_library else other).add(target.id)
+    return built - other
+
+
+def _on(call: ast.Call, objects: set[str]) -> bool:
+    """``call`` is a method call on one of ``objects``."""
+    func = call.func
+    return (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+            and func.value.id in objects)
+
+
+def _calls(tree, aliases, objects):
+    """Every call with a nameable callee, with its pass-throughs; a
+    method call on one of ``objects`` (a library's) is none of
+    ``src/``'s."""
     out = []
 
     def through(fn, method, value):
@@ -242,7 +297,8 @@ def _calls(tree, aliases):
                 visit(child, cls, (_owner(child, cls if in_class else None),
                                    child), in_class)
                 continue
-            if isinstance(child, ast.Call) and _callee(child):
+            if (isinstance(child, ast.Call) and _callee(child)
+                    and not _on(child, objects)):
                 name = _callee(child)
                 args = []
                 for a in child.args:
@@ -293,9 +349,10 @@ def caller_usage(root=ROOT):
     under ``"replace"``: it sets a field of whichever dataclass ``obj``
     is."""
     aliases = _aliases(root)
+    local = _local_modules(root)
     read, keys, calls = set(), set(), []
     for _path, tree in _trees(CALLER_DIRS, root):
-        calls += _calls(tree, aliases)
+        calls += _calls(tree, aliases, _library_objects(tree, local))
         own = _own_updates(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx,
@@ -594,6 +651,20 @@ def scenario(n, spill=None):
     return make_config(spill=spill)
 """
 
+_LIBRARY_METHOD = """\
+class Grid:
+    def submit(self, job, priority=10):
+        return job, priority
+"""
+
+_LIBRARY_CALLER = """\
+from concurrent.futures import ThreadPoolExecutor
+
+with ThreadPoolExecutor() as pool:
+    pool.submit(print, 1)
+    pool.submit(print, 2)
+"""
+
 _ONE_LITERAL = """\
 class Load:
     def __init__(self, rate=1.0):
@@ -626,9 +697,13 @@ class Tally:
     (_unset, _PASS_THROUGH, "scenario(3)\n",
      {"Config.spill", "make_config.spill", "scenario.spill"},
      "scenario(3, spill=2)\n"),
+    # (b‴) a library object's submit sets no src/ submit's priority
+    (_unset, _LIBRARY_METHOD, _LIBRARY_CALLER, {"Grid.submit.priority"},
+     "Grid().submit('j', 5)\nGrid().submit('k')\n"),
     # (c) every caller passes the one literal 2.0
     (_unset, _ONE_LITERAL, "grid()\n", {"Load.rate"}, "Load(rate=3.0)\n"),
-], ids=("own-update", "default-only", "pass-through", "one-literal"))
+], ids=("own-update", "default-only", "pass-through", "library-method",
+         "one-literal"))
 def test_each_rule_flags_its_fixture_and_a_second_value_clears_it(
         tmp_path, scan, module, caller, flagged, other):
     files = {"src/mod.py": module, "examples/use.py": caller}
