@@ -255,8 +255,8 @@ def _tracked() -> int:
     return len(gc.get_objects())
 
 
-def _batch_queue(n: int, n_cpus: int, cohort: int, reserved: bool,
-                 n_scheds: int = 1, traced: bool = False):
+def _batch_queue(n: int, n_cpus: int, cohort: int, n_scheds: int = 1,
+                 traced: bool = False):
     """Submit ``n`` 60 s jobs at t=0, round-robin over ``n_scheds`` sites
     of ``n_cpus`` each, then drain them: local load in arrivals of
     ``cohort`` jobs through ``submit_local``, or — ``cohort`` 0 — one
@@ -266,16 +266,11 @@ def _batch_queue(n: int, n_cpus: int, cohort: int, reserved: bool,
     job while all are live, ... after all ended, traced bytes per job
     while all are live)``.  The bytes are what ``tracemalloc`` sees the
     submits allocate and keep, and are measured only when ``traced``
-    (whose timings tracing inflates; None otherwise).  ``reserved``
-    keeps one reservation live for the whole run (a 1-CPU window far in
-    the future), so every arrival is played one job at a time and pays
-    the backfill offer.
+    (whose timings tracing inflates; None otherwise).
     """
     env = Environment()
     scheds = [LocalScheduler(env, n_cpus, lambda runtime_s: runtime_s)
               for _ in range(n_scheds)]
-    if reserved:
-        assert all(sched.reserve("r", 1e9, 1.0, cpus=1) for sched in scheds)
     runtimes = [60.0] * cohort
     ids = [f"j{i}" for i in range(n)] if not cohort else []
     idle = _tracked()
@@ -290,7 +285,7 @@ def _batch_queue(n: int, n_cpus: int, cohort: int, reserved: bool,
     t0 = time.perf_counter()
     if cohort:
         for submit_local, first_id in work:
-            submit_local(runtimes, "local", 10, "bg.", first_id)
+            submit_local(runtimes, "local", "bg.", first_id)
     else:
         for submit, job in work:
             submit(job)
@@ -319,8 +314,6 @@ PARENT_BATCH_QUEUE = {
     "local, idle site, cohorts of 8": (0.74, 1.23, 1.13, 0.00, 156.14),
     "watched, idle site": (6.77, 5.44, 8.00, 1.00, 734.18),
     "local, 64 CPUs contended, cohorts of 8": (6.45, 5.00, 7.99, 0.00, 904.06),
-    "local, idle site, 1 live reservation, cohorts of 8":
-        (2.65, 1.83, 2.00, 0.00, 296.21),
     "local, 2,500 idle sites round-robin, cohorts of 1":
         (2.69, 1.54, 2.05, 0.00, 277.67),
     "local, 2,500 idle sites round-robin, cohorts of 8":
@@ -341,17 +334,13 @@ def test_local_scheduler_submit_drain(benchmark):
     """
     n = 50_000
     spare = 2 * n // 2_500  # CPUs per round-robin site: every arrival fits
-    cases = {  # label: (CPUs, cohort, reserved, sites)
-        "local, idle site, cohorts of 1": (n, 1, False, 1),
-        "local, idle site, cohorts of 8": (n, 8, False, 1),
-        "watched, idle site": (n, 0, False, 1),
-        "local, 64 CPUs contended, cohorts of 8": (64, 8, False, 1),
-        "local, idle site, 1 live reservation, cohorts of 8":
-            (n + 1, 8, True, 1),
-        "local, 2,500 idle sites round-robin, cohorts of 1":
-            (spare, 1, False, 2_500),
-        "local, 2,500 idle sites round-robin, cohorts of 8":
-            (spare, 8, False, 2_500),
+    cases = {  # label: (CPUs, cohort, sites)
+        "local, idle site, cohorts of 1": (n, 1, 1),
+        "local, idle site, cohorts of 8": (n, 8, 1),
+        "watched, idle site": (n, 0, 1),
+        "local, 64 CPUs contended, cohorts of 8": (64, 8, 1),
+        "local, 2,500 idle sites round-robin, cohorts of 1": (spare, 1, 2_500),
+        "local, 2,500 idle sites round-robin, cohorts of 8": (spare, 8, 2_500),
     }
 
     def run():

@@ -105,8 +105,6 @@ class ChaosController:
         self.grid = grid
         if not self.plan.active:
             return
-        if self.plan.site_windows:
-            grid.failures.schedule_windows(self.plan.site_windows)
         if self.plan.site_mtbf_s is not None:
             grid.failures.start_stochastic(
                 self._rngs.spawn("site-chaos"),

@@ -96,25 +96,17 @@ _CHECKS = (
     "quota-conservation",
     "checkpoint-progress",
     "outbox-drained",
-    "reservation-conservation",
     "fed-dag-routed",
     "fed-lease-conservation",
 )
 
 
-def check_invariants(servers: dict, clients: dict, scenario, grid=None,
+def check_invariants(servers: dict, clients: dict, scenario,
                      federation=None) -> InvariantReport:
     """Audit the end state of a run; see the module docstring.
 
     A server's whole-run regeneration tally widens its exactly-once
     tolerance, since a regenerated job legitimately completes twice.
-
-    ``grid`` (when supplied) additionally runs the **reservation
-    conservation** audit on every site's local scheduler: no terminal
-    reservation may still hold slots, no past-window reservation may
-    still be live, and the resource's occupied-slot count must equal
-    running jobs plus live held slots — a site outage that failed to
-    release a confirmed reservation's holds shows up here as a leak.
 
     ``federation`` (a :class:`repro.federation.runner.FederationRun`,
     duck-typed — this module never imports federation) switches on the
@@ -295,14 +287,6 @@ def check_invariants(servers: dict, clients: dict, scenario, grid=None,
                 "outbox-drained", label, "outbox",
                 f"{left} undelivered messages at run end",
             ))
-
-    # -- reservation conservation (site side) -----------------------------
-    if grid is not None:
-        for site in grid:
-            for problem in site.scheduler.reservation_audit():
-                out.append(Violation(
-                    "reservation-conservation", "*", site.name, problem,
-                ))
 
     # -- federation: routing + lease conservation --------------------------
     if federation is not None:

@@ -31,7 +31,6 @@ from fnmatch import fnmatch
 from typing import Optional
 
 from repro.core.server import require_non_negative, require_positive
-from repro.simgrid.failures import DowntimeWindow
 
 __all__ = [
     "FaultRule",
@@ -45,7 +44,7 @@ __all__ = [
 
 
 #: the services every fault rule covers: all of SPHINX's, none of the
-#: grid's (condor-g, rls, ...)
+#: grid's
 _RULE_SERVICES = "sphinx-*"
 
 
@@ -145,8 +144,6 @@ class ChaosPlan:
     rule: Optional[FaultRule] = None
     partitions: tuple[PartitionWindow, ...] = ()
     crashes: tuple[CrashSpec, ...] = ()
-    #: extra scripted site faults (resource layer)
-    site_windows: tuple[DowntimeWindow, ...] = ()
     #: stochastic site failures: MTBF (None = off) and MTTR
     site_mtbf_s: Optional[float] = None
     site_mttr_s: float = 1800.0
@@ -181,21 +178,14 @@ class ChaosPlan:
     def active(self) -> bool:
         """False for a no-op plan: the controller then changes nothing."""
         return (self.transport_active or bool(self.crashes)
-                or bool(self.site_windows) or self.site_mtbf_s is not None
-                or self.eviction_active)
+                or self.site_mtbf_s is not None or self.eviction_active)
 
     def in_partition(self, service: str, now: float) -> bool:
         return any(p.covers(service, now) for p in self.partitions)
 
     def to_dict(self) -> dict:
         """JSON-serializable form (for reports and artifacts)."""
-        d = asdict(self)
-        d["site_windows"] = [
-            {"site": w.site, "start_s": w.start_s, "end_s": w.end_s,
-             "state": w.state.value}
-            for w in self.site_windows
-        ]
-        return d
+        return asdict(self)
 
 
 # --------------------------------------------------------------------------
@@ -268,30 +258,6 @@ def _sites(seed: int) -> ChaosPlan:
     )
 
 
-def _reservation_outage(seed: int) -> ChaosPlan:
-    """Crash the big sites mid-run while reservations are live.
-
-    Reserve-ahead servers book stage slots on the largest sites first
-    (they rank by predicted completion, ties broken by CPU count), so
-    killing grid3/acdc/uscmstb a while into the run guarantees some
-    sites die *holding confirmed reservations*.  The reservation-
-    conservation invariant then audits that every held slot was
-    released by the outage and nothing leaked when the windows closed.
-    """
-    from repro.simgrid.site import SiteState
-
-    return ChaosPlan(
-        name="reservation-outage",
-        seed=seed,
-        site_windows=(
-            DowntimeWindow("grid3", 2000.0, 6500.0),
-            DowntimeWindow("acdc", 2400.0, 8000.0),
-            DowntimeWindow("uscmstb", 3000.0, 9000.0,
-                           state=SiteState.BLACKHOLE),
-        ),
-    )
-
-
 def _spot_eviction(seed: int) -> ChaosPlan:
     """Spot-market churn: every site can be drained with 120s notice.
 
@@ -340,7 +306,6 @@ PRESET_PLANS = {
     "full": _full,
     "sites": _sites,
     "spot-eviction": _spot_eviction,
-    "reservation-outage": _reservation_outage,
     "shard-outage": _shard_outage,
 }
 

@@ -106,7 +106,7 @@ def run_chaos(scenario, plan: ChaosPlan, obs=None) -> ChaosRunResult:
     env.run(until=env.now + ServerConfig().tick_s + _DRAIN_GRACE_S)
     report = check_invariants(
         controller.servers, controller.clients, scenario,
-        grid=controller.grid, federation=federation,
+        federation=federation,
     )
     return ChaosRunResult(
         scenario=scenario.name,

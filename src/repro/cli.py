@@ -43,7 +43,6 @@ from repro.experiments import (
 )
 from repro.experiments.figures import (
     ext_eviction_scenario,
-    ext_reservation_scenario,
     fig2_scenario,
     fig345_scenario,
     fig6_scenario,
@@ -63,7 +62,6 @@ SCENARIOS = {
     "fig6": fig6_scenario,
     "fig7": fig7_scenario,
     "fig8": fig8_scenario,
-    "ext-reservation": ext_reservation_scenario,
     "ext-eviction": lambda n_dags, seed, horizon_s: ext_eviction_scenario(
         n_dags=n_dags, seed=seed, horizon_s=horizon_s),
 }

@@ -331,7 +331,6 @@ class SphinxClient:
             site,
             runtime_s=plan["runtime_s"],
             owner=self.user.proxy,
-            reservation_id=plan.get("reservation_id"),
             checkpoint_interval_s=plan.get("checkpoint_interval_s", 0.0),
             checkpoint_cost_s=plan.get("checkpoint_cost_s", 0.0),
         )

@@ -67,10 +67,6 @@ __all__ = ["ServerConfig", "SphinxServer", "require_non_negative",
 
 _JOB_DONE_STATES = (JOB_FINISHED, JOB_REMOVED)
 
-#: walltime margin applied to stage duration/readiness estimates when
-#: sizing reservation windows (> 1 absorbs estimator error).
-_RESERVATION_SLACK = 1.5
-
 #: per-job progress checkpoints, armed with ``migrate_on_drain``: a
 #: planned job persists its fraction done every interval, paying the
 #: cost in CPU-seconds per write.
@@ -153,13 +149,6 @@ class ServerConfig:
     #: for plans or terminal reports dropped by a faulty transport or a
     #: crashed client.  ``inf`` (default) never presumes a job lost.
     presume_lost_after_s: float = math.inf
-    #: proactive planning: when a DAG starts RUNNING, book advance
-    #: reservations for its later stages via the ``condor-g`` RPC,
-    #: co-allocating each parallel stage across the best-predicted
-    #: sites.  Jobs whose reservation confirms are planned straight to
-    #: the reserved site and claim its held slots.  Off by default —
-    #: the reactive feedback loop is the paper's configuration.
-    reserve_ahead: bool = False
     #: eviction tolerance, one switch: every planned job checkpoints
     #: its progress (every ``_JOB_CHECKPOINT_INTERVAL_S``, at
     #: ``_JOB_CHECKPOINT_COST_S`` CPU-seconds per write), so a killed
@@ -263,17 +252,8 @@ class SphinxServer:
         # lives in the warehouse so crash-restarts stay deterministic.
         self.algorithm.bind_state(self.warehouse)
         #: per-dag map of remaining levels below each job (memoized for
-        #: deadline re-budgeting and stage reservation).
+        #: deadline re-budgeting).
         self._depth_cache: dict[str, dict[str, int]] = {}
-        #: reserve-ahead bookkeeping: job_id -> reservation group and
-        #: res_id -> group.  Deliberately in-memory only — a reservation
-        #: lost to a server crash is reclaimed by the site's window-end
-        #: expiry, which is cheaper than replaying RPC state.
-        self._job_reservations: dict[str, dict] = {}
-        self._reservation_groups: dict[str, dict] = {}
-        #: reservation windows asked of Condor-G; read by
-        #: tests/experiments/test_reservation_integration.py
-        self.reservations_requested = 0
 
         #: live DAG objects reconstructed from payloads (cache over the
         #: dag payload column; rebuilt lazily after recovery).
@@ -714,8 +694,8 @@ class SphinxServer:
 
         Every write is durable when made, so the image holds everything
         the server has decided or heard.  It is a deep copy: the
-        crashed incarnation's pending callbacks (delivery acks,
-        reservation replies, lease credits) still hold the live
+        crashed incarnation's pending callbacks (delivery acks, lease
+        credits) still hold the live
         warehouse and may write to it after the crash.
         """
         return self.warehouse.snapshot()
@@ -745,8 +725,6 @@ class SphinxServer:
                 self._move(dags, row, DAG_REDUCED)
                 self._move(dags, row, DAG_RUNNING)
                 self._done_changed(dag_id)
-                if self.config.reserve_ahead:
-                    self._reserve_dag_stages(row)
 
     # -------------------------------------------------------------------- planner
     def _plan_ready_jobs(self) -> None:
@@ -809,9 +787,8 @@ class SphinxServer:
         """
         job = dag.job(jrow["job_id"])
         user = drow["user"]
-        group = self._job_reservations.get(job.job_id)
         job_class = None
-        if group is None and not self.algorithm.wants_context:
+        if not self.algorithm.wants_context:
             job_class = (user, tuple(job.requirements.items()))
             if job_class in declined:
                 self._plan_deferred(drow, job.job_id, "no-site-chosen")
@@ -846,32 +823,14 @@ class SphinxServer:
             self._plan_deferred(drow, job.job_id, "no-feasible-site")
             return False  # nothing feasible now; retry next tick
         pool = Candidates(self._site_columns(), mask)
-        site = None
-        reservation_id = None
-        if group is not None:
-            if (group["state"] == "confirmed"
-                    and mask[self._site_row[group["site"]]]):
-                # Plan straight to the reserved site; the plan carries
-                # the res_id so the submission claims a held slot.
-                site = group["site"]
-                reservation_id = group["res_id"]
-            else:
-                # Rejected, still in flight, or the reserved site fell
-                # out of the feasible pool — plan normally and walk away
-                # from the booking (site-side expiry reclaims the slots
-                # if nobody else in the group shows up either).
-                self._abandon_job_reservation(job.job_id, group)
-                declined.clear()
-                group = None
         # Scored before the choice can move a rotation cursor.
         scores = self.algorithm.score(pool) if self._trace else None
-        if site is None:
-            if self.algorithm.wants_context:
-                site = self.algorithm.choose_site_ctx(
-                    job.job_id, pool, self._plan_context(drow, dag, job.job_id)
-                )
-            else:
-                site = self.algorithm.choose_site(job.job_id, pool)
+        if self.algorithm.wants_context:
+            site = self.algorithm.choose_site_ctx(
+                job.job_id, pool, self._plan_context(drow, dag, job.job_id)
+            )
+        else:
+            site = self.algorithm.choose_site(job.job_id, pool)
         if site is None:
             if job_class is not None:
                 declined.add(job_class)
@@ -884,12 +843,6 @@ class SphinxServer:
             self._plan_deferred(drow, job.job_id, "quota")
             return False  # racing reservations; retry next tick
         declined.clear()
-        if group is not None:
-            # Consume the booking only once the plan is definitely going
-            # out (a quota defer above must keep it claimable).
-            group["jobs"].discard(job.job_id)
-            group["claimed"] += 1
-            self._job_reservations.pop(job.job_id, None)
         # jrow is the live row: read it before the move mutates it.
         attempt = jrow["attempts"] + 1
         fraction = jrow["checkpoint_fraction"]
@@ -945,7 +898,6 @@ class SphinxServer:
                 {"lfn": f.lfn, "size_mb": f.size_mb} for f in job.outputs
             ],
             "timeout_s": self.config.job_timeout_s,
-            "reservation_id": reservation_id,
             # Plan origin: under a federation the client must report
             # this job to the shard that planned it, not to whatever
             # front door admitted the DAG.
@@ -1045,7 +997,7 @@ class SphinxServer:
             self._count("migrations", moved)
         self._flush_outbox()
 
-    # ------------------------------------------------------ proactive reservations
+    # ---------------------------------------------------------------- DAG context
     def _plan_context(self, drow: dict, dag: Dag, job_id: str) -> dict:
         """Per-job DAG context for context-aware algorithms (QosDeadline)."""
         return {
@@ -1067,156 +1019,6 @@ class SphinxServer:
             depth[jid] = 1 + below
         self._depth_cache[dag.dag_id] = depth
         return depth
-
-    def _stage_levels(self, dag: Dag) -> dict[int, list[str]]:
-        """Group jobs by dependency level (0 = roots), topo-stable."""
-        level: dict[str, int] = {}
-        stages: dict[int, list[str]] = {}
-        for jid in dag.job_ids:
-            lvl = max(
-                (level[p] + 1 for p in dag.parents(jid)), default=0
-            )
-            level[jid] = lvl
-            stages.setdefault(lvl, []).append(jid)
-        return stages
-
-    def _reserve_dag_stages(self, drow: dict) -> None:
-        """Book advance reservations for a new RUNNING dag's later stages.
-
-        Each level after the roots gets a window starting at the
-        estimated readiness instant (cumulative predicted stage
-        durations, stretched by ``_RESERVATION_SLACK``), co-allocated
-        across the best-predicted sites up to each site's CPU count.
-        Confirmations arrive asynchronously; until then the group is
-        "pending" and jobs that come ready early just plan normally.
-        """
-        dag = self._dag(drow["dag_id"])
-        jobs = self.warehouse.table("jobs")
-        stages = self._stage_levels(dag)
-        if len(stages) < 2:
-            return  # single-stage dags plan immediately; nothing to book
-        mask = self._all_rows
-        if self.config.use_feedback:
-            mask = self._without(mask, self.feedback.unreliable_sites())
-            if not np.count_nonzero(mask):
-                mask = self._all_rows
-        # Best predicted first; unsampled sites last, by size.
-        cols = self._site_columns()
-        score = np.where(np.isnan(cols.predicted), np.inf, cols.predicted)
-        ranked = sorted(
-            (float(score[i]), -int(cols.n_cpus[i]), cols.names[i])
-            for i in mask.nonzero()[0]
-        )
-        start = self.env.now
-        for lvl in sorted(stages):
-            stage_jobs = [
-                jid for jid in stages[lvl]
-                if jobs.get(jid, copy=False)["state"] == JOB_UNPLANNED
-            ]
-            if not stage_jobs:
-                continue
-            duration = _RESERVATION_SLACK * max(
-                self._job_duration_estimate(dag.job(jid))
-                for jid in stage_jobs
-            )
-            if lvl > 0:
-                self._reserve_stage(drow, lvl, stage_jobs, start, duration,
-                                    ranked)
-            start += duration
-
-    def _job_duration_estimate(self, job) -> float:
-        """Site-agnostic completion estimate for window sizing."""
-        sampled = [
-            avg for s in self.site_catalog
-            if (avg := self.estimator.average_s(s)) is not None
-        ]
-        if sampled:
-            return max(job.runtime_s, min(sampled))
-        # Cold start: allow generously for queueing + transfer on top of
-        # the nominal compute demand.
-        return 3.0 * job.runtime_s
-
-    def _reserve_stage(
-        self,
-        drow: dict,
-        level: int,
-        stage_jobs: list,
-        start_s: float,
-        duration_s: float,
-        ranked: list,
-    ) -> None:
-        """Co-allocate one parallel stage across the best-ranked sites
-        (``(score, -n_cpus, site)`` tuples, best first)."""
-        remaining = list(stage_jobs)
-        for _score, minus_cpus, site in ranked:
-            if not remaining:
-                break
-            chunk = remaining[: max(1, -minus_cpus)]
-            remaining = remaining[len(chunk):]
-            res_id = f"{self.config.name}:{drow['dag_id']}:L{level}:{site}"
-            group = {
-                "res_id": res_id,
-                "site": site,
-                "state": "pending",
-                "jobs": set(chunk),
-                "claimed": 0,
-            }
-            self._reservation_groups[res_id] = group
-            for jid in chunk:
-                self._job_reservations[jid] = group
-            self.reservations_requested += 1
-            ev = self.bus.call(
-                f"/CN={self.service_name}",
-                "condor-g",
-                "reserve",
-                res_id,
-                site,
-                start_s,
-                duration_s,
-                len(chunk),
-            )
-            ev.add_callback(
-                lambda e, rid=res_id: self._reservation_ack(e, rid)
-            )
-
-    def _reservation_ack(self, ev, res_id: str) -> None:
-        group = self._reservation_groups.get(res_id)
-        if group is None:
-            return
-        if ev.ok and ev.value is True:
-            group["state"] = "confirmed"
-            # Jobs deferred while the ack was in flight can now plan to
-            # the reserved site.
-            self._wakeup.set()
-            return
-        if not ev.ok:
-            ev.defuse()
-        group["state"] = "rejected"
-        for jid in list(group["jobs"]):
-            self._job_reservations.pop(jid, None)
-        group["jobs"].clear()
-        self._reservation_groups.pop(res_id, None)
-
-    def _abandon_job_reservation(self, job_id: str, group: dict) -> None:
-        """A job plans elsewhere; drop its claim on the booked window."""
-        group["jobs"].discard(job_id)
-        self._job_reservations.pop(job_id, None)
-        if (
-            not group["jobs"]
-            and group["claimed"] == 0
-            and group["state"] == "confirmed"
-        ):
-            # Nobody left to claim the window: release it at the site
-            # now instead of letting it idle until expiry.
-            group["state"] = "cancelled"
-            self._reservation_groups.pop(group["res_id"], None)
-            self.bus.call(
-                f"/CN={self.service_name}",
-                "condor-g",
-                "cancel_reservation",
-                group["res_id"],
-                group["site"],
-            ).add_callback(lambda e: e.defuse() if not e.ok else None)
 
     def _site_columns(self) -> SiteColumns:
         """The site table, current: stale rows are rewritten first.

@@ -28,7 +28,6 @@ __all__ = [
     "fig6_tables",
     "fig7_scenario",
     "fig8_scenario",
-    "ext_reservation_scenario",
     "ext_scale_scenario",
     "ext_eviction_scenario",
     "ALGORITHM_LINEUP",
@@ -130,32 +129,6 @@ def fig8_scenario(n_dags: int = 120, seed: int = 42,
         name=f"fig8-{n_dags}dags",
         servers=ALGORITHM_LINEUP + (
             ServerSpec("num-cpus-nofb", "num-cpus", use_feedback=False),
-        ),
-        n_dags=n_dags,
-        seed=seed,
-        horizon_s=horizon_s,
-    )
-
-
-def ext_reservation_scenario(n_dags: int = 30, seed: int = 42,
-                             horizon_s: float = 24 * 3600.0,
-                             ) -> Scenario:
-    """Extension: reactive feedback vs proactive stage reservations.
-
-    Two completion-time servers compete under the standard Grid3 fault
-    script; the ``reservation`` variant additionally books site slots
-    ahead for downstream DAG stages (EASY-backfilled advance
-    reservations), while ``reactive`` relies purely on feedback after
-    the fact.  The interesting series: finished DAGs, average DAG
-    completion, and the reservation/backfill counters in the obs
-    metrics snapshot.
-    """
-    return Scenario(
-        name=f"ext-reservation-{n_dags}dags",
-        servers=(
-            ServerSpec("reactive", "completion-time"),
-            ServerSpec("reservation", "completion-time",
-                       reserve_ahead=True),
         ),
         n_dags=n_dags,
         seed=seed,

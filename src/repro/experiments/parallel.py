@@ -34,7 +34,6 @@ from typing import Iterable, Optional, Sequence
 from repro import obs as obs_mod
 from repro.experiments.figures import (
     ext_eviction_scenario,
-    ext_reservation_scenario,
     ext_scale_scenario,
     fig2_scenario,
     fig345_scenario,
@@ -204,8 +203,6 @@ def default_suite(scale: float = 1.0,
                 "runtime_classes": [(30.0, 0.6), (300.0, 0.4)],
             },
         )),
-        SuiteCase("ext-reservation",
-                  ext_reservation_scenario(n30, seed, _DAY_S)),
     ]
     return tuple(cases)
 
@@ -489,34 +486,25 @@ def planning_latency_percentiles(
     return hist.percentile(50), hist.percentile(95)
 
 
-_RESERVATION_OUTCOMES = ("confirmed", "rejected", "released", "expired",
-                         "cancelled")
-
-#: Counter sections of a case's report: section -> key -> (counter
-#: name, ``outcome`` label the counter carries, if any).  A key sums
-#: every matching counter (per site, per server), so a section is all
-#: zeros when its feature never ran.
+#: Counter sections of a case's report: section -> key -> counter
+#: name.  A key sums every counter of that name (per site, per
+#: server), so a section is all zeros when its feature never ran.
 _COUNTER_SECTIONS = {
-    "reservations": {
-        **{outcome: ("site.reservations", outcome)
-           for outcome in _RESERVATION_OUTCOMES},
-        "backfill_starts": ("site.backfill_starts", None),
-    },
     "evictions": {
         # running jobs killed at slot reclaim; evict messages sent off
         # draining sites; attempts planned with a checkpoint resume
-        "evictions": ("site.evictions", None),
-        "migrations": ("server.migrations", None),
-        "checkpoint_restores": ("job.checkpoint_restores", None),
+        "evictions": "site.evictions",
+        "migrations": "server.migrations",
+        "checkpoint_restores": "job.checkpoint_restores",
     },
     "federation": {
-        "admitted": ("meta.dags_admitted", None),
-        "rehomed": ("meta.dags_rehomed", None),
+        "admitted": "meta.dags_admitted",
+        "rehomed": "meta.dags_rehomed",
     },
 }
-_COUNTER_KEYS = {source: (section, key)
+_COUNTER_KEYS = {name: (section, key)
                  for section, keys in _COUNTER_SECTIONS.items()
-                 for key, source in keys.items()}
+                 for key, name in keys.items()}
 
 _QUANTILES = {"p50": "p50", "p95": "p95", "count": "count"}
 
@@ -537,15 +525,14 @@ def project(snapshot: dict) -> dict:
     metrics-registry snapshot as :data:`_COUNTER_SECTIONS` and
     :data:`_HISTOGRAM_SECTIONS` say.
 
-    ``reservations`` and ``evictions`` are always there (zeros when the
-    feature never ran); a histogram section appears only with a row to
-    show, and ``federation`` only beside ``shards`` — routing counts
-    mean nothing on a single server."""
+    ``evictions`` is always there (zeros when the feature never ran);
+    a histogram section appears only with a row to show, and
+    ``federation`` only beside ``shards`` — routing counts mean nothing
+    on a single server."""
     out = {section: dict.fromkeys(keys, 0)
            for section, keys in _COUNTER_SECTIONS.items()}
     for counter in snapshot.get("counters", ()):
-        section_key = _COUNTER_KEYS.get(
-            (counter["name"], counter["labels"].get("outcome")))
+        section_key = _COUNTER_KEYS.get(counter["name"])
         if section_key is not None:
             section, key = section_key
             out[section][key] += int(counter["value"])

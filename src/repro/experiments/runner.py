@@ -166,10 +166,7 @@ class Stack:
             self.bus = RpcBus(env, obs=obs)
         self.rls = ReplicaService(grid.site_names)
         self.gridftp = GridFtpService(env, grid, self.rls)
-        # The bus reference exposes the "condor-g" reservation RPCs to
-        # reserve-ahead servers; registration is pure dict work, so
-        # reservation-less runs stay bit-identical.
-        self.condorg = CondorG(env, grid, bus=self.bus)
+        self.condorg = CondorG(env, grid)
         self.monitoring = MonitoringService(
             env, grid, update_interval_s=scenario.monitoring_interval_s
         )

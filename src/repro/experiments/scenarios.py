@@ -51,9 +51,6 @@ class ServerSpec:
     algorithm_kwargs: dict = field(default_factory=dict)
     use_prediction_correction: bool = True
     estimator_mode: str = "ewma"
-    #: proactive advance reservations for DAG stages (vs purely
-    #: reactive feedback); see ServerConfig.reserve_ahead.
-    reserve_ahead: bool = False
     #: eviction tolerance, drain migration plus job checkpoints (see
     #: ServerConfig.migrate_on_drain): None = the chaos plan decides —
     #: its eviction axis arms it; an explicit value wins over the plan

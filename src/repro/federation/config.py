@@ -27,9 +27,10 @@ class FederationConfig:
     digest_interval_s: float = 60.0
 
     def __post_init__(self):
-        if not self.n_shards >= 1:
+        # type(...) is int: a float (2.5, inf, nan) or a bool is no count
+        if type(self.n_shards) is not int or self.n_shards < 1:
             raise ValueError(
-                f"FederationConfig.n_shards must be >= 1, "
+                f"FederationConfig.n_shards must be an int >= 1, "
                 f"got {self.n_shards!r}"
             )
         require_non_negative(self, "digest_interval_s")

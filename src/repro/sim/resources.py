@@ -1,14 +1,13 @@
 """Contention primitive: a counted resource.
 
 :class:`Resource` holds N interchangeable slots (e.g. the CPUs of a grid
-site).  Requests queue FIFO (optionally by priority) and are granted as
-slots free up.
+site).  Requests queue FIFO and are granted in request order as slots
+free up.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
+from collections import deque
 from heapq import heappush
 
 from repro.sim.engine import Environment, Event, PENDING, SimulationError
@@ -24,9 +23,9 @@ class Request(Event):
     the holder must eventually call ``resource.release(request)``.
     """
 
-    __slots__ = ("resource", "priority")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", priority: int = 0):
+    def __init__(self, resource: "Resource"):
         # Event.__init__ inlined: requests are created once per simulated
         # job, a hot allocation site in every scheduling scenario.
         self.env = resource.env
@@ -35,11 +34,10 @@ class Request(Event):
         self._ok = True
         self._defused = False
         self.resource = resource
-        self.priority = priority
 
 
 class Resource:
-    """``capacity`` interchangeable slots with a FIFO/priority wait queue."""
+    """``capacity`` interchangeable slots with a FIFO wait queue."""
 
     def __init__(self, env: Environment, capacity: int = 1):
         if capacity < 1:
@@ -51,8 +49,7 @@ class Resource:
         self._users: set[Request] = set()
         #: slots held by nobody in particular (:meth:`take`): counted only
         self._anonymous = 0
-        self._queue: list[tuple[int, int, Request]] = []
-        self._counter = itertools.count()
+        self._queue: deque[Request] = deque()
 
     @property
     def capacity(self) -> int:
@@ -73,9 +70,9 @@ class Resource:
         """Number of requests waiting for a slot."""
         return len(self._queue)
 
-    def request(self, priority: int = 0) -> Request:
+    def request(self) -> Request:
         """Claim a slot; the returned event fires when granted."""
-        req = Request(self, priority)
+        req = Request(self)
         users = self._users
         if not self._queue and len(users) + self._anonymous < self._capacity:
             # Uncontended fast path: grant immediately, skipping the
@@ -87,7 +84,7 @@ class Resource:
             env._seq += 1
             heappush(env._heap, (env._now, _NORMAL_BASE + env._seq, req))
         else:
-            heapq.heappush(self._queue, (priority, next(self._counter), req))
+            self._queue.append(req)
             self._grant()
         return req
 
@@ -121,12 +118,10 @@ class Resource:
 
     def cancel(self, request: Request) -> None:
         """Withdraw a queued (not yet granted) request."""
-        for i, (_p, _c, queued) in enumerate(self._queue):
-            if queued is request:
-                self._queue.pop(i)
-                heapq.heapify(self._queue)
-                return
-        raise SimulationError("cancel() of a request that is not queued")
+        try:
+            self._queue.remove(request)
+        except ValueError:
+            raise SimulationError("cancel() of a request that is not queued")
 
     def resize(self, capacity: int) -> None:
         """Change capacity at runtime (models CPUs going on/offline).
@@ -142,9 +137,8 @@ class Resource:
         queue = self._queue
         users = self._users
         cap = self._capacity - self._anonymous
-        pop = heapq.heappop
         while queue and len(users) < cap:
-            req = pop(queue)[2]
+            req = queue.popleft()
             users.add(req)
             # Event.succeed(req) inlined — a queued Request is pending by
             # construction (cancel() removes it from the queue first).

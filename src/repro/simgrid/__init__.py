@@ -20,8 +20,6 @@ from repro.simgrid.vo import User, VirtualOrganization
 from repro.simgrid.network import NetworkModel
 from repro.simgrid.local_scheduler import (
     LocalScheduler,
-    Reservation,
-    ReservationState,
     SiteJob,
     SiteJobStatus,
 )
@@ -39,8 +37,6 @@ __all__ = [
     "GridSite",
     "LocalScheduler",
     "NetworkModel",
-    "Reservation",
-    "ReservationState",
     "SiteJob",
     "SiteJobStatus",
     "SiteState",

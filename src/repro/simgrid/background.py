@@ -20,7 +20,6 @@ from typing import Optional
 
 from repro.sim.engine import Environment
 from repro.sim.rng import RngStreams
-from repro.simgrid.local_scheduler import JOB_PRIORITY
 from repro.simgrid.site import GridSite, SiteState
 
 __all__ = ["BackgroundLoad"]
@@ -153,7 +152,7 @@ class BackgroundLoad:
         first_id, self._next_id = self._next_id, self._next_id + n
         self.site.submit_local(
             [r if r > 1.0 else 1.0 for r in runtimes],
-            owner, JOB_PRIORITY, prefix, first_id,
+            owner, prefix, first_id,
         )
         self.submitted += n
 

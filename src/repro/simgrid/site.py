@@ -117,8 +117,8 @@ class GridSite:
 
     @obs.setter
     def obs(self, value) -> None:
-        # Forward to the scheduler so reservation/backfill metrics carry
-        # the site label without the runner knowing about the calendar.
+        # Forward to the scheduler so its preemption-loss metric carries
+        # the site label.
         self._obs = value
         self.scheduler.obs = value
 
@@ -150,10 +150,7 @@ class GridSite:
                 site=self.name, state=state.value,
             )
         if state is SiteState.DOWN:
-            # Loud failure: everything in the batch system dies, and
-            # confirmed reservations release their held slots instead of
-            # leaking them into the frozen pool.
-            self.scheduler.release_reservations()
+            # Loud failure: everything in the batch system dies.
             self.scheduler.kill_all()
             self.scheduler.freeze()
         elif state is SiteState.BLACKHOLE:
@@ -203,30 +200,12 @@ class GridSite:
     def has_file(self, lfn: str) -> bool:
         return lfn in self._storage
 
-    # -- advance reservations -------------------------------------------------------------
-    def reserve(
-        self, res_id: str, start_s: float, duration_s: float, cpus: int = 1
-    ) -> bool:
-        """Admit a reservation window; False when rejected or site DOWN.
-
-        BLACKHOLE sites confirm reservations just as they accept jobs —
-        silently and uselessly; the window-end timer cleans them up.
-        """
-        if self._state is SiteState.DOWN:
-            return False
-        return self.scheduler.reserve(res_id, start_s, duration_s, cpus)
-
-    def cancel_reservation(self, res_id: str) -> bool:
-        """Withdraw a reservation (client replan or server give-up)."""
-        return self.scheduler.cancel_reservation(res_id)
-
     # -- job submission -------------------------------------------------------------------
     def submit(
         self,
         job_id: str,
         runtime_s: float,
         owner: str = "anonymous",
-        reservation_id: Optional[str] = None,
         checkpoint_interval_s: float = 0.0,
         checkpoint_cost_s: float = 0.0,
     ) -> SiteJob:
@@ -236,9 +215,8 @@ class GridSite:
         Globus gatekeeper does not answer.  BLACKHOLE sites accept the
         job silently, which is precisely their danger.  DRAINING sites
         still accept work — the notice window is exactly for finishing
-        or moving jobs.  ``reservation_id`` claims a slot of a
-        confirmed reservation; ``checkpoint_interval_s`` > 0 makes the
-        job persist progress every interval at ``checkpoint_cost_s``
+        or moving jobs.  ``checkpoint_interval_s`` > 0 makes the job
+        persist progress every interval at ``checkpoint_cost_s``
         CPU-seconds per write; see :meth:`LocalScheduler.submit`.
         """
         if self._state is SiteState.DOWN:
@@ -248,18 +226,18 @@ class GridSite:
             checkpoint_interval_s=checkpoint_interval_s,
             checkpoint_cost_s=checkpoint_cost_s,
         )
-        return self.scheduler.submit(job, reservation_id=reservation_id)
+        return self.scheduler.submit(job)
 
     def submit_local(
-        self, runtimes: Sequence[float], owner: str, priority: int,
-        prefix: str, first_id: int,
+        self, runtimes: Sequence[float], owner: str, prefix: str,
+        first_id: int,
     ) -> None:
         """One arrival of local load — jobs nobody watches; job ``i`` is
         ``prefix + str(first_id + i)``.  The gatekeeper rule of
         :meth:`submit`; see :meth:`LocalScheduler.submit_local`."""
         if self._state is SiteState.DOWN:
             raise SiteUnavailableError(f"site {self.name} is down")
-        self.scheduler.submit_local(runtimes, owner, priority, prefix, first_id)
+        self.scheduler.submit_local(runtimes, owner, prefix, first_id)
 
     def kill(self, job_id: str) -> bool:
         """Remote cancellation (what the SPHINX client sends on timeout)."""

@@ -67,7 +67,7 @@ class TestFaultRule:
         rule = FaultRule()
         assert rule.matches("sphinx-server-a")
         assert rule.matches("sphinx-client-a")
-        assert not rule.matches("condor-g")
+        assert not rule.matches("rls")
 
     def test_activity(self):
         assert not FaultRule().active

@@ -184,7 +184,7 @@ class Rig:
         if site.state is SiteState.DOWN:
             return
         site.submit_local(
-            [400.0] * n_jobs, "local", 10, "local", self.n_local_jobs)
+            [400.0] * n_jobs, "local", "local", self.n_local_jobs)
         self.n_local_jobs += n_jobs
 
     def drain(self, i, on):

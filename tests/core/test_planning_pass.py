@@ -10,8 +10,8 @@ recomputes every ready set and asks about every job:
 * a Hypothesis property checks the contract the declined set rests on,
   for every registered algorithm;
 * whole scenarios — the four paper algorithms, a scarce-quota
-  federation with its lease hook, a spot-eviction drill, stage
-  reservations, QoS deadlines — give the same simulation, the same
+  federation with its lease hook, a spot-eviction drill, QoS
+  deadlines — give the same simulation, the same
   plans in the same order and the same deferral counts either way, and
   again with every algorithm swapped for its list-scan twin
   (``tests/core/reference_algorithms.py``).
@@ -30,7 +30,6 @@ from repro.core.states import JobState
 from repro.experiments import Scenario, ServerSpec, run_scenario
 from repro.experiments.figures import (
     ext_eviction_scenario,
-    ext_reservation_scenario,
     fig345_scenario,
 )
 from repro.federation.runner import ext_federation_scenario, run_federation
@@ -132,23 +131,6 @@ def test_requirements_are_part_of_the_class():
     assert asked == ["a.0", "b.0"]
     assert stack.job_state("a.0") == JobState.UNPLANNED.value
     assert stack.server.warehouse.table("jobs").get("b.0")["site"] == "s0"
-
-
-def test_a_reserved_job_of_a_declined_class_claims_its_booking():
-    stack = Stack(algorithm="completion-time")
-    stack.submit(Dag("probe", [Job(f"probe.{i}") for i in range(3)]))
-    stack.server.tick()
-    group = {"res_id": "t:b:L1:s1", "site": "s1", "state": "confirmed",
-             "jobs": {"b.0"}, "claimed": 0}
-    stack.server._reservation_groups[group["res_id"]] = group
-    stack.server._job_reservations["b.0"] = group
-    stack.submit(Dag("a", [Job("a.0")]))
-    stack.submit(Dag("b", [Job("b.0")]))
-    stack.server.tick()
-    assert stack.job_state("a.0") == JobState.UNPLANNED.value  # declined
-    plan = [m["payload"] for m in stack.drain() if m["kind"] == "plan"][-1]
-    assert (plan["job_id"], plan["site"], plan["reservation_id"]) == \
-        ("b.0", "s1", "t:b:L1:s1")
 
 
 def test_a_context_aware_algorithm_is_asked_about_every_job():
@@ -281,11 +263,6 @@ def _eviction(obs):
     return drill.result, len(drill.report.violations)
 
 
-def _reservation(obs):
-    return run_scenario(ext_reservation_scenario(n_dags=20, seed=42),
-                        obs=obs), 0
-
-
 def _qos(obs):
     scenario = Scenario(
         name="planning-pass-qos",
@@ -352,7 +329,6 @@ def _observe(run, monkeypatch):
     (_fig345, True),
     (_federation, True),
     (_eviction, False),
-    (_reservation, True),
     (_qos, True),
 ])
 def test_scenario_identical_shipped_and_twin(run, declines, monkeypatch):
@@ -372,7 +348,7 @@ def test_scenario_identical_shipped_and_twin(run, declines, monkeypatch):
 
 
 @pytest.mark.parametrize("run", [
-    _fig345, _federation, _eviction, _reservation, _qos,
+    _fig345, _federation, _eviction, _qos,
 ])
 def test_scenario_identical_column_and_list_scan(run, monkeypatch):
     """Every algorithm choosing over the site table's columns makes the

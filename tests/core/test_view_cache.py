@@ -187,7 +187,7 @@ def test_unread_polls_refresh_every_row():
     env, server = _stack()
     _assert_views_match(server, ("s0", "s1", "s2"))
     grid = server.monitoring.grid
-    grid.site("s0").submit_local([500.0], "local", 10, "local", 0)
+    grid.site("s0").submit_local([500.0], "local", "local", 0)
     env.run(until=env.timeout(61.0))   # poll 2 sees s0 busy (unread)
     grid.site("s0").set_state(SiteState.DOWN)
     env.run(until=env.timeout(60.0))   # poll 3 cannot reach s0

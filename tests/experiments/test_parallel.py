@@ -174,9 +174,9 @@ def test_headline_metrics_json_safe_nan():
 
 def test_suite_payload_sections_pinned():
     """Every report section, on the one case of each kind that fills it
-    (reserve-ahead, federated, eviction drill) — the projection from a
-    metrics snapshot to BENCH_SUITE.json is held to these numbers."""
-    pinned = {"ext-reservation", "ext-federation-2shards", "ext-eviction"}
+    (federated, eviction drill) — the projection from a metrics
+    snapshot to BENCH_SUITE.json is held to these numbers."""
+    pinned = {"ext-federation-2shards", "ext-eviction"}
     cases = [c for c in (default_suite(scale=0.1, seed=42)
                          + federation_suite([2], seed=42, scale=0.4)
                          + eviction_suite(scale=0.3, seed=42))
@@ -190,16 +190,6 @@ def test_suite_payload_sections_pinned():
 
     zero_evictions = {"evictions": 0, "migrations": 0,
                       "checkpoint_restores": 0}
-    zero_reservations = {"confirmed": 0, "released": 0, "expired": 0,
-                         "rejected": 0, "cancelled": 0, "backfill_starts": 0}
-
-    fig = figures["ext-reservation"]
-    assert fingerprint(fig) == (3376, 253, "2186.5350820653853")
-    assert fig["reservations"] == {
-        "confirmed": 20, "released": 15, "expired": 5,
-        "rejected": 0, "cancelled": 0, "backfill_starts": 0}
-    assert fig["evictions"] == zero_evictions
-    assert not {"shards", "federation", "preemption_loss_s"} & set(fig)
 
     fig = figures["ext-federation-2shards"]
     assert fingerprint(fig) == (2103, 345, "658.8995577940586")
@@ -207,7 +197,6 @@ def test_suite_payload_sections_pinned():
     assert fig["shards"] == {
         "shard0": {"count": 0, "p50": None, "p95": None},
         "shard1": {"count": 80, "p50": 0.0, "p95": 0.10000000000002274}}
-    assert fig["reservations"] == zero_reservations
     assert fig["evictions"] == zero_evictions
     assert "preemption_loss_s" not in fig
 
@@ -222,7 +211,6 @@ def test_suite_payload_sections_pinned():
         "resubmit": {"count": 3, "p50": 288.6414998091743,
                      "p95": 355.1208663191121,
                      "total_s": 838.0144374356403}}
-    assert fig["reservations"] == zero_reservations
     assert not {"shards", "federation"} & set(fig)
 
 

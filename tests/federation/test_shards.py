@@ -55,6 +55,9 @@ def test_config_naming():
     {"n_shards": 0},
     {"digest_interval_s": -1.0},
     {"digest_interval_s": float("nan")},
+    {"n_shards": float("inf")},
+    {"n_shards": 2.5},
+    {"n_shards": True},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim import Environment
 from repro.sim.rng import RngStreams
-from repro.services import CondorG, RpcBus
+from repro.services import CondorG
 from repro.simgrid import Grid, SiteState
 from repro.simgrid.grid import SiteSpec
 from repro.simgrid.local_scheduler import SiteJobStatus
@@ -18,29 +18,6 @@ def make(n_sites=2, n_cpus=2):
                                background_utilization=0.0,
                                service_noise_sigma=0.0))
     return env, grid, CondorG(env, grid)
-
-
-def test_reserve_rpc_answers_false_for_a_bad_cpu_count():
-    """A CPU count the site cannot book is a "rejected" answer, not an
-    RPC fault (``int(nan)`` used to raise inside the handler)."""
-    env = Environment()
-    grid = Grid(env, RngStreams(0))
-    grid.add_site(SiteSpec("s0", n_cpus=4, background_utilization=0.0,
-                           service_noise_sigma=0.0))
-    bus = RpcBus(env)
-    cg = CondorG(env, grid, bus)
-    answers = []
-
-    def caller():
-        for cpus in (float("nan"), 1.7):
-            answers.append((yield bus.call("p", "condor-g", "reserve",
-                                           f"r{len(answers)}", "s0", 0.0,
-                                           10.0, cpus)))
-
-    env.run(until=env.process(caller()))
-    assert answers == [False, False]
-    assert cg.reservations_rejected == 2
-    assert grid.site("s0").scheduler.reservations == ()
 
 
 def test_successful_job_lifecycle():

@@ -65,8 +65,7 @@ def test_same_instant_priority_ordering(n):
 
 @given(
     capacity=st.integers(1, 8),
-    jobs=st.lists(st.tuples(st.floats(0.1, 50.0), st.integers(0, 3)),
-                  min_size=1, max_size=40),
+    jobs=st.lists(st.floats(0.1, 50.0), min_size=1, max_size=40),
 )
 @settings(max_examples=40, deadline=None)
 def test_resource_never_exceeds_capacity(capacity, jobs):
@@ -77,16 +76,16 @@ def test_resource_never_exceeds_capacity(capacity, jobs):
     peak = [0]
     completed = [0]
 
-    def worker(env, res, hold, prio):
-        req = res.request(priority=prio)
+    def worker(env, res, hold):
+        req = res.request()
         yield req
         peak[0] = max(peak[0], res.count)
         yield env.timeout(hold)
         res.release(req)
         completed[0] += 1
 
-    for hold, prio in jobs:
-        env.process(worker(env, res, hold, prio))
+    for hold in jobs:
+        env.process(worker(env, res, hold))
     env.run()
     assert peak[0] <= capacity
     assert completed[0] == len(jobs)

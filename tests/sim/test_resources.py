@@ -50,30 +50,27 @@ def test_resource_count_and_queued():
     assert res.count == 0 and res.queued == 0
 
 
-def test_resource_priority_ordering():
+def test_resource_grants_in_request_order():
     env = Environment()
     res = Resource(env, capacity=1)
     order = []
 
-    def worker(env, res, name, prio):
-        req = res.request(priority=prio)
+    def worker(name, req):
         yield req
-        order.append(name)
+        order.append((name, env.now))
         yield env.timeout(1.0)
         res.release(req)
 
-    def spawn(env):
-        first = res.request()
-        yield first  # occupy the slot so others queue
-        env.process(worker(env, res, "low", 10))
-        env.process(worker(env, res, "high", 0))
-        env.process(worker(env, res, "mid", 5))
-        yield env.timeout(1.0)
-        res.release(first)
-
-    env.process(spawn(env))
+    first = res.request()  # uncontended: holds the slot, the rest queue
+    queued = {name: res.request() for name in "abcde"}
+    res.cancel(queued.pop("c"))  # out of the middle of the queue
+    for name, req in queued.items():
+        env.process(worker(name, req))
+    env.process(worker("first", first))
     env.run()
-    assert order == ["high", "mid", "low"]
+    assert order == [("first", 0.0), ("a", 1.0), ("b", 2.0), ("d", 3.0),
+                     ("e", 4.0)]
+    assert res.count == 0 and res.queued == 0
 
 
 def test_release_unheld_request_raises():

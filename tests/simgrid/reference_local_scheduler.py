@@ -2,17 +2,15 @@
 
 Test-only.  This is the job lifecycle that shipped before the callback
 state machine replaced it: every submitted job is driven by its own
-kernel ``Process`` wrapping the ``_run`` -> ``_execute`` generator (or
-``_run_reserved`` for a job bound to a reservation), and ``kill``
-unwinds a live job by throwing ``Interrupt`` into that process.  It is
+kernel ``Process`` wrapping the ``_run`` -> ``_execute`` generator, and
+``kill`` unwinds a live job by throwing ``Interrupt`` into that process.  It is
 obviously correct and slow; the differential test in
 ``test_local_scheduler_differential.py`` holds the state machine to it
 with ``==``.  The bodies below are moved verbatim — do not optimise them.
 
-Everything that is not the lifecycle (the reservation calendar, slot
-routing, preemption accounting, the observables) is inherited, so the
-two classes differ in nothing but how a job gets from PENDING to its
-terminal status.
+Everything that is not the lifecycle (preemption accounting, the
+observables) is inherited, so the two classes differ in nothing but how
+a job gets from PENDING to its terminal status.
 
 Local load has no cohorts here: ``submit_local`` is one historical
 ``submit(SiteJob(...), detached=True)`` per runtime, each job a record
@@ -26,10 +24,9 @@ from __future__ import annotations
 
 import math
 from heapq import heappush
-from typing import Optional
 
 from repro.sim import Interrupt
-from repro.sim.engine import _NORMAL_BASE, Event, SimulationError
+from repro.sim.engine import _NORMAL_BASE, SimulationError
 from repro.sim.resources import Request, Resource
 from repro.simgrid.local_scheduler import LocalScheduler, SiteJob, SiteJobStatus
 
@@ -39,12 +36,12 @@ __all__ = ["LazyResource", "ReferenceLocalScheduler"]
 class LazyResource(Resource):
     """``Resource.request`` as it was while it still took ``lazy=``."""
 
-    def request(self, priority: int = 0, lazy: bool = False) -> Request:
+    def request(self, lazy: bool = False) -> Request:
         """``lazy``: an *uncontended* grant is marked processed in place
         instead of scheduling a wake-up — for callers that check
         ``req.processed`` right away and skip their yield when the
         slot was free."""
-        req = Request(self, priority)
+        req = Request(self)
         users = self._users
         if not self._queue and len(users) < self._capacity:
             users.add(req)
@@ -56,14 +53,14 @@ class LazyResource(Resource):
             env._seq += 1
             heappush(env._heap, (env._now, _NORMAL_BASE + env._seq, req))
         else:
-            heappush(self._queue, (priority, next(self._counter), req))
+            self._queue.append(req)
             self._grant()
         return req
 
 
 class ReferenceLocalScheduler(LocalScheduler):
-    """Calendar and counters from :class:`LocalScheduler`; each job is the
-    historical generator process."""
+    """Counters and observables from :class:`LocalScheduler`; each job is
+    the historical generator process."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -76,39 +73,22 @@ class ReferenceLocalScheduler(LocalScheduler):
     def submit(
         self,
         job: SiteJob,
-        reservation_id: Optional[str] = None,
         detached: bool = False,  # historical; only submit_local passes it
     ) -> SiteJob:
         if job.job_id in self._jobs:
             raise ValueError(f"duplicate local job id {job.job_id!r}")
         if job.status is not SiteJobStatus.PENDING:
             raise ValueError(f"job {job.job_id!r} was already submitted")
-        if reservation_id is not None:
-            res = self._reservations.get(reservation_id)
-            if res is not None and res.live:
-                self._jobs[job.job_id] = job
-                job.submitted_at = self.env.now
-                job.reservation_id = reservation_id
-                grant = Event(self.env)
-                self._res_waiting[job.job_id] = (res, grant)
-                res.claimed.append(job.job_id)
-                self._procs[job.job_id] = self.env.process(
-                    self._run_reserved(job, grant)
-                )
-                self._dispatch_reservation(res)
-                return job
         self._jobs[job.job_id] = job
         job.submitted_at = self.env.now
-        req = self._cpus.request(priority=job.priority, lazy=detached)
+        req = self._cpus.request(lazy=detached)
         self._pending[job.job_id] = req
         self._procs[job.job_id] = self.env.process(self._run(job, req))
-        if self._reservations:
-            self._offer_backfill()
         return job
 
-    def submit_local(self, runtimes, owner, priority, prefix, first_id) -> None:
+    def submit_local(self, runtimes, owner, prefix, first_id) -> None:
         jobs = [
-            SiteJob(f"{prefix}{first_id + i}", owner, runtime_s, priority)
+            SiteJob(f"{prefix}{first_id + i}", owner, runtime_s)
             for i, runtime_s in enumerate(runtimes)
         ]
         for job in jobs:  # an arrival is refused whole; submit() never looked
@@ -131,21 +111,7 @@ class ReferenceLocalScheduler(LocalScheduler):
                 # Granted this instant but the runner has not resumed yet
                 # (it would have left _pending if it had); the grant must
                 # be handed back or the slot leaks.
-                try:
-                    self._cpus.release(req)
-                except SimulationError:
-                    # A backfill redirect was in flight: the request was
-                    # settled with a borrowed reservation slot, never
-                    # granted itself.  The slot is recovered through
-                    # _reclaim_orphan_slot when the runner unwinds.
-                    pass
-        entry = self._res_waiting.pop(job_id, None)
-        if entry is not None:
-            res = entry[0]
-            try:
-                res.claimed.remove(job_id)
-            except ValueError:
-                pass
+                self._cpus.release(req)
         if job_id in self._running:
             # Killed while RUNNING: account checkpoint progress before
             # the interrupt unwinds the runner, so status watchers (the
@@ -172,37 +138,10 @@ class ReferenceLocalScheduler(LocalScheduler):
             slot = req
         else:
             try:
-                # The settle value is the slot actually granted: the
-                # request itself on the ordinary path, or a borrowed
-                # reservation hold when EASY backfilling redirected us.
                 slot = yield req
             except Interrupt:
                 # Killed while pending; kill() set the status.
                 self._procs.pop(job.job_id, None)
-                self._reclaim_orphan_slot(job.job_id, req)
-                return
-            finally:
-                self._pending.pop(job.job_id, None)
-        yield from self._execute(job, slot)
-
-    def _run_reserved(self, job: SiteJob, grant: Event):
-        try:
-            slot = yield grant
-        except Interrupt:
-            self._procs.pop(job.job_id, None)
-            self._reclaim_orphan_slot(job.job_id, grant)
-            return
-        if not isinstance(slot, Request):
-            # The reservation evaporated (expiry / cancel / outage)
-            # before a slot was assigned: fall back to the ordinary
-            # priority queue.
-            req = self._cpus.request(priority=job.priority)
-            self._pending[job.job_id] = req
-            try:
-                slot = yield req
-            except Interrupt:
-                self._procs.pop(job.job_id, None)
-                self._reclaim_orphan_slot(job.job_id, req)
                 return
             finally:
                 self._pending.pop(job.job_id, None)
@@ -228,7 +167,7 @@ class ReferenceLocalScheduler(LocalScheduler):
             return  # killed while running; kill() set the status
         finally:
             self._running.discard(job.job_id)
-            self._release_slot(job.job_id, slot)
+            self._cpus.release(slot)
             self._procs.pop(job.job_id, None)
 
         job.finished_at = self.env.now

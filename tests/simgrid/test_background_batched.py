@@ -51,13 +51,13 @@ def _run(batch_interval_s, horizon_s=6 * 3600.0, seed=123,
     records = []
     orig_submit_local = site.submit_local
 
-    def recording_submit_local(runtimes, owner, priority, prefix, first_id):
+    def recording_submit_local(runtimes, owner, prefix, first_id):
         records.extend(
             (prefix + str(first_id + i), round(env.now, 9), round(runtime_s, 9))
             for i, runtime_s in enumerate(runtimes)
         )
         if execute:
-            orig_submit_local(runtimes, owner, priority, prefix, first_id)
+            orig_submit_local(runtimes, owner, prefix, first_id)
 
     site.submit_local = recording_submit_local
     bg = BackgroundLoad(

@@ -83,12 +83,12 @@ def tied_arrival(env, cls, run):
     # 200 jobs over 7 distinct runtimes, 0 s included: finishes tie inside
     # the cohort, with a second cohort and with a watched job's timer
     sched = cls(env, 256, lambda runtime_s: runtime_s)
-    sched.submit_local([10.0 * (i % 7) for i in range(200)], "l", 10, "a.", 0)
+    sched.submit_local([10.0 * (i % 7) for i in range(200)], "l", "a.", 0)
     sched.submit(SiteJob("w", runtime_s=20.0))
 
     def later():
         yield env.timeout(10.0)
-        sched.submit_local([10.0 * (i % 3) for i in range(40)], "l", 10, "b.", 0)
+        sched.submit_local([10.0 * (i % 3) for i in range(40)], "l", "b.", 0)
 
     env.process(later())
     run()
@@ -100,16 +100,16 @@ def down_mid_cohort(env, cls, run):
     # running (kill_all), so its members keep popping into the stale guard
     site = GridSite(env, RngStreams(11), "s", n_cpus=300,
                     service_noise_sigma=0.3)
-    site.submit_local([50.0 + i % 5 for i in range(200)], "l", 10, "a.", 0)
+    site.submit_local([50.0 + i % 5 for i in range(200)], "l", "a.", 0)
 
     def script():
         yield env.timeout(30.0)
-        site.submit_local([5.0] * 20, "l", 10, "b.", 0)
+        site.submit_local([5.0] * 20, "l", "b.", 0)
         yield env.timeout(20.0)
         site.set_state(SiteState.DOWN)
         yield env.timeout(10.0)
         site.set_state(SiteState.UP)
-        site.submit_local([10.0, 10.0, 1.0] * 10, "l", 10, "c.", 0)
+        site.submit_local([10.0, 10.0, 1.0] * 10, "l", "c.", 0)
 
     env.process(script())
     run()
@@ -118,28 +118,11 @@ def down_mid_cohort(env, cls, run):
     assert not sched._jobs and sched._cpus.count == 0
 
 
-def live_reservation(env, cls, run):
-    # a cohort already running when the reservation is made; later
-    # arrivals are played one job at a time (cohorts of one, backfill)
-    sched = cls(env, 8, lambda runtime_s: runtime_s)
-    sched.submit_local([4.0, 4.0, 2.0, 6.0, 6.0], "l", 10, "a.", 0)
-
-    def script():
-        yield env.timeout(0.5)
-        assert sched.reserve("r", 20.0, 5.0, cpus=2)
-        yield env.timeout(0.5)
-        sched.submit_local([3.0, 3.0, 30.0, 1.0, 1.0, 2.0], "l", 10, "b.", 0)
-
-    env.process(script())
-    run()
-    assert sched.reservation_audit() == [] and not sched._jobs
-
-
 def stop_with_members_held(env, cls, run):
     # run(until=t) stops with most of a cohort held, then resumes
     sched = cls(env, 100, lambda runtime_s: runtime_s)
-    sched.submit_local([float(100 - i) for i in range(100)], "l", 10, "a.", 0)
-    sched.submit_local([7.0] * 10, "l", 10, "b.", 0)  # queues: CPUs are full
+    sched.submit_local([float(100 - i) for i in range(100)], "l", "a.", 0)
+    sched.submit_local([7.0] * 10, "l", "b.", 0)  # queues: CPUs are full
     run(25.5)  # the queued ten took the first freed slots and are done
     assert (sched.running_jobs, sched.queued_jobs) == (75, 0)
     run(60.0)
@@ -149,7 +132,7 @@ def stop_with_members_held(env, cls, run):
 
 
 @pytest.mark.parametrize("scenario", [
-    tied_arrival, down_mid_cohort, live_reservation, stop_with_members_held,
+    tied_arrival, down_mid_cohort, stop_with_members_held,
 ])
 def test_chained_cohort_pops_as_the_eager_twin(scenario, monkeypatch):
     assert_same(scenario, monkeypatch)
@@ -158,7 +141,7 @@ def test_chained_cohort_pops_as_the_eager_twin(scenario, monkeypatch):
 def test_held_entries_count_as_pending():
     env = Environment()
     sched = LocalScheduler(env, 4, lambda runtime_s: runtime_s)
-    sched.submit_local([3.0, 1.0, 2.0, 1.0], "l", 10, "a.", 0)
+    sched.submit_local([3.0, 1.0, 2.0, 1.0], "l", "a.", 0)
     assert len(env._heap) == 1 and env._held == 3
     env.run(until=1.0)  # both 1 s members, in arrival order
     assert (env.event_count, len(env._heap), env._held) == (2, 1, 1)

@@ -35,7 +35,7 @@ def tracked() -> int:
 def big_site():
     env = Environment()
     site = GridSite(env, RngStreams(7), "big", n_cpus=N)
-    site.submit_local([1.0], "local", 10, "warm.", 0)  # noise block, method
+    site.submit_local([1.0], "local", "warm.", 0)  # noise block, method
     env.run()
     return env, site
 
@@ -44,10 +44,10 @@ def test_local_arrival_is_one_heap_entry_none_ended():
     env, site = big_site()
     runtimes = [100.0 + i % 50 for i in range(N)]  # ties; floats untracked
     idle = tracked()
-    site.submit_local(runtimes, "local", 10, "bg.", 0)
+    site.submit_local(runtimes, "local", "bg.", 0)
     sched = site.scheduler
     assert sched.running_jobs == N and sched.queued_jobs == 0
-    assert sched.utilization == 1.0 and sched.reservation_audit() == []
+    assert sched.utilization == 1.0 and sched._cpus.count == sched.running_jobs
     assert len(env._heap) == 1 and env._held == N - 1
     # the heap entry, the cohort, its held array, and the job table, which
     # CPython leaves untracked while it is empty: none of it per member
@@ -66,7 +66,7 @@ def test_a_running_member_is_at_most_24_traced_bytes():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        site.submit_local(runtimes, "local", 10, "bg.", 0)
+        site.submit_local(runtimes, "local", "bg.", 0)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -84,7 +84,7 @@ def test_a_contended_jobs_request_dies_by_refcount():
     gc.disable()
     try:
         before = requests()
-        sched.submit_local((5.0, 5.0), "local", 10, "bg.", 0)  # 2nd queues
+        sched.submit_local((5.0, 5.0), "local", "bg.", 0)  # 2nd queues
         sched.submit(SiteJob("c", runtime_s=5.0))              # watched
         assert requests() - before == 2
         env.run()

@@ -52,16 +52,6 @@ def test_queueing_beyond_capacity():
     assert sched.completed_count == 5
 
 
-def test_priority_wins_queue():
-    env = Environment()
-    sched = make(env, n_cpus=1)
-    sched.submit(SiteJob("first", runtime_s=10.0))
-    sched.submit(SiteJob("low", runtime_s=1.0, priority=20))
-    sched.submit(SiteJob("high", runtime_s=1.0, priority=1))
-    env.run()
-    assert sched.job("high").started_at < sched.job("low").started_at
-
-
 def test_duplicate_id_rejected():
     env = Environment()
     sched = make(env)
@@ -243,7 +233,7 @@ def test_killed_running_job_leaves_a_stale_timer_that_does_nothing():
     assert env.now == 100.0  # the stale run timer still fired, into the guard
     assert victim.status is SiteJobStatus.KILLED and victim.finished_at == 5.0
     assert (sched.completed_count, sched.killed_count) == (1, 1)
-    assert sched.running_jobs == 0 and sched.reservation_audit() == []
+    assert sched.running_jobs == 0 and sched._cpus.count == 0
 
 
 def test_kill_from_own_running_callback_frees_the_slot():
@@ -262,4 +252,4 @@ def test_kill_from_own_running_callback_frees_the_slot():
     assert job.status is SiteJobStatus.KILLED and job.finished_at == 0.0
     assert nxt.started_at == 0.0
     assert (sched.completed_count, sched.killed_count) == (1, 1)
-    assert sched.reservation_audit() == []
+    assert sched._cpus.count == 0

@@ -3,8 +3,8 @@
 ``LocalScheduler`` runs a job as callbacks on one awaited event;
 ``reference_local_scheduler.py`` keeps the historical generator process
 per job.  Random operation sequences — every public verb, at instants
-drawn from small pools so that ties (a kill landing on a grant instant,
-or on a backfill redirect in flight) are the rule, not the exception —
+drawn from small pools so that ties (a kill landing on a grant instant)
+are the rule, not the exception —
 must leave both in the same state with ``==``: every job's status and
 float timings, the order and instants of status callbacks, the
 observables after every operation, every counter — and the two process
@@ -14,7 +14,7 @@ Local load (``submit_local``) runs in cohorts here and as one recorded,
 process-driven job per runtime in the twin.  A cohort member has no
 record to compare, so the rig compares what an arrival does to everyone
 else: after every step the observables, every counter,
-``repr(preempted_work_s)`` and ``reservation_audit()``, and at the end
+``repr(preempted_work_s)`` and the held-slot count, and at the end
 ``env.event_count`` — a member that started, ended, was killed or drew
 its service noise at another instant or in another order shows in one.
 """
@@ -37,8 +37,7 @@ from tests.simgrid.reference_local_scheduler import ReferenceLocalScheduler
 # Small pools make exact ties likely; the float ranges keep rounding honest.
 DELAYS = st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.0, 5.0]) | st.floats(0.0, 12.0)
 RUNTIMES = st.sampled_from([0.0, 1.0, 2.0, 5.0, 5.0, 10.0]) | st.floats(0.0, 30.0)
-PRIORITIES = st.sampled_from([1, 10, 10, 10, 20])
-SMALL = st.integers(0, 7)  # job / reservation references, taken modulo
+SMALL = st.integers(0, 7)  # job references, taken modulo
 
 
 @dataclass(frozen=True)
@@ -53,8 +52,6 @@ class Watch:
 @dataclass(frozen=True)
 class Submit:
     runtime_s: float
-    priority: int
-    reservation: Optional[int]
     checkpoint_interval_s: float
     checkpoint_cost_s: float
     watch: Optional[Watch]
@@ -65,7 +62,6 @@ class SubmitLocal:
     """One arrival of local load: nobody watches, nobody can address it."""
 
     runtimes: tuple
-    priority: int = 10
 
 
 @dataclass(frozen=True)
@@ -75,22 +71,13 @@ class Stop:
 
 
 @dataclass(frozen=True)
-class Reserve:
-    start_in_s: float
-    duration_s: float
-    cpus: int
-
-
-@dataclass(frozen=True)
 class Simple:
-    verb: str  # kill_all | freeze | thaw | release_reservations
-    arg: int = 0  # cancel_reservation target
+    verb: str  # kill_all | freeze | thaw
 
 
 @dataclass(frozen=True)
 class Case:
     n_cpus: int
-    backfill: bool
     seed: Optional[int]  # of the service-time noise; None = no noise
     steps: list  # [(delay, [ops applied back to back in one callback])]
 
@@ -105,17 +92,13 @@ OPS = st.one_of(
     st.builds(
         Submit,
         runtime_s=RUNTIMES,
-        priority=PRIORITIES,
-        reservation=st.none() | SMALL,
         checkpoint_interval_s=st.sampled_from([0.0, 0.0, 1.0, 2.5]),
         checkpoint_cost_s=st.sampled_from([0.0, 0.25]),
         watch=st.none() | WATCHES,
     ),
     st.builds(
-        Submit,  # plain short jobs: queue pressure and backfill fodder
+        Submit,  # plain short jobs: queue pressure
         runtime_s=st.sampled_from([1.0, 2.0, 5.0]),
-        priority=PRIORITIES,
-        reservation=st.none(),
         checkpoint_interval_s=st.just(0.0),
         checkpoint_cost_s=st.just(0.0),
         watch=st.none(),
@@ -123,28 +106,16 @@ OPS = st.one_of(
     st.builds(
         SubmitLocal,  # 1-6 jobs on 1-6 CPUs: fits, partly fits, all queue
         runtimes=st.lists(RUNTIMES, min_size=1, max_size=6).map(tuple),
-        priority=PRIORITIES,
     ),
     st.builds(Stop, verb=st.just("kill"), target=SMALL),
     st.builds(
-        Reserve,
-        start_in_s=st.sampled_from([0.0, 1.0, 5.0, 20.0]) | st.floats(0.0, 30.0),
-        duration_s=st.sampled_from([1.0, 5.0, 30.0]),
-        cpus=st.integers(1, 3),
-    ),
-    st.builds(
         Simple,
-        verb=st.sampled_from(
-            ["kill_all", "freeze", "thaw", "thaw", "release_reservations",
-             "cancel_reservation", "cancel_reservation"]
-        ),
-        arg=SMALL,
+        verb=st.sampled_from(["kill_all", "freeze", "thaw", "thaw"]),
     ),
 )
 CASES = st.builds(
     Case,
     n_cpus=st.integers(1, 6),
-    backfill=st.sampled_from([True, True, False]),
     seed=st.integers(0, 3),
     steps=st.lists(
         st.tuples(DELAYS, st.lists(OPS, min_size=1, max_size=3)),
@@ -162,12 +133,10 @@ def simulate(cls, case: Case):
         env,
         case.n_cpus,
         lambda runtime_s: runtime_s * rng.choice(noise),
-        backfill=case.backfill,
     )
     log: list[tuple] = []
     made: list[SiteJob] = []  # as submit returned them, by job number
     n_local = 0
-    n_res = 0
 
     def stop(verb: str, target: int):
         if not made:
@@ -179,15 +148,14 @@ def simulate(cls, case: Case):
         log.append(("status", job.job_id, old.value, new.value, env.now))
 
     def apply(op):
-        nonlocal n_res, n_local
+        nonlocal n_local
         if isinstance(op, SubmitLocal):
-            sched.submit_local(op.runtimes, "local", op.priority, "bg.", n_local)
+            sched.submit_local(op.runtimes, "local", "bg.", n_local)
             n_local += len(op.runtimes)
         elif isinstance(op, Submit):
             job = SiteJob(
                 f"j{len(made)}",
                 runtime_s=op.runtime_s,
-                priority=op.priority,
                 checkpoint_interval_s=op.checkpoint_interval_s,
                 checkpoint_cost_s=op.checkpoint_cost_s,
             )
@@ -199,22 +167,9 @@ def simulate(cls, case: Case):
                     lambda _j, _old, new: new.value == watch.on
                     and stop(watch.verb, watch.target)
                 )
-            res_id = None
-            if op.reservation is not None:  # mostly a real one, live or not
-                res_id = f"r{op.reservation % (n_res + 1)}"
-            sched.submit(job, reservation_id=res_id)
+            sched.submit(job)
         elif isinstance(op, Stop):
             stop(op.verb, op.target)
-        elif isinstance(op, Reserve):
-            res_id = f"r{n_res}"
-            n_res += 1
-            ok = sched.reserve(
-                res_id, env.now + op.start_in_s, op.duration_s, op.cpus
-            )
-            log.append(("reserve", res_id, ok))
-        elif op.verb == "cancel_reservation":
-            res_id = f"r{op.arg % max(n_res, 1)}"
-            log.append(("cancel", res_id, sched.cancel_reservation(res_id)))
         else:
             log.append((op.verb, getattr(sched, op.verb)()))
 
@@ -226,9 +181,7 @@ def simulate(cls, case: Case):
             log.append(("seen", env.now, sched.queued_jobs,
                         sched.running_jobs, sched.utilization))
             log.append(("counted", sched.completed_count, sched.killed_count,
-                        sched.backfill_count,
-                        repr(sched.preempted_work_s),
-                        sched.reservation_audit()))
+                        repr(sched.preempted_work_s), sched._cpus.count))
 
     env.process(driver())
     env.run()
@@ -244,16 +197,15 @@ def simulate(cls, case: Case):
     }
     counters = (
         sched.completed_count, sched.killed_count,
-        sched.backfill_count, repr(sched.preempted_work_s),
-        dict(sched.reservation_counts), list(sched.reservation_miss_latencies),
-        [(r.res_id, r.state, r.started_jobs) for r in sched.reservations],
+        repr(sched.preempted_work_s),
         sched.queued_jobs, sched.running_jobs, env.now,
     )
     return {
         "jobs": jobs,
         "log": log,
         "counters": counters,
-        "audit": sched.reservation_audit(),
+        # quiescent: every slot back, so none can have leaked
+        "slots": (sched._cpus.count, sched._cpus.queued),
         "events": (before_thaw, env.event_count),
         "sched": sched,  # for white-box checks; never compared
     }
@@ -265,7 +217,7 @@ def assert_same(case: Case):
     assert got["log"] == want["log"]      # callback order and instants
     assert got["jobs"] == want["jobs"]    # float ==, not approx
     assert got["counters"] == want["counters"]
-    assert got["audit"] == want["audit"] == []
+    assert got["slots"] == want["slots"] == (0, 0)
     assert got["events"] == want["events"]
     return got
 
@@ -276,9 +228,8 @@ def test_state_machine_matches_generator_twin(case):
     assert_same(case)
 
 
-def submit(runtime_s, *, priority=10, reservation=None,
-           ckpt=0.0, cost=0.0, watch=None):
-    return Submit(runtime_s, priority, reservation, ckpt, cost, watch)
+def submit(runtime_s, *, ckpt=0.0, cost=0.0, watch=None):
+    return Submit(runtime_s, ckpt, cost, watch)
 
 
 def seen(got, at):
@@ -290,7 +241,7 @@ def test_kill_landing_on_a_grant_instant():
     # One CPU.  j0 ends at t=5 and its slot is granted to j1 on the spot;
     # the driver's own t=5 timer was armed after j0's, so the kill runs
     # with j1's grant in flight: the slot must come back and go to j2.
-    case = Case(1, True, None, [
+    case = Case(1, None, [
         (0.0, [submit(5.0), submit(5.0), submit(5.0)]),
         (0.0, [Simple("thaw")]),          # no-op: j0 is running by now
         (5.0, [Stop("kill", 1)]),
@@ -304,43 +255,8 @@ def test_kill_landing_on_a_grant_instant():
     assert got["jobs"]["j2"][2] == 5.0         # took the slot at once
 
 
-@pytest.mark.parametrize("verb", ["kill"])
-def test_kill_landing_on_a_backfill_redirect(verb):
-    # Two CPUs, both busy; a short job queues.  A 1-CPU reservation for
-    # t=50 issues a hold; j0's slot frees at t=5, drains into the hold,
-    # and the hole before t=50 is backfilled with the queued j2.  The
-    # zero-delay step lands while that redirect is still in flight.
-    case = Case(2, True, None, [
-        (0.0, [submit(5.0), submit(40.0), submit(2.0)]),
-        (0.0, [Reserve(50.0, 5.0, 1)]),
-        (5.0, [Simple("thaw")]),          # a no-op step at t=5 ...
-        (0.0, [Stop(verb, 2)]),           # ... then the kill, same instant
-        (1.0, [submit(1.0)]),             # the hole is offered again
-    ])
-    got = assert_same(case)
-    assert (verb, "j2", True) in got["log"]
-    assert got["jobs"]["j2"][2] is None
-    assert got["counters"][2] == 2             # j2 and then j3 backfilled
-    assert got["jobs"]["j3"][2] == 6.0
-
-
-def test_claim_falls_back_to_the_queue_when_the_reservation_evaporates():
-    case = Case(1, True, None, [
-        (0.0, [submit(10.0), Reserve(2.0, 3.0, 1),
-               submit(1.0, reservation=0)]),          # waits on the grant ...
-        (1.0, [Simple("cancel_reservation", 0),       # ... which settles None
-               submit(1.0, reservation=0),            # terminal: to the queue
-               Stop("kill", 0)]),
-    ])
-    got = assert_same(case)
-    # j0's slot comes back at the kill's unwind, ahead of j1's None grant:
-    # j2 is already queued and takes it, j1 re-queues behind.
-    assert got["jobs"]["j2"][:3] == (SiteJobStatus.COMPLETED, 1.0, 1.0)
-    assert got["jobs"]["j1"][:3] == (SiteJobStatus.COMPLETED, 0.0, 2.0)
-
-
 def test_checkpointed_job_killed_mid_run():
-    case = Case(1, True, None, [
+    case = Case(1, None, [
         (0.0, [submit(10.0, ckpt=2.5, cost=0.25)]),
         (4.0, [Stop("kill", 0)]),
     ])
@@ -353,7 +269,7 @@ def test_checkpointed_job_killed_mid_run():
 def test_zero_runtime_detached_job_is_forgotten_at_once():
     # A cohort of one that ends at its own instant: its one heap entry
     # fires, the slot is back and the scheduler holds nothing.
-    got = assert_same(Case(1, True, None, [(0.0, [SubmitLocal((0.0,))])]))
+    got = assert_same(Case(1, None, [(0.0, [SubmitLocal((0.0,))])]))
     assert got["counters"][0] == 1 and got["events"] == (2, 2)
     assert not got["sched"]._jobs and got["sched"]._cpus.count == 0
 
@@ -365,7 +281,7 @@ def test_kill_of_a_running_job_that_is_its_own_timer():
     # heap entry still fires at t=10 — into the guard: it is counted (the
     # twin's stale Timeout is too) and frees nothing, or the local job of
     # t=9.5 would see its slot handed out twice.
-    case = Case(1, True, None, [
+    case = Case(1, None, [
         (0.0, [submit(10.0)]),
         (4.0, [Stop("kill", 0)]),
         (0.0, [SubmitLocal((5.0,))]),
@@ -386,17 +302,17 @@ def test_cohort_partly_fits_rest_queue_in_order():
     # Three CPUs, one busy.  Of five local jobs two start as a cohort and
     # three queue in arrival order behind them; each start draws one noise
     # value, so a queued job starting out of order would move every instant.
-    case = Case(3, True, 2, [
+    case = Case(3, 2, [
         (0.0, [submit(50.0)]),
         (1.0, [SubmitLocal((8.0, 2.0, 4.0, 1.0, 3.0))]),
-        (0.0, [submit(1.0, priority=1)]),      # more urgent: ahead of the rest
+        (0.0, [submit(1.0)]),                  # FIFO: behind all three
     ])
     got = assert_same(case)
     assert seen(got, 1.0) == [(3, 3, 1.0), (4, 3, 1.0)]
     assert got["counters"][0] == 7
-    # bg.1 (2 s nominal) is the first slot back; the priority-1 job has it
-    started = got["jobs"]["j1"][2]
-    assert 1.0 < started <= 1.0 + 2.0 * 1.75
+    # Slots come back at t=2 (bg.1), 5 (bg.0) and twice at 6 (bg.2 and
+    # bg.3): bg.2, bg.3 and bg.4 take them in arrival order, j1 the last.
+    assert got["jobs"]["j1"][2] == 6.0
     sched = got["sched"]
     assert not sched._jobs.keys() - {"j0", "j1"} and sched._cpus.count == 0
 
@@ -406,7 +322,7 @@ def test_kill_all_half_finished_cohort_stale_pops():
     # the two survivors 5 s each and unwinds each through its own event; the
     # next arrival starts in place at once.  The survivors' heap entries
     # still fire at t=10 and t=20, into a killed cohort: counted, ignored.
-    case = Case(4, True, None, [
+    case = Case(4, None, [
         (0.0, [SubmitLocal((1.0, 10.0, 2.0, 20.0))]),
         (5.0, [Simple("kill_all")]),
         (0.0, [SubmitLocal((3.0, 3.0, 3.0, 3.0))]),
@@ -416,7 +332,7 @@ def test_kill_all_half_finished_cohort_stale_pops():
     assert [e for e in got["log"] if e[0] == "kill_all"] == [
         ("kill_all", 2), ("kill_all", 4)]
     assert seen(got, 5.0) == [(0, 2, 0.5), (0, 4, 1.0), (0, 4, 1.0)]
-    completed, killed, _bf, preempted = got["counters"][:4]
+    completed, killed, preempted = got["counters"][:3]
     assert (completed, killed, preempted) == (2, 6, "10.0")
     # 8 run timers (6 of them stale) + 6 unwinds + the driver's 4 steps
     assert got["events"] == (18, 18)
@@ -429,7 +345,7 @@ def test_freeze_with_a_cohort_running():
     # BLACKHOLE: the members already running finish and give their slots
     # back into a frozen pool; arrivals meanwhile queue, and start — one
     # cohort-less job per grant — only at the thaw.
-    case = Case(2, True, None, [
+    case = Case(2, None, [
         (0.0, [SubmitLocal((4.0, 6.0))]),
         (1.0, [Simple("freeze"), SubmitLocal((1.0, 1.0))]),
         (9.0, [Simple("thaw")]),
@@ -441,26 +357,10 @@ def test_freeze_with_a_cohort_running():
     assert not got["sched"]._jobs
 
 
-def test_live_reservation_one_job_at_a_time():
-    # Two CPUs, one held by a reservation for t=50.  Of three local jobs
-    # the first takes the free CPU; the second queues and — short enough
-    # for the hole — is backfilled into the held slot before the third is
-    # looked at, which then waits for that slot to come back.
-    case = Case(2, True, None, [
-        (0.0, [Reserve(50.0, 5.0, 1)]),
-        (1.0, [SubmitLocal((30.0, 5.0, 5.0))]),
-    ])
-    got = assert_same(case)
-    assert seen(got, 1.0) == [(2, 1, 1.0)]     # bg.1's borrowed start in flight
-    assert got["counters"][2] == 2             # bg.1, then bg.2 after it
-    assert got["counters"][0] == 3
-    assert got["audit"] == [] and not got["sched"]._jobs
-
-
 def test_kill_of_a_forgotten_detached_id_is_an_unknown_id():
     env = Environment()
     sched = LocalScheduler(env, 1, lambda runtime_s: runtime_s)
-    sched.submit_local((2.0, 3.0), "local", 10, "bg.", 0)
+    sched.submit_local((2.0, 3.0), "local", "bg.", 0)
     # bg.0 runs in a cohort: no record, not addressable, though its id is
     # taken; bg.1 queued behind it and is a job like any other until it ends
     assert "bg.0" not in sched and "bg.1" in sched
@@ -468,7 +368,7 @@ def test_kill_of_a_forgotten_detached_id_is_an_unknown_id():
         with pytest.raises(KeyError):
             verb("bg.0")
     with pytest.raises(ValueError, match="duplicate"):
-        sched.submit_local((1.0,), "local", 10, "bg.", 0)
+        sched.submit_local((1.0,), "local", "bg.", 0)
     with pytest.raises(ValueError, match="duplicate"):
         sched.submit(SiteJob("bg.1"))
     assert sched.job("bg.1").status is SiteJobStatus.PENDING
@@ -480,7 +380,7 @@ def test_kill_of_a_forgotten_detached_id_is_an_unknown_id():
     with pytest.raises(KeyError):
         sched.kill("never-submitted")
     # killed, not completed: known (and terminal) until its slot unwinds
-    sched.submit_local((2.0, 2.0), "local", 10, "bg.", 0)
+    sched.submit_local((2.0, 2.0), "local", "bg.", 0)
     assert sched.kill("bg.1") is True and sched.kill("bg.1") is False
     env.run()
     assert "bg.1" not in sched and not sched._jobs
@@ -490,17 +390,18 @@ def test_kill_of_a_forgotten_detached_id_is_an_unknown_id():
 def test_slot_conservation_counts_anonymous_slots():
     env = Environment()
     sched = LocalScheduler(env, 3, lambda runtime_s: runtime_s)
-    sched.submit_local((10.0, 4.0), "local", 10, "bg.", 0)
+    sched.submit_local((10.0, 4.0), "local", "bg.", 0)
     assert not sched._running and sched._cpus.anonymous == 2  # no Request
-    assert sched.reserve("r", 6.0, 5.0, cpus=2)
-    env.run(until=1.0)                         # one hold granted, one queued
-    assert sched._cpus.count == 3 and sched.utilization == 1.0
-    assert sched.reservation_audit() == []
-    env.run(until=5.0)                         # bg.1's slot drained into r
-    assert (sched.running_jobs, sched._cpus.count) == (1, 3)
-    assert sched.reservation_audit() == []
+    sched.submit(SiteJob("j", runtime_s=5.0))  # the third CPU, a Request
+    sched.submit(SiteJob("k", runtime_s=1.0))  # queues
+    env.run(until=1.0)
+    assert sched._cpus.count == sched.running_jobs == 3
+    assert sched.utilization == 1.0 and sched.queued_jobs == 1
+    env.run(until=4.5)                         # bg.1's slot went to k at t=4
+    assert (sched.running_jobs, sched._cpus.anonymous) == (3, 1)
+    assert sched._cpus.count == 3 and sched.queued_jobs == 0
     env.run()
-    assert sched._cpus.count == 0 and sched.reservation_audit() == []
+    assert sched._cpus.count == sched.running_jobs == 0
 
 
 @pytest.mark.parametrize("bad", [-1.0, float("nan")])
@@ -510,7 +411,7 @@ def test_submit_local_refuses_a_bad_arrival_whole(bad):
         draws = []
         sched = cls(env, 4, lambda runtime_s: draws.append(runtime_s) or 1.0)
         with pytest.raises(ValueError, match=r"job bg\.8: runtime_s="):
-            sched.submit_local((1.0, bad, 2.0), "local", 10, "bg.", 7)
+            sched.submit_local((1.0, bad, 2.0), "local", "bg.", 7)
         assert not draws and not sched._jobs and sched._cpus.count == 0
 
 
@@ -520,9 +421,9 @@ def test_submit_local_at_down_site_draws_no_noise():
     site.set_state(SiteState.DOWN)
     before = site._rng.bit_generator.state
     with pytest.raises(SiteUnavailableError, match="site s is down"):
-        site.submit_local([5.0, 5.0], "local", 10, "bg.s.", 0)
+        site.submit_local([5.0, 5.0], "local", "bg.s.", 0)
     assert site._rng.bit_generator.state == before and not site._noise
     assert site.running_jobs == 0 and not site.scheduler._jobs
     site.set_state(SiteState.UP)
-    site.submit_local([5.0, 5.0], "local", 10, "bg.s.", 0)
+    site.submit_local([5.0, 5.0], "local", "bg.s.", 0)
     assert site.running_jobs == 2 and len(site._noise) == 30

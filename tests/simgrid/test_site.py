@@ -42,7 +42,7 @@ def test_fields_must_be_in_range(field, bound, bad):
 
 def test_submit_local_runs_an_arrival_on_free_cpus_and_queues_the_rest():
     env, site = make_site(n_cpus=2, perf_factor=2.0)
-    site.submit_local([10.0, 20.0, 5.0], "/VO=local/CN=x", 10, "bg.", 7)
+    site.submit_local([10.0, 20.0, 5.0], "/VO=local/CN=x", "bg.", 7)
     assert (site.running_jobs, site.queued_jobs) == (2, 1)
     queued = site.scheduler.job("bg.9")     # only a job that queued has one
     assert queued.owner == "/VO=local/CN=x"
@@ -155,12 +155,6 @@ class TestStorage:
         _env, site = make_site()
         with pytest.raises(ValueError):
             site.store_file("x", -1.0)
-
-
-class TestLocalPolicy:
-    def test_priority_for_default(self):
-        _env, site = make_site()
-        assert site.submit("j", runtime_s=1.0, owner="/VO=x/CN=y").priority == 10
 
 
 def test_kill_via_site():

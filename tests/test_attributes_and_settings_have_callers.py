@@ -59,21 +59,13 @@ REASONS = (SEAM, REFERENCE, ORACLE, MODEL)
 
 #: ``Class.attr`` stored in src/ that only tests read -> (reason, test)
 UNREAD_ALLOWED = {
-    "LocalScheduler.backfill_count":
-        (ORACLE, "tests/simgrid/test_reservations.py"),
     "LocalScheduler.killed_count":
         (ORACLE, "tests/simgrid/test_local_scheduler.py"),
-    "LocalScheduler.reservation_counts":
-        (ORACLE, "tests/simgrid/test_reservations.py"),
     "BackgroundLoad.surges":
         (ORACLE, "tests/simgrid/test_background_batched.py"),
     "GridFtpService.failed_count": (ORACLE, "tests/services/test_gridftp.py"),
     "CondorG.failed_submissions": (ORACLE, "tests/services/test_condorg.py"),
-    "CondorG.reservations_rejected":
-        (ORACLE, "tests/services/test_condorg.py"),
     "CondorG.submitted_count": (ORACLE, "tests/core/test_client.py"),
-    "SphinxServer.reservations_requested":
-        (ORACLE, "tests/experiments/test_reservation_integration.py"),
     "Heartbeat.stall_count": (ORACLE, "tests/obs/test_runtime.py"),
     "RpcFault.cause": (ORACLE, "tests/services/test_rpc.py"),
     "Interrupt.cause": (ORACLE, "tests/sim/test_process.py"),
@@ -89,8 +81,6 @@ UNSET_ALLOWED = {
     # 0 stops the digest loop; the tests push digests by hand instead
     "FederationConfig.digest_interval_s":
         (SEAM, "tests/federation/fedstack.py"),
-    # test_easy_backfilling_never_delays_reserved_job runs without it
-    "LocalScheduler.backfill": (REFERENCE, "tests/simgrid/test_reservations.py"),
     # test_ctx_disabled_uses_static_semantics runs without it
     "QosDeadline.dag_deadline": (REFERENCE, "tests/core/test_algorithms.py"),
     "MonitoringService.noise_sigma":
@@ -138,7 +128,7 @@ CALL_ALIASES = {
 CARRIED = {"ServerSpec": "ServerConfig"}
 
 #: runtime-state holders: their defaults are initial state, not settings
-STATE_HOLDERS = {"Reservation", "SiteJob", "TrackerStats"}
+STATE_HOLDERS = {"SiteJob", "TrackerStats"}
 
 
 def _trees(dirs, root=ROOT):

@@ -26,8 +26,6 @@ ALLOWED = {
         "tests/services/test_rls.py",
     "repro.services.rls.ReplicaService.exists":
         "tests/services/test_rls_differential.py",
-    "repro.simgrid.local_scheduler.LocalScheduler.reservation":
-        "tests/simgrid/test_reservations.py",
     "repro.sim.engine.Wakeup.pending": "tests/sim/test_event_driven.py",
     "repro.sim.resources.Resource.queued": "tests/sim/test_resources.py",
     "repro.core.feedback.ReliabilityTracker.completed":
